@@ -78,7 +78,22 @@ case "$PRESET" in
     ;;
   *) echo "ci.sh: unknown preset '$PRESET'" >&2; exit 2 ;;
 esac
-case "$SMOKE" in full|tp|pp|fault|fleet|obs|paged) ;; *) echo "ci.sh: unknown smoke '$SMOKE'" >&2; exit 2 ;; esac
+
+# Smoke lanes: lane -> "<ctest regex> <fig bench>", the tests it runs and
+# the bench whose JSON it schema-checks. "full" runs every test and bench.
+declare -A LANES=(
+  [tp]="tensor_parallel_test fig_tp"
+  [pp]="pipeline_parallel_test fig_3d"
+  [fault]="fault_tolerance_test fig_fault"
+  [fleet]="fleet_test fig_fleet"
+  [obs]="obs_test|trace_test fig_obs"
+  [paged]="infer_test fig_page"
+)
+LANE_TESTS="" LANE_BENCH=""
+if [ "$SMOKE" != full ]; then
+  [ -n "${LANES[$SMOKE]+x}" ] || { echo "ci.sh: unknown smoke '$SMOKE'" >&2; exit 2; }
+  read -r LANE_TESTS LANE_BENCH <<< "${LANES[$SMOKE]}"
+fi
 
 echo "ci.sh: preset=$PRESET smoke=$SMOKE -> $BUILD_DIR"
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
@@ -87,25 +102,15 @@ cd "$BUILD_DIR"
 
 # A hang is a failure, not a stall: every test binary gets a hard timeout —
 # and a filter that matches nothing is a failure too, never a silent pass.
+CTEST=(ctest --output-on-failure --no-tests=error)
 if [ "$PRESET" = tsan ]; then
   # The TSan lane pins its scope to the threaded surface regardless of the
   # smoke flavour — single-threaded tests under TSan are pure slowdown.
-  ctest --output-on-failure --timeout 600 --no-tests=error \
-    -R 'dist_overlap_test|gemm_test|fault_tolerance_test'
-elif [ "$SMOKE" = tp ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R tensor_parallel_test
-elif [ "$SMOKE" = pp ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R pipeline_parallel_test
-elif [ "$SMOKE" = fault ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R fault_tolerance_test
-elif [ "$SMOKE" = fleet ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R fleet_test
-elif [ "$SMOKE" = obs ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R 'obs_test|trace_test'
-elif [ "$SMOKE" = paged ]; then
-  ctest --output-on-failure --timeout 300 --no-tests=error -R infer_test
+  "${CTEST[@]}" --timeout 600 -R 'dist_overlap_test|gemm_test|fault_tolerance_test'
+elif [ "$SMOKE" = full ]; then
+  "${CTEST[@]}" --timeout 300 -j "$(nproc)"
 else
-  ctest --output-on-failure --timeout 300 --no-tests=error -j "$(nproc)"
+  "${CTEST[@]}" --timeout 300 -R "$LANE_TESTS"
 fi
 
 if [ "$PRESET" != release ]; then
@@ -120,41 +125,22 @@ command -v python3 >/dev/null 2>&1 || {
 # bench that silently stops writing its JSON has to FAIL the schema check.
 rm -f bench/fig*.json
 
-if [ "$SMOKE" = tp ]; then
-  echo "ci.sh: smoke-running ./fig_tp"
-  ./fig_tp >/dev/null
-  python3 ../ci/check_bench_json.py fig_tp
-elif [ "$SMOKE" = pp ]; then
-  echo "ci.sh: smoke-running ./fig_3d"
-  ./fig_3d >/dev/null
-  python3 ../ci/check_bench_json.py fig_3d
-elif [ "$SMOKE" = fault ]; then
-  echo "ci.sh: smoke-running ./fig_fault"
-  ./fig_fault >/dev/null
-  python3 ../ci/check_bench_json.py fig_fault
-elif [ "$SMOKE" = fleet ]; then
-  echo "ci.sh: smoke-running ./fig_fleet"
-  ./fig_fleet >/dev/null
-  python3 ../ci/check_bench_json.py fig_fleet
-elif [ "$SMOKE" = obs ]; then
-  echo "ci.sh: smoke-running ./fig_obs"
-  ./fig_obs >/dev/null
-  python3 ../ci/check_bench_json.py fig_obs
-elif [ "$SMOKE" = paged ]; then
-  echo "ci.sh: smoke-running ./fig_page"
-  ./fig_page >/dev/null
-  python3 ../ci/check_bench_json.py fig_page
-else
+if [ "$SMOKE" = full ]; then
   # Smoke-run EVERY paper-figure bench (all run in kModelOnly, so this is
   # cheap) so bench binaries can't bit-rot silently, then schema-check the
   # machine-readable outputs perf-trajectory tracking relies on — a bench
-  # that silently writes nothing (or garbage) fails here.
+  # that silently writes nothing (or garbage) fails here (no names: every
+  # figure the checker knows).
   for bench in ./fig*; do
     [ -x "$bench" ] || continue
     echo "ci.sh: smoke-running $bench"
     "$bench" >/dev/null
   done
-  python3 ../ci/check_bench_json.py fig22 fig_launch_graph fig_serve fig_tp fig_3d fig_fault fig_fleet fig_obs fig_page
+  python3 ../ci/check_bench_json.py
+else
+  echo "ci.sh: smoke-running ./$LANE_BENCH"
+  "./$LANE_BENCH" >/dev/null
+  python3 ../ci/check_bench_json.py "$LANE_BENCH"
 fi
 
 echo "ci.sh: all checks passed"

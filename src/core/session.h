@@ -134,10 +134,10 @@ class Session {
   /// mid-step failure and drains per-step state the unwound step leaked.
   void rewind_to_step(int64_t step);
 
-  /// Cross-step state of the pipeline-parallel engine (core/pp_step.h):
-  /// the remote-stage device/allocator pair and the trace time base. Owned
-  /// here (type-erased) so the engine — a header template — keeps its
-  /// warm allocator cache across steps. Null until the first PP step.
+  /// Cross-step state of train_step's pipeline lane (core/train_step.h,
+  /// detail::PipelineStep): the remote-stage device/allocator pair and the
+  /// trace time base. Owned here (type-erased) so the lane keeps its warm
+  /// allocator cache across steps. Null until the first PP step.
   std::shared_ptr<void> pp_state;
 
  private:

@@ -23,6 +23,13 @@ void ClusterConfig::validate() const {
       << "pipeline_parallel " << pipeline_parallel << " needs at least that many "
       << "microbatches to fill the pipe (got " << microbatches
       << "); the 1F1B bubble fraction (pp-1)/(m+pp-1) only shrinks with m";
+  LS2_CHECK(pipeline_parallel > 1 || microbatches == 1)
+      << "microbatches " << microbatches << " without pipeline parallelism would "
+      << "silently become gradient accumulation — set microbatches = 1";
+  LS2_CHECK(pipeline_parallel == 1 || (overlap && pipeline_update))
+      << "pipeline_parallel " << pipeline_parallel << " always overlaps its per-stage "
+      << "DP rings and pipelines the update — overlap = false and "
+      << "pipeline_update = false are not modeled under PP";
   LS2_CHECK(dp_lost >= 0) << "dp_lost " << dp_lost << " cannot be negative";
   LS2_CHECK(dp_size() >= 1)
       << "elastic shrink lost " << dp_lost << " of "

@@ -60,7 +60,7 @@ struct ClusterConfig {
   int pipeline_parallel = 1;
   /// Microbatches per step under pipeline parallelism (the global batch
   /// is sliced along dim 0; B % microbatches must be 0). More microbatches
-  /// shrink the 1F1B bubble fraction (pp-1)/(m+pp-1). Ignored when
+  /// shrink the 1F1B bubble fraction (pp-1)/(m+pp-1). Must be 1 when
   /// pipeline_parallel == 1.
   int microbatches = 1;
   /// Data-parallel replicas LOST to failures and elastically shrunk away
@@ -80,9 +80,11 @@ struct ClusterConfig {
 
   /// Reject inconsistent shapes with a clear message at configuration time
   /// (instead of deep inside a group split): dp x tp x pp must exactly
-  /// cover world_size, TP must stay within one node, and the microbatch
-  /// count must be sane. Called by ProcessGroup's constructor and
-  /// core::train_step; callers building configs by hand can call it early.
+  /// cover world_size, TP must stay within one node, the microbatch count
+  /// must be sane, and PP runs with overlap and pipeline_update on (the
+  /// only schedule its engine models). Called by ProcessGroup's
+  /// constructor and core::train_step; callers building configs by hand
+  /// can call it early.
   void validate() const;
 };
 

@@ -21,48 +21,65 @@ int64_t effective_bucket_bytes(const ClusterConfig& cluster,
   return std::max(cluster.bucket_bytes, static_cast<int64_t>(min_bytes));
 }
 
-BucketPlan::BucketPlan(const layers::ParamRegistry& params, int64_t cap_bytes) {
+BucketPlan::BucketPlan(const layers::ParamRegistry& params, int64_t cap_bytes)
+    : BucketPlan(params, {{0, params.size()}}, cap_bytes) {}
+
+BucketPlan::BucketPlan(const layers::ParamRegistry& params,
+                       const std::vector<layers::ParamRange>& ranges, int64_t cap_bytes) {
   LS2_CHECK(params.materialized()) << "bucket plan before materialize";
   LS2_CHECK(cap_bytes > 0) << "bucket cap must be positive";
   const int n = params.size();
   bucket_of_param_.assign(static_cast<size_t>(n), -1);
-  total_bytes_ = static_cast<int64_t>(params.flat_grad_bytes());
 
-  // Walk params from last declared to first, closing a bucket once it holds
-  // at least one param and would exceed the cap with the next. Each bucket
-  // is a contiguous byte range because declaration order is layout order.
-  int end = n;  // param_end of the bucket being built (exclusive)
-  int64_t acc = 0;
-  for (int i = n - 1; i >= 0; --i) {
-    const auto [b, e] = params.grad_byte_span(i);
-    const int64_t bytes = static_cast<int64_t>(e - b);
-    if (acc > 0 && acc + bytes > cap_bytes) {
-      GradBucket bucket;
-      bucket.index = static_cast<int>(buckets_.size());
-      bucket.param_begin = i + 1;
-      bucket.param_end = end;
-      bucket.byte_begin = params.grad_byte_span(i + 1).first;
-      bucket.byte_end = params.grad_byte_span(end - 1).second;
-      buckets_.push_back(bucket);
-      end = i + 1;
-      acc = 0;
-    }
-    acc += bytes;
-  }
-  if (end > 0) {
-    GradBucket bucket;
-    bucket.index = static_cast<int>(buckets_.size());
-    bucket.param_begin = 0;
-    bucket.param_end = end;
-    bucket.byte_begin = 0;
-    bucket.byte_end = params.grad_byte_span(end - 1).second;
-    buckets_.push_back(bucket);
-  }
-  for (const GradBucket& b : buckets_) {
-    for (int i = b.param_begin; i < b.param_end; ++i) {
-      bucket_of_param_[static_cast<size_t>(i)] = b.index;
+  // Coalesce the ranges into maximal runs of adjacent declarations.
+  std::vector<layers::ParamRange> runs;
+  for (const layers::ParamRange& r : ranges) {
+    LS2_CHECK(r.begin >= 0 && r.end <= n) << "range [" << r.begin << ", " << r.end
+                                          << ") outside " << n << " params";
+    if (r.empty()) continue;
+    LS2_CHECK(runs.empty() || runs.back().end <= r.begin)
+        << "bucket ranges must ascend without overlap (at param " << r.begin << ")";
+    if (!runs.empty() && runs.back().end == r.begin) {
+      runs.back().end = r.end;
+    } else {
+      runs.push_back(r);
     }
   }
+
+  // Walk each run from its last declared param to its first, closing a
+  // bucket once it holds at least one param and would exceed the cap with
+  // the next. Each bucket is a contiguous byte range because declaration
+  // order is layout order.
+  for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+    int end = run->end;  // param_end of the bucket being built (exclusive)
+    int64_t acc = 0;
+    for (int i = run->end - 1; i >= run->begin; --i) {
+      const auto [b, e] = params.grad_byte_span(i);
+      const int64_t bytes = static_cast<int64_t>(e - b);
+      if (acc > 0 && acc + bytes > cap_bytes) {
+        add_bucket(params, i + 1, end);
+        end = i + 1;
+        acc = 0;
+      }
+      acc += bytes;
+    }
+    add_bucket(params, run->begin, end);
+  }
+}
+
+void BucketPlan::add_bucket(const layers::ParamRegistry& params, int param_begin,
+                            int param_end) {
+  GradBucket bucket;
+  bucket.index = static_cast<int>(buckets_.size());
+  bucket.param_begin = param_begin;
+  bucket.param_end = param_end;
+  bucket.byte_begin = params.grad_byte_span(param_begin).first;
+  bucket.byte_end = params.grad_byte_span(param_end - 1).second;
+  for (int i = param_begin; i < param_end; ++i) {
+    bucket_of_param_[static_cast<size_t>(i)] = bucket.index;
+  }
+  total_bytes_ += bucket.bytes();
+  buckets_.push_back(bucket);
 }
 
 int BucketPlan::bucket_of(int param_index) const {
@@ -124,7 +141,6 @@ void OverlapScheduler::flush(const GradBucket& bucket) {
   const double done = device_.enqueue_comm(us, "synchronize");
   enqueued_us_ += us;
   wire_bytes_ += payload;
-  ++buckets_flushed_;
   if (device_.record_timeline()) {
     // The bucket's ring transfer as a named span on the comm lane (tid 1):
     // visible overlap in the trace, one span per bucket per step.

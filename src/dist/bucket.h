@@ -8,7 +8,9 @@
 // and its all-reduce can be launched on the communication stream while the
 // backward pass is still running. Each bucket is one contiguous byte range;
 // together the buckets tile the flat buffer exactly (no gap, no overlap,
-// every parameter covered once).
+// every parameter covered once). A plan may also cover only some
+// declaration ranges — one pipeline stage's parameters — and then tiles
+// exactly those ranges' bytes.
 //
 // BucketPlan is the static partition; OverlapScheduler is the per-step
 // driver that listens to ParamRegistry's grad-ready callback and enqueues
@@ -51,13 +53,21 @@ int64_t effective_bucket_bytes(const ClusterConfig& cluster,
 class BucketPlan {
  public:
   BucketPlan() = default;
+  /// The whole registry: the one-range case of the constructor below.
   explicit BucketPlan(const layers::ParamRegistry& params,
                       int64_t cap_bytes = ClusterConfig{}.bucket_bytes);
+  /// Only the params in `ranges` (ascending and disjoint; adjacent ranges
+  /// coalesce). A bucket never spans a gap between ranges, so each stays
+  /// one contiguous byte range.
+  BucketPlan(const layers::ParamRegistry& params,
+             const std::vector<layers::ParamRange>& ranges, int64_t cap_bytes);
 
   const std::vector<GradBucket>& buckets() const { return buckets_; }
   int size() const { return static_cast<int>(buckets_.size()); }
-  /// Which bucket holds a given parameter declaration index.
+  /// Which bucket holds a given parameter declaration index (-1 when the
+  /// param lies outside the plan's ranges).
   int bucket_of(int param_index) const;
+  /// Gradient bytes the plan covers.
   int64_t total_bytes() const { return total_bytes_; }
 
   /// The bucket's gradient payload as one tensor view (workspace registries
@@ -65,6 +75,8 @@ class BucketPlan {
   Tensor grad_view(const layers::ParamRegistry& params, const GradBucket& b) const;
 
  private:
+  void add_bucket(const layers::ParamRegistry& params, int param_begin, int param_end);
+
   std::vector<GradBucket> buckets_;
   std::vector<int> bucket_of_param_;
   int64_t total_bytes_ = 0;
@@ -111,7 +123,6 @@ class OverlapScheduler {
   /// Total modeled gradient bytes this rank put on the ring so far (at the
   /// wire dtype, not the storage dtype).
   int64_t wire_bytes() const { return wire_bytes_; }
-  int buckets_flushed() const { return buckets_flushed_; }
 
  private:
   void flush(const GradBucket& bucket);
@@ -126,7 +137,6 @@ class OverlapScheduler {
   std::vector<char> param_ready_;
   double enqueued_us_ = 0;
   int64_t wire_bytes_ = 0;
-  int buckets_flushed_ = 0;
   bool finished_ = false;
 };
 

@@ -81,12 +81,4 @@ std::string find_divergence(
   return "";
 }
 
-double ReplicaGroup::modeled_sync_us(const layers::ParamRegistry& params,
-                                     const simgpu::DeviceProfile& profile) const {
-  const int64_t payload = wire_payload_bytes(
-      static_cast<int64_t>(params.flat_grad_bytes()), params.dtype(),
-      cluster_.wire_dtype);
-  return ring_allreduce_us(payload, cluster_, profile);
-}
-
 }  // namespace ls2::dist

@@ -35,26 +35,4 @@ void sync_gradients_bucketed(const std::vector<layers::ParamRegistry*>& replicas
 /// human-readable description of the first divergent parameter.
 std::string find_divergence(const std::vector<const layers::ParamRegistry*>& replicas);
 
-/// Convenience owner for a set of replica registries participating in
-/// gradient synchronization, with the cluster's ring time model attached.
-class ReplicaGroup {
- public:
-  explicit ReplicaGroup(ClusterConfig cluster) : cluster_(cluster) {}
-
-  void add_replica(layers::ParamRegistry* params) { replicas_.push_back(params); }
-  int size() const { return static_cast<int>(replicas_.size()); }
-  const ClusterConfig& cluster() const { return cluster_; }
-
-  /// All-reduce-average all gradients across the registered replicas, over
-  /// the cluster's configured wire dtype.
-  void sync() { sync_gradients(replicas_, cluster_.wire_dtype); }
-  /// Modeled ring time for one full gradient sync of `registry`.
-  double modeled_sync_us(const layers::ParamRegistry& params,
-                         const simgpu::DeviceProfile& profile) const;
-
- private:
-  ClusterConfig cluster_;
-  std::vector<layers::ParamRegistry*> replicas_;
-};
-
 }  // namespace ls2::dist

@@ -41,7 +41,7 @@ struct KernelContext {
   uint64_t rng_step_base = 0;
   uint64_t dropout_site = 1;
 
-  /// Microbatch index under pipeline parallelism (core/pp_step.h), 0
+  /// Microbatch index under pipeline parallelism (core/train_step.h), 0
   /// otherwise. RNG-drawing kernels offset their element index by
   /// `microbatch * numel` so microbatch j draws exactly the mask slice the
   /// full-batch launch would have drawn for the same global elements

@@ -48,8 +48,9 @@ struct Policy {
 
 Policy policy_for(System system);
 
-/// Pipeline-parallel runtime hooks (DESIGN.md §9), installed by the 1F1B
-/// engine (core/pp_step.h) while it drives a microbatch through the model.
+/// Pipeline-parallel runtime hooks (DESIGN.md §9), installed by
+/// core::train_step (core/train_step.h) while it drives microbatches
+/// through the model.
 /// Models call pp_mark() / LayerContext::pp_enter at every stage boundary:
 /// ascending stages during forward, descending during backward, `payload`
 /// the bytes the boundary activation (or its gradient) puts on the wire.
@@ -98,7 +99,7 @@ class LayerContext {
   int tp_size() const { return tp_group ? tp_group->tp_size() : 1; }
 
   /// Swap the activation allocator (and the kernel scratch allocator, which
-  /// aliases it). The 1F1B engine uses this at stage boundaries: stage 0's
+  /// aliases it). A pp > 1 train step uses this at stage boundaries: stage 0's
   /// activations live in the session arena — the simulated rank-0 memory —
   /// while stages >= 1 charge a private remote-stage allocator, so rank 0's
   /// footprint reflects only the layers it would actually host.
@@ -107,7 +108,7 @@ class LayerContext {
     kern.scratch = act_alloc_;
   }
 
-  /// Notify the pipeline engine of a stage boundary (no-op without PP).
+  /// Notify the train step of a stage boundary (no-op without PP).
   void pp_enter(int stage, bool forward, int64_t payload_bytes = 0) {
     if (pp && pp->enter) pp->enter(stage, forward, payload_bytes);
   }
@@ -123,8 +124,8 @@ class LayerContext {
   /// FP16 wire). train_step sets it from the trainer's expected scale each
   /// step; the trainer divides it back out during the update.
   float loss_scale = 1.0f;
-  /// Pipeline-parallel hooks, or nullptr when PP is off (core/pp_step.h
-  /// installs them around each microbatch's forward/backward).
+  /// Pipeline-parallel hooks, or nullptr when PP is off (core::train_step
+  /// installs them for the microbatch loop of a pp > 1 step).
   PpHooks* pp = nullptr;
   /// Running double accumulators for the loss (and the secondary metric —
   /// BERT/ViT accuracy) under microbatched execution: when non-null the

@@ -4,10 +4,11 @@
 // stages: the embedding on the first stage, a contiguous run of transformer
 // blocks per stage, the criterion (and any head) on the last. pp_configure
 // on each model records which declaration ranges live on which stage in a
-// PpPlan; the 1F1B engine (core/pp_step.h) uses the plan to
+// PpPlan; core::train_step's pipeline lane (core/train_step.h) uses the
+// plan to
 //
-//   * map grad-ready notifications to stages (per-stage DP buckets),
-//   * size each stage's optimizer slice of the flat parameter buffer,
+//   * bucket each stage's gradients separately (one dist::BucketPlan per
+//     stage, driving that stage's DP ring lane and optimizer ranges),
 //   * account the tied-embedding gradient hop (last stage -> stage 0).
 //
 // The plan is pure bookkeeping — the simulation still executes the FULL
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "layers/params.h"
@@ -30,50 +30,12 @@ struct PpPlan {
   /// Parameter declaration ranges owned by each stage (size == stages).
   /// Ranges within a stage are ascending and non-overlapping across stages.
   std::vector<std::vector<ParamRange>> stage_params;
-  /// Bytes of the tied embedding table (declared on stage 0, ALSO written
-  /// by the last stage's criterion backward). 0 when untied: the engine
-  /// must then charge one extra gradient send last-stage -> stage 0 before
-  /// the table's DP bucket can launch.
-  int64_t tied_table_bytes = 0;
-  /// The tied table parameter itself (invalid when untied).
+  /// The tied embedding table (declared on stage 0, ALSO written by the
+  /// last stage's criterion backward), or invalid when untied. A tied
+  /// table's gradient takes one extra send last stage -> stage 0 before
+  /// its DP bucket can launch.
   ParamRef tied_param;
 };
-
-/// Merged, ascending gradient-byte spans [lo, hi) per stage. Consecutive
-/// declaration ranges coalesce, so most stages come out as one span; the
-/// spans of all stages tile the flat gradient buffer exactly (every param
-/// belongs to exactly one stage).
-inline std::vector<std::vector<std::pair<size_t, size_t>>> stage_byte_spans(
-    const PpPlan& plan, const ParamRegistry& params) {
-  std::vector<std::vector<std::pair<size_t, size_t>>> spans(
-      static_cast<size_t>(plan.stages));
-  for (int s = 0; s < plan.stages; ++s) {
-    for (const ParamRange& r : plan.stage_params[static_cast<size_t>(s)]) {
-      for (int i = r.begin; i < r.end; ++i) {
-        const auto [lo, hi] = params.grad_byte_span(i);
-        auto& out = spans[static_cast<size_t>(s)];
-        if (!out.empty() && out.back().second == lo) {
-          out.back().second = hi;  // coalesce adjacent params
-        } else {
-          out.emplace_back(lo, hi);
-        }
-      }
-    }
-  }
-  return spans;
-}
-
-/// The stage owning gradient byte `b`, per the merged spans (-1 if none —
-/// cannot happen for a well-formed plan).
-inline int stage_of_byte(
-    const std::vector<std::vector<std::pair<size_t, size_t>>>& spans, size_t b) {
-  for (size_t s = 0; s < spans.size(); ++s) {
-    for (const auto& [lo, hi] : spans[s]) {
-      if (b >= lo && b < hi) return static_cast<int>(s);
-    }
-  }
-  return -1;
-}
 
 /// Split `count` transformer blocks over `stages` stages as evenly as
 /// possible, earlier stages taking the remainder (block b lives on stage

@@ -97,12 +97,7 @@ const layers::PpPlan& Gpt2::pp_configure(int pp) {
   pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(ln_range_);
   // The LM head is tied to the token table on stage 0: the last stage's
   // criterion backward writes it, so its gradient rides one extra hop home.
-  if (pp > 1) {
-    const layers::ParamRef table = embed_->table().rank0();
-    const auto [lo, hi] = params_.grad_byte_span(table.index);
-    pp_plan_.tied_table_bytes = static_cast<int64_t>(hi - lo);
-    pp_plan_.tied_param = table;
-  }
+  if (pp > 1) pp_plan_.tied_param = embed_->table().rank0();
   return pp_plan_;
 }
 

@@ -390,12 +390,7 @@ const layers::PpPlan& Transformer::pp_configure(int pp) {
   // The tied token table is declared with the source embedding on stage 0
   // but written last by the criterion backward on stage pp-1 — that
   // gradient rides one extra hop home before stage 0's bucket can launch.
-  if (pp > 1 && cfg_.tied_embeddings) {
-    const layers::ParamRef table = src_embed_->table().rank0();
-    const auto [lo, hi] = params_.grad_byte_span(table.index);
-    pp_plan_.tied_table_bytes = static_cast<int64_t>(hi - lo);
-    pp_plan_.tied_param = table;
-  }
+  if (pp > 1 && cfg_.tied_embeddings) pp_plan_.tied_param = src_embed_->table().rank0();
   return pp_plan_;
 }
 

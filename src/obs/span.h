@@ -6,7 +6,7 @@
 // and on destruction it lands a named span on the device timeline's
 // (pid, tid) lane, where the trace writer emits it as a balanced B/E pair.
 // pid carries rank/replica attribution (the fleet remaps per-replica pid 0
-// onto replica lanes; the 1F1B engine uses one pid per simulated rank), tid
+// onto replica lanes; a pp > 1 train step uses one pid per simulated rank), tid
 // the stream (0 compute, 1 comm).
 //
 // Cost discipline: when the timeline is not recording, a SpanScope is one

@@ -218,7 +218,7 @@ class Device {
   /// peer loss is armed, charges the detection timeout as idle wait
   /// ("fault.detect") and throws PeerLostError. sync_comm/wait_comm_until
   /// call this internally; step paths whose DP sync is modeled analytically
-  /// (the 1F1B engine) call it explicitly at their sync boundary.
+  /// (a pp > 1 train step) call it explicitly at their sync boundary.
   void at_sync_point(const std::string& attribution);
 
   /// Allocator hooks: charge allocation latency and record the watermark.

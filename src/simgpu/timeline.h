@@ -24,7 +24,7 @@ struct BusySpan {
 };
 
 /// A labelled interval on an arbitrary (pid, tid) trace lane — used by the
-/// pipeline engine to plot per-rank stage/microbatch chunks ("s1.mb3.F")
+/// pp > 1 train step to plot per-rank stage/microbatch chunks ("s1.mb3.F")
 /// with one trace process per simulated rank and one thread per stream.
 struct NamedSpan {
   int pid = 0;  ///< trace process (simulated rank)

@@ -120,6 +120,54 @@ TEST(BucketPlanTest, PerTensorRegistrySpansTileConceptualBuffer) {
   EXPECT_EQ(bytes_sum, static_cast<int64_t>(model.params().flat_grad_bytes()));
 }
 
+// A plan over declaration ranges (one pipeline stage's params) tiles exactly
+// those ranges; adjacent ranges coalesce into the whole-registry plan.
+TEST(BucketPlanTest, RangedPlanTilesOnlyItsRanges) {
+  models::TransformerConfig cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.encoder_layers = 2;
+  cfg.decoder_layers = 2;
+  cfg.max_len = 16;
+  models::Transformer model(cfg, System::kLightSeq2, DType::kF32, 1);
+  const layers::ParamRegistry& params = model.params();
+  const int n = params.size();
+  auto bytes_of = [&](int lo, int hi) {
+    return static_cast<int64_t>(params.grad_byte_span(hi - 1).second -
+                                params.grad_byte_span(lo).first);
+  };
+
+  // Two ranges with a gap between them.
+  const dist::BucketPlan plan(params, {{0, n / 4}, {n / 2, n}}, /*cap_bytes=*/4096);
+  const int64_t want = bytes_of(0, n / 4) + bytes_of(n / 2, n);
+  int64_t bytes_sum = 0;
+  for (const auto& b : plan.buckets()) {
+    bytes_sum += b.bytes();
+    EXPECT_TRUE(b.param_end <= n / 4 || b.param_begin >= n / 2)
+        << "bucket " << b.index << " spans the gap";
+    EXPECT_EQ(b.byte_begin, params.grad_byte_span(b.param_begin).first);
+    EXPECT_EQ(b.byte_end, params.grad_byte_span(b.param_end - 1).second);
+  }
+  EXPECT_EQ(bytes_sum, want);
+  EXPECT_EQ(plan.total_bytes(), want);
+  for (int p = n / 4; p < n / 2; ++p) EXPECT_EQ(plan.bucket_of(p), -1) << "param " << p;
+
+  const dist::BucketPlan whole(params, /*cap_bytes=*/4096);
+  const dist::BucketPlan split(params, {{0, n / 3}, {n / 3, n}}, /*cap_bytes=*/4096);
+  ASSERT_EQ(split.size(), whole.size());
+  for (int i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(split.buckets()[static_cast<size_t>(i)].byte_begin,
+              whole.buckets()[static_cast<size_t>(i)].byte_begin);
+    EXPECT_EQ(split.buckets()[static_cast<size_t>(i)].byte_end,
+              whole.buckets()[static_cast<size_t>(i)].byte_end);
+  }
+
+  EXPECT_THROW(dist::BucketPlan(params, {{0, n / 2}, {n / 4, n}}, 4096), Error);
+  EXPECT_THROW(dist::BucketPlan(params, {{n / 2, n}, {0, n / 4}}, 4096), Error);
+}
+
 // The paper-scale overlap claim: with bucketed overlap the exposed sync time
 // is strictly less than the blocking ring total, and the step gets faster by
 // exactly the hidden amount.

@@ -139,6 +139,27 @@ TEST(ProcessGroup3dTest, InvalidShapesAreRejectedWithClearMessages) {
   t.pipeline_parallel = 2;
   EXPECT_THROW(t.validate(), Error);
 
+  // Microbatches without a pipeline would silently become gradient
+  // accumulation in the one train-step engine.
+  dist::ClusterConfig acc;
+  acc.gpus_per_node = 2;
+  acc.microbatches = 4;
+  try {
+    acc.validate();
+    FAIL() << "m=4 without pipeline parallelism should not validate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("gradient accumulation"), std::string::npos);
+  }
+
+  // PP always overlaps its per-stage DP rings and pipelines the update, so
+  // asking for the serial schedules is rejected instead of ignored.
+  for (const bool overlap : {false, true}) {
+    dist::ClusterConfig serial = pp_cluster(2, 4, /*dp=*/2);
+    serial.overlap = overlap;
+    serial.pipeline_update = !overlap;
+    EXPECT_THROW(serial.validate(), Error) << "overlap=" << overlap;
+  }
+
   EXPECT_NO_THROW(pp_cluster(4, 8, /*dp=*/2, /*tp=*/1).validate());
 }
 
@@ -531,6 +552,50 @@ TEST(PpGraphTest, CaptureReplayBitwiseUnderPp) {
   const auto eager = run(false);
   const auto replay = run(true);
   EXPECT_EQ(eager, replay);
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry: a PP step feeds the same step span and train.* metrics as a
+// pp = 1 step
+// ---------------------------------------------------------------------------
+
+TEST(PpTelemetryTest, PpStepEmitsStepSpanAndTrainMetrics) {
+  data::LmDataset ds(64, 4096, 61);
+  const models::LmBatch batch = ds.batch(0, 4, 12);
+  obs::MetricsRegistry reg;
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.dtype = DType::kF32;
+  sc.seed = 3;
+  sc.graph_capture = true;
+  sc.arena_bytes = 32u << 20;  // ample for this model; the arena is capture-safe
+  sc.record_timeline = true;
+  sc.metrics = &reg;
+  Session session(sc);
+  models::Gpt2 model(small_gpt2_config(), System::kLightSeq2, DType::kF32, 67,
+                     session.param_alloc());
+  optim::LightSeq2Trainer trainer(model.params(), optim::OptimConfig{});
+  constexpr int kSteps = 4;
+  int64_t wire_bytes = 0, replayed = 0;
+  for (int i = 0; i < kSteps; ++i) {
+    auto [times, res] =
+        core::train_step(session, model, batch, trainer, pp_cluster(2, 4, /*dp=*/2));
+    wire_bytes += times.wire_bytes;
+    replayed += times.replayed ? 1 : 0;
+  }
+  ASSERT_GT(wire_bytes, 0);
+  ASSERT_GT(replayed, 0) << session.graph_poison_reason();
+
+  EXPECT_EQ(reg.counter("train.steps"), kSteps);
+  EXPECT_EQ(reg.counter("train.replayed_steps"), replayed);
+  EXPECT_EQ(reg.counter("train.wire_bytes"), wire_bytes);
+  EXPECT_TRUE(reg.has_histogram("train.step_us"));
+  EXPECT_TRUE(reg.has_histogram("train.pp.bubble_us"));
+  int step_spans = 0;
+  for (const simgpu::NamedSpan& s : session.device().timeline().named_spans()) {
+    step_spans += s.name == "step" ? 1 : 0;
+  }
+  EXPECT_EQ(step_spans, kSteps);
 }
 
 // ---------------------------------------------------------------------------
