@@ -5,7 +5,7 @@
 // The sweep holds the global batch constant, so rows/replica = 256/dp and
 // throughput = global tokens / step time is directly comparable across
 // tilings. Reported per configuration:
-//   * per-step time and throughput;
+//   * per-step time (rank 0's StepTimes total) and throughput;
 //   * the 1F1B pipeline costs: bubble (rank-0 lane idle), boundary p2p
 //     total and exposed;
 //   * the DP gradient ring: wire bytes (per-stage shards under PP) and the
@@ -107,9 +107,10 @@ Row measure(const models::TransformerConfig& cfg, const models::MtBatch& global,
                                      session.param_alloc());
 
   (void)core::train_step(session, model, batch, *trainer, cluster);  // warm-up
-  const double t0 = session.device().clock_us();
   auto [times, res] = core::train_step(session, model, batch, *trainer, cluster);
-  row.step_us = session.device().clock_us() - t0;
+  // Rank 0's step time. Under PP the device clock runs every stage's chunks
+  // back to back, so its delta would overstate the step.
+  row.step_us = times.total_us();
   row.tokens_per_sec =
       static_cast<double>(batch.tokens) * dp / (row.step_us * 1e-6);
   row.pp_bubble_us = times.pp_bubble_us;
