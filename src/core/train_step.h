@@ -407,12 +407,14 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
       model.backward(ctx);
       if (pipe) pipe->close_chunk();
     }
+    // Under PP these device-clock sums cover every stage; sync_and_update
+    // replaces them with rank 0's lane.
     times.forward_us += f1 - f0;
     times.backward_us += dev.clock_us() - f1;
   }
   const double t2 = dev.clock_us();
   if constexpr (requires { result.tokens; }) {
-    if (pipe) result.tokens = pipe->denominator();  // the carry holds the global sum
+    if (pipe) result.tokens = pipe->denominator();  // the batch's count, not the last slice's
   }
 
   // Close the static region: deposit the captured graph (or its poison
