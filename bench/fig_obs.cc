@@ -13,6 +13,7 @@
 //               the SIMULATED step time is identical (instrumentation is
 //               host-side only, it never charges device time) and the HOST
 //               wall-clock cost of recording stays under 1% of a step.
+#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -53,44 +54,58 @@ void write_json() {
 // Shared workloads
 // ---------------------------------------------------------------------------
 
-struct TrainRun {
-  double sim_us = 0;      ///< simulated device time of the measured steps
-  double host_us = 0;     ///< host wall-clock of the measured steps
-};
-
-/// `steps` steady-state MT training steps (model-only, overlapped 4-GPU DP),
-/// optionally feeding `reg`. The registry pointer is the ONLY difference
-/// between the enabled and disabled arms of the overhead measurement.
-TrainRun run_train(obs::MetricsRegistry* reg, int steps, uint64_t seed = 17) {
+SessionConfig train_session(obs::MetricsRegistry* reg, uint64_t seed) {
   SessionConfig sc;
   sc.system = System::kLightSeq2;
   sc.mode = simgpu::ExecMode::kModelOnly;
   sc.dtype = DType::kF16;
   sc.seed = seed;
   sc.metrics = reg;
-  Session session(sc);
-  models::TransformerConfig cfg = models::TransformerConfig::base(6, 6);
-  models::Transformer model(cfg, System::kLightSeq2, DType::kF16, seed);
-  optim::OptimConfig ocfg;
-  optim::LightSeq2Trainer trainer(model.params(), ocfg);
-  data::MtDataset ds(cfg.vocab, 64, 10, 40, seed);
-  auto batches = data::make_mt_batches(ds, 4096, DType::kF16);
-  const models::MtBatch& batch = data::largest_batch(batches);
-  dist::ClusterConfig cluster{4, 1};
-  cluster.overlap = true;
+  return sc;
+}
 
-  (void)core::train_step(session, model, batch, trainer, cluster);  // warm-up
-  TrainRun run;
-  const double sim0 = session.device().clock_us();
-  const auto host0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < steps; ++i)
-    (void)core::train_step(session, model, batch, trainer, cluster);
-  run.host_us = std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - host0)
-                    .count();
-  run.sim_us = session.device().clock_us() - sim0;
-  if (reg) obs::collect_device_metrics(*reg, session.device(), "device");
-  return run;
+/// Steady-state MT training (model-only, overlapped 4-GPU DP), optionally
+/// feeding `reg`; construction runs one warm-up step. The registry is the
+/// ONLY difference between the enabled and disabled arms of the overhead
+/// measurement.
+class TrainLoop {
+ public:
+  explicit TrainLoop(obs::MetricsRegistry* reg, uint64_t seed = 17)
+      : session_(train_session(reg, seed)),
+        model_(models::TransformerConfig::base(6, 6), System::kLightSeq2, DType::kF16, seed),
+        trainer_(model_.params(), optim::OptimConfig{}),
+        batches_(data::make_mt_batches(
+            data::MtDataset(model_.config().vocab, 64, 10, 40, seed), 4096, DType::kF16)),
+        batch_(data::largest_batch(batches_)) {
+    cluster_.overlap = true;
+    (void)step();
+  }
+
+  /// One training step; returns its host wall-clock in us.
+  double step() {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)core::train_step(session_, model_, batch_, trainer_, cluster_);
+    return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+        .count();
+  }
+
+  Session& session() { return session_; }
+
+ private:
+  Session session_;
+  models::Transformer model_;
+  optim::LightSeq2Trainer trainer_;
+  std::vector<models::MtBatch> batches_;
+  const models::MtBatch& batch_;
+  dist::ClusterConfig cluster_{4, 1};
+};
+
+/// `steps` training steps after the warm-up, feeding `reg` and then the
+/// device scrape.
+void run_train(obs::MetricsRegistry& reg, int steps, uint64_t seed = 17) {
+  TrainLoop loop(&reg, seed);
+  for (int i = 0; i < steps; ++i) (void)loop.step();
+  obs::collect_device_metrics(reg, loop.session().device(), "device");
 }
 
 /// A seeded serving run feeding `reg` under the "serve" prefix; returns the
@@ -128,7 +143,7 @@ void bench_snapshot() {
   print_header("Unified metrics snapshot: training + serving in one registry");
   auto snapshot = [](uint64_t seed) {
     obs::MetricsRegistry reg;
-    (void)run_train(&reg, /*steps=*/3, seed);
+    run_train(reg, /*steps=*/3, seed);
     (void)run_serve(reg, seed + 6);
     return reg.to_json();
   };
@@ -139,7 +154,7 @@ void bench_snapshot() {
   // Re-load the snapshot's quantiles for the schema sanity row. Registry
   // state is re-derived (not parsed from JSON) on a third identical run.
   obs::MetricsRegistry reg;
-  (void)run_train(&reg, 3, 17);
+  run_train(reg, 3, 17);
   const infer::ServeReport serve = run_serve(reg, 23);
   const obs::Histogram& lat = reg.histograms().at("serve.latency_us");
   const obs::Histogram& step = reg.histograms().at("train.step_us");
@@ -173,7 +188,7 @@ void bench_snapshot() {
 void bench_roofline() {
   print_header("Roofline: top kernel families vs device peaks (from the registry)");
   obs::MetricsRegistry reg;
-  (void)run_train(&reg, /*steps=*/3, 17);
+  run_train(reg, /*steps=*/3, 17);
   // Everything below reads ONLY the registry — the device is gone.
   const obs::RooflineReport report =
       obs::build_roofline(reg, simgpu::v100(), "device");
@@ -207,37 +222,67 @@ void bench_roofline() {
 
 void bench_overhead() {
   print_header("Instrumentation overhead: metrics enabled vs disabled");
-  const int steps = 20, reps = 3;
-  double host_on = 1e300, host_off = 1e300;
-  double sim_on = 0, sim_off = 0;
-  // Min-of-reps host timing is robust to scheduler noise; the simulated
-  // times are deterministic and must match EXACTLY (the instrumentation
+  obs::MetricsRegistry reg;
+  // Simulated time: two fresh loops, one feeding the registry, run the same
+  // steps and must charge EXACTLY the same device time (the instrumentation
   // never touches the device clock).
-  for (int r = 0; r < reps; ++r) {
-    obs::MetricsRegistry reg;
-    const TrainRun on = run_train(&reg, steps);
-    const TrainRun off = run_train(nullptr, steps);
-    host_on = std::min(host_on, on.host_us);
-    host_off = std::min(host_off, off.host_us);
-    sim_on = on.sim_us;
-    sim_off = off.sim_us;
-  }
-  const double overhead_pct =
-      std::max(0.0, (host_on - host_off) / host_off * 100.0);
+  const int sim_steps = 20;
+  auto sim_us = [&](obs::MetricsRegistry* r) {
+    TrainLoop loop(r);
+    const double t0 = loop.session().device().clock_us();
+    for (int i = 0; i < sim_steps; ++i) (void)loop.step();
+    return loop.session().device().clock_us() - t0;
+  };
+  const double sim_on = sim_us(&reg), sim_off = sim_us(nullptr);
   const double sim_delta_us = sim_on - sim_off;
+
+  // Host time: ONE loop steps with the registry attached and detached in
+  // back-to-back pairs, the order flipping every pair, so both arms share
+  // every object (heap layout included) and the machine's drift. The
+  // overhead is the MEDIAN paired difference. A step is ~0.4 ms of host
+  // time: a min over a few whole runs per arm was decided by which arm met
+  // a quiet moment, and two separate loops differ by up to ±0.5% with no
+  // registry attached to either.
+  const int pairs = 400;
+  TrainLoop loop(&reg);
+  auto host_us = [&](obs::MetricsRegistry* r) {
+    loop.session().set_metrics(r);
+    return loop.step();
+  };
+  std::vector<double> host_on, host_off, host_delta;
+  for (int p = 0; p < pairs; ++p) {
+    double t_on, t_off;
+    if (p % 2 == 0) {
+      t_on = host_us(&reg);
+      t_off = host_us(nullptr);
+    } else {
+      t_off = host_us(nullptr);
+      t_on = host_us(&reg);
+    }
+    host_on.push_back(t_on);
+    host_off.push_back(t_off);
+    host_delta.push_back(t_on - t_off);
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double step_on = median(host_on), step_off = median(host_off);
+  const double overhead_pct = std::max(0.0, median(host_delta) / step_off * 100.0);
   std::printf("simulated step time        %.3f us (enabled) vs %.3f us (disabled)"
               " -> delta %.6f us\n",
-              sim_on / steps, sim_off / steps, sim_delta_us);
-  std::printf("host wall per step         %.1f us (enabled) vs %.1f us (disabled)\n",
-              host_on / steps, host_off / steps);
+              sim_on / sim_steps, sim_off / sim_steps, sim_delta_us);
+  std::printf("host wall per step         %.1f us (enabled) vs %.1f us (disabled), "
+              "medians of %d pairs\n",
+              step_on, step_off, pairs);
   std::printf("host overhead              %.3f%% of a step (budget: < 1%%)\n",
               overhead_pct);
   push_row("{\"section\": \"overhead\", \"steps\": %d, "
            "\"sim_step_us_enabled\": %.6f, \"sim_step_us_disabled\": %.6f, "
            "\"sim_delta_us\": %.6f, \"host_step_us_enabled\": %.3f, "
            "\"host_step_us_disabled\": %.3f, \"overhead_pct\": %.4f}",
-           steps, sim_on / steps, sim_off / steps, sim_delta_us,
-           host_on / steps, host_off / steps, overhead_pct);
+           pairs, sim_on / sim_steps, sim_off / sim_steps, sim_delta_us, step_on,
+           step_off, overhead_pct);
 }
 
 }  // namespace

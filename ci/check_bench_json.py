@@ -342,16 +342,23 @@ def check_fig_page():
 
     # Capacity: at a FIXED KV byte budget, paging must admit >= 4x the
     # concurrent residents of the degenerate one-page-per-sequence layout,
-    # serve or shed every request (never lose one), and keep the decode
-    # step graph-replayable through page churn.
+    # turn them into more tokens/sec (decode attention reads live rows, so
+    # extra residents are not paid for at full capacity), serve or shed
+    # every request (never lose one), and keep the decode step
+    # graph-replayable through page churn.
     for r in by_section["capacity"]:
         require(r, ("kv_bytes", "degen_slots", "paged_slots",
                     "degen_peak_resident", "paged_peak_resident",
-                    "resident_ratio", "served", "shed", "preemptions",
+                    "resident_ratio", "degen_tokens_per_sec",
+                    "paged_tokens_per_sec", "served", "shed", "preemptions",
                     "replayed_steps"), "fig_page.capacity")
         if r["resident_ratio"] < 4.0:
             fail("fig_page: paging must hold >= 4x the residents at fixed "
                  f"KV bytes (got {r['resident_ratio']:.2f}x)")
+        if not r["paged_tokens_per_sec"] > r["degen_tokens_per_sec"]:
+            fail("fig_page: paging must out-serve the degenerate layout at "
+                 f"fixed KV bytes ({r['paged_tokens_per_sec']:.1f} vs "
+                 f"{r['degen_tokens_per_sec']:.1f} tok/s)")
         if r["served"] + r["shed"] != 64 or r["shed"] != 0:
             fail(f"fig_page: the capacity burst lost or shed requests: {r}")
         if r["replayed_steps"] <= 0:

@@ -79,6 +79,9 @@ class Session {
 #else
   obs::MetricsRegistry* metrics() const { return cfg_.metrics; }
 #endif
+  /// Attach a telemetry sink, or detach it with null, between training
+  /// steps: the next step records into `m`.
+  void set_metrics(obs::MetricsRegistry* m) { cfg_.metrics = m; }
 
   /// Permanent memory (parameters, gradients, optimizer state).
   BufferAllocator* param_alloc() { return param_alloc_.get(); }

@@ -218,8 +218,7 @@ void ContinuousBatcher::extend_residents() {
   const int64_t S = cache_->config().slots;
   for (int64_t s = 0; s < S; ++s) {
     if (slots_[static_cast<size_t>(s)].req < 0) continue;
-    while (!cache_->extend(slots_[static_cast<size_t>(s)].handle, ctx.kern,
-                           ctx.policy.transform)) {
+    while (!cache_->extend(slots_[static_cast<size_t>(s)].handle, ctx.kern)) {
       // Pool dry: evict the lowest-priority resident, newest arrival on
       // ties — possibly this very lane. Each eviction frees at least one
       // lane, so the loop terminates.
@@ -572,7 +571,7 @@ size_t serve_capacity_scan(const models::Gpt2Config& cfg, DType dtype, int64_t s
   { (void)model.prefill(ctx, ids, &cache, seqs); }
   // ...plus the steady-state decode step with its sampling launch.
   for (const SequenceHandle& h : seqs)
-    LS2_CHECK(cache.extend(h, ctx.kern, ctx.policy.transform));
+    LS2_CHECK(cache.extend(h, ctx.kern));
   Tensor step_ids = Tensor::zeros({slots, 1}, DType::kI32);
   Tensor sampled = Tensor::zeros({slots}, DType::kI32);
   cache.begin_decode();

@@ -176,7 +176,7 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   return {id};
 }
 
-bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc, kern::Impl impl) {
+bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc) {
   Sequence& s = seq(h);
   LS2_CHECK(s.len < cfg_.seq_tokens)
       << "sequence at lane " << s.lane << " is full (" << s.len << "/"
@@ -202,7 +202,7 @@ bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc, kern::Impl impl)
       if (p < 0) return false;
       const int64_t rows = s.len % page;
       for (int64_t i = 0; i < cfg_.layers; ++i)
-        kern::kv_page_copy(kc, impl, k_[static_cast<size_t>(i)],
+        kern::kv_page_copy(kc, k_[static_cast<size_t>(i)],
                            v_[static_cast<size_t>(i)], tail, p, rows);
       refcount_[static_cast<size_t>(p)] = 1;
       drop_page_ref(tail);
@@ -295,7 +295,7 @@ void KvCache::begin_decode() {
       sp[lane] = s.src_len;
     } else {
       // Free lanes decode garbage into the trash page and attend nothing:
-      // their softmax rows are exact zeros and the engine ignores their
+      // their attention outputs are exact zeros and the engine ignores their
       // output.
       pp[lane] = 0;
       ap[lane] = 0;

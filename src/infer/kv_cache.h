@@ -38,9 +38,9 @@
 //                          returns to the pool at refcount 0.
 //
 // The decode step always runs the FULL lane batch [slots, 1, H]: inactive
-// lanes carry attend_lens = 0 (their softmax rows are exact zeros, their
-// appends land in a dedicated trash page) so the step's kernel sequence and
-// shapes are STATIC — the property that lets SessionConfig::graph_capture
+// lanes carry attend_lens = 0 (their attention reads nothing and outputs
+// exact zeros, their appends land in a dedicated trash page) so the step's
+// kernel sequence and shapes are STATIC — the property that lets SessionConfig::graph_capture
 // replay the steady-state decode loop as one graph launch. The block table
 // itself is a host-written heap i32 tensor [slots, pages_per_seq]: under
 // replay it is a *graph parameter* read inside kernel bodies, exactly like
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "kernels/kernel_context.h"
-#include "kernels/dropout.h"  // kern::Impl
 #include "tensor/tensor.h"
 
 namespace ls2::infer {
@@ -114,8 +113,9 @@ class KvCache {
  public:
   /// Reserves the page pool (plus one trash page for inactive lanes) and
   /// the cross blocks up front from `alloc` (the session's permanent pool)
-  /// and zero-fills them, so masked-off rows multiply through attention as
-  /// exact zeros, never NaN-producing garbage.
+  /// and zero-fills them, so the masked-off cross-block rows the padded
+  /// cross-attention GEMMs read multiply through as exact zeros, never
+  /// NaN-producing garbage.
   KvCache(KvCacheConfig cfg, BufferAllocator* alloc = nullptr);
 
   const KvCacheConfig& config() const { return cfg_; }
@@ -137,7 +137,7 @@ class KvCache {
   /// Append index per lane this step (= tokens already cached; 0 if free).
   const Tensor& positions() const { return positions_; }
   /// Rows the single query attends: len + 1 for active lanes, 0 for free
-  /// ones (their softmax rows come out as exact zeros).
+  /// ones (their attention outputs come out as exact zeros).
   const Tensor& attend_lens() const { return attend_lens_; }
   /// Per-lane encoder lengths (cross-attention mask; cross_len > 0 only).
   const Tensor& src_lens() const { return src_lens_; }
@@ -154,7 +154,7 @@ class KvCache {
   /// still shares (eager kv_page_copy launches through `kc`). Idempotent
   /// per step; must precede begin_decode() for every active sequence.
   /// false: the pool is exhausted — preempt a sequence or wait.
-  bool extend(SequenceHandle h, kern::KernelContext& kc, kern::Impl impl);
+  bool extend(SequenceHandle h, kern::KernelContext& kc);
   /// A new sequence sharing every page of `h` copy-on-write (+1 refcount
   /// each; no bytes move). Invalid handle when no lane is free. Self-KV
   /// only: cross blocks are per-lane and are not forked.

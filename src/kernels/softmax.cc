@@ -181,20 +181,7 @@ void attn_softmax_body(const Tensor& x, const Tensor& y, bool causal,
     const int64_t q = r % Lq;
     int64_t valid = lens ? std::min<int64_t>(lens[b], Lk) : Lk;
     if (causal) valid = std::min<int64_t>(valid, q + 1);
-    const T* xrow = xp + r * Lk;
-    T* yrow = yp + r * Lk;
-    if (valid <= 0) {
-      for (int64_t j = 0; j < Lk; ++j) yrow[j] = T(0.0f);
-      return;
-    }
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int64_t j = 0; j < valid; ++j) mx = std::max(mx, static_cast<float>(xrow[j]));
-    double z = 0;
-    for (int64_t j = 0; j < valid; ++j) z += std::exp(static_cast<float>(xrow[j]) - mx);
-    const float inv_z = static_cast<float>(1.0 / z);
-    for (int64_t j = 0; j < valid; ++j)
-      yrow[j] = T(std::exp(static_cast<float>(xrow[j]) - mx) * inv_z);
-    for (int64_t j = valid; j < Lk; ++j) yrow[j] = T(0.0f);
+    attn_softmax_row(xp + r * Lk, yp + r * Lk, valid, Lk);
   });
 }
 

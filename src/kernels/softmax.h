@@ -13,6 +13,10 @@
 // masks) and materialises intermediates.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "kernels/dropout.h"  // Impl
 #include "kernels/kernel_context.h"
 
@@ -67,5 +71,25 @@ void attn_softmax_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor
 /// Backward of the masked softmax (masked positions have y=0 => dx=0).
 void attn_softmax_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& y,
                      const Tensor& dx);
+
+/// One row of the masked attention softmax: y[0, valid) = softmax(x[0,
+/// valid)), y[valid, cols) = 0 (all zeros when valid <= 0). The row code of
+/// attn_softmax_fw, shared with fused kernels that must stay bitwise equal
+/// to it (paged decode attention).
+template <typename T>
+void attn_softmax_row(const T* x, T* y, int64_t valid, int64_t cols) {
+  if (valid <= 0) {
+    for (int64_t j = 0; j < cols; ++j) y[j] = T(0.0f);
+    return;
+  }
+  float mx = -std::numeric_limits<float>::infinity();
+  for (int64_t j = 0; j < valid; ++j) mx = std::max(mx, static_cast<float>(x[j]));
+  double z = 0;
+  for (int64_t j = 0; j < valid; ++j) z += std::exp(static_cast<float>(x[j]) - mx);
+  const float inv_z = static_cast<float>(1.0 / z);
+  for (int64_t j = 0; j < valid; ++j)
+    y[j] = T(std::exp(static_cast<float>(x[j]) - mx) * inv_z);
+  for (int64_t j = valid; j < cols; ++j) y[j] = T(0.0f);
+}
 
 }  // namespace ls2::kern

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/elementwise.h"
+#include "kernels/softmax.h"
 
 namespace ls2::kern {
 
@@ -302,36 +304,55 @@ void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor&
                 body);
 }
 
-// Materialize each lane's first lens[s] logical rows into contiguous
-// scratch [S, N, Lcap, D], zero beyond the len. Copies run page-contiguous
-// runs, never crossing a page boundary in one memcpy.
+// One (lane, head) per task: scores over the lane's live rows read in place
+// through the block table, the shared masked-softmax row, then the context
+// sum, written straight into the head's slice of the merged row. The
+// accumulation orders are the host GEMM's (gemm/gemm.cc), which is what
+// keeps decode bitwise equal to a full re-forward.
 template <typename T>
-void kv_gather_body(const Tensor& pool, const Tensor& table, const Tensor& lens,
-                    const Tensor& out) {
-  const int64_t N = out.shape()[1], Lcap = out.shape()[2], D = out.shape()[3];
-  const int64_t pool_pages = pool.shape()[0], page = pool.shape()[2];
+void paged_decode_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
+                            const Tensor& table, const Tensor& lens, float scale,
+                            const Tensor& merged) {
+  const int64_t N = q.shape()[1], D = q.shape()[3];
+  const int64_t pool_pages = k_pool.shape()[0], page = k_pool.shape()[2];
   const int64_t pps = table.shape()[1];
   const int32_t* tp = table.data<int32_t>();
   const int32_t* lp = lens.data<int32_t>();
-  const T* cp = pool.data<T>();
-  T* op = out.data<T>();
-  std::memset(static_cast<void*>(op), 0, out.bytes());
-  parallel_for(0, out.shape()[0] * N, [&](int64_t sn) {
+  const T* qp = q.data<T>();
+  const T* kp = k_pool.data<T>();
+  const T* vp = v_pool.data<T>();
+  T* mp = merged.data<T>();
+  parallel_for(0, q.shape()[0] * N, [&](int64_t sn) {
     const int64_t s = sn / N, n = sn % N;
     const int64_t len = lp[s];
-    LS2_CHECK(len >= 0 && len <= Lcap) << "kv gather: len " << len
-                                       << " exceeds scratch capacity " << Lcap;
     const int32_t* row = tp + s * pps;
-    T* orow = op + (sn * Lcap) * D;
-    for (int64_t l = 0; l < len;) {
-      const int64_t pg = row[l / page];
-      LS2_CHECK(pg >= 0 && pg < pool_pages) << "kv gather: page id out of range";
-      const int64_t in = l % page;
-      const int64_t run = std::min(page - in, len - l);
-      std::memcpy(orow + l * D, cp + ((pg * N + n) * page + in) * D,
-                  static_cast<size_t>(run * D) * sizeof(T));
-      l += run;
+    auto pool_row = [&](const T* pool, int64_t j) {
+      const int64_t pg = row[j / page];
+      LS2_CHECK(pg >= 0 && pg < pool_pages) << "paged decode attn: page id out of range";
+      return pool + ((pg * N + n) * page + j % page) * D;
+    };
+    std::vector<float> qs(static_cast<size_t>(D));
+    for (int64_t d = 0; d < D; ++d) qs[d] = scale * static_cast<float>(qp[sn * D + d]);
+    std::vector<T> scores(static_cast<size_t>(len)), probs(static_cast<size_t>(len));
+    for (int64_t j = 0; j < len; ++j) {
+      const T* krow = pool_row(kp, j);
+      float acc = 0.0f;
+      for (int64_t d = 0; d < D; ++d) {
+        if (qs[d] == 0.0f) continue;
+        acc += qs[d] * static_cast<float>(krow[d]);
+      }
+      scores[j] = T(acc);
     }
+    attn_softmax_row(scores.data(), probs.data(), len, len);
+    std::vector<float> ctx(static_cast<size_t>(D), 0.0f);
+    for (int64_t j = 0; j < len; ++j) {
+      const float p = static_cast<float>(probs[j]);
+      if (p == 0.0f) continue;
+      const T* vrow = pool_row(vp, j);
+      for (int64_t d = 0; d < D; ++d) ctx[d] += p * static_cast<float>(vrow[d]);
+    }
+    T* out = mp + sn * D;  // merged row s, columns [n*D, (n+1)*D)
+    for (int64_t d = 0; d < D; ++d) out[d] = T(ctx[d]);
   });
 }
 
@@ -350,50 +371,65 @@ void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
                  &lanes, &write_begin, &write_end, /*positions=*/nullptr);
 }
 
-void kv_cache_append_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
-                           const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
+void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
+                           const Tensor& k_pool, const Tensor& v_pool,
                            const Tensor& block_table, const Tensor& positions) {
   LS2_CHECK(positions.dtype() == DType::kI32);
   LS2_CHECK_EQ(k_new.shape()[2], 1) << "append writes one token per lane";
   LS2_CHECK_EQ(k_new.shape()[0], block_table.shape()[0])
       << "decode appends run at full lane batch";
   LS2_CHECK_EQ(positions.numel(), k_new.shape()[0]);
-  kv_paged_write(kc, impl, "kv_append_paged", k_new, v_new, k_pool, v_pool, block_table,
-                 /*lanes=*/nullptr, /*write_begin=*/nullptr, /*write_end=*/nullptr,
-                 &positions);
+  kv_paged_write(kc, Impl::kLS2, "kv_append_paged", k_new, v_new, k_pool, v_pool,
+                 block_table, /*lanes=*/nullptr, /*write_begin=*/nullptr,
+                 /*write_end=*/nullptr, &positions);
 }
 
-void kv_cache_gather(KernelContext& kc, Impl impl, const Tensor& k_pool,
-                     const Tensor& v_pool, const Tensor& block_table,
-                     const Tensor& attend_lens, const Tensor& k_out, const Tensor& v_out) {
+void paged_decode_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool,
+                       const Tensor& v_pool, const Tensor& block_table,
+                       const Tensor& attend_lens, float scale, const Tensor& merged) {
+  LS2_CHECK_EQ(q.shape().rank(), 4);
+  LS2_CHECK_EQ(q.shape()[2], 1) << "decode attention takes one query per lane";
   LS2_CHECK(k_pool.shape() == v_pool.shape());
-  LS2_CHECK(k_out.shape() == v_out.shape());
-  LS2_CHECK_EQ(k_out.shape().rank(), 4);
-  LS2_CHECK_EQ(k_out.shape()[1], k_pool.shape()[1]);
-  LS2_CHECK_EQ(k_out.shape()[3], k_pool.shape()[3]);
+  LS2_CHECK_EQ(k_pool.shape().rank(), 4);
+  LS2_CHECK_EQ(q.shape()[1], k_pool.shape()[1]);
+  LS2_CHECK_EQ(q.shape()[3], k_pool.shape()[3]);
+  LS2_CHECK(q.dtype() == k_pool.dtype() && q.dtype() == v_pool.dtype() &&
+            q.dtype() == merged.dtype());
   LS2_CHECK(block_table.dtype() == DType::kI32 && attend_lens.dtype() == DType::kI32);
-  LS2_CHECK_EQ(k_out.shape()[0], block_table.shape()[0]);
-  LS2_CHECK_EQ(attend_lens.numel(), k_out.shape()[0]);
-  // Charge at full scratch capacity: the traffic must be shape-static so a
-  // replayed decode step validates against the captured graph.
-  const int64_t nb = static_cast<int64_t>(k_out.bytes());
-  const int64_t meta =
-      static_cast<int64_t>(block_table.bytes()) + k_out.shape()[0] * 4;
-  auto body = [&] {
-    LS2_DISPATCH_FLOAT(k_out.dtype(), T, {
-      kv_gather_body<T>(k_pool, block_table, attend_lens, k_out);
-      kv_gather_body<T>(v_pool, block_table, attend_lens, v_out);
-    });
-  };
-  if (impl == Impl::kLS2) {
-    kc.dev.launch(desc("ls2.kv_gather", 2 * nb + meta, 2 * nb, kFusedTransposeEff), body);
-    return;
+  LS2_CHECK_EQ(block_table.shape().rank(), 2);
+  const int64_t S = q.shape()[0], N = q.shape()[1], D = q.shape()[3];
+  LS2_CHECK_EQ(block_table.shape()[0], S);
+  LS2_CHECK_EQ(attend_lens.numel(), S);
+  LS2_CHECK_EQ(merged.numel(), q.numel());
+  const int64_t Lcap = block_table.shape()[1] * k_pool.shape()[2];
+  // The lens are host-written heap metadata in every exec mode, so the live
+  // extent is known at launch time — and checked here, before the body
+  // could index past the table's reach.
+  const int32_t* lp = attend_lens.data<int32_t>();
+  int64_t live_rows = 0;
+  for (int64_t s = 0; s < S; ++s) {
+    LS2_CHECK(lp[s] >= 0 && lp[s] <= Lcap)
+        << "paged decode attn: lane " << s << " len " << lp[s] << " beyond reach " << Lcap;
+    live_rows += lp[s];
   }
-  kc.dev.launch(desc("torch.kv_gather_k", nb + meta, nb, kBaselineTransposeEff), nullptr);
-  kc.dev.launch(desc("torch.kv_gather_v", nb + meta, nb, kBaselineTransposeEff), body);
+  const int64_t elem = static_cast<int64_t>(dtype_size(q.dtype()));
+  auto cost = [&](int64_t rows) {
+    simgpu::KernelDesc d = desc(
+        "ls2.paged_decode_attn",
+        static_cast<int64_t>(q.bytes() + block_table.bytes() + attend_lens.bytes()) +
+            2 * rows * N * D * elem,
+        static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
+    d.flops = static_cast<double>(rows * N * (4 * D + 4));
+    return d;
+  };
+  kc.dev.launch(cost(S * Lcap), cost(live_rows), [&] {
+    LS2_DISPATCH_FLOAT(q.dtype(), T,
+                       paged_decode_attn_body<T>(q, k_pool, v_pool, block_table,
+                                                 attend_lens, scale, merged));
+  });
 }
 
-void kv_page_copy(KernelContext& kc, Impl impl, const Tensor& k_pool, const Tensor& v_pool,
+void kv_page_copy(KernelContext& kc, const Tensor& k_pool, const Tensor& v_pool,
                   int64_t src_page, int64_t dst_page, int64_t rows) {
   LS2_CHECK(k_pool.shape() == v_pool.shape());
   LS2_CHECK_EQ(k_pool.shape().rank(), 4);
@@ -416,12 +452,7 @@ void kv_page_copy(KernelContext& kc, Impl impl, const Tensor& k_pool, const Tens
       }
     });
   };
-  if (impl == Impl::kLS2) {
-    kc.dev.launch(desc("ls2.kv_page_copy", 2 * nb, 2 * nb, kFusedTransposeEff), body);
-    return;
-  }
-  kc.dev.launch(desc("torch.kv_page_copy_k", nb, nb, kBaselineTransposeEff), nullptr);
-  kc.dev.launch(desc("torch.kv_page_copy_v", nb, nb, kBaselineTransposeEff), body);
+  kc.dev.launch(desc("ls2.kv_page_copy", 2 * nb, 2 * nb, kFusedTransposeEff), body);
 }
 
 void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& dx) {

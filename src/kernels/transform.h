@@ -35,13 +35,13 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 // Self-attention K/V live in a paged pool [P, N, page, D] (P fixed-size
 // pages; infer::KvCache owns the page bookkeeping). A block table
 // (i32 [S, pages_per_seq], S decode lanes) maps each lane's logical token
-// positions to pool pages; writers and the gather below address rows as
+// positions to pool pages; every kernel below addresses rows as
 // (table[lane][pos / page], pos % page). The table, positions and lens
 // tensors are host-written heap metadata — replay-time graph parameters
-// read inside kernel bodies, so the launch sequence and byte charges stay
-// STATIC across decode steps (the capture contract). Under kLS2 keys and
-// values move in ONE fused launch; baselines charge one copy kernel per
-// tensor.
+// read inside kernel bodies, so the launch sequence stays STATIC across
+// decode steps (the capture contract). Keys and values move in ONE fused
+// launch; only the prefill writers keep a baseline (one copy kernel per
+// tensor) for the non-LightSeq2 policies that prefill.
 //
 // Cross-attention K/V blocks stay contiguous [S, N, cross_len, D]
 // (write-once at encode time) and use the plain kv_cache_store below.
@@ -64,23 +64,35 @@ void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
 /// Paged decode append: k_new/v_new [S, N, 1, D] land at logical row
 /// `positions[s]` (i32 [S]) of lane s through `block_table` — one token per
 /// lane per step. Free lanes' table rows point at the trash page.
-void kv_cache_append_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
-                           const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
+void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
+                           const Tensor& k_pool, const Tensor& v_pool,
                            const Tensor& block_table, const Tensor& positions);
 
-/// Decode gather: materialize each lane's first `attend_lens[s]` cached
-/// rows into contiguous scratch k_out/v_out [S, N, Lcap, D] (zero-filled
-/// beyond the len, so masked attention sees exact zeros — the bitwise-
-/// parity contract). Byte charges are taken at full Lcap so replayed steps
-/// validate against the captured graph regardless of current lens.
-void kv_cache_gather(KernelContext& kc, Impl impl, const Tensor& k_pool,
-                     const Tensor& v_pool, const Tensor& block_table,
-                     const Tensor& attend_lens, const Tensor& k_out, const Tensor& v_out);
+/// Fused single-query decode attention over the paged pools, read in place:
+/// for each lane s and head n, q [S, N, 1, D] attends the lane's live rows
+/// [0, attend_lens[s]) through `block_table` — scores, masked softmax and
+/// the probability-weighted sum of V in one launch — and the context lands
+/// head-merged in `merged` [S, 1, N*D]. A lane of length 0 (a free lane on
+/// the trash page) reads nothing and writes zeros.
+///
+/// Bitwise equal to the unfused path over a contiguous cache (scores GEMM,
+/// attn_softmax_fw, context GEMM, merge_heads_fw): scores accumulate
+/// (scale*q_d)*k_d in ascending d, the softmax is attn_softmax_row, and the
+/// context accumulates p_j*v_j in FP32 in ascending j across page
+/// boundaries, rounded once — both sums skip exact-zero terms like the host
+/// GEMM does.
+///
+/// A BOUNDED launch (simgpu::Device::launch): the graph node's bound is
+/// every lane at full reach (S * Lcap rows, Lcap = pages_per_seq * page);
+/// each launch charges the Σ attend_lens rows it actually reads.
+void paged_decode_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool,
+                       const Tensor& v_pool, const Tensor& block_table,
+                       const Tensor& attend_lens, float scale, const Tensor& merged);
 
 /// Copy-on-write: duplicate the first `rows` token rows of page `src_page`
 /// into `dst_page` in both pools. Eager-only (page bookkeeping runs outside
 /// captured decode regions).
-void kv_page_copy(KernelContext& kc, Impl impl, const Tensor& k_pool, const Tensor& v_pool,
+void kv_page_copy(KernelContext& kc, const Tensor& k_pool, const Tensor& v_pool,
                   int64_t src_page, int64_t dst_page, int64_t rows);
 
 }  // namespace ls2::kern

@@ -149,8 +149,9 @@ Tensor AttentionCore::infer_forward(LayerContext& ctx, const Tensor& q, const Te
   const float scale = 1.0f / std::sqrt(static_cast<float>(D));
   const Policy& pol = ctx.policy;
 
-  // Scores and masked softmax. With cache blocks Lk = Lmax and key_lens
-  // bounds the valid prefix; masked tail rows contribute exact zeros.
+  // Scores and masked softmax. With cross blocks Lk = cross_len and
+  // key_lens bounds the valid prefix; masked tail rows contribute exact
+  // zeros.
   Tensor scores = ctx.alloc({B, N, Lq, Lk}, dt);
   gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, scale, q, Lq * D, k,
                             Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores");
@@ -163,6 +164,15 @@ Tensor AttentionCore::infer_forward(LayerContext& ctx, const Tensor& q, const Te
                             Lk * D, 0.0f, ctx_h, Lq * D, B * N, "attn.context");
   Tensor merged = ctx.alloc({B, Lq, H}, dt);
   kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, merged);
+  return infer_output(ctx, merged, residual);
+}
+
+Tensor AttentionCore::infer_output(LayerContext& ctx, const Tensor& merged,
+                                   const Tensor& residual) {
+  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
+  const int64_t B = merged.shape()[0], Lq = merged.shape()[1], H = merged.shape()[2];
+  const DType dt = merged.dtype();
+  const Policy& pol = ctx.policy;
 
   // Output projection + bias/residual. The dropout kernels run at p = 0
   // (identity, all-ones masks) so the serving path stays bitwise-identical
@@ -385,23 +395,14 @@ Tensor SelfAttention::decode_step(LayerContext& ctx, const Tensor& x, const Tens
   kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
                                 {q, k, v});
 
-  // The new token's K/V must be resident in the pool before the scores
-  // GEMM — the single query then attends rows [0, attend_lens[s]).
-  kern::kv_cache_append_paged(ctx.kern, ctx.policy.transform, k, v, k_pool, v_pool,
-                              block_table, positions);
+  // The new token's K/V must be resident in the pool before attention —
+  // the single query then attends rows [0, attend_lens[s]).
+  kern::kv_cache_append_paged(ctx.kern, k, v, k_pool, v_pool, block_table, positions);
 
-  // Gather each lane's cached rows into contiguous scratch for the batched
-  // scores GEMM. Scratch spans the table's full reach (shape-static for
-  // graph replay); rows past attend_lens are exact zeros, so the masked
-  // softmax output — and every decoded token — is bitwise-identical to a
-  // contiguous cache of any capacity ≥ attend_len.
-  const int64_t Lcap = block_table.shape()[1] * k_pool.shape()[2];
-  Tensor kg = ctx.alloc({S, N, Lcap, D}, dt);
-  Tensor vg = ctx.alloc({S, N, Lcap, D}, dt);
-  kern::kv_cache_gather(ctx.kern, ctx.policy.transform, k_pool, v_pool, block_table,
-                        attend_lens, kg, vg);
-  return core_.infer_forward(ctx, q, kg, vg, /*residual=*/x, &attend_lens,
-                             /*causal=*/false);
+  Tensor merged = ctx.alloc({S, 1, H}, dt);
+  kern::paged_decode_attn(ctx.kern, q, k_pool, v_pool, block_table, attend_lens,
+                          1.0f / std::sqrt(static_cast<float>(D)), merged);
+  return core_.infer_output(ctx, merged, /*residual=*/x);
 }
 
 void SelfAttention::release() {

@@ -46,12 +46,17 @@ class AttentionCore {
                  const Tensor& residual, const Tensor* key_lens);
 
   /// Inference-only forward (serving): same math as forward at dropout p = 0,
-  /// nothing saved for backward. `causal` is explicit because cached decode
-  /// attends a single query over [0, len) — causal masking is encoded in
-  /// key_lens there, while prefill keeps the config's causal mask. k/v may be
-  /// gathered KV scratch [S, N, Lcap, D] whose tail rows key_lens masks off.
+  /// nothing saved for backward. `causal` is explicit: prefill keeps the
+  /// config's causal mask, cross attention passes false. k/v may be the
+  /// per-lane cross K/V blocks [S, N, cross_len, D] whose tail rows key_lens
+  /// masks off. Ends in infer_output.
   Tensor infer_forward(LayerContext& ctx, const Tensor& q, const Tensor& k, const Tensor& v,
                        const Tensor& residual, const Tensor* key_lens, bool causal);
+
+  /// Serving epilogue: output projection of the head-merged context
+  /// `merged` [B, Lq, H] plus bias and residual. Paged decode feeds it
+  /// kern::paged_decode_attn's output directly.
+  Tensor infer_output(LayerContext& ctx, const Tensor& merged, const Tensor& residual);
 
   /// Returns (dq, dk, dv) in head layout plus d_residual == dy contribution
   /// handled by the caller adding `dy` into its input gradient.
@@ -100,13 +105,12 @@ class SelfAttention {
 
   /// Single-query cached decode: x [S, 1, H]. This step's K/V are appended
   /// into the paged pools (k_pool/v_pool [P, N, page, D]) through the
-  /// lane-indexed `block_table` at logical row `positions[s]` BEFORE the
-  /// scores GEMM; the cached rows [0, attend_lens[s]) are then gathered
-  /// into contiguous zero-padded scratch the masked softmax reads — the
-  /// causal structure reduces to the key-length bound at Lq = 1, and the
-  /// zero padding keeps decode bitwise-identical to a contiguous cache.
-  /// block_table/positions/attend_lens are host-written heap i32 read
-  /// inside kernel bodies: replay-time graph parameters.
+  /// lane-indexed `block_table` at logical row `positions[s]`; then one
+  /// fused kern::paged_decode_attn reads each lane's rows [0,
+  /// attend_lens[s]) in place — the causal structure reduces to the
+  /// key-length bound at Lq = 1 — bitwise-identical to attention over a
+  /// contiguous cache. block_table/positions/attend_lens are host-written
+  /// heap i32 read inside kernel bodies: replay-time graph parameters.
   Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                      const Tensor& v_pool, const Tensor& block_table,
                      const Tensor& positions, const Tensor& attend_lens);

@@ -32,22 +32,50 @@ void Device::pop_charge_scale() {
   charge_scale_stack_.pop_back();
 }
 
-void Device::launch(const KernelDesc& launch_desc, const std::function<void()>& body) {
-  KernelDesc scaled;
-  const KernelDesc& desc = [&]() -> const KernelDesc& {
-    if (charge_scale_ == 1.0) return launch_desc;
-    scaled = launch_desc;
-    scaled.bytes_read = static_cast<int64_t>(
-        static_cast<double>(launch_desc.bytes_read) * charge_scale_);
-    scaled.bytes_written = static_cast<int64_t>(
-        static_cast<double>(launch_desc.bytes_written) * charge_scale_);
-    scaled.flops = launch_desc.flops * charge_scale_;
-    return scaled;
-  }();
+namespace {
+
+/// `d` as charged under the TP charge scale `s`: `d` itself at s == 1,
+/// otherwise a copy in `scratch` with bytes and flops scaled.
+const KernelDesc& scale_desc(const KernelDesc& d, double s, KernelDesc& scratch) {
+  if (s == 1.0) return d;
+  scratch = d;
+  scratch.bytes_read = static_cast<int64_t>(static_cast<double>(d.bytes_read) * s);
+  scratch.bytes_written = static_cast<int64_t>(static_cast<double>(d.bytes_written) * s);
+  scratch.flops = d.flops * s;
+  return scratch;
+}
+
+}  // namespace
+
+void Device::launch(const KernelDesc& desc, const std::function<void()>& body) {
+  launch_kernel(desc, desc, /*bounded=*/false, body);
+}
+
+void Device::launch(const KernelDesc& bound, const KernelDesc& live,
+                    const std::function<void()>& body) {
+  launch_kernel(bound, live, /*bounded=*/true, body);
+}
+
+void Device::launch_kernel(const KernelDesc& bound_desc, const KernelDesc& live_desc,
+                           bool bounded, const std::function<void()>& body) {
+  KernelDesc bound_scaled, live_scaled;
+  const KernelDesc& bound = scale_desc(bound_desc, charge_scale_, bound_scaled);
+  const KernelDesc& desc =
+      bounded ? scale_desc(live_desc, charge_scale_, live_scaled) : bound;
   LS2_CHECK(desc.mem_efficiency > 0 && desc.mem_efficiency <= 1.0)
       << desc.name << " mem_efficiency " << desc.mem_efficiency;
   LS2_CHECK(desc.compute_efficiency > 0 && desc.compute_efficiency <= 1.0)
       << desc.name << " compute_efficiency " << desc.compute_efficiency;
+  if (bounded) {
+    LS2_CHECK(desc.name == bound.name)
+        << "live launch '" << desc.name << "' under bound '" << bound.name << "'";
+    LS2_CHECK(desc.bytes_read <= bound.bytes_read &&
+              desc.bytes_written <= bound.bytes_written && desc.flops <= bound.flops)
+        << desc.name << ": live cost (" << desc.bytes_read << " B read, "
+        << desc.bytes_written << " B written, " << desc.flops
+        << " flops) exceeds its bound (" << bound.bytes_read << ", "
+        << bound.bytes_written << ", " << bound.flops << ")";
+  }
 
   stats_.launches += 1;
   stats_.bytes_moved += desc.bytes_read + desc.bytes_written;
@@ -60,11 +88,14 @@ void Device::launch(const KernelDesc& launch_desc, const std::function<void()>& 
 
   if (graph_phase_ == GraphPhase::kReplay) {
     // Replayed kernels run back to back: the graph was dispatched as one
-    // unit (charged in begin_replay), so there is no per-launch gap. The
-    // execution time is the one BAKED INTO the graph node at capture — a
+    // unit (charged in begin_replay), so there is no per-launch gap. A
+    // static node charges the execution time BAKED INTO it at capture — a
     // replay runs the captured launch parameters, not freshly-derived ones.
+    // A bounded node's kernel reads its extent from replay-time parameters,
+    // so it charges the live cost (already checked against the bound).
     // Faults still apply: replay fixes the launch sequence, not the silicon.
-    double exec = consume_node(GraphNode::Kind::kKernel, &desc).exec_us;
+    const GraphNode& node = consume_node(GraphNode::Kind::kKernel, &bound, bounded);
+    double exec = bounded ? kernel_time_us(desc) : node.exec_us;
     if (fault_ != nullptr) exec *= fault_->on_kernel(desc.name);
     stats_.replayed_launches += 1;
     stats_.busy_us += exec;
@@ -98,11 +129,12 @@ void Device::launch(const KernelDesc& launch_desc, const std::function<void()>& 
     if (graph_phase_ == GraphPhase::kCapture) {
       GraphNode node;
       node.kind = GraphNode::Kind::kKernel;
-      node.desc = desc;
-      node.exec_us = base_exec;
-      capture_.nodes.push_back(std::move(node));
+      node.desc = bound;
+      node.bounded = bounded;
+      node.exec_us = bounded ? kernel_time_us(bound) : base_exec;
       capture_.kernel_launches += 1;
-      capture_.kernel_exec_us += base_exec;
+      capture_.kernel_exec_us += node.exec_us;
+      capture_.nodes.push_back(std::move(node));
     }
   }
 
@@ -332,7 +364,8 @@ void Device::abort_graph() noexcept {
   capture_poisoned_ = false;
 }
 
-const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* desc) {
+const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* desc,
+                                      bool bounded) {
   if (replay_cursor_ >= replay_->nodes.size())
     throw GraphError("replayed step issued more operations than the captured graph (" +
                      std::to_string(replay_->nodes.size()) + " nodes)");
@@ -341,6 +374,11 @@ const GraphNode& Device::consume_node(GraphNode::Kind kind, const KernelDesc* de
     throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) +
                      " kind mismatch under replay");
   if (desc != nullptr) {
+    if (node.bounded != bounded)
+      throw GraphError("graph node " + std::to_string(replay_cursor_ - 1) + " ('" +
+                       node.desc.name + "') was captured " +
+                       (node.bounded ? "bounded" : "static") + " but replayed " +
+                       (bounded ? "bounded" : "static"));
     if (!(node.desc.name == desc->name &&
           node.desc.bytes_read == desc->bytes_read &&
           node.desc.bytes_written == desc->bytes_written &&

@@ -56,8 +56,8 @@ struct KernelDesc {
 
 struct KernelStats {
   int64_t launches = 0;
-  int64_t bytes = 0;
-  double flops = 0;
+  int64_t bytes = 0;  ///< live bytes (a bounded launch counts what it moved)
+  double flops = 0;   ///< live flops
   double time_us = 0;  ///< execution + launch gaps (what the family cost the clock)
   /// Pure execution time (no launch gaps / graph dispatch) — the roofline
   /// profiler's numerator: summed over families it equals the kernel share
@@ -68,8 +68,8 @@ struct KernelStats {
 
 struct DeviceStats {
   int64_t launches = 0;      ///< kernel executions (eager-launched or replayed)
-  int64_t bytes_moved = 0;
-  double flops = 0;
+  int64_t bytes_moved = 0;   ///< live bytes, like KernelStats
+  double flops = 0;          ///< live flops
   double busy_us = 0;        ///< kernel execution time
   /// Total GPU-idle overhead. At least launch_gap_us + alloc_stall_us +
   /// graph_launch_us; `advance(us, busy=false, ...)` also lands here.
@@ -90,9 +90,15 @@ struct DeviceStats {
 struct GraphNode {
   enum class Kind { kKernel, kCommEnqueue, kCommWait };
   Kind kind = Kind::kKernel;
-  KernelDesc desc;     ///< kKernel: validated against the replayed launch
-  /// kKernel: execution time baked in at capture — what each replay charges
-  /// (a replay runs the captured launch parameters, not fresh ones).
+  /// kKernel: validated against the replayed launch. For a bounded node this
+  /// is the shape-static BOUND, not the cost any one launch charged.
+  KernelDesc desc;
+  /// kKernel: false = static node, whose replay charges the baked exec_us;
+  /// true = bounded node, whose replay charges the launch's live cost.
+  bool bounded = false;
+  /// kKernel: execution time baked in at capture — what each replay of a
+  /// static node charges (a replay runs the captured launch parameters, not
+  /// fresh ones). For a bounded node, the time of the bound.
   double exec_us = 0;
   double comm_us = 0;  ///< kCommEnqueue: modeled transfer duration
 };
@@ -108,7 +114,9 @@ struct GraphNode {
 struct StepGraph {
   std::vector<GraphNode> nodes;
   int64_t kernel_launches = 0;  ///< number of kKernel nodes
-  double kernel_exec_us = 0;    ///< sum of their execution times
+  /// Sum of their exec_us: for bounded nodes the bound's time, so this is
+  /// the most one replay's kernels can charge, not what each one does.
+  double kernel_exec_us = 0;
   bool valid = false;           ///< false until end_capture, or when poisoned
   std::string poison_reason;    ///< why capture failed (first offense)
 };
@@ -122,8 +130,18 @@ class Device {
   void set_mode(ExecMode m) { mode_ = m; }
 
   /// Launch one kernel: advances the clock by the modeled duration and (in
-  /// execute mode) runs `body`.
+  /// execute mode) runs `body`. A STATIC launch: its cost is a function of
+  /// shapes alone, the `live == bound` case of the bounded launch below.
   void launch(const KernelDesc& desc, const std::function<void()>& body);
+  /// A BOUNDED launch, for a kernel that reads its extent from device
+  /// memory (e.g. decode attention over per-lane lengths): `bound` is the
+  /// shape-static worst case a capture records and a replay validates
+  /// exactly; `live` is what this launch does, and what every launch —
+  /// eager, captured or replayed — charges and records in the stats.
+  /// `live` must carry the bound's name and not exceed it in bytes read,
+  /// bytes written or flops (ls2::Error otherwise).
+  void launch(const KernelDesc& bound, const KernelDesc& live,
+              const std::function<void()>& body);
 
   /// Modeled duration of a kernel without launching it.
   double kernel_time_us(const KernelDesc& desc) const;
@@ -182,9 +200,12 @@ class Device {
   //
   // Replay consumes the graph's nodes in order: begin_replay charges one
   // graph-launch overhead, each launch is validated against its node (name,
-  // bytes, flops — a mismatch means the step is not actually static) and
-  // charged only its execution time, back to back. Kernel bodies still run
-  // in kExecute mode — replay changes the cost model, never the numerics.
+  // bytes, flops — a mismatch means the step is not actually static; for a
+  // bounded node the check is on the bound) and charged only its execution
+  // time, back to back: the baked time of a static node, the live cost of a
+  // bounded one. A static launch consuming a bounded node, or the reverse,
+  // is a GraphError. Kernel bodies still run in kExecute mode — replay
+  // changes the cost model, never the numerics.
 
   void begin_capture();
   /// Finish capture; the result is valid unless capture was poisoned.
@@ -260,9 +281,15 @@ class Device {
   enum class GraphPhase { kNone, kCapture, kReplay };
 
   void attribute(double us);
+  /// The one launch path behind both launch overloads (bounded = false:
+  /// `live` is `bound`).
+  void launch_kernel(const KernelDesc& bound, const KernelDesc& live, bool bounded,
+                     const std::function<void()>& body);
   /// Replay-side node matching: checks the next node has `kind` (and, for
-  /// kernels, an equal descriptor) and advances the cursor.
-  const GraphNode& consume_node(GraphNode::Kind kind, const KernelDesc* desc);
+  /// kernels, the same static/bounded kind and an equal descriptor) and
+  /// advances the cursor.
+  const GraphNode& consume_node(GraphNode::Kind kind, const KernelDesc* desc,
+                                bool bounded = false);
 
   DeviceProfile profile_;
   ExecMode mode_;

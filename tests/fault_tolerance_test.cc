@@ -624,7 +624,7 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
         if (cache.len(active[i]) >= cfg.seq_tokens) retire_at(i);
       }
       for (size_t i = 0; i < active.size();) {
-        if (cache.extend(active[i], kc, kern::Impl::kLS2)) {
+        if (cache.extend(active[i], kc)) {
           ++i;
           continue;
         }

@@ -11,7 +11,9 @@
 #include <set>
 
 #include "core/lightseq2.h"
+#include "gemm/gemm.h"
 #include "kernels/sampling.h"
+#include "kernels/softmax.h"
 #include "kernels/transform.h"
 
 namespace ls2::infer {
@@ -85,8 +87,8 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   cache.free(c);
   EXPECT_EQ(cache.free_lanes(), 1);
 
-  ASSERT_TRUE(cache.extend(a, kc, kern::Impl::kLS2));
-  ASSERT_TRUE(cache.extend(b, kc, kern::Impl::kLS2));
+  ASSERT_TRUE(cache.extend(a, kc));
+  ASSERT_TRUE(cache.extend(b, kc));
   cache.begin_decode();
   const int32_t* pos = cache.positions().data<int32_t>();
   const int32_t* att = cache.attend_lens().data<int32_t>();
@@ -109,7 +111,7 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   // A sequence at token capacity must refuse another extension / step.
   const SequenceHandle d = cache.allocate(8);
   ASSERT_TRUE(d.valid());
-  EXPECT_THROW((void)cache.extend(d, kc, kern::Impl::kLS2), Error);
+  EXPECT_THROW((void)cache.extend(d, kc), Error);
   EXPECT_THROW(cache.begin_decode(), Error) << "active seq at capacity";
   cache.free(d);
 
@@ -122,70 +124,128 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   EXPECT_EQ(cache.active_seqs(), 0);
 }
 
-TEST(KvCacheTest, PagedStoreAppendGatherWriteTheRightRows) {
-  simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
-  kern::KernelContext kc(dev, nullptr, 1);
-  const int64_t S = 2, N = 2, D = 2, page = 2, seq = 4;
-  KvCacheConfig cfg;
-  cfg.layers = 1;
-  cfg.heads = N;
-  cfg.head_dim = D;
-  cfg.slots = S;
-  cfg.seq_tokens = seq;
-  cfg.page_tokens = page;
-  KvCache cache(cfg);
-  const SequenceHandle h0 = cache.allocate(1);
-  const SequenceHandle h1 = cache.allocate(2);
-  ASSERT_TRUE(h0.valid() && h1.valid());
+// The paged writers and the fused decode attention, against a reference
+// built the unfused way over a contiguous cache: prompt rows
+// (kv_cache_store_paged) and the decode row (kv_cache_append_paged) land
+// through the block table, and kern::paged_decode_attn reading the pools in
+// place is BITWISE the scores GEMM + masked softmax + context GEMM + head
+// merge over contiguous copies of the same rows, in FP32 and FP16. The
+// lanes cover a length that crosses a page boundary, a free lane of length
+// 0 on the trash page, and a length of exactly the table's reach; the
+// pools start as garbage, so a read past a lane's length would show.
+TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
+  const int64_t S = 3, N = 2, D = 5, page = 4, Lcap = 8;
+  const std::vector<int64_t> lens = {6, 0, Lcap};  // attend length per lane
+  const float scale = 1.0f / std::sqrt(static_cast<float>(D));
+  for (const DType dt : {DType::kF32, DType::kF16}) {
+    SCOPED_TRACE(dtype_name(dt));
+    simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+    kern::KernelContext kc(dev, nullptr, 1);
+    KvCacheConfig cfg;
+    cfg.layers = 1;
+    cfg.heads = N;
+    cfg.head_dim = D;
+    cfg.slots = S;
+    cfg.seq_tokens = Lcap;
+    cfg.page_tokens = page;
+    cfg.dtype = dt;
+    KvCache cache(cfg);
+    kc.rng.fill_normal(cache.k_pool(0), 1, 0.0f, 9.0f);
+    kc.rng.fill_normal(cache.v_pool(0), 2, 0.0f, 9.0f);
+    const SequenceHandle h0 = cache.allocate(lens[0] - 1);
+    const SequenceHandle h1 = cache.allocate(1);
+    const SequenceHandle h2 = cache.allocate(lens[2] - 1);
+    cache.free(h1);  // lane 1 attends nothing; its table row is all trash
+    ASSERT_TRUE(cache.extend(h0, kc));
+    ASSERT_TRUE(cache.extend(h2, kc));
+    cache.begin_decode();
+    for (int64_t s = 0; s < S; ++s)
+      ASSERT_EQ(cache.attend_lens().data<int32_t>()[s], lens[static_cast<size_t>(s)]);
 
-  // Prefill two rows into h1's lane only, through its block table.
-  Tensor k_new = Tensor::empty({1, N, 2, D}, DType::kF32);
-  Tensor v_new = Tensor::empty({1, N, 2, D}, DType::kF32);
-  k_new.fill_(2.0f);
-  v_new.fill_(3.0f);
-  Tensor lanes = Tensor::from_vector({static_cast<float>(cache.lane(h1))}, {1}, DType::kI32);
-  Tensor wbegin = Tensor::from_vector({0.0f}, {1}, DType::kI32);
-  Tensor wend = Tensor::from_vector({2.0f}, {1}, DType::kI32);
-  kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k_new, v_new, cache.k_pool(0),
-                             cache.v_pool(0), cache.block_table(), lanes, wbegin, wend);
-
-  // Decode append at per-lane positions (h0 at row 1, h1 at row 2).
-  ASSERT_TRUE(cache.extend(h0, kc, kern::Impl::kLS2));
-  ASSERT_TRUE(cache.extend(h1, kc, kern::Impl::kLS2));
-  cache.begin_decode();
-  Tensor k1 = Tensor::empty({S, N, 1, D}, DType::kF32);
-  Tensor v1 = Tensor::empty({S, N, 1, D}, DType::kF32);
-  k1.fill_(7.0f);
-  v1.fill_(8.0f);
-  kern::kv_cache_append_paged(kc, kern::Impl::kLS2, k1, v1, cache.k_pool(0),
-                              cache.v_pool(0), cache.block_table(), cache.positions());
-
-  // Gather through the block table: logical rows come back contiguous, with
-  // exact zeros past each lane's attend length (and for never-written rows).
-  Tensor kg = Tensor::empty({S, N, seq, D}, DType::kF32);
-  Tensor vg = Tensor::empty({S, N, seq, D}, DType::kF32);
-  kg.fill_(99.0f);  // stale scratch must be re-zeroed by the gather
-  vg.fill_(99.0f);
-  kern::kv_cache_gather(kc, kern::Impl::kLS2, cache.k_pool(0), cache.v_pool(0),
-                        cache.block_table(), cache.attend_lens(), kg, vg);
-  const auto kv = kg.to_vector();
-  auto at = [&](int64_t s, int64_t n, int64_t l, int64_t d) {
-    return kv[static_cast<size_t>(((s * N + n) * seq + l) * D + d)];
-  };
-  const int64_t l0 = cache.lane(h0), l1 = cache.lane(h1);
-  for (int64_t n = 0; n < N; ++n) {
-    for (int64_t d = 0; d < D; ++d) {
-      EXPECT_EQ(at(l0, n, 0, d), 0.0f) << "h0 row 0 was never written";
-      EXPECT_EQ(at(l0, n, 1, d), 7.0f) << "h0 append landed at row 1";
-      EXPECT_EQ(at(l0, n, 2, d), 0.0f) << "beyond attend_len: exact zeros";
-      EXPECT_EQ(at(l1, n, 0, d), 2.0f) << "h1 prefill row";
-      EXPECT_EQ(at(l1, n, 1, d), 2.0f) << "h1 prefill row";
-      EXPECT_EQ(at(l1, n, 2, d), 7.0f) << "h1 append landed at row 2";
-      EXPECT_EQ(at(l1, n, 3, d), 0.0f);
+    // Each lane's logical rows, contiguous with exact zeros past its length,
+    // the decode row (logical row len - 1) and one query per lane.
+    const Rng rng(7);
+    std::vector<float> kf(static_cast<size_t>(S * N * Lcap * D), 0.0f), vf(kf.size(), 0.0f);
+    std::vector<float> k1f(static_cast<size_t>(S * N * D), 0.0f), v1f(k1f.size(), 0.0f);
+    for (int64_t s = 0; s < S; ++s) {
+      const int64_t len = lens[static_cast<size_t>(s)];
+      for (int64_t n = 0; n < N; ++n) {
+        for (int64_t l = 0; l < len; ++l) {
+          for (int64_t d = 0; d < D; ++d) {
+            const auto i = static_cast<size_t>(((s * N + n) * Lcap + l) * D + d);
+            kf[i] = rng.normal(1, i);
+            vf[i] = rng.normal(2, i);
+            if (l == len - 1) {
+              k1f[static_cast<size_t>((s * N + n) * D + d)] = kf[i];
+              v1f[static_cast<size_t>((s * N + n) * D + d)] = vf[i];
+            }
+          }
+        }
+      }
     }
+    Tensor k = Tensor::from_vector(kf, {S, N, Lcap, D}, dt);
+    Tensor v = Tensor::from_vector(vf, {S, N, Lcap, D}, dt);
+    Tensor q = Tensor::empty({S, N, 1, D}, dt);
+    rng.fill_normal(q, 3, 0.0f, 1.0f);
+
+    Tensor lanes = Tensor::from_vector({0.0f, 1.0f, 2.0f}, {S}, DType::kI32);
+    Tensor wbegin = Tensor::zeros({S}, DType::kI32);
+    Tensor wend = Tensor::from_vector(
+        {static_cast<float>(lens[0] - 1), 0.0f, static_cast<float>(lens[2] - 1)}, {S},
+        DType::kI32);
+    kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
+                               cache.block_table(), lanes, wbegin, wend);
+    kern::kv_cache_append_paged(kc, Tensor::from_vector(k1f, {S, N, 1, D}, dt),
+                                Tensor::from_vector(v1f, {S, N, 1, D}, dt), cache.k_pool(0),
+                                cache.v_pool(0), cache.block_table(), cache.positions());
+
+    Tensor merged = Tensor::empty({S, 1, N * D}, dt);
+    merged.fill_(99.0f);
+    kern::paged_decode_attn(kc, q, cache.k_pool(0), cache.v_pool(0), cache.block_table(),
+                            cache.attend_lens(), scale, merged);
+
+    // Reference over the contiguous rows.
+    Tensor scores = Tensor::empty({S, N, 1, Lcap}, dt);
+    Tensor probs = Tensor::empty({S, N, 1, Lcap}, dt);
+    Tensor ctx_h = Tensor::empty({S, N, 1, D}, dt);
+    Tensor ref = Tensor::empty({S, 1, N * D}, dt);
+    if (dt == DType::kF32) {
+      gemm::sgemm_strided_batched(false, true, 1, Lcap, D, scale, q.data<float>(), D,
+                                  k.data<float>(), Lcap * D, 0.0f, scores.data<float>(),
+                                  Lcap, S * N);
+    } else {
+      gemm::hgemm_strided_batched(false, true, 1, Lcap, D, scale, q.data<Half>(), D,
+                                  k.data<Half>(), Lcap * D, 0.0f, scores.data<Half>(), Lcap,
+                                  S * N);
+    }
+    kern::attn_softmax_fw(kc, kern::Impl::kLS2, scores, probs, /*causal=*/false,
+                          &cache.attend_lens());
+    if (dt == DType::kF32) {
+      gemm::sgemm_strided_batched(false, false, 1, D, Lcap, 1.0f, probs.data<float>(), Lcap,
+                                  v.data<float>(), Lcap * D, 0.0f, ctx_h.data<float>(), D,
+                                  S * N);
+    } else {
+      gemm::hgemm_strided_batched(false, false, 1, D, Lcap, 1.0f, probs.data<Half>(), Lcap,
+                                  v.data<Half>(), Lcap * D, 0.0f, ctx_h.data<Half>(), D,
+                                  S * N);
+    }
+    kern::merge_heads_fw(kc, kern::Impl::kLS2, ctx_h, ref);
+
+    const auto got = merged.to_vector();
+    EXPECT_EQ(got, ref.to_vector());
+    for (int64_t j = N * D; j < 2 * N * D; ++j)
+      EXPECT_EQ(got[static_cast<size_t>(j)], 0.0f) << "the free lane writes zeros";
+
+    // One bounded launch, charged at the 14 live rows, not S * Lcap.
+    const auto& ks = dev.per_kernel().at("ls2.paged_decode_attn");
+    const int64_t elem = static_cast<int64_t>(dtype_size(dt));
+    EXPECT_EQ(ks.launches, 1);
+    EXPECT_EQ(ks.bytes, static_cast<int64_t>(q.bytes() + cache.block_table().bytes() +
+                                             cache.attend_lens().bytes() + merged.bytes()) +
+                            2 * (lens[0] + lens[2]) * N * D * elem);
+    cache.commit_decode();
+    EXPECT_EQ(cache.len(h2), Lcap);
   }
-  cache.commit_decode();
-  EXPECT_EQ(cache.len(h1), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +327,7 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   // Teacher-forced decode steps must be BITWISE the full forward's logits.
   for (int64_t t = P; t < L; ++t) {
     for (const SequenceHandle& h : seqs)
-      ASSERT_TRUE(cache.extend(h, s.ctx().kern, s.ctx().policy.transform));
+      ASSERT_TRUE(cache.extend(h, s.ctx().kern));
     cache.begin_decode();
     const auto step = model.decode_step(s.ctx(), column(ids, t), cache).to_vector();
     cache.commit_decode();
@@ -319,7 +379,7 @@ TEST(Gpt2InferTest, PaddedBatchMatchesPerSequenceForward) {
     int32_t* tp = tok.data<int32_t>();
     for (int64_t b = 0; b < B; ++b) tp[b] = sp[b * 8 + plen[static_cast<size_t>(b)] + k];
     for (const SequenceHandle& h : handles)
-      ASSERT_TRUE(cache.extend(h, s.ctx().kern, s.ctx().policy.transform));
+      ASSERT_TRUE(cache.extend(h, s.ctx().kern));
     cache.begin_decode();
     step_logits.push_back(model.decode_step(s.ctx(), tok, cache).to_vector());
     cache.commit_decode();
@@ -434,7 +494,7 @@ TEST(TransformerInferTest, IncrementalDecodeMatchesFullPrefillBitwise) {
   }
   for (int64_t t = 1; t < Lt; ++t) {
     for (const SequenceHandle& h : handles)
-      ASSERT_TRUE(cache.extend(h, s.ctx().kern, s.ctx().policy.transform));
+      ASSERT_TRUE(cache.extend(h, s.ctx().kern));
     cache.begin_decode();
     const auto step = model.decode_step(s.ctx(), column(batch.tgt_in, t), cache).to_vector();
     cache.commit_decode();
@@ -790,7 +850,7 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
     Tensor ids = Tensor::zeros({3, 1}, DType::kI32);
     for (int64_t k = 0; k < steps; ++k) {
       ids.data<int32_t>()[c.lane(h)] = cont[static_cast<size_t>(k)];
-      EXPECT_TRUE(c.extend(h, s.ctx().kern, s.ctx().policy.transform));
+      EXPECT_TRUE(c.extend(h, s.ctx().kern));
       c.begin_decode();
       out.push_back(model.decode_step(s.ctx(), ids, c).to_vector());
       c.commit_decode();
@@ -804,8 +864,8 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
   for (int64_t k = 0; k < steps; ++k) {
     ids.data<int32_t>()[cache.lane(hf)] = contA[static_cast<size_t>(k)];
     ids.data<int32_t>()[cache.lane(ff)] = contB[static_cast<size_t>(k)];
-    ASSERT_TRUE(cache.extend(hf, s.ctx().kern, s.ctx().policy.transform));
-    ASSERT_TRUE(cache.extend(ff, s.ctx().kern, s.ctx().policy.transform));
+    ASSERT_TRUE(cache.extend(hf, s.ctx().kern));
+    ASSERT_TRUE(cache.extend(ff, s.ctx().kern));
     cache.begin_decode();
     const auto step = model.decode_step(s.ctx(), ids, cache).to_vector();
     cache.commit_decode();
@@ -822,6 +882,70 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
   }
   EXPECT_EQ(cache.stats().cow_copies, 1)
       << "exactly one tail-page copy: the first extension after the fork";
+}
+
+// Decode attention is a BOUNDED graph node: one captured decode step,
+// replayed at short and at long attend lengths, charges the live rows it
+// reads — strictly less serve.decode device time at the short lengths —
+// while every replayed logit stays bitwise the eager one.
+TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
+  const auto cfg = tiny_gpt2();
+  const int64_t slots = 2, max_len = 24, short_prompt = 2, long_prompt = 20;
+  struct Run {
+    std::vector<std::vector<float>> logits;
+    std::vector<double> decode_us;  // serve.decode device time per step
+  };
+  auto run = [&](bool graph) {
+    SessionConfig sc = ls2_session();
+    sc.arena_bytes = serve_capacity_scan(cfg, DType::kF32, slots, max_len, long_prompt);
+    Session s(sc);
+    models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 17, s.param_alloc());
+    KvCache cache(model.kv_cache_config(slots, max_len), s.param_alloc());
+    simgpu::Device& dev = s.device();
+    simgpu::StepGraph g;
+    std::vector<SequenceHandle> seqs;
+    Run out;
+    auto admit = [&](int64_t prompt_len, uint64_t seed) {
+      for (const SequenceHandle& h : seqs) cache.free(h);
+      seqs.clear();
+      for (int64_t b = 0; b < slots; ++b) seqs.push_back(cache.allocate(prompt_len));
+      (void)model.prefill(s.ctx(), random_ids(slots, prompt_len, cfg.vocab, seed), &cache,
+                          seqs);
+      s.end_step();
+    };
+    auto decode = [&](uint64_t seed) {
+      for (const SequenceHandle& h : seqs) EXPECT_TRUE(cache.extend(h, s.ctx().kern));
+      cache.begin_decode();
+      const Tensor ids = random_ids(slots, 1, cfg.vocab, seed);
+      const size_t step = out.logits.size();
+      const bool capture = graph && step == 1, replay = graph && step > 1;
+      if (capture) dev.begin_capture();
+      if (replay) dev.begin_replay(g);
+      const double t0 = dev.range_time_us("serve.decode");
+      {
+        simgpu::ScopedRange range(dev, "serve.decode");
+        out.logits.push_back(model.decode_step(s.ctx(), ids, cache).to_vector());
+      }
+      out.decode_us.push_back(dev.range_time_us("serve.decode") - t0);
+      if (capture) g = dev.end_capture();
+      if (replay) dev.end_replay();
+      s.end_step();
+      cache.commit_decode();
+    };
+    admit(short_prompt, 1);
+    decode(10);  // eager warm-up
+    decode(11);  // captured (eager when graph is off)
+    decode(12);  // replayed at attend length short_prompt + 3
+    admit(long_prompt, 2);
+    decode(13);  // replayed at attend length long_prompt + 1
+    return out;
+  };
+  const Run eager = run(false);
+  const Run replayed = run(true);
+  ASSERT_EQ(replayed.logits.size(), 4u);
+  EXPECT_EQ(replayed.logits, eager.logits) << "replay changed a decoded logit";
+  EXPECT_LT(replayed.decode_us[2], replayed.decode_us[3])
+      << "a replayed decode step must charge its live attend lengths";
 }
 
 // Fixed-size pages cannot fragment externally: after any admit/retire

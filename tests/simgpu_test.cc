@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
 
 #include "common/check.h"
+#include "simgpu/fault.h"
 #include "simgpu/profile.h"
 
 namespace ls2::simgpu {
@@ -236,6 +238,104 @@ TEST(StepGraphTest, CaptureRecordsAndReplayDropsLaunchGaps) {
   EXPECT_EQ(dev.stats().replayed_launches, 2);
   EXPECT_NEAR(dev.stats().graph_launch_us, 10.0, 1e-9);
   EXPECT_EQ(dev.stats().launches, 4);  // kernel executions, eager + replayed
+}
+
+// --- bounded graph nodes: a kernel whose extent is a replay-time parameter ---
+
+constexpr int64_t kOneUs = 720 * 1000;  // bytes_kernel size of 1 us on V100
+
+TEST(StepGraphTest, BoundedNodeChargesLiveCostEagerCapturedAndReplayed) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const KernelDesc bound = bytes_kernel(4 * kOneUs), live = bytes_kernel(kOneUs);
+  auto busy_delta = [&](const std::function<void()>& f) {
+    const double before = dev.stats().busy_us;
+    f();
+    return dev.stats().busy_us - before;
+  };
+  const double eager = busy_delta([&] { dev.launch(bound, live, nullptr); });
+  dev.begin_capture();
+  const double captured = busy_delta([&] { dev.launch(bound, live, nullptr); });
+  StepGraph graph = dev.end_capture();
+  ASSERT_TRUE(graph.valid);
+  EXPECT_TRUE(graph.nodes[0].bounded);
+  EXPECT_NEAR(graph.kernel_exec_us, 4.0, 1e-9) << "the graph sums the bounds";
+  dev.begin_replay(graph);
+  const double replayed = busy_delta([&] { dev.launch(bound, live, nullptr); });
+  dev.end_replay();
+  EXPECT_NEAR(eager, 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(captured, eager);
+  EXPECT_DOUBLE_EQ(replayed, eager);
+  EXPECT_EQ(dev.stats().bytes_moved, 3 * kOneUs) << "stats record the live bytes";
+  EXPECT_EQ(dev.per_kernel().at("test.bytes").bytes, 3 * kOneUs);
+}
+
+TEST(StepGraphTest, BoundedReplayChargesExactlyTheLiveKernelTime) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const KernelDesc bound = bytes_kernel(4 * kOneUs);
+  dev.begin_capture();
+  dev.launch(bound, bytes_kernel(3 * kOneUs), nullptr);
+  StepGraph graph = dev.end_capture();
+  const KernelDesc smaller = bytes_kernel(kOneUs / 3);
+  const double t0 = dev.clock_us();
+  dev.begin_replay(graph);
+  dev.launch(bound, smaller, nullptr);
+  dev.end_replay();
+  EXPECT_DOUBLE_EQ(dev.clock_us() - t0, 10.0 + dev.kernel_time_us(smaller));
+}
+
+TEST(StepGraphTest, BoundedLaunchRejectsLiveCostAboveItsBound) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const KernelDesc bound = bytes_kernel(kOneUs);
+  dev.begin_capture();
+  dev.launch(bound, bound, nullptr);
+  StepGraph graph = dev.end_capture();
+  KernelDesc more_flops = bound;
+  more_flops.flops = 1.0;
+  KernelDesc renamed = bound;
+  renamed.name = "test.other";
+  for (const KernelDesc& live : {bytes_kernel(2 * kOneUs), more_flops, renamed}) {
+    dev.begin_replay(graph);
+    EXPECT_THROW(dev.launch(bound, live, nullptr), Error) << live.name;
+    dev.abort_graph();
+  }
+}
+
+TEST(StepGraphTest, StaticAndBoundedNodesDoNotConsumeEachOther) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const KernelDesc d = bytes_kernel(kOneUs);
+  dev.begin_capture();
+  dev.launch(d, nullptr);
+  const StepGraph static_graph = dev.end_capture();
+  dev.begin_capture();
+  dev.launch(d, d, nullptr);
+  const StepGraph bounded_graph = dev.end_capture();
+
+  dev.begin_replay(static_graph);
+  EXPECT_THROW(dev.launch(d, d, nullptr), GraphError);
+  dev.abort_graph();
+  dev.begin_replay(bounded_graph);
+  EXPECT_THROW(dev.launch(d, nullptr), GraphError);
+  dev.abort_graph();
+}
+
+TEST(StepGraphTest, KernelSpikeMultipliesAReplayedBoundedKernel) {
+  Device dev(v100(), ExecMode::kModelOnly);
+  const KernelDesc bound = bytes_kernel(4 * kOneUs), live = bytes_kernel(kOneUs);
+  dev.begin_capture();
+  dev.launch(bound, live, nullptr);
+  const StepGraph graph = dev.end_capture();
+  FaultPlan plan;
+  plan.add(FaultPlan::kernel_spike(/*step=*/0, "test.bytes", /*factor=*/8.0));
+  FaultInjector injector(plan);
+  injector.arm(0);
+  dev.set_fault_injector(&injector);
+  const double busy_before = dev.stats().busy_us;
+  dev.begin_replay(graph);
+  dev.launch(bound, live, nullptr);
+  dev.end_replay();
+  dev.set_fault_injector(nullptr);
+  EXPECT_DOUBLE_EQ(dev.stats().busy_us - busy_before, 8.0 * dev.kernel_time_us(live));
+  EXPECT_EQ(injector.kernel_spikes(), 1);
 }
 
 TEST(StepGraphTest, ReplayAttributesTimeToLiveRanges) {
