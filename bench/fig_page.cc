@@ -21,7 +21,8 @@
 // prefix (two full pages) over an oversubscribed pool, with prefix sharing
 // off vs on. Sharing maps every copy of the system pages to one physical
 // page (refcounted, COW on the tail), so prefill page allocations collapse
-// and more residents fit the same pool.
+// and more residents fit the same pool — and a prefix hit skips compute
+// too: prefill runs only the rows no shared page holds.
 //
 // Machine-readable output: bench/fig_page.json (validated by ci.sh).
 #include <filesystem>
@@ -108,6 +109,8 @@ void write_json() {
       "\n    {\"section\": \"sharing\", \"profile\": \"v100\", "
       "\"requests\": %lld, \"total_pages\": %lld, "
       "\"excl_prefill_pages\": %lld, \"shared_prefill_pages\": %lld, "
+      "\"excl_prefill_rows\": %lld, \"shared_prefill_rows\": %lld, "
+      "\"excl_tokens_per_sec\": %.1f, \"shared_tokens_per_sec\": %.1f, "
       "\"shared_page_hits\": %lld, \"hit_rate\": %.3f, \"cow_copies\": %lld, "
       "\"excl_peak_resident\": %lld, \"shared_peak_resident\": %lld, "
       "\"excl_preemptions\": %lld, \"shared_preemptions\": %lld, "
@@ -116,6 +119,8 @@ void write_json() {
       static_cast<long long>(g_sharing.total_pages),
       static_cast<long long>(e.prefill_page_allocs),
       static_cast<long long>(s.prefill_page_allocs),
+      static_cast<long long>(e.prefill_rows), static_cast<long long>(s.prefill_rows),
+      e.tokens_per_sec, s.tokens_per_sec,
       static_cast<long long>(s.shared_page_hits), hit_rate,
       static_cast<long long>(s.cow_copies), static_cast<long long>(e.peak_resident),
       static_cast<long long>(s.peak_resident), static_cast<long long>(e.preemptions),
@@ -211,23 +216,23 @@ static int bench_body() {
   }
   LS2_CHECK(g_sharing.shared.served + g_sharing.shared.shed_requests == 24)
       << "requests lost";
-  std::printf("%-12s %14s %14s %12s %12s %10s\n", "prefixes", "prefill_pages",
-              "page_hits", "peak_res", "preempts", "served");
-  std::printf("%-12s %14lld %14lld %12lld %12lld %10lld\n", "exclusive",
-              static_cast<long long>(g_sharing.excl.prefill_page_allocs),
-              static_cast<long long>(g_sharing.excl.shared_page_hits),
-              static_cast<long long>(g_sharing.excl.peak_resident),
-              static_cast<long long>(g_sharing.excl.preemptions),
-              static_cast<long long>(g_sharing.excl.served));
-  std::printf("%-12s %14lld %14lld %12lld %12lld %10lld\n", "shared",
-              static_cast<long long>(g_sharing.shared.prefill_page_allocs),
-              static_cast<long long>(g_sharing.shared.shared_page_hits),
-              static_cast<long long>(g_sharing.shared.peak_resident),
-              static_cast<long long>(g_sharing.shared.preemptions),
-              static_cast<long long>(g_sharing.shared.served));
+  std::printf("%-12s %14s %13s %10s %9s %9s %8s %7s\n", "prefixes", "prefill_pages",
+              "prefill_rows", "page_hits", "peak_res", "preempts", "tok/s", "served");
+  for (const bool sharing : {false, true}) {
+    const infer::ServeReport& r = sharing ? g_sharing.shared : g_sharing.excl;
+    std::printf("%-12s %14lld %13lld %10lld %9lld %9lld %8.0f %7lld\n",
+                sharing ? "shared" : "exclusive",
+                static_cast<long long>(r.prefill_page_allocs),
+                static_cast<long long>(r.prefill_rows),
+                static_cast<long long>(r.shared_page_hits),
+                static_cast<long long>(r.peak_resident),
+                static_cast<long long>(r.preemptions), r.tokens_per_sec,
+                static_cast<long long>(r.served));
+  }
   std::printf("\nEvery resident maps its two system-prompt pages to the same physical\n"
-              "pages (COW isolates the tails), so prefill allocations collapse and the\n"
-              "same pool holds more residents.\n");
+              "pages (COW isolates the tails), so prefill allocations collapse, the\n"
+              "same pool holds more residents, and prefill computes only the rows\n"
+              "past the shared pages.\n");
 
   write_json();
   return 0;

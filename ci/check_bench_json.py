@@ -365,16 +365,21 @@ def check_fig_page():
             fail(f"fig_page: paged decode never replayed its graph: {r}")
 
     # Sharing: the system-prompt burst must actually hit the prefix
-    # registry, and sharing must shrink prefill page traffic.
+    # registry, sharing must shrink prefill page traffic, and a prefix hit
+    # must skip compute too: prefill runs only the rows no shared page holds.
     for r in by_section["sharing"]:
         require(r, ("requests", "total_pages", "excl_prefill_pages",
-                    "shared_prefill_pages", "shared_page_hits", "hit_rate",
+                    "shared_prefill_pages", "excl_prefill_rows",
+                    "shared_prefill_rows", "excl_tokens_per_sec",
+                    "shared_tokens_per_sec", "shared_page_hits", "hit_rate",
                     "excl_peak_resident", "shared_peak_resident", "served",
                     "shed"), "fig_page.sharing")
         if r["shared_page_hits"] <= 0 or not 0 < r["hit_rate"] < 1:
             fail(f"fig_page: prefix sharing never hit the page registry: {r}")
         if not r["shared_prefill_pages"] < r["excl_prefill_pages"]:
             fail(f"fig_page: sharing did not shrink prefill page traffic: {r}")
+        if not r["shared_prefill_rows"] < r["excl_prefill_rows"]:
+            fail(f"fig_page: shared prefix pages did not skip prefill rows: {r}")
         if r["served"] + r["shed"] != r["requests"]:
             fail(f"fig_page: the sharing burst lost requests: {r}")
 

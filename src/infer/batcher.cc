@@ -83,10 +83,7 @@ bool ContinuousBatcher::admit(size_t r) {
   const int64_t lane = cache_->lane(h);
 
   RequestStats& st = stats_[r];
-  st.id = req.id;
-  st.arrival_us = req.arrival_us;
-  st.admitted_us = dev.clock_us();
-  st.prompt_len = Lp;
+  const double admitted_us = dev.clock_us();
   // A preempted request re-admits with its generated tokens folded into the
   // continuation prompt: this residency's token count starts from here.
   const int64_t already = static_cast<int64_t>(st.tokens.size());
@@ -99,10 +96,27 @@ bool ContinuousBatcher::admit(size_t r) {
   int32_t tok = 0;
   {
     obs::SpanScope range(dev, "serve.prefill");
-    Tensor logits = model_->prefill(ctx, ids, cache_, {h});  // [1, Lp, V]
-    Tensor last = logits.view({Lp, V}).slice(Lp - 1, Lp);  // next-token logits
     Tensor first_tok = Tensor::zeros({1}, DType::kI32);
-    gen_.next_tokens(ctx.kern, ctx.policy.softmax, last, first_tok);
+    int64_t rows = 0;
+    try {
+      // Logits of the rows no shared prefix page held, [1, rows, V]; the
+      // last one predicts the first generated token.
+      Tensor logits = model_->prefill(ctx, ids, cache_, {h});
+      rows = logits.shape()[1];
+      gen_.next_tokens(ctx.kern, ctx.policy.softmax,
+                       logits.view({rows, V}).slice(rows - 1, rows), first_tok);
+    } catch (...) {
+      // allocate() registered this prompt's full pages as about to be
+      // filled: free them, or the registry would hand unwritten pages to
+      // the next prompt that shares the prefix (and the lane would leak).
+      cache_->free(h);
+      throw;
+    }
+    st.id = req.id;
+    st.arrival_us = req.arrival_us;
+    st.admitted_us = admitted_us;
+    st.prompt_len = Lp;
+    report_.prefill_rows += rows;
     tok = harvest_token(first_tok, 0, lane, already);
     st.tokens.push_back(tok);
     if (st.first_token_us == 0) st.first_token_us = dev.clock_us();
@@ -471,6 +485,7 @@ ServeReport ContinuousBatcher::finish() {
   report_.mean_latency_us = lat.mean();
   if (obs::MetricsRegistry* m = session_->metrics()) {
     m->counter(cfg_.metrics_prefix + ".prefills") += report_.prefills;
+    m->counter(cfg_.metrics_prefix + ".prefill_rows") += report_.prefill_rows;
     m->counter(cfg_.metrics_prefix + ".decode_steps") += report_.decode_steps;
     m->counter(cfg_.metrics_prefix + ".replayed_steps") += report_.replayed_steps;
     m->counter(cfg_.metrics_prefix + ".generated_tokens") += report_.generated_tokens;

@@ -6,8 +6,9 @@
 //
 //   [admissions]  arrived requests allocate a lane + pages (shared-prefix
 //                 pages reused); each prompt runs one eager prefill (B=1)
-//                 that writes its K/V and samples the first token — never
-//                 captured, shapes vary per prompt;
+//                 over the rows no shared page holds, which writes their
+//                 K/V and samples the first token — never captured, shapes
+//                 vary per prompt;
 //   [extend]      every resident sequence backs its next append row
 //                 (KvCache::extend — page allocation and COW copies, all
 //                 outside the captured region); when the pool runs dry the
@@ -149,6 +150,10 @@ struct RequestStats {
 struct ServeReport {
   std::vector<RequestStats> requests;
   int64_t prefills = 0;
+  /// Prompt rows prefills ran through the model — rows held by shared
+  /// prefix pages are skipped, so sharing shrinks this below the prompt
+  /// tokens admitted.
+  int64_t prefill_rows = 0;
   int64_t decode_steps = 0;
   int64_t replayed_steps = 0;    ///< decode steps run as one graph launch
   int64_t generated_tokens = 0;
@@ -238,9 +243,11 @@ class ContinuousBatcher {
   };
 
   /// Try to claim a lane + pages for request `r`: prefill its prompt
-  /// (eager; shared prefix pages skipped) and sample the next token. False
-  /// when the cache can't place it (no lane or pages) — the caller treats
-  /// the batch as full.
+  /// (eager; rows in shared prefix pages are neither recomputed nor
+  /// rewritten) and sample the next token. False when the cache can't place
+  /// it (no lane or pages) — the caller treats the batch as full. A prefill
+  /// that throws frees the sequence first: the request stays queued and
+  /// nothing of it stays in the cache.
   bool admit(size_t r);
   /// Reject request `r` (overload shed): it completes immediately with an
   /// error and no tokens.

@@ -24,6 +24,8 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
       << cfg.seq_tokens;
   LS2_CHECK(cfg.pool_pages() >= cfg.pages_per_seq())
       << "pool too small for even one full sequence";
+  LS2_CHECK(!(cfg.prefix_sharing && cfg.cross_len > 0))
+      << "prefix sharing is self-attention-only: cross K/V depend on the source";
   // +1: the trash page free lanes append into during the static-batch
   // decode step.
   const Shape pool_shape{cfg.pool_pages() + 1, cfg.heads, cfg.page(),
@@ -174,6 +176,36 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   seqs_.emplace(id, std::move(s));
   note_usage_peaks();
   return {id};
+}
+
+layers::PagedRows KvCache::prefill_rows(const std::vector<SequenceHandle>& seqs, int64_t L,
+                                       const Tensor* key_lens) const {
+  const int64_t B = static_cast<int64_t>(seqs.size());
+  LS2_CHECK(B > 0 && L > 0);
+  LS2_CHECK(key_lens == nullptr || key_lens->numel() == B);
+  // Heap: host-written metadata.
+  layers::PagedRows rows;
+  rows.block_table = block_table_;
+  for (Tensor* t : {&rows.lanes, &rows.q_begin, &rows.write_begin, &rows.write_end,
+                    &rows.kv_lens})
+    *t = Tensor::empty({B}, DType::kI32);
+  int32_t* ln = rows.lanes.data<int32_t>();
+  int32_t* wb = rows.write_begin.data<int32_t>();
+  int32_t* we = rows.write_end.data<int32_t>();
+  int32_t* kl = rows.kv_lens.data<int32_t>();
+  rows.first = L - 1;
+  for (int64_t b = 0; b < B; ++b) {
+    const Sequence& s = seq(seqs[static_cast<size_t>(b)]);
+    ln[b] = static_cast<int32_t>(s.lane);
+    wb[b] = s.write_begin;
+    // Padding rows past the allocated length are dropped: decode appends
+    // claim those positions into pages of their own later.
+    we[b] = static_cast<int32_t>(std::min<int64_t>(L, s.len));
+    kl[b] = key_lens ? std::min(we[b], key_lens->data<int32_t>()[b]) : we[b];
+    rows.first = std::min<int64_t>(rows.first, std::min(wb[b], we[b] - 1));
+  }
+  rows.q_begin.fill_(static_cast<float>(rows.first));
+  return rows;
 }
 
 bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc) {

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "kernels/kernel_context.h"
+#include "layers/attention.h"  // PagedRows
 #include "tensor/tensor.h"
 
 namespace ls2::infer {
@@ -87,7 +88,8 @@ struct KvCacheConfig {
   /// Share full common-prefix pages between sequences (refcounted, COW).
   /// Requires prefill-after-allocate ordering per sequence (the batcher's
   /// admission order) so a registered page is written before the next
-  /// allocate can hit it.
+  /// allocate can hit it. Self-attention-only (cross_len == 0): a decoder
+  /// row's K/V also depend on the source, not just the token prefix.
   bool prefix_sharing = false;
   int64_t cross_len = 0; ///< >0: also hold per-lane cross K/V of this length
   DType dtype = DType::kF32;
@@ -149,6 +151,16 @@ class KvCache {
   /// write_begin() then tells the prefill writer how many leading rows are
   /// already resident. Invalid handle when no lane or not enough pages.
   SequenceHandle allocate(int64_t prompt_len, const int32_t* tokens = nullptr);
+  /// Row metadata for one cached prefill of right-padded prompts ids [B, L]
+  /// over `seqs` (`key_lens` i32 [B], optional, masks padding keys as in
+  /// attn_softmax_fw). The batch computes only rows [first, L), first =
+  /// min_b min(write_begin_b, len_b - 1): rows every sequence holds in
+  /// shared prefix pages are skipped, and a fully shared prompt still
+  /// recomputes its last row, whose logits give the first token. Row b
+  /// stores positions [write_begin_b, min(L, len_b)) and attends up to
+  /// kv_len_b = min(L, len_b, key_lens[b]) rows.
+  layers::PagedRows prefill_rows(const std::vector<SequenceHandle>& seqs, int64_t L,
+                                 const Tensor* key_lens = nullptr) const;
   /// Make room for the token position len(h) is about to append: allocate
   /// the next page at a page boundary, or copy-on-write a tail page a fork
   /// still shares (eager kv_page_copy launches through `kc`). Idempotent

@@ -223,12 +223,14 @@ namespace {
 // Scatter [B, N, Lq, D] head rows through a block table into a paged pool
 // [P, N, page, D]: logical row l of lane `lane` lands in page
 // table[lane][l / page] at in-page row l % page. Prefill (`write_begin`/
-// `write_end` non-null) writes a row range; decode append (`positions`
-// non-null) writes the single row positions[b] with lane = b.
+// `write_end` non-null) writes the positions [begin, end), source row i
+// holding position q_begin[b] + i; decode append (`positions` non-null)
+// writes the single row positions[b] with lane = b.
 template <typename T>
 void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& table,
-                           const int32_t* lanes, const int32_t* begins,
-                           const int32_t* ends, const int32_t* positions) {
+                           const int32_t* lanes, const int32_t* q_begin,
+                           const int32_t* begins, const int32_t* ends,
+                           const int32_t* positions) {
   const int64_t N = src.shape()[1], Lq = src.shape()[2], D = src.shape()[3];
   const int64_t pool_pages = pool.shape()[0], page = pool.shape()[2];
   const int64_t pps = table.shape()[1];
@@ -253,10 +255,10 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
                   static_cast<size_t>(D) * sizeof(T));
       return;
     }
-    const int64_t lo = begins[b], hi = ends[b];
-    LS2_CHECK(lo >= 0 && lo <= hi && hi <= Lq) << "kv pool: bad write range";
+    const int64_t q0 = q_begin[b], lo = begins[b], hi = ends[b];
+    LS2_CHECK(lo >= q0 && lo <= hi && hi <= q0 + Lq) << "kv pool: bad write range";
     for (int64_t l = lo; l < hi; ++l) {
-      std::memcpy(dst_row(row, n, l), srow + l * D,
+      std::memcpy(dst_row(row, n, l), srow + (l - q0) * D,
                   static_cast<size_t>(D) * sizeof(T));
     }
   });
@@ -264,8 +266,9 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
 
 void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor& k_new,
                     const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
-                    const Tensor& table, const Tensor* lanes, const Tensor* write_begin,
-                    const Tensor* write_end, const Tensor* positions) {
+                    const Tensor& table, const Tensor* lanes, const Tensor* q_begin,
+                    const Tensor* write_begin, const Tensor* write_end,
+                    const Tensor* positions) {
   LS2_CHECK_EQ(k_new.shape().rank(), 4);
   LS2_CHECK(k_new.shape() == v_new.shape());
   LS2_CHECK(k_pool.shape() == v_pool.shape());
@@ -275,19 +278,16 @@ void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor&
   LS2_CHECK(table.dtype() == DType::kI32);
   LS2_CHECK_EQ(table.shape().rank(), 2);
   const int64_t nb = static_cast<int64_t>(k_new.bytes());
-  const int64_t meta = static_cast<int64_t>(table.bytes()) + k_new.shape()[0] * 12;
+  auto i32 = [](const Tensor* t) { return t ? t->data<int32_t>() : nullptr; };
+  int64_t meta = static_cast<int64_t>(table.bytes());
+  for (const Tensor* t : {lanes, q_begin, write_begin, write_end, positions})
+    meta += t ? static_cast<int64_t>(t->bytes()) : 0;
   auto body = [&] {
     LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
-      kv_paged_scatter_body<T>(k_new, k_pool, table,
-                               lanes ? lanes->data<int32_t>() : nullptr,
-                               write_begin ? write_begin->data<int32_t>() : nullptr,
-                               write_end ? write_end->data<int32_t>() : nullptr,
-                               positions ? positions->data<int32_t>() : nullptr);
-      kv_paged_scatter_body<T>(v_new, v_pool, table,
-                               lanes ? lanes->data<int32_t>() : nullptr,
-                               write_begin ? write_begin->data<int32_t>() : nullptr,
-                               write_end ? write_end->data<int32_t>() : nullptr,
-                               positions ? positions->data<int32_t>() : nullptr);
+      kv_paged_scatter_body<T>(k_new, k_pool, table, i32(lanes), i32(q_begin),
+                               i32(write_begin), i32(write_end), i32(positions));
+      kv_paged_scatter_body<T>(v_new, v_pool, table, i32(lanes), i32(q_begin),
+                               i32(write_begin), i32(write_end), i32(positions));
     });
   };
   if (impl == Impl::kLS2) {
@@ -304,35 +304,34 @@ void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor&
                 body);
 }
 
-// One (lane, head) per task: scores over the lane's live rows read in place
-// through the block table, the shared masked-softmax row, then the context
-// sum, written straight into the head's slice of the merged row. The
-// accumulation orders are the host GEMM's (gemm/gemm.cc), which is what
-// keeps decode bitwise equal to a full re-forward.
+// One query row per task: scores over the rows it attends, read in place
+// through its lane's block table, the shared masked-softmax row, then the
+// context sum, written straight into the head's slice of the merged row.
+// The accumulation orders are the host GEMM's (gemm/gemm.cc), which is what
+// keeps cached prefill and decode bitwise equal to a full re-forward.
 template <typename T>
-void paged_decode_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
-                            const Tensor& table, const Tensor& lens, float scale,
-                            const Tensor& merged) {
-  const int64_t N = q.shape()[1], D = q.shape()[3];
+void paged_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
+                     const Tensor& table, const int32_t* lanes, const int32_t* q_begin,
+                     const int32_t* kv_lens, float scale, const Tensor& merged) {
+  const int64_t N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
   const int64_t pool_pages = k_pool.shape()[0], page = k_pool.shape()[2];
   const int64_t pps = table.shape()[1];
   const int32_t* tp = table.data<int32_t>();
-  const int32_t* lp = lens.data<int32_t>();
   const T* qp = q.data<T>();
   const T* kp = k_pool.data<T>();
   const T* vp = v_pool.data<T>();
   T* mp = merged.data<T>();
-  parallel_for(0, q.shape()[0] * N, [&](int64_t sn) {
-    const int64_t s = sn / N, n = sn % N;
-    const int64_t len = lp[s];
-    const int32_t* row = tp + s * pps;
+  parallel_for(0, q.shape()[0] * N * Lq, [&](int64_t r) {  // r: q row ((b*N + n)*Lq + i)
+    const int64_t b = r / (N * Lq), n = r / Lq % N, i = r % Lq;
+    const int64_t len = std::min<int64_t>(q_begin[b] + i + 1, kv_lens[b]);
+    const int32_t* row = tp + (lanes ? lanes[b] : b) * pps;
     auto pool_row = [&](const T* pool, int64_t j) {
       const int64_t pg = row[j / page];
-      LS2_CHECK(pg >= 0 && pg < pool_pages) << "paged decode attn: page id out of range";
+      LS2_CHECK(pg >= 0 && pg < pool_pages) << "paged attn: page id out of range";
       return pool + ((pg * N + n) * page + j % page) * D;
     };
     std::vector<float> qs(static_cast<size_t>(D));
-    for (int64_t d = 0; d < D; ++d) qs[d] = scale * static_cast<float>(qp[sn * D + d]);
+    for (int64_t d = 0; d < D; ++d) qs[d] = scale * static_cast<float>(qp[r * D + d]);
     std::vector<T> scores(static_cast<size_t>(len)), probs(static_cast<size_t>(len));
     for (int64_t j = 0; j < len; ++j) {
       const T* krow = pool_row(kp, j);
@@ -351,7 +350,7 @@ void paged_decode_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor&
       const T* vrow = pool_row(vp, j);
       for (int64_t d = 0; d < D; ++d) ctx[d] += p * static_cast<float>(vrow[d]);
     }
-    T* out = mp + sn * D;  // merged row s, columns [n*D, (n+1)*D)
+    T* out = mp + ((b * Lq + i) * N + n) * D;  // merged row (b, i), columns [n*D, (n+1)*D)
     for (int64_t d = 0; d < D; ++d) out[d] = T(ctx[d]);
   });
 }
@@ -361,14 +360,14 @@ void paged_decode_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor&
 void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
                           const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
-                          const Tensor& write_begin, const Tensor& write_end) {
-  LS2_CHECK(lanes.dtype() == DType::kI32 && write_begin.dtype() == DType::kI32 &&
-            write_end.dtype() == DType::kI32);
-  LS2_CHECK_EQ(lanes.numel(), k_new.shape()[0]);
-  LS2_CHECK_EQ(write_begin.numel(), k_new.shape()[0]);
-  LS2_CHECK_EQ(write_end.numel(), k_new.shape()[0]);
+                          const Tensor& q_begin, const Tensor& write_begin,
+                          const Tensor& write_end) {
+  for (const Tensor* t : {&lanes, &q_begin, &write_begin, &write_end}) {
+    LS2_CHECK(t->dtype() == DType::kI32);
+    LS2_CHECK_EQ(t->numel(), k_new.shape()[0]);
+  }
   kv_paged_write(kc, impl, "kv_store_paged", k_new, v_new, k_pool, v_pool, block_table,
-                 &lanes, &write_begin, &write_end, /*positions=*/nullptr);
+                 &lanes, &q_begin, &write_begin, &write_end, /*positions=*/nullptr);
 }
 
 void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
@@ -380,52 +379,62 @@ void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor&
       << "decode appends run at full lane batch";
   LS2_CHECK_EQ(positions.numel(), k_new.shape()[0]);
   kv_paged_write(kc, Impl::kLS2, "kv_append_paged", k_new, v_new, k_pool, v_pool,
-                 block_table, /*lanes=*/nullptr, /*write_begin=*/nullptr,
-                 /*write_end=*/nullptr, &positions);
+                 block_table, /*lanes=*/nullptr, /*q_begin=*/nullptr,
+                 /*write_begin=*/nullptr, /*write_end=*/nullptr, &positions);
 }
 
-void paged_decode_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool,
-                       const Tensor& v_pool, const Tensor& block_table,
-                       const Tensor& attend_lens, float scale, const Tensor& merged) {
+void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
+                const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
+                const Tensor& kv_lens, float scale, const Tensor& merged) {
   LS2_CHECK_EQ(q.shape().rank(), 4);
-  LS2_CHECK_EQ(q.shape()[2], 1) << "decode attention takes one query per lane";
   LS2_CHECK(k_pool.shape() == v_pool.shape());
   LS2_CHECK_EQ(k_pool.shape().rank(), 4);
   LS2_CHECK_EQ(q.shape()[1], k_pool.shape()[1]);
   LS2_CHECK_EQ(q.shape()[3], k_pool.shape()[3]);
   LS2_CHECK(q.dtype() == k_pool.dtype() && q.dtype() == v_pool.dtype() &&
             q.dtype() == merged.dtype());
-  LS2_CHECK(block_table.dtype() == DType::kI32 && attend_lens.dtype() == DType::kI32);
   LS2_CHECK_EQ(block_table.shape().rank(), 2);
-  const int64_t S = q.shape()[0], N = q.shape()[1], D = q.shape()[3];
-  LS2_CHECK_EQ(block_table.shape()[0], S);
-  LS2_CHECK_EQ(attend_lens.numel(), S);
+  const int64_t B = q.shape()[0], N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
+  LS2_CHECK(block_table.dtype() == DType::kI32);
+  for (const Tensor* t : {lanes, &q_begin, &kv_lens}) {
+    if (t == nullptr) continue;
+    LS2_CHECK(t->dtype() == DType::kI32);
+    LS2_CHECK_EQ(t->numel(), B);
+  }
+  LS2_CHECK(lanes != nullptr || block_table.shape()[0] == B)
+      << "without lanes, batch row b is lane b of the full-lane table";
   LS2_CHECK_EQ(merged.numel(), q.numel());
   const int64_t Lcap = block_table.shape()[1] * k_pool.shape()[2];
-  // The lens are host-written heap metadata in every exec mode, so the live
-  // extent is known at launch time — and checked here, before the body
+  // The row metadata is host-written heap memory in every exec mode, so the
+  // live extent is known at launch time — and checked here, before the body
   // could index past the table's reach.
-  const int32_t* lp = attend_lens.data<int32_t>();
-  int64_t live_rows = 0;
-  for (int64_t s = 0; s < S; ++s) {
-    LS2_CHECK(lp[s] >= 0 && lp[s] <= Lcap)
-        << "paged decode attn: lane " << s << " len " << lp[s] << " beyond reach " << Lcap;
-    live_rows += lp[s];
+  const int32_t* lp = lanes ? lanes->data<int32_t>() : nullptr;
+  const int32_t* qb = q_begin.data<int32_t>();
+  const int32_t* kl = kv_lens.data<int32_t>();
+  int64_t live_rows = 0, live_pairs = 0;
+  for (int64_t b = 0; b < B; ++b) {
+    LS2_CHECK(lp == nullptr || (lp[b] >= 0 && lp[b] < block_table.shape()[0]))
+        << "paged attn: lane " << lp[b] << " out of range";
+    LS2_CHECK(qb[b] >= 0) << "paged attn: row " << b << " q_begin " << qb[b];
+    LS2_CHECK(kl[b] >= 0 && kl[b] <= Lcap)
+        << "paged attn: row " << b << " kv_len " << kl[b] << " beyond reach " << Lcap;
+    live_rows += std::min<int64_t>(qb[b] + Lq, kl[b]);
+    for (int64_t i = 0; i < Lq; ++i) live_pairs += std::min<int64_t>(qb[b] + i + 1, kl[b]);
   }
+  int64_t meta = static_cast<int64_t>(block_table.bytes() + q_begin.bytes() + kv_lens.bytes());
+  if (lanes) meta += static_cast<int64_t>(lanes->bytes());
   const int64_t elem = static_cast<int64_t>(dtype_size(q.dtype()));
-  auto cost = [&](int64_t rows) {
-    simgpu::KernelDesc d = desc(
-        "ls2.paged_decode_attn",
-        static_cast<int64_t>(q.bytes() + block_table.bytes() + attend_lens.bytes()) +
-            2 * rows * N * D * elem,
-        static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
-    d.flops = static_cast<double>(rows * N * (4 * D + 4));
+  auto cost = [&](int64_t rows, int64_t pairs) {
+    simgpu::KernelDesc d = desc("ls2.paged_attn",
+                                static_cast<int64_t>(q.bytes()) + meta + 2 * rows * N * D * elem,
+                                static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
+    d.flops = static_cast<double>(pairs * N * (4 * D + 4));
     return d;
   };
-  kc.dev.launch(cost(S * Lcap), cost(live_rows), [&] {
+  kc.dev.launch(cost(B * Lcap, B * Lq * Lcap), cost(live_rows, live_pairs), [&] {
     LS2_DISPATCH_FLOAT(q.dtype(), T,
-                       paged_decode_attn_body<T>(q, k_pool, v_pool, block_table,
-                                                 attend_lens, scale, merged));
+                       paged_attn_body<T>(q, k_pool, v_pool, block_table, lp, qb, kl, scale,
+                                          merged));
   });
 }
 

@@ -51,15 +51,17 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 void kv_cache_store(KernelContext& kc, Impl impl, const Tensor& k_new, const Tensor& v_new,
                     const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots);
 
-/// Paged prefill write: rows [write_begin[b], write_end[b]) of k_new/v_new
-/// [B, N, Lq, D] land in lane `lanes[b]`'s pages through `block_table`.
-/// Rows below write_begin already live in shared prefix pages and must not
-/// be rewritten; rows at or above write_end exceed the lane's backed
-/// capacity (padded prompt tails).
+/// Paged prefill write: row i of k_new/v_new [B, N, Lq, D] is logical
+/// position q_begin[b] + i of lane `lanes[b]`; the rows at positions
+/// [write_begin[b], write_end[b]) land in the lane's pages through
+/// `block_table`. Positions below write_begin already live in shared prefix
+/// pages and must not be rewritten; positions at or past write_end exceed
+/// the lane's backed capacity (padded prompt tails).
 void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
                           const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
-                          const Tensor& write_begin, const Tensor& write_end);
+                          const Tensor& q_begin, const Tensor& write_begin,
+                          const Tensor& write_end);
 
 /// Paged decode append: k_new/v_new [S, N, 1, D] land at logical row
 /// `positions[s]` (i32 [S]) of lane s through `block_table` — one token per
@@ -68,12 +70,17 @@ void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor&
                            const Tensor& k_pool, const Tensor& v_pool,
                            const Tensor& block_table, const Tensor& positions);
 
-/// Fused single-query decode attention over the paged pools, read in place:
-/// for each lane s and head n, q [S, N, 1, D] attends the lane's live rows
-/// [0, attend_lens[s]) through `block_table` — scores, masked softmax and
-/// the probability-weighted sum of V in one launch — and the context lands
-/// head-merged in `merged` [S, 1, N*D]. A lane of length 0 (a free lane on
-/// the trash page) reads nothing and writes zeros.
+/// Fused attention over the paged pools, read in place — the one kernel
+/// behind cached prefill and decode. Query row i of batch row b (q
+/// [B, N, Lq, D]) belongs to lane `lanes[b]` (nullptr: lane b, the full-lane
+/// decode batch), sits at logical position q_begin[b] + i and attends the
+/// lane's rows [0, min(q_begin[b] + i + 1, kv_lens[b])) through
+/// `block_table` — the causal mask plus the key-length mask of
+/// attn_softmax_fw. Scores, masked softmax and the probability-weighted sum
+/// of V run in one launch, and the context lands head-merged in `merged`
+/// [B, Lq, N*D]. A row that attends nothing (a free lane of length 0) writes
+/// zeros. Decode is the Lq = 1 case with q_begin = positions and kv_lens =
+/// attend_lens.
 ///
 /// Bitwise equal to the unfused path over a contiguous cache (scores GEMM,
 /// attn_softmax_fw, context GEMM, merge_heads_fw): scores accumulate
@@ -82,12 +89,14 @@ void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor&
 /// boundaries, rounded once — both sums skip exact-zero terms like the host
 /// GEMM does.
 ///
-/// A BOUNDED launch (simgpu::Device::launch): the graph node's bound is
-/// every lane at full reach (S * Lcap rows, Lcap = pages_per_seq * page);
-/// each launch charges the Σ attend_lens rows it actually reads.
-void paged_decode_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool,
-                       const Tensor& v_pool, const Tensor& block_table,
-                       const Tensor& attend_lens, float scale, const Tensor& merged);
+/// A BOUNDED launch (simgpu::Device::launch), charged at the CUDA-core peak:
+/// the graph node's bound is every lane at full reach (B * Lcap K/V rows and
+/// B * Lq * Lcap query-key pairs, Lcap = pages_per_seq * page); each launch
+/// charges the K/V rows each lane actually reads (min(q_begin + Lq, kv_len))
+/// and the pairs it actually attends.
+void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
+                const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
+                const Tensor& kv_lens, float scale, const Tensor& merged);
 
 /// Copy-on-write: duplicate the first `rows` token rows of page `src_page`
 /// into `dst_page` in both pools. Eager-only (page bookkeeping runs outside

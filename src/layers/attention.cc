@@ -344,8 +344,7 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
   return dx;
 }
 
-Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
-                              Tensor* k_out, Tensor* v_out) {
+SelfAttention::Qkv SelfAttention::infer_qkv(LayerContext& ctx, const Tensor& x) {
   LS2_CHECK_EQ(x.shape().rank(), 3);
   const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
   LS2_CHECK_EQ(H, cfg_.hidden);
@@ -361,48 +360,51 @@ Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor* 
   Tensor qkv = ctx.alloc({B, L, 3 * H}, dt);
   linear_fw(ctx, ln, w_qkv_.value(ctx), qkv, "attn.qkv_proj");
 
-  Tensor q = ctx.alloc({B, N, L, D}, dt);
-  Tensor k = ctx.alloc({B, N, L, D}, dt);
-  Tensor v = ctx.alloc({B, N, L, D}, dt);
+  Qkv out{ctx.alloc({B, N, L, D}, dt), ctx.alloc({B, N, L, D}, dt),
+          ctx.alloc({B, N, L, D}, dt)};
   kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
-                                {q, k, v});
-  if (k_out) *k_out = k;
-  if (v_out) *v_out = v;
-  return core_.infer_forward(ctx, q, k, v, /*residual=*/x, key_lens, cfg_.causal);
+                                {out.q, out.k, out.v});
+  return out;
+}
+
+Tensor SelfAttention::infer_paged_attn(LayerContext& ctx, const Tensor& x, const Tensor& q,
+                                       const Tensor& k_pool, const Tensor& v_pool,
+                                       const Tensor& block_table, const Tensor* lanes,
+                                       const Tensor& q_begin, const Tensor& kv_lens) {
+  Tensor merged = ctx.alloc(x.shape(), x.dtype());
+  kern::paged_attn(ctx.kern, q, k_pool, v_pool, block_table, lanes, q_begin, kv_lens,
+                   1.0f / std::sqrt(static_cast<float>(cfg_.head_dim())), merged);
+  return core_.infer_output(ctx, merged, /*residual=*/x);
+}
+
+Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens) {
+  const Qkv t = infer_qkv(ctx, x);
+  return core_.infer_forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens, cfg_.causal);
+}
+
+Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
+                              const Tensor& v_pool, const PagedRows& rows) {
+  LS2_CHECK(cfg_.causal) << "cached prefill serves causal self-attention";
+  const Qkv t = infer_qkv(ctx, x);
+  // Store first: each query row then attends its own and every earlier row
+  // — shared prefix pages included — in place.
+  kern::kv_cache_store_paged(ctx.kern, ctx.policy.transform, t.k, t.v, k_pool, v_pool,
+                             rows.block_table, rows.lanes, rows.q_begin, rows.write_begin,
+                             rows.write_end);
+  return infer_paged_attn(ctx, x, t.q, k_pool, v_pool, rows.block_table, &rows.lanes,
+                          rows.q_begin, rows.kv_lens);
 }
 
 Tensor SelfAttention::decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                                   const Tensor& v_pool, const Tensor& block_table,
                                   const Tensor& positions, const Tensor& attend_lens) {
-  const int64_t S = x.shape()[0], H = x.shape()[2];
   LS2_CHECK_EQ(x.shape()[1], 1) << "decode_step takes one token per slot";
-  LS2_CHECK_EQ(H, cfg_.hidden);
-  const int64_t N = cfg_.heads, D = cfg_.head_dim();
-  const DType dt = x.dtype();
-
-  Tensor ln = ctx.alloc({S, 1, H}, dt);
-  Tensor mean = ctx.alloc({S}, DType::kF32);
-  Tensor rstd = ctx.alloc({S}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, x, params_->value(ln_gamma_),
-                     params_->value(ln_beta_), ln, mean, rstd);
-
-  Tensor qkv = ctx.alloc({S, 1, 3 * H}, dt);
-  linear_fw(ctx, ln, w_qkv_.value(ctx), qkv, "attn.qkv_proj");
-
-  Tensor q = ctx.alloc({S, N, 1, D}, dt);
-  Tensor k = ctx.alloc({S, N, 1, D}, dt);
-  Tensor v = ctx.alloc({S, N, 1, D}, dt);
-  kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
-                                {q, k, v});
-
+  const Qkv t = infer_qkv(ctx, x);
   // The new token's K/V must be resident in the pool before attention —
   // the single query then attends rows [0, attend_lens[s]).
-  kern::kv_cache_append_paged(ctx.kern, k, v, k_pool, v_pool, block_table, positions);
-
-  Tensor merged = ctx.alloc({S, 1, H}, dt);
-  kern::paged_decode_attn(ctx.kern, q, k_pool, v_pool, block_table, attend_lens,
-                          1.0f / std::sqrt(static_cast<float>(D)), merged);
-  return core_.infer_output(ctx, merged, /*residual=*/x);
+  kern::kv_cache_append_paged(ctx.kern, t.k, t.v, k_pool, v_pool, block_table, positions);
+  return infer_paged_attn(ctx, x, t.q, k_pool, v_pool, block_table, /*lanes=*/nullptr,
+                          positions, attend_lens);
 }
 
 void SelfAttention::release() {

@@ -54,8 +54,8 @@ class AttentionCore {
                        const Tensor& residual, const Tensor* key_lens, bool causal);
 
   /// Serving epilogue: output projection of the head-merged context
-  /// `merged` [B, Lq, H] plus bias and residual. Paged decode feeds it
-  /// kern::paged_decode_attn's output directly.
+  /// `merged` [B, Lq, H] plus bias and residual. Cached prefill and decode
+  /// feed it kern::paged_attn's output directly.
   Tensor infer_output(LayerContext& ctx, const Tensor& merged, const Tensor& residual);
 
   /// Returns (dq, dk, dv) in head layout plus d_residual == dy contribution
@@ -86,6 +86,19 @@ class AttentionCore {
   std::optional<Saved> saved_;
 };
 
+/// One cached prefill batch's rows in the paged K/V pools, built by
+/// infer::KvCache::prefill_rows. The i32 [B] tensors are host-written heap
+/// metadata read inside kernel bodies. Batch row b is decode lane lanes[b];
+/// its query row i sits at logical position q_begin[b] + i = first + i and
+/// attends rows [0, min(first + i + 1, kv_lens[b])); the prefill stores the
+/// positions [write_begin[b], write_end[b]) — earlier rows already live in
+/// shared prefix pages, later ones are padding.
+struct PagedRows {
+  Tensor block_table;  ///< i32 [lanes, pages_per_seq]
+  Tensor lanes, q_begin, write_begin, write_end, kv_lens;
+  int64_t first = 0;  ///< the batch computes prompt rows [first, L)
+};
+
 class SelfAttention {
  public:
   SelfAttention(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
@@ -96,21 +109,26 @@ class SelfAttention {
 
   // --- serving (inference-only, no dropout, nothing saved) ---
 
-  /// Full-prompt prefill: causal (per config) attention over x [B, Lp, H];
-  /// `key_lens` masks right-padded prompts. The projected K/V (head layout
-  /// [B, N, Lp, D]) are handed back through `k_out`/`v_out` for the caller
-  /// to scatter into its KV cache (kern::kv_cache_store).
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
-                 Tensor* k_out = nullptr, Tensor* v_out = nullptr);
+  /// Uncached prefill (the encoder, and the full re-forward reference):
+  /// causal (per config) attention over x [B, L, H] through the padded
+  /// scores/context GEMMs; `key_lens` masks right-padded prompts.
+  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
+
+  /// Cached prefill of prompt rows [rows.first, L): x [B, L - first, H].
+  /// This batch's K/V are stored into the paged pools (k_pool/v_pool
+  /// [P, N, page, D]) first — positions [write_begin, write_end) — and one
+  /// kern::paged_attn then attends every query row over its lane's pages in
+  /// place, shared prefix rows included — bitwise-identical to attention
+  /// over the full prompt.
+  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
+                 const Tensor& v_pool, const PagedRows& rows);
 
   /// Single-query cached decode: x [S, 1, H]. This step's K/V are appended
-  /// into the paged pools (k_pool/v_pool [P, N, page, D]) through the
-  /// lane-indexed `block_table` at logical row `positions[s]`; then one
-  /// fused kern::paged_decode_attn reads each lane's rows [0,
-  /// attend_lens[s]) in place — the causal structure reduces to the
-  /// key-length bound at Lq = 1 — bitwise-identical to attention over a
-  /// contiguous cache. block_table/positions/attend_lens are host-written
-  /// heap i32 read inside kernel bodies: replay-time graph parameters.
+  /// into the paged pools through the lane-indexed `block_table` at logical
+  /// row `positions[s]`; then kern::paged_attn (Lq = 1) reads each lane's
+  /// rows [0, attend_lens[s]) in place. block_table/positions/attend_lens
+  /// are host-written heap i32 read inside kernel bodies: replay-time graph
+  /// parameters.
   Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                      const Tensor& v_pool, const Tensor& block_table,
                      const Tensor& positions, const Tensor& attend_lens);
@@ -121,6 +139,19 @@ class SelfAttention {
   ParamRef ln_gamma_, ln_beta_;
   TpParam w_qkv_, b_qkv_;
   AttentionCore core_;
+
+  /// Serving front half: LayerNorm, QKV projection and head split of x
+  /// [B, L, H] into q/k/v [B, N, L, D].
+  struct Qkv {
+    Tensor q, k, v;
+  };
+  Qkv infer_qkv(LayerContext& ctx, const Tensor& x);
+  /// Serving back half over the pools: kern::paged_attn, then the output
+  /// projection with x as the residual.
+  Tensor infer_paged_attn(LayerContext& ctx, const Tensor& x, const Tensor& q,
+                          const Tensor& k_pool, const Tensor& v_pool,
+                          const Tensor& block_table, const Tensor* lanes,
+                          const Tensor& q_begin, const Tensor& kv_lens);
 
   struct Saved {
     Tensor x, ln, mean, rstd;

@@ -20,12 +20,12 @@ Tensor TransformerDecoderLayer::forward(LayerContext& ctx, const Tensor& x, cons
 }
 
 Tensor TransformerDecoderLayer::prefill(LayerContext& ctx, const Tensor& x,
-                                        const Tensor* tgt_lens, const Tensor& cross_k,
-                                        const Tensor& cross_v, const Tensor* src_lens,
-                                        Tensor* k_out, Tensor* v_out) {
+                                        const Tensor& k_pool, const Tensor& v_pool,
+                                        const PagedRows& rows, const Tensor& cross_k,
+                                        const Tensor& cross_v, const Tensor* src_lens) {
   LS2_CHECK(ctx.policy.supports_decoder)
       << system_name(ctx.policy.system) << " does not support decoder layers";
-  Tensor h = self_attn_.prefill(ctx, x, tgt_lens, k_out, v_out);
+  Tensor h = self_attn_.prefill(ctx, x, k_pool, v_pool, rows);
   h = cross_attn_.infer_forward(ctx, h, cross_k, cross_v, src_lens);
   return ffn_.infer_forward(ctx, h);
 }

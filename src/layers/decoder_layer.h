@@ -30,12 +30,13 @@ class TransformerDecoderLayer {
 
   // --- serving (inference-only; see layers/attention.h) ---
 
-  /// Prefill the target prefix: causal self-attention (K/V returned for the
-  /// cache), cross attention over the per-slot cross K/V blocks
-  /// (cross_k/cross_v [S, N, Ls_max, D], masked by src_lens), FFN.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* tgt_lens,
-                 const Tensor& cross_k, const Tensor& cross_v, const Tensor* src_lens,
-                 Tensor* k_out = nullptr, Tensor* v_out = nullptr);
+  /// Prefill target rows [rows.first, L): causal self-attention through
+  /// this layer's paged K/V pools (stored, then attended in place), cross
+  /// attention over the per-slot cross K/V blocks (cross_k/cross_v
+  /// [S, N, Ls_max, D], masked by src_lens), FFN.
+  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
+                 const Tensor& v_pool, const PagedRows& rows, const Tensor& cross_k,
+                 const Tensor& cross_v, const Tensor* src_lens);
   /// Single-token cached decode: self-attention through this layer's paged
   /// K/V pools, cross attention over the static per-lane cross K/V.
   Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,

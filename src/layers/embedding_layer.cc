@@ -54,18 +54,19 @@ Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids) {
   return y;
 }
 
-Tensor EmbeddingLayer::prefill(LayerContext& ctx, const Tensor& ids) {
+Tensor EmbeddingLayer::prefill(LayerContext& ctx, const Tensor& ids, int64_t first) {
   LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
   LS2_CHECK(ids.dtype() == DType::kI32);
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  LS2_CHECK_LE(L, cfg_.max_len);
+  LS2_CHECK(first >= 0 && first + L <= cfg_.max_len)
+      << "positions [" << first << ", " << first + L << ") beyond max_len " << cfg_.max_len;
   const Tensor table = table_.value(ctx);
   ensure_positions(table.dtype());
   Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
   Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
-  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_.slice(0, L), y, mask,
-                     scale, /*p=*/0.0f, ctx.kern.next_dropout_stream(), cfg_.pad_id);
+  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_.slice(first, first + L),
+                     y, mask, scale, /*p=*/0.0f, ctx.kern.next_dropout_stream(), cfg_.pad_id);
   return y;
 }
 

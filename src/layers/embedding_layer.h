@@ -42,7 +42,9 @@ class EmbeddingLayer {
   void release();
 
   /// Serving prefill: the forward lookup at dropout p = 0, nothing saved.
-  Tensor prefill(LayerContext& ctx, const Tensor& ids);
+  /// ids [B, L] hold positions [first, first + L) — a prefill that skips
+  /// the rows shared prefix pages already hold starts past 0.
+  Tensor prefill(LayerContext& ctx, const Tensor& ids, int64_t first = 0);
   /// Serving decode: one token per slot (ids [S, 1]) at per-slot positions
   /// (i32 [S] — each sequence's next index), no dropout.
   Tensor decode_step(LayerContext& ctx, const Tensor& ids, const Tensor& positions);

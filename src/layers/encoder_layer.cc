@@ -15,9 +15,15 @@ Tensor TransformerEncoderLayer::forward(LayerContext& ctx, const Tensor& x,
 }
 
 Tensor TransformerEncoderLayer::prefill(LayerContext& ctx, const Tensor& x,
-                                        const Tensor* key_lens, Tensor* k_out,
-                                        Tensor* v_out) {
-  Tensor h = attn_.prefill(ctx, x, key_lens, k_out, v_out);
+                                        const Tensor* key_lens) {
+  Tensor h = attn_.prefill(ctx, x, key_lens);
+  return ffn_.infer_forward(ctx, h);
+}
+
+Tensor TransformerEncoderLayer::prefill(LayerContext& ctx, const Tensor& x,
+                                        const Tensor& k_pool, const Tensor& v_pool,
+                                        const PagedRows& rows) {
+  Tensor h = attn_.prefill(ctx, x, k_pool, v_pool, rows);
   return ffn_.infer_forward(ctx, h);
 }
 

@@ -54,10 +54,13 @@ class TransformerEncoderLayer {
 
   // --- serving (inference-only; see layers/attention.h) ---
 
-  /// Prefill: dropout-free forward; this layer's projected K/V come back
-  /// through k_out/v_out for the caller's cache.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
-                 Tensor* k_out = nullptr, Tensor* v_out = nullptr);
+  /// Uncached prefill: dropout-free forward (the encoder, and the full
+  /// re-forward reference).
+  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
+  /// Cached prefill of prompt rows [rows.first, L): self-attention stores
+  /// this batch's K/V into the layer's paged pools and attends through them.
+  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
+                 const Tensor& v_pool, const PagedRows& rows);
   /// Single-token cached decode through this layer's paged K/V pools.
   Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                      const Tensor& v_pool, const Tensor& block_table,

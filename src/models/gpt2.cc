@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "kernels/layernorm.h"
-#include "kernels/transform.h"
 
 namespace ls2::models {
 
@@ -167,37 +166,31 @@ Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCach
   LS2_CHECK(ctx.tp_size() == 1 && !cfg_.tp.enabled())
       << "serving runs unsharded (TP is a training feature)";
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  Tensor lanes, wbegin, wend;
-  if (cache) {
-    LS2_CHECK_EQ(static_cast<int64_t>(seqs.size()), B);
-    // Heap: host-written metadata.
-    lanes = Tensor::empty({B}, DType::kI32);
-    wbegin = Tensor::empty({B}, DType::kI32);
-    wend = Tensor::empty({B}, DType::kI32);
-    int32_t* lp = lanes.data<int32_t>();
-    int32_t* bp = wbegin.data<int32_t>();
-    int32_t* ep = wend.data<int32_t>();
-    for (int64_t b = 0; b < B; ++b) {
-      const infer::SequenceHandle h = seqs[static_cast<size_t>(b)];
-      lp[b] = static_cast<int32_t>(cache->lane(h));
-      bp[b] = cache->write_begin(h);
-      // Padding rows past the allocated length are dropped: decode appends
-      // claim those positions into pages of their own later.
-      ep[b] = static_cast<int32_t>(std::min<int64_t>(L, cache->len(h)));
-    }
+  if (cache == nullptr) {
+    Tensor h = embed_->prefill(ctx, ids);
+    for (auto& block : blocks_) h = block->prefill(ctx, h, prompt_lens);
+    return infer_head(ctx, h);
   }
-  Tensor h = embed_->prefill(ctx, ids);
+  LS2_CHECK_EQ(static_cast<int64_t>(seqs.size()), B);
+  const layers::PagedRows rows = cache->prefill_rows(seqs, L, prompt_lens);
+  const int64_t Lq = L - rows.first;
+  Tensor tail = ids;
+  if (rows.first > 0) {
+    // Heap: the computed rows' ids, host-side like the prompt itself.
+    tail = Tensor::empty({B, Lq}, DType::kI32);
+    for (int64_t b = 0; b < B; ++b)
+      std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
+  }
+  Tensor h = embed_->prefill(ctx, tail, rows.first);
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    Tensor k_new, v_new;
-    h = blocks_[i]->prefill(ctx, h, prompt_lens, cache ? &k_new : nullptr,
-                            cache ? &v_new : nullptr);
-    if (cache) {
-      kern::kv_cache_store_paged(ctx.kern, ctx.policy.transform, k_new, v_new,
-                                 cache->k_pool(static_cast<int64_t>(i)),
-                                 cache->v_pool(static_cast<int64_t>(i)),
-                                 cache->block_table(), lanes, wbegin, wend);
-    }
+    h = blocks_[i]->prefill(ctx, h, cache->k_pool(static_cast<int64_t>(i)),
+                            cache->v_pool(static_cast<int64_t>(i)), rows);
   }
+  return infer_head(ctx, h);
+}
+
+Tensor Gpt2::infer_head(layers::LayerContext& ctx, const Tensor& h) {
+  const int64_t B = h.shape()[0], L = h.shape()[1];
   Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
   Tensor mean = ctx.alloc({B * L}, DType::kF32);
   Tensor rstd = ctx.alloc({B * L}, DType::kF32);
@@ -216,12 +209,7 @@ Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
                                 cache.v_pool(static_cast<int64_t>(i)), cache.block_table(),
                                 cache.positions(), cache.attend_lens());
   }
-  Tensor out = ctx.alloc({S, 1, cfg_.hidden}, params_.dtype());
-  Tensor mean = ctx.alloc({S}, DType::kF32);
-  Tensor rstd = ctx.alloc({S}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(ln_gamma_),
-                     params_.value(ln_beta_), out, mean, rstd);
-  return criterion_->infer_logits(ctx, out);  // [S, vocab]
+  return infer_head(ctx, h).view({S, cfg_.vocab});
 }
 
 void Gpt2::release() {

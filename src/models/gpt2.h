@@ -57,13 +57,20 @@ class Gpt2 {
   infer::KvCacheConfig kv_cache_config(int64_t slots, int64_t max_len) const;
 
   /// Prefill: run prompts ids [B, Lp] (right-padded; `prompt_lens` i32 [B]
-  /// masks the padding, nullptr for unpadded) through the full causal stack
-  /// and return logits [B, Lp, vocab]. With `cache`, row b's K/V are
-  /// scattered through `seqs[b]`'s block table into the paged pools —
-  /// rows below write_begin(seqs[b]) already live in shared prefix pages
-  /// and are skipped; rows at or past len(seqs[b]) are padding and are
-  /// dropped (decode appends claim those positions later). With
-  /// cache == nullptr this doubles as the full re-forward reference of the
+  /// masks the padding, nullptr for unpadded) through the causal stack.
+  ///
+  /// With `cache`, only prompt rows [first, Lp) run, first =
+  /// KvCache::prefill_rows(seqs, Lp).first: rows below every sequence's
+  /// write_begin already live in shared prefix pages, so they are neither
+  /// recomputed nor rewritten (a fully shared prompt recomputes its last
+  /// row). Each layer stores the computed rows' K/V through `seqs[b]`'s
+  /// block table first — rows at or past len(seqs[b]) are padding and are
+  /// dropped — then attends through the pages in place. Returns logits of
+  /// the computed rows, [B, Lp - first, vocab]: an unshared batch gets all
+  /// Lp rows, and an unpadded prompt's last row predicts its next token.
+  ///
+  /// With cache == nullptr every row runs through padded attention and the
+  /// logits are [B, Lp, vocab] — the full re-forward reference of the
   /// parity tests.
   Tensor prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
                  const std::vector<infer::SequenceHandle>& seqs,
@@ -109,6 +116,10 @@ class Gpt2 {
   std::vector<layers::ParamRange> block_ranges_;
   layers::PpPlan pp_plan_;
   std::vector<int> block_stage_;  ///< stage of each block (all 0 without PP)
+
+  /// Serving tail: final LayerNorm and tied LM head over h [B, L, H] ->
+  /// logits [B, L, vocab].
+  Tensor infer_head(layers::LayerContext& ctx, const Tensor& h);
 
   struct Saved {
     Tensor stack_out, out, mean, rstd;

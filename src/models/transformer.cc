@@ -292,31 +292,15 @@ Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCa
   LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
   const DType dt = params_.dtype();
 
-  // Heap: host-written metadata.
-  Tensor lanes = Tensor::empty({B}, DType::kI32);
-  Tensor wbegin = Tensor::empty({B}, DType::kI32);
-  Tensor wend = Tensor::empty({B}, DType::kI32);
-  {
-    int32_t* lp = lanes.data<int32_t>();
-    int32_t* bp = wbegin.data<int32_t>();
-    int32_t* ep = wend.data<int32_t>();
-    for (int64_t b = 0; b < B; ++b) {
-      const infer::SequenceHandle h = seqs[static_cast<size_t>(b)];
-      lp[b] = static_cast<int32_t>(cache.lane(h));
-      bp[b] = cache.write_begin(h);
-      ep[b] = static_cast<int32_t>(std::min<int64_t>(Lp, cache.len(h)));
-    }
-  }
+  // The cache never shares prefix pages (cross K/V depend on the source),
+  // so every target row runs.
+  const layers::PagedRows rows = cache.prefill_rows(seqs, Lp, tgt_lens);
+  LS2_CHECK_EQ(rows.first, 0);
   Tensor h = tgt_embed_->prefill(ctx, tgt_in);
   for (size_t i = 0; i < decoder_.size(); ++i) {
-    Tensor k_new, v_new;
-    h = decoder_[i]->prefill(ctx, h, tgt_lens, cache.cross_k(static_cast<int64_t>(i)),
-                             cache.cross_v(static_cast<int64_t>(i)), &cache.src_lens(),
-                             &k_new, &v_new);
-    kern::kv_cache_store_paged(ctx.kern, ctx.policy.transform, k_new, v_new,
-                               cache.k_pool(static_cast<int64_t>(i)),
-                               cache.v_pool(static_cast<int64_t>(i)), cache.block_table(),
-                               lanes, wbegin, wend);
+    const auto l = static_cast<int64_t>(i);
+    h = decoder_[i]->prefill(ctx, h, cache.k_pool(l), cache.v_pool(l), rows, cache.cross_k(l),
+                             cache.cross_v(l), &cache.src_lens());
   }
   Tensor out = ctx.alloc({B, Lp, H}, dt);
   Tensor mean = ctx.alloc({B * Lp}, DType::kF32);

@@ -86,9 +86,10 @@ class Transformer {
               infer::KvCache& cache, const std::vector<infer::SequenceHandle>& seqs);
 
   /// Prefill the target prefix tgt_in [B, Lp] (right-padded; tgt_lens
-  /// optional) and return logits [B, Lp, vocab]. Row b's decoder self K/V
-  /// go through `seqs[b]`'s block table into the paged pools; padding rows
-  /// past len(seqs[b]) are dropped (decode appends claim those positions).
+  /// optional) and return logits [B, Lp, vocab]. Each decoder layer stores
+  /// row b's self K/V through `seqs[b]`'s block table into the paged pools,
+  /// then attends through them in place; padding rows past len(seqs[b]) are
+  /// dropped (decode appends claim those positions).
   Tensor prefill(layers::LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
                  const std::vector<infer::SequenceHandle>& seqs,
                  const Tensor* tgt_lens = nullptr);

@@ -16,7 +16,9 @@
 //     component the TSan CI lane runs).
 //  4. DEGRADED SERVING — under a burst, load shedding + admission timeouts
 //     bound p99 for the requests actually served; a transient allocation
-//     failure inside the decode step is retried with backoff, token-exact.
+//     failure inside the decode step is retried with backoff, token-exact;
+//     one inside an admission prefill leaves nothing of its sequence in the
+//     KV cache (no lane, no page, no registered prefix).
 //  5. TYPED ERRORS — injected allocator faults surface as
 //     mem::TransientAllocFailure (an OutOfMemory, an ls2::Error), never as
 //     an abort.
@@ -39,6 +41,7 @@
 #include "core/lightseq2.h"
 #include "dist/failure.h"
 #include "infer/batcher.h"
+#include "infer/fleet.h"
 #include "memory/arena_allocator.h"
 #include "simgpu/fault.h"
 
@@ -519,6 +522,98 @@ TEST(DegradedServingTest, DecodeStepRetriesTransientAllocFaultTokenExact) {
   inj2.arm(0);
   EXPECT_THROW(run_burst(scfg, reqs, &inj2, simgpu::ExecMode::kExecute, DType::kF32),
                mem::TransientAllocFailure);
+}
+
+/// A 9-token prompt: two full 4-token pages plus one row.
+std::vector<int32_t> nine_token_prompt() { return {11, 12, 13, 14, 15, 16, 17, 18, 19}; }
+
+// allocate() registers the full pages a prompt is ABOUT to fill before its
+// prefill runs. A prefill that throws must therefore free the sequence:
+// otherwise its lane leaks, and the registry hands the never-written pages
+// to the next prompt sharing the prefix, whose prefill then skips them.
+TEST(DegradedServingTest, FailedAdmissionPrefillFreesItsSequence) {
+  const models::Gpt2Config cfg = serve_gpt2();
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.dtype = DType::kF32;
+  sc.mode = simgpu::ExecMode::kExecute;
+  sc.arena_bytes = infer::serve_capacity_scan(cfg, sc.dtype, 4, 144, 16);
+  Session s(sc);
+  models::Gpt2 model(cfg, System::kLightSeq2, sc.dtype, 31, s.param_alloc());
+  infer::KvCacheConfig kcfg = model.kv_cache_config(4, 144);
+  kcfg.page_tokens = 4;
+  kcfg.prefix_sharing = true;
+  infer::KvCache cache(kcfg, s.param_alloc());
+  infer::ContinuousBatcher engine(s, model, cache, {});
+
+  FaultPlan plan;
+  plan.add(FaultPlan::alloc_fail(/*step=*/0, /*count=*/1, /*site=*/"serve.prefill"));
+  simgpu::FaultInjector inj(plan);
+  inj.arm(0);
+  s.device().set_fault_injector(&inj);
+  infer::Request req;
+  req.prompt = nine_token_prompt();
+  req.spec.gen_len = 4;
+  engine.begin();
+  engine.submit(req);
+  EXPECT_THROW(engine.step(), mem::TransientAllocFailure);
+  s.device().set_fault_injector(nullptr);
+  s.end_step();
+  EXPECT_EQ(inj.fired(simgpu::FaultKind::kAllocFail), 1);
+
+  EXPECT_EQ(cache.active_seqs(), 0) << "the failed admission's lane leaked";
+  EXPECT_EQ(cache.used_pages(), 0) << "the failed admission's pages leaked";
+  EXPECT_EQ(engine.queue_depth(), 1) << "the request stays queued";
+  const auto evac = engine.evacuate(/*queued_only=*/false);
+  ASSERT_EQ(evac.size(), 1u);
+  EXPECT_EQ(evac[0].partial.admitted_us, 0) << "a failed admission admitted nothing";
+  EXPECT_EQ(cache.active_seqs(), 0);
+  EXPECT_EQ(cache.used_pages(), 0);
+  const infer::SequenceHandle h = cache.allocate(9, req.prompt.data());
+  ASSERT_TRUE(h.valid());
+  EXPECT_EQ(cache.write_begin(h), 0) << "the registry kept pages nobody wrote";
+}
+
+// The same fault under a sharing fleet: the quarantined replica gets the
+// request back (it is the only one) along with every later copy of the
+// prompt, and all of them must generate exactly the fault-free tokens.
+TEST(DegradedServingTest, FailedPrefillUnderSharingFleetIsTokenExact) {
+  std::vector<infer::Request> reqs;
+  for (int64_t i = 0; i < 6; ++i) {
+    infer::Request r;
+    r.id = i;
+    r.prompt = nine_token_prompt();
+    r.spec.gen_len = 6;
+    r.arrival_us = 100.0 * static_cast<double>(i);
+    reqs.push_back(std::move(r));
+  }
+  const infer::ServeReport clean =
+      run_burst({}, reqs, nullptr, simgpu::ExecMode::kExecute, DType::kF32);
+  ASSERT_EQ(clean.served, static_cast<int64_t>(reqs.size()));
+
+  infer::FleetConfig fc;
+  fc.replicas = 1;
+  fc.model = serve_gpt2();
+  fc.model_seed = 31;
+  fc.slots = 4;
+  fc.max_len = 144;
+  fc.session.mode = simgpu::ExecMode::kExecute;
+  fc.session.dtype = DType::kF32;
+  fc.page_tokens = 4;
+  fc.prefix_sharing = true;
+  fc.fault_plans.resize(1);
+  fc.fault_plans[0].add(FaultPlan::alloc_fail(/*step=*/0, /*count=*/1, "serve.prefill"));
+  infer::Fleet fleet(fc);
+  const infer::FleetReport rep = fleet.run(reqs);
+  EXPECT_EQ(rep.quarantines, 1);
+  EXPECT_EQ(rep.lost, 0);
+  EXPECT_EQ(rep.shed, 0);
+  ASSERT_EQ(rep.served, static_cast<int64_t>(reqs.size()));
+  EXPECT_GT(rep.replica_reports[0].shared_page_hits, 0) << "the prompt pages must be shared";
+  for (const infer::RequestStats& st : rep.requests) {
+    EXPECT_EQ(st.tokens, clean.requests[static_cast<size_t>(st.id)].tokens)
+        << "request " << st.id << ": the failed prefill changed the generation";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -133,14 +133,66 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
 // lanes cover a length that crosses a page boundary, a free lane of length
 // 0 on the trash page, and a length of exactly the table's reach; the
 // pools start as garbage, so a read past a lane's length would show.
+/// The unfused attention the paged kernel must reproduce bitwise: q/k/v
+/// [S, N, L, D] contiguous (query row p at logical position p), scores GEMM,
+/// causal attn_softmax_fw with `key_lens`, context GEMM, merge_heads.
+/// Returns the merged context [S, L, N*D].
+std::vector<float> unfused_attention(kern::KernelContext& kc, const Tensor& q,
+                                     const Tensor& k, const Tensor& v,
+                                     const Tensor& key_lens, float scale) {
+  const int64_t S = q.shape()[0], N = q.shape()[1], L = q.shape()[2], D = q.shape()[3];
+  const DType dt = q.dtype();
+  Tensor scores = Tensor::empty({S, N, L, L}, dt);
+  Tensor probs = Tensor::empty({S, N, L, L}, dt);
+  Tensor ctx_h = Tensor::empty({S, N, L, D}, dt);
+  Tensor ref = Tensor::empty({S, L, N * D}, dt);
+  if (dt == DType::kF32) {
+    gemm::sgemm_strided_batched(false, true, L, L, D, scale, q.data<float>(), L * D,
+                                k.data<float>(), L * D, 0.0f, scores.data<float>(), L * L,
+                                S * N);
+  } else {
+    gemm::hgemm_strided_batched(false, true, L, L, D, scale, q.data<Half>(), L * D,
+                                k.data<Half>(), L * D, 0.0f, scores.data<Half>(), L * L,
+                                S * N);
+  }
+  kern::attn_softmax_fw(kc, kern::Impl::kLS2, scores, probs, /*causal=*/true, &key_lens);
+  if (dt == DType::kF32) {
+    gemm::sgemm_strided_batched(false, false, L, D, L, 1.0f, probs.data<float>(), L * L,
+                                v.data<float>(), L * D, 0.0f, ctx_h.data<float>(), L * D,
+                                S * N);
+  } else {
+    gemm::hgemm_strided_batched(false, false, L, D, L, 1.0f, probs.data<Half>(), L * L,
+                                v.data<Half>(), L * D, 0.0f, ctx_h.data<Half>(), L * D,
+                                S * N);
+  }
+  kern::merge_heads_fw(kc, kern::Impl::kLS2, ctx_h, ref);
+  return ref.to_vector();
+}
+
+Tensor i32_tensor(const std::vector<int64_t>& v) {
+  return Tensor::from_vector(std::vector<float>(v.begin(), v.end()),
+                             {static_cast<int64_t>(v.size())}, DType::kI32);
+}
+
+// One kernel, kern::paged_attn, serves cached prefill (many query rows per
+// lane, starting past 0 when shared prefix pages hold the leading rows) and
+// decode (one row per lane, lanes implicit). Both must be bitwise the
+// unfused attention over contiguous K/V, reading only what each lane
+// attends — the pools start as noise, so a misplaced write or an
+// out-of-range read shows.
 TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
-  const int64_t S = 3, N = 2, D = 5, page = 4, Lcap = 8;
-  const std::vector<int64_t> lens = {6, 0, Lcap};  // attend length per lane
+  const int64_t S = 4, N = 2, D = 5, page = 4, Lcap = 8, Lq = 4;
+  // Per lane: the prompt length, the first computed row and the rows the
+  // batch attends. Lane 0's tail [2, 6) crosses a page boundary; lane 1 is
+  // free (length 0, all-trash table row); lane 2 reaches Lcap; lane 3's
+  // tail [1, 5) ends in two padded rows past kv_len 3.
+  const std::vector<int64_t> len = {6, 1, Lcap, 3};
+  const std::vector<int64_t> q_begin = {2, 0, 4, 1};
+  const std::vector<int64_t> kv_len = {6, 0, Lcap, 3};
   const float scale = 1.0f / std::sqrt(static_cast<float>(D));
   for (const DType dt : {DType::kF32, DType::kF16}) {
     SCOPED_TRACE(dtype_name(dt));
-    simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
-    kern::KernelContext kc(dev, nullptr, 1);
+    const int64_t elem = static_cast<int64_t>(dtype_size(dt));
     KvCacheConfig cfg;
     cfg.layers = 1;
     cfg.heads = N;
@@ -150,101 +202,142 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
     cfg.page_tokens = page;
     cfg.dtype = dt;
     KvCache cache(cfg);
-    kc.rng.fill_normal(cache.k_pool(0), 1, 0.0f, 9.0f);
-    kc.rng.fill_normal(cache.v_pool(0), 2, 0.0f, 9.0f);
-    const SequenceHandle h0 = cache.allocate(lens[0] - 1);
-    const SequenceHandle h1 = cache.allocate(1);
-    const SequenceHandle h2 = cache.allocate(lens[2] - 1);
-    cache.free(h1);  // lane 1 attends nothing; its table row is all trash
-    ASSERT_TRUE(cache.extend(h0, kc));
-    ASSERT_TRUE(cache.extend(h2, kc));
-    cache.begin_decode();
-    for (int64_t s = 0; s < S; ++s)
-      ASSERT_EQ(cache.attend_lens().data<int32_t>()[s], lens[static_cast<size_t>(s)]);
 
-    // Each lane's logical rows, contiguous with exact zeros past its length,
-    // the decode row (logical row len - 1) and one query per lane.
+    // Contiguous K/V per lane (exact zeros past its length) and one query
+    // per logical position.
     const Rng rng(7);
     std::vector<float> kf(static_cast<size_t>(S * N * Lcap * D), 0.0f), vf(kf.size(), 0.0f);
-    std::vector<float> k1f(static_cast<size_t>(S * N * D), 0.0f), v1f(k1f.size(), 0.0f);
-    for (int64_t s = 0; s < S; ++s) {
-      const int64_t len = lens[static_cast<size_t>(s)];
-      for (int64_t n = 0; n < N; ++n) {
-        for (int64_t l = 0; l < len; ++l) {
+    for (int64_t s = 0; s < S; ++s)
+      for (int64_t n = 0; n < N; ++n)
+        for (int64_t l = 0; l < kv_len[static_cast<size_t>(s)]; ++l)
           for (int64_t d = 0; d < D; ++d) {
             const auto i = static_cast<size_t>(((s * N + n) * Lcap + l) * D + d);
             kf[i] = rng.normal(1, i);
             vf[i] = rng.normal(2, i);
-            if (l == len - 1) {
-              k1f[static_cast<size_t>((s * N + n) * D + d)] = kf[i];
-              v1f[static_cast<size_t>((s * N + n) * D + d)] = vf[i];
-            }
           }
-        }
-      }
-    }
     Tensor k = Tensor::from_vector(kf, {S, N, Lcap, D}, dt);
     Tensor v = Tensor::from_vector(vf, {S, N, Lcap, D}, dt);
-    Tensor q = Tensor::empty({S, N, 1, D}, dt);
+    Tensor q = Tensor::empty({S, N, Lcap, D}, dt);
     rng.fill_normal(q, 3, 0.0f, 1.0f);
+    const auto qv = q.to_vector();
+    // Rows [lo_s, lo_s + L) of each lane's slice of t [S, N, Lcap, D].
+    auto rows_of = [&](const std::vector<float>& t, const std::vector<int64_t>& lo, int64_t L) {
+      std::vector<float> out;
+      for (int64_t s = 0; s < S; ++s)
+        for (int64_t n = 0; n < N; ++n)
+          for (int64_t i = 0; i < L; ++i)
+            for (int64_t d = 0; d < D; ++d)
+              out.push_back(t[static_cast<size_t>(
+                  ((s * N + n) * Lcap + lo[static_cast<size_t>(s)] + i) * D + d)]);
+      return Tensor::from_vector(out, {S, N, L, D}, dt);
+    };
+    simgpu::Device ref_dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+    kern::KernelContext ref_kc(ref_dev, nullptr, 1);
+    const auto ref = unfused_attention(ref_kc, q, k, v, i32_tensor(kv_len), scale);
+    auto ref_row = [&](int64_t s, int64_t p) {
+      return std::vector<float>(ref.begin() + (s * Lcap + p) * N * D,
+                                ref.begin() + (s * Lcap + p + 1) * N * D);
+    };
+    const std::vector<int64_t> zero(static_cast<size_t>(S), 0);
 
-    Tensor lanes = Tensor::from_vector({0.0f, 1.0f, 2.0f}, {S}, DType::kI32);
-    Tensor wbegin = Tensor::zeros({S}, DType::kI32);
-    Tensor wend = Tensor::from_vector(
-        {static_cast<float>(lens[0] - 1), 0.0f, static_cast<float>(lens[2] - 1)}, {S},
-        DType::kI32);
-    kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
-                               cache.block_table(), lanes, wbegin, wend);
-    kern::kv_cache_append_paged(kc, Tensor::from_vector(k1f, {S, N, 1, D}, dt),
-                                Tensor::from_vector(v1f, {S, N, 1, D}, dt), cache.k_pool(0),
-                                cache.v_pool(0), cache.block_table(), cache.positions());
+    // --- prefill: rows below q_begin are already resident (as shared prefix
+    // pages would be); the tail is stored at its logical positions and every
+    // query row attends in place.
+    {
+      simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+      kern::KernelContext kc(dev, nullptr, 1);
+      kc.rng.fill_normal(cache.k_pool(0), 1, 0.0f, 9.0f);
+      kc.rng.fill_normal(cache.v_pool(0), 2, 0.0f, 9.0f);
+      std::vector<SequenceHandle> seqs;
+      for (int64_t s = 0; s < S; ++s) seqs.push_back(cache.allocate(len[static_cast<size_t>(s)]));
+      cache.free(seqs[1]);  // lane 1 attends nothing
+      const Tensor lanes = i32_tensor({0, 1, 2, 3});
+      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
+                                 cache.block_table(), lanes, i32_tensor(zero), i32_tensor(zero),
+                                 i32_tensor(q_begin));
+      std::vector<int64_t> tail_end;
+      for (int64_t s = 0; s < S; ++s)
+        tail_end.push_back(std::min(q_begin[static_cast<size_t>(s)] + Lq,
+                                    kv_len[static_cast<size_t>(s)]));
+      const Tensor qb = i32_tensor(q_begin);
+      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, rows_of(kf, q_begin, Lq),
+                                 rows_of(vf, q_begin, Lq), cache.k_pool(0), cache.v_pool(0),
+                                 cache.block_table(), lanes, qb, qb, i32_tensor(tail_end));
+      const Tensor q_tail = rows_of(qv, q_begin, Lq);
+      const Tensor lens = i32_tensor(kv_len);
+      Tensor merged = Tensor::empty({S, Lq, N * D}, dt);
+      merged.fill_(99.0f);
+      kern::paged_attn(kc, q_tail, cache.k_pool(0), cache.v_pool(0), cache.block_table(),
+                       &lanes, qb, lens, scale, merged);
+      const auto got = merged.to_vector();
+      for (int64_t s = 0; s < S; ++s) {
+        for (int64_t i = 0; i < Lq; ++i) {
+          const std::vector<float> row(got.begin() + (s * Lq + i) * N * D,
+                                       got.begin() + (s * Lq + i + 1) * N * D);
+          EXPECT_EQ(row, ref_row(s, q_begin[static_cast<size_t>(s)] + i))
+              << "lane " << s << " query row " << i;
+        }
+      }
+      for (int64_t j = Lq * N * D; j < 2 * Lq * N * D; ++j)
+        EXPECT_EQ(got[static_cast<size_t>(j)], 0.0f) << "the free lane writes zeros";
 
-    Tensor merged = Tensor::empty({S, 1, N * D}, dt);
-    merged.fill_(99.0f);
-    kern::paged_decode_attn(kc, q, cache.k_pool(0), cache.v_pool(0), cache.block_table(),
-                            cache.attend_lens(), scale, merged);
-
-    // Reference over the contiguous rows.
-    Tensor scores = Tensor::empty({S, N, 1, Lcap}, dt);
-    Tensor probs = Tensor::empty({S, N, 1, Lcap}, dt);
-    Tensor ctx_h = Tensor::empty({S, N, 1, D}, dt);
-    Tensor ref = Tensor::empty({S, 1, N * D}, dt);
-    if (dt == DType::kF32) {
-      gemm::sgemm_strided_batched(false, true, 1, Lcap, D, scale, q.data<float>(), D,
-                                  k.data<float>(), Lcap * D, 0.0f, scores.data<float>(),
-                                  Lcap, S * N);
-    } else {
-      gemm::hgemm_strided_batched(false, true, 1, Lcap, D, scale, q.data<Half>(), D,
-                                  k.data<Half>(), Lcap * D, 0.0f, scores.data<Half>(), Lcap,
-                                  S * N);
+      // One bounded launch, charged at the K/V rows each lane reads
+      // (min(q_begin + Lq, kv_len): 6 + 0 + 8 + 3) and the query-key pairs
+      // it attends ((3+4+5+6) + 0 + (5+6+7+8) + (2+3+3+3) = 55).
+      const auto& ks = dev.per_kernel().at("ls2.paged_attn");
+      EXPECT_EQ(ks.launches, 1);
+      EXPECT_EQ(ks.bytes, static_cast<int64_t>(q_tail.bytes() + cache.block_table().bytes() +
+                                               lanes.bytes() + qb.bytes() + lens.bytes() +
+                                               merged.bytes()) +
+                              2 * 17 * N * D * elem);
+      EXPECT_EQ(ks.flops, static_cast<double>(55 * N * (4 * D + 4)));
+      cache.reset();
     }
-    kern::attn_softmax_fw(kc, kern::Impl::kLS2, scores, probs, /*causal=*/false,
-                          &cache.attend_lens());
-    if (dt == DType::kF32) {
-      gemm::sgemm_strided_batched(false, false, 1, D, Lcap, 1.0f, probs.data<float>(), Lcap,
-                                  v.data<float>(), Lcap * D, 0.0f, ctx_h.data<float>(), D,
-                                  S * N);
-    } else {
-      gemm::hgemm_strided_batched(false, false, 1, D, Lcap, 1.0f, probs.data<Half>(), Lcap,
-                                  v.data<Half>(), Lcap * D, 0.0f, ctx_h.data<Half>(), D,
-                                  S * N);
+
+    // --- decode: the Lq = 1 case over the full lane batch, q_begin =
+    // positions and kv_lens = attend_lens; the decode row is appended, the
+    // rows before it stored by a prefill.
+    {
+      simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+      kern::KernelContext kc(dev, nullptr, 1);
+      kc.rng.fill_normal(cache.k_pool(0), 3, 0.0f, 9.0f);
+      kc.rng.fill_normal(cache.v_pool(0), 4, 0.0f, 9.0f);
+      std::vector<SequenceHandle> seqs;
+      for (int64_t s = 0; s < S; ++s)
+        seqs.push_back(cache.allocate(std::max<int64_t>(1, kv_len[static_cast<size_t>(s)] - 1)));
+      cache.free(seqs[1]);
+      for (int64_t s : {0, 2, 3}) ASSERT_TRUE(cache.extend(seqs[static_cast<size_t>(s)], kc));
+      cache.begin_decode();
+      const int32_t* pos = cache.positions().data<int32_t>();
+      std::vector<int64_t> positions(pos, pos + S);
+      for (int64_t s = 0; s < S; ++s)
+        ASSERT_EQ(cache.attend_lens().data<int32_t>()[s], kv_len[static_cast<size_t>(s)]);
+      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
+                                 cache.block_table(), i32_tensor({0, 1, 2, 3}), i32_tensor(zero),
+                                 i32_tensor(zero), cache.positions());
+      kern::kv_cache_append_paged(kc, rows_of(kf, positions, 1), rows_of(vf, positions, 1),
+                                  cache.k_pool(0), cache.v_pool(0), cache.block_table(),
+                                  cache.positions());
+      const Tensor q1 = rows_of(qv, positions, 1);
+      Tensor merged = Tensor::empty({S, 1, N * D}, dt);
+      merged.fill_(99.0f);
+      kern::paged_attn(kc, q1, cache.k_pool(0), cache.v_pool(0), cache.block_table(),
+                       /*lanes=*/nullptr, cache.positions(), cache.attend_lens(), scale, merged);
+      const auto got = merged.to_vector();
+      for (int64_t s = 0; s < S; ++s) {
+        const std::vector<float> row(got.begin() + s * N * D, got.begin() + (s + 1) * N * D);
+        EXPECT_EQ(row, ref_row(s, positions[static_cast<size_t>(s)])) << "decode lane " << s;
+      }
+      // Charged at the 17 live rows, not S * Lcap; decode reads no lanes.
+      const auto& ks = dev.per_kernel().at("ls2.paged_attn");
+      EXPECT_EQ(ks.launches, 1);
+      EXPECT_EQ(ks.bytes, static_cast<int64_t>(q1.bytes() + cache.block_table().bytes() +
+                                               cache.positions().bytes() +
+                                               cache.attend_lens().bytes() + merged.bytes()) +
+                              2 * 17 * N * D * elem);
+      cache.commit_decode();
+      EXPECT_EQ(cache.len(seqs[2]), Lcap);
     }
-    kern::merge_heads_fw(kc, kern::Impl::kLS2, ctx_h, ref);
-
-    const auto got = merged.to_vector();
-    EXPECT_EQ(got, ref.to_vector());
-    for (int64_t j = N * D; j < 2 * N * D; ++j)
-      EXPECT_EQ(got[static_cast<size_t>(j)], 0.0f) << "the free lane writes zeros";
-
-    // One bounded launch, charged at the 14 live rows, not S * Lcap.
-    const auto& ks = dev.per_kernel().at("ls2.paged_decode_attn");
-    const int64_t elem = static_cast<int64_t>(dtype_size(dt));
-    EXPECT_EQ(ks.launches, 1);
-    EXPECT_EQ(ks.bytes, static_cast<int64_t>(q.bytes() + cache.block_table().bytes() +
-                                             cache.attend_lens().bytes() + merged.bytes()) +
-                            2 * (lens[0] + lens[2]) * N * D * elem);
-    cache.commit_decode();
-    EXPECT_EQ(cache.len(h2), Lcap);
   }
 }
 
@@ -408,6 +501,110 @@ TEST(Gpt2InferTest, PaddedBatchMatchesPerSequenceForward) {
             << "ragged decode b=" << b << " step=" << k;
       }
     }
+  }
+}
+
+/// Token ids [1, v.size()] on the heap.
+Tensor ids_of(const std::vector<int32_t>& v) {
+  return Tensor::from_vector(std::vector<float>(v.begin(), v.end()),
+                             {1, static_cast<int64_t>(v.size())}, DType::kI32);
+}
+
+/// Rows [lo, hi) of logits [1, L, V], flattened.
+std::vector<float> logit_rows(const std::vector<float>& logits, int64_t V, int64_t lo,
+                              int64_t hi) {
+  return std::vector<float>(logits.begin() + lo * V, logits.begin() + hi * V);
+}
+
+/// Launches so far of every kernel whose name contains `part`.
+int64_t launches_named(const simgpu::Device& dev, const std::string& part) {
+  int64_t n = 0;
+  for (const auto& [name, ks] : dev.per_kernel())
+    if (name.find(part) != std::string::npos) n += ks.launches;
+  return n;
+}
+
+// A prompt whose leading full pages a resident sequence already filled
+// runs only its tail through the model: the returned logits are the tail's
+// rows, bitwise the cacheless full forward's, the QKV projection is charged
+// at the tail rows alone, and the cached prefill launches none of the
+// padded-attention kernels. A fully shared prompt recomputes just its last
+// row and writes nothing. Decoding after either continues bitwise.
+TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
+  Session s(ls2_session());
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 4);
+  const int64_t V = cfg.vocab, page = 4;
+  KvCacheConfig kcfg = model.kv_cache_config(3, 16);
+  kcfg.page_tokens = page;
+  kcfg.prefix_sharing = true;
+  KvCache cache(kcfg);
+  const simgpu::Device& dev = s.device();
+
+  std::vector<int32_t> a;
+  for (int32_t t = 0; t < 11; ++t) a.push_back(3 + (t * 7) % 40);
+  std::vector<int32_t> b(a.begin(), a.begin() + 2 * page);  // two shared pages...
+  b.push_back(41);
+  b.push_back(42);                                          // ...then its own tail
+  const std::vector<int32_t> c(a.begin(), a.begin() + 2 * page);  // fully shared
+  auto reference = [&](const std::vector<int32_t>& p) {
+    return model.prefill(s.ctx(), ids_of(p), nullptr, {}).to_vector();
+  };
+  const auto ref_b = reference(b), ref_c = reference(c);
+
+  const SequenceHandle ha = cache.allocate(11, a.data());
+  ASSERT_EQ(cache.write_begin(ha), 0);
+  const auto pre_a = model.prefill(s.ctx(), ids_of(a), &cache, {ha}).to_vector();
+  EXPECT_EQ(pre_a, reference(a)) << "an unshared prompt returns every row";
+
+  const SequenceHandle hb = cache.allocate(10, b.data());
+  ASSERT_EQ(cache.write_begin(hb), 2 * page);
+  const double qkv_flops = dev.per_kernel().at("attn.qkv_proj.fw").flops;
+  const int64_t padded_attn = launches_named(dev, "attn.scores") +
+                              launches_named(dev, "attn.context") +
+                              launches_named(dev, "attn_softmax_fw") +
+                              launches_named(dev, "merge_heads");
+  Tensor tail = model.prefill(s.ctx(), ids_of(b), &cache, {hb});
+  ASSERT_EQ(tail.shape(), (Shape{1, 2, V})) << "only the rows past write_begin run";
+  EXPECT_EQ(tail.to_vector(), logit_rows(ref_b, V, 2 * page, 10));
+  EXPECT_EQ(dev.per_kernel().at("attn.qkv_proj.fw").flops - qkv_flops,
+            static_cast<double>(cfg.layers * 2 * 2 * (3 * cfg.hidden) * cfg.hidden))
+      << "the QKV projection is charged at the 2 tail rows";
+  EXPECT_EQ(launches_named(dev, "attn.scores") + launches_named(dev, "attn.context") +
+                launches_named(dev, "attn_softmax_fw") + launches_named(dev, "merge_heads"),
+            padded_attn)
+      << "cached prefill attends through kern::paged_attn alone";
+
+  std::vector<std::vector<float>> pools;
+  for (int64_t l = 0; l < cfg.layers; ++l) {
+    pools.push_back(cache.k_pool(l).to_vector());
+    pools.push_back(cache.v_pool(l).to_vector());
+  }
+  const SequenceHandle hc = cache.allocate(8, c.data());
+  ASSERT_EQ(cache.write_begin(hc), 2 * page);
+  Tensor last = model.prefill(s.ctx(), ids_of(c), &cache, {hc});
+  ASSERT_EQ(last.shape(), (Shape{1, 1, V})) << "a fully shared prompt recomputes one row";
+  EXPECT_EQ(last.to_vector(), logit_rows(ref_c, V, 7, 8));
+  for (int64_t l = 0; l < cfg.layers; ++l) {
+    EXPECT_EQ(cache.k_pool(l).to_vector(), pools[static_cast<size_t>(2 * l)]);
+    EXPECT_EQ(cache.v_pool(l).to_vector(), pools[static_cast<size_t>(2 * l + 1)]);
+  }
+
+  // One teacher-forced decode step per lane continues every prompt bitwise.
+  const std::vector<int32_t> next = {5, 6, 7};
+  Tensor step_ids = Tensor::empty({3, 1}, DType::kI32);
+  std::copy(next.begin(), next.end(), step_ids.data<int32_t>());
+  for (const SequenceHandle& h : {ha, hb, hc}) ASSERT_TRUE(cache.extend(h, s.ctx().kern));
+  cache.begin_decode();
+  const auto step = model.decode_step(s.ctx(), step_ids, cache).to_vector();
+  cache.commit_decode();
+  const std::vector<std::vector<int32_t>> prompts = {a, b, c};
+  for (int64_t lane = 0; lane < 3; ++lane) {
+    std::vector<int32_t> p = prompts[static_cast<size_t>(lane)];
+    p.push_back(next[static_cast<size_t>(lane)]);
+    const auto L = static_cast<int64_t>(p.size());
+    EXPECT_EQ(logit_rows(step, V, lane, lane + 1), logit_rows(reference(p), V, L - 1, L))
+        << "decode lane " << lane;
   }
 }
 
