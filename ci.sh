@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, parameterized for the CI matrix (.github/workflows/ci.yml):
 #
-#   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|tp|pp|fault|fleet|obs]
+#   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|tp|pp|fault|fleet|obs|paged]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
 #                      test suite, smoke-runs every fig* bench, and

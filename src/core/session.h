@@ -71,14 +71,8 @@ class Session {
   layers::LayerContext& ctx() { return *ctx_; }
   const SessionConfig& config() const { return cfg_; }
 
-  /// The telemetry registry, or null when metrics are disabled. Defined
-  /// with LS2_DISABLE_METRICS: always null, and the compiler deletes every
-  /// `if (metrics())` instrumentation block — the compiled-out path.
-#ifdef LS2_DISABLE_METRICS
-  constexpr obs::MetricsRegistry* metrics() const { return nullptr; }
-#else
+  /// The telemetry registry, or null when metrics are disabled.
   obs::MetricsRegistry* metrics() const { return cfg_.metrics; }
-#endif
   /// Attach a telemetry sink, or detach it with null, between training
   /// steps: the next step records into `m`.
   void set_metrics(obs::MetricsRegistry* m) { cfg_.metrics = m; }

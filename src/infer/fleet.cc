@@ -55,8 +55,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 obs::MetricsRegistry* Fleet::metrics() const {
-  // Through the session accessor, not the config field, so the
-  // LS2_DISABLE_METRICS compile-out covers the fleet too.
   return replicas_.empty() ? nullptr : replicas_.front().session->metrics();
 }
 
@@ -153,11 +151,9 @@ void Fleet::dispatch_to(size_t tracked, int replica, double now, bool hedge) {
 
 void Fleet::redispatch(size_t tracked, int from_replica, double now) {
   Tracked& t = tracked_[tracked];
-  if (t.done || t.shed) return;
   // A sibling copy (hedge) still carries the request — drop this chain; the
   // survivor started from the same prefix, so nothing is lost.
-  for (const Dispatch& d : inflight_)
-    if (d.tracked == tracked) return;
+  if (t.done || t.shed || in_flight(tracked)) return;
   if (t.redispatches >= cfg_.max_redispatch) {
     // Budget spent: the router answers with an error rather than letting a
     // flapping replica bounce the request forever.
@@ -178,8 +174,27 @@ void Fleet::redispatch(size_t tracked, int from_replica, double now) {
   dispatch_to(tracked, target, now, /*hedge=*/false);
 }
 
-void Fleet::absorb_partial(Dispatch& d, const RequestStats& partial) {
-  Tracked& t = tracked_[d.tracked];
+bool Fleet::in_flight(size_t tracked) const {
+  return std::any_of(inflight_.begin(), inflight_.end(),
+                     [&](const Dispatch& d) { return d.tracked == tracked; });
+}
+
+void Fleet::hand_over(const std::vector<ContinuousBatcher::Evacuated>& evacuated,
+                      int from_replica, double now) {
+  for (const auto& ev : evacuated) {
+    auto it = std::find_if(inflight_.begin(), inflight_.end(),
+                           [&](const Dispatch& d) { return d.dispatch_id == ev.partial.id; });
+    if (it == inflight_.end()) continue;
+    const size_t tracked = it->tracked;
+    inflight_.erase(it);
+    if (in_flight(tracked)) continue;  // the hedge copy carries it from the same prefix
+    absorb_partial(tracked, ev.partial);
+    redispatch(tracked, from_replica, now);
+  }
+}
+
+void Fleet::absorb_partial(size_t tracked, const RequestStats& partial) {
+  Tracked& t = tracked_[tracked];
   if (t.admitted_us == 0 && partial.admitted_us > 0)
     t.admitted_us = partial.admitted_us;
   if (t.first_token_us == 0 && partial.first_token_us > 0)
@@ -202,10 +217,7 @@ void Fleet::handle_completions(int replica, double now) {
       continue;
     }
     if (st.shed) {
-      bool sibling = false;
-      for (const Dispatch& o : inflight_)
-        if (o.tracked == d.tracked) sibling = true;
-      if (sibling) continue;  // the copy may still be admitted
+      if (in_flight(d.tracked)) continue;  // the copy may still be admitted
       t.shed = true;
       t.done_us = st.done_us;
       ++completed_;
@@ -213,7 +225,7 @@ void Fleet::handle_completions(int replica, double now) {
       continue;
     }
     // This copy won: its token stream is the answer.
-    absorb_partial(d, st);
+    absorb_partial(d.tracked, st);
     t.deadline_retired = st.deadline_retired;
     t.done = true;
     t.done_us = st.done_us;
@@ -323,21 +335,7 @@ void Fleet::reload_tick(double now) {
       rep.engine->set_draining(true);
       rep.session->device().mark("fleet.drain");
       // Hand the waiting line to the peers; residents finish where they are.
-      auto evac = rep.engine->evacuate(/*queued_only=*/true);
-      for (auto& ev : evac) {
-        auto it = std::find_if(
-            inflight_.begin(), inflight_.end(),
-            [&](const Dispatch& d) { return d.dispatch_id == ev.partial.id; });
-        if (it == inflight_.end()) continue;
-        Dispatch d = *it;
-        inflight_.erase(it);
-        bool sibling = false;
-        for (const Dispatch& o : inflight_)
-          if (o.tracked == d.tracked) sibling = true;
-        if (sibling) continue;
-        absorb_partial(d, ev.partial);
-        redispatch(d.tracked, i, now);
-      }
+      hand_over(rep.engine->evacuate(/*queued_only=*/true), i, now);
       break;
     }
     if (reload_index_ < 0) return;  // every live replica reloaded: done
@@ -389,22 +387,7 @@ void Fleet::step_replica(int r) {
     LS2_LOG(kDebug) << "replica died"
                     << log_kv("replica", r).kv("t_us", dev.clock_us());
     rep.session->end_step();  // unwind the aborted step's arena state
-    const double now = dev.clock_us();
-    auto evac = rep.engine->evacuate(/*queued_only=*/false);
-    for (auto& ev : evac) {
-      auto it = std::find_if(
-          inflight_.begin(), inflight_.end(),
-          [&](const Dispatch& d) { return d.dispatch_id == ev.partial.id; });
-      if (it == inflight_.end()) continue;
-      Dispatch d = *it;
-      inflight_.erase(it);
-      bool sibling = false;
-      for (const Dispatch& o : inflight_)
-        if (o.tracked == d.tracked) sibling = true;
-      if (sibling) continue;  // the hedge copy carries it from the same prefix
-      absorb_partial(d, ev.partial);
-      redispatch(d.tracked, r, now);
-    }
+    hand_over(rep.engine->evacuate(/*queued_only=*/false), r, dev.clock_us());
   } catch (const mem::TransientAllocFailure&) {
     // Retry budget exhausted: quarantine. The replica stays alive but backs
     // off the rotation for a doubling idle window; its requests move on.
@@ -414,22 +397,7 @@ void Fleet::step_replica(int r) {
     dev.mark("fleet.quarantine");
     LS2_LOG(kDebug) << "replica quarantined"
                     << log_kv("replica", r).kv("count", rep.quarantines);
-    const double now = dev.clock_us();
-    auto evac = rep.engine->evacuate(/*queued_only=*/false);
-    for (auto& ev : evac) {
-      auto it = std::find_if(
-          inflight_.begin(), inflight_.end(),
-          [&](const Dispatch& d) { return d.dispatch_id == ev.partial.id; });
-      if (it == inflight_.end()) continue;
-      Dispatch d = *it;
-      inflight_.erase(it);
-      bool sibling = false;
-      for (const Dispatch& o : inflight_)
-        if (o.tracked == d.tracked) sibling = true;
-      if (sibling) continue;
-      absorb_partial(d, ev.partial);
-      redispatch(d.tracked, r, now);
-    }
+    hand_over(rep.engine->evacuate(/*queued_only=*/false), r, dev.clock_us());
     const double backoff =
         cfg_.quarantine_base_us *
         static_cast<double>(1 << std::min(rep.quarantines - 1, 16));

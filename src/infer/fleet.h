@@ -209,7 +209,14 @@ class Fleet {
   /// Re-dispatch an evacuated/timed-out request: continuation prompt =
   /// original prompt + accumulated tokens; sheds when the budget is spent.
   void redispatch(size_t tracked, int from_replica, double now);
-  void absorb_partial(Dispatch& d, const RequestStats& partial);
+  /// Move requests evacuated from `from_replica` on: drop each one's
+  /// dispatch, then absorb its partial tokens and re-dispatch it unless a
+  /// sibling copy (hedge) is still in flight.
+  void hand_over(const std::vector<ContinuousBatcher::Evacuated>& evacuated,
+                 int from_replica, double now);
+  /// True while any dispatch of `tracked` is in flight.
+  bool in_flight(size_t tracked) const;
+  void absorb_partial(size_t tracked, const RequestStats& partial);
   void handle_completions(int replica, double now);
   void hedge_scan(double now);
   void timeout_scan(double now);

@@ -154,68 +154,46 @@ void merge_heads_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor&
 
 namespace {
 
-// Scatter [B, N, Lq, D] head rows into cache slots [S, N, Lmax, D]:
-// row l of batch item b lands at cache row start_b + l of slot slot_b.
-// `slot_ids` maps batch row -> slot (nullptr: slot s = row s, the decode
-// full-slot batch); `positions` gives the start row per batch item
-// (nullptr: 0, the prefill case).
+// Scatter [B, N, Lq, D] head rows into cache slots [S, N, Lmax, D]: row l
+// of batch item b lands at cache row l of slot slots[b].
 template <typename T>
-void kv_scatter_body(const Tensor& src, const Tensor& cache, const Tensor* slot_ids,
-                     const Tensor* positions) {
+void kv_scatter_body(const Tensor& src, const Tensor& cache, const Tensor& slots) {
   const int64_t N = src.shape()[1], Lq = src.shape()[2], D = src.shape()[3];
   const int64_t Lmax = cache.shape()[2];
-  const int32_t* sp = slot_ids ? slot_ids->data<int32_t>() : nullptr;
-  const int32_t* pp = positions ? positions->data<int32_t>() : nullptr;
+  const int32_t* sp = slots.data<int32_t>();
   const T* xp = src.data<T>();
   T* cp = cache.data<T>();
   parallel_for(0, src.shape()[0] * N, [&](int64_t bn) {
     const int64_t b = bn / N, n = bn % N;
-    const int64_t slot = sp ? sp[b] : b;
-    const int64_t start = pp ? pp[b] : 0;
+    const int64_t slot = sp[b];
     LS2_CHECK(slot >= 0 && slot < cache.shape()[0]) << "kv cache slot out of range";
-    LS2_CHECK(start >= 0 && start + Lq <= Lmax) << "kv cache overflow: slot " << slot;
+    LS2_CHECK(Lq <= Lmax) << "kv cache overflow: slot " << slot;
     const T* srow = xp + (bn * Lq) * D;
-    T* crow = cp + ((slot * N + n) * Lmax + start) * D;
+    T* crow = cp + (slot * N + n) * Lmax * D;
     std::memcpy(crow, srow, static_cast<size_t>(Lq * D) * sizeof(T));
   });
 }
 
-void kv_write(KernelContext& kc, Impl impl, const char* tag, const Tensor& k_new,
-              const Tensor& v_new, const Tensor& k_cache, const Tensor& v_cache,
-              const Tensor* slots, const Tensor* positions) {
+}  // namespace
+
+void kv_cache_store(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
+                    const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots) {
+  LS2_CHECK(slots.dtype() == DType::kI32);
+  LS2_CHECK_EQ(slots.numel(), k_new.shape()[0]);
   LS2_CHECK_EQ(k_new.shape().rank(), 4);
   LS2_CHECK(k_new.shape() == v_new.shape());
   LS2_CHECK(k_cache.shape() == v_cache.shape());
   LS2_CHECK_EQ(k_new.shape()[1], k_cache.shape()[1]);
   LS2_CHECK_EQ(k_new.shape()[3], k_cache.shape()[3]);
   const int64_t nb = static_cast<int64_t>(k_new.bytes());
-  auto body = [&] {
-    LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
-      kv_scatter_body<T>(k_new, k_cache, slots, positions);
-      kv_scatter_body<T>(v_new, v_cache, slots, positions);
-    });
-  };
-  if (impl == Impl::kLS2) {
-    kc.dev.launch(desc(std::string("ls2.") + tag, 2 * nb + k_new.shape()[0] * 8, 2 * nb,
-                       kFusedTransposeEff),
-                  body);
-    return;
-  }
-  // Baseline: one strided copy launch per tensor.
-  kc.dev.launch(desc(std::string("torch.") + tag + "_k", nb, nb, kBaselineTransposeEff),
-                nullptr);
-  kc.dev.launch(desc(std::string("torch.") + tag + "_v", nb, nb, kBaselineTransposeEff),
-                body);
-}
-
-}  // namespace
-
-void kv_cache_store(KernelContext& kc, Impl impl, const Tensor& k_new, const Tensor& v_new,
-                    const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots) {
-  LS2_CHECK(slots.dtype() == DType::kI32);
-  LS2_CHECK_EQ(slots.numel(), k_new.shape()[0]);
-  kv_write(kc, impl, "kv_cache_store", k_new, v_new, k_cache, v_cache, &slots,
-           /*positions=*/nullptr);
+  kc.dev.launch(desc("ls2.kv_cache_store", 2 * nb + k_new.shape()[0] * 8, 2 * nb,
+                     kFusedTransposeEff),
+                [&] {
+                  LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
+                    kv_scatter_body<T>(k_new, k_cache, slots);
+                    kv_scatter_body<T>(v_new, v_cache, slots);
+                  });
+                });
 }
 
 namespace {
@@ -264,7 +242,7 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
   });
 }
 
-void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor& k_new,
+void kv_paged_write(KernelContext& kc, const char* tag, const Tensor& k_new,
                     const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
                     const Tensor& table, const Tensor* lanes, const Tensor* q_begin,
                     const Tensor* write_begin, const Tensor* write_end,
@@ -290,17 +268,7 @@ void kv_paged_write(KernelContext& kc, Impl impl, const char* tag, const Tensor&
                                i32(write_begin), i32(write_end), i32(positions));
     });
   };
-  if (impl == Impl::kLS2) {
-    kc.dev.launch(desc(std::string("ls2.") + tag, 2 * nb + meta, 2 * nb,
-                       kFusedTransposeEff),
-                  body);
-    return;
-  }
-  kc.dev.launch(desc(std::string("torch.") + tag + "_k", nb + meta, nb,
-                     kBaselineTransposeEff),
-                nullptr);
-  kc.dev.launch(desc(std::string("torch.") + tag + "_v", nb + meta, nb,
-                     kBaselineTransposeEff),
+  kc.dev.launch(desc(std::string("ls2.") + tag, 2 * nb + meta, 2 * nb, kFusedTransposeEff),
                 body);
 }
 
@@ -357,8 +325,8 @@ void paged_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor& v_pool
 
 }  // namespace
 
-void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
-                          const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
+void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
+                          const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
                           const Tensor& q_begin, const Tensor& write_begin,
                           const Tensor& write_end) {
@@ -366,7 +334,7 @@ void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
     LS2_CHECK(t->dtype() == DType::kI32);
     LS2_CHECK_EQ(t->numel(), k_new.shape()[0]);
   }
-  kv_paged_write(kc, impl, "kv_store_paged", k_new, v_new, k_pool, v_pool, block_table,
+  kv_paged_write(kc, "kv_store_paged", k_new, v_new, k_pool, v_pool, block_table,
                  &lanes, &q_begin, &write_begin, &write_end, /*positions=*/nullptr);
 }
 
@@ -378,7 +346,7 @@ void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor&
   LS2_CHECK_EQ(k_new.shape()[0], block_table.shape()[0])
       << "decode appends run at full lane batch";
   LS2_CHECK_EQ(positions.numel(), k_new.shape()[0]);
-  kv_paged_write(kc, Impl::kLS2, "kv_append_paged", k_new, v_new, k_pool, v_pool,
+  kv_paged_write(kc, "kv_append_paged", k_new, v_new, k_pool, v_pool,
                  block_table, /*lanes=*/nullptr, /*q_begin=*/nullptr,
                  /*write_begin=*/nullptr, /*write_end=*/nullptr, &positions);
 }

@@ -40,15 +40,14 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 // tensors are host-written heap metadata — replay-time graph parameters
 // read inside kernel bodies, so the launch sequence stays STATIC across
 // decode steps (the capture contract). Keys and values move in ONE fused
-// launch; only the prefill writers keep a baseline (one copy kernel per
-// tensor) for the non-LightSeq2 policies that prefill.
+// LightSeq2 launch under every policy: serving has no baseline KV path.
 //
 // Cross-attention K/V blocks stay contiguous [S, N, cross_len, D]
 // (write-once at encode time) and use the plain kv_cache_store below.
 
 /// Contiguous prefill write (CROSS blocks only): k_new/v_new [B, N, Lq, D]
 /// land in cache slots `slots` (i32 [B]) at rows [0, Lq).
-void kv_cache_store(KernelContext& kc, Impl impl, const Tensor& k_new, const Tensor& v_new,
+void kv_cache_store(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
                     const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots);
 
 /// Paged prefill write: row i of k_new/v_new [B, N, Lq, D] is logical
@@ -57,8 +56,8 @@ void kv_cache_store(KernelContext& kc, Impl impl, const Tensor& k_new, const Ten
 /// `block_table`. Positions below write_begin already live in shared prefix
 /// pages and must not be rewritten; positions at or past write_end exceed
 /// the lane's backed capacity (padded prompt tails).
-void kv_cache_store_paged(KernelContext& kc, Impl impl, const Tensor& k_new,
-                          const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
+void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
+                          const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
                           const Tensor& q_begin, const Tensor& write_begin,
                           const Tensor& write_end);

@@ -80,26 +80,29 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
   const float scale = 1.0f / std::sqrt(static_cast<float>(D));
   const Policy& pol = ctx.policy;
   const int64_t tp = ctx.tp_size();
+  const bool training = ctx.training();
 
   // Scores and masked softmax. Under TP the per-head work is sharded: a
-  // rank runs the same batched kernels over N/tp heads.
+  // rank runs the same batched kernels over N/tp heads. Serving (where k/v
+  // may be per-lane cross K/V blocks whose tail rows key_lens masks off)
+  // skips the attention dropout and its two buffers.
   const gemm::GemmCharge score_charge{Lq, Lk, D, B * N / tp};
   Tensor scores = ctx.alloc_shard({B, N, Lq, Lk}, dt);
   gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, scale, q, Lq * D, k,
                             Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores",
                             &score_charge);
   Tensor probs = ctx.alloc_shard({B, N, Lq, Lk}, dt);
-  Tensor probs_d = ctx.alloc_shard({B, N, Lq, Lk}, dt);
-  Tensor attn_mask = ctx.alloc_shard({B, N, Lq, Lk}, DType::kU8);
+  Tensor probs_d = training ? ctx.alloc_shard({B, N, Lq, Lk}, dt) : probs;
+  Tensor attn_mask = training ? ctx.alloc_shard({B, N, Lq, Lk}, DType::kU8) : Tensor();
   Tensor ctx_h = ctx.alloc_shard({B, N, Lq, D}, dt);
   Tensor merged = ctx.alloc_shard({B, Lq, H}, dt);
   {
     TpChargeScale tp_scale(ctx);
     kern::attn_softmax_fw(ctx.kern, pol.softmax, scores, probs, cfg_.causal, key_lens);
-
-    // Attention dropout.
-    kern::dropout_fw(ctx.kern, pol.elementwise, probs, probs_d, attn_mask,
-                     cfg_.attn_dropout, ctx.kern.next_dropout_stream());
+    if (training) {
+      kern::dropout_fw(ctx.kern, pol.elementwise, probs, probs_d, attn_mask,
+                       cfg_.attn_dropout, ctx.kern.next_dropout_stream());
+    }
   }
 
   // Context and head merge.
@@ -112,83 +115,44 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
     kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, merged);
   }
 
-  // Output projection (row-parallel by heads: every rank computes a
-  // full-size partial, summed by the TP ring) + bias/dropout/residual.
-  Tensor out = ctx.alloc({B, Lq, H}, dt);
-  tp_linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj", TpSplit::kRow);
-  if (tp > 1) {
-    ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()),
-                             "tp.attn.allreduce");
-  }
-  Tensor y = ctx.alloc({B, Lq, H}, dt);
-  Tensor out_mask = ctx.alloc({B, Lq, H}, DType::kU8);
-  if (pol.fused_elementwise) {
-    kern::fused::bias_dropout_residual_fw(ctx.kern, out, params_->value(b_out_), residual, y,
-                                          out_mask, cfg_.out_dropout,
-                                          ctx.kern.next_dropout_stream());
-  } else {
-    kern::baseline::add_bias(ctx.kern, out, params_->value(b_out_), out);
-    Tensor t = ctx.alloc({B, Lq, H}, dt);
-    kern::dropout_fw(ctx.kern, pol.elementwise, out, t, out_mask, cfg_.out_dropout,
-                     ctx.kern.next_dropout_stream());
-    kern::baseline::add(ctx.kern, t, residual, y);
-  }
-
-  saved_ = Saved{q, k, v, probs, probs_d, attn_mask, merged, out_mask, B, Lq, Lk};
+  Tensor out_mask;
+  Tensor y = output(ctx, merged, residual, &out_mask);
+  if (training) saved_ = Saved{q, k, v, probs, probs_d, attn_mask, merged, out_mask, B, Lq, Lk};
   return y;
 }
 
-Tensor AttentionCore::infer_forward(LayerContext& ctx, const Tensor& q, const Tensor& k,
-                                    const Tensor& v, const Tensor& residual,
-                                    const Tensor* key_lens, bool causal) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
-  const int64_t B = q.shape()[0], N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
-  const int64_t Lk = k.shape()[2];
-  const int64_t H = N * D;
-  const DType dt = q.dtype();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(D));
-  const Policy& pol = ctx.policy;
-
-  // Scores and masked softmax. With cross blocks Lk = cross_len and
-  // key_lens bounds the valid prefix; masked tail rows contribute exact
-  // zeros.
-  Tensor scores = ctx.alloc({B, N, Lq, Lk}, dt);
-  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, scale, q, Lq * D, k,
-                            Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores");
-  Tensor probs = ctx.alloc({B, N, Lq, Lk}, dt);
-  kern::attn_softmax_fw(ctx.kern, pol.softmax, scores, probs, causal, key_lens);
-
-  // Context and head merge (no attention dropout at inference).
-  Tensor ctx_h = ctx.alloc({B, N, Lq, D}, dt);
-  gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, 1.0f, probs, Lq * Lk, v,
-                            Lk * D, 0.0f, ctx_h, Lq * D, B * N, "attn.context");
-  Tensor merged = ctx.alloc({B, Lq, H}, dt);
-  kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, merged);
-  return infer_output(ctx, merged, residual);
-}
-
-Tensor AttentionCore::infer_output(LayerContext& ctx, const Tensor& merged,
-                                   const Tensor& residual) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
+Tensor AttentionCore::output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
+                             Tensor* out_mask) {
   const int64_t B = merged.shape()[0], Lq = merged.shape()[1], H = merged.shape()[2];
   const DType dt = merged.dtype();
   const Policy& pol = ctx.policy;
 
-  // Output projection + bias/residual. The dropout kernels run at p = 0
-  // (identity, all-ones masks) so the serving path stays bitwise-identical
-  // to the training forward under zero dropout — the parity contract
-  // tests/infer_test.cc checks.
+  // Output projection (row-parallel by heads: every rank computes a
+  // full-size partial, summed by the TP ring) + bias/dropout/residual.
+  // Serving's unfused chain has no dropout stage.
   Tensor out = ctx.alloc({B, Lq, H}, dt);
-  linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj");
+  tp_linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj", TpSplit::kRow);
+  if (ctx.tp_size() > 1) {
+    ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()),
+                             "tp.attn.allreduce");
+  }
   Tensor y = ctx.alloc({B, Lq, H}, dt);
-  Tensor out_mask = ctx.alloc({B, Lq, H}, DType::kU8);
+  Tensor mask = ctx.alloc({B, Lq, H}, DType::kU8);
   if (pol.fused_elementwise) {
     kern::fused::bias_dropout_residual_fw(ctx.kern, out, params_->value(b_out_), residual, y,
-                                          out_mask, 0.0f, ctx.kern.next_dropout_stream());
+                                          mask, ctx.dropout(cfg_.out_dropout),
+                                          ctx.kern.next_dropout_stream());
   } else {
     kern::baseline::add_bias(ctx.kern, out, params_->value(b_out_), out);
-    kern::baseline::add(ctx.kern, out, residual, y);
+    Tensor t = out;
+    if (ctx.training()) {
+      t = ctx.alloc({B, Lq, H}, dt);
+      kern::dropout_fw(ctx.kern, pol.elementwise, out, t, mask, cfg_.out_dropout,
+                       ctx.kern.next_dropout_stream());
+    }
+    kern::baseline::add(ctx.kern, t, residual, y);
   }
+  if (out_mask) *out_mask = mask;
   return y;
 }
 
@@ -279,7 +243,7 @@ SelfAttention::SelfAttention(ParamRegistry& params, const std::string& prefix,
                               /*groups=*/3)),
       core_(params, prefix, cfg) {}
 
-Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens) {
+SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x) {
   LS2_CHECK_EQ(x.shape().rank(), 3);
   const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
   LS2_CHECK_EQ(H, cfg_.hidden);
@@ -303,9 +267,14 @@ Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* 
     kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
                                   {q, k, v});
   }
+  if (ctx.training()) return {q, k, v, ln, mean, rstd, qkv};
+  return {q, k, v, {}, {}, {}, {}};
+}
 
-  Tensor y = core_.forward(ctx, q, k, v, /*residual=*/x, key_lens);
-  saved_ = Saved{x, ln, mean, rstd};
+Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens) {
+  const Qkv t = project_qkv(ctx, x);
+  Tensor y = core_.forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens);
+  if (ctx.training()) saved_ = Saved{x, t.ln, t.mean, t.rstd};
   return y;
 }
 
@@ -344,67 +313,38 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
   return dx;
 }
 
-SelfAttention::Qkv SelfAttention::infer_qkv(LayerContext& ctx, const Tensor& x) {
-  LS2_CHECK_EQ(x.shape().rank(), 3);
-  const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
-  LS2_CHECK_EQ(H, cfg_.hidden);
-  const int64_t N = cfg_.heads, D = cfg_.head_dim();
-  const DType dt = x.dtype();
-
-  Tensor ln = ctx.alloc({B, L, H}, dt);
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, x, params_->value(ln_gamma_),
-                     params_->value(ln_beta_), ln, mean, rstd);
-
-  Tensor qkv = ctx.alloc({B, L, 3 * H}, dt);
-  linear_fw(ctx, ln, w_qkv_.value(ctx), qkv, "attn.qkv_proj");
-
-  Qkv out{ctx.alloc({B, N, L, D}, dt), ctx.alloc({B, N, L, D}, dt),
-          ctx.alloc({B, N, L, D}, dt)};
-  kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
-                                {out.q, out.k, out.v});
-  return out;
-}
-
-Tensor SelfAttention::infer_paged_attn(LayerContext& ctx, const Tensor& x, const Tensor& q,
-                                       const Tensor& k_pool, const Tensor& v_pool,
-                                       const Tensor& block_table, const Tensor* lanes,
-                                       const Tensor& q_begin, const Tensor& kv_lens) {
+Tensor SelfAttention::attend_paged(LayerContext& ctx, const Tensor& x, const Tensor& q,
+                                   const Tensor& k_pool, const Tensor& v_pool,
+                                   const Tensor& block_table, const Tensor* lanes,
+                                   const Tensor& q_begin, const Tensor& kv_lens) {
   Tensor merged = ctx.alloc(x.shape(), x.dtype());
   kern::paged_attn(ctx.kern, q, k_pool, v_pool, block_table, lanes, q_begin, kv_lens,
                    1.0f / std::sqrt(static_cast<float>(cfg_.head_dim())), merged);
-  return core_.infer_output(ctx, merged, /*residual=*/x);
-}
-
-Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens) {
-  const Qkv t = infer_qkv(ctx, x);
-  return core_.infer_forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens, cfg_.causal);
+  return core_.output(ctx, merged, /*residual=*/x);
 }
 
 Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                               const Tensor& v_pool, const PagedRows& rows) {
   LS2_CHECK(cfg_.causal) << "cached prefill serves causal self-attention";
-  const Qkv t = infer_qkv(ctx, x);
+  const Qkv t = project_qkv(ctx, x);
   // Store first: each query row then attends its own and every earlier row
   // — shared prefix pages included — in place.
-  kern::kv_cache_store_paged(ctx.kern, ctx.policy.transform, t.k, t.v, k_pool, v_pool,
-                             rows.block_table, rows.lanes, rows.q_begin, rows.write_begin,
-                             rows.write_end);
-  return infer_paged_attn(ctx, x, t.q, k_pool, v_pool, rows.block_table, &rows.lanes,
-                          rows.q_begin, rows.kv_lens);
+  kern::kv_cache_store_paged(ctx.kern, t.k, t.v, k_pool, v_pool, rows.block_table,
+                             rows.lanes, rows.q_begin, rows.write_begin, rows.write_end);
+  return attend_paged(ctx, x, t.q, k_pool, v_pool, rows.block_table, &rows.lanes,
+                      rows.q_begin, rows.kv_lens);
 }
 
 Tensor SelfAttention::decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
                                   const Tensor& v_pool, const Tensor& block_table,
                                   const Tensor& positions, const Tensor& attend_lens) {
   LS2_CHECK_EQ(x.shape()[1], 1) << "decode_step takes one token per slot";
-  const Qkv t = infer_qkv(ctx, x);
+  const Qkv t = project_qkv(ctx, x);
   // The new token's K/V must be resident in the pool before attention —
   // the single query then attends rows [0, attend_lens[s]).
   kern::kv_cache_append_paged(ctx.kern, t.k, t.v, k_pool, v_pool, block_table, positions);
-  return infer_paged_attn(ctx, x, t.q, k_pool, v_pool, block_table, /*lanes=*/nullptr,
-                          positions, attend_lens);
+  return attend_paged(ctx, x, t.q, k_pool, v_pool, block_table, /*lanes=*/nullptr, positions,
+                      attend_lens);
 }
 
 void SelfAttention::release() {
@@ -451,7 +391,7 @@ Tensor CrossAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor&
   }
 
   Tensor y = core_.forward(ctx, q, k, v, /*residual=*/x, src_lens);
-  saved_ = Saved{x, ln, mean, rstd};
+  if (ctx.training()) saved_ = Saved{x, ln, mean, rstd};
   return y;
 }
 
@@ -494,26 +434,6 @@ Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy, const Tenso
                      /*residual_grad=*/&dy);
   release();
   return dx;
-}
-
-Tensor CrossAttention::infer_forward(LayerContext& ctx, const Tensor& x, const Tensor& k,
-                                     const Tensor& v, const Tensor* src_lens) {
-  const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
-  const int64_t N = cfg_.heads, D = cfg_.head_dim();
-  const DType dt = x.dtype();
-
-  Tensor ln = ctx.alloc({B, L, H}, dt);
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, x, params_->value(ln_gamma_),
-                     params_->value(ln_beta_), ln, mean, rstd);
-
-  Tensor q_gemm = ctx.alloc({B, L, H}, dt);
-  linear_fw(ctx, ln, w_q_.value(ctx), q_gemm, "attn.q_proj");
-  Tensor q = ctx.alloc({B, N, L, D}, dt);
-  kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, q_gemm,
-                                b_q_.value(ctx), {q});
-  return core_.infer_forward(ctx, q, k, v, /*residual=*/x, src_lens, /*causal=*/false);
 }
 
 void CrossAttention::release() {

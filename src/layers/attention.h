@@ -7,6 +7,12 @@
 //     (layer-batched cross attention, Fig. 5b); baselines compute them per
 //     layer. Backward returns dx and accumulates into dk/dv.
 //
+// Serving runs the same forward inside a LayerContext::InferenceScope
+// (dropout off, nothing saved). Cached prefill and decode replace only
+// SelfAttention's middle: they share its LN -> QKV -> split front half and
+// the output-projection epilogue (AttentionCore::output), and attend
+// through the paged KV pools with kern::paged_attn.
+//
 // The backward pass draws its temporaries from the Fig. 8 shared-block plan
 // under LightSeq2 (3·BLH + max(BL²N, 3·BLH) bytes in four blocks); baseline
 // policies allocate each temporary individually from the dynamic allocator.
@@ -42,21 +48,17 @@ class AttentionCore {
   AttentionCore(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
   /// q/k/v: [B, N, Lq|Lk, D]; residual: [B, Lq, H]. Returns y [B, Lq, H].
+  /// Serving's k/v may be per-lane cross K/V blocks [S, N, cross_len, D]
+  /// whose tail rows key_lens masks off.
   Tensor forward(LayerContext& ctx, const Tensor& q, const Tensor& k, const Tensor& v,
                  const Tensor& residual, const Tensor* key_lens);
 
-  /// Inference-only forward (serving): same math as forward at dropout p = 0,
-  /// nothing saved for backward. `causal` is explicit: prefill keeps the
-  /// config's causal mask, cross attention passes false. k/v may be the
-  /// per-lane cross K/V blocks [S, N, cross_len, D] whose tail rows key_lens
-  /// masks off. Ends in infer_output.
-  Tensor infer_forward(LayerContext& ctx, const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& residual, const Tensor* key_lens, bool causal);
-
-  /// Serving epilogue: output projection of the head-merged context
-  /// `merged` [B, Lq, H] plus bias and residual. Cached prefill and decode
-  /// feed it kern::paged_attn's output directly.
-  Tensor infer_output(LayerContext& ctx, const Tensor& merged, const Tensor& residual);
+  /// Epilogue of forward: output projection of the head-merged context
+  /// `merged` [B, Lq, H], then bias + dropout + residual; `out_mask`
+  /// receives the dropout mask. Cached prefill and decode feed it
+  /// kern::paged_attn's output directly.
+  Tensor output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
+                Tensor* out_mask = nullptr);
 
   /// Returns (dq, dk, dv) in head layout plus d_residual == dy contribution
   /// handled by the caller adding `dy` into its input gradient.
@@ -107,12 +109,7 @@ class SelfAttention {
   Tensor backward(LayerContext& ctx, const Tensor& dy);
   void release();
 
-  // --- serving (inference-only, no dropout, nothing saved) ---
-
-  /// Uncached prefill (the encoder, and the full re-forward reference):
-  /// causal (per config) attention over x [B, L, H] through the padded
-  /// scores/context GEMMs; `key_lens` masks right-padded prompts.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
+  // --- cached serving (inside an InferenceScope) ---
 
   /// Cached prefill of prompt rows [rows.first, L): x [B, L - first, H].
   /// This batch's K/V are stored into the paged pools (k_pool/v_pool
@@ -140,18 +137,20 @@ class SelfAttention {
   TpParam w_qkv_, b_qkv_;
   AttentionCore core_;
 
-  /// Serving front half: LayerNorm, QKV projection and head split of x
-  /// [B, L, H] into q/k/v [B, N, L, D].
+  /// Front half of forward and the cached paths: LayerNorm, QKV projection
+  /// and head split of x [B, L, H] into q/k/v [B, N, L, D]. Training also
+  /// returns the LayerNorm outputs backward needs and the projection output,
+  /// held to the end of forward; serving frees them here.
   struct Qkv {
     Tensor q, k, v;
+    Tensor ln, mean, rstd, qkv;
   };
-  Qkv infer_qkv(LayerContext& ctx, const Tensor& x);
-  /// Serving back half over the pools: kern::paged_attn, then the output
-  /// projection with x as the residual.
-  Tensor infer_paged_attn(LayerContext& ctx, const Tensor& x, const Tensor& q,
-                          const Tensor& k_pool, const Tensor& v_pool,
-                          const Tensor& block_table, const Tensor* lanes,
-                          const Tensor& q_begin, const Tensor& kv_lens);
+  Qkv project_qkv(LayerContext& ctx, const Tensor& x);
+  /// Cached middle and epilogue: kern::paged_attn over the pools, then the
+  /// output projection with x as the residual.
+  Tensor attend_paged(LayerContext& ctx, const Tensor& x, const Tensor& q,
+                      const Tensor& k_pool, const Tensor& v_pool, const Tensor& block_table,
+                      const Tensor* lanes, const Tensor& q_begin, const Tensor& kv_lens);
 
   struct Saved {
     Tensor x, ln, mean, rstd;
@@ -163,18 +162,13 @@ class CrossAttention {
  public:
   CrossAttention(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
-  /// k/v: [B, N, Ls, D] precomputed by the caller.
+  /// k/v: [B, N, Ls, D] precomputed by the caller — when serving, the
+  /// per-lane cross K/V cache blocks [S, N, Ls_max, D], masked by src_lens.
   Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
                  const Tensor* src_lens);
   /// Returns dx; ACCUMULATES key/value grads into dk/dv (head layout).
   Tensor backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk, const Tensor& dv);
   void release();
-
-  /// Serving forward (no dropout, nothing saved): x [B, Lq, H] queries over
-  /// precomputed k/v — at decode time the per-slot cross K/V cache blocks
-  /// [S, N, Ls_max, D], masked by src_lens.
-  Tensor infer_forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
-                       const Tensor* src_lens);
 
  private:
   AttentionConfig cfg_;

@@ -26,21 +26,11 @@ CriterionResult CriterionLayer::forward(LayerContext& ctx, const Tensor& x,
   const int64_t B = x.shape()[0], L = x.shape()[1];
   const int64_t rows = B * L;
   LS2_CHECK_EQ(targets.numel(), rows);
-  const DType dt = x.dtype();
 
-  // Vocab-sharded projection: each rank computes a [rows, vocab/tp] column
-  // slice (exact), then a TP all-gather concatenates the full logits every
-  // rank needs for the softmax/CE reduction — also exact, so parity holds.
-  Tensor logits = ctx.alloc({rows, cfg_.vocab}, dt);
-  tp_linear_fw(ctx, x, proj_.value(ctx), logits, "criterion.proj", TpSplit::kColumn);
-  if (ctx.tp_size() > 1) {
-    ctx.tp_group->all_gather(ctx.device(), static_cast<int64_t>(logits.bytes()),
-                             "tp.criterion.gather");
-  }
-
+  Tensor z = logits(ctx, x);
   Tensor loss = ctx.alloc({rows}, DType::kF32);
   Tensor stats = ctx.alloc({rows, 2}, DType::kF32);
-  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, logits, targets, loss, stats,
+  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, z, targets, loss, stats,
                             cfg_.label_smoothing, cfg_.pad_id);
 
   // Under microbatched execution the carry continues the double accumulator
@@ -61,7 +51,7 @@ CriterionResult CriterionLayer::forward(LayerContext& ctx, const Tensor& x,
     valid = rows;  // timing-only mode: shape bookkeeping
   }
   result.tokens = valid;
-  saved_ = Saved{x, targets, logits, stats, valid};
+  saved_ = Saved{x, targets, z, stats, valid};
   return result;
 }
 
@@ -99,12 +89,17 @@ Tensor CriterionLayer::backward(LayerContext& ctx) {
   return dx;
 }
 
-Tensor CriterionLayer::infer_logits(LayerContext& ctx, const Tensor& x) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
-  const int64_t rows = x.shape()[0] * x.shape()[1];
-  Tensor logits = ctx.alloc({rows, cfg_.vocab}, x.dtype());
-  linear_fw(ctx, x, proj_.value(ctx), logits, "criterion.proj");
-  return logits;
+Tensor CriterionLayer::logits(LayerContext& ctx, const Tensor& x) {
+  // Vocab-sharded projection: each rank computes a [rows, vocab/tp] column
+  // slice (exact), then a TP all-gather concatenates the full logits every
+  // rank needs for the softmax/CE reduction — also exact, so parity holds.
+  Tensor z = ctx.alloc({x.shape()[0] * x.shape()[1], cfg_.vocab}, x.dtype());
+  tp_linear_fw(ctx, x, proj_.value(ctx), z, "criterion.proj", TpSplit::kColumn);
+  if (ctx.tp_size() > 1) {
+    ctx.tp_group->all_gather(ctx.device(), static_cast<int64_t>(z.bytes()),
+                             "tp.criterion.gather");
+  }
+  return z;
 }
 
 void CriterionLayer::release() { saved_.reset(); }

@@ -39,18 +39,18 @@ class CriterionLayer {
   CriterionLayer(ParamRegistry& params, const std::string& prefix, CriterionConfig cfg,
                  TpParam tied_table = {});
 
-  /// x: [B, L, H] decoder output; targets: [B, L] i32.
+  /// x: [B, L, H] decoder output; targets: [B, L] i32. Starts with logits().
   CriterionResult forward(LayerContext& ctx, const Tensor& x, const Tensor& targets);
 
   /// Gradient of mean-per-token loss w.r.t. x.
   Tensor backward(LayerContext& ctx);
   void release();
 
-  /// Serving: just the output projection — logits [B*L, vocab] from
-  /// x [B, L, H], no loss, nothing saved. Shares the (possibly tied)
-  /// projection table with training, which is what makes a trained
-  /// checkpoint servable as-is (§V-B).
-  Tensor infer_logits(LayerContext& ctx, const Tensor& x);
+  /// The output projection alone: logits [B*L, vocab] from x [B, L, H],
+  /// nothing saved. Serving ends here; sharing the (possibly tied) table
+  /// with training is what makes a trained checkpoint servable as-is
+  /// (§V-B).
+  Tensor logits(LayerContext& ctx, const Tensor& x);
 
  private:
   CriterionConfig cfg_;

@@ -26,8 +26,8 @@ Tensor TransformerDecoderLayer::prefill(LayerContext& ctx, const Tensor& x,
   LS2_CHECK(ctx.policy.supports_decoder)
       << system_name(ctx.policy.system) << " does not support decoder layers";
   Tensor h = self_attn_.prefill(ctx, x, k_pool, v_pool, rows);
-  h = cross_attn_.infer_forward(ctx, h, cross_k, cross_v, src_lens);
-  return ffn_.infer_forward(ctx, h);
+  h = cross_attn_.forward(ctx, h, cross_k, cross_v, src_lens);
+  return ffn_.forward(ctx, h);
 }
 
 Tensor TransformerDecoderLayer::decode_step(LayerContext& ctx, const Tensor& x,
@@ -38,8 +38,8 @@ Tensor TransformerDecoderLayer::decode_step(LayerContext& ctx, const Tensor& x,
                                             const Tensor& cross_v, const Tensor* src_lens) {
   Tensor h = self_attn_.decode_step(ctx, x, k_pool, v_pool, block_table, positions,
                                     attend_lens);
-  h = cross_attn_.infer_forward(ctx, h, cross_k, cross_v, src_lens);
-  return ffn_.infer_forward(ctx, h);
+  h = cross_attn_.forward(ctx, h, cross_k, cross_v, src_lens);
+  return ffn_.forward(ctx, h);
 }
 
 Tensor TransformerDecoderLayer::backward(LayerContext& ctx, const Tensor& dy,

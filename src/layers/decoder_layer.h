@@ -5,7 +5,9 @@
 // LightSeq2 the decoder *stack* computes them for all layers with one
 // concatenated GEMM (layer-batched cross attention, Fig. 5b), while baseline
 // policies compute each layer's K/V separately. Either way this layer only
-// consumes them and accumulates their gradients.
+// consumes them and accumulates their gradients. Serving (inside a
+// LayerContext::InferenceScope) reads them from the per-lane cross K/V
+// cache blocks instead, and self-attention attends through the paged pools.
 #pragma once
 
 #include <string>
@@ -28,7 +30,10 @@ class TransformerDecoderLayer {
   Tensor backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk, const Tensor& dv);
   void release();
 
-  // --- serving (inference-only; see layers/attention.h) ---
+  // --- cached serving (inside an InferenceScope; see layers/attention.h) ---
+  //
+  // Self-attention attends through the paged pools; cross attention and
+  // the FFN run their training forward.
 
   /// Prefill target rows [rows.first, L): causal self-attention through
   /// this layer's paged K/V pools (stored, then attended in place), cross

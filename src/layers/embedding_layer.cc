@@ -30,10 +30,11 @@ void EmbeddingLayer::ensure_positions(DType dtype) {
   pos_.copy_from(pos_f32.to_vector());
 }
 
-Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids) {
+Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids, int64_t first) {
   LS2_CHECK(ids.dtype() == DType::kI32);
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  LS2_CHECK_LE(L, cfg_.max_len);
+  LS2_CHECK(first >= 0 && first + L <= cfg_.max_len)
+      << "positions [" << first << ", " << first + L << ") beyond max_len " << cfg_.max_len;
   // Under TP the lookup runs against the rank's vocab shard producing a
   // full-size partial (zero rows for foreign ids) that one TP all-reduce
   // completes — EXACT, since every row has a single owner. The emulation
@@ -43,36 +44,19 @@ Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids) {
   Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
   Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
-  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table,
-                     pos_.slice(0, L), y, mask, scale, cfg_.dropout,
+  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_.slice(first, first + L),
+                     y, mask, scale, ctx.dropout(cfg_.dropout),
                      ctx.kern.next_dropout_stream(), cfg_.pad_id);
   if (ctx.tp_size() > 1) {
     ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(y.bytes()),
                              "tp.embed.allreduce");
   }
-  saved_ = Saved{ids, mask};
-  return y;
-}
-
-Tensor EmbeddingLayer::prefill(LayerContext& ctx, const Tensor& ids, int64_t first) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
-  LS2_CHECK(ids.dtype() == DType::kI32);
-  const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  LS2_CHECK(first >= 0 && first + L <= cfg_.max_len)
-      << "positions [" << first << ", " << first + L << ") beyond max_len " << cfg_.max_len;
-  const Tensor table = table_.value(ctx);
-  ensure_positions(table.dtype());
-  Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
-  Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
-  const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
-  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_.slice(first, first + L),
-                     y, mask, scale, /*p=*/0.0f, ctx.kern.next_dropout_stream(), cfg_.pad_id);
+  if (ctx.training()) saved_ = Saved{ids, mask};
   return y;
 }
 
 Tensor EmbeddingLayer::decode_step(LayerContext& ctx, const Tensor& ids,
                                    const Tensor& positions) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
   LS2_CHECK(ids.dtype() == DType::kI32);
   const int64_t S = ids.shape()[0];
   LS2_CHECK_EQ(ids.numel(), S) << "decode_step takes one token per slot";

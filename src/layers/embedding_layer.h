@@ -1,7 +1,9 @@
 // Token + position embedding layer (§IV-A.2):
 //   y = Dropout(sqrt(H) * E[token] + P[position]).
 // The token table is a trainable parameter (often tied with the output
-// projection); the positional table is sinusoidal and fixed.
+// projection); the positional table is sinusoidal and fixed. Serving runs
+// forward inside a LayerContext::InferenceScope (no dropout, nothing
+// saved); decode_step is the one-token-per-lane lookup.
 #pragma once
 
 #include <optional>
@@ -35,16 +37,14 @@ class EmbeddingLayer {
   EmbeddingLayer(ParamRegistry& params, const std::string& prefix, EmbeddingConfig cfg,
                  TpParam tied_table = {});
 
-  /// Lazily builds the sinusoidal table on first use (host init, not a
-  /// device kernel).
-  Tensor forward(LayerContext& ctx, const Tensor& ids);
+  /// ids [B, L] hold positions [first, first + L) — a serving prefill that
+  /// skips the rows shared prefix pages already hold starts past 0. Lazily
+  /// builds the sinusoidal table on first use (host init, not a device
+  /// kernel).
+  Tensor forward(LayerContext& ctx, const Tensor& ids, int64_t first = 0);
   void backward(LayerContext& ctx, const Tensor& dy);
   void release();
 
-  /// Serving prefill: the forward lookup at dropout p = 0, nothing saved.
-  /// ids [B, L] hold positions [first, first + L) — a prefill that skips
-  /// the rows shared prefix pages already hold starts past 0.
-  Tensor prefill(LayerContext& ctx, const Tensor& ids, int64_t first = 0);
   /// Serving decode: one token per slot (ids [S, 1]) at per-slot positions
   /// (i32 [S] — each sequence's next index), no dropout.
   Tensor decode_step(LayerContext& ctx, const Tensor& ids, const Tensor& positions);

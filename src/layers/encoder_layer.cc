@@ -15,16 +15,10 @@ Tensor TransformerEncoderLayer::forward(LayerContext& ctx, const Tensor& x,
 }
 
 Tensor TransformerEncoderLayer::prefill(LayerContext& ctx, const Tensor& x,
-                                        const Tensor* key_lens) {
-  Tensor h = attn_.prefill(ctx, x, key_lens);
-  return ffn_.infer_forward(ctx, h);
-}
-
-Tensor TransformerEncoderLayer::prefill(LayerContext& ctx, const Tensor& x,
                                         const Tensor& k_pool, const Tensor& v_pool,
                                         const PagedRows& rows) {
   Tensor h = attn_.prefill(ctx, x, k_pool, v_pool, rows);
-  return ffn_.infer_forward(ctx, h);
+  return ffn_.forward(ctx, h);
 }
 
 Tensor TransformerEncoderLayer::decode_step(LayerContext& ctx, const Tensor& x,
@@ -33,7 +27,7 @@ Tensor TransformerEncoderLayer::decode_step(LayerContext& ctx, const Tensor& x,
                                             const Tensor& positions,
                                             const Tensor& attend_lens) {
   Tensor h = attn_.decode_step(ctx, x, k_pool, v_pool, block_table, positions, attend_lens);
-  return ffn_.infer_forward(ctx, h);
+  return ffn_.forward(ctx, h);
 }
 
 Tensor TransformerEncoderLayer::backward(LayerContext& ctx, const Tensor& dy) {

@@ -1,5 +1,8 @@
 // Transformer encoder layer (pre-LN): self-attention + feed-forward, each
-// with its own LayerNorm, dropout, and residual (Fig. 4).
+// with its own LayerNorm, dropout, and residual (Fig. 4). GPT-2 stacks it
+// with causal attention. Serving runs forward inside a
+// LayerContext::InferenceScope; cached prefill and decode differ from it
+// only in self-attention's middle, which attends through the paged KV pools.
 #pragma once
 
 #include <string>
@@ -52,11 +55,10 @@ class TransformerEncoderLayer {
   Tensor backward(LayerContext& ctx, const Tensor& dy);
   void release();
 
-  // --- serving (inference-only; see layers/attention.h) ---
+  // --- cached serving (inside an InferenceScope; see layers/attention.h) ---
+  //
+  // Uncached serving (the encoder, the cacheless reference) is forward.
 
-  /// Uncached prefill: dropout-free forward (the encoder, and the full
-  /// re-forward reference).
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
   /// Cached prefill of prompt rows [rows.first, L): self-attention stores
   /// this batch's K/V into the layer's paged pools and attends through them.
   Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,

@@ -29,6 +29,10 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
   const int64_t F = cfg_.ffn_dim;
   const DType dt = x.dtype();
   const Policy& pol = ctx.policy;
+  const bool training = ctx.training();
+  // Serving keeps no dropout mask past its kernel, and its unfused chains
+  // have no dropout stage to need one.
+  const bool masks = training || pol.fused_elementwise;
 
   Tensor ln = ctx.alloc({B, L, H}, dt);
   Tensor mean = ctx.alloc({B * L}, DType::kF32);
@@ -42,31 +46,37 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
   tp_linear_fw(ctx, ln, w1_.value(ctx), h1, "ffn.fc1", TpSplit::kColumn);
 
   Tensor a = ctx.alloc_shard({B, L, F}, dt);
-  Tensor act_mask = ctx.alloc_shard({B, L, F}, DType::kU8);
+  Tensor act_mask = masks ? ctx.alloc_shard({B, L, F}, DType::kU8) : Tensor();
   {
     TpChargeScale tp_scale(ctx);
     if (pol.fused_elementwise) {
       if (cfg_.activation == Activation::kRelu) {
         kern::fused::bias_relu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask,
-                                          cfg_.act_dropout, ctx.kern.next_dropout_stream());
+                                          ctx.dropout(cfg_.act_dropout),
+                                          ctx.kern.next_dropout_stream());
       } else {
         kern::fused::bias_gelu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask,
-                                          cfg_.act_dropout, ctx.kern.next_dropout_stream());
+                                          ctx.dropout(cfg_.act_dropout),
+                                          ctx.kern.next_dropout_stream());
       }
     } else {
       // Framework decomposition; h1 is overwritten with h1+b1 so the same
       // buffer feeds the activation backward (as PyTorch's autograd saves it).
+      // Serving's activation lands in `a` directly.
       kern::baseline::add_bias(ctx.kern, h1, b1_.value(ctx), h1);
-      Tensor t = ctx.alloc_shard({B, L, F}, dt);
+      Tensor t = training ? ctx.alloc_shard({B, L, F}, dt) : a;
       if (cfg_.activation == Activation::kRelu) {
         kern::baseline::relu_fw(ctx.kern, h1, t);
       } else {
         kern::baseline::gelu_fw(ctx.kern, h1, t);
       }
-      kern::dropout_fw(ctx.kern, pol.elementwise, t, a, act_mask, cfg_.act_dropout,
-                       ctx.kern.next_dropout_stream());
+      if (training) {
+        kern::dropout_fw(ctx.kern, pol.elementwise, t, a, act_mask, cfg_.act_dropout,
+                         ctx.kern.next_dropout_stream());
+      }
     }
   }
+  if (!training) act_mask = Tensor();
 
   // fc2 is row-parallel: every rank holds a full-size partial of h2 and the
   // TP all-reduce sums them (in rank order — bitwise the full GEMM).
@@ -78,73 +88,23 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
   }
 
   Tensor y = ctx.alloc({B, L, H}, dt);
-  Tensor out_mask = ctx.alloc({B, L, H}, DType::kU8);
+  Tensor out_mask = masks ? ctx.alloc({B, L, H}, DType::kU8) : Tensor();
   if (pol.fused_elementwise) {
     kern::fused::bias_dropout_residual_fw(ctx.kern, h2, params_->value(b2_), x, y, out_mask,
-                                          cfg_.out_dropout, ctx.kern.next_dropout_stream());
+                                          ctx.dropout(cfg_.out_dropout),
+                                          ctx.kern.next_dropout_stream());
   } else {
     kern::baseline::add_bias(ctx.kern, h2, params_->value(b2_), h2);
-    Tensor t = ctx.alloc({B, L, H}, dt);
-    kern::dropout_fw(ctx.kern, pol.elementwise, h2, t, out_mask, cfg_.out_dropout,
-                     ctx.kern.next_dropout_stream());
+    Tensor t = h2;
+    if (training) {
+      t = ctx.alloc({B, L, H}, dt);
+      kern::dropout_fw(ctx.kern, pol.elementwise, h2, t, out_mask, cfg_.out_dropout,
+                       ctx.kern.next_dropout_stream());
+    }
     kern::baseline::add(ctx.kern, t, x, y);
   }
 
-  saved_ = Saved{x, ln, mean, rstd, h1, a, act_mask, out_mask};
-  return y;
-}
-
-// (infer_forward below stays TP-free: serving sessions run unsharded.)
-
-Tensor FeedForward::infer_forward(LayerContext& ctx, const Tensor& x) {
-  LS2_CHECK(ctx.tp_size() == 1) << "serving paths run unsharded (TP is a training feature)";
-  const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
-  const int64_t F = cfg_.ffn_dim;
-  const DType dt = x.dtype();
-  const Policy& pol = ctx.policy;
-
-  Tensor ln = ctx.alloc({B, L, H}, dt);
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, pol.layernorm, x, params_->value(ln_gamma_),
-                     params_->value(ln_beta_), ln, mean, rstd);
-
-  Tensor h1 = ctx.alloc({B, L, F}, dt);
-  linear_fw(ctx, ln, w1_.value(ctx), h1, "ffn.fc1");
-
-  // Bias + activation; the dropout stage runs at p = 0 (identity) so the
-  // serving path is bitwise the training forward under zero dropout.
-  Tensor a = ctx.alloc({B, L, F}, dt);
-  if (pol.fused_elementwise) {
-    Tensor act_mask = ctx.alloc({B, L, F}, DType::kU8);
-    if (cfg_.activation == Activation::kRelu) {
-      kern::fused::bias_relu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask, 0.0f,
-                                        ctx.kern.next_dropout_stream());
-    } else {
-      kern::fused::bias_gelu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask, 0.0f,
-                                        ctx.kern.next_dropout_stream());
-    }
-  } else {
-    kern::baseline::add_bias(ctx.kern, h1, b1_.value(ctx), h1);
-    if (cfg_.activation == Activation::kRelu) {
-      kern::baseline::relu_fw(ctx.kern, h1, a);
-    } else {
-      kern::baseline::gelu_fw(ctx.kern, h1, a);
-    }
-  }
-
-  Tensor h2 = ctx.alloc({B, L, H}, dt);
-  linear_fw(ctx, a, w2_.value(ctx), h2, "ffn.fc2");
-
-  Tensor y = ctx.alloc({B, L, H}, dt);
-  if (pol.fused_elementwise) {
-    Tensor out_mask = ctx.alloc({B, L, H}, DType::kU8);
-    kern::fused::bias_dropout_residual_fw(ctx.kern, h2, params_->value(b2_), x, y, out_mask,
-                                          0.0f, ctx.kern.next_dropout_stream());
-  } else {
-    kern::baseline::add_bias(ctx.kern, h2, params_->value(b2_), h2);
-    kern::baseline::add(ctx.kern, h2, x, y);
-  }
+  if (training) saved_ = Saved{x, ln, mean, rstd, h1, a, act_mask, out_mask};
   return y;
 }
 

@@ -2,6 +2,8 @@
 //   y = x + Dropout(W2 · Dropout(Act(W1 · LN(x) + b1)) + b2)
 // LightSeq2 fuses {bias, activation, dropout} after the first GEMM and
 // {bias, dropout, residual} after the second into single kernels (Fig. 4).
+// Serving runs forward inside a LayerContext::InferenceScope: dropout at
+// p = 0 (the unfused chains skip it), nothing saved.
 #pragma once
 
 #include <optional>
@@ -34,9 +36,6 @@ class FeedForward {
   Tensor forward(LayerContext& ctx, const Tensor& x);
   Tensor backward(LayerContext& ctx, const Tensor& dy);
   void release();
-
-  /// Serving forward: same math at dropout p = 0, nothing saved.
-  Tensor infer_forward(LayerContext& ctx, const Tensor& x);
 
  private:
   FfnConfig cfg_;

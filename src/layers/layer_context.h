@@ -113,6 +113,34 @@ class LayerContext {
     if (pp && pp->enter) pp->enter(stage, forward, payload_bytes);
   }
 
+  /// False while an InferenceScope is open. Every layer's forward reads it:
+  /// serving runs the dropout sites at p = 0, skips the attention-probability
+  /// dropout and saves nothing for backward.
+  bool training() const { return training_; }
+  /// Dropout probability `p` for the running mode: 0 while serving.
+  float dropout(float p) const { return training_ ? p : 0.0f; }
+
+  /// Serving scope (DESIGN.md §6): the model serving entry points open one
+  /// around their pass, so serving is each layer's training forward with
+  /// dropout off. Serving runs unsharded: TP is a training feature, so the
+  /// scope throws when a TP group is installed or `sharded_model` is set.
+  class InferenceScope {
+   public:
+    explicit InferenceScope(LayerContext& ctx, bool sharded_model = false)
+        : ctx_(ctx), prev_(ctx.training_) {
+      LS2_CHECK(ctx.tp_size() == 1 && !sharded_model)
+          << "serving runs unsharded (TP is a training feature)";
+      ctx.training_ = false;
+    }
+    ~InferenceScope() { ctx_.training_ = prev_; }
+    InferenceScope(const InferenceScope&) = delete;
+    InferenceScope& operator=(const InferenceScope&) = delete;
+
+   private:
+    LayerContext& ctx_;
+    bool prev_;
+  };
+
   kern::KernelContext kern;
   Policy policy;
   /// Tensor-parallel communicator (DESIGN.md §7), or nullptr when TP is
@@ -146,6 +174,7 @@ class LayerContext {
  private:
   BufferAllocator* act_alloc_;
   std::vector<Tensor> tp_reservations_;
+  bool training_ = true;
 };
 
 /// Pad a sequence length up to the policy's required multiple (DeepSpeed's

@@ -104,23 +104,30 @@ layers::CriterionResult Gpt2::forward(layers::LayerContext& ctx, const LmBatch& 
   // Peer mirror of the zeroed-at-step-start contract; under microbatched
   // execution peers accumulate across microbatches like the device grads.
   if (tp_ && ctx.kern.microbatch == 0) tp_->zero_grads();
-  const int64_t B = batch.ids.shape()[0], L = batch.ids.shape()[1];
   ctx.pp_enter(0, /*forward=*/true, 0);
-  Tensor h = embed_->forward(ctx, batch.ids);
+  return criterion_->forward(ctx, stack(ctx, batch.ids, /*key_lens=*/nullptr), batch.targets);
+}
+
+Tensor Gpt2::stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens) {
+  Tensor h = embed_->forward(ctx, ids);
   for (size_t i = 0; i < blocks_.size(); ++i) {
     if (!block_stage_.empty() && i > 0 && block_stage_[i] != block_stage_[i - 1]) {
       ctx.pp_enter(block_stage_[i], true, static_cast<int64_t>(h.bytes()));
     }
-    h = blocks_[i]->forward(ctx, h, /*key_lens=*/nullptr);
+    h = blocks_[i]->forward(ctx, h, key_lens);
   }
+  return final_ln(ctx, h);
+}
+
+Tensor Gpt2::final_ln(layers::LayerContext& ctx, const Tensor& h) {
+  const int64_t B = h.shape()[0], L = h.shape()[1];
   Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
   Tensor mean = ctx.alloc({B * L}, DType::kF32);
   Tensor rstd = ctx.alloc({B * L}, DType::kF32);
   kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(ln_gamma_),
                      params_.value(ln_beta_), out, mean, rstd);
-  layers::CriterionResult res = criterion_->forward(ctx, out, batch.targets);
-  saved_ = Saved{h, out, mean, rstd, B, L};
-  return res;
+  if (ctx.training()) saved_ = Saved{h, out, mean, rstd, B, L};
+  return out;
 }
 
 void Gpt2::backward(layers::LayerContext& ctx) {
@@ -163,14 +170,10 @@ infer::KvCacheConfig Gpt2::kv_cache_config(int64_t slots, int64_t max_len) const
 Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
                      const std::vector<infer::SequenceHandle>& seqs,
                      const Tensor* prompt_lens) {
-  LS2_CHECK(ctx.tp_size() == 1 && !cfg_.tp.enabled())
-      << "serving runs unsharded (TP is a training feature)";
+  layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  if (cache == nullptr) {
-    Tensor h = embed_->prefill(ctx, ids);
-    for (auto& block : blocks_) h = block->prefill(ctx, h, prompt_lens);
-    return infer_head(ctx, h);
-  }
+  if (cache == nullptr)
+    return criterion_->logits(ctx, stack(ctx, ids, prompt_lens)).view({B, L, cfg_.vocab});
   LS2_CHECK_EQ(static_cast<int64_t>(seqs.size()), B);
   const layers::PagedRows rows = cache->prefill_rows(seqs, L, prompt_lens);
   const int64_t Lq = L - rows.first;
@@ -181,26 +184,17 @@ Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCach
     for (int64_t b = 0; b < B; ++b)
       std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
   }
-  Tensor h = embed_->prefill(ctx, tail, rows.first);
+  Tensor h = embed_->forward(ctx, tail, rows.first);
   for (size_t i = 0; i < blocks_.size(); ++i) {
     h = blocks_[i]->prefill(ctx, h, cache->k_pool(static_cast<int64_t>(i)),
                             cache->v_pool(static_cast<int64_t>(i)), rows);
   }
-  return infer_head(ctx, h);
-}
-
-Tensor Gpt2::infer_head(layers::LayerContext& ctx, const Tensor& h) {
-  const int64_t B = h.shape()[0], L = h.shape()[1];
-  Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(ln_gamma_),
-                     params_.value(ln_beta_), out, mean, rstd);
-  return criterion_->infer_logits(ctx, out).view({B, L, cfg_.vocab});
+  return criterion_->logits(ctx, final_ln(ctx, h)).view({B, Lq, cfg_.vocab});
 }
 
 Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
                          infer::KvCache& cache) {
+  layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t S = cache.config().slots;
   LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
   Tensor h = embed_->decode_step(ctx, ids, cache.positions());
@@ -209,7 +203,7 @@ Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
                                 cache.v_pool(static_cast<int64_t>(i)), cache.block_table(),
                                 cache.positions(), cache.attend_lens());
   }
-  return infer_head(ctx, h).view({S, cfg_.vocab});
+  return criterion_->logits(ctx, final_ln(ctx, h));  // [S, vocab]
 }
 
 void Gpt2::release() {

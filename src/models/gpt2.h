@@ -1,5 +1,6 @@
 // GPT-2: decoder-only language model — embedding, causal pre-LN Transformer
-// stack with GELU FFNs, tied LM head (Table II row 4).
+// stack with GELU FFNs, tied LM head (Table II row 4). Serving runs the
+// training forward's layers inside a LayerContext::InferenceScope.
 #pragma once
 
 #include <memory>
@@ -48,7 +49,8 @@ class Gpt2 {
   void backward(layers::LayerContext& ctx);
   void release();
 
-  // --- serving (inference-only: no dropout, nothing saved) ---
+  // --- serving: each entry point opens a LayerContext::InferenceScope (no
+  // dropout, nothing saved; throws under TP) ---
 
   /// Paged-cache geometry for `slots` concurrent decode lanes of up to
   /// `max_len` tokens each (prompt + generated), at the default page size.
@@ -69,9 +71,9 @@ class Gpt2 {
   /// the computed rows, [B, Lp - first, vocab]: an unshared batch gets all
   /// Lp rows, and an unpadded prompt's last row predicts its next token.
   ///
-  /// With cache == nullptr every row runs through padded attention and the
-  /// logits are [B, Lp, vocab] — the full re-forward reference of the
-  /// parity tests.
+  /// With cache == nullptr every row runs through the training forward's
+  /// embed -> blocks -> final-LN stack (padded attention) and the logits are
+  /// [B, Lp, vocab] — the full re-forward reference of the parity tests.
   Tensor prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
                  const std::vector<infer::SequenceHandle>& seqs,
                  const Tensor* prompt_lens = nullptr);
@@ -117,9 +119,12 @@ class Gpt2 {
   layers::PpPlan pp_plan_;
   std::vector<int> block_stage_;  ///< stage of each block (all 0 without PP)
 
-  /// Serving tail: final LayerNorm and tied LM head over h [B, L, H] ->
-  /// logits [B, L, vocab].
-  Tensor infer_head(layers::LayerContext& ctx, const Tensor& h);
+  /// Embedding -> blocks -> final LayerNorm over ids [B, L]: the body of
+  /// forward and of the cacheless prefill. Returns the criterion's input.
+  Tensor stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens);
+  /// Final LayerNorm of the stack output h [B, L, H]; training saves its
+  /// inputs and statistics for backward.
+  Tensor final_ln(layers::LayerContext& ctx, const Tensor& h);
 
   struct Saved {
     Tensor stack_out, out, mean, rstd;

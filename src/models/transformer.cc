@@ -253,15 +253,14 @@ infer::KvCacheConfig Transformer::kv_cache_config(int64_t slots, int64_t max_len
 void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor& src_lens,
                          infer::KvCache& cache,
                          const std::vector<infer::SequenceHandle>& seqs) {
-  LS2_CHECK(ctx.tp_size() == 1 && !cfg_.tp.enabled())
-      << "serving runs unsharded (TP is a training feature)";
+  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t B = src_ids.shape()[0], Ls = src_ids.shape()[1], H = cfg_.hidden;
   LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
   LS2_CHECK_LE(Ls, cache.config().cross_len);
   const DType dt = params_.dtype();
 
-  Tensor h = src_embed_->prefill(ctx, src_ids);
-  for (auto& layer : encoder_) h = layer->prefill(ctx, h, &src_lens);
+  Tensor h = src_embed_->forward(ctx, src_ids);
+  for (auto& layer : encoder_) h = layer->forward(ctx, h, &src_lens);
   Tensor enc_out = ctx.alloc({B, Ls, H}, dt);
   Tensor mean = ctx.alloc({B * Ls}, DType::kF32);
   Tensor rstd = ctx.alloc({B * Ls}, DType::kF32);
@@ -277,7 +276,7 @@ void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor&
     sp[b] = static_cast<int32_t>(cache.lane(seqs[static_cast<size_t>(b)]));
   const int32_t* lens = src_lens.data<int32_t>();
   for (int64_t i = 0; i < cfg_.decoder_layers; ++i) {
-    kern::kv_cache_store(ctx.kern, ctx.policy.transform, kv[static_cast<size_t>(2 * i)],
+    kern::kv_cache_store(ctx.kern, kv[static_cast<size_t>(2 * i)],
                          kv[static_cast<size_t>(2 * i + 1)], cache.cross_k(i),
                          cache.cross_v(i), slot_ids);
   }
@@ -288,31 +287,27 @@ void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor&
 Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
                             const std::vector<infer::SequenceHandle>& seqs,
                             const Tensor* tgt_lens) {
-  const int64_t B = tgt_in.shape()[0], Lp = tgt_in.shape()[1], H = cfg_.hidden;
+  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
+  const int64_t B = tgt_in.shape()[0], Lp = tgt_in.shape()[1];
   LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
-  const DType dt = params_.dtype();
 
   // The cache never shares prefix pages (cross K/V depend on the source),
   // so every target row runs.
   const layers::PagedRows rows = cache.prefill_rows(seqs, Lp, tgt_lens);
   LS2_CHECK_EQ(rows.first, 0);
-  Tensor h = tgt_embed_->prefill(ctx, tgt_in);
+  Tensor h = tgt_embed_->forward(ctx, tgt_in);
   for (size_t i = 0; i < decoder_.size(); ++i) {
     const auto l = static_cast<int64_t>(i);
     h = decoder_[i]->prefill(ctx, h, cache.k_pool(l), cache.v_pool(l), rows, cache.cross_k(l),
                              cache.cross_v(l), &cache.src_lens());
   }
-  Tensor out = ctx.alloc({B, Lp, H}, dt);
-  Tensor mean = ctx.alloc({B * Lp}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * Lp}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(dec_ln_gamma_),
-                     params_.value(dec_ln_beta_), out, mean, rstd);
-  return criterion_->infer_logits(ctx, out).view({B, Lp, cfg_.vocab});
+  return decoder_head(ctx, h).view({B, Lp, cfg_.vocab});
 }
 
 Tensor Transformer::decode_step(LayerContext& ctx, const Tensor& ids,
                                 infer::KvCache& cache) {
-  const int64_t S = cache.config().slots, H = cfg_.hidden;
+  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
+  const int64_t S = cache.config().slots;
   LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
   Tensor h = tgt_embed_->decode_step(ctx, ids, cache.positions());
   for (size_t i = 0; i < decoder_.size(); ++i) {
@@ -322,12 +317,17 @@ Tensor Transformer::decode_step(LayerContext& ctx, const Tensor& ids,
                                  cache.cross_k(static_cast<int64_t>(i)),
                                  cache.cross_v(static_cast<int64_t>(i)), &cache.src_lens());
   }
-  Tensor out = ctx.alloc({S, 1, H}, params_.dtype());
-  Tensor mean = ctx.alloc({S}, DType::kF32);
-  Tensor rstd = ctx.alloc({S}, DType::kF32);
+  return decoder_head(ctx, h);  // [S, vocab]
+}
+
+Tensor Transformer::decoder_head(LayerContext& ctx, const Tensor& h) {
+  const int64_t B = h.shape()[0], L = h.shape()[1];
+  Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
+  Tensor mean = ctx.alloc({B * L}, DType::kF32);
+  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
   kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(dec_ln_gamma_),
                      params_.value(dec_ln_beta_), out, mean, rstd);
-  return criterion_->infer_logits(ctx, out);  // [S, vocab]
+  return criterion_->logits(ctx, out);
 }
 
 const layers::PpPlan& Transformer::pp_configure(int pp) {

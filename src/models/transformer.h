@@ -1,6 +1,7 @@
 // Full encoder-decoder Transformer for machine translation (Fig. 2) —
 // embedding, encoder stack, decoder stack with layer-batched cross
-// attention (Fig. 5b), criterion with tied output projection.
+// attention (Fig. 5b), criterion with tied output projection. Serving runs
+// the training forward's layers inside a LayerContext::InferenceScope.
 #pragma once
 
 #include <memory>
@@ -66,13 +67,15 @@ class Transformer {
   void backward(layers::LayerContext& ctx);
   void release();
 
-  // --- serving (inference-only: no dropout, nothing saved) ---
+  // --- serving: each entry point opens a LayerContext::InferenceScope (no
+  // dropout, nothing saved; throws under TP) ---
   //
   // Translation serving takes one allocated SequenceHandle per request:
-  // encode() runs the source batch once and installs the per-lane cross K/V
-  // — the layer-batched projection computed ONCE per request, reused by
-  // every decode step — then prefill()/decode_step() grow the target side
-  // against the paged self-attention cache exactly like the GPT-2 path.
+  // encode() runs the source batch once through the training encoder and
+  // installs the per-lane cross K/V — the layer-batched projection computed
+  // ONCE per request, reused by every decode step — then
+  // prefill()/decode_step() grow the target side against the paged
+  // self-attention cache exactly like the GPT-2 path.
 
   /// Cache geometry: paged decoder self K/V for `max_len` target tokens
   /// plus contiguous cross K/V for `cross_len` source tokens, per lane.
@@ -126,6 +129,9 @@ class Transformer {
   std::vector<Tensor> project_cross_kv(layers::LayerContext& ctx, const Tensor& enc_out);
   /// Backward of the projection; returns d(enc_out) contribution.
   Tensor cross_kv_backward(layers::LayerContext& ctx, const std::vector<Tensor>& dkv);
+  /// Serving tail: final decoder LayerNorm and the output projection over
+  /// h [B, L, H] -> logits [B*L, vocab].
+  Tensor decoder_head(layers::LayerContext& ctx, const Tensor& h);
 
   TransformerConfig cfg_;
   layers::ParamRegistry params_;

@@ -1,8 +1,9 @@
 // Serving subsystem tests: KV-cache bookkeeping, bitwise parity of cached
 // incremental decoding against the full re-forward (GPT-2 and the
 // encoder-decoder Transformer, padded batches included), checkpoint
-// round-trips into a fresh inference session, and the continuous-batching
-// engine (graph-replayed decode, continuous >= 1.5x static throughput).
+// round-trips into a fresh inference session, the continuous-batching
+// engine (graph-replayed decode, continuous >= 1.5x static throughput), and
+// the inference scope every serving pass runs the training forward in.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -252,7 +253,7 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
       for (int64_t s = 0; s < S; ++s) seqs.push_back(cache.allocate(len[static_cast<size_t>(s)]));
       cache.free(seqs[1]);  // lane 1 attends nothing
       const Tensor lanes = i32_tensor({0, 1, 2, 3});
-      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
+      kern::kv_cache_store_paged(kc, k, v, cache.k_pool(0), cache.v_pool(0),
                                  cache.block_table(), lanes, i32_tensor(zero), i32_tensor(zero),
                                  i32_tensor(q_begin));
       std::vector<int64_t> tail_end;
@@ -260,7 +261,7 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
         tail_end.push_back(std::min(q_begin[static_cast<size_t>(s)] + Lq,
                                     kv_len[static_cast<size_t>(s)]));
       const Tensor qb = i32_tensor(q_begin);
-      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, rows_of(kf, q_begin, Lq),
+      kern::kv_cache_store_paged(kc, rows_of(kf, q_begin, Lq),
                                  rows_of(vf, q_begin, Lq), cache.k_pool(0), cache.v_pool(0),
                                  cache.block_table(), lanes, qb, qb, i32_tensor(tail_end));
       const Tensor q_tail = rows_of(qv, q_begin, Lq);
@@ -312,7 +313,7 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
       std::vector<int64_t> positions(pos, pos + S);
       for (int64_t s = 0; s < S; ++s)
         ASSERT_EQ(cache.attend_lens().data<int32_t>()[s], kv_len[static_cast<size_t>(s)]);
-      kern::kv_cache_store_paged(kc, kern::Impl::kLS2, k, v, cache.k_pool(0), cache.v_pool(0),
+      kern::kv_cache_store_paged(kc, k, v, cache.k_pool(0), cache.v_pool(0),
                                  cache.block_table(), i32_tensor({0, 1, 2, 3}), i32_tensor(zero),
                                  i32_tensor(zero), cache.positions());
       kern::kv_cache_append_paged(kc, rows_of(kf, positions, 1), rows_of(vf, positions, 1),
@@ -1217,6 +1218,142 @@ TEST(ChromeTraceTest, ServeTimelineExports) {
   EXPECT_NE(text.find("compute stream"), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The serving scope: every model serving entry point runs the training
+// forward inside a LayerContext::InferenceScope
+// ---------------------------------------------------------------------------
+
+// Serving leaves nothing behind: training mode is back on, no layer saved a
+// tensor for backward (the arena's end-of-step check finds every serving
+// tensor returned), and a pass that throws still restores training mode.
+TEST(ServingScopeTest, ServingRestoresTrainingModeAndSavesNothing) {
+  SessionConfig sc = ls2_session();
+  sc.arena_bytes = size_t{8} << 20;
+  Session s(sc);
+  layers::LayerContext& ctx = s.ctx();
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5);
+  KvCache cache(model.kv_cache_config(2, 16));
+  const std::vector<SequenceHandle> seqs = {cache.allocate(4), cache.allocate(4)};
+  auto expect_clean = [&](const std::string& pass) {
+    EXPECT_TRUE(ctx.training()) << pass;
+    EXPECT_THROW(model.backward(ctx), Error) << pass << " saved state for backward";
+    EXPECT_NO_THROW(s.end_step()) << pass << " left a live tensor in the arena";
+  };
+
+  (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1), nullptr, {});
+  expect_clean("uncached prefill");
+  (void)model.prefill(ctx, random_ids(2, 4, cfg.vocab, 2), &cache, seqs);
+  expect_clean("cached prefill");
+  for (const SequenceHandle& h : seqs) ASSERT_TRUE(cache.extend(h, ctx.kern));
+  cache.begin_decode();
+  (void)model.decode_step(ctx, random_ids(2, 1, cfg.vocab, 3), cache);
+  cache.commit_decode();
+  expect_clean("decode");
+
+  EXPECT_THROW(model.prefill(ctx, random_ids(1, cfg.max_len + 1, cfg.vocab, 4), nullptr, {}),
+               Error);
+  EXPECT_TRUE(ctx.training()) << "a throwing pass must still leave the scope";
+}
+
+// Serving between training steps changes nothing the training run sees:
+// per-step losses (dropout on) and the final parameters are bitwise those
+// of a model that never served.
+TEST(ServingScopeTest, ServingBetweenTrainStepsLeavesTrainingBitwise) {
+  const models::Gpt2Config cfg = tiny_gpt2(/*dropout=*/0.1f);
+  data::LmDataset ds(cfg.vocab, 512, 7);
+  Session serve_s(ls2_session()), plain_s(ls2_session());
+  models::Gpt2 served(cfg, System::kLightSeq2, DType::kF32, 6);
+  models::Gpt2 plain(cfg, System::kLightSeq2, DType::kF32, 6);
+  optim::OptimConfig ocfg;
+  ocfg.lr = 1e-3f;
+  optim::LightSeq2Trainer served_trainer(served.params(), ocfg);
+  optim::LightSeq2Trainer plain_trainer(plain.params(), ocfg);
+
+  for (int step = 0; step < 4; ++step) {
+    KvCache cache(served.kv_cache_config(1, 16));
+    const SequenceHandle h = cache.allocate(5);
+    (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 10 + step), nullptr, {});
+    (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 20 + step), &cache, {h});
+    ASSERT_TRUE(cache.extend(h, serve_s.ctx().kern));
+    cache.begin_decode();
+    (void)served.decode_step(serve_s.ctx(), random_ids(1, 1, cfg.vocab, 30 + step), cache);
+    cache.commit_decode();
+
+    const models::LmBatch batch = ds.batch(step, 2, 8);
+    const auto got = core::train_step(serve_s, served, batch, served_trainer).second;
+    const auto want = core::train_step(plain_s, plain, batch, plain_trainer).second;
+    EXPECT_EQ(got.loss_sum, want.loss_sum) << "step " << step;
+  }
+  for (int i = 0; i < served.params().size(); ++i) {
+    EXPECT_EQ(served.params().value({i}).to_vector(), plain.params().value({i}).to_vector())
+        << served.params().name({i});
+  }
+}
+
+// Serving runs unsharded: with a TP group installed every GPT-2 serving
+// pass throws before it runs, and each runs once the group is gone.
+TEST(ServingScopeTest, ServingThrowsUnderTensorParallelism) {
+  Session s(ls2_session());
+  layers::LayerContext& ctx = s.ctx();
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 8);
+  KvCache cache(model.kv_cache_config(1, 16));
+  const SequenceHandle h = cache.allocate(4);
+  const Tensor prompt = random_ids(1, 4, cfg.vocab, 1);
+  dist::ClusterConfig tp2;
+  tp2.gpus_per_node = 2;
+  tp2.tensor_parallel = 2;
+  dist::ProcessGroup pg(tp2);
+
+  ctx.tp_group = &pg;
+  EXPECT_THROW(model.prefill(ctx, prompt, nullptr, {}), Error) << "uncached prefill";
+  EXPECT_THROW(model.prefill(ctx, prompt, &cache, {h}), Error) << "cached prefill";
+  ctx.tp_group = nullptr;
+  (void)model.prefill(ctx, prompt, &cache, {h});
+  ASSERT_TRUE(cache.extend(h, ctx.kern));
+  cache.begin_decode();
+  ctx.tp_group = &pg;
+  EXPECT_THROW(model.decode_step(ctx, random_ids(1, 1, cfg.vocab, 2), cache), Error)
+      << "decode";
+  ctx.tp_group = nullptr;
+  (void)model.decode_step(ctx, random_ids(1, 1, cfg.vocab, 2), cache);
+  cache.commit_decode();
+  EXPECT_TRUE(ctx.training());
+}
+
+// Serving skips every standalone dropout launch: the attention-probability
+// dropout under every policy, and the unfused chains' dropout stage under
+// the baselines. The training forward launches them.
+TEST(ServingScopeTest, TransformerServingLaunchesNoStandaloneDropout) {
+  for (System system : {System::kLightSeq2, System::kFairseq}) {
+    SessionConfig sc = ls2_session();
+    sc.system = system;
+    Session s(sc);
+    models::Transformer model(tiny_mt(), system, DType::kF32, 7);
+    data::MtDataset ds(64, 16, 4, 9, 5);
+    const models::MtBatch batch = data::make_mt_batches(ds, 64, DType::kF32).front();
+    const int64_t B = batch.src_ids.shape()[0];
+    const int64_t Ls = batch.src_ids.shape()[1], Lt = batch.tgt_in.shape()[1];
+    const std::string name = system == System::kLightSeq2 ? "ls2.dropout_fw" : "torch.dropout_fw";
+    auto dropout_launches = [&] {
+      const auto& k = s.device().per_kernel();
+      return k.count(name) ? k.at(name).launches : int64_t{0};
+    };
+
+    KvCache cache(model.kv_cache_config(B, Lt + 1, Ls));
+    std::vector<SequenceHandle> seqs;
+    for (int64_t b = 0; b < B; ++b) seqs.push_back(cache.allocate(Lt));
+    model.encode(s.ctx(), batch.src_ids, batch.src_lens, cache, seqs);
+    (void)model.prefill(s.ctx(), batch.tgt_in, cache, seqs, &batch.tgt_lens);
+    EXPECT_EQ(dropout_launches(), 0) << name << " while serving";
+
+    (void)model.forward(s.ctx(), batch);
+    model.release();
+    EXPECT_GT(dropout_launches(), 0) << name << " in the training forward";
+  }
 }
 
 }  // namespace
