@@ -16,20 +16,6 @@ struct Timeline {
   int64_t peak_gb_x100 = 0;
 };
 
-// Capacity scan (§IV-D): probe one forward+backward over the largest batch
-// with a peak-tracking allocator; the arena is sized from the measured peak.
-size_t capacity_scan(const models::TransformerConfig& cfg,
-                     const std::vector<models::MtBatch>& batches) {
-  simgpu::Device probe_dev(simgpu::v100(), simgpu::ExecMode::kModelOnly);
-  mem::CachingAllocator param_alloc(probe_dev, mem::DeviceAllocator::Backing::kVirtual);
-  mem::MeasuringAllocator probe;
-  layers::LayerContext ctx(probe_dev, &probe, layers::policy_for(System::kLightSeq2), 37);
-  models::Transformer model(cfg, System::kLightSeq2, DType::kF16, 37, &param_alloc);
-  model.forward(ctx, data::largest_batch(batches));
-  model.backward(ctx);
-  return static_cast<size_t>(probe.peak_bytes()) + (probe.peak_bytes() >> 4);
-}
-
 Timeline run(System system, const models::TransformerConfig& cfg, int steps) {
   data::MtDataset scan_ds(cfg.vocab, 512, 8, 72, 37);
   auto scan_batches = data::make_mt_batches(scan_ds, 8192, DType::kF16);
@@ -41,7 +27,8 @@ Timeline run(System system, const models::TransformerConfig& cfg, int steps) {
   sc.dtype = DType::kF16;
   sc.record_timeline = true;
   if (system == System::kLightSeq2) {
-    sc.arena_bytes = capacity_scan(cfg, scan_batches);
+    // §IV-D: the arena is sized by one probed step over the largest batch.
+    sc.arena_bytes = capacity_scan(cfg, data::largest_batch(scan_batches), 37);
   }
   Session session(sc);
   models::Transformer model(cfg, system, DType::kF16, 37, session.param_alloc());

@@ -4,8 +4,11 @@
 #   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|tp|pp|fault|fleet|obs|paged]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
-#                      test suite, smoke-runs every fig* bench, and
-#                      schema-checks the machine-readable JSON outputs.
+#                      test suite, smoke-runs every fig* bench,
+#                      table1_features (Table I's live checks) and every
+#                      example_* (the execute-mode end-to-end runs of the
+#                      four models), and schema-checks the machine-readable
+#                      JSON outputs.
 #   --preset sanitize  Debug build under ASan+UBSan (halt on first report).
 #                      Tests only — the analytic benches add nothing under a
 #                      sanitizer but cost minutes.
@@ -41,9 +44,10 @@
 #                      only) fig_page with its schema check (>= 4x residents
 #                      at fixed KV bytes, prefix-sharing hit rate > 0).
 #
-# Fails on the first error; a bench that exits nonzero OR writes no/invalid
-# JSON fails the run (ci/check_bench_json.py — python3 is required for the
-# release preset, so missing validation can never pass silently).
+# Fails on the first error: a bench or example that exits nonzero, or a
+# bench that writes no/invalid JSON, fails the run (ci/check_bench_json.py —
+# python3 is required for the release preset, so missing validation can
+# never pass silently).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -127,11 +131,12 @@ rm -f bench/fig*.json
 
 if [ "$SMOKE" = full ]; then
   # Smoke-run EVERY paper-figure bench (all run in kModelOnly, so this is
-  # cheap) so bench binaries can't bit-rot silently, then schema-check the
+  # cheap), Table I's live checks and every example (the execute-mode runs
+  # of the public API) so none can bit-rot silently, then schema-check the
   # machine-readable outputs perf-trajectory tracking relies on — a bench
   # that silently writes nothing (or garbage) fails here (no names: every
   # figure the checker knows).
-  for bench in ./fig*; do
+  for bench in ./fig* ./table1_features ./example_*; do
     [ -x "$bench" ] || continue
     echo "ci.sh: smoke-running $bench"
     "$bench" >/dev/null

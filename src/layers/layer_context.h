@@ -51,9 +51,10 @@ Policy policy_for(System system);
 /// Pipeline-parallel runtime hooks (DESIGN.md §9), installed by
 /// core::train_step (core/train_step.h) while it drives microbatches
 /// through the model.
-/// Models call pp_mark() / LayerContext::pp_enter at every stage boundary:
-/// ascending stages during forward, descending during backward, `payload`
-/// the bytes the boundary activation (or its gradient) puts on the wire.
+/// LayerContext::pp_enter marks every stage boundary — BlockStack between
+/// blocks, the model at each direction's first stage: ascending stages
+/// during forward, descending during backward, `payload` the bytes the
+/// boundary activation (or its gradient) puts on the wire.
 struct PpHooks {
   std::function<void(int stage, bool forward, int64_t payload_bytes)> enter;
 };

@@ -2,8 +2,9 @@
 //
 // A model partitions its components across `stages` consecutive pipeline
 // stages: the embedding on the first stage, a contiguous run of transformer
-// blocks per stage, the criterion (and any head) on the last. pp_configure
-// on each model records which declaration ranges live on which stage in a
+// blocks per stage (placed by BlockStack::place, layers/block_stack.h), the
+// final LayerNorm and the criterion or head on the last. pp_configure on
+// each model records which declaration ranges live on which stage in a
 // PpPlan; core::train_step's pipeline lane (core/train_step.h) uses the
 // plan to
 //
@@ -12,20 +13,28 @@
 //   * account the tied-embedding gradient hop (last stage -> stage 0).
 //
 // The plan is pure bookkeeping — the simulation still executes the FULL
-// model on the session device; stage boundaries are marked at runtime via
-// LayerContext::pp (layer_context.h) so the engine can time each stage's
-// chunk and swap the activation allocator per stage.
+// model on the session device. Stage boundaries are marked at runtime via
+// LayerContext::pp_enter (layer_context.h): the model marks its first stage
+// of each direction and BlockStack every boundary between blocks, so the
+// engine can time each stage's chunk and swap the activation allocator per
+// stage.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "layers/params.h"
 
 namespace ls2::layers {
 
 /// One model's layer-to-stage assignment.
 struct PpPlan {
+  /// An empty plan over `stages` stages; throws ls2::Error unless >= 1.
+  explicit PpPlan(int stages = 1) : stages(stages) {
+    LS2_CHECK(stages >= 1) << "pp " << stages;
+    stage_params.resize(static_cast<size_t>(stages));
+  }
+
   int stages = 1;
   /// Parameter declaration ranges owned by each stage (size == stages).
   /// Ranges within a stage are ascending and non-overlapping across stages.
@@ -36,15 +45,5 @@ struct PpPlan {
   /// its DP bucket can launch.
   ParamRef tied_param;
 };
-
-/// Split `count` transformer blocks over `stages` stages as evenly as
-/// possible, earlier stages taking the remainder (block b lives on stage
-/// block_stage(b)). Shared by all four models so fig_3d's partitions match
-/// the tests'.
-inline int block_stage(int64_t block, int64_t count, int stages) {
-  // Stage s owns blocks [ceil(s*count/stages), ceil((s+1)*count/stages)) —
-  // contiguous runs whose sizes differ by at most one.
-  return static_cast<int>(block * static_cast<int64_t>(stages) / count);
-}
 
 }  // namespace ls2::layers

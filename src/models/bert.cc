@@ -1,52 +1,6 @@
 #include "models/bert.h"
 
-#include "kernels/criterion.h"
-#include "kernels/elementwise.h"
-#include "kernels/layernorm.h"
-#include "layers/linear.h"
-
 namespace ls2::models {
-
-namespace {
-
-// Gather/scatter of the [CLS] row (position 0 of each sequence) — one small
-// strided-copy kernel each way.
-void gather_cls(layers::LayerContext& ctx, const Tensor& h, const Tensor& cls) {
-  const int64_t B = h.shape()[0], L = h.shape()[1], H = h.shape()[2];
-  simgpu::KernelDesc d;
-  d.name = "bert.gather_cls";
-  d.bytes_read = static_cast<int64_t>(cls.bytes());
-  d.bytes_written = static_cast<int64_t>(cls.bytes());
-  d.mem_efficiency = 0.6;
-  ctx.kern.dev.launch(d, [&, B, L, H] {
-    LS2_DISPATCH_FLOAT(h.dtype(), T, {
-      const T* hp = h.data<T>();
-      T* cp = cls.data<T>();
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t j = 0; j < H; ++j) cp[b * H + j] = hp[b * L * H + j];
-    });
-  });
-}
-
-void scatter_cls(layers::LayerContext& ctx, const Tensor& dcls, const Tensor& dh) {
-  const int64_t B = dh.shape()[0], L = dh.shape()[1], H = dh.shape()[2];
-  simgpu::KernelDesc d;
-  d.name = "bert.scatter_cls";
-  d.bytes_read = static_cast<int64_t>(dcls.bytes());
-  d.bytes_written = static_cast<int64_t>(dh.bytes());
-  d.mem_efficiency = 0.6;
-  ctx.kern.dev.launch(d, [&, B, L, H] {
-    LS2_DISPATCH_FLOAT(dh.dtype(), T, {
-      const T* cp = dcls.data<T>();
-      T* hp = dh.data<T>();
-      std::memset(dh.raw(), 0, dh.bytes());
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t j = 0; j < H; ++j) hp[b * L * H + j] = cp[b * H + j];
-    });
-  });
-}
-
-}  // namespace
 
 BertConfig BertConfig::base() { return BertConfig{}; }
 
@@ -83,7 +37,7 @@ Bert::Bert(BertConfig cfg, layers::System system, DType dtype, uint64_t seed,
   ecfg.dropout = cfg.dropout;
   ecfg.pad_id = cfg.pad_id;
   ecfg.tp = tp_decl;
-  int mark = params_.size();
+  const int mark = params_.size();
   embed_ = std::make_unique<layers::EmbeddingLayer>(params_, "bert.embed", ecfg);
   embed_range_ = params_.range_since(mark);
 
@@ -96,158 +50,56 @@ Bert::Bert(BertConfig cfg, layers::System system, DType dtype, uint64_t seed,
   lcfg.act_dropout = cfg.dropout;
   lcfg.activation = layers::Activation::kGelu;
   lcfg.tp = tp_decl;  // the two-way classifier head stays replicated
-  for (int64_t i = 0; i < cfg.layers; ++i) {
-    mark = params_.size();
-    blocks_.push_back(std::make_unique<layers::TransformerEncoderLayer>(
-        params_, "bert.blocks." + std::to_string(i), lcfg));
-    block_ranges_.push_back(params_.range_since(mark));
-  }
-  mark = params_.size();
-  ln_gamma_ = params_.declare("bert.ln_f.gamma", Shape{cfg.hidden}, layers::Init::kOne);
-  ln_beta_ = params_.declare("bert.ln_f.beta", Shape{cfg.hidden}, layers::Init::kZero);
-  ln_range_ = params_.range_since(mark);
-  mark = params_.size();
-  cls_w_ = params_.declare("bert.classifier.weight", Shape{cfg.num_classes, cfg.hidden},
-                           layers::Init::kXavier);
-  cls_b_ = params_.declare("bert.classifier.bias", Shape{cfg.num_classes},
-                           layers::Init::kZero);
-  head_range_ = params_.range_since(mark);
+  blocks_ = std::make_unique<layers::BlockStack<layers::TransformerEncoderLayer>>(
+      params_, "bert.blocks", cfg.layers, lcfg);
+  ln_f_ = std::make_unique<layers::LayerNorm>(params_, "bert.ln_f", cfg.hidden);
+  head_ = std::make_unique<ClsHead>(params_, "bert", "classifier", cfg.hidden,
+                                    cfg.num_classes);
 
   params_.materialize(dtype, system == layers::System::kLightSeq2, Rng(seed), param_alloc);
   if (tp_) tp_->materialize(dtype, seed);
 }
 
 const layers::PpPlan& Bert::pp_configure(int pp) {
-  LS2_CHECK(pp >= 1 && pp <= cfg_.layers)
-      << "pp " << pp << " needs at least one block per stage (layers=" << cfg_.layers << ")";
-  pp_plan_ = layers::PpPlan{};
-  pp_plan_.stages = pp;
-  pp_plan_.stage_params.assign(static_cast<size_t>(pp), {});
-  pp_plan_.stage_params[0].push_back(embed_range_);
-  block_stage_.assign(static_cast<size_t>(cfg_.layers), 0);
-  for (int64_t i = 0; i < cfg_.layers; ++i) {
-    const int s = layers::block_stage(i, cfg_.layers, pp);
-    block_stage_[static_cast<size_t>(i)] = s;
-    pp_plan_.stage_params[static_cast<size_t>(s)].push_back(
-        block_ranges_[static_cast<size_t>(i)]);
-  }
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(ln_range_);
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(head_range_);
-  return pp_plan_;
+  layers::PpPlan plan(pp);
+  plan.stage_params.front().push_back(embed_range_);
+  blocks_->place(plan, 0, pp);
+  plan.stage_params.back().push_back(ln_f_->range());
+  plan.stage_params.back().push_back(head_->range());
+  return pp_plan_ = std::move(plan);
 }
 
 ClsResult Bert::forward(layers::LayerContext& ctx, const ClsBatch& batch) {
   // Peer mirror of the zeroed-at-step-start contract; under microbatched
   // execution peers accumulate across microbatches like the device grads.
   if (tp_ && ctx.kern.microbatch == 0) tp_->zero_grads();
-  const int64_t B = batch.ids.shape()[0], L = batch.ids.shape()[1];
-  const DType dt = params_.dtype();
-  const int64_t padded = layers::pad_length(ctx.policy, L);
-  LS2_CHECK(padded == L || ctx.policy.seq_multiple > 1);
+  const int64_t L = batch.ids.shape()[1];
+  LS2_CHECK(layers::pad_length(ctx.policy, L) == L)
+      << layers::system_name(ctx.policy.system) << " runs only lengths that are multiples of "
+      << ctx.policy.seq_multiple << ", got " << L << " — pad the batch";
 
   ctx.pp_enter(0, /*forward=*/true, 0);
-  Tensor h = embed_->forward(ctx, batch.ids);
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (!block_stage_.empty() && i > 0 && block_stage_[i] != block_stage_[i - 1]) {
-      ctx.pp_enter(block_stage_[i], true, static_cast<int64_t>(h.bytes()));
-    }
-    h = blocks_[i]->forward(ctx, h, &batch.lens);
-  }
-  Tensor out = ctx.alloc({B, L, cfg_.hidden}, dt);
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(ln_gamma_),
-                     params_.value(ln_beta_), out, mean, rstd);
-
-  Tensor cls = ctx.alloc({B, cfg_.hidden}, dt);
-  gather_cls(ctx, out, cls);
-
-  Tensor logits_nb = ctx.alloc({B, cfg_.num_classes}, dt);
-  layers::linear_fw(ctx, cls, params_.value(cls_w_), logits_nb, "bert.classifier");
-  Tensor logits = ctx.alloc({B, cfg_.num_classes}, dt);
-  kern::baseline::add_bias(ctx.kern, logits_nb, params_.value(cls_b_), logits);
-
-  Tensor loss = ctx.alloc({B}, DType::kF32);
-  Tensor stats = ctx.alloc({B, 2}, DType::kF32);
-  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, logits, batch.labels, loss,
-                            stats, /*alpha=*/0.0f, /*ignore_index=*/-1);
-
-  // Under microbatched execution (pipeline parallelism) the carries
-  // continue the double loss sum and the correct count across slices, and
-  // the mean divides by the GLOBAL batch size — bitwise the full-batch run.
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : B;
-  ClsResult res;
-  res.total = denom;
-  if (ctx.device().mode() == simgpu::ExecMode::kExecute) {
-    double sum = ctx.pp_loss_carry ? *ctx.pp_loss_carry : 0.0;
-    for (float v : loss.to_vector()) sum += v;
-    if (ctx.pp_loss_carry) *ctx.pp_loss_carry = sum;
-    res.loss = static_cast<float>(sum / static_cast<double>(denom));
-    double correct = ctx.pp_metric_carry ? *ctx.pp_metric_carry : 0.0;
-    const auto lg = logits.to_vector();
-    const auto lb = batch.labels.to_vector();
-    for (int64_t b = 0; b < B; ++b) {
-      int best = 0;
-      for (int64_t c = 1; c < cfg_.num_classes; ++c) {
-        if (lg[b * cfg_.num_classes + c] > lg[b * cfg_.num_classes + best])
-          best = static_cast<int>(c);
-      }
-      if (best == static_cast<int>(lb[static_cast<size_t>(b)])) correct += 1.0;
-    }
-    if (ctx.pp_metric_carry) *ctx.pp_metric_carry = correct;
-    res.correct = static_cast<int64_t>(correct);
-  }
-  saved_ = Saved{h, out, mean, rstd, cls, logits, stats, batch.labels, B, L};
-  return res;
+  Tensor h = blocks_->forward(ctx, embed_->forward(ctx, batch.ids),
+                              [&](auto& block, int64_t, const Tensor& x) {
+                                return block.forward(ctx, x, &batch.lens);
+                              });
+  return head_->forward(ctx, ln_f_->forward(ctx, h), batch.labels);
 }
 
 void Bert::backward(layers::LayerContext& ctx) {
-  LS2_CHECK(saved_.has_value()) << "backward without forward";
-  Saved& s = *saved_;
-  const DType dt = params_.dtype();
-
-  const int last_stage = pp_plan_.stages - 1;
-  ctx.pp_enter(last_stage, /*forward=*/false, 0);
-  // Mean-over-batch gradient: the denominator is the GLOBAL batch size
-  // under microbatched execution, this slice's otherwise.
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : s.B;
-  Tensor dlogits = ctx.alloc({s.B, cfg_.num_classes}, dt);
-  kern::ls_cross_entropy_bw(ctx.kern, ctx.policy.criterion, s.logits, s.labels, s.stats,
-                            dlogits, 0.0f,
-                            ctx.loss_scale / static_cast<float>(denom), -1);
-  kern::bias_grad(ctx.kern, dlogits, params_.grad(cls_b_));
-
-  Tensor dcls = ctx.alloc({s.B, cfg_.hidden}, dt);
-  layers::linear_bw(ctx, dlogits, s.cls, params_.value(cls_w_), dcls,
-                    params_.grad(cls_w_), "bert.classifier");
-  params_.notify_grad_ready(head_range_);
-
-  Tensor d_out = ctx.alloc({s.B, s.L, cfg_.hidden}, dt);
-  scatter_cls(ctx, dcls, d_out);
-
-  Tensor dh = ctx.alloc({s.B, s.L, cfg_.hidden}, dt);
-  kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, d_out, s.stack_out,
-                     params_.value(ln_gamma_), s.mean, s.rstd, dh, params_.grad(ln_gamma_),
-                     params_.grad(ln_beta_));
-  params_.notify_grad_ready(ln_range_);
-  int stage = last_stage;
-  for (int64_t i = cfg_.layers - 1; i >= 0; --i) {
-    if (!block_stage_.empty() && block_stage_[static_cast<size_t>(i)] != stage) {
-      stage = block_stage_[static_cast<size_t>(i)];
-      ctx.pp_enter(stage, false, static_cast<int64_t>(dh.bytes()));
-    }
-    dh = blocks_[static_cast<size_t>(i)]->backward(ctx, dh);
-    params_.notify_grad_ready(block_ranges_[static_cast<size_t>(i)]);
-  }
+  ctx.pp_enter(pp_plan_.stages - 1, /*forward=*/false, 0);
+  const Tensor d_out = head_->backward(ctx);
+  const Tensor dh = blocks_->backward(ctx, ln_f_->backward(ctx, d_out));
   embed_->backward(ctx, dh);
   params_.notify_grad_ready(embed_range_);
   release();
 }
 
 void Bert::release() {
-  saved_.reset();
   embed_->release();
-  for (auto& b : blocks_) b->release();
+  blocks_->release();
+  ln_f_->release();
+  head_->release();
 }
 
 }  // namespace ls2::models

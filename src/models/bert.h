@@ -4,13 +4,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "dist/tensor_parallel.h"
+#include "layers/block_stack.h"
 #include "layers/embedding_layer.h"
 #include "layers/encoder_layer.h"
-#include "layers/pp.h"
+#include "models/cls_head.h"
 
 namespace ls2::models {
 
@@ -39,12 +38,6 @@ struct ClsBatch {
   Tensor labels;  ///< [B] i32
 };
 
-struct ClsResult {
-  float loss = 0;      ///< mean cross entropy over the batch
-  int64_t correct = 0; ///< argmax accuracy numerator
-  int64_t total = 0;
-};
-
 class Bert {
  public:
   Bert(BertConfig cfg, layers::System system, DType dtype, uint64_t seed,
@@ -61,7 +54,6 @@ class Bert {
   /// the first blocks on stage 0, final LayerNorm + classifier head with
   /// the last blocks on stage pp-1.
   const layers::PpPlan& pp_configure(int pp);
-  const layers::PpPlan& pp_plan() const { return pp_plan_; }
 
   /// TP epilogue (no-op when TP is off): peer-shard update after the rank-0
   /// trainer step — see core::train_step.
@@ -75,21 +67,11 @@ class Bert {
   layers::ParamRegistry params_;
   std::unique_ptr<dist::TpRuntime> tp_;
   std::unique_ptr<layers::EmbeddingLayer> embed_;
-  std::vector<std::unique_ptr<layers::TransformerEncoderLayer>> blocks_;
-  layers::ParamRef ln_gamma_, ln_beta_, cls_w_, cls_b_;
-
-  // Declaration ranges for the gradient bucketer (src/dist/bucket.h).
-  layers::ParamRange embed_range_, ln_range_, head_range_;
-  std::vector<layers::ParamRange> block_ranges_;
+  std::unique_ptr<layers::BlockStack<layers::TransformerEncoderLayer>> blocks_;
+  std::unique_ptr<layers::LayerNorm> ln_f_;
+  std::unique_ptr<ClsHead> head_;
+  layers::ParamRange embed_range_;  ///< for the gradient bucketer (src/dist/bucket.h)
   layers::PpPlan pp_plan_;
-  std::vector<int> block_stage_;  ///< stage of each block (all 0 without PP)
-
-  struct Saved {
-    Tensor stack_out, out, mean, rstd;  // final LN
-    Tensor cls, logits, stats, labels;  // pooled [CLS] and classifier head
-    int64_t B = 0, L = 0;
-  };
-  std::optional<Saved> saved_;
 };
 
 }  // namespace ls2::models

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/layernorm.h"
-
 namespace ls2::models {
 
 Gpt2Config Gpt2Config::base() { return Gpt2Config{}; }
@@ -41,7 +39,7 @@ Gpt2::Gpt2(Gpt2Config cfg, layers::System system, DType dtype, uint64_t seed,
   ecfg.dropout = cfg.dropout;
   ecfg.pad_id = cfg.pad_id;
   ecfg.tp = tp_decl;
-  int mark = params_.size();
+  const int mark = params_.size();
   embed_ = std::make_unique<layers::EmbeddingLayer>(params_, "gpt2.embed", ecfg);
   embed_range_ = params_.range_since(mark);
 
@@ -55,16 +53,9 @@ Gpt2::Gpt2(Gpt2Config cfg, layers::System system, DType dtype, uint64_t seed,
   lcfg.activation = layers::Activation::kGelu;
   lcfg.causal = true;  // decoder-only: causal self-attention
   lcfg.tp = tp_decl;
-  for (int64_t i = 0; i < cfg.layers; ++i) {
-    mark = params_.size();
-    blocks_.push_back(std::make_unique<layers::TransformerEncoderLayer>(
-        params_, "gpt2.blocks." + std::to_string(i), lcfg));
-    block_ranges_.push_back(params_.range_since(mark));
-  }
-  mark = params_.size();
-  ln_gamma_ = params_.declare("gpt2.ln_f.gamma", Shape{cfg.hidden}, layers::Init::kOne);
-  ln_beta_ = params_.declare("gpt2.ln_f.beta", Shape{cfg.hidden}, layers::Init::kZero);
-  ln_range_ = params_.range_since(mark);
+  blocks_ = std::make_unique<layers::BlockStack<layers::TransformerEncoderLayer>>(
+      params_, "gpt2.blocks", cfg.layers, lcfg);
+  ln_f_ = std::make_unique<layers::LayerNorm>(params_, "gpt2.ln_f", cfg.hidden);
 
   layers::CriterionConfig ccfg;
   ccfg.vocab = cfg.vocab;
@@ -80,24 +71,14 @@ Gpt2::Gpt2(Gpt2Config cfg, layers::System system, DType dtype, uint64_t seed,
 }
 
 const layers::PpPlan& Gpt2::pp_configure(int pp) {
-  LS2_CHECK(pp >= 1 && pp <= cfg_.layers)
-      << "pp " << pp << " needs at least one block per stage (layers=" << cfg_.layers << ")";
-  pp_plan_ = layers::PpPlan{};
-  pp_plan_.stages = pp;
-  pp_plan_.stage_params.assign(static_cast<size_t>(pp), {});
-  pp_plan_.stage_params[0].push_back(embed_range_);
-  block_stage_.assign(static_cast<size_t>(cfg_.layers), 0);
-  for (int64_t i = 0; i < cfg_.layers; ++i) {
-    const int s = layers::block_stage(i, cfg_.layers, pp);
-    block_stage_[static_cast<size_t>(i)] = s;
-    pp_plan_.stage_params[static_cast<size_t>(s)].push_back(
-        block_ranges_[static_cast<size_t>(i)]);
-  }
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(ln_range_);
+  layers::PpPlan plan(pp);
+  plan.stage_params.front().push_back(embed_range_);
+  blocks_->place(plan, 0, pp);
+  plan.stage_params.back().push_back(ln_f_->range());
   // The LM head is tied to the token table on stage 0: the last stage's
   // criterion backward writes it, so its gradient rides one extra hop home.
-  if (pp > 1) pp_plan_.tied_param = embed_->table().rank0();
-  return pp_plan_;
+  if (pp > 1) plan.tied_param = embed_->table().rank0();
+  return pp_plan_ = std::move(plan);
 }
 
 layers::CriterionResult Gpt2::forward(layers::LayerContext& ctx, const LmBatch& batch) {
@@ -109,47 +90,16 @@ layers::CriterionResult Gpt2::forward(layers::LayerContext& ctx, const LmBatch& 
 }
 
 Tensor Gpt2::stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens) {
-  Tensor h = embed_->forward(ctx, ids);
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (!block_stage_.empty() && i > 0 && block_stage_[i] != block_stage_[i - 1]) {
-      ctx.pp_enter(block_stage_[i], true, static_cast<int64_t>(h.bytes()));
-    }
-    h = blocks_[i]->forward(ctx, h, key_lens);
-  }
-  return final_ln(ctx, h);
-}
-
-Tensor Gpt2::final_ln(layers::LayerContext& ctx, const Tensor& h) {
-  const int64_t B = h.shape()[0], L = h.shape()[1];
-  Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(ln_gamma_),
-                     params_.value(ln_beta_), out, mean, rstd);
-  if (ctx.training()) saved_ = Saved{h, out, mean, rstd, B, L};
-  return out;
+  return ln_f_->forward(ctx, blocks_->forward(ctx, embed_->forward(ctx, ids),
+                                              [&](auto& block, int64_t, const Tensor& x) {
+                                                return block.forward(ctx, x, key_lens);
+                                              }));
 }
 
 void Gpt2::backward(layers::LayerContext& ctx) {
-  LS2_CHECK(saved_.has_value()) << "backward without forward";
-  Saved& s = *saved_;
-  const int last_stage = pp_plan_.stages - 1;
-  ctx.pp_enter(last_stage, /*forward=*/false, 0);
-  Tensor d_out = criterion_->backward(ctx);
-  Tensor dh = ctx.alloc({s.B, s.L, cfg_.hidden}, params_.dtype());
-  kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, d_out, s.stack_out,
-                     params_.value(ln_gamma_), s.mean, s.rstd, dh, params_.grad(ln_gamma_),
-                     params_.grad(ln_beta_));
-  params_.notify_grad_ready(ln_range_);
-  int stage = last_stage;
-  for (int64_t i = cfg_.layers - 1; i >= 0; --i) {
-    if (!block_stage_.empty() && block_stage_[static_cast<size_t>(i)] != stage) {
-      stage = block_stage_[static_cast<size_t>(i)];
-      ctx.pp_enter(stage, false, static_cast<int64_t>(dh.bytes()));
-    }
-    dh = blocks_[static_cast<size_t>(i)]->backward(ctx, dh);
-    params_.notify_grad_ready(block_ranges_[static_cast<size_t>(i)]);
-  }
+  ctx.pp_enter(pp_plan_.stages - 1, /*forward=*/false, 0);
+  const Tensor d_out = criterion_->backward(ctx);
+  const Tensor dh = blocks_->backward(ctx, ln_f_->backward(ctx, d_out));
   embed_->backward(ctx, dh);
   params_.notify_grad_ready(embed_range_);  // tied LM-head table now final
   release();
@@ -184,12 +134,11 @@ Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCach
     for (int64_t b = 0; b < B; ++b)
       std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
   }
-  Tensor h = embed_->forward(ctx, tail, rows.first);
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->prefill(ctx, h, cache->k_pool(static_cast<int64_t>(i)),
-                            cache->v_pool(static_cast<int64_t>(i)), rows);
-  }
-  return criterion_->logits(ctx, final_ln(ctx, h)).view({B, Lq, cfg_.vocab});
+  const Tensor h = blocks_->forward(
+      ctx, embed_->forward(ctx, tail, rows.first), [&](auto& block, int64_t i, const Tensor& x) {
+        return block.prefill(ctx, x, cache->k_pool(i), cache->v_pool(i), rows);
+      });
+  return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
 }
 
 Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
@@ -197,19 +146,19 @@ Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
   layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t S = cache.config().slots;
   LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
-  Tensor h = embed_->decode_step(ctx, ids, cache.positions());
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->decode_step(ctx, h, cache.k_pool(static_cast<int64_t>(i)),
-                                cache.v_pool(static_cast<int64_t>(i)), cache.block_table(),
-                                cache.positions(), cache.attend_lens());
-  }
-  return criterion_->logits(ctx, final_ln(ctx, h));  // [S, vocab]
+  const Tensor h = blocks_->forward(
+      ctx, embed_->decode_step(ctx, ids, cache.positions()),
+      [&](auto& block, int64_t i, const Tensor& x) {
+        return block.decode_step(ctx, x, cache.k_pool(i), cache.v_pool(i), cache.block_table(),
+                                 cache.positions(), cache.attend_lens());
+      });
+  return criterion_->logits(ctx, ln_f_->forward(ctx, h));  // [S, vocab]
 }
 
 void Gpt2::release() {
-  saved_.reset();
   embed_->release();
-  for (auto& b : blocks_) b->release();
+  blocks_->release();
+  ln_f_->release();
   criterion_->release();
 }
 

@@ -4,15 +4,14 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "dist/tensor_parallel.h"
 #include "infer/kv_cache.h"
+#include "layers/block_stack.h"
 #include "layers/criterion_layer.h"
 #include "layers/embedding_layer.h"
 #include "layers/encoder_layer.h"
-#include "layers/pp.h"
 
 namespace ls2::models {
 
@@ -93,7 +92,6 @@ class Gpt2 {
   /// the tied LM head with the last blocks on stage pp-1. forward/backward
   /// then mark every stage boundary via LayerContext::pp_enter.
   const layers::PpPlan& pp_configure(int pp);
-  const layers::PpPlan& pp_plan() const { return pp_plan_; }
 
   /// TP epilogue (no-op when TP is off): peer-shard update after the rank-0
   /// trainer step — see core::train_step.
@@ -107,30 +105,19 @@ class Gpt2 {
   layers::ParamRegistry params_;
   std::unique_ptr<dist::TpRuntime> tp_;
   std::unique_ptr<layers::EmbeddingLayer> embed_;
-  std::vector<std::unique_ptr<layers::TransformerEncoderLayer>> blocks_;
-  layers::ParamRef ln_gamma_, ln_beta_;
+  std::unique_ptr<layers::BlockStack<layers::TransformerEncoderLayer>> blocks_;
+  std::unique_ptr<layers::LayerNorm> ln_f_;
   std::unique_ptr<layers::CriterionLayer> criterion_;
 
-  // Declaration ranges for the gradient bucketer (src/dist/bucket.h). The
-  // LM head is tied to the token table, so embed_range_ — fired after the
+  // Declaration range for the gradient bucketer (src/dist/bucket.h). The LM
+  // head is tied to the token table, so embed_range_ — fired after the
   // embedding backward, the table's last accumulation — covers it.
-  layers::ParamRange embed_range_, ln_range_;
-  std::vector<layers::ParamRange> block_ranges_;
+  layers::ParamRange embed_range_;
   layers::PpPlan pp_plan_;
-  std::vector<int> block_stage_;  ///< stage of each block (all 0 without PP)
 
   /// Embedding -> blocks -> final LayerNorm over ids [B, L]: the body of
   /// forward and of the cacheless prefill. Returns the criterion's input.
   Tensor stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens);
-  /// Final LayerNorm of the stack output h [B, L, H]; training saves its
-  /// inputs and statistics for backward.
-  Tensor final_ln(layers::LayerContext& ctx, const Tensor& h);
-
-  struct Saved {
-    Tensor stack_out, out, mean, rstd;
-    int64_t B = 0, L = 0;
-  };
-  std::optional<Saved> saved_;
 };
 
 }  // namespace ls2::models

@@ -4,13 +4,27 @@
 
 #include "gemm/gemm_device.h"
 #include "kernels/elementwise.h"
-#include "kernels/layernorm.h"
 #include "kernels/transform.h"
 #include "layers/linear.h"
 
 namespace ls2::models {
 
 using layers::LayerContext;
+
+namespace {
+
+// Bytes of the cross K/V (or their gradients) of decoder layers [layer, n):
+// what a decoder stage boundary carries besides the hidden state.
+layers::StackCarry kv_bytes_from(const std::vector<Tensor>& kv) {
+  return [&kv](int64_t layer) {
+    int64_t bytes = 0;
+    for (size_t t = 2 * static_cast<size_t>(layer); t < kv.size(); ++t)
+      bytes += static_cast<int64_t>(kv[t].bytes());
+    return bytes;
+  };
+}
+
+}  // namespace
 
 TransformerConfig TransformerConfig::base(int64_t e, int64_t d) {
   TransformerConfig c;
@@ -91,16 +105,9 @@ Transformer::Transformer(TransformerConfig cfg, layers::System system, DType dty
 
   layers::TransformerLayerConfig lcfg = cfg.layer_config();
   lcfg.tp = tp_decl;
-  for (int64_t i = 0; i < cfg.encoder_layers; ++i) {
-    mark = params_.size();
-    encoder_.push_back(std::make_unique<layers::TransformerEncoderLayer>(
-        params_, "encoder.layers." + std::to_string(i), lcfg));
-    enc_ranges_.push_back(params_.range_since(mark));
-  }
-  mark = params_.size();
-  enc_ln_gamma_ = params_.declare("encoder.ln.gamma", Shape{cfg.hidden}, layers::Init::kOne);
-  enc_ln_beta_ = params_.declare("encoder.ln.beta", Shape{cfg.hidden}, layers::Init::kZero);
-  enc_ln_range_ = params_.range_since(mark);
+  encoder_ = std::make_unique<layers::BlockStack<layers::TransformerEncoderLayer>>(
+      params_, "encoder.layers", cfg.encoder_layers, lcfg);
+  enc_ln_ = std::make_unique<layers::LayerNorm>(params_, "encoder.ln", cfg.hidden);
 
   // Layer-batched cross-attention projection: ALL decoder layers' K/V
   // weights concatenated (Fig. 5b). Layer i owns rows [2iH, 2(i+1)H).
@@ -116,16 +123,9 @@ Transformer::Transformer(TransformerConfig cfg, layers::System system, DType dty
       params_, tp_decl, "decoder.cross_kv.bias", Shape{2 * cfg.decoder_layers * cfg.hidden},
       layers::Init::kZero, /*dim=*/0, /*groups=*/2 * cfg.decoder_layers);
   cross_kv_range_ = params_.range_since(mark);
-  for (int64_t i = 0; i < cfg.decoder_layers; ++i) {
-    mark = params_.size();
-    decoder_.push_back(std::make_unique<layers::TransformerDecoderLayer>(
-        params_, "decoder.layers." + std::to_string(i), lcfg));
-    dec_ranges_.push_back(params_.range_since(mark));
-  }
-  mark = params_.size();
-  dec_ln_gamma_ = params_.declare("decoder.ln.gamma", Shape{cfg.hidden}, layers::Init::kOne);
-  dec_ln_beta_ = params_.declare("decoder.ln.beta", Shape{cfg.hidden}, layers::Init::kZero);
-  dec_ln_range_ = params_.range_since(mark);
+  decoder_ = std::make_unique<layers::BlockStack<layers::TransformerDecoderLayer>>(
+      params_, "decoder.layers", cfg.decoder_layers, lcfg);
+  dec_ln_ = std::make_unique<layers::LayerNorm>(params_, "decoder.ln", cfg.hidden);
 
   layers::CriterionConfig ccfg;
   ccfg.vocab = cfg.vocab;
@@ -188,7 +188,8 @@ std::vector<Tensor> Transformer::project_cross_kv(LayerContext& ctx, const Tenso
 Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tensor>& dkv) {
   LS2_CHECK(saved_.has_value());
   const Saved& s = *saved_;
-  const int64_t B = s.B, Ls = s.Ls, H = cfg_.hidden, n = cfg_.decoder_layers;
+  const int64_t B = s.enc_out.shape()[0], Ls = s.enc_out.shape()[1];
+  const int64_t H = cfg_.hidden, n = cfg_.decoder_layers;
   const DType dt = dkv[0].dtype();
   const Tensor w = cross_kv_weight_.value(ctx);
   Tensor d_enc = ctx.alloc({B, Ls, H}, dt);
@@ -254,22 +255,13 @@ void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor&
                          infer::KvCache& cache,
                          const std::vector<infer::SequenceHandle>& seqs) {
   LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  const int64_t B = src_ids.shape()[0], Ls = src_ids.shape()[1], H = cfg_.hidden;
+  const int64_t B = src_ids.shape()[0];
   LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
-  LS2_CHECK_LE(Ls, cache.config().cross_len);
-  const DType dt = params_.dtype();
-
-  Tensor h = src_embed_->forward(ctx, src_ids);
-  for (auto& layer : encoder_) h = layer->forward(ctx, h, &src_lens);
-  Tensor enc_out = ctx.alloc({B, Ls, H}, dt);
-  Tensor mean = ctx.alloc({B * Ls}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * Ls}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(enc_ln_gamma_),
-                     params_.value(enc_ln_beta_), enc_out, mean, rstd);
+  LS2_CHECK_LE(src_ids.shape()[1], cache.config().cross_len);
 
   // Layer-batched cross K/V (Fig. 5b), computed once per request and
   // installed in the cache for every future decode step.
-  std::vector<Tensor> kv = project_cross_kv(ctx, enc_out);
+  std::vector<Tensor> kv = project_cross_kv(ctx, encode_source(ctx, src_ids, src_lens));
   Tensor slot_ids = Tensor::empty({B}, DType::kI32);  // heap: host metadata
   int32_t* sp = slot_ids.data<int32_t>();
   for (int64_t b = 0; b < B; ++b)
@@ -295,13 +287,12 @@ Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCa
   // so every target row runs.
   const layers::PagedRows rows = cache.prefill_rows(seqs, Lp, tgt_lens);
   LS2_CHECK_EQ(rows.first, 0);
-  Tensor h = tgt_embed_->forward(ctx, tgt_in);
-  for (size_t i = 0; i < decoder_.size(); ++i) {
-    const auto l = static_cast<int64_t>(i);
-    h = decoder_[i]->prefill(ctx, h, cache.k_pool(l), cache.v_pool(l), rows, cache.cross_k(l),
-                             cache.cross_v(l), &cache.src_lens());
-  }
-  return decoder_head(ctx, h).view({B, Lp, cfg_.vocab});
+  const Tensor h = decoder_->forward(
+      ctx, tgt_embed_->forward(ctx, tgt_in), [&](auto& layer, int64_t i, const Tensor& x) {
+        return layer.prefill(ctx, x, cache.k_pool(i), cache.v_pool(i), rows, cache.cross_k(i),
+                             cache.cross_v(i), &cache.src_lens());
+      });
+  return criterion_->logits(ctx, dec_ln_->forward(ctx, h)).view({B, Lp, cfg_.vocab});
 }
 
 Tensor Transformer::decode_step(LayerContext& ctx, const Tensor& ids,
@@ -309,29 +300,18 @@ Tensor Transformer::decode_step(LayerContext& ctx, const Tensor& ids,
   LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t S = cache.config().slots;
   LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
-  Tensor h = tgt_embed_->decode_step(ctx, ids, cache.positions());
-  for (size_t i = 0; i < decoder_.size(); ++i) {
-    h = decoder_[i]->decode_step(ctx, h, cache.k_pool(static_cast<int64_t>(i)),
-                                 cache.v_pool(static_cast<int64_t>(i)), cache.block_table(),
-                                 cache.positions(), cache.attend_lens(),
-                                 cache.cross_k(static_cast<int64_t>(i)),
-                                 cache.cross_v(static_cast<int64_t>(i)), &cache.src_lens());
-  }
-  return decoder_head(ctx, h);  // [S, vocab]
-}
-
-Tensor Transformer::decoder_head(LayerContext& ctx, const Tensor& h) {
-  const int64_t B = h.shape()[0], L = h.shape()[1];
-  Tensor out = ctx.alloc({B, L, cfg_.hidden}, params_.dtype());
-  Tensor mean = ctx.alloc({B * L}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * L}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, h, params_.value(dec_ln_gamma_),
-                     params_.value(dec_ln_beta_), out, mean, rstd);
-  return criterion_->logits(ctx, out);
+  const Tensor h = decoder_->forward(
+      ctx, tgt_embed_->decode_step(ctx, ids, cache.positions()),
+      [&](auto& layer, int64_t i, const Tensor& x) {
+        return layer.decode_step(ctx, x, cache.k_pool(i), cache.v_pool(i), cache.block_table(),
+                                 cache.positions(), cache.attend_lens(), cache.cross_k(i),
+                                 cache.cross_v(i), &cache.src_lens());
+      });
+  return criterion_->logits(ctx, dec_ln_->forward(ctx, h));  // [S, vocab]
 }
 
 const layers::PpPlan& Transformer::pp_configure(int pp) {
-  LS2_CHECK(pp >= 1) << "pp " << pp;
+  layers::PpPlan plan(pp);
   const int64_t enc = cfg_.encoder_layers, dec = cfg_.decoder_layers;
   // Stage budget split proportional to depth, at least one stage per side.
   int pe = pp == 1 ? 1
@@ -341,41 +321,33 @@ const layers::PpPlan& Transformer::pp_configure(int pp) {
   LS2_CHECK(enc >= pe && dec >= pd)
       << "pp " << pp << " (encoder " << pe << " + decoder " << pd
       << " stages) needs at least one layer per stage (" << enc << "+" << dec << " layers)";
-  pp_encoder_stages_ = pe;
-  pp_plan_ = layers::PpPlan{};
-  pp_plan_.stages = pp;
-  pp_plan_.stage_params.assign(static_cast<size_t>(pp), {});
-  auto stage_of = [pp](int s) { return std::min(s, pp - 1); };
-  pp_plan_.stage_params[0].push_back(src_range_);
-  enc_stage_.assign(static_cast<size_t>(enc), 0);
-  dec_stage_.assign(static_cast<size_t>(dec), 0);
   // Declaration order is src_embed, tgt_embed, enc layers, enc_ln,
   // cross_kv, dec layers, dec_ln, criterion — each range lands on exactly
   // one stage (tgt_range_/criterion_range_ are empty when tied).
-  pp_plan_.stage_params[static_cast<size_t>(stage_of(pe))].push_back(tgt_range_);
-  for (int64_t i = 0; i < enc; ++i) {
-    const int s = layers::block_stage(i, enc, pe);
-    enc_stage_[static_cast<size_t>(i)] = s;
-    pp_plan_.stage_params[static_cast<size_t>(s)].push_back(
-        enc_ranges_[static_cast<size_t>(i)]);
-  }
-  pp_plan_.stage_params[static_cast<size_t>(pe - 1)].push_back(enc_ln_range_);
+  plan.stage_params.front().push_back(src_range_);
+  plan.stage_params[static_cast<size_t>(pp - pd)].push_back(tgt_range_);
+  encoder_->place(plan, 0, pe);
+  plan.stage_params[static_cast<size_t>(pe - 1)].push_back(enc_ln_->range());
   // The layer-batched cross-K/V projection consumes enc_out where it is
   // produced: the last encoder stage.
-  pp_plan_.stage_params[static_cast<size_t>(pe - 1)].push_back(cross_kv_range_);
-  for (int64_t i = 0; i < dec; ++i) {
-    const int s = pp == 1 ? 0 : pe + layers::block_stage(i, dec, pd);
-    dec_stage_[static_cast<size_t>(i)] = s;
-    pp_plan_.stage_params[static_cast<size_t>(s)].push_back(
-        dec_ranges_[static_cast<size_t>(i)]);
-  }
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(dec_ln_range_);
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(criterion_range_);
+  plan.stage_params[static_cast<size_t>(pe - 1)].push_back(cross_kv_range_);
+  decoder_->place(plan, pp - pd, pd);
+  plan.stage_params.back().push_back(dec_ln_->range());
+  plan.stage_params.back().push_back(criterion_range_);
   // The tied token table is declared with the source embedding on stage 0
   // but written last by the criterion backward on stage pp-1 — that
   // gradient rides one extra hop home before stage 0's bucket can launch.
-  if (pp > 1 && cfg_.tied_embeddings) pp_plan_.tied_param = src_embed_->table().rank0();
-  return pp_plan_;
+  if (pp > 1 && cfg_.tied_embeddings) plan.tied_param = src_embed_->table().rank0();
+  return pp_plan_ = std::move(plan);
+}
+
+Tensor Transformer::encode_source(LayerContext& ctx, const Tensor& src_ids,
+                                  const Tensor& src_lens) {
+  const Tensor h = encoder_->forward(ctx, src_embed_->forward(ctx, src_ids),
+                                     [&](auto& layer, int64_t, const Tensor& x) {
+                                       return layer.forward(ctx, x, &src_lens);
+                                     });
+  return enc_ln_->forward(ctx, h);
 }
 
 layers::CriterionResult Transformer::forward(LayerContext& ctx, const MtBatch& batch) {
@@ -383,94 +355,53 @@ layers::CriterionResult Transformer::forward(LayerContext& ctx, const MtBatch& b
   // bookkeeping — rank 0's zero_grad launch is the charged one). Under
   // microbatched execution peers accumulate across microbatches.
   if (tp_ && ctx.kern.microbatch == 0) tp_->zero_grads();
-  const int64_t B = batch.src_ids.shape()[0];
-  const int64_t Ls = batch.src_ids.shape()[1];
-  const int64_t Lt = batch.tgt_in.shape()[1];
-  const DType dt = params_.dtype();
 
-  // Encoder.
+  // Encoder, then cross-attention K/V for every decoder layer.
   ctx.pp_enter(0, /*forward=*/true, 0);
-  Tensor h = src_embed_->forward(ctx, batch.src_ids);
-  for (size_t i = 0; i < encoder_.size(); ++i) {
-    if (!enc_stage_.empty() && i > 0 && enc_stage_[i] != enc_stage_[i - 1]) {
-      ctx.pp_enter(enc_stage_[i], true, static_cast<int64_t>(h.bytes()));
-    }
-    h = encoder_[i]->forward(ctx, h, &batch.src_lens);
-  }
-  Tensor enc_stack_out = h;
-  Tensor enc_out = ctx.alloc({B, Ls, cfg_.hidden}, dt);
-  Tensor enc_mean = ctx.alloc({B * Ls}, DType::kF32);
-  Tensor enc_rstd = ctx.alloc({B * Ls}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, enc_stack_out,
-                     params_.value(enc_ln_gamma_), params_.value(enc_ln_beta_), enc_out,
-                     enc_mean, enc_rstd);
-
-  // Cross-attention K/V for every decoder layer.
+  const Tensor enc_out = encode_source(ctx, batch.src_ids, batch.src_lens);
   std::vector<Tensor> kv = project_cross_kv(ctx, enc_out);
 
   // Decoder. Crossing into the first decoder stage carries every layer's
   // cross K/V (the target embedding reads host token ids, not enc state);
   // later boundaries carry the hidden state plus the K/V still needed by
   // downstream layers.
-  if (pp_plan_.stages > 1) {
-    int64_t kv_bytes = 0;
-    for (const Tensor& t : kv) kv_bytes += static_cast<int64_t>(t.bytes());
-    ctx.pp_enter(pp_encoder_stages_, true, kv_bytes);
-  }
-  Tensor d = tgt_embed_->forward(ctx, batch.tgt_in);
-  for (size_t i = 0; i < decoder_.size(); ++i) {
-    if (!dec_stage_.empty() && i > 0 && dec_stage_[i] != dec_stage_[i - 1]) {
-      int64_t payload = static_cast<int64_t>(d.bytes());
-      for (size_t l = i; l < decoder_.size(); ++l) {
-        payload += static_cast<int64_t>(kv[2 * l].bytes() + kv[2 * l + 1].bytes());
-      }
-      ctx.pp_enter(dec_stage_[i], true, payload);
-    }
-    d = decoder_[i]->forward(ctx, d, kv[2 * i], kv[2 * i + 1], &batch.src_lens,
-                             &batch.tgt_lens);
-  }
-  Tensor dec_stack_out = d;
-  Tensor dec_out = ctx.alloc({B, Lt, cfg_.hidden}, dt);
-  Tensor dec_mean = ctx.alloc({B * Lt}, DType::kF32);
-  Tensor dec_rstd = ctx.alloc({B * Lt}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, dec_stack_out,
-                     params_.value(dec_ln_gamma_), params_.value(dec_ln_beta_), dec_out,
-                     dec_mean, dec_rstd);
+  const layers::StackCarry kv_from = kv_bytes_from(kv);
+  ctx.pp_enter(decoder_->stage(0), true, kv_from(0));
+  const Tensor d = decoder_->forward(
+      ctx, tgt_embed_->forward(ctx, batch.tgt_in),
+      [&](auto& layer, int64_t i, const Tensor& x) {
+        return layer.forward(ctx, x, kv[static_cast<size_t>(2 * i)],
+                             kv[static_cast<size_t>(2 * i + 1)], &batch.src_lens, &batch.tgt_lens);
+      },
+      kv_from);
 
-  layers::CriterionResult result = criterion_->forward(ctx, dec_out, batch.tgt_out);
-  saved_ = Saved{batch.src_lens, batch.tgt_lens, enc_stack_out, enc_out,     enc_mean,
-                 enc_rstd,       dec_stack_out,  dec_out,       dec_mean,    dec_rstd,
-                 std::move(kv),  B,              Ls,            Lt};
+  layers::CriterionResult result =
+      criterion_->forward(ctx, dec_ln_->forward(ctx, d), batch.tgt_out);
+  saved_ = Saved{enc_out, std::move(kv)};
   return result;
 }
 
 void Transformer::backward(LayerContext& ctx) {
   LS2_CHECK(saved_.has_value()) << "backward without forward";
-  Saved& s = *saved_;
+  const Saved& s = *saved_;
   const DType dt = params_.dtype();
-  const int64_t H = cfg_.hidden;
-  const int64_t N = cfg_.heads, D = H / N;
+  const int64_t B = s.enc_out.shape()[0], Ls = s.enc_out.shape()[1];
+  const int64_t N = cfg_.heads, D = cfg_.hidden / N;
 
   ctx.pp_enter(pp_plan_.stages - 1, /*forward=*/false, 0);
-  Tensor d_dec_out = criterion_->backward(ctx);
+  const Tensor d_dec_out = criterion_->backward(ctx);
   // With tied embeddings the criterion wrote into the shared token table,
   // which keeps accumulating until the source embedding backward — so only
   // an untied criterion's own projection is final here.
   params_.notify_grad_ready(criterion_range_);
-
-  // Final decoder LayerNorm.
-  Tensor d_dec = ctx.alloc({s.B, s.Lt, H}, dt);
-  kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, d_dec_out, s.dec_stack_out,
-                     params_.value(dec_ln_gamma_), s.dec_mean, s.dec_rstd, d_dec,
-                     params_.grad(dec_ln_gamma_), params_.grad(dec_ln_beta_));
-  params_.notify_grad_ready(dec_ln_range_);
+  Tensor d_dec = dec_ln_->backward(ctx, d_dec_out);
 
   // Decoder layers (reverse), accumulating cross K/V grads. Zeroing the
   // accumulators is real device work: one fused launch under LightSeq2, one
   // per tensor for the baselines.
   std::vector<Tensor> dkv;
   for (int64_t i = 0; i < 2 * cfg_.decoder_layers; ++i) {
-    dkv.push_back(ctx.alloc_shard({s.B, N, s.Ls, D}, dt));
+    dkv.push_back(ctx.alloc_shard({B, N, Ls, D}, dt));
   }
   {
     layers::TpChargeScale tp_scale(ctx);  // zeroing covers the head shard
@@ -489,52 +420,28 @@ void Transformer::backward(LayerContext& ctx) {
                                     : std::function<void()>(nullptr));
     }
   }
-  for (int64_t i = cfg_.decoder_layers - 1; i >= 0; --i) {
-    if (!dec_stage_.empty() && i + 1 < cfg_.decoder_layers &&
-        dec_stage_[static_cast<size_t>(i)] != dec_stage_[static_cast<size_t>(i + 1)]) {
-      // d plus the cross-K/V grads already produced by later-stage layers,
-      // all bound for the projection backward on stage pe-1.
-      int64_t payload = static_cast<int64_t>(d_dec.bytes());
-      for (int64_t l = i + 1; l < cfg_.decoder_layers; ++l) {
-        payload += static_cast<int64_t>(dkv[static_cast<size_t>(2 * l)].bytes() +
-                                        dkv[static_cast<size_t>(2 * l + 1)].bytes());
-      }
-      ctx.pp_enter(dec_stage_[static_cast<size_t>(i)], false, payload);
-    }
-    d_dec = decoder_[static_cast<size_t>(i)]->backward(
-        ctx, d_dec, dkv[static_cast<size_t>(2 * i)], dkv[static_cast<size_t>(2 * i + 1)]);
-    params_.notify_grad_ready(dec_ranges_[static_cast<size_t>(i)]);
-  }
+  // A boundary carries d plus the cross-K/V grads already produced by
+  // later-stage layers, all bound for the projection backward on stage
+  // pe-1.
+  const layers::StackCarry dkv_from = kv_bytes_from(dkv);
+  d_dec = decoder_->backward(
+      ctx, std::move(d_dec),
+      [&](auto& layer, int64_t i, const Tensor& dy) {
+        return layer.backward(ctx, dy, dkv[static_cast<size_t>(2 * i)],
+                              dkv[static_cast<size_t>(2 * i + 1)]);
+      },
+      dkv_from);
   tgt_embed_->backward(ctx, d_dec);
   params_.notify_grad_ready(tgt_range_);  // empty when the table is tied
 
   // Cross K/V projection backward -> gradient into the encoder output
   // (computed after the 0-th decoder layer finishes, as in §IV-A.4).
-  if (pp_plan_.stages > 1) {
-    int64_t dkv_bytes = 0;
-    for (const Tensor& t : dkv) dkv_bytes += static_cast<int64_t>(t.bytes());
-    ctx.pp_enter(pp_encoder_stages_ - 1, false, dkv_bytes);
-  }
-  Tensor d_enc_out = cross_kv_backward(ctx, dkv);
+  ctx.pp_enter(encoder_->stage(encoder_->size() - 1), false, dkv_from(0));
+  const Tensor d_enc_out = cross_kv_backward(ctx, dkv);
   dkv.clear();
   params_.notify_grad_ready(cross_kv_range_);
 
-  // Final encoder LayerNorm.
-  Tensor d_enc = ctx.alloc({s.B, s.Ls, H}, dt);
-  kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, d_enc_out, s.enc_stack_out,
-                     params_.value(enc_ln_gamma_), s.enc_mean, s.enc_rstd, d_enc,
-                     params_.grad(enc_ln_gamma_), params_.grad(enc_ln_beta_));
-  params_.notify_grad_ready(enc_ln_range_);
-
-  for (int64_t i = cfg_.encoder_layers - 1; i >= 0; --i) {
-    if (!enc_stage_.empty() && i + 1 < cfg_.encoder_layers &&
-        enc_stage_[static_cast<size_t>(i)] != enc_stage_[static_cast<size_t>(i + 1)]) {
-      ctx.pp_enter(enc_stage_[static_cast<size_t>(i)], false,
-                   static_cast<int64_t>(d_enc.bytes()));
-    }
-    d_enc = encoder_[static_cast<size_t>(i)]->backward(ctx, d_enc);
-    params_.notify_grad_ready(enc_ranges_[static_cast<size_t>(i)]);
-  }
+  const Tensor d_enc = encoder_->backward(ctx, enc_ln_->backward(ctx, d_enc_out));
   src_embed_->backward(ctx, d_enc);
   params_.notify_grad_ready(src_range_);  // shared token table now final
   release();
@@ -544,8 +451,10 @@ void Transformer::release() {
   saved_.reset();
   src_embed_->release();
   tgt_embed_->release();
-  for (auto& l : encoder_) l->release();
-  for (auto& l : decoder_) l->release();
+  encoder_->release();
+  enc_ln_->release();
+  decoder_->release();
+  dec_ln_->release();
   criterion_->release();
 }
 

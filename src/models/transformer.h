@@ -11,11 +11,11 @@
 
 #include "dist/tensor_parallel.h"
 #include "infer/kv_cache.h"
+#include "layers/block_stack.h"
 #include "layers/criterion_layer.h"
 #include "layers/decoder_layer.h"
 #include "layers/embedding_layer.h"
 #include "layers/encoder_layer.h"
-#include "layers/pp.h"
 
 namespace ls2::models {
 
@@ -112,7 +112,6 @@ class Transformer {
   /// state, so boundary payloads include the K/V bytes still needed
   /// downstream.
   const layers::PpPlan& pp_configure(int pp);
-  const layers::PpPlan& pp_plan() const { return pp_plan_; }
 
   /// TP epilogue: apply the rank-0 trainer's update to the simulated peer
   /// shards (no-op when TP is off) — called by core::train_step after the
@@ -129,37 +128,33 @@ class Transformer {
   std::vector<Tensor> project_cross_kv(layers::LayerContext& ctx, const Tensor& enc_out);
   /// Backward of the projection; returns d(enc_out) contribution.
   Tensor cross_kv_backward(layers::LayerContext& ctx, const std::vector<Tensor>& dkv);
-  /// Serving tail: final decoder LayerNorm and the output projection over
-  /// h [B, L, H] -> logits [B*L, vocab].
-  Tensor decoder_head(layers::LayerContext& ctx, const Tensor& h);
+  /// Source embedding -> encoder blocks -> final encoder LayerNorm over
+  /// src_ids [B, Ls]: the body of forward and of encode. Returns enc_out.
+  Tensor encode_source(layers::LayerContext& ctx, const Tensor& src_ids,
+                       const Tensor& src_lens);
 
   TransformerConfig cfg_;
   layers::ParamRegistry params_;
   std::unique_ptr<dist::TpRuntime> tp_;  ///< peer shards (TP numeric runs)
   std::unique_ptr<layers::EmbeddingLayer> src_embed_, tgt_embed_;
-  std::vector<std::unique_ptr<layers::TransformerEncoderLayer>> encoder_;
-  std::vector<std::unique_ptr<layers::TransformerDecoderLayer>> decoder_;
-  layers::ParamRef enc_ln_gamma_, enc_ln_beta_, dec_ln_gamma_, dec_ln_beta_;
+  std::unique_ptr<layers::BlockStack<layers::TransformerEncoderLayer>> encoder_;
+  std::unique_ptr<layers::LayerNorm> enc_ln_;
   layers::TpParam cross_kv_weight_, cross_kv_bias_;
+  std::unique_ptr<layers::BlockStack<layers::TransformerDecoderLayer>> decoder_;
+  std::unique_ptr<layers::LayerNorm> dec_ln_;
   std::unique_ptr<layers::CriterionLayer> criterion_;
 
-  // Parameter declaration ranges per component, reported grad-ready to the
-  // bucketer as each backward stage completes (src/dist/bucket.h). The
-  // shared token table lives in src_range_ and is final only after the
-  // source embedding backward — the very last grad accumulation.
-  layers::ParamRange src_range_, tgt_range_, enc_ln_range_, cross_kv_range_;
-  layers::ParamRange dec_ln_range_, criterion_range_;
-  std::vector<layers::ParamRange> enc_ranges_, dec_ranges_;
+  // Declaration ranges of the components the stacks and LayerNorms do not
+  // report, reported grad-ready to the bucketer as each backward stage
+  // completes (src/dist/bucket.h). The shared token table lives in
+  // src_range_ and is final only after the source embedding backward — the
+  // very last grad accumulation.
+  layers::ParamRange src_range_, tgt_range_, cross_kv_range_, criterion_range_;
   layers::PpPlan pp_plan_;
-  int pp_encoder_stages_ = 1;      ///< pe: stages [0, pe) run the encoder
-  std::vector<int> enc_stage_, dec_stage_;  ///< stage of each layer
 
   struct Saved {
-    Tensor src_lens, tgt_lens;
-    Tensor enc_stack_out, enc_out, enc_mean, enc_rstd;  // final encoder LN
-    Tensor dec_stack_out, dec_out, dec_mean, dec_rstd;  // final decoder LN
+    Tensor enc_out;          // final encoder LN output [B, Ls, H], the cross-K/V input
     std::vector<Tensor> kv;  // 2 per decoder layer, head layout
-    int64_t B = 0, Ls = 0, Lt = 0;
   };
   std::optional<Saved> saved_;
 };

@@ -1,9 +1,6 @@
 #include "models/vit.h"
 
 #include "common/parallel.h"
-#include "kernels/criterion.h"
-#include "kernels/elementwise.h"
-#include "kernels/layernorm.h"
 #include "layers/linear.h"
 
 namespace ls2::models {
@@ -119,7 +116,7 @@ Vit::Vit(VitConfig cfg, layers::System system, DType dtype, uint64_t seed,
   const layers::TpDecl tp_decl{cfg.tp.enabled() ? cfg.tp.size : 1,
                                tp_ ? &tp_->peers() : nullptr};
 
-  int mark = params_.size();
+  const int mark = params_.size();
   patch_w_ = params_.declare("vit.patch_proj.weight", Shape{cfg.hidden, cfg.patch_dim()},
                              layers::Init::kXavier);
   patch_b_ = params_.declare("vit.patch_proj.bias", Shape{cfg.hidden}, layers::Init::kZero);
@@ -139,46 +136,25 @@ Vit::Vit(VitConfig cfg, layers::System system, DType dtype, uint64_t seed,
   // Blocks shard; the patch projection, [CLS]/positional embeddings and the
   // small classification head stay replicated.
   lcfg.tp = tp_decl;
-  for (int64_t i = 0; i < cfg.layers; ++i) {
-    mark = params_.size();
-    blocks_.push_back(std::make_unique<layers::TransformerEncoderLayer>(
-        params_, "vit.blocks." + std::to_string(i), lcfg));
-    block_ranges_.push_back(params_.range_since(mark));
-  }
-  mark = params_.size();
-  ln_gamma_ = params_.declare("vit.ln_f.gamma", Shape{cfg.hidden}, layers::Init::kOne);
-  ln_beta_ = params_.declare("vit.ln_f.beta", Shape{cfg.hidden}, layers::Init::kZero);
-  ln_range_ = params_.range_since(mark);
-  mark = params_.size();
-  head_w_ = params_.declare("vit.head.weight", Shape{cfg.num_classes, cfg.hidden},
-                            layers::Init::kXavier);
-  head_b_ = params_.declare("vit.head.bias", Shape{cfg.num_classes}, layers::Init::kZero);
-  head_range_ = params_.range_since(mark);
+  blocks_ = std::make_unique<layers::BlockStack<layers::TransformerEncoderLayer>>(
+      params_, "vit.blocks", cfg.layers, lcfg);
+  ln_f_ = std::make_unique<layers::LayerNorm>(params_, "vit.ln_f", cfg.hidden);
+  head_ = std::make_unique<ClsHead>(params_, "vit", "head", cfg.hidden, cfg.num_classes);
 
   params_.materialize(dtype, system == layers::System::kLightSeq2, Rng(seed), param_alloc);
   if (tp_) tp_->materialize(dtype, seed);
 }
 
 const layers::PpPlan& Vit::pp_configure(int pp) {
-  LS2_CHECK(pp >= 1 && pp <= cfg_.layers)
-      << "pp " << pp << " needs at least one block per stage (layers=" << cfg_.layers << ")";
-  pp_plan_ = layers::PpPlan{};
-  pp_plan_.stages = pp;
-  pp_plan_.stage_params.assign(static_cast<size_t>(pp), {});
-  pp_plan_.stage_params[0].push_back(embed_range_);
-  block_stage_.assign(static_cast<size_t>(cfg_.layers), 0);
-  for (int64_t i = 0; i < cfg_.layers; ++i) {
-    const int s = layers::block_stage(i, cfg_.layers, pp);
-    block_stage_[static_cast<size_t>(i)] = s;
-    pp_plan_.stage_params[static_cast<size_t>(s)].push_back(
-        block_ranges_[static_cast<size_t>(i)]);
-  }
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(ln_range_);
-  pp_plan_.stage_params[static_cast<size_t>(pp - 1)].push_back(head_range_);
-  return pp_plan_;
+  layers::PpPlan plan(pp);
+  plan.stage_params.front().push_back(embed_range_);
+  blocks_->place(plan, 0, pp);
+  plan.stage_params.back().push_back(ln_f_->range());
+  plan.stage_params.back().push_back(head_->range());
+  return pp_plan_ = std::move(plan);
 }
 
-ClsResultVit Vit::forward(layers::LayerContext& ctx, const ImageBatch& batch) {
+ClsResult Vit::forward(layers::LayerContext& ctx, const ImageBatch& batch) {
   // Peer mirror of the zeroed-at-step-start contract; under microbatched
   // execution peers accumulate across microbatches like the device grads.
   if (tp_ && ctx.kern.microbatch == 0) tp_->zero_grads();
@@ -216,130 +192,23 @@ ClsResultVit Vit::forward(layers::LayerContext& ctx, const ImageBatch& batch) {
                                  : std::function<void()>(nullptr));
   }
 
-  Tensor x = h;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (!block_stage_.empty() && i > 0 && block_stage_[i] != block_stage_[i - 1]) {
-      ctx.pp_enter(block_stage_[i], true, static_cast<int64_t>(x.bytes()));
-    }
-    x = blocks_[i]->forward(ctx, x, /*key_lens=*/nullptr);
-  }
-  Tensor out = ctx.alloc({B, S, cfg_.hidden}, dt);
-  Tensor mean = ctx.alloc({B * S}, DType::kF32);
-  Tensor rstd = ctx.alloc({B * S}, DType::kF32);
-  kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, x, params_.value(ln_gamma_),
-                     params_.value(ln_beta_), out, mean, rstd);
-
-  // Classification head on [CLS].
-  Tensor cls = ctx.alloc({B, cfg_.hidden}, dt);
-  {
-    simgpu::KernelDesc d;
-    d.name = "vit.gather_cls";
-    d.bytes_read = static_cast<int64_t>(cls.bytes());
-    d.bytes_written = static_cast<int64_t>(cls.bytes());
-    d.mem_efficiency = 0.6;
-    ctx.kern.dev.launch(d, [&, B, S] {
-      LS2_DISPATCH_FLOAT(dt, T, {
-        const T* op = out.data<T>();
-        T* cp = cls.data<T>();
-        for (int64_t b = 0; b < B; ++b)
-          for (int64_t j = 0; j < cfg_.hidden; ++j)
-            cp[b * cfg_.hidden + j] = op[b * S * cfg_.hidden + j];
-      });
-    });
-  }
-  Tensor logits_nb = ctx.alloc({B, cfg_.num_classes}, dt);
-  layers::linear_fw(ctx, cls, params_.value(head_w_), logits_nb, "vit.head");
-  Tensor logits = ctx.alloc({B, cfg_.num_classes}, dt);
-  kern::baseline::add_bias(ctx.kern, logits_nb, params_.value(head_b_), logits);
-
-  Tensor loss = ctx.alloc({B}, DType::kF32);
-  Tensor stats = ctx.alloc({B, 2}, DType::kF32);
-  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, logits, batch.labels, loss,
-                            stats, 0.0f, -1);
-
-  // Under microbatched execution (pipeline parallelism) the carries
-  // continue the double loss sum and the correct count across slices, and
-  // the mean divides by the GLOBAL batch size — bitwise the full-batch run.
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : B;
-  ClsResultVit res;
-  res.total = denom;
-  if (ctx.device().mode() == simgpu::ExecMode::kExecute) {
-    double sum = ctx.pp_loss_carry ? *ctx.pp_loss_carry : 0.0;
-    for (float v : loss.to_vector()) sum += v;
-    if (ctx.pp_loss_carry) *ctx.pp_loss_carry = sum;
-    res.loss = static_cast<float>(sum / static_cast<double>(denom));
-    double correct = ctx.pp_metric_carry ? *ctx.pp_metric_carry : 0.0;
-    const auto lg = logits.to_vector();
-    const auto lb = batch.labels.to_vector();
-    for (int64_t b = 0; b < B; ++b) {
-      int best = 0;
-      for (int64_t c = 1; c < cfg_.num_classes; ++c) {
-        if (lg[b * cfg_.num_classes + c] > lg[b * cfg_.num_classes + best])
-          best = static_cast<int>(c);
-      }
-      if (best == static_cast<int>(lb[static_cast<size_t>(b)])) correct += 1.0;
-    }
-    if (ctx.pp_metric_carry) *ctx.pp_metric_carry = correct;
-    res.correct = static_cast<int64_t>(correct);
-  }
-  saved_ = Saved{batch.patches, proj, mask, x, out, mean, rstd, cls, logits, stats,
-                 batch.labels, B};
+  Tensor x = blocks_->forward(ctx, h, [&](auto& block, int64_t, const Tensor& in) {
+    return block.forward(ctx, in, /*key_lens=*/nullptr);
+  });
+  ClsResult res = head_->forward(ctx, ln_f_->forward(ctx, x), batch.labels);
+  saved_ = Saved{batch.patches, proj, mask, B};
   return res;
 }
 
 void Vit::backward(layers::LayerContext& ctx) {
   LS2_CHECK(saved_.has_value()) << "backward without forward";
   Saved& s = *saved_;
-  const int64_t B = s.B, P = cfg_.patches(), S = cfg_.seq_len();
+  const int64_t B = s.B, P = cfg_.patches();
   const DType dt = params_.dtype();
 
-  const int last_stage = pp_plan_.stages - 1;
-  ctx.pp_enter(last_stage, /*forward=*/false, 0);
-  // Mean-over-batch gradient: the denominator is the GLOBAL batch size
-  // under microbatched execution, this slice's otherwise.
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : B;
-  Tensor dlogits = ctx.alloc({B, cfg_.num_classes}, dt);
-  kern::ls_cross_entropy_bw(ctx.kern, ctx.policy.criterion, s.logits, s.labels, s.stats,
-                            dlogits, 0.0f, ctx.loss_scale / static_cast<float>(denom), -1);
-  kern::bias_grad(ctx.kern, dlogits, params_.grad(head_b_));
-  Tensor dcls = ctx.alloc({B, cfg_.hidden}, dt);
-  layers::linear_bw(ctx, dlogits, s.cls, params_.value(head_w_), dcls,
-                    params_.grad(head_w_), "vit.head");
-  params_.notify_grad_ready(head_range_);
-
-  Tensor d_out = ctx.alloc({B, S, cfg_.hidden}, dt);
-  {
-    simgpu::KernelDesc d;
-    d.name = "vit.scatter_cls";
-    d.bytes_read = static_cast<int64_t>(dcls.bytes());
-    d.bytes_written = static_cast<int64_t>(d_out.bytes());
-    d.mem_efficiency = 0.6;
-    ctx.kern.dev.launch(d, [&, B, S] {
-      LS2_DISPATCH_FLOAT(dt, T, {
-        std::memset(d_out.raw(), 0, d_out.bytes());
-        const T* cp = dcls.data<T>();
-        T* op = d_out.data<T>();
-        for (int64_t b = 0; b < B; ++b)
-          for (int64_t j = 0; j < cfg_.hidden; ++j)
-            op[b * S * cfg_.hidden + j] = cp[b * cfg_.hidden + j];
-      });
-    });
-  }
-
-  Tensor dh = ctx.alloc({B, S, cfg_.hidden}, dt);
-  kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, d_out, s.stack_out,
-                     params_.value(ln_gamma_), s.mean, s.rstd, dh, params_.grad(ln_gamma_),
-                     params_.grad(ln_beta_));
-  params_.notify_grad_ready(ln_range_);
-  int stage = last_stage;
-  for (int64_t i = cfg_.layers - 1; i >= 0; --i) {
-    if (!block_stage_.empty() && block_stage_[static_cast<size_t>(i)] != stage) {
-      stage = block_stage_[static_cast<size_t>(i)];
-      ctx.pp_enter(stage, false, static_cast<int64_t>(dh.bytes()));
-    }
-    dh = blocks_[static_cast<size_t>(i)]->backward(ctx, dh);
-    params_.notify_grad_ready(block_ranges_[static_cast<size_t>(i)]);
-  }
+  ctx.pp_enter(pp_plan_.stages - 1, /*forward=*/false, 0);
+  const Tensor d_out = head_->backward(ctx);
+  const Tensor dh = blocks_->backward(ctx, ln_f_->backward(ctx, d_out));
 
   // Embedding backward: dropout + split into dproj/dbias/dcls_token/dpos.
   Tensor dproj = ctx.alloc({B, P, cfg_.hidden}, dt);
@@ -368,7 +237,9 @@ void Vit::backward(layers::LayerContext& ctx) {
 
 void Vit::release() {
   saved_.reset();
-  for (auto& b : blocks_) b->release();
+  blocks_->release();
+  ln_f_->release();
+  head_->release();
 }
 
 }  // namespace ls2::models

@@ -9,12 +9,11 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "dist/tensor_parallel.h"
+#include "layers/block_stack.h"
 #include "layers/encoder_layer.h"
-#include "layers/params.h"
-#include "layers/pp.h"
+#include "models/cls_head.h"
 
 namespace ls2::models {
 
@@ -45,18 +44,12 @@ struct ImageBatch {
   Tensor labels;   ///< [B] i32
 };
 
-struct ClsResultVit {
-  float loss = 0;
-  int64_t correct = 0;
-  int64_t total = 0;
-};
-
 class Vit {
  public:
   Vit(VitConfig cfg, layers::System system, DType dtype, uint64_t seed,
       BufferAllocator* param_alloc = nullptr);
 
-  ClsResultVit forward(layers::LayerContext& ctx, const ImageBatch& batch);
+  ClsResult forward(layers::LayerContext& ctx, const ImageBatch& batch);
   void backward(layers::LayerContext& ctx);
   void release();
 
@@ -67,7 +60,6 @@ class Vit {
   /// embedding with the first blocks on stage 0, final LayerNorm + head
   /// with the last blocks on stage pp-1.
   const layers::PpPlan& pp_configure(int pp);
-  const layers::PpPlan& pp_plan() const { return pp_plan_; }
 
   /// TP epilogue (no-op when TP is off): peer-shard update after the rank-0
   /// trainer step — see core::train_step.
@@ -81,20 +73,15 @@ class Vit {
   layers::ParamRegistry params_;
   std::unique_ptr<dist::TpRuntime> tp_;
   layers::ParamRef patch_w_, patch_b_, cls_token_, pos_embed_;
-  std::vector<std::unique_ptr<layers::TransformerEncoderLayer>> blocks_;
-  layers::ParamRef ln_gamma_, ln_beta_, head_w_, head_b_;
-
-  // Declaration ranges for the gradient bucketer (src/dist/bucket.h).
-  layers::ParamRange embed_range_, ln_range_, head_range_;
-  std::vector<layers::ParamRange> block_ranges_;
+  std::unique_ptr<layers::BlockStack<layers::TransformerEncoderLayer>> blocks_;
+  std::unique_ptr<layers::LayerNorm> ln_f_;
+  std::unique_ptr<ClsHead> head_;
+  layers::ParamRange embed_range_;  ///< for the gradient bucketer (src/dist/bucket.h)
   layers::PpPlan pp_plan_;
-  std::vector<int> block_stage_;  ///< stage of each block (all 0 without PP)
 
   struct Saved {
     Tensor patches_in, proj;  // [B,P,pd] input and [B,P,H] projection
     Tensor embed_mask;        // u8 dropout mask over [B, P+1, H]
-    Tensor stack_out, out, mean, rstd;
-    Tensor cls, logits, stats, labels;
     int64_t B = 0;
   };
   std::optional<Saved> saved_;

@@ -29,7 +29,6 @@ using layers::System;
 
 float loss_of(const layers::CriterionResult& r) { return r.loss_sum; }
 float loss_of(const models::ClsResult& r) { return r.loss; }
-float loss_of(const models::ClsResultVit& r) { return r.loss; }
 
 std::vector<float> param_values(layers::ParamRegistry& reg) {
   std::vector<float> all;

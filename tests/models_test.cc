@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "core/lightseq2.h"
 
@@ -149,6 +150,37 @@ TEST(BertTest, ClassifierTrainsAboveChance) {
     }
   }
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(total), 0.9);
+}
+
+// DeepSpeed's fused kernels run only lengths that are multiples of 16
+// (Table I), so an unpadded DeepSpeed batch must throw rather than train
+// on kernel costs for a shape DeepSpeed cannot run.
+TEST(BertTest, DeepSpeedRejectsLengthsItCannotRun) {
+  BertConfig cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.layers = 2;
+  cfg.max_len = 64;
+  const auto step_at = [&](int64_t len) {
+    Session s(session_config(System::kDeepSpeed));
+    Bert model(cfg, System::kDeepSpeed, DType::kF32, 1, s.param_alloc());
+    optim::OptimConfig ocfg;
+    auto trainer =
+        optim::make_trainer(System::kDeepSpeed, model.params(), ocfg, s.param_alloc());
+    data::ClsDataset ds(cfg.vocab, 16, len, 1);
+    return core::train_step(s, model, ds.batch(0, 4, len), *trainer).second;
+  };
+  try {
+    step_at(33);
+    FAIL() << "DeepSpeed trained a length-33 batch";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("DeepSpeed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("16"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(step_at(48).total, 4);
 }
 
 TEST(VitTest, ForwardBackwardAndShapes) {

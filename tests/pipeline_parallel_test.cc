@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/lightseq2.h"
@@ -239,6 +241,100 @@ TEST(PipelineScheduleTest, ExposedP2pIsChargedToTheWaitingLane) {
 }
 
 // ---------------------------------------------------------------------------
+// BlockStack: stage placement and the stack walk every model runs
+// ---------------------------------------------------------------------------
+
+// A block with one parameter and no pass of its own: the walks drive it
+// through the per-block step.
+struct FakeBlock {
+  FakeBlock(layers::ParamRegistry& params, const std::string& name, int64_t width) {
+    params.declare(name + ".w", Shape{width}, layers::Init::kZero);
+  }
+  void release() {}
+};
+
+TEST(BlockStackTest, PlacesContiguousRunsAndRejectsMoreStagesThanBlocks) {
+  layers::ParamRegistry params;
+  params.declare("embed", Shape{4}, layers::Init::kZero);
+  layers::BlockStack<FakeBlock> stack(params, "blocks", 5, int64_t{4});
+  ASSERT_EQ(stack.size(), 5);
+  for (int64_t i = 0; i < stack.size(); ++i) EXPECT_EQ(stack.stage(i), 0);
+
+  layers::PpPlan plan(4);
+  stack.place(plan, 1, 3);
+  std::vector<int> stages;
+  for (int64_t i = 0; i < stack.size(); ++i) stages.push_back(stack.stage(i));
+  EXPECT_EQ(stages, (std::vector<int>{1, 1, 2, 2, 3}));
+  // Block i is declaration i + 1 (after "embed"); each range joins its
+  // block's stage in declaration order.
+  std::vector<std::vector<int>> begins(4);
+  for (size_t s = 0; s < plan.stage_params.size(); ++s) {
+    for (const layers::ParamRange& r : plan.stage_params[s]) {
+      EXPECT_EQ(r.end, r.begin + 1);
+      begins[s].push_back(r.begin);
+    }
+  }
+  EXPECT_EQ(begins, (std::vector<std::vector<int>>{{}, {1, 2}, {3, 4}, {5}}));
+
+  layers::PpPlan wide(8);
+  EXPECT_THROW(stack.place(wide, 0, 6), Error);
+  EXPECT_THROW(stack.place(wide, 0, 0), Error);
+  EXPECT_THROW(stack.place(plan, 2, 3), Error);  // stages [2, 5) of a 4-stage plan
+  EXPECT_THROW((void)layers::PpPlan(0), Error);
+}
+
+TEST(BlockStackTest, WalksMarkEveryBoundaryAndReportBlocksGradReadyInReverse) {
+  layers::ParamRegistry params;
+  layers::BlockStack<FakeBlock> stack(params, "blocks", 5, int64_t{1});
+  layers::PpPlan plan(3);
+  stack.place(plan, 0, 3);  // stages 0 0 1 1 2
+
+  simgpu::Device dev(simgpu::v100(), simgpu::ExecMode::kModelOnly);
+  layers::LayerContext ctx(dev, nullptr, layers::policy_for(System::kLightSeq2), 1);
+  using Enter = std::tuple<int, bool, int64_t>;  // (stage, forward, payload bytes)
+  std::vector<Enter> entered;
+  layers::PpHooks hooks;
+  hooks.enter = [&](int stage, bool forward, int64_t bytes) {
+    entered.emplace_back(stage, forward, bytes);
+  };
+  ctx.pp = &hooks;
+  std::vector<int> ready;
+  params.set_grad_ready_callback([&](const layers::ParamRange& r) { ready.push_back(r.begin); });
+
+  // Block i's step returns i + 2 floats, so a boundary's hidden-state bytes
+  // name the block that produced them; carried(b) = 1000 b names the
+  // boundary's first block on the later stage.
+  std::vector<int64_t> order;
+  const auto step = [&](FakeBlock&, int64_t i, const Tensor&) {
+    order.push_back(i);
+    return Tensor::empty({i + 2}, DType::kF32);
+  };
+  const layers::StackCarry carried = [](int64_t b) { return 1000 * b; };
+
+  const Tensor h = stack.forward(ctx, Tensor::empty({1}, DType::kF32), step, carried);
+  EXPECT_EQ(h.numel(), 6);
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  // Entering block 2 (stage 1) carries block 1's output; block 4 (stage 2)
+  // block 3's.
+  EXPECT_EQ(entered, (std::vector<Enter>{{1, true, 3 * 4 + 2000}, {2, true, 5 * 4 + 4000}}));
+  EXPECT_TRUE(ready.empty());
+
+  entered.clear();
+  order.clear();
+  stack.backward(ctx, Tensor::empty({1}, DType::kF32), step, carried);
+  EXPECT_EQ(order, (std::vector<int64_t>{4, 3, 2, 1, 0}));
+  // Leaving block 4 enters block 3's stage 1 with block 4's output; leaving
+  // block 2 enters stage 0 with block 2's.
+  EXPECT_EQ(entered, (std::vector<Enter>{{1, false, 6 * 4 + 4000}, {0, false, 4 * 4 + 2000}}));
+  EXPECT_EQ(ready, (std::vector<int>{4, 3, 2, 1, 0}));
+
+  // Without a carry a boundary puts only the hidden state on the wire.
+  entered.clear();
+  stack.forward(ctx, Tensor::empty({1}, DType::kF32), step);
+  EXPECT_EQ(entered, (std::vector<Enter>{{1, true, 3 * 4}, {2, true, 5 * 4}}));
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end parity: PP=k bitwise equals the single-stage run
 // ---------------------------------------------------------------------------
 
@@ -391,6 +487,44 @@ TEST(PpParityTest, VitBitwiseAcrossPpDegrees) {
     return std::make_unique<models::Vit>(vcfg, System::kLightSeq2, DType::kF32, 41,
                                          alloc);
   }, batch);
+}
+
+// Every model places its blocks through BlockStack::place, so a stage
+// count the blocks cannot fill throws instead of leaving a stage empty.
+TEST(PpPlanTest, EveryModelRejectsMoreStagesThanBlocks) {
+  models::Transformer mt(small_mt_config(), System::kLightSeq2, DType::kF32, 1);  // 2e2d
+  EXPECT_THROW(mt.pp_configure(5), Error);
+  EXPECT_THROW(mt.pp_configure(0), Error);
+  EXPECT_EQ(mt.pp_configure(4).stages, 4);
+
+  models::Gpt2 gpt2(small_gpt2_config(), System::kLightSeq2, DType::kF32, 1);  // 4 blocks
+  EXPECT_THROW(gpt2.pp_configure(5), Error);
+  EXPECT_THROW(gpt2.pp_configure(0), Error);
+  EXPECT_EQ(gpt2.pp_configure(4).stages, 4);
+
+  models::BertConfig bcfg;
+  bcfg.vocab = 64;
+  bcfg.hidden = 32;
+  bcfg.heads = 4;
+  bcfg.ffn_dim = 64;
+  bcfg.layers = 2;
+  bcfg.max_len = 64;
+  models::Bert bert(bcfg, System::kLightSeq2, DType::kF32, 1);
+  EXPECT_THROW(bert.pp_configure(3), Error);
+  EXPECT_THROW(bert.pp_configure(0), Error);
+  EXPECT_EQ(bert.pp_configure(2).stages, 2);
+
+  models::VitConfig vcfg;
+  vcfg.image = 64;
+  vcfg.patch = 16;
+  vcfg.hidden = 32;
+  vcfg.heads = 4;
+  vcfg.ffn_dim = 64;
+  vcfg.layers = 2;
+  models::Vit vit(vcfg, System::kLightSeq2, DType::kF32, 1);
+  EXPECT_THROW(vit.pp_configure(3), Error);
+  EXPECT_THROW(vit.pp_configure(0), Error);
+  EXPECT_EQ(vit.pp_configure(2).stages, 2);
 }
 
 // ---------------------------------------------------------------------------
