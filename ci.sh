@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, parameterized for the CI matrix (.github/workflows/ci.yml):
 #
-#   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|tp|pp|fault|fleet|obs|paged]
+#   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|dist|tp|pp|fault|fleet|obs|paged]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
 #                      test suite, smoke-runs every fig* bench,
@@ -19,6 +19,10 @@
 #                      watcher thread (fault_tolerance_test). Everything
 #                      else is single-threaded and would only slow the lane.
 #   --smoke full       Everything the preset covers (default).
+#   --smoke dist       Data-parallel sync smoke lane: the bucket planner,
+#                      overlap and pipelined-update test binaries, and
+#                      (release only) fig22_scaling with its schema check
+#                      (every overlapped N x 8 row hides some sync).
 #   --smoke tp         Tensor-parallel smoke lane: builds everything, runs
 #                      the TP test binary, and (release only) runs fig_tp
 #                      and schema-checks its JSON. Fast signal that the
@@ -56,7 +60,7 @@ SMOKE=full
 while [ $# -gt 0 ]; do
   case "$1" in
     --preset) PRESET="${2:?ci.sh: --preset needs a value (release|sanitize|tsan)}"; shift 2 ;;
-    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|tp|pp|fault|fleet|obs|paged)}"; shift 2 ;;
+    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|dist|tp|pp|fault|fleet|obs|paged)}"; shift 2 ;;
     *) echo "ci.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -83,9 +87,11 @@ case "$PRESET" in
   *) echo "ci.sh: unknown preset '$PRESET'" >&2; exit 2 ;;
 esac
 
-# Smoke lanes: lane -> "<ctest regex> <fig bench>", the tests it runs and
-# the bench whose JSON it schema-checks. "full" runs every test and bench.
+# Smoke lanes: lane -> "<ctest regex> <fig bench> [<figure>]", the tests it
+# runs, the bench it runs and the figure whose JSON it schema-checks (the
+# bench's name unless given). "full" runs every test and bench.
 declare -A LANES=(
+  [dist]="dist_overlap_test|dist_core_test|pipeline_update_test fig22_scaling fig22"
   [tp]="tensor_parallel_test fig_tp"
   [pp]="pipeline_parallel_test fig_3d"
   [fault]="fault_tolerance_test fig_fault"
@@ -93,10 +99,11 @@ declare -A LANES=(
   [obs]="obs_test|trace_test fig_obs"
   [paged]="infer_test fig_page"
 )
-LANE_TESTS="" LANE_BENCH=""
+LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""
 if [ "$SMOKE" != full ]; then
   [ -n "${LANES[$SMOKE]+x}" ] || { echo "ci.sh: unknown smoke '$SMOKE'" >&2; exit 2; }
-  read -r LANE_TESTS LANE_BENCH <<< "${LANES[$SMOKE]}"
+  read -r LANE_TESTS LANE_BENCH LANE_FIGURE <<< "${LANES[$SMOKE]}"
+  LANE_FIGURE="${LANE_FIGURE:-$LANE_BENCH}"
 fi
 
 echo "ci.sh: preset=$PRESET smoke=$SMOKE -> $BUILD_DIR"
@@ -145,7 +152,7 @@ if [ "$SMOKE" = full ]; then
 else
   echo "ci.sh: smoke-running ./$LANE_BENCH"
   "./$LANE_BENCH" >/dev/null
-  python3 ../ci/check_bench_json.py "$LANE_BENCH"
+  python3 ../ci/check_bench_json.py "$LANE_FIGURE"
 fi
 
 echo "ci.sh: all checks passed"

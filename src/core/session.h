@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "dist/bucket.h"
 #include "layers/layer_context.h"
 #include "memory/arena_allocator.h"
 #include "memory/caching_allocator.h"
@@ -136,6 +137,11 @@ class Session {
   /// trace time base. Owned here (type-erased) so the lane keeps its warm
   /// allocator cache across steps. Null until the first PP step.
   std::shared_ptr<void> pp_state;
+
+  /// Cross-step state of train_step's gradient bucket planner: the latest
+  /// eager step's measurement of each DP lane and the plans a step-graph
+  /// capture froze (detail::plan_step_buckets).
+  dist::BucketMemo bucket_memo;
 
  private:
   SessionConfig cfg_;

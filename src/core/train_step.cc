@@ -23,11 +23,38 @@ struct PpState {
 
 namespace {
 size_t su(int x) { return static_cast<size_t>(x); }
+
+constexpr double kNever = -std::numeric_limits<double>::infinity();
+
+/// This step's ring costs: a stragglered link stretches every ring, on the
+/// comm stream and on the analytic lanes alike.
+dist::RingModel ring_model(const simgpu::Device& dev, const layers::ParamRegistry& params,
+                           const dist::ClusterConfig& cluster) {
+  return {cluster, dev.profile(), params.dtype(),
+          dev.fault_injector() != nullptr ? dev.fault_injector()->comm_factor() : 1.0};
+}
 }  // namespace
+
+std::vector<dist::BucketPlan> plan_step_buckets(
+    Session& session, const layers::ParamRegistry& params,
+    const std::vector<std::vector<layers::ParamRange>>& lanes,
+    const dist::ClusterConfig& cluster, GraphAction action, double comm_busy_us) {
+  dist::BucketMemo& memo = session.bucket_memo;
+  if (action == GraphAction::kReplay && memo.frozen.size() == lanes.size()) return memo.frozen;
+  const dist::RingModel ring = ring_model(session.device(), params, cluster);
+  const bool measured = memo.lanes.size() == lanes.size();
+  std::vector<dist::BucketPlan> plans;
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    plans.push_back(dist::plan_buckets(params, lanes[i], measured ? &memo.lanes[i] : nullptr,
+                                       ring, comm_busy_us));
+  }
+  if (action == GraphAction::kCapture) memo.frozen = plans;
+  return plans;
+}
 
 PipelineStep::PipelineStep(Session& session, layers::ParamRegistry& params,
                            const layers::PpPlan& plan, const dist::ClusterConfig& cluster,
-                           int64_t denominator)
+                           std::vector<dist::BucketPlan> buckets, int64_t denominator)
     : session_(session),
       dev_(session.device()),
       ctx_(session.ctx()),
@@ -38,24 +65,21 @@ PipelineStep::PipelineStep(Session& session, layers::ParamRegistry& params,
       m_(cluster.microbatches),
       denominator_(denominator),
       tied_param_(plan.tied_param.index),
+      buckets_(std::move(buckets)),
+      stage_params_(plan.stage_params),
       local_act_(ctx_.activation_allocator()),
       act_base_(session.activations().bytes_in_use()),
       fdur_(su(pp_), std::vector<double>(su(m_), 0.0)),
       bdur_(fdur_),
       fwd_bytes_(su(pp_ - 1), 0),
       bwd_bytes_(su(pp_ - 1), 0),
-      ready_offset_(su(params.size()), -1.0) {
+      ready_report_(su(params.size()), -1) {
   LS2_CHECK(plan.stages == pp_) << "plan stages " << plan.stages << " vs pp " << pp_;
+  LS2_CHECK(static_cast<int>(buckets_.size()) == pp_)
+      << buckets_.size() << " bucket plans for " << pp_ << " stages";
   // Each stage is a different rank, so each buckets only its own params.
-  // Without DP the buckets are just optimizer ranges: one per contiguous run.
-  const int64_t cap = cluster.dp_size() > 1
-                          ? dist::effective_bucket_bytes(cluster, dev_.profile())
-                          : std::numeric_limits<int64_t>::max();
   int64_t covered = 0;
-  for (const std::vector<layers::ParamRange>& ranges : plan.stage_params) {
-    buckets_.emplace_back(params, ranges, cap);
-    covered += buckets_.back().total_bytes();
-  }
+  for (const dist::BucketPlan& b : buckets_) covered += b.total_bytes();
   LS2_CHECK(covered == static_cast<int64_t>(params.flat_grad_bytes()))
       << "stage partition covers " << covered << " of " << params.flat_grad_bytes()
       << " gradient bytes";
@@ -97,13 +121,15 @@ void PipelineStep::begin_microbatch(int j) {
   ctx_.kern.dropout_site = 1;  // every microbatch walks the full batch's site order
   ctx_.pp_flush = (j == m_ - 1);  // layers flush deferred tied-table work
   if (j == m_ - 1) {
-    // Gradients are FINAL only on the last microbatch: record each param's
-    // first notification as an offset into the chunk running at the time.
+    // Gradients are FINAL only on the last microbatch: record each report
+    // as an offset into the chunk running at the time, and each param's
+    // first report.
     params_.set_grad_ready_callback([this](const layers::ParamRange& range) {
-      const double offset = dev_.clock_us() - chunk_begin_;
+      const int report = static_cast<int>(report_offset_.size());
+      report_offset_.push_back(dev_.clock_us() - chunk_begin_);
       for (int i = range.begin; i < range.end; ++i) {
-        double& o = ready_offset_[su(i)];
-        if (o < 0) o = offset;
+        int& r = ready_report_[su(i)];
+        if (r < 0) r = report;
       }
     });
   }
@@ -144,7 +170,48 @@ void PipelineStep::close_chunk() {
   chunk_open_ = false;
 }
 
-void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times) {
+dist::LaneTrace PipelineStep::stage_lane(int s, double bstart, double bend,
+                                        double tied_arrival) const {
+  dist::LaneTrace lane;
+  lane.params = params_.size();
+  lane.ranges = dist::coalesce_ranges(stage_params_[su(s)], params_.size());
+  lane.backward_end_us = bend;
+  lane.ascending_ties = false;
+  // Units: runs of params first named by the same report; the tied table
+  // is a unit of its own, since its gradient is final only once home.
+  struct Unit {
+    layers::ParamRange range;
+    double ready_us;
+  };
+  std::vector<Unit> units;
+  for (const layers::ParamRange& run : lane.ranges) {
+    for (int i = run.begin; i < run.end;) {
+      const int report = ready_report_[su(i)];
+      int j = i + 1;
+      while (i != tied_param_ && j < run.end && j != tied_param_ &&
+             ready_report_[su(j)] == report) {
+        ++j;
+      }
+      double ready = report >= 0 ? bstart + report_offset_[su(report)] : bend;
+      if (i == tied_param_) ready = std::max(ready, tied_arrival);
+      units.push_back({{i, j}, ready});
+      i = j;
+    }
+  }
+  // Ready order; a tie keeps the later-declared unit first.
+  std::reverse(units.begin(), units.end());
+  std::stable_sort(units.begin(), units.end(),
+                   [](const Unit& a, const Unit& b) { return a.ready_us < b.ready_us; });
+  for (const Unit& u : units) {
+    lane.events.push_back({dist::LaneTrace::Event::Kind::kUnit, u.ready_us, 0,
+                           static_cast<int>(lane.units.size())});
+    lane.units.push_back(u.range);
+  }
+  return lane;
+}
+
+void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
+                                   bool replayed) {
   const simgpu::DeviceProfile& prof = dev_.profile();
 
   // --- reconstruct the 1F1B schedule from the measured chunks ---
@@ -192,52 +259,15 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times) 
     times.pp_comm_us += hop;
   }
 
-  // --- per-stage buckets, each ready at its latest param's notification
-  // (a param backward never reported is final when its stage's last
-  // backward chunk ends), queued on the stage's lane in ready order ---
-  struct Ring {
-    int stage;
-    const dist::GradBucket* bucket;
-    double ready_us;
-    double done_us;  ///< ring completion on the stage's comm lane
-  };
-  std::vector<Ring> rings;
-  for (int s = pp_ - 1; s >= 0; --s) {
-    const size_t first = rings.size();
-    const dist::BucketPlan& plan = buckets_[su(s)];
-    for (const dist::GradBucket& b : plan.buckets()) {
-      double ready = 0;
-      for (int i = b.param_begin; i < b.param_end; ++i) {
-        const double o = ready_offset_[su(i)];
-        ready = std::max(ready, o >= 0 ? bstart_last[su(s)] + o : bend_last[su(s)]);
-      }
-      if (s == 0 && tied_arrival >= 0 && plan.bucket_of(tied_param_) == b.index) {
-        ready = std::max(ready, tied_arrival);
-      }
-      rings.push_back({s, &b, ready, 0.0});
-    }
-    std::stable_sort(rings.begin() + static_cast<std::ptrdiff_t>(first), rings.end(),
-                     [](const Ring& a, const Ring& b) { return a.ready_us < b.ready_us; });
-  }
-
-  // Each stage's bucket rings serialize on its OWN comm lane. A stragglered
-  // link stretches every analytic ring this step, exactly as
-  // Device::enqueue_comm stretches real comm-stream transfers.
+  // --- each stage's DP lane through the bucket planner's model: its rings
+  // serialize on the stage's own comm lane in ready order ---
   const bool sync_needed = cluster_.dp_size() > 1;
-  std::vector<double> comm_clock(su(pp_), 0.0);
-  double ring0_us = 0;
-  const double link_factor =
-      dev_.fault_injector() != nullptr ? dev_.fault_injector()->comm_factor() : 1.0;
-  if (sync_needed) {
-    for (Ring& r : rings) {
-      const int64_t wire =
-          dist::wire_payload_bytes(r.bucket->bytes(), params_.dtype(), cluster_.wire_dtype);
-      const double ring = dist::ring_allreduce_us(wire, cluster_, prof) * link_factor;
-      double& lane = comm_clock[su(r.stage)];
-      lane = std::max(lane, r.ready_us) + ring;
-      r.done_us = lane;
-      if (r.stage == 0) ring0_us += ring;
-    }
+  const dist::RingModel ring = ring_model(dev_, params_, cluster_);
+  std::vector<dist::LaneTrace> lanes;
+  std::vector<dist::LaneResult> modeled;
+  for (int s = 0; s < pp_; ++s) {
+    lanes.push_back(stage_lane(s, bstart_last[su(s)], bend_last[su(s)], tied_arrival));
+    modeled.push_back(dist::model_lane(lanes.back(), buckets_[su(s)], ring));
   }
 
   // The DP sync is analytic (no device comm-stream calls), so the
@@ -250,39 +280,77 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times) 
   // StepTimes lane tracks only stage 0: wait for each stage-0 bucket's
   // ring, then its update — pipelined exactly like the pp = 1 path.
   trainer.begin_step();
-  double cursor = bend_last[0];  // stage 0's compute lane ends its 1F1B step
-  const double comm_drain0 = comm_clock[0];
-  double update0_us = 0;
+  dist::UpdateLane lane0;
   {
     obs::SpanScope r(dev_, "update");
-    for (const Ring& rg : rings) {
-      const double u0 = dev_.clock_us();
-      trainer.step_range(ctx_.kern, rg.bucket->byte_begin, rg.bucket->byte_end);
-      const double dur = dev_.clock_us() - u0;
-      if (rg.stage != 0) continue;
-      if (sync_needed) {
-        times.sync_us += std::max(0.0, rg.done_us - cursor);
-        cursor = std::max(cursor, rg.done_us);
+    for (int s = pp_ - 1; s >= 0; --s) {
+      std::vector<std::pair<int64_t, double>> updates;
+      for (int b : modeled[su(s)].order) {
+        const dist::GradBucket& bucket = buckets_[su(s)].buckets()[su(b)];
+        const double u0 = dev_.clock_us();
+        trainer.step_range(ctx_.kern, bucket.byte_begin, bucket.byte_end);
+        const double dur = dev_.clock_us() - u0;
+        updates.emplace_back(bucket.bytes(), dur);
+        if (s == 0) lane0.add(sync_needed ? modeled[0].done_us[su(b)] : kNever, dur);
       }
-      times.update_overlapped_us += std::max(0.0, std::min(cursor + dur, comm_drain0) - cursor);
-      cursor += dur;
-      update0_us += dur;
+      lanes[su(s)].update = dist::UpdateCost::fit(updates, prof.launch_overhead_us);
     }
   }
   trainer.end_step();
-  times.update_us = update0_us + times.zero_grad_us;
+  const double t2 = bend_last[0];  // stage 0's compute lane ends its 1F1B step
+  const double cursor = lane0.end_us(t2);
+  double drain0 = 0, ring0_us = 0;
+  if (sync_needed) {
+    for (const dist::GradBucket& b : buckets_[0].buckets()) {
+      drain0 = std::max(drain0, modeled[0].done_us[su(b.index)]);
+      ring0_us += ring.ring_us(b.bytes()) * ring.link_factor;
+    }
+    times.sync_us = std::max(0.0, cursor - t2 - lane0.work_us);
+    times.update_overlapped_us = std::max(0.0, drain0 - t2 - times.sync_us);
+  }
+  times.update_us = lane0.work_us + times.zero_grad_us;
   times.sync_overlapped_us = std::max(0.0, ring0_us - times.sync_us);
   // Detection bookkeeping for the analytic lanes: stage 0's exposed DP
   // wait is what a watchdog would observe at this sync boundary.
   if (dev_.fault_injector() != nullptr) {
     dev_.fault_injector()->note_exposed_wait(times.sync_us, dev_.clock_us());
   }
+  // A replayed step runs the frozen plans; only eager timings feed the next.
+  if (!replayed) {
+    session_.bucket_memo.lanes.clear();
+    for (const dist::LaneTrace& lane : lanes) session_.bucket_memo.lanes.push_back(lane.relative());
+  }
 
-  // --- named trace spans: the reconstructed per-rank 1F1B lanes ---
-  if (!session_.config().record_timeline) return;
-  simgpu::Timeline& tl = dev_.timeline();
+  // Every stage's rings: the dist.bucket.* counters of the pp = 1
+  // scheduler, and a named span per ring on the rank's DP lane (tid 2, clear
+  // of the p2p lane).
+  obs::MetricsRegistry* metrics = session_.metrics();
+  const bool trace = session_.config().record_timeline;
   const double base = state_->trace_base_us;
   char name[64];
+  double extent = std::max(sched.makespan_us, cursor);
+  for (int s = 0; sync_needed && s < pp_; ++s) {
+    for (const dist::GradBucket& b : buckets_[su(s)].buckets()) {
+      const double us = ring.ring_us(b.bytes());
+      const double done = modeled[su(s)].done_us[su(b.index)];
+      extent = std::max(extent, done);
+      if (metrics != nullptr) {
+        metrics->counter("dist.bucket.flushes") += 1;
+        metrics->counter("dist.bucket.wire_bytes") +=
+            dist::wire_payload_bytes(b.bytes(), params_.dtype(), cluster_.wire_dtype);
+        metrics->histogram("dist.bucket.allreduce_us").record(us);
+      }
+      if (trace) {
+        std::snprintf(name, sizeof(name), "s%d.allreduce.b%d", s, b.index);
+        dev_.timeline().record_span(group_.rank_of(0, s, 0), 2, name,
+                                    base + done - us * ring.link_factor, base + done);
+      }
+    }
+  }
+
+  // --- named trace spans: the reconstructed per-rank 1F1B lanes ---
+  if (!trace) return;
+  simgpu::Timeline& tl = dev_.timeline();
   for (int s = 0; s < pp_; ++s) {
     const int pid = group_.rank_of(0, s, 0);
     if (!state_->trace_named) {
@@ -303,8 +371,6 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times) 
     }
   }
   state_->trace_named = true;
-  double extent = std::max(sched.makespan_us, cursor);
-  for (double lane : comm_clock) extent = std::max(extent, lane);
   state_->trace_base_us = base + extent + 100.0;
 }
 

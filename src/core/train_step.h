@@ -7,15 +7,16 @@
 // The step is a three-lane pipeline. Compute (zero-grad, forward, backward,
 // update) runs on the compute stream; gradient synchronization runs on the
 // communication stream. With `cluster.overlap` (the default), the flat
-// gradient buffer is partitioned into size-capped buckets in grad-ready
-// order (dist/bucket.h) and each bucket's ring all-reduce is enqueued as
-// soon as the layers owning it finish their backward — so most of the
-// communication is hidden under backward. With `cluster.pipeline_update`
-// (also the default), the third lane kicks in: as each bucket's all-reduce
-// lands, that bucket's optimizer update (`Optimizer::step_range`) is
-// launched on the compute stream immediately — update work that used to sit
-// serially after the full comm drain now overlaps the remaining transfers,
-// and only the tail bucket's wait + update stay fully exposed.
+// gradient buffer is partitioned into buckets in grad-ready order, planned
+// from the previous step's measurement (dist/bucket.h), and each bucket's
+// ring all-reduce is enqueued as soon as the layers owning it finish their
+// backward — so most of the communication is hidden under backward. With
+// `cluster.pipeline_update` (also the default), the third lane kicks in: as
+// each bucket's all-reduce lands, that bucket's optimizer update
+// (`Optimizer::step_range`) is launched on the compute stream immediately —
+// update work that used to sit serially after the full comm drain now
+// overlaps the remaining transfers, and only the tail bucket's wait +
+// update stay fully exposed.
 // `StepTimes::sync_us` is the exposed, critical-path wait; hidden comm is
 // `sync_overlapped_us`, and the update time that ran while the comm stream
 // was still draining is `update_overlapped_us` (informational — it is
@@ -30,8 +31,9 @@
 // model marks stage boundaries (LayerContext::pp_enter), and
 // detail::PipelineStep times each chunk, reconstructs the 1F1B schedule
 // (dist::solve_1f1b) and reports rank 0's lane. Each stage's gradients ring
-// on that stage's own analytic DP lane, one dist::BucketPlan per stage, and
-// stage 0's bucket waits and updates are pipelined into sync_us / update_us.
+// on that stage's own analytic DP lane, one planned dist::BucketPlan per
+// stage, and stage 0's bucket waits and updates are pipelined into
+// sync_us / update_us.
 #pragma once
 
 #include <algorithm>
@@ -190,15 +192,28 @@ int64_t global_denominator(const BatchT& b, int32_t pad_id, bool execute) {
 
 struct PpState;  // cross-step state, owned (type-erased) by Session::pp_state
 
+/// This step's gradient buckets, one plan per DP lane (`lanes`: the whole
+/// registry at pp = 1, each stage's params under PP). Replaying the
+/// session's step graph returns the plans its capture froze, because the
+/// rings are nodes of the graph; otherwise dist::plan_buckets plans each
+/// lane from the session's latest measurement, with the comm stream busy
+/// for `comm_busy_us` past the step's start. A capture freezes what it
+/// returns.
+std::vector<dist::BucketPlan> plan_step_buckets(
+    Session& session, const layers::ParamRegistry& params,
+    const std::vector<std::vector<layers::ParamRange>>& lanes,
+    const dist::ClusterConfig& cluster, GraphAction action, double comm_busy_us);
+
 /// The pipeline-parallel part of one train_step (pp > 1; train_step.cc).
 /// While alive it owns the LayerContext PP hooks (stage-boundary timing,
 /// the per-stage activation allocator swap, the 1F1B residency stand-ins)
 /// and, during the last microbatch, the registry's grad-ready callback.
 class PipelineStep {
  public:
+  /// `buckets`: one plan per stage, over its PpPlan::stage_params.
   PipelineStep(Session& session, layers::ParamRegistry& params,
                const layers::PpPlan& plan, const dist::ClusterConfig& cluster,
-               int64_t denominator);
+               std::vector<dist::BucketPlan> buckets, int64_t denominator);
   ~PipelineStep();
   PipelineStep(const PipelineStep&) = delete;
   PipelineStep& operator=(const PipelineStep&) = delete;
@@ -214,13 +229,19 @@ class PipelineStep {
   void close_chunk();
   /// Everything after the microbatch loop. It reconstructs the 1F1B
   /// schedule and sets rank 0's forward/backward_us and pp_* times. It
-  /// rings each stage's buckets on that stage's lane and runs the
-  /// optimizer per bucket, setting sync and update times from stage 0.
-  /// Last, it records the per-rank trace lanes.
-  void sync_and_update(optim::Optimizer& trainer, StepTimes& times);
+  /// rings each stage's buckets on that stage's lane through the bucket
+  /// planner's model and runs the optimizer per bucket, setting sync and
+  /// update times from stage 0. It keeps each stage's lane as the session's
+  /// measurement unless the step replayed, and records the per-rank trace
+  /// lanes.
+  void sync_and_update(optim::Optimizer& trainer, StepTimes& times, bool replayed);
 
  private:
   void enter(int stage, bool forward, int64_t payload_bytes);
+  /// Stage s's DP lane this step: its units ready at their reports on the
+  /// stage's last backward chunk [bstart, bend), the tied table no earlier
+  /// than `tied_arrival`.
+  dist::LaneTrace stage_lane(int s, double bstart, double bend, double tied_arrival) const;
 
   Session& session_;
   simgpu::Device& dev_;
@@ -235,6 +256,7 @@ class PipelineStep {
   int64_t denominator_;
   int tied_param_;  ///< the tied table's declaration index, -1 when untied
   std::vector<dist::BucketPlan> buckets_;  ///< one plan per stage
+  std::vector<std::vector<layers::ParamRange>> stage_params_;
   layers::PpHooks hooks_;
   double loss_carry_ = 0, metric_carry_ = 0;
   BufferAllocator* local_act_;
@@ -246,9 +268,11 @@ class PipelineStep {
   int cur_stage_ = 0, cur_mb_ = 0;
   bool cur_fwd_ = true, chunk_open_ = false;
   double chunk_begin_ = 0;
-  /// Per param: its grad-ready notification's offset into the chunk running
-  /// at the time, during the last microbatch (-1: never notified).
-  std::vector<double> ready_offset_;
+  /// During the last microbatch: per param, the grad-ready report that
+  /// first named it (-1: none), and per report its offset into the chunk
+  /// running at the time.
+  std::vector<int> ready_report_;
+  std::vector<double> report_offset_;
 };
 
 }  // namespace detail
@@ -292,6 +316,11 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   const dist::ProcessGroup::Stats tp0 =
       tp_group ? tp_group->stats() : dist::ProcessGroup::Stats{};
 
+  // Per-step prologue: advances the RNG step offset (the per-step graph
+  // parameter) and picks eager / capture / replay for the static region.
+  const GraphAction graph_action = session.begin_step();
+  const double tz = dev.clock_us();
+
   // Pipeline parallelism: the model's stage plan plus this step's 1F1B
   // state. Absent with pp == 1, where the step runs the whole batch once
   // with no PP hooks installed.
@@ -303,7 +332,10 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
           << "batch size " << rows << " must split into " << m << " equal microbatches";
       int32_t pad_id = 0;
       if constexpr (requires { model.config().pad_id; }) pad_id = model.config().pad_id;
-      pipe.emplace(session, params, model.pp_configure(cluster.pipeline_parallel), cluster,
+      const layers::PpPlan& plan = model.pp_configure(cluster.pipeline_parallel);
+      pipe.emplace(session, params, plan, cluster,
+                   detail::plan_step_buckets(session, params, plan.stage_params, cluster,
+                                             graph_action, /*comm_busy_us=*/0),
                    detail::global_denominator(batch, pad_id,
                                               dev.mode() == simgpu::ExecMode::kExecute));
     } else {
@@ -312,9 +344,6 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     }
   }
 
-  // Per-step prologue: advances the RNG step offset (the per-step graph
-  // parameter) and picks eager / capture / replay for the static region.
-  const GraphAction graph_action = session.begin_step();
   const bool sync_needed = cluster.dp_size() > 1;
   const bool overlap = !pipe && sync_needed && cluster.overlap;
   const bool pipeline = overlap && cluster.pipeline_update;
@@ -350,7 +379,6 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   // INSIDE the zero_grad range so the one-time graph-launch overhead of a
   // replay is attributed there — both the StepTimes stage windows and the
   // per-range (Fig. 3) sums still cover the whole step.
-  const double tz = dev.clock_us();
   {
     obs::SpanScope r(dev, "zero_grad");
     if (graph_action == GraphAction::kCapture) {
@@ -366,17 +394,23 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   times.zero_grad_us = dev.clock_us() - tz;
 
   // The scheduler owns the registry's grad-ready callback for this step and
-  // enqueues each completed bucket's all-reduce on the comm stream. With
-  // pipelining it also reports each bucket's completion time, so the update
-  // lane below can start that bucket's optimizer work the moment it lands.
+  // enqueues each completed bucket's all-reduce on the comm stream, its
+  // buckets planned from the last step's measurement and the comm stream's
+  // backlog now. With pipelining it also reports each bucket's completion
+  // time, so the update lane below can start that bucket's optimizer work
+  // the moment it lands.
   struct LandedBucket {
     size_t byte_begin, byte_end;
     double done_us;
   };
   std::vector<LandedBucket> landed;
   std::optional<dist::OverlapScheduler> scheduler;
+  std::optional<dist::LaneTrace> measured;  // this step, for the next plan
   if (overlap) {
-    scheduler.emplace(params, dev, cluster, session.metrics());
+    std::vector<dist::BucketPlan> plan =
+        detail::plan_step_buckets(session, params, {{{0, params.size()}}}, cluster,
+                                  graph_action, dev.comm_clock_us() - tz);
+    scheduler.emplace(params, dev, cluster, std::move(plan.front()), session.metrics());
     if (pipeline) {
       scheduler->set_bucket_done_callback(
           [&landed](const dist::GradBucket& b, double done_us) {
@@ -431,7 +465,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
 
   if (pipe) {
     // Stages 3+4 on rank 0's lane of the reconstructed 1F1B schedule.
-    pipe->sync_and_update(trainer, times);
+    pipe->sync_and_update(trainer, times, times.replayed);
   } else if (pipeline) {
     // Stages 3+4 interleaved — per-bucket: wait for the bucket's transfer
     // (exposed sync), then run its optimizer range update (update lane,
@@ -441,8 +475,10 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
       obs::SpanScope r(dev, "synchronize");
       scheduler->finish();  // tail buckets: ready only now that backward ended
     }
+    measured = scheduler->trace(tz);
     const double comm_drain_us = dev.comm_clock_us();
     double update_work_us = 0;
+    std::vector<std::pair<int64_t, double>> updates;  // (bucket bytes, us)
     for (const LandedBucket& b : landed) {
       dev.wait_comm_until(b.done_us, "synchronize");
       obs::SpanScope r(dev, "update");
@@ -450,10 +486,12 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
       trainer.step_range(ctx.kern, b.byte_begin, b.byte_end);
       const double u1 = dev.clock_us();
       update_work_us += u1 - u0;
+      updates.emplace_back(static_cast<int64_t>(b.byte_end - b.byte_begin), u1 - u0);
       times.update_overlapped_us += std::max(0.0, std::min(u1, comm_drain_us) - u0);
     }
     dev.sync_comm("synchronize");  // residual drain (normally zero)
     trainer.end_step();
+    measured->update = dist::UpdateCost::fit(updates, dev.profile().launch_overhead_us);
     const double enqueued_us = scheduler->enqueued_us();
     scheduler.reset();
     const double t4 = dev.clock_us();
@@ -467,6 +505,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
       obs::SpanScope r(dev, "synchronize");
       if (overlap) {
         scheduler->finish();  // tail buckets: ready only now that backward ended
+        measured = scheduler->trace(tz);
         const double exposed = dev.sync_comm("synchronize");
         times.sync_overlapped_us = std::max(0.0, scheduler->enqueued_us() - exposed);
       } else {
@@ -489,6 +528,14 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
     const double t4 = dev.clock_us();
     times.sync_us = t3 - t2;
     times.update_us = (t4 - t3) + times.zero_grad_us;
+    if (measured) {
+      measured->pipelined = false;
+      measured->update_us = t4 - t3;
+    }
+  }
+  // A replayed step runs the frozen plan; only eager timings feed the next.
+  if (measured && graph_action != GraphAction::kReplay) {
+    session.bucket_memo.lanes = {std::move(*measured)};
   }
   // TP epilogue: mirror the update onto the simulated peer shards (host
   // bookkeeping on a private device — charges nothing here; a no-op when

@@ -33,10 +33,6 @@ struct ClusterConfig {
   /// monolithic update after the comm stream drains. Only takes effect with
   /// `overlap`; false reproduces the serial synchronize-then-update schedule.
   bool pipeline_update = true;
-  /// Gradient bucket size cap for the overlapped path (bytes). 25 MB is the
-  /// PyTorch-DDP default; smaller buckets start communicating earlier but
-  /// pay the per-ring latency more often.
-  int64_t bucket_bytes = 25 * 1024 * 1024;
   /// Dtype of the gradient payload ON THE WIRE. The numerically safe default
   /// is FP32 (gradients are up-cast before transmission, matching
   /// allreduce_average's FP32-accumulation contract); kF16 sends half the

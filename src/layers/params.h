@@ -150,8 +150,9 @@ class ParamRegistry {
   /// Grad-ready hook (overlapped data-parallel sync): models fire this as
   /// each layer's backward completes, meaning the gradients of params
   /// [range.begin, range.end) are FINAL (no further accumulation). The
-  /// bucketer (src/dist/bucket.h) listens and launches each size-capped
-  /// bucket's all-reduce as soon as all of its params are ready.
+  /// bucketer (src/dist/bucket.h) listens, launches each bucket's
+  /// all-reduce as soon as all of its params are ready, and plans the next
+  /// step's buckets in units of these ranges.
   using GradReadyFn = std::function<void(const ParamRange&)>;
   void set_grad_ready_callback(GradReadyFn fn) { grad_ready_ = std::move(fn); }
   void clear_grad_ready_callback() { grad_ready_ = nullptr; }

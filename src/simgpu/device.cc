@@ -186,6 +186,7 @@ double Device::enqueue_comm(double us, const std::string& attribution) {
   comm_clock_us_ = begin + wire_us;
   stats_.comm_transfers += 1;
   stats_.comm_us += wire_us;
+  if (comm_log_ != nullptr) comm_log_->ops_.push_back({false, clock_us_, us, comm_clock_us_, 0});
   if (record_timeline_) timeline_.record_comm(begin, comm_clock_us_);
   // Overlapped time is deliberately NOT attributed to the active compute
   // range; only the exposed wait (sync_comm) lands in a range.
@@ -231,6 +232,7 @@ double Device::wait_comm_until(double t_us, const std::string& attribution) {
   // past it would be waiting on nothing.
   const double target = std::min(t_us, comm_clock_us_);
   const double exposed = std::max(0.0, target - clock_us_);
+  if (comm_log_ != nullptr) comm_log_->ops_.push_back({true, clock_us_, 0, t_us, exposed});
   if (exposed > 0) {
     advance(exposed, /*busy=*/true, attribution);
     stats_.exposed_comm_us += exposed;

@@ -26,6 +26,7 @@
 namespace ls2::simgpu {
 
 class FaultInjector;
+class CommLog;
 
 /// A graph-discipline violation surfaced at runtime: replay divergence from
 /// the captured step, device malloc/free or full-stream sync under replay,
@@ -281,6 +282,7 @@ class Device {
   enum class GraphPhase { kNone, kCapture, kReplay };
 
   void attribute(double us);
+  friend class CommLog;
   /// The one launch path behind both launch overloads (bounded = false:
   /// `live` is `bound`).
   void launch_kernel(const KernelDesc& bound, const KernelDesc& live, bool bounded,
@@ -309,6 +311,37 @@ class Device {
   Timeline timeline_;
   bool record_timeline_ = false;
   FaultInjector* fault_ = nullptr;  ///< not owned; null = fault-free
+  CommLog* comm_log_ = nullptr;     ///< the live CommLog, or null
+};
+
+/// RAII recorder of the comm stream: while alive, every transfer the device
+/// enqueues and every stream wait it charges appends one Op, in issue order.
+/// The gradient bucket planner (dist/bucket.h) measures a step's comm
+/// traffic with it. One log per device at a time.
+class CommLog {
+ public:
+  struct Op {
+    bool wait = false;
+    double at_us = 0;     ///< compute clock when issued
+    double us = 0;        ///< transfer: clean duration (before a straggler stretch)
+    double done_us = 0;   ///< transfer: completion; wait: the awaited time
+    double stall_us = 0;  ///< wait: compute time spent waiting
+  };
+
+  explicit CommLog(Device& device) : device_(device) {
+    LS2_CHECK(device_.comm_log_ == nullptr) << "the device already has a CommLog";
+    device_.comm_log_ = this;
+  }
+  ~CommLog() { device_.comm_log_ = nullptr; }
+  CommLog(const CommLog&) = delete;
+  CommLog& operator=(const CommLog&) = delete;
+
+  const std::vector<Op>& ops() const { return ops_; }
+
+ private:
+  friend class Device;
+  Device& device_;
+  std::vector<Op> ops_;
 };
 
 /// RAII stage marker: time advanced while alive is attributed to `name`

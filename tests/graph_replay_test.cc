@@ -316,6 +316,85 @@ TEST(GraphCaptureSafety, CachingAllocatorStallPoisonsCapture) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(eager.losses[i], losses[i]) << "step " << i;
 }
 
+// A captured step freezes its gradient buckets: the rings are graph nodes,
+// so every replay enqueues the captured plan's rings, whatever the planner
+// has measured since (DESIGN.md §3).
+TEST(GraphReplayBuckets, CapturedPlanIsFrozenForEveryReplay) {
+  models::TransformerConfig cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.encoder_layers = 2;
+  cfg.decoder_layers = 2;
+  cfg.max_len = 32;
+  data::MtDataset ds(cfg.vocab, 16, 3, 9, 5);
+  const auto batch = data::make_mt_batches(ds, 64, DType::kF32).front();
+  auto make = [&](DType dt, BufferAllocator* alloc) {
+    return std::make_unique<models::Transformer>(cfg, System::kLightSeq2, dt, 7, alloc);
+  };
+  // Slow links and cheap ring latency: splitting pays even at this size, so
+  // the planned buckets differ from the one cold-start bucket.
+  simgpu::DeviceProfile profile = simgpu::a100();
+  profile.nvlink_bus_gb_s = 0.01;
+  profile.allreduce_latency_us = 1.0;
+  const dist::ClusterConfig cluster{8, 1};
+  const size_t arena = probe_arena(make, batch, DType::kF32);
+
+  auto run = [&](bool graph) {
+    SessionConfig sc;
+    sc.system = System::kLightSeq2;
+    sc.profile = profile;
+    sc.arena_bytes = arena;
+    sc.graph_capture = graph;
+    Session session(sc);
+    auto model = make(DType::kF32, session.param_alloc());
+    optim::OptimConfig ocfg;
+    ocfg.lr = 0.01f;
+    optim::LightSeq2Trainer trainer(model->params(), ocfg);
+    StepRun out;
+    for (int i = 0; i < 5; ++i) {
+      const int64_t transfers0 = session.device().stats().comm_transfers;
+      auto [times, res] = core::train_step(session, *model, batch, trainer, cluster);
+      out.losses.push_back(loss_of(res));
+      out.replayed.push_back(times.replayed);
+      if (!graph) continue;
+      const std::vector<dist::BucketPlan>& frozen = session.bucket_memo.frozen;
+      if (i == 0) {
+        EXPECT_TRUE(frozen.empty());
+      } else {
+        EXPECT_EQ(frozen.size(), 1u) << "step " << i;
+      }
+      if (i >= 2 && frozen.size() == 1) {
+        EXPECT_EQ(session.device().stats().comm_transfers - transfers0, frozen[0].size())
+            << "step " << i;
+      }
+      if (i == 1) {
+        // Captured with planned buckets, not the cold start's one.
+        EXPECT_GT(frozen.front().size(), 1);
+        // Forget the measurement: a replay that re-planned would fall back
+        // to the cold start, and its rings would no longer match the graph.
+        session.bucket_memo.lanes.clear();
+      }
+    }
+    out.params = param_values(model->params());
+    out.poisoned = session.graph_poisoned();
+    return out;
+  };
+
+  const StepRun eager = run(false);
+  const StepRun replay = run(true);
+  ASSERT_FALSE(replay.poisoned);
+  EXPECT_FALSE(replay.replayed[0]);
+  EXPECT_FALSE(replay.replayed[1]);
+  for (int i = 2; i < 5; ++i) EXPECT_TRUE(replay.replayed[i]) << "step " << i;
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(eager.losses[i], replay.losses[i]) << "step " << i;
+  ASSERT_EQ(eager.params.size(), replay.params.size());
+  for (size_t i = 0; i < eager.params.size(); ++i) {
+    ASSERT_EQ(eager.params[i], replay.params[i]) << "param element " << i;
+  }
+}
+
 // The arena is the certified capture-safe strategy.
 TEST(GraphCaptureSafety, ArenaSessionIsCaptureSafe) {
   SessionConfig sc;

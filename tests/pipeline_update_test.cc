@@ -180,16 +180,16 @@ TEST(BucketDoneCallbackTest, FiresOncePerBucketInCompletionOrder) {
   cfg.max_len = 16;
   models::Transformer model(cfg, System::kLightSeq2, DType::kF32, 1);
 
-  // A near-zero ring latency keeps effective_bucket_bytes at the configured
-  // cap, forcing several buckets even for this small model.
+  // A near-zero ring latency keeps the rings cheap; a 4 KB cap forces
+  // several buckets even for this small model.
   simgpu::DeviceProfile profile = simgpu::generic();
   profile.allreduce_latency_us = 1e-3;
   simgpu::Device dev(profile, simgpu::ExecMode::kModelOnly);
   dist::ClusterConfig cluster{8, 2};
-  cluster.bucket_bytes = 4096;
   cluster.wire_dtype = DType::kF16;
 
-  dist::OverlapScheduler sched(model.params(), dev, cluster);
+  dist::OverlapScheduler sched(model.params(), dev, cluster,
+                               dist::BucketPlan(model.params(), 4096));
   ASSERT_GT(sched.plan().size(), 2);
   std::vector<std::pair<int, double>> seen;  // (bucket index, completion time)
   int64_t covered = 0;

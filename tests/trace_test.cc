@@ -177,6 +177,59 @@ TEST(TraceTest, TrainStepRecordsStepStageAndBucketSpans) {
   std::remove(path.c_str());
 }
 
+// Under PP every stage's DP ring is a named span on that stage's rank, on a
+// lane of its own (tid 2) clear of the boundary p2p (tid 1), and feeds the
+// same dist.bucket.* counters as the pp = 1 scheduler.
+TEST(TraceTest, PipelineStepRecordsEveryStagesRings) {
+  models::Gpt2Config cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 32;
+  cfg.heads = 4;
+  cfg.ffn_dim = 64;
+  cfg.layers = 4;
+  cfg.max_len = 64;
+  data::LmDataset ds(cfg.vocab, 4096, 19);
+  const models::LmBatch batch = ds.batch(0, 4, 12);
+  obs::MetricsRegistry reg;
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.record_timeline = true;
+  sc.metrics = &reg;
+  Session s(sc);
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5, s.param_alloc());
+  optim::LightSeq2Trainer trainer(model.params(), optim::OptimConfig{});
+  dist::ClusterConfig cluster;
+  cluster.gpus_per_node = 4;  // dp 2 x pp 2
+  cluster.pipeline_parallel = 2;
+  cluster.microbatches = 4;
+  constexpr int kSteps = 3;
+  for (int i = 0; i < kSteps; ++i) (void)core::train_step(s, model, batch, trainer, cluster);
+
+  // Not check_well_formed: rank 0's reconstructed 1F1B chunks share its
+  // compute lane with the device's stage spans (ROADMAP item 4).
+  const std::string path = "trace_test_pp.json";
+  s.device().timeline().write_chrome_trace(path);
+  const auto events = parse_trace(path);
+  const dist::ProcessGroup group(cluster);
+  int64_t rings = 0;
+  for (int stage = 0; stage < 2; ++stage) {
+    const std::string prefix = "s" + std::to_string(stage) + ".allreduce.b";
+    int spans = 0;
+    for (const Event& e : events) {
+      if (e.ph != "B" || e.name.rfind(prefix, 0) != 0) continue;
+      ++spans;
+      EXPECT_EQ(e.pid, group.rank_of(0, stage, 0)) << e.name;
+      EXPECT_EQ(e.tid, 2) << e.name;
+    }
+    EXPECT_GE(spans, kSteps) << "stage " << stage << " rings missing from the trace";
+    rings += spans;
+  }
+  EXPECT_EQ(reg.counter("dist.bucket.flushes"), rings);
+  EXPECT_GT(reg.counter("dist.bucket.wire_bytes"), 0);
+  EXPECT_TRUE(reg.has_histogram("dist.bucket.allreduce_us"));
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, FleetTraceMergesReplicasWellFormed) {
   models::Gpt2Config mcfg;
   mcfg.vocab = 64;
