@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, parameterized for the CI matrix (.github/workflows/ci.yml):
 #
-#   ./ci.sh [--preset release|sanitize|tsan] [--smoke full|dist|tp|pp|fault|fleet|obs|paged]
+#   ./ci.sh [--preset release|sanitize|tsan]
+#           [--smoke full|dist|tp|pp|fault|fleet|obs|paged|serve]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
 #                      test suite, smoke-runs every fig* bench,
@@ -47,6 +48,12 @@
 #                      isolation, block-table graph replay), and (release
 #                      only) fig_page with its schema check (>= 4x residents
 #                      at fixed KV bytes, prefix-sharing hit rate > 0).
+#   --smoke serve      Serving smoke lane: the serving/infer test binary
+#                      (bitwise cached decode, the pinned decode-step cost,
+#                      continuous batching, decode-step graph replay), and
+#                      (release only) fig_serve with its schema check
+#                      (continuous batching >= 1.5x static tokens/s, the
+#                      replayed decode step beats eager).
 #
 # Fails on the first error: a bench or example that exits nonzero, or a
 # bench that writes no/invalid JSON, fails the run (ci/check_bench_json.py —
@@ -60,7 +67,7 @@ SMOKE=full
 while [ $# -gt 0 ]; do
   case "$1" in
     --preset) PRESET="${2:?ci.sh: --preset needs a value (release|sanitize|tsan)}"; shift 2 ;;
-    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|dist|tp|pp|fault|fleet|obs|paged)}"; shift 2 ;;
+    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|dist|tp|pp|fault|fleet|obs|paged|serve)}"; shift 2 ;;
     *) echo "ci.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -98,6 +105,7 @@ declare -A LANES=(
   [fleet]="fleet_test fig_fleet"
   [obs]="obs_test|trace_test fig_obs"
   [paged]="infer_test fig_page"
+  [serve]="infer_test fig_serve"
 )
 LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""
 if [ "$SMOKE" != full ]; then

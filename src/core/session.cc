@@ -73,6 +73,29 @@ void Session::rewind_to_step(int64_t step) {
   step_index_ = step;
 }
 
+GraphRegion::GraphRegion(Session& session, GraphAction action)
+    : session_(session), action_(action) {
+  simgpu::Device& dev = session.device();
+  if (action == GraphAction::kCapture) dev.begin_capture();
+  if (action == GraphAction::kReplay) dev.begin_replay(*session.step_graph());
+  open_ = action != GraphAction::kEager;
+}
+
+GraphRegion::~GraphRegion() {
+  if (open_) session_.device().abort_graph();
+}
+
+void GraphRegion::close() {
+  if (!open_) return;
+  simgpu::Device& dev = session_.device();
+  if (action_ == GraphAction::kCapture) {
+    session_.store_graph(dev.end_capture());
+  } else {
+    dev.end_replay();
+  }
+  open_ = false;
+}
+
 void Session::end_step() {
   // TP shard reservations (LayerContext::alloc_shard) are per-step device
   // allocations; drop them before the arena's everything-returned check.

@@ -107,7 +107,7 @@ class Session {
   /// so the next step reuses the same memory, and advances the step index.
   void end_step();
 
-  // --- step-graph state (driven by core::train_step) ---
+  // --- step-graph state (driven by GraphRegion) ---
   /// Deposit the graph end_capture returned. An invalid (poisoned) graph
   /// logs a loud diagnostic and pins the session to eager execution.
   void store_graph(simgpu::StepGraph graph);
@@ -155,6 +155,32 @@ class Session {
   simgpu::StepGraph graph_;       // valid once captured (train OR decode —
                                   // a session runs one workload, not both)
   bool graph_poisoned_ = false;   // capture failed; stay eager forever
+};
+
+/// The static region of one step, captured into or replayed from the
+/// session's step graph (RAII): the constructor begins the capture or
+/// replay `action` names on the session's device (nothing when eager), and
+/// close() ends it — depositing the captured graph, or its poison
+/// diagnostic, with the session, or finishing the replay. A region still
+/// open when it goes out of scope (the step unwound, e.g. on OOM) is
+/// abandoned with Device::abort_graph. core::train_step and the serving
+/// engine's decode step each run their static region inside one.
+class GraphRegion {
+ public:
+  GraphRegion(Session& session, GraphAction action);
+  ~GraphRegion();
+  GraphRegion(const GraphRegion&) = delete;
+  GraphRegion& operator=(const GraphRegion&) = delete;
+
+  /// End the region. It counts as closed only once this returns:
+  /// end_replay throws on a node-count mismatch, and the destructor must
+  /// then still abandon the replay rather than leave the device mid-graph.
+  void close();
+
+ private:
+  Session& session_;
+  GraphAction action_;
+  bool open_ = false;
 };
 
 }  // namespace ls2::core

@@ -360,19 +360,14 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
 
   // The static region — zero-grad, forward, backward, and the comm enqueues
   // fired from backward — is what gets captured into / replayed from the
-  // step graph. Everything after backward (bucket waits, optimizer ranges,
-  // scaler decisions) is dynamic and stays outside the graph. The guard
-  // abandons a half-open capture/replay if the step unwinds (e.g. OOM).
-  // Under PP the graph wraps all m microbatches: remote-stage allocations
-  // charge the remote device, so the capture sees only arena traffic, and
-  // microbatch RNG offsets are baked into launch closures by value.
-  struct GraphRegionGuard {
-    simgpu::Device& dev;
-    bool active = false;
-    ~GraphRegionGuard() {
-      if (active) dev.abort_graph();
-    }
-  } graph_guard{dev};
+  // step graph (a GraphRegion, which abandons a half-open capture/replay if
+  // the step unwinds, e.g. on OOM). Everything after backward (bucket
+  // waits, optimizer ranges, scaler decisions) is dynamic and stays outside
+  // the graph. Under PP the graph wraps all m microbatches: remote-stage
+  // allocations charge the remote device, so the capture sees only arena
+  // traffic, and microbatch RNG offsets are baked into launch closures by
+  // value.
+  std::optional<GraphRegion> graph;
 
   // Stage 0 — zero gradients ONCE (microbatch gradients accumulate on top;
   // own device range, charged to update below). The graph region opens
@@ -381,14 +376,8 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   // per-range (Fig. 3) sums still cover the whole step.
   {
     obs::SpanScope r(dev, "zero_grad");
-    if (graph_action == GraphAction::kCapture) {
-      dev.begin_capture();
-      graph_guard.active = true;
-    } else if (graph_action == GraphAction::kReplay) {
-      dev.begin_replay(*session.step_graph());
-      graph_guard.active = true;
-      times.replayed = true;
-    }
+    graph.emplace(session, graph_action);
+    times.replayed = graph_action == GraphAction::kReplay;
     zero_grads_charged(session, params);
   }
   times.zero_grad_us = dev.clock_us() - tz;
@@ -452,16 +441,8 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   }
 
   // Close the static region: deposit the captured graph (or its poison
-  // diagnostic) with the session, or finish consuming the replayed one. The
-  // guard is deactivated only AFTER the close succeeds — end_replay throws
-  // on a node-count mismatch, and the device must not be left mid-replay.
-  if (graph_action == GraphAction::kCapture) {
-    session.store_graph(dev.end_capture());
-    graph_guard.active = false;
-  } else if (graph_action == GraphAction::kReplay) {
-    dev.end_replay();
-    graph_guard.active = false;
-  }
+  // diagnostic) with the session, or finish consuming the replayed one.
+  graph->close();
 
   if (pipe) {
     // Stages 3+4 on rank 0's lane of the reconstructed 1F1B schedule.

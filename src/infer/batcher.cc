@@ -170,21 +170,34 @@ void ContinuousBatcher::run_admissions() {
   std::vector<size_t> still;
   still.reserve(pending_.size());
   bool full = false;
-  for (size_t r : pending_) {
-    if (stats_[r].shed || stats_[r].cancelled) continue;  // already resolved
-    if (full) {
-      still.push_back(r);
-      continue;
+  size_t i = 0;
+  try {
+    for (; i < pending_.size(); ++i) {
+      const size_t r = pending_[i];
+      if (stats_[r].shed || stats_[r].cancelled) continue;  // already resolved
+      if (full) {
+        still.push_back(r);
+        continue;
+      }
+      if (cfg_.admission_timeout_us > 0 &&
+          now - reqs_[r].enqueue() > cfg_.admission_timeout_us) {
+        shed(r, now);
+        continue;
+      }
+      if (!admit(r)) {  // no lane or pages — the rest queue (or shed below)
+        full = true;
+        still.push_back(r);
+      }
     }
-    if (cfg_.admission_timeout_us > 0 &&
-        now - reqs_[r].enqueue() > cfg_.admission_timeout_us) {
-      shed(r, now);
-      continue;
-    }
-    if (!admit(r)) {  // no lane or pages — the rest queue (or shed below)
-      full = true;
-      still.push_back(r);
-    }
+  } catch (...) {
+    // An admission threw (a prompt too long, or its prefill hit OOM, a
+    // transient allocation failure or device loss): the requests this scan
+    // already admitted or shed leave the queue, the thrower and everything
+    // after it stay.
+    still.insert(still.end(), pending_.begin() + static_cast<std::ptrdiff_t>(i),
+                 pending_.end());
+    pending_ = std::move(still);
+    throw;
   }
   pending_ = std::move(still);
 
@@ -290,7 +303,7 @@ void ContinuousBatcher::decode_once() {
                 : model_->config().pad_id;
   }
   // A transient allocation failure (injected or real) aborts the
-  // attempt — the graph guard abandons any open capture/replay, the
+  // attempt — the graph region abandons any open capture/replay, the
   // arena rewinds via end_step — and the step reruns after a doubling
   // idle backoff. KvCache lengths are untouched until commit_decode, so a
   // rerun is exact. The retry budget bounds how long a request can be
@@ -298,35 +311,17 @@ void ContinuousBatcher::decode_once() {
   int attempts = 0;
   for (;;) {
     try {
-      cache_->begin_decode();
+      const layers::PagedRows& rows = cache_->begin_decode();
       const core::GraphAction act = session_->begin_decode_step();
-      struct GraphGuard {
-        simgpu::Device& dev;
-        bool active = false;
-        ~GraphGuard() {
-          if (active) dev.abort_graph();
-        }
-      } guard{dev};
-      if (act == core::GraphAction::kCapture) {
-        dev.begin_capture();
-        guard.active = true;
-      } else if (act == core::GraphAction::kReplay) {
-        dev.begin_replay(*session_->step_graph());
-        guard.active = true;
-      }
+      core::GraphRegion region(*session_, act);
       {
         obs::SpanScope range(dev, "serve.decode");
-        Tensor logits = model_->decode_step(ctx, ids_, *cache_);  // [S, V]
-        gen_.next_tokens(ctx.kern, ctx.policy.softmax, logits, sampled_);
+        const Tensor logits = model_->forward_cached(ctx, ids_, *cache_, rows);  // [S, 1, V]
+        gen_.next_tokens(ctx.kern, ctx.policy.softmax,
+                         logits.view({S, model_->config().vocab}), sampled_);
       }
-      if (act == core::GraphAction::kCapture) {
-        session_->store_graph(dev.end_capture());
-        guard.active = false;
-      } else if (act == core::GraphAction::kReplay) {
-        dev.end_replay();
-        guard.active = false;
-        ++report_.replayed_steps;
-      }
+      region.close();
+      if (act == core::GraphAction::kReplay) ++report_.replayed_steps;
       break;
     } catch (const mem::TransientAllocFailure&) {
       if (++attempts > cfg_.decode_retries) throw;
@@ -589,10 +584,9 @@ size_t serve_capacity_scan(const models::Gpt2Config& cfg, DType dtype, int64_t s
     LS2_CHECK(cache.extend(h, ctx.kern));
   Tensor step_ids = Tensor::zeros({slots, 1}, DType::kI32);
   Tensor sampled = Tensor::zeros({slots}, DType::kI32);
-  cache.begin_decode();
   {
-    Tensor logits = model.decode_step(ctx, step_ids, cache);
-    kern::argmax_rows(ctx.kern, kern::Impl::kLS2, logits, sampled);
+    const Tensor logits = model.forward_cached(ctx, step_ids, cache, cache.begin_decode());
+    kern::argmax_rows(ctx.kern, kern::Impl::kLS2, logits.view({slots, cfg.vocab}), sampled);
   }
   const size_t peak = static_cast<size_t>(probe.peak_bytes());
   return peak + peak / 16;

@@ -254,7 +254,9 @@ class ContinuousBatcher {
   void shed(size_t r, double now);
   /// Admission scan with the degradation knobs: timeout sheds, lane claims,
   /// queue-bound backpressure — over the pending queue, highest priority
-  /// first, oldest first within a priority.
+  /// first, oldest first within a priority. When an admission throws, the
+  /// requests the scan already resolved leave the queue before the
+  /// exception escapes; the thrower and the rest stay queued.
   void run_admissions();
   /// The decode step (with transient-fault retries) + harvest/retire.
   void decode_once();

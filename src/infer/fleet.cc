@@ -289,28 +289,6 @@ void Fleet::hedge_scan(double now) {
   }
 }
 
-void Fleet::timeout_scan(double now) {
-  if (cfg_.request_timeout_us <= 0) return;
-  std::vector<std::pair<size_t, int>> expired;  // (tracked, replica)
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    if (now - it->dispatched_us <= cfg_.request_timeout_us) {
-      ++it;
-      continue;
-    }
-    Replica& rep = replicas_[static_cast<size_t>(it->replica)];
-    if (!rep.engine->cancel(it->dispatch_id)) {
-      // Already completed inside the engine; the drain will resolve it.
-      ++it;
-      continue;
-    }
-    ++report_.router_timeouts;
-    rep.session->device().mark("fleet.timeout");
-    expired.emplace_back(it->tracked, it->replica);
-    it = inflight_.erase(it);
-  }
-  for (auto [tracked, replica] : expired) redispatch(tracked, replica, now);
-}
-
 void Fleet::reload_tick(double now) {
   if (cfg_.reload_at_us <= 0) return;
   if (!reload_started_) {
@@ -434,7 +412,7 @@ FleetReport Fleet::run(std::vector<Request> requests) {
     // Fleet time is the NEXT EVENT: the lagging busy replica or the next
     // arrival, whichever is earlier. Idle replicas' clocks are excluded —
     // an idle server is "caught up to" any later moment, and freezing fleet
-    // time at its last busy instant would stall the hedge/timeout scans.
+    // time at its last busy instant would stall the hedge scan.
     double now = -1;
     for (const Replica& rep : replicas_) {
       if (!rep.alive || !rep.engine->has_work()) continue;
@@ -466,7 +444,6 @@ FleetReport Fleet::run(std::vector<Request> requests) {
       router_backlog_ = std::move(waiting);
     }
 
-    timeout_scan(now);
     hedge_scan(now);
     reload_tick(now);
 
@@ -570,7 +547,6 @@ void Fleet::finalize(FleetReport& out) {
     m->counter("fleet.deaths") += report_.deaths;
     m->counter("fleet.quarantines") += report_.quarantines;
     m->counter("fleet.reloads") += report_.reloads;
-    m->counter("fleet.router_timeouts") += report_.router_timeouts;
     m->counter("fleet.hedges_fired") += report_.hedges_fired;
     m->counter("fleet.hedge_wins") += report_.hedge_wins;
     m->counter("fleet.hedge_cancels") += report_.hedge_cancels;

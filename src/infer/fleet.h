@@ -91,12 +91,9 @@ struct FleetConfig {
   int64_t hedge_min_completions = 8;
 
   // --- router budgets ---
-  /// Times one request may be re-dispatched (death, quarantine, drain,
-  /// router timeout) before the router gives up and sheds it.
+  /// Times one request may be re-dispatched (death, quarantine, drain)
+  /// before the router gives up and sheds it.
   int max_redispatch = 3;
-  /// >0: a dispatch outstanding this long is cancelled and re-dispatched
-  /// elsewhere (counts against max_redispatch). 0 = off.
-  double request_timeout_us = 0;
   /// First quarantine idles the replica this long; doubles per repeat.
   double quarantine_base_us = 2000.0;
 
@@ -126,11 +123,10 @@ struct FleetReport {
   int64_t shed = 0;    ///< refused: engine shedding or router budget exhausted
   int64_t lost = 0;    ///< dropped with no completion and no shed — always 0
   // --- router events ---
-  int64_t redispatches = 0;      ///< evacuation/timeout hand-overs
+  int64_t redispatches = 0;      ///< evacuation hand-overs
   int64_t deaths = 0;            ///< replicas lost to DeviceLostError
   int64_t quarantines = 0;       ///< retry-budget-exhausted backoffs
   int64_t reloads = 0;           ///< replicas rolled to the snapshot
-  int64_t router_timeouts = 0;   ///< dispatches cancelled by request_timeout_us
   int64_t hedges_fired = 0;
   int64_t hedge_wins = 0;        ///< hedge copy finished first
   int64_t hedge_cancels = 0;     ///< loser copies cancelled (or too late)
@@ -219,7 +215,6 @@ class Fleet {
   void absorb_partial(size_t tracked, const RequestStats& partial);
   void handle_completions(int replica, double now);
   void hedge_scan(double now);
-  void timeout_scan(double now);
   void reload_tick(double now);
   void step_replica(int r);
   void finalize(FleetReport& out);

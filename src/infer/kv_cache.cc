@@ -47,9 +47,10 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
   // always heap-backed, even when the pools live in virtual model-only
   // memory.
   block_table_ = Tensor::zeros({cfg.slots, cfg.pages_per_seq()}, DType::kI32);
-  positions_ = Tensor::zeros({cfg.slots}, DType::kI32);
-  attend_lens_ = Tensor::zeros({cfg.slots}, DType::kI32);
   src_lens_ = Tensor::zeros({cfg.slots}, DType::kI32);
+  decode_rows_.block_table = block_table_;
+  decode_rows_.q_begin = Tensor::zeros({cfg.slots}, DType::kI32);
+  decode_rows_.kv_lens = Tensor::zeros({cfg.slots}, DType::kI32);
   lane_seq_.assign(static_cast<size_t>(cfg.slots), -1);
   refcount_.assign(static_cast<size_t>(cfg.pool_pages()), 0);
   free_pages_.reserve(static_cast<size_t>(cfg.pool_pages()));
@@ -309,9 +310,9 @@ void KvCache::set_src_len(SequenceHandle h, int32_t src_len) {
   src_lens_.data<int32_t>()[s.lane] = src_len;
 }
 
-void KvCache::begin_decode() {
-  int32_t* pp = positions_.data<int32_t>();
-  int32_t* ap = attend_lens_.data<int32_t>();
+const layers::PagedRows& KvCache::begin_decode() {
+  int32_t* pp = decode_rows_.q_begin.data<int32_t>();
+  int32_t* ap = decode_rows_.kv_lens.data<int32_t>();
   int32_t* sp = src_lens_.data<int32_t>();
   for (int64_t lane = 0; lane < cfg_.slots; ++lane) {
     const int64_t id = lane_seq_[static_cast<size_t>(lane)];
@@ -334,6 +335,7 @@ void KvCache::begin_decode() {
       sp[lane] = 0;
     }
   }
+  return decode_rows_;
 }
 
 void KvCache::commit_decode() {

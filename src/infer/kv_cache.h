@@ -38,14 +38,16 @@
 //                          returns to the pool at refcount 0.
 //
 // The decode step always runs the FULL lane batch [slots, 1, H]: inactive
-// lanes carry attend_lens = 0 (their attention reads nothing and outputs
-// exact zeros, their appends land in a dedicated trash page) so the step's
-// kernel sequence and shapes are STATIC — the property that lets SessionConfig::graph_capture
-// replay the steady-state decode loop as one graph launch. The block table
-// itself is a host-written heap i32 tensor [slots, pages_per_seq]: under
-// replay it is a *graph parameter* read inside kernel bodies, exactly like
-// positions/attend_lens. All page allocation and COW copies happen in
-// extend(), before the captured region.
+// lanes attend nothing (their attention outputs exact zeros, their K/V
+// writes land in a dedicated trash page) so the step's kernel sequence and
+// shapes are STATIC — the property that lets SessionConfig::graph_capture
+// replay the steady-state decode loop as one graph launch. Its rows
+// (begin_decode) are the one-row case of a prompt batch's
+// (prefill_rows), and the model runs both through one cached forward. The
+// block table itself is a host-written heap i32 tensor [slots,
+// pages_per_seq]: under replay it is a *graph parameter* read inside kernel
+// bodies, exactly like the rows' q_begin/kv_lens. All page allocation and
+// COW copies happen in extend(), before the captured region.
 //
 // Encoder-decoder models additionally keep per-lane CROSS K/V blocks
 // [slots, N, cross_len, D] (cross_len > 0): written once at encode time,
@@ -131,16 +133,11 @@ class KvCache {
   const Tensor& cross_k(int64_t layer) const { return cross_k_[static_cast<size_t>(layer)]; }
   const Tensor& cross_v(int64_t layer) const { return cross_v_[static_cast<size_t>(layer)]; }
 
-  // --- decode-step views (host-written heap i32 — graph parameters) ---
+  // --- step metadata (host-written heap i32 — graph parameters) ---
   /// Block table [slots, pages_per_seq]: page id per (lane, logical page).
   /// Rows of free lanes (and entries past a sequence's allocation) point at
   /// the trash page.
   const Tensor& block_table() const { return block_table_; }
-  /// Append index per lane this step (= tokens already cached; 0 if free).
-  const Tensor& positions() const { return positions_; }
-  /// Rows the single query attends: len + 1 for active lanes, 0 for free
-  /// ones (their attention outputs come out as exact zeros).
-  const Tensor& attend_lens() const { return attend_lens_; }
   /// Per-lane encoder lengths (cross-attention mask; cross_len > 0 only).
   const Tensor& src_lens() const { return src_lens_; }
 
@@ -211,10 +208,15 @@ class KvCache {
   const Stats& stats() const { return stats_; }
 
   // --- per-step protocol ---
-  /// Refresh positions/attend_lens for the next decode step. Every active
-  /// sequence must still have capacity (len < seq_tokens) and must have
-  /// been extend()ed so the append target page exists.
-  void begin_decode();
+  /// The rows of the next decode step: the full-lane batch, one row per
+  /// lane, no lane list and no write range. Lane s's token sits at q_begin[s]
+  /// = len (0 when free) and attends kv_lens[s] = len + 1 rows (0 when free:
+  /// its attention outputs come out as exact zeros, and its K/V land in the
+  /// trash page). The tensors are the cache's own, rewritten in place by
+  /// every call. Every active sequence must still have capacity
+  /// (len < seq_tokens) and must have been extend()ed so the append target
+  /// page exists.
+  const layers::PagedRows& begin_decode();
   /// Account the row each active sequence appended during the decode step.
   void commit_decode();
 
@@ -239,8 +241,9 @@ class KvCache {
 
   KvCacheConfig cfg_;
   std::vector<Tensor> k_, v_, cross_k_, cross_v_;
-  Tensor block_table_;                         // heap i32 [slots, pages_per_seq]
-  Tensor positions_, attend_lens_, src_lens_;  // heap i32 [slots]
+  Tensor block_table_;  // heap i32 [slots, pages_per_seq]
+  Tensor src_lens_;     // heap i32 [slots]
+  layers::PagedRows decode_rows_;  ///< begin_decode()'s rows (block_table_ shared)
   std::unordered_map<int64_t, Sequence> seqs_;
   std::vector<int64_t> lane_seq_;     ///< lane -> seq id (-1 free)
   std::vector<int32_t> free_pages_;   ///< LIFO free list

@@ -36,8 +36,8 @@ simgpu::KernelDesc desc(std::string name, int64_t br, int64_t bw, double flops, 
 
 template <typename T>
 void embedding_fw_body(const Tensor& ids, const Tensor& emb, const Tensor& pos,
-                       const Tensor& y, const Tensor& mask, float scale, float p,
-                       const Rng& rng, uint64_t stream, uint64_t index_offset,
+                       const int32_t* starts, const Tensor& y, const Tensor& mask, float scale,
+                       float p, const Rng& rng, uint64_t stream, uint64_t index_offset,
                        int32_t pad_id) {
   const int64_t tokens = ids.numel();
   const int64_t H = emb.shape()[1];
@@ -46,17 +46,17 @@ void embedding_fw_body(const Tensor& ids, const Tensor& emb, const Tensor& pos,
   const T* ep = emb.data<T>();
   const T* pp = pos.data<T>();
   T* yp = y.data<T>();
-  uint8_t* mp = mask.data<uint8_t>();
+  uint8_t* mp = mask.defined() ? mask.data<uint8_t>() : nullptr;
   const float keep_scale = 1.0f / (1.0f - p);
   parallel_for(0, tokens, [&](int64_t t) {
     const int32_t w = idp[t];
-    const int64_t l = t % L;
+    const int64_t l = (starts ? starts[t / L] : 0) + t % L;
     T* yrow = yp + t * H;
-    uint8_t* mrow = mp + t * H;
+    uint8_t* mrow = mp ? mp + t * H : nullptr;
     if (w == pad_id) {
       for (int64_t j = 0; j < H; ++j) {
         yrow[j] = T(0.0f);
-        mrow[j] = 0;
+        if (mrow) mrow[j] = 0;
       }
       return;
     }
@@ -65,6 +65,10 @@ void embedding_fw_body(const Tensor& ids, const Tensor& emb, const Tensor& pos,
     const T* prow = pp + l * H;
     for (int64_t j = 0; j < H; ++j) {
       const float v = scale * static_cast<float>(erow[j]) + static_cast<float>(prow[j]);
+      if (!mrow) {
+        yrow[j] = T(v);
+        continue;
+      }
       const uint8_t keep =
           rng.uniform(stream, index_offset + static_cast<uint64_t>(t * H + j)) >= p ? 1 : 0;
       mrow[j] = keep;
@@ -106,113 +110,61 @@ void embedding_bw_body(const Tensor& dy, const Tensor& ids, const Tensor& mask,
 
 void embedding_fw(KernelContext& kc, Impl impl, const Tensor& ids, const Tensor& emb,
                   const Tensor& pos, const Tensor& y, const Tensor& mask, float scale,
-                  float p, uint64_t stream, int32_t pad_id) {
+                  float p, uint64_t stream, int32_t pad_id, const Tensor* starts) {
   LS2_CHECK(p >= 0.0f && p < 1.0f);
+  LS2_CHECK(mask.defined() || p == 0.0f) << "dropout needs a mask";
   LS2_CHECK_EQ(emb.shape().rank(), 2);
   const int64_t tokens = ids.numel();
+  const int64_t B = ids.shape()[0], L = ids.shape()[-1];
   const int64_t H = emb.shape()[1];
   LS2_CHECK_EQ(y.numel(), tokens * H);
-  LS2_CHECK_EQ(mask.numel(), tokens * H);
-  LS2_CHECK_GE(pos.shape()[0], ids.shape()[-1]) << "sequence longer than position table";
+  LS2_CHECK(!mask.defined() || mask.numel() == tokens * H);
+  // The row starts are host-written heap metadata in every exec mode, so
+  // the positions are checked here, before the body could read past the
+  // table.
+  LS2_CHECK(starts == nullptr || (starts->dtype() == DType::kI32 && starts->numel() == B));
+  const int32_t* sp = starts ? starts->data<int32_t>() : nullptr;
+  for (int64_t b = 0; b < (sp ? B : 1); ++b) {
+    const int64_t first = sp ? sp[b] : 0;
+    LS2_CHECK(first >= 0 && first + L <= pos.shape()[0])
+        << "positions [" << first << ", " << first + L << ") beyond the position table";
+  }
   const int64_t act_bytes = static_cast<int64_t>(y.bytes());
+  const int64_t mask_bytes = mask.defined() ? static_cast<int64_t>(mask.bytes()) : 0;
+  const int64_t start_bytes = starts ? static_cast<int64_t>(starts->bytes()) : 0;
   const int64_t lookup_read = tokens * (4 + H * static_cast<int64_t>(dtype_size(emb.dtype())));
 
   // Microbatch slice offset, baked at launch time: the j-th microbatch's
   // tokens are the global token range [j*tokens, (j+1)*tokens).
   const uint64_t mb_off = kc.microbatch * static_cast<uint64_t>(tokens * H);
+  auto body = [&, scale, p, stream, mb_off, pad_id] {
+    LS2_DISPATCH_FLOAT(emb.dtype(), T,
+                       embedding_fw_body<T>(ids, emb, pos, sp, y, mask, scale, p, kc.rng,
+                                            stream, mb_off, pad_id));
+  };
 
   if (impl == Impl::kLS2) {
-    kc.dev.launch(desc("ls2.embedding_fw", lookup_read + act_bytes /*pos rows*/,
-                       act_bytes + static_cast<int64_t>(mask.bytes()),
-                       static_cast<double>(tokens) * H * 4.0, 0.85),
-                  [&, scale, p, stream, mb_off, pad_id] {
-                    LS2_DISPATCH_FLOAT(emb.dtype(), T,
-                                       embedding_fw_body<T>(ids, emb, pos, y, mask, scale, p,
-                                                            kc.rng, stream, mb_off, pad_id));
-                  });
+    kc.dev.launch(desc("ls2.embedding_fw", lookup_read + act_bytes /*pos rows*/ + start_bytes,
+                       act_bytes + mask_bytes,
+                       static_cast<double>(tokens) * H * (mask.defined() ? 4.0 : 2.0), 0.85),
+                  body);
     return;
   }
-  // Baseline: lookup, scale, positional add, dropout — four launches, three
-  // materialised intermediates.
-  kc.dev.launch(desc("torch.embedding_lookup", lookup_read, act_bytes, 0, 0.70), nullptr);
+  // Baseline: lookup, scale, positional add, dropout — one launch each, every
+  // intermediate materialised. Per-row starts make the lookup gather each
+  // row's position rows too; without a mask there is no dropout stage.
+  kc.dev.launch(desc("torch.embedding_lookup",
+                     lookup_read + (starts ? start_bytes + act_bytes : 0), act_bytes, 0, 0.70),
+                nullptr);
   kc.dev.launch(desc("torch.embedding_scale", act_bytes, act_bytes,
                      static_cast<double>(tokens) * H, 0.70),
                 nullptr);
   kc.dev.launch(desc("torch.pos_add", 2 * act_bytes, act_bytes,
                      static_cast<double>(tokens) * H, 0.70),
-                nullptr);
-  kc.dev.launch(desc("torch.embedding_dropout", act_bytes,
-                     act_bytes + static_cast<int64_t>(mask.bytes()),
+                mask.defined() ? nullptr : std::function<void()>(body));
+  if (!mask.defined()) return;
+  kc.dev.launch(desc("torch.embedding_dropout", act_bytes, act_bytes + mask_bytes,
                      static_cast<double>(tokens) * H * 3.0, 0.65),
-                [&, scale, p, stream, mb_off, pad_id] {
-                  LS2_DISPATCH_FLOAT(emb.dtype(), T,
-                                     embedding_fw_body<T>(ids, emb, pos, y, mask, scale, p,
-                                                          kc.rng, stream, mb_off, pad_id));
-                });
-}
-
-namespace {
-
-template <typename T>
-void embedding_decode_body(const Tensor& ids, const Tensor& emb, const Tensor& pos,
-                           const Tensor& positions, const Tensor& y, float scale,
-                           int32_t pad_id) {
-  const int64_t S = ids.numel();
-  const int64_t H = emb.shape()[1];
-  const int32_t* idp = ids.data<int32_t>();
-  const int32_t* posp = positions.data<int32_t>();
-  const T* ep = emb.data<T>();
-  const T* pp = pos.data<T>();
-  T* yp = y.data<T>();
-  parallel_for(0, S, [&](int64_t s) {
-    const int32_t w = idp[s];
-    T* yrow = yp + s * H;
-    if (w == pad_id) {
-      for (int64_t j = 0; j < H; ++j) yrow[j] = T(0.0f);
-      return;
-    }
-    LS2_CHECK(w >= 0 && w < emb.shape()[0]) << "token id " << w << " out of vocabulary";
-    LS2_CHECK(posp[s] >= 0 && posp[s] < pos.shape()[0])
-        << "decode position " << posp[s] << " beyond position table";
-    const T* erow = ep + static_cast<int64_t>(w) * H;
-    const T* prow = pp + static_cast<int64_t>(posp[s]) * H;
-    for (int64_t j = 0; j < H; ++j) {
-      const float v = scale * static_cast<float>(erow[j]) + static_cast<float>(prow[j]);
-      yrow[j] = T(v);
-    }
-  });
-}
-
-}  // namespace
-
-void embedding_decode_fw(KernelContext& kc, Impl impl, const Tensor& ids, const Tensor& emb,
-                         const Tensor& pos, const Tensor& positions, const Tensor& y,
-                         float scale, int32_t pad_id) {
-  LS2_CHECK(ids.dtype() == DType::kI32 && positions.dtype() == DType::kI32);
-  const int64_t S = ids.numel();
-  const int64_t H = emb.shape()[1];
-  LS2_CHECK_EQ(positions.numel(), S);
-  LS2_CHECK_EQ(y.numel(), S * H);
-  const int64_t act_bytes = static_cast<int64_t>(y.bytes());
-  const int64_t lookup_read =
-      S * (8 + 2 * H * static_cast<int64_t>(dtype_size(emb.dtype())));
-  auto body = [&, scale, pad_id] {
-    LS2_DISPATCH_FLOAT(emb.dtype(), T, embedding_decode_body<T>(ids, emb, pos, positions, y,
-                                                                scale, pad_id));
-  };
-  if (impl == Impl::kLS2) {
-    kc.dev.launch(desc("ls2.embedding_decode", lookup_read, act_bytes,
-                       static_cast<double>(S) * H * 2.0, 0.85),
-                  body);
-    return;
-  }
-  // Baseline: gather, scale, positional gather+add — three launches.
-  kc.dev.launch(desc("torch.embedding_lookup", lookup_read, act_bytes, 0, 0.70), nullptr);
-  kc.dev.launch(desc("torch.embedding_scale", act_bytes, act_bytes, static_cast<double>(S) * H,
-                     0.70),
-                nullptr);
-  kc.dev.launch(desc("torch.pos_add", 2 * act_bytes, act_bytes, static_cast<double>(S) * H,
-                     0.70),
                 body);
 }
 

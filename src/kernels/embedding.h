@@ -19,20 +19,17 @@ namespace ls2::kern {
 /// Fill `pos` [Lmax, H] with the sinusoidal position encoding.
 void init_sinusoidal_positions(const Tensor& pos);
 
-/// ids: [B, L] i32; emb: [V, H]; pos: [Lmax, H]; y: [B, L, H];
-/// mask: [B, L, H] u8 dropout mask (kept for backward).
+/// ids: [B, L] i32; emb: [V, H]; pos: [Lmax, H]; y: [B, L, H]. Row b's
+/// tokens sit at positions [0, L), or at [starts[b], starts[b] + L) with
+/// per-row `starts` (i32 [B], host-written heap metadata: a cached batch,
+/// whose lanes sit at their own lengths). mask: [B, L, H] u8 dropout mask
+/// kept for backward; an undefined mask (serving, p = 0) is neither drawn
+/// nor written, and the arithmetic matches p = 0 with a mask bitwise. pad
+/// ids produce zero rows.
 void embedding_fw(KernelContext& kc, Impl impl, const Tensor& ids, const Tensor& emb,
                   const Tensor& pos, const Tensor& y, const Tensor& mask, float scale,
-                  float p, uint64_t stream, int32_t pad_id = -1);
-
-/// Single-token decode lookup (serving): ids [S, 1] i32, positions [S] i32
-/// (each slot's next position), y [S, 1, H]. Computes
-/// y(s) = scale * E[ids_s] + P[positions_s] with NO dropout (inference) —
-/// arithmetic matches embedding_fw at p = 0, so incremental decode is
-/// bitwise-identical to the full forward. pad ids produce zero rows.
-void embedding_decode_fw(KernelContext& kc, Impl impl, const Tensor& ids, const Tensor& emb,
-                         const Tensor& pos, const Tensor& positions, const Tensor& y,
-                         float scale, int32_t pad_id = -1);
+                  float p, uint64_t stream, int32_t pad_id = -1,
+                  const Tensor* starts = nullptr);
 
 /// Accumulate token-embedding gradients into d_emb. `zero_first` zeroes the
 /// table in its own launch before scattering; pass false when the training

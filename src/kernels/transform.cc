@@ -200,15 +200,14 @@ namespace {
 
 // Scatter [B, N, Lq, D] head rows through a block table into a paged pool
 // [P, N, page, D]: logical row l of lane `lane` lands in page
-// table[lane][l / page] at in-page row l % page. Prefill (`write_begin`/
-// `write_end` non-null) writes the positions [begin, end), source row i
-// holding position q_begin[b] + i; decode append (`positions` non-null)
-// writes the single row positions[b] with lane = b.
+// table[lane][l / page] at in-page row l % page. Source row i of batch row b
+// is position q_begin[b] + i of lane lanes[b] (lane b without a lane list);
+// the positions [begins[b], ends[b]) are written, or every computed row
+// without a write range.
 template <typename T>
 void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& table,
                            const int32_t* lanes, const int32_t* q_begin,
-                           const int32_t* begins, const int32_t* ends,
-                           const int32_t* positions) {
+                           const int32_t* begins, const int32_t* ends) {
   const int64_t N = src.shape()[1], Lq = src.shape()[2], D = src.shape()[3];
   const int64_t pool_pages = pool.shape()[0], page = pool.shape()[2];
   const int64_t pps = table.shape()[1];
@@ -228,48 +227,14 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
     LS2_CHECK(lane >= 0 && lane < table.shape()[0]) << "kv pool: lane out of range";
     const int32_t* row = tp + lane * pps;
     const T* srow = xp + (bn * Lq) * D;
-    if (positions) {
-      std::memcpy(dst_row(row, n, positions[b]), srow,
-                  static_cast<size_t>(D) * sizeof(T));
-      return;
-    }
-    const int64_t q0 = q_begin[b], lo = begins[b], hi = ends[b];
+    const int64_t q0 = q_begin[b];
+    const int64_t lo = begins ? begins[b] : q0, hi = ends ? ends[b] : q0 + Lq;
     LS2_CHECK(lo >= q0 && lo <= hi && hi <= q0 + Lq) << "kv pool: bad write range";
     for (int64_t l = lo; l < hi; ++l) {
       std::memcpy(dst_row(row, n, l), srow + (l - q0) * D,
                   static_cast<size_t>(D) * sizeof(T));
     }
   });
-}
-
-void kv_paged_write(KernelContext& kc, const char* tag, const Tensor& k_new,
-                    const Tensor& v_new, const Tensor& k_pool, const Tensor& v_pool,
-                    const Tensor& table, const Tensor* lanes, const Tensor* q_begin,
-                    const Tensor* write_begin, const Tensor* write_end,
-                    const Tensor* positions) {
-  LS2_CHECK_EQ(k_new.shape().rank(), 4);
-  LS2_CHECK(k_new.shape() == v_new.shape());
-  LS2_CHECK(k_pool.shape() == v_pool.shape());
-  LS2_CHECK_EQ(k_pool.shape().rank(), 4);
-  LS2_CHECK_EQ(k_new.shape()[1], k_pool.shape()[1]);
-  LS2_CHECK_EQ(k_new.shape()[3], k_pool.shape()[3]);
-  LS2_CHECK(table.dtype() == DType::kI32);
-  LS2_CHECK_EQ(table.shape().rank(), 2);
-  const int64_t nb = static_cast<int64_t>(k_new.bytes());
-  auto i32 = [](const Tensor* t) { return t ? t->data<int32_t>() : nullptr; };
-  int64_t meta = static_cast<int64_t>(table.bytes());
-  for (const Tensor* t : {lanes, q_begin, write_begin, write_end, positions})
-    meta += t ? static_cast<int64_t>(t->bytes()) : 0;
-  auto body = [&] {
-    LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
-      kv_paged_scatter_body<T>(k_new, k_pool, table, i32(lanes), i32(q_begin),
-                               i32(write_begin), i32(write_end), i32(positions));
-      kv_paged_scatter_body<T>(v_new, v_pool, table, i32(lanes), i32(q_begin),
-                               i32(write_begin), i32(write_end), i32(positions));
-    });
-  };
-  kc.dev.launch(desc(std::string("ls2.") + tag, 2 * nb + meta, 2 * nb, kFusedTransposeEff),
-                body);
 }
 
 // One query row per task: scores over the rows it attends, read in place
@@ -330,25 +295,36 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
                           const Tensor& block_table, const Tensor& lanes,
                           const Tensor& q_begin, const Tensor& write_begin,
                           const Tensor& write_end) {
+  LS2_CHECK_EQ(k_new.shape().rank(), 4);
+  LS2_CHECK(k_new.shape() == v_new.shape());
+  LS2_CHECK(k_pool.shape() == v_pool.shape());
+  LS2_CHECK_EQ(k_pool.shape().rank(), 4);
+  LS2_CHECK_EQ(k_new.shape()[1], k_pool.shape()[1]);
+  LS2_CHECK_EQ(k_new.shape()[3], k_pool.shape()[3]);
+  LS2_CHECK(block_table.dtype() == DType::kI32);
+  LS2_CHECK_EQ(block_table.shape().rank(), 2);
+  LS2_CHECK(q_begin.defined());
+  LS2_CHECK(write_begin.defined() == write_end.defined()) << "a write range has two ends";
+  LS2_CHECK(lanes.defined() || k_new.shape()[0] == block_table.shape()[0])
+      << "without lanes, batch row b is lane b of the full-lane table";
+  const int64_t nb = static_cast<int64_t>(k_new.bytes());
+  int64_t meta = static_cast<int64_t>(block_table.bytes());
   for (const Tensor* t : {&lanes, &q_begin, &write_begin, &write_end}) {
+    if (!t->defined()) continue;
     LS2_CHECK(t->dtype() == DType::kI32);
     LS2_CHECK_EQ(t->numel(), k_new.shape()[0]);
+    meta += static_cast<int64_t>(t->bytes());
   }
-  kv_paged_write(kc, "kv_store_paged", k_new, v_new, k_pool, v_pool, block_table,
-                 &lanes, &q_begin, &write_begin, &write_end, /*positions=*/nullptr);
-}
-
-void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
-                           const Tensor& k_pool, const Tensor& v_pool,
-                           const Tensor& block_table, const Tensor& positions) {
-  LS2_CHECK(positions.dtype() == DType::kI32);
-  LS2_CHECK_EQ(k_new.shape()[2], 1) << "append writes one token per lane";
-  LS2_CHECK_EQ(k_new.shape()[0], block_table.shape()[0])
-      << "decode appends run at full lane batch";
-  LS2_CHECK_EQ(positions.numel(), k_new.shape()[0]);
-  kv_paged_write(kc, "kv_append_paged", k_new, v_new, k_pool, v_pool,
-                 block_table, /*lanes=*/nullptr, /*q_begin=*/nullptr,
-                 /*write_begin=*/nullptr, /*write_end=*/nullptr, &positions);
+  auto i32 = [](const Tensor& t) { return t.defined() ? t.data<int32_t>() : nullptr; };
+  auto body = [&] {
+    LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
+      kv_paged_scatter_body<T>(k_new, k_pool, block_table, i32(lanes), i32(q_begin),
+                               i32(write_begin), i32(write_end));
+      kv_paged_scatter_body<T>(v_new, v_pool, block_table, i32(lanes), i32(q_begin),
+                               i32(write_begin), i32(write_end));
+    });
+  };
+  kc.dev.launch(desc("ls2.kv_store_paged", 2 * nb + meta, 2 * nb, kFusedTransposeEff), body);
 }
 
 void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,

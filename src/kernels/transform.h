@@ -36,10 +36,10 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 // pages; infer::KvCache owns the page bookkeeping). A block table
 // (i32 [S, pages_per_seq], S decode lanes) maps each lane's logical token
 // positions to pool pages; every kernel below addresses rows as
-// (table[lane][pos / page], pos % page). The table, positions and lens
-// tensors are host-written heap metadata — replay-time graph parameters
-// read inside kernel bodies, so the launch sequence stays STATIC across
-// decode steps (the capture contract). Keys and values move in ONE fused
+// (table[lane][pos / page], pos % page). The table and the per-row tensors
+// (layers::PagedRows) are host-written heap metadata — replay-time graph
+// parameters read inside kernel bodies, so the launch sequence stays STATIC
+// across decode steps (the capture contract). Keys and values move in ONE fused
 // LightSeq2 launch under every policy: serving has no baseline KV path.
 //
 // Cross-attention K/V blocks stay contiguous [S, N, cross_len, D]
@@ -50,27 +50,24 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 void kv_cache_store(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
                     const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots);
 
-/// Paged prefill write: row i of k_new/v_new [B, N, Lq, D] is logical
-/// position q_begin[b] + i of lane `lanes[b]`; the rows at positions
-/// [write_begin[b], write_end[b]) land in the lane's pages through
-/// `block_table`. Positions below write_begin already live in shared prefix
-/// pages and must not be rewritten; positions at or past write_end exceed
-/// the lane's backed capacity (padded prompt tails).
+/// Paged write of one cached batch: row i of k_new/v_new [B, N, Lq, D] is
+/// logical position q_begin[b] + i of lane `lanes[b]` and lands in the
+/// lane's pages through `block_table`. An undefined `lanes` is the full-lane
+/// batch (row b is lane b). With a write range only the positions
+/// [write_begin[b], write_end[b]) are stored — a prompt batch's rows below
+/// write_begin already live in shared prefix pages and must not be
+/// rewritten, its rows at or past write_end are padding past the lane's
+/// backed capacity; an undefined range stores every computed row. The decode
+/// batch is the Lq = 1 full-lane case without a range: free lanes (all-trash
+/// table rows at q_begin 0) write into the trash page.
 void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
                           const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
                           const Tensor& q_begin, const Tensor& write_begin,
                           const Tensor& write_end);
 
-/// Paged decode append: k_new/v_new [S, N, 1, D] land at logical row
-/// `positions[s]` (i32 [S]) of lane s through `block_table` — one token per
-/// lane per step. Free lanes' table rows point at the trash page.
-void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
-                           const Tensor& k_pool, const Tensor& v_pool,
-                           const Tensor& block_table, const Tensor& positions);
-
 /// Fused attention over the paged pools, read in place — the one kernel
-/// behind cached prefill and decode. Query row i of batch row b (q
+/// behind every cached batch. Query row i of batch row b (q
 /// [B, N, Lq, D]) belongs to lane `lanes[b]` (nullptr: lane b, the full-lane
 /// decode batch), sits at logical position q_begin[b] + i and attends the
 /// lane's rows [0, min(q_begin[b] + i + 1, kv_lens[b])) through
@@ -78,8 +75,7 @@ void kv_cache_append_paged(KernelContext& kc, const Tensor& k_new, const Tensor&
 /// attn_softmax_fw. Scores, masked softmax and the probability-weighted sum
 /// of V run in one launch, and the context lands head-merged in `merged`
 /// [B, Lq, N*D]. A row that attends nothing (a free lane of length 0) writes
-/// zeros. Decode is the Lq = 1 case with q_begin = positions and kv_lens =
-/// attend_lens.
+/// zeros. Decode is the Lq = 1 full-lane case (KvCache::begin_decode).
 ///
 /// Bitwise equal to the unfused path over a contiguous cache (scores GEMM,
 /// attn_softmax_fw, context GEMM, merge_heads_fw): scores accumulate

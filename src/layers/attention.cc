@@ -271,11 +271,26 @@ SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x
   return {q, k, v, {}, {}, {}, {}};
 }
 
-Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens) {
+Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
+                              const PagedKv* paged) {
   const Qkv t = project_qkv(ctx, x);
-  Tensor y = core_.forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens);
-  if (ctx.training()) saved_ = Saved{x, t.ln, t.mean, t.rstd};
-  return y;
+  if (paged == nullptr) {
+    Tensor y = core_.forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens);
+    if (ctx.training()) saved_ = Saved{x, t.ln, t.mean, t.rstd};
+    return y;
+  }
+  LS2_CHECK(cfg_.causal && !ctx.training() && key_lens == nullptr)
+      << "the paged K/V serve causal self-attention, with the rows' kv_lens as key mask";
+  const PagedRows& r = paged->rows;
+  // Store first: each query row then attends its own and every earlier row
+  // — shared prefix pages included — in place.
+  kern::kv_cache_store_paged(ctx.kern, t.k, t.v, paged->k_pool, paged->v_pool, r.block_table,
+                             r.lanes, r.q_begin, r.write_begin, r.write_end);
+  Tensor merged = ctx.alloc(x.shape(), x.dtype());
+  kern::paged_attn(ctx.kern, t.q, paged->k_pool, paged->v_pool, r.block_table,
+                   r.lanes.defined() ? &r.lanes : nullptr, r.q_begin, r.kv_lens,
+                   1.0f / std::sqrt(static_cast<float>(cfg_.head_dim())), merged);
+  return core_.output(ctx, merged, /*residual=*/x);
 }
 
 Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
@@ -311,40 +326,6 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
                      /*residual_grad=*/&dy);
   release();
   return dx;
-}
-
-Tensor SelfAttention::attend_paged(LayerContext& ctx, const Tensor& x, const Tensor& q,
-                                   const Tensor& k_pool, const Tensor& v_pool,
-                                   const Tensor& block_table, const Tensor* lanes,
-                                   const Tensor& q_begin, const Tensor& kv_lens) {
-  Tensor merged = ctx.alloc(x.shape(), x.dtype());
-  kern::paged_attn(ctx.kern, q, k_pool, v_pool, block_table, lanes, q_begin, kv_lens,
-                   1.0f / std::sqrt(static_cast<float>(cfg_.head_dim())), merged);
-  return core_.output(ctx, merged, /*residual=*/x);
-}
-
-Tensor SelfAttention::prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                              const Tensor& v_pool, const PagedRows& rows) {
-  LS2_CHECK(cfg_.causal) << "cached prefill serves causal self-attention";
-  const Qkv t = project_qkv(ctx, x);
-  // Store first: each query row then attends its own and every earlier row
-  // — shared prefix pages included — in place.
-  kern::kv_cache_store_paged(ctx.kern, t.k, t.v, k_pool, v_pool, rows.block_table,
-                             rows.lanes, rows.q_begin, rows.write_begin, rows.write_end);
-  return attend_paged(ctx, x, t.q, k_pool, v_pool, rows.block_table, &rows.lanes,
-                      rows.q_begin, rows.kv_lens);
-}
-
-Tensor SelfAttention::decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                                  const Tensor& v_pool, const Tensor& block_table,
-                                  const Tensor& positions, const Tensor& attend_lens) {
-  LS2_CHECK_EQ(x.shape()[1], 1) << "decode_step takes one token per slot";
-  const Qkv t = project_qkv(ctx, x);
-  // The new token's K/V must be resident in the pool before attention —
-  // the single query then attends rows [0, attend_lens[s]).
-  kern::kv_cache_append_paged(ctx.kern, t.k, t.v, k_pool, v_pool, block_table, positions);
-  return attend_paged(ctx, x, t.q, k_pool, v_pool, block_table, /*lanes=*/nullptr, positions,
-                      attend_lens);
 }
 
 void SelfAttention::release() {

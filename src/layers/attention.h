@@ -8,10 +8,11 @@
 //     layer. Backward returns dx and accumulates into dk/dv.
 //
 // Serving runs the same forward inside a LayerContext::InferenceScope
-// (dropout off, nothing saved). Cached prefill and decode replace only
-// SelfAttention's middle: they share its LN -> QKV -> split front half and
-// the output-projection epilogue (AttentionCore::output), and attend
-// through the paged KV pools with kern::paged_attn.
+// (dropout off, nothing saved). A cached batch — a prompt batch or the
+// decode batch, its one-row case — replaces only SelfAttention's middle: it
+// keeps the LN -> QKV -> split front half and the output-projection
+// epilogue (AttentionCore::output), and attends through the paged KV pools
+// with kern::paged_attn.
 //
 // The backward pass draws its temporaries from the Fig. 8 shared-block plan
 // under LightSeq2 (3·BLH + max(BL²N, 3·BLH) bytes in four blocks); baseline
@@ -55,8 +56,8 @@ class AttentionCore {
 
   /// Epilogue of forward: output projection of the head-merged context
   /// `merged` [B, Lq, H], then bias + dropout + residual; `out_mask`
-  /// receives the dropout mask. Cached prefill and decode feed it
-  /// kern::paged_attn's output directly.
+  /// receives the dropout mask. A cached batch feeds it kern::paged_attn's
+  /// output directly.
   Tensor output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
                 Tensor* out_mask = nullptr);
 
@@ -88,47 +89,46 @@ class AttentionCore {
   std::optional<Saved> saved_;
 };
 
-/// One cached prefill batch's rows in the paged K/V pools, built by
-/// infer::KvCache::prefill_rows. The i32 [B] tensors are host-written heap
-/// metadata read inside kernel bodies. Batch row b is decode lane lanes[b];
-/// its query row i sits at logical position q_begin[b] + i = first + i and
-/// attends rows [0, min(first + i + 1, kv_lens[b])); the prefill stores the
-/// positions [write_begin[b], write_end[b]) — earlier rows already live in
-/// shared prefix pages, later ones are padding.
+/// One cached batch's rows in the paged K/V pools: a prompt batch built by
+/// infer::KvCache::prefill_rows, or the decode batch KvCache::begin_decode
+/// returns. The i32 [B] tensors are host-written heap metadata read inside
+/// kernel bodies. Batch row b is lane lanes[b]; its query row i sits at
+/// logical position q_begin[b] + i and attends rows
+/// [0, min(q_begin[b] + i + 1, kv_lens[b])). The lane list and the write
+/// range are optional: undefined, they mean the full-lane batch (row b is
+/// lane b) that stores exactly the rows it computes. A prompt batch stores
+/// only the positions [write_begin[b], write_end[b]) — earlier rows already
+/// live in shared prefix pages, later ones are padding.
 struct PagedRows {
   Tensor block_table;  ///< i32 [lanes, pages_per_seq]
   Tensor lanes, q_begin, write_begin, write_end, kv_lens;
-  int64_t first = 0;  ///< the batch computes prompt rows [first, L)
+  int64_t first = 0;  ///< a prompt batch computes its prompt rows [first, L)
+};
+
+/// A cached batch as one layer sees it: the layer's paged K/V pools
+/// [P, N, page, D] and the batch's rows.
+struct PagedKv {
+  const Tensor& k_pool;
+  const Tensor& v_pool;
+  const PagedRows& rows;
 };
 
 class SelfAttention {
  public:
   SelfAttention(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
-  Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
+  /// x: [B, L, H]; key_lens (i32 [B], optional) masks padded keys.
+  ///
+  /// With `paged` (serving, causal only): x holds the batch's computed rows.
+  /// Their K/V are stored into the paged pools first, then one
+  /// kern::paged_attn attends every query row over its lane's pages in place
+  /// — shared prefix rows included — bitwise-identical to attention over
+  /// the full sequence. The rows' kv_lens take the place of key_lens.
+  /// Decode is the one-row case.
+  Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
+                 const PagedKv* paged = nullptr);
   Tensor backward(LayerContext& ctx, const Tensor& dy);
   void release();
-
-  // --- cached serving (inside an InferenceScope) ---
-
-  /// Cached prefill of prompt rows [rows.first, L): x [B, L - first, H].
-  /// This batch's K/V are stored into the paged pools (k_pool/v_pool
-  /// [P, N, page, D]) first — positions [write_begin, write_end) — and one
-  /// kern::paged_attn then attends every query row over its lane's pages in
-  /// place, shared prefix rows included — bitwise-identical to attention
-  /// over the full prompt.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                 const Tensor& v_pool, const PagedRows& rows);
-
-  /// Single-query cached decode: x [S, 1, H]. This step's K/V are appended
-  /// into the paged pools through the lane-indexed `block_table` at logical
-  /// row `positions[s]`; then kern::paged_attn (Lq = 1) reads each lane's
-  /// rows [0, attend_lens[s]) in place. block_table/positions/attend_lens
-  /// are host-written heap i32 read inside kernel bodies: replay-time graph
-  /// parameters.
-  Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                     const Tensor& v_pool, const Tensor& block_table,
-                     const Tensor& positions, const Tensor& attend_lens);
 
  private:
   AttentionConfig cfg_;
@@ -137,20 +137,15 @@ class SelfAttention {
   TpParam w_qkv_, b_qkv_;
   AttentionCore core_;
 
-  /// Front half of forward and the cached paths: LayerNorm, QKV projection
-  /// and head split of x [B, L, H] into q/k/v [B, N, L, D]. Training also
-  /// returns the LayerNorm outputs backward needs and the projection output,
-  /// held to the end of forward; serving frees them here.
+  /// Front half of forward: LayerNorm, QKV projection and head split of
+  /// x [B, L, H] into q/k/v [B, N, L, D]. Training also returns the
+  /// LayerNorm outputs backward needs and the projection output, held to
+  /// the end of forward; serving frees them here.
   struct Qkv {
     Tensor q, k, v;
     Tensor ln, mean, rstd, qkv;
   };
   Qkv project_qkv(LayerContext& ctx, const Tensor& x);
-  /// Cached middle and epilogue: kern::paged_attn over the pools, then the
-  /// output projection with x as the residual.
-  Tensor attend_paged(LayerContext& ctx, const Tensor& x, const Tensor& q,
-                      const Tensor& k_pool, const Tensor& v_pool, const Tensor& block_table,
-                      const Tensor* lanes, const Tensor& q_begin, const Tensor& kv_lens);
 
   struct Saved {
     Tensor x, ln, mean, rstd;

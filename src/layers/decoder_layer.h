@@ -7,7 +7,8 @@
 // policies compute each layer's K/V separately. Either way this layer only
 // consumes them and accumulates their gradients. Serving (inside a
 // LayerContext::InferenceScope) reads them from the per-lane cross K/V
-// cache blocks instead, and self-attention attends through the paged pools.
+// cache blocks instead, and a cached batch's self-attention attends through
+// the paged pools.
 #pragma once
 
 #include <string>
@@ -22,33 +23,17 @@ class TransformerDecoderLayer {
                           TransformerLayerConfig cfg);
 
   /// x: [B, Lt, H]; k/v: [B, N, Ls, D]; src_lens masks encoder padding,
-  /// tgt_lens masks decoder padding (on top of the causal mask).
+  /// tgt_lens masks decoder padding (on top of the causal mask). With
+  /// `paged` (serving a cached batch), causal self-attention stores the
+  /// batch's K/V into the layer's paged pools and attends through them in
+  /// place, and k/v are the per-lane cross K/V blocks [S, N, Ls_max, D].
   Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
-                 const Tensor* src_lens, const Tensor* tgt_lens);
+                 const Tensor* src_lens, const Tensor* tgt_lens,
+                 const PagedKv* paged = nullptr);
 
   /// Returns dx; accumulates cross-attention K/V grads into dk/dv.
   Tensor backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk, const Tensor& dv);
   void release();
-
-  // --- cached serving (inside an InferenceScope; see layers/attention.h) ---
-  //
-  // Self-attention attends through the paged pools; cross attention and
-  // the FFN run their training forward.
-
-  /// Prefill target rows [rows.first, L): causal self-attention through
-  /// this layer's paged K/V pools (stored, then attended in place), cross
-  /// attention over the per-slot cross K/V blocks (cross_k/cross_v
-  /// [S, N, Ls_max, D], masked by src_lens), FFN.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                 const Tensor& v_pool, const PagedRows& rows, const Tensor& cross_k,
-                 const Tensor& cross_v, const Tensor* src_lens);
-  /// Single-token cached decode: self-attention through this layer's paged
-  /// K/V pools, cross attention over the static per-lane cross K/V.
-  Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                     const Tensor& v_pool, const Tensor& block_table,
-                     const Tensor& positions, const Tensor& attend_lens,
-                     const Tensor& cross_k, const Tensor& cross_v,
-                     const Tensor* src_lens);
 
  private:
   SelfAttention self_attn_;

@@ -30,42 +30,28 @@ void EmbeddingLayer::ensure_positions(DType dtype) {
   pos_.copy_from(pos_f32.to_vector());
 }
 
-Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids, int64_t first) {
+Tensor EmbeddingLayer::forward(LayerContext& ctx, const Tensor& ids, const Tensor* starts) {
   LS2_CHECK(ids.dtype() == DType::kI32);
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  LS2_CHECK(first >= 0 && first + L <= cfg_.max_len)
-      << "positions [" << first << ", " << first + L << ") beyond max_len " << cfg_.max_len;
   // Under TP the lookup runs against the rank's vocab shard producing a
   // full-size partial (zero rows for foreign ids) that one TP all-reduce
   // completes — EXACT, since every row has a single owner. The emulation
   // assembles the full table and looks up directly: the same bits.
   const Tensor table = table_.value(ctx);
   ensure_positions(table.dtype());
+  const bool training = ctx.training();
   Tensor y = ctx.alloc({B, L, cfg_.hidden}, table.dtype());
-  Tensor mask = ctx.alloc({B, L, cfg_.hidden}, DType::kU8);
+  // Serving draws no dropout mask: it writes none and takes no stream.
+  Tensor mask = training ? ctx.alloc({B, L, cfg_.hidden}, DType::kU8) : Tensor();
   const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
-  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_.slice(first, first + L),
-                     y, mask, scale, ctx.dropout(cfg_.dropout),
-                     ctx.kern.next_dropout_stream(), cfg_.pad_id);
+  kern::embedding_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_, y, mask, scale,
+                     ctx.dropout(cfg_.dropout), training ? ctx.kern.next_dropout_stream() : 0,
+                     cfg_.pad_id, starts);
   if (ctx.tp_size() > 1) {
     ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(y.bytes()),
                              "tp.embed.allreduce");
   }
-  if (ctx.training()) saved_ = Saved{ids, mask};
-  return y;
-}
-
-Tensor EmbeddingLayer::decode_step(LayerContext& ctx, const Tensor& ids,
-                                   const Tensor& positions) {
-  LS2_CHECK(ids.dtype() == DType::kI32);
-  const int64_t S = ids.shape()[0];
-  LS2_CHECK_EQ(ids.numel(), S) << "decode_step takes one token per slot";
-  const Tensor table = table_.value(ctx);
-  ensure_positions(table.dtype());
-  Tensor y = ctx.alloc({S, 1, cfg_.hidden}, table.dtype());
-  const float scale = std::sqrt(static_cast<float>(cfg_.hidden));
-  kern::embedding_decode_fw(ctx.kern, ctx.policy.embedding, ids, table, pos_, positions, y,
-                            scale, cfg_.pad_id);
+  if (training) saved_ = Saved{ids, mask};
   return y;
 }
 

@@ -2,8 +2,8 @@
 //   y = Dropout(sqrt(H) * E[token] + P[position]).
 // The token table is a trainable parameter (often tied with the output
 // projection); the positional table is sinusoidal and fixed. Serving runs
-// forward inside a LayerContext::InferenceScope (no dropout, nothing
-// saved); decode_step is the one-token-per-lane lookup.
+// forward inside a LayerContext::InferenceScope: no dropout, no mask,
+// nothing saved.
 #pragma once
 
 #include <optional>
@@ -37,17 +37,14 @@ class EmbeddingLayer {
   EmbeddingLayer(ParamRegistry& params, const std::string& prefix, EmbeddingConfig cfg,
                  TpParam tied_table = {});
 
-  /// ids [B, L] hold positions [first, first + L) — a serving prefill that
-  /// skips the rows shared prefix pages already hold starts past 0. Lazily
-  /// builds the sinusoidal table on first use (host init, not a device
-  /// kernel).
-  Tensor forward(LayerContext& ctx, const Tensor& ids, int64_t first = 0);
+  /// ids [B, L] hold positions [0, L), or [starts[b], starts[b] + L) for
+  /// row b of a cached batch (i32 [B], PagedRows::q_begin: a prompt batch
+  /// past its shared prefix rows, or the decode batch's lanes at their own
+  /// lengths). Lazily builds the sinusoidal table on first use (host init,
+  /// not a device kernel).
+  Tensor forward(LayerContext& ctx, const Tensor& ids, const Tensor* starts = nullptr);
   void backward(LayerContext& ctx, const Tensor& dy);
   void release();
-
-  /// Serving decode: one token per slot (ids [S, 1]) at per-slot positions
-  /// (i32 [S] — each sequence's next index), no dropout.
-  Tensor decode_step(LayerContext& ctx, const Tensor& ids, const Tensor& positions);
 
   /// The token table parameter — shared with the output projection when
   /// embeddings are tied.

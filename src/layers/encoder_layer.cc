@@ -9,24 +9,8 @@ TransformerEncoderLayer::TransformerEncoderLayer(ParamRegistry& params,
       ffn_(params, prefix + ".ffn", cfg.ffn()) {}
 
 Tensor TransformerEncoderLayer::forward(LayerContext& ctx, const Tensor& x,
-                                        const Tensor* key_lens) {
-  Tensor h = attn_.forward(ctx, x, key_lens);
-  return ffn_.forward(ctx, h);
-}
-
-Tensor TransformerEncoderLayer::prefill(LayerContext& ctx, const Tensor& x,
-                                        const Tensor& k_pool, const Tensor& v_pool,
-                                        const PagedRows& rows) {
-  Tensor h = attn_.prefill(ctx, x, k_pool, v_pool, rows);
-  return ffn_.forward(ctx, h);
-}
-
-Tensor TransformerEncoderLayer::decode_step(LayerContext& ctx, const Tensor& x,
-                                            const Tensor& k_pool, const Tensor& v_pool,
-                                            const Tensor& block_table,
-                                            const Tensor& positions,
-                                            const Tensor& attend_lens) {
-  Tensor h = attn_.decode_step(ctx, x, k_pool, v_pool, block_table, positions, attend_lens);
+                                        const Tensor* key_lens, const PagedKv* paged) {
+  Tensor h = attn_.forward(ctx, x, key_lens, paged);
   return ffn_.forward(ctx, h);
 }
 

@@ -1,8 +1,8 @@
 // Transformer encoder layer (pre-LN): self-attention + feed-forward, each
 // with its own LayerNorm, dropout, and residual (Fig. 4). GPT-2 stacks it
 // with causal attention. Serving runs forward inside a
-// LayerContext::InferenceScope; cached prefill and decode differ from it
-// only in self-attention's middle, which attends through the paged KV pools.
+// LayerContext::InferenceScope; a cached batch differs only in
+// self-attention's middle, which attends through the paged KV pools.
 #pragma once
 
 #include <string>
@@ -51,22 +51,13 @@ class TransformerEncoderLayer {
                           TransformerLayerConfig cfg);
 
   /// x: [B, L, H]; key_lens (i32 [B], optional) masks padded positions.
-  Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens);
+  /// With `paged` (serving a cached batch), self-attention stores the
+  /// batch's K/V into the layer's paged pools and attends through them
+  /// (SelfAttention::forward).
+  Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
+                 const PagedKv* paged = nullptr);
   Tensor backward(LayerContext& ctx, const Tensor& dy);
   void release();
-
-  // --- cached serving (inside an InferenceScope; see layers/attention.h) ---
-  //
-  // Uncached serving (the encoder, the cacheless reference) is forward.
-
-  /// Cached prefill of prompt rows [rows.first, L): self-attention stores
-  /// this batch's K/V into the layer's paged pools and attends through them.
-  Tensor prefill(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                 const Tensor& v_pool, const PagedRows& rows);
-  /// Single-token cached decode through this layer's paged K/V pools.
-  Tensor decode_step(LayerContext& ctx, const Tensor& x, const Tensor& k_pool,
-                     const Tensor& v_pool, const Tensor& block_table,
-                     const Tensor& positions, const Tensor& attend_lens);
 
  private:
   SelfAttention attn_;

@@ -120,10 +120,11 @@ infer::KvCacheConfig Gpt2::kv_cache_config(int64_t slots, int64_t max_len) const
 Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
                      const std::vector<infer::SequenceHandle>& seqs,
                      const Tensor* prompt_lens) {
-  layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
   const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  if (cache == nullptr)
+  if (cache == nullptr) {
+    layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
     return criterion_->logits(ctx, stack(ctx, ids, prompt_lens)).view({B, L, cfg_.vocab});
+  }
   LS2_CHECK_EQ(static_cast<int64_t>(seqs.size()), B);
   const layers::PagedRows rows = cache->prefill_rows(seqs, L, prompt_lens);
   const int64_t Lq = L - rows.first;
@@ -134,25 +135,21 @@ Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCach
     for (int64_t b = 0; b < B; ++b)
       std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
   }
-  const Tensor h = blocks_->forward(
-      ctx, embed_->forward(ctx, tail, rows.first), [&](auto& block, int64_t i, const Tensor& x) {
-        return block.prefill(ctx, x, cache->k_pool(i), cache->v_pool(i), rows);
-      });
-  return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
+  return forward_cached(ctx, tail, *cache, rows);
 }
 
-Tensor Gpt2::decode_step(layers::LayerContext& ctx, const Tensor& ids,
-                         infer::KvCache& cache) {
+Tensor Gpt2::forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
+                            const layers::PagedRows& rows) {
   layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  const int64_t S = cache.config().slots;
-  LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
+  LS2_CHECK_EQ(ids.shape().rank(), 2);
+  const int64_t B = ids.shape()[0], Lq = ids.shape()[1];
+  LS2_CHECK_EQ(rows.q_begin.numel(), B) << "one row of metadata per batch row";
   const Tensor h = blocks_->forward(
-      ctx, embed_->decode_step(ctx, ids, cache.positions()),
-      [&](auto& block, int64_t i, const Tensor& x) {
-        return block.decode_step(ctx, x, cache.k_pool(i), cache.v_pool(i), cache.block_table(),
-                                 cache.positions(), cache.attend_lens());
+      ctx, embed_->forward(ctx, ids, &rows.q_begin), [&](auto& block, int64_t i, const Tensor& x) {
+        const layers::PagedKv kv{cache.k_pool(i), cache.v_pool(i), rows};
+        return block.forward(ctx, x, nullptr, &kv);
       });
-  return criterion_->logits(ctx, ln_f_->forward(ctx, h));  // [S, vocab]
+  return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
 }
 
 void Gpt2::release() {

@@ -60,15 +60,14 @@ class Gpt2 {
   /// Prefill: run prompts ids [B, Lp] (right-padded; `prompt_lens` i32 [B]
   /// masks the padding, nullptr for unpadded) through the causal stack.
   ///
-  /// With `cache`, only prompt rows [first, Lp) run, first =
-  /// KvCache::prefill_rows(seqs, Lp).first: rows below every sequence's
-  /// write_begin already live in shared prefix pages, so they are neither
-  /// recomputed nor rewritten (a fully shared prompt recomputes its last
-  /// row). Each layer stores the computed rows' K/V through `seqs[b]`'s
-  /// block table first — rows at or past len(seqs[b]) are padding and are
-  /// dropped — then attends through the pages in place. Returns logits of
-  /// the computed rows, [B, Lp - first, vocab]: an unshared batch gets all
-  /// Lp rows, and an unpadded prompt's last row predicts its next token.
+  /// With `cache`, the prompt batch of `seqs` — KvCache::prefill_rows(seqs,
+  /// Lp, prompt_lens) — runs through forward_cached: only prompt rows
+  /// [first, Lp) run, since rows below every sequence's write_begin already
+  /// live in shared prefix pages (a fully shared prompt recomputes its last
+  /// row), and rows at or past len(seqs[b]) are padding whose K/V are
+  /// dropped. Returns logits of the computed rows, [B, Lp - first, vocab]:
+  /// an unshared batch gets all Lp rows, and an unpadded prompt's last row
+  /// predicts its next token.
   ///
   /// With cache == nullptr every row runs through the training forward's
   /// embed -> blocks -> final-LN stack (padded attention) and the logits are
@@ -77,12 +76,18 @@ class Gpt2 {
                  const std::vector<infer::SequenceHandle>& seqs,
                  const Tensor* prompt_lens = nullptr);
 
-  /// One incremental decode step over ALL decode lanes: ids [S, 1] (the next
-  /// token per lane, pad for free lanes), returns logits [S, vocab]. Static
-  /// shape every step — the graph-capturable serving region. The caller
-  /// brackets it with KvCache::begin_decode / commit_decode, after
-  /// KvCache::extend on every live sequence.
-  Tensor decode_step(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache);
+  /// The one cached forward: run the computed rows ids [B, Lq] of the
+  /// cached batch `rows` through the stack, each layer storing the rows'
+  /// K/V into `cache`'s paged pools and attending through them in place.
+  /// Returns their logits [B, Lq, vocab]. A prompt batch comes from
+  /// prefill; the decode step is the one-row full-lane case, ids [S, 1]
+  /// (the next token per lane, pad for free lanes) with the rows of
+  /// KvCache::begin_decode — static shapes every step, the
+  /// graph-capturable serving region. The caller brackets a decode step
+  /// with begin_decode / commit_decode, after KvCache::extend on every live
+  /// sequence.
+  Tensor forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
+                        const layers::PagedRows& rows);
 
   layers::ParamRegistry& params() { return params_; }
   const Gpt2Config& config() const { return cfg_; }

@@ -279,35 +279,28 @@ void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor&
 Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
                             const std::vector<infer::SequenceHandle>& seqs,
                             const Tensor* tgt_lens) {
-  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  const int64_t B = tgt_in.shape()[0], Lp = tgt_in.shape()[1];
-  LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
-
+  LS2_CHECK_EQ(tgt_in.shape()[0], static_cast<int64_t>(seqs.size()));
   // The cache never shares prefix pages (cross K/V depend on the source),
   // so every target row runs.
-  const layers::PagedRows rows = cache.prefill_rows(seqs, Lp, tgt_lens);
+  const layers::PagedRows rows = cache.prefill_rows(seqs, tgt_in.shape()[1], tgt_lens);
   LS2_CHECK_EQ(rows.first, 0);
-  const Tensor h = decoder_->forward(
-      ctx, tgt_embed_->forward(ctx, tgt_in), [&](auto& layer, int64_t i, const Tensor& x) {
-        return layer.prefill(ctx, x, cache.k_pool(i), cache.v_pool(i), rows, cache.cross_k(i),
-                             cache.cross_v(i), &cache.src_lens());
-      });
-  return criterion_->logits(ctx, dec_ln_->forward(ctx, h)).view({B, Lp, cfg_.vocab});
+  return forward_cached(ctx, tgt_in, cache, rows);
 }
 
-Tensor Transformer::decode_step(LayerContext& ctx, const Tensor& ids,
-                                infer::KvCache& cache) {
+Tensor Transformer::forward_cached(LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
+                                   const layers::PagedRows& rows) {
   LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  const int64_t S = cache.config().slots;
-  LS2_CHECK_EQ(ids.shape()[0], S) << "decode runs the full slot batch";
+  LS2_CHECK_EQ(ids.shape().rank(), 2);
+  const int64_t B = ids.shape()[0], Lq = ids.shape()[1];
+  LS2_CHECK_EQ(rows.q_begin.numel(), B) << "one row of metadata per batch row";
   const Tensor h = decoder_->forward(
-      ctx, tgt_embed_->decode_step(ctx, ids, cache.positions()),
+      ctx, tgt_embed_->forward(ctx, ids, &rows.q_begin),
       [&](auto& layer, int64_t i, const Tensor& x) {
-        return layer.decode_step(ctx, x, cache.k_pool(i), cache.v_pool(i), cache.block_table(),
-                                 cache.positions(), cache.attend_lens(), cache.cross_k(i),
-                                 cache.cross_v(i), &cache.src_lens());
+        const layers::PagedKv kv{cache.k_pool(i), cache.v_pool(i), rows};
+        return layer.forward(ctx, x, cache.cross_k(i), cache.cross_v(i), &cache.src_lens(),
+                             nullptr, &kv);
       });
-  return criterion_->logits(ctx, dec_ln_->forward(ctx, h));  // [S, vocab]
+  return criterion_->logits(ctx, dec_ln_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
 }
 
 const layers::PpPlan& Transformer::pp_configure(int pp) {

@@ -73,9 +73,10 @@ class Transformer {
   // Translation serving takes one allocated SequenceHandle per request:
   // encode() runs the source batch once through the training encoder and
   // installs the per-lane cross K/V — the layer-batched projection computed
-  // ONCE per request, reused by every decode step — then
-  // prefill()/decode_step() grow the target side against the paged
-  // self-attention cache exactly like the GPT-2 path.
+  // ONCE per request, reused by every decode step — then forward_cached()
+  // grows the target side against the paged self-attention cache exactly
+  // like the GPT-2 path: prefill() runs the prompt batch through it, and a
+  // decode step is its one-row case.
 
   /// Cache geometry: paged decoder self K/V for `max_len` target tokens
   /// plus contiguous cross K/V for `cross_len` source tokens, per lane.
@@ -89,16 +90,21 @@ class Transformer {
               infer::KvCache& cache, const std::vector<infer::SequenceHandle>& seqs);
 
   /// Prefill the target prefix tgt_in [B, Lp] (right-padded; tgt_lens
-  /// optional) and return logits [B, Lp, vocab]. Each decoder layer stores
-  /// row b's self K/V through `seqs[b]`'s block table into the paged pools,
-  /// then attends through them in place; padding rows past len(seqs[b]) are
-  /// dropped (decode appends claim those positions).
+  /// optional) through forward_cached and return logits [B, Lp, vocab]. Each
+  /// decoder layer stores row b's self K/V through `seqs[b]`'s block table
+  /// into the paged pools, then attends through them in place; padding rows
+  /// past len(seqs[b]) are dropped (decode appends claim those positions).
   Tensor prefill(layers::LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
                  const std::vector<infer::SequenceHandle>& seqs,
                  const Tensor* tgt_lens = nullptr);
 
-  /// One decode step over all slots: ids [S, 1] -> logits [S, vocab].
-  Tensor decode_step(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache);
+  /// The one cached forward (see Gpt2::forward_cached): target rows ids
+  /// [B, Lq] of the cached batch `rows` through the decoder stack — self
+  /// attention through the paged pools, cross attention over the per-lane
+  /// cross K/V — returning logits [B, Lq, vocab]. A decode step passes
+  /// ids [S, 1] with the rows of KvCache::begin_decode.
+  Tensor forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
+                        const layers::PagedRows& rows);
 
   layers::ParamRegistry& params() { return params_; }
   const TransformerConfig& config() const { return cfg_; }

@@ -728,9 +728,9 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
         if (i >= active.size()) break;
       }
       if (active.empty()) continue;
-      cache.begin_decode();
-      const int32_t* pos = cache.positions().data<int32_t>();
-      const int32_t* att = cache.attend_lens().data<int32_t>();
+      const layers::PagedRows& rows = cache.begin_decode();
+      const int32_t* pos = rows.q_begin.data<int32_t>();
+      const int32_t* att = rows.kv_lens.data<int32_t>();
       std::set<int64_t> lanes;
       for (const infer::SequenceHandle& h : active) {
         const int64_t lane = cache.lane(h);

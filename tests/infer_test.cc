@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 
 #include "core/lightseq2.h"
@@ -90,9 +92,9 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
 
   ASSERT_TRUE(cache.extend(a, kc));
   ASSERT_TRUE(cache.extend(b, kc));
-  cache.begin_decode();
-  const int32_t* pos = cache.positions().data<int32_t>();
-  const int32_t* att = cache.attend_lens().data<int32_t>();
+  const layers::PagedRows& rows = cache.begin_decode();
+  const int32_t* pos = rows.q_begin.data<int32_t>();
+  const int32_t* att = rows.kv_lens.data<int32_t>();
   EXPECT_EQ(pos[cache.lane(a)], 5);
   EXPECT_EQ(att[cache.lane(a)], 6);
   EXPECT_EQ(pos[cache.lane(b)], 2);
@@ -127,7 +129,7 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
 
 // The paged writers and the fused decode attention, against a reference
 // built the unfused way over a contiguous cache: prompt rows
-// (kv_cache_store_paged) and the decode row (kv_cache_append_paged) land
+// and the decode row (both kv_cache_store_paged) land
 // through the block table, and kern::paged_decode_attn reading the pools in
 // place is BITWISE the scores GEMM + masked softmax + context GEMM + head
 // merge over contiguous copies of the same rows, in FP32 and FP16. The
@@ -308,22 +310,22 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
         seqs.push_back(cache.allocate(std::max<int64_t>(1, kv_len[static_cast<size_t>(s)] - 1)));
       cache.free(seqs[1]);
       for (int64_t s : {0, 2, 3}) ASSERT_TRUE(cache.extend(seqs[static_cast<size_t>(s)], kc));
-      cache.begin_decode();
-      const int32_t* pos = cache.positions().data<int32_t>();
+      const layers::PagedRows& rows = cache.begin_decode();
+      const int32_t* pos = rows.q_begin.data<int32_t>();
       std::vector<int64_t> positions(pos, pos + S);
       for (int64_t s = 0; s < S; ++s)
-        ASSERT_EQ(cache.attend_lens().data<int32_t>()[s], kv_len[static_cast<size_t>(s)]);
+        ASSERT_EQ(rows.kv_lens.data<int32_t>()[s], kv_len[static_cast<size_t>(s)]);
       kern::kv_cache_store_paged(kc, k, v, cache.k_pool(0), cache.v_pool(0),
                                  cache.block_table(), i32_tensor({0, 1, 2, 3}), i32_tensor(zero),
-                                 i32_tensor(zero), cache.positions());
-      kern::kv_cache_append_paged(kc, rows_of(kf, positions, 1), rows_of(vf, positions, 1),
-                                  cache.k_pool(0), cache.v_pool(0), cache.block_table(),
-                                  cache.positions());
+                                 i32_tensor(zero), rows.q_begin);
+      kern::kv_cache_store_paged(kc, rows_of(kf, positions, 1), rows_of(vf, positions, 1),
+                                 cache.k_pool(0), cache.v_pool(0), rows.block_table, rows.lanes,
+                                 rows.q_begin, rows.write_begin, rows.write_end);
       const Tensor q1 = rows_of(qv, positions, 1);
       Tensor merged = Tensor::empty({S, 1, N * D}, dt);
       merged.fill_(99.0f);
       kern::paged_attn(kc, q1, cache.k_pool(0), cache.v_pool(0), cache.block_table(),
-                       /*lanes=*/nullptr, cache.positions(), cache.attend_lens(), scale, merged);
+                       /*lanes=*/nullptr, rows.q_begin, rows.kv_lens, scale, merged);
       const auto got = merged.to_vector();
       for (int64_t s = 0; s < S; ++s) {
         const std::vector<float> row(got.begin() + s * N * D, got.begin() + (s + 1) * N * D);
@@ -333,8 +335,8 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
       const auto& ks = dev.per_kernel().at("ls2.paged_attn");
       EXPECT_EQ(ks.launches, 1);
       EXPECT_EQ(ks.bytes, static_cast<int64_t>(q1.bytes() + cache.block_table().bytes() +
-                                               cache.positions().bytes() +
-                                               cache.attend_lens().bytes() + merged.bytes()) +
+                                               rows.q_begin.bytes() +
+                                               rows.kv_lens.bytes() + merged.bytes()) +
                               2 * 17 * N * D * elem);
       cache.commit_decode();
       EXPECT_EQ(cache.len(seqs[2]), Lcap);
@@ -380,7 +382,7 @@ TEST(SamplingTest, SamplingIsDeterministicInVocabAndStreamSensitive) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-decode parity: prefill + N x decode_step == full re-forward
+// Incremental-decode parity: prefill + N x decode step == full re-forward
 // ---------------------------------------------------------------------------
 
 TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
@@ -422,8 +424,8 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   for (int64_t t = P; t < L; ++t) {
     for (const SequenceHandle& h : seqs)
       ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    cache.begin_decode();
-    const auto step = model.decode_step(s.ctx(), column(ids, t), cache).to_vector();
+    const layers::PagedRows& rows = cache.begin_decode();
+    const auto step = model.forward_cached(s.ctx(), column(ids, t), cache, rows).to_vector();
     cache.commit_decode();
     for (int64_t b = 0; b < B; ++b) {
       for (int64_t j = 0; j < V; ++j) {
@@ -474,8 +476,8 @@ TEST(Gpt2InferTest, PaddedBatchMatchesPerSequenceForward) {
     for (int64_t b = 0; b < B; ++b) tp[b] = sp[b * 8 + plen[static_cast<size_t>(b)] + k];
     for (const SequenceHandle& h : handles)
       ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    cache.begin_decode();
-    step_logits.push_back(model.decode_step(s.ctx(), tok, cache).to_vector());
+    const layers::PagedRows& rows = cache.begin_decode();
+    step_logits.push_back(model.forward_cached(s.ctx(), tok, cache, rows).to_vector());
     cache.commit_decode();
   }
 
@@ -596,8 +598,8 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
   Tensor step_ids = Tensor::empty({3, 1}, DType::kI32);
   std::copy(next.begin(), next.end(), step_ids.data<int32_t>());
   for (const SequenceHandle& h : {ha, hb, hc}) ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-  cache.begin_decode();
-  const auto step = model.decode_step(s.ctx(), step_ids, cache).to_vector();
+  const layers::PagedRows& rows = cache.begin_decode();
+  const auto step = model.forward_cached(s.ctx(), step_ids, cache, rows).to_vector();
   cache.commit_decode();
   const std::vector<std::vector<int32_t>> prompts = {a, b, c};
   for (int64_t lane = 0; lane < 3; ++lane) {
@@ -693,8 +695,9 @@ TEST(TransformerInferTest, IncrementalDecodeMatchesFullPrefillBitwise) {
   for (int64_t t = 1; t < Lt; ++t) {
     for (const SequenceHandle& h : handles)
       ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    cache.begin_decode();
-    const auto step = model.decode_step(s.ctx(), column(batch.tgt_in, t), cache).to_vector();
+    const layers::PagedRows& rows = cache.begin_decode();
+    const auto step =
+        model.forward_cached(s.ctx(), column(batch.tgt_in, t), cache, rows).to_vector();
     cache.commit_decode();
     for (int64_t b = 0; b < B; ++b) {
       if (t >= static_cast<int64_t>(tgt_lens[static_cast<size_t>(b)])) continue;  // padding
@@ -885,6 +888,40 @@ TEST(ContinuousBatcherTest, CacheCapacityCapsGenerationInsteadOfThrowing) {
   EXPECT_EQ(report.requests[0].generated, 1 + (max_len - 4));
 }
 
+// An admission that throws mid-scan leaves the queue consistent: the
+// requests the scan already admitted leave it, the thrower and everything
+// after it stay. A 2-token prompt is admitted, then a 20-token prompt's
+// prefill runs out of an arena sized for 2-token prompts; the queue then
+// holds only the long prompt, and evacuate() hands back each request once.
+TEST(ContinuousBatcherTest, ThrowingAdmissionLeavesTheQueueConsistent) {
+  const auto cfg = tiny_gpt2();
+  const int64_t slots = 2, max_len = 24;
+  SessionConfig sc = ls2_session();
+  sc.arena_bytes = serve_capacity_scan(cfg, DType::kF32, slots, max_len, /*max_prompt_len=*/2);
+  Session s(sc);
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 17, s.param_alloc());
+  KvCache cache(model.kv_cache_config(slots, max_len), s.param_alloc());
+  ContinuousBatcher engine(s, model, cache, {});
+  engine.begin();
+  Request shorter;
+  shorter.id = 1;
+  shorter.prompt = {5, 6};
+  shorter.spec.gen_len = 4;
+  Request longer;
+  longer.id = 2;
+  longer.prompt.assign(20, 7);
+  longer.spec.gen_len = 2;
+  engine.submit(shorter);
+  engine.submit(longer);
+
+  EXPECT_THROW(engine.step(), mem::OutOfMemory);
+  EXPECT_EQ(engine.resident(), 1);
+  EXPECT_EQ(engine.queue_depth(), 1) << "the admitted request left the queue";
+  std::vector<int64_t> evacuated;
+  for (const ContinuousBatcher::Evacuated& e : engine.evacuate()) evacuated.push_back(e.req.id);
+  EXPECT_EQ(evacuated, (std::vector<int64_t>{2, 1})) << "each request is evacuated once";
+}
+
 // Model-only serving at a bench-like scale: continuous batching must beat
 // the static-wave baseline by >= 1.5x tokens/sec under Poisson arrivals.
 TEST(ContinuousBatcherTest, ContinuousBeatsStaticThroughput) {
@@ -1049,8 +1086,8 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
     for (int64_t k = 0; k < steps; ++k) {
       ids.data<int32_t>()[c.lane(h)] = cont[static_cast<size_t>(k)];
       EXPECT_TRUE(c.extend(h, s.ctx().kern));
-      c.begin_decode();
-      out.push_back(model.decode_step(s.ctx(), ids, c).to_vector());
+      const layers::PagedRows& rows = c.begin_decode();
+      out.push_back(model.forward_cached(s.ctx(), ids, c, rows).to_vector());
       c.commit_decode();
     }
     return out;
@@ -1064,8 +1101,8 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
     ids.data<int32_t>()[cache.lane(ff)] = contB[static_cast<size_t>(k)];
     ASSERT_TRUE(cache.extend(hf, s.ctx().kern));
     ASSERT_TRUE(cache.extend(ff, s.ctx().kern));
-    cache.begin_decode();
-    const auto step = model.decode_step(s.ctx(), ids, cache).to_vector();
+    const layers::PagedRows& rows = cache.begin_decode();
+    const auto step = model.forward_cached(s.ctx(), ids, cache, rows).to_vector();
     cache.commit_decode();
     // Row-independent kernels: compare each lane against the solo run's
     // lane 0 (where solo() placed its only sequence).
@@ -1113,7 +1150,7 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
     };
     auto decode = [&](uint64_t seed) {
       for (const SequenceHandle& h : seqs) EXPECT_TRUE(cache.extend(h, s.ctx().kern));
-      cache.begin_decode();
+      const layers::PagedRows& rows = cache.begin_decode();
       const Tensor ids = random_ids(slots, 1, cfg.vocab, seed);
       const size_t step = out.logits.size();
       const bool capture = graph && step == 1, replay = graph && step > 1;
@@ -1122,7 +1159,7 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
       const double t0 = dev.range_time_us("serve.decode");
       {
         simgpu::ScopedRange range(dev, "serve.decode");
-        out.logits.push_back(model.decode_step(s.ctx(), ids, cache).to_vector());
+        out.logits.push_back(model.forward_cached(s.ctx(), ids, cache, rows).to_vector());
       }
       out.decode_us.push_back(dev.range_time_us("serve.decode") - t0);
       if (capture) g = dev.end_capture();
@@ -1144,6 +1181,80 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
   EXPECT_EQ(replayed.logits, eager.logits) << "replay changed a decoded logit";
   EXPECT_LT(replayed.decode_us[2], replayed.decode_us[3])
       << "a replayed decode step must charge its live attend lengths";
+}
+
+// A decode step is the one-row full-lane case of the cached forward, and
+// its cost is pinned exactly: one fixed step of a tiny FP32 GPT-2 over four
+// lanes — three resident at positions 1, 5 and 13, one free — eager and
+// replayed: device-clock advance, bytes read, bytes written and flops. The
+// values are those of the dedicated decode kernels this forward replaced;
+// its K/V write is now a kv_store_paged launch and its lookup an
+// embedding_fw launch.
+TEST(PagedKvTest, DecodeStepCostIsPinned) {
+  const models::Gpt2Config cfg = tiny_gpt2();
+  SessionConfig sc = ls2_session();
+  sc.arena_bytes = size_t{8} << 20;
+  Session s(sc);
+  simgpu::Device& dev = s.device();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 17, s.param_alloc());
+  KvCacheConfig kcfg = model.kv_cache_config(4, 16);
+  kcfg.page_tokens = 4;
+  KvCache cache(kcfg, s.param_alloc());
+  std::vector<SequenceHandle> seqs;
+  for (const int64_t len : {1, 3, 5, 13}) {
+    std::vector<int32_t> prompt;
+    for (int64_t t = 0; t < len; ++t)
+      prompt.push_back(3 + static_cast<int32_t>((static_cast<int64_t>(seqs.size()) * 7 + t * 5) % 40));
+    seqs.push_back(cache.allocate(len));
+    (void)model.prefill(s.ctx(), ids_of(prompt), &cache, {seqs.back()});
+    s.end_step();
+  }
+  cache.free(seqs[1]);  // lane 1 decodes into the trash page
+  for (const size_t i : {0, 2, 3}) ASSERT_TRUE(cache.extend(seqs[i], s.ctx().kern));
+  const layers::PagedRows& rows = cache.begin_decode();
+  const Tensor ids = Tensor::from_vector({11.0f, 0.0f, 23.0f, 37.0f}, {4, 1}, DType::kI32);
+  auto step = [&] { return model.forward_cached(s.ctx(), ids, cache, rows).to_vector(); };
+
+  // The same step three times (nothing commits in between): eager, captured
+  // and replayed.
+  const simgpu::DeviceStats& stats = dev.stats();
+  const double t0 = dev.clock_us();
+  const int64_t bytes0 = stats.bytes_moved;
+  const double flops0 = stats.flops;
+  const auto eager = step();
+  const double eager_us = dev.clock_us() - t0;
+  const int64_t bytes = stats.bytes_moved - bytes0;
+  const double flops = stats.flops - flops0;
+  s.end_step();
+  dev.begin_capture();
+  EXPECT_EQ(step(), eager);
+  const simgpu::StepGraph graph = dev.end_capture();
+  s.end_step();
+  ASSERT_TRUE(graph.valid) << graph.poison_reason;
+  const double t1 = dev.clock_us();
+  dev.begin_replay(graph);
+  EXPECT_EQ(step(), eager);
+  dev.end_replay();
+  const double replay_us = dev.clock_us() - t1;
+  s.end_step();
+
+  // A paged_attn node's bound writes what each launch writes, so the
+  // graph's descriptors give the step's bytes written exactly.
+  int64_t written = 0;
+  std::map<std::string, int64_t> launches;
+  for (const simgpu::GraphNode& n : graph.nodes) {
+    if (n.kind != simgpu::GraphNode::Kind::kKernel) continue;
+    written += n.desc.bytes_written;
+    ++launches[n.desc.name];
+  }
+  EXPECT_EQ(graph.kernel_launches, 27);
+  EXPECT_EQ(bytes - written, 37760) << "bytes read";
+  EXPECT_EQ(written, 11680) << "bytes written";
+  EXPECT_EQ(flops, 47584.0);
+  EXPECT_EQ(eager_us, 0x1.e66d3fe92ca5p+6) << "121.60668911299695 us";
+  EXPECT_EQ(replay_us, 0x1.4369ff496528p+3) << "10.106689112996946 us";
+  EXPECT_EQ(launches["ls2.kv_store_paged"], cfg.layers);
+  EXPECT_EQ(launches["ls2.embedding_fw"], 1);
 }
 
 // Fixed-size pages cannot fragment externally: after any admit/retire
@@ -1248,14 +1359,75 @@ TEST(ServingScopeTest, ServingRestoresTrainingModeAndSavesNothing) {
   (void)model.prefill(ctx, random_ids(2, 4, cfg.vocab, 2), &cache, seqs);
   expect_clean("cached prefill");
   for (const SequenceHandle& h : seqs) ASSERT_TRUE(cache.extend(h, ctx.kern));
-  cache.begin_decode();
-  (void)model.decode_step(ctx, random_ids(2, 1, cfg.vocab, 3), cache);
+  const layers::PagedRows& rows = cache.begin_decode();
+  (void)model.forward_cached(ctx, random_ids(2, 1, cfg.vocab, 3), cache, rows);
   cache.commit_decode();
   expect_clean("decode");
 
   EXPECT_THROW(model.prefill(ctx, random_ids(1, cfg.max_len + 1, cfg.vocab, 4), nullptr, {}),
                Error);
   EXPECT_TRUE(ctx.training()) << "a throwing pass must still leave the scope";
+}
+
+// Serving draws no dropout mask, so its embedding lookup writes only the
+// activation: the ls2.embedding_fw launch of a cacheless prefill, a cached
+// prefill and a decode step each write B * L * H floats, where the
+// training forward's also writes its u8 mask.
+TEST(ServingScopeTest, ServingEmbeddingWritesOnlyItsActivation) {
+  SessionConfig sc = ls2_session();
+  sc.arena_bytes = size_t{8} << 20;
+  Session s(sc);
+  layers::LayerContext& ctx = s.ctx();
+  simgpu::Device& dev = s.device();
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5, s.param_alloc());
+  KvCache cache(model.kv_cache_config(2, 16), s.param_alloc());
+  const std::vector<SequenceHandle> seqs = {cache.allocate(4), cache.allocate(4)};
+  // Bytes the pass's one embedding launch writes, read off a capture of the
+  // pass (its descriptors are the launches' own).
+  auto embedding_written = [&](const std::function<void()>& pass) {
+    dev.begin_capture();
+    pass();
+    const simgpu::StepGraph graph = dev.end_capture();
+    s.end_step();
+    EXPECT_TRUE(graph.valid) << graph.poison_reason;
+    int64_t written = 0, launches = 0;
+    for (const simgpu::GraphNode& n : graph.nodes) {
+      if (n.kind != simgpu::GraphNode::Kind::kKernel || n.desc.name != "ls2.embedding_fw")
+        continue;
+      written += n.desc.bytes_written;
+      ++launches;
+    }
+    EXPECT_EQ(launches, 1);
+    return written;
+  };
+  const int64_t row = cfg.hidden * static_cast<int64_t>(sizeof(float));
+
+  EXPECT_EQ(embedding_written(
+                [&] { (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1), nullptr, {}); }),
+            2 * 6 * row)
+      << "cacheless prefill";
+  EXPECT_EQ(embedding_written(
+                [&] { (void)model.prefill(ctx, random_ids(2, 4, cfg.vocab, 2), &cache, seqs); }),
+            2 * 4 * row)
+      << "cached prefill";
+  for (const SequenceHandle& h : seqs) ASSERT_TRUE(cache.extend(h, ctx.kern));
+  const layers::PagedRows& rows = cache.begin_decode();
+  EXPECT_EQ(embedding_written([&] {
+              (void)model.forward_cached(ctx, random_ids(2, 1, cfg.vocab, 3), cache, rows);
+            }),
+            2 * 1 * row)
+      << "decode";
+  cache.commit_decode();
+
+  data::LmDataset ds(cfg.vocab, 512, 5);
+  const models::LmBatch batch = ds.batch(0, 2, 8);
+  EXPECT_EQ(embedding_written([&] {
+              (void)model.forward(ctx, batch);
+              model.release();
+            }),
+            2 * 8 * (row + cfg.hidden))
+      << "the training forward writes its mask too";
 }
 
 // Serving between training steps changes nothing the training run sees:
@@ -1278,8 +1450,9 @@ TEST(ServingScopeTest, ServingBetweenTrainStepsLeavesTrainingBitwise) {
     (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 10 + step), nullptr, {});
     (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 20 + step), &cache, {h});
     ASSERT_TRUE(cache.extend(h, serve_s.ctx().kern));
-    cache.begin_decode();
-    (void)served.decode_step(serve_s.ctx(), random_ids(1, 1, cfg.vocab, 30 + step), cache);
+    const layers::PagedRows& rows = cache.begin_decode();
+    (void)served.forward_cached(serve_s.ctx(), random_ids(1, 1, cfg.vocab, 30 + step), cache,
+                                rows);
     cache.commit_decode();
 
     const models::LmBatch batch = ds.batch(step, 2, 8);
@@ -1314,12 +1487,12 @@ TEST(ServingScopeTest, ServingThrowsUnderTensorParallelism) {
   ctx.tp_group = nullptr;
   (void)model.prefill(ctx, prompt, &cache, {h});
   ASSERT_TRUE(cache.extend(h, ctx.kern));
-  cache.begin_decode();
+  const layers::PagedRows& rows = cache.begin_decode();
   ctx.tp_group = &pg;
-  EXPECT_THROW(model.decode_step(ctx, random_ids(1, 1, cfg.vocab, 2), cache), Error)
+  EXPECT_THROW(model.forward_cached(ctx, random_ids(1, 1, cfg.vocab, 2), cache, rows), Error)
       << "decode";
   ctx.tp_group = nullptr;
-  (void)model.decode_step(ctx, random_ids(1, 1, cfg.vocab, 2), cache);
+  (void)model.forward_cached(ctx, random_ids(1, 1, cfg.vocab, 2), cache, rows);
   cache.commit_decode();
   EXPECT_TRUE(ctx.training());
 }
