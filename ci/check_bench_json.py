@@ -56,6 +56,18 @@ def check_fig22():
     for r in overlap:
         if not r["sync_exposed_us"] < r["sync_blocking_us"]:
             fail(f"fig22: overlapped sync hides nothing in {r}")
+    # The schedules whose whole buffer lands at once: the blocking ring
+    # (sections a and b) exposes all of itself, and without the pipelined
+    # update no update runs under a ring.
+    for r in rows:
+        if r["section"] in ("a", "b") and not (
+                abs(r["sync_exposed_us"] - r["sync_blocking_us"]) <= 1e-3
+                and r["sync_overlapped_us"] == 0):
+            fail(f"fig22: the blocking ring must be exposed whole in {r}")
+        if not r["pipeline_update"] and r["update_overlapped_us"] != 0:
+            fail(f"fig22: an update overlapped a ring without pipeline_update in {r}")
+        if not r["update_overlapped_us"] <= r["update_us"]:
+            fail(f"fig22: overlapped update exceeds the update in {r}")
 
 
 def check_fig_launch_graph():

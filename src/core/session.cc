@@ -25,26 +25,12 @@ Session::Session(SessionConfig cfg) : cfg_(cfg), device_(cfg.profile, cfg.mode) 
 
 GraphAction Session::begin_step() {
   // The per-step RNG offset is the graph parameter of §"graph capture":
-  // dropout masks become a pure function of (seed, step, site), so a
-  // replayed step draws bitwise the masks its eager twin would.
+  // dropout masks and sampled tokens become a pure function of (seed, step,
+  // site), so a replayed step draws bitwise what its eager twin would.
   ctx_->kern.begin_step_rng(static_cast<uint64_t>(step_index_));
   if (!cfg_.graph_capture || graph_poisoned_) return GraphAction::kEager;
   if (graph_.valid) return GraphAction::kReplay;
   if (step_index_ < cfg_.graph_warmup_steps) return GraphAction::kEager;
-  return GraphAction::kCapture;
-}
-
-GraphAction Session::begin_decode_step() {
-  // Same RNG discipline as training: the per-step offset advances OUTSIDE
-  // the graph, so a replayed decode step samples bitwise the tokens its
-  // eager twin would.
-  ctx_->kern.begin_step_rng(static_cast<uint64_t>(step_index_));
-  if (!cfg_.graph_capture || graph_poisoned_) return GraphAction::kEager;
-  if (graph_.valid) return GraphAction::kReplay;
-  if (decode_warmups_ < cfg_.graph_warmup_steps) {
-    ++decode_warmups_;
-    return GraphAction::kEager;
-  }
   return GraphAction::kCapture;
 }
 

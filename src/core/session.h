@@ -47,14 +47,6 @@ struct SessionConfig {
   /// Collective timeout for failure detection, threaded into the
   /// FaultInjector by the fault-tolerant harness (README knob).
   double collective_timeout_us = 5000.0;
-  /// Wall-clock heartbeat detector cadence (dist::HeartbeatMonitor): how
-  /// often the watcher thread scans for silent ranks. Consumers build the
-  /// monitor via dist::HeartbeatConfig::from_millis(ranks, interval, timeout).
-  double heartbeat_interval_ms = 2.0;
-  /// A rank whose last beat is older than this is SUSPECTED. Keep it a
-  /// multiple of the slowest healthy beat cadence — a slow-but-alive rank
-  /// must never be evicted (tests/fleet_test.cc holds this).
-  double heartbeat_timeout_ms = 20.0;
   /// Telemetry sink (DESIGN.md §12), NOT owned; null (the default) disables
   /// all metrics recording — every instrumentation site is one pointer test
   /// and the simulated step time is identical either way (host-side only).
@@ -86,25 +78,17 @@ class Session {
   int64_t permanent_bytes() const { return param_alloc_->bytes_in_use(); }
   int64_t activation_peak_bytes() const { return act_alloc_->peak_bytes(); }
 
-  /// Called by train_step at the start of each step: advances the per-step
-  /// RNG offset (the graph parameter that keeps dropout masks bitwise
-  /// reproducible under replay) and decides whether this step runs eager,
-  /// is captured, or replays the stored graph.
+  /// Called at the start of each step — a train step, or the serving
+  /// engine's decode step (src/infer/), whose admission prefills run eager
+  /// outside it: advances the per-step RNG offset (the graph parameter that
+  /// keeps dropout masks and sampled tokens bitwise reproducible under
+  /// replay) and decides whether this step runs eager, is captured, or
+  /// replays the stored graph. The first `graph_warmup_steps` steps (by
+  /// step index) run eager.
   GraphAction begin_step();
 
-  /// Inference twin of begin_step for the serving engine (src/infer/): the
-  /// steady-state DECODE step is the static region — prefills and
-  /// admissions run eager in between, so the engine (not the step index)
-  /// decides which steps are graph candidates by calling this only for
-  /// them. Advances the per-step RNG offset (token sampling stays a pure
-  /// function of (seed, step, slot) under replay) and returns eager /
-  /// capture / replay for the decode region. Warm-up counts DECODE steps
-  /// only; an engine step may also run admission prefills before the
-  /// captured region — they stay outside the graph.
-  GraphAction begin_decode_step();
-
-  /// Called at the end of each training step: rewinds the arena (LightSeq2)
-  /// so the next step reuses the same memory, and advances the step index.
+  /// Called at the end of each step: rewinds the arena (LightSeq2) so the
+  /// next step reuses the same memory, and advances the step index.
   void end_step();
 
   // --- step-graph state (driven by GraphRegion) ---
@@ -151,7 +135,6 @@ class Session {
   mem::ArenaAllocator* arena_ = nullptr;  // non-null when arena strategy active
   std::unique_ptr<layers::LayerContext> ctx_;
   int64_t step_index_ = 0;
-  int64_t decode_warmups_ = 0;    // eager decode steps before capture
   simgpu::StepGraph graph_;       // valid once captured (train OR decode —
                                   // a session runs one workload, not both)
   bool graph_poisoned_ = false;   // capture failed; stay eager forever

@@ -5,7 +5,6 @@
 
 #include "dist/pipeline.h"
 #include "memory/caching_allocator.h"
-#include "simgpu/fault.h"
 
 namespace ls2::core::detail {
 
@@ -50,6 +49,22 @@ std::vector<dist::BucketPlan> plan_step_buckets(
   }
   if (action == GraphAction::kCapture) memo.frozen = plans;
   return plans;
+}
+
+std::vector<std::pair<double, double>> update_landings(
+    Session& session, optim::Optimizer& trainer, const std::vector<dist::Landing>& landings) {
+  simgpu::Device& dev = session.device();
+  std::vector<std::pair<double, double>> windows;
+  trainer.begin_step();
+  for (const dist::Landing& l : landings) {
+    dev.wait_comm_until(l.done_us, "synchronize");
+    obs::SpanScope r(dev, "update");
+    const double u0 = dev.clock_us();
+    trainer.step_range(session.ctx().kern, l.bucket.byte_begin, l.bucket.byte_end);
+    windows.emplace_back(u0, dev.clock_us());
+  }
+  trainer.end_step();
+  return windows;
 }
 
 PipelineStep::PipelineStep(Session& session, layers::ParamRegistry& params,
@@ -276,27 +291,28 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
   dev_.at_sync_point("synchronize");
 
   // Updates execute for real over every stage's buckets (the numerics need
-  // the whole model updated; step_range is order-independent), while the
-  // StepTimes lane tracks only stage 0: wait for each stage-0 bucket's
-  // ring, then its update — pipelined exactly like the pp = 1 path.
-  trainer.begin_step();
-  dist::UpdateLane lane0;
-  {
-    obs::SpanScope r(dev_, "update");
-    for (int s = pp_ - 1; s >= 0; --s) {
-      std::vector<std::pair<int64_t, double>> updates;
-      for (int b : modeled[su(s)].order) {
-        const dist::GradBucket& bucket = buckets_[su(s)].buckets()[su(b)];
-        const double u0 = dev_.clock_us();
-        trainer.step_range(ctx_.kern, bucket.byte_begin, bucket.byte_end);
-        const double dur = dev_.clock_us() - u0;
-        updates.emplace_back(bucket.bytes(), dur);
-        if (s == 0) lane0.add(sync_needed ? modeled[0].done_us[su(b)] : kNever, dur);
-      }
-      lanes[su(s)].update = dist::UpdateCost::fit(updates, prof.launch_overhead_us);
-    }
+  // the whole model updated; step_range is order-independent) through the
+  // one update loop, with nothing to wait for on the device: the rings are
+  // analytic. The StepTimes lane tracks only stage 0, folding each stage-0
+  // bucket's modeled ring and measured update through dist::UpdateLane —
+  // pipelined exactly like the pp = 1 path.
+  std::vector<dist::Landing> landings;
+  for (int s = pp_ - 1; s >= 0; --s) {
+    for (int b : modeled[su(s)].order) landings.push_back({buckets_[su(s)].buckets()[su(b)]});
   }
-  trainer.end_step();
+  const std::vector<std::pair<double, double>> windows =
+      update_landings(session_, trainer, landings);
+  dist::UpdateLane lane0;
+  size_t next = 0;
+  for (int s = pp_ - 1; s >= 0; --s) {
+    std::vector<std::pair<int64_t, double>> updates;
+    for (int b : modeled[su(s)].order) {
+      const double dur = windows[next].second - windows[next].first;
+      updates.emplace_back(landings[next++].bucket.bytes(), dur);
+      if (s == 0) lane0.add(sync_needed ? modeled[0].done_us[su(b)] : kNever, dur);
+    }
+    lanes[su(s)].update = dist::UpdateCost::fit(updates, prof.launch_overhead_us);
+  }
   const double t2 = bend_last[0];  // stage 0's compute lane ends its 1F1B step
   const double cursor = lane0.end_us(t2);
   double drain0 = 0, ring0_us = 0;

@@ -16,7 +16,9 @@
 // (`Optimizer::step_range`) is launched on the compute stream immediately —
 // update work that used to sit serially after the full comm drain now
 // overlaps the remaining transfers, and only the tail bucket's wait +
-// update stay fully exposed.
+// update stay fully exposed. Every schedule, these and their reference
+// settings alike, ends in the one update loop (detail::update_landings):
+// the schedule only chooses the landings it walks.
 // `StepTimes::sync_us` is the exposed, critical-path wait; hidden comm is
 // `sync_overlapped_us`, and the update time that ran while the comm stream
 // was still draining is `update_overlapped_us` (informational — it is
@@ -32,8 +34,8 @@
 // detail::PipelineStep times each chunk, reconstructs the 1F1B schedule
 // (dist::solve_1f1b) and reports rank 0's lane. Each stage's gradients ring
 // on that stage's own analytic DP lane, one planned dist::BucketPlan per
-// stage, and stage 0's bucket waits and updates are pipelined into
-// sync_us / update_us.
+// stage; the update loop runs every stage's buckets, and stage 0's bucket
+// waits and updates are pipelined into sync_us / update_us.
 #pragma once
 
 #include <algorithm>
@@ -51,6 +53,7 @@
 #include "layers/pp.h"
 #include "obs/span.h"
 #include "optim/optimizer.h"
+#include "simgpu/fault.h"
 
 namespace ls2::core {
 
@@ -203,6 +206,13 @@ std::vector<dist::BucketPlan> plan_step_buckets(
     Session& session, const layers::ParamRegistry& params,
     const std::vector<std::vector<layers::ParamRange>>& lanes,
     const dist::ClusterConfig& cluster, GraphAction action, double comm_busy_us);
+
+/// The update stage of every step: for each landing in order, wait on the
+/// comm stream until its gradients are final (Device::wait_comm_until, the
+/// exposed sync), then run the optimizer over its bytes in an "update"
+/// span. Returns each update's device-clock window.
+std::vector<std::pair<double, double>> update_landings(
+    Session& session, optim::Optimizer& trainer, const std::vector<dist::Landing>& landings);
 
 /// The pipeline-parallel part of one train_step (pp > 1; train_step.cc).
 /// While alive it owns the LayerContext PP hooks (stage-boundary timing,
@@ -385,14 +395,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   // The scheduler owns the registry's grad-ready callback for this step and
   // enqueues each completed bucket's all-reduce on the comm stream, its
   // buckets planned from the last step's measurement and the comm stream's
-  // backlog now. With pipelining it also reports each bucket's completion
-  // time, so the update lane below can start that bucket's optimizer work
-  // the moment it lands.
-  struct LandedBucket {
-    size_t byte_begin, byte_end;
-    double done_us;
-  };
-  std::vector<LandedBucket> landed;
+  // backlog now.
   std::optional<dist::OverlapScheduler> scheduler;
   std::optional<dist::LaneTrace> measured;  // this step, for the next plan
   if (overlap) {
@@ -400,12 +403,6 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
         detail::plan_step_buckets(session, params, {{{0, params.size()}}}, cluster,
                                   graph_action, dev.comm_clock_us() - tz);
     scheduler.emplace(params, dev, cluster, std::move(plan.front()), session.metrics());
-    if (pipeline) {
-      scheduler->set_bucket_done_callback(
-          [&landed](const dist::GradBucket& b, double done_us) {
-            landed.push_back({b.byte_begin, b.byte_end, done_us});
-          });
-    }
   }
 
   // Stages 1+2 — forward and backward, per microbatch in ascending order.
@@ -444,75 +441,64 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
   // diagnostic) with the session, or finish consuming the replayed one.
   graph->close();
 
+  // Stages 3+4 — synchronize and update. Every schedule hands the one
+  // update loop (detail::update_landings) its landings: gradient byte
+  // ranges, each with the time its replica-averaged gradients are final.
   if (pipe) {
-    // Stages 3+4 on rank 0's lane of the reconstructed 1F1B schedule.
+    // Rank 0's lane of the reconstructed 1F1B schedule.
     pipe->sync_and_update(trainer, times, times.replayed);
-  } else if (pipeline) {
-    // Stages 3+4 interleaved — per-bucket: wait for the bucket's transfer
-    // (exposed sync), then run its optimizer range update (update lane,
-    // overlapping the comm stream's later transfers).
-    trainer.begin_step();
-    {
-      obs::SpanScope r(dev, "synchronize");
-      scheduler->finish();  // tail buckets: ready only now that backward ended
-    }
-    measured = scheduler->trace(tz);
-    const double comm_drain_us = dev.comm_clock_us();
-    double update_work_us = 0;
-    std::vector<std::pair<int64_t, double>> updates;  // (bucket bytes, us)
-    for (const LandedBucket& b : landed) {
-      dev.wait_comm_until(b.done_us, "synchronize");
-      obs::SpanScope r(dev, "update");
-      const double u0 = dev.clock_us();
-      trainer.step_range(ctx.kern, b.byte_begin, b.byte_end);
-      const double u1 = dev.clock_us();
-      update_work_us += u1 - u0;
-      updates.emplace_back(static_cast<int64_t>(b.byte_end - b.byte_begin), u1 - u0);
-      times.update_overlapped_us += std::max(0.0, std::min(u1, comm_drain_us) - u0);
-    }
-    dev.sync_comm("synchronize");  // residual drain (normally zero)
-    trainer.end_step();
-    measured->update = dist::UpdateCost::fit(updates, dev.profile().launch_overhead_us);
-    const double enqueued_us = scheduler->enqueued_us();
-    scheduler.reset();
-    const double t4 = dev.clock_us();
-    times.sync_us = (t4 - t2) - update_work_us;
-    times.sync_overlapped_us = std::max(0.0, enqueued_us - times.sync_us);
-    times.update_us = update_work_us + times.zero_grad_us;
   } else {
-    // Stage 3 — synchronize: drain the comm stream (overlapped) or run one
-    // blocking ring over the whole gradient buffer.
+    const dist::GradBucket whole{0, 0, params.size(), 0, params.flat_grad_bytes()};
+    std::vector<dist::Landing> landings;
     {
       obs::SpanScope r(dev, "synchronize");
-      if (overlap) {
+      if (scheduler) {
         scheduler->finish();  // tail buckets: ready only now that backward ended
         measured = scheduler->trace(tz);
-        const double exposed = dev.sync_comm("synchronize");
-        times.sync_overlapped_us = std::max(0.0, scheduler->enqueued_us() - exposed);
+        measured->pipelined = pipeline;
+        // Pipelined, each bucket lands as its ring completes; otherwise the
+        // whole buffer lands once the comm stream drains.
+        landings = pipeline ? scheduler->landings()
+                            : std::vector<dist::Landing>{{whole, dev.comm_clock_us()}};
       } else {
         // The blocking ring (and the DP=1 no-op) never touches the comm
-        // stream, so the failure-detection sync point must fire explicitly.
+        // stream, so the failure-detection sync point fires explicitly. A
+        // stragglered link stretches the ring, and the watchdog sees it as
+        // an exposed wait. The whole buffer lands once the ring is done.
         dev.at_sync_point("synchronize");
         if (sync_needed) {
-          dev.advance(times.sync_blocking_us, /*busy=*/true, "synchronize");
+          simgpu::FaultInjector* faults = dev.fault_injector();
+          const double ring_us =
+              times.sync_blocking_us * (faults != nullptr ? faults->comm_factor() : 1.0);
+          dev.advance(ring_us, /*busy=*/true, "synchronize");
+          if (faults != nullptr) faults->note_exposed_wait(ring_us, dev.clock_us());
         }
+        landings = {{whole}};
       }
     }
-    scheduler.reset();
-    const double t3 = dev.clock_us();
-
-    // Stage 4 — update.
-    {
-      obs::SpanScope r(dev, "update");
-      trainer.step(ctx.kern);
+    const std::vector<std::pair<double, double>> windows =
+        detail::update_landings(session, trainer, landings);
+    double update_work_us = 0;
+    std::vector<std::pair<int64_t, double>> updates;  // (bytes, us)
+    for (size_t i = 0; i < landings.size(); ++i) {
+      const auto [u0, u1] = windows[i];
+      update_work_us += u1 - u0;
+      updates.emplace_back(landings[i].bucket.bytes(), u1 - u0);
+      // Landings come in completion order: update time before the last one
+      // ran while the comm stream was still draining later buckets.
+      times.update_overlapped_us += std::max(0.0, std::min(u1, landings.back().done_us) - u0);
     }
-    const double t4 = dev.clock_us();
-    times.sync_us = t3 - t2;
-    times.update_us = (t4 - t3) + times.zero_grad_us;
-    if (measured) {
-      measured->pipelined = false;
-      measured->update_us = t4 - t3;
+    double enqueued_us = 0;
+    if (scheduler) {
+      dev.sync_comm("synchronize");  // residual drain (normally zero)
+      enqueued_us = scheduler->enqueued_us();
+      scheduler.reset();
+      measured->update = dist::UpdateCost::fit(updates, dev.profile().launch_overhead_us);
+      measured->update_us = update_work_us;
     }
+    times.sync_us = (dev.clock_us() - t2) - update_work_us;
+    times.sync_overlapped_us = std::max(0.0, enqueued_us - times.sync_us);
+    times.update_us = update_work_us + times.zero_grad_us;
   }
   // A replayed step runs the frozen plan; only eager timings feed the next.
   if (measured && graph_action != GraphAction::kReplay) {

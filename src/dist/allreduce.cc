@@ -82,8 +82,9 @@ inline float wire_round(float v, DType wire_dtype) {
   return wire_dtype == DType::kF16 ? static_cast<float>(Half(v)) : v;
 }
 
-void accumulate_and_store(const std::vector<Tensor>& replicas, float scale,
-                          DType wire_dtype) {
+}  // namespace
+
+void allreduce_average(const std::vector<Tensor>& replicas, DType wire_dtype) {
   LS2_CHECK(wire_dtype == DType::kF32 || wire_dtype == DType::kF16)
       << "unsupported wire dtype " << dtype_name(wire_dtype);
   LS2_CHECK(!replicas.empty()) << "allreduce over zero replicas";
@@ -109,23 +110,11 @@ void accumulate_and_store(const std::vector<Tensor>& replicas, float scale,
     const std::vector<float> v = replicas[r].to_vector();
     for (size_t i = 0; i < acc.size(); ++i) acc[i] += wire_round(v[i], wire_dtype);
   }
-  if (scale != 1.0f) {
-    for (float& x : acc) x *= scale;
-  }
+  const float scale = 1.0f / static_cast<float>(replicas.size());
+  for (float& x : acc) x *= scale;
   // The reduced chunk travels the all-gather phase in the wire dtype too.
   for (float& x : acc) x = wire_round(x, wire_dtype);
   for (const Tensor& t : replicas) t.copy_from(acc);
-}
-
-}  // namespace
-
-void allreduce_average(const std::vector<Tensor>& replicas, DType wire_dtype) {
-  accumulate_and_store(replicas, 1.0f / static_cast<float>(replicas.size()),
-                       wire_dtype);
-}
-
-void allreduce_sum(const std::vector<Tensor>& replicas, DType wire_dtype) {
-  accumulate_and_store(replicas, 1.0f, wire_dtype);
 }
 
 }  // namespace ls2::dist

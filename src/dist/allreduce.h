@@ -113,8 +113,4 @@ double ring_allreduce_us(int64_t bytes, const ClusterConfig& cluster,
 void allreduce_average(const std::vector<Tensor>& replicas,
                        DType wire_dtype = DType::kF32);
 
-/// Element-wise in-place sum across replicas (FP32 accumulation).
-void allreduce_sum(const std::vector<Tensor>& replicas,
-                   DType wire_dtype = DType::kF32);
-
 }  // namespace ls2::dist

@@ -464,7 +464,12 @@ void OverlapScheduler::flush(const GradBucket& bucket) {
     metrics_->counter("dist.bucket.wire_bytes") += payload;
     metrics_->histogram("dist.bucket.allreduce_us").record(us);
   }
-  if (bucket_done_) bucket_done_(bucket, done);
+  landings_.push_back({bucket, done});
+}
+
+const std::vector<Landing>& OverlapScheduler::landings() const {
+  LS2_CHECK(finished_) << "landings before finish";
+  return landings_;
 }
 
 LaneTrace OverlapScheduler::trace(double step_begin_us) const {

@@ -16,13 +16,13 @@
 // below, fed what the previous eager step measured (a LaneTrace), or — on a
 // step with no measurement — by a size cap. OverlapScheduler is the per-step
 // driver that listens to ParamRegistry's grad-ready callback, enqueues each
-// completed bucket's ring all-reduce on the device's comm stream and
-// measures the step for the next plan.
+// completed bucket's ring all-reduce on the device's comm stream, hands the
+// update stage each bucket's landing and measures the step for the next
+// plan.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -45,6 +45,15 @@ struct GradBucket {
   size_t byte_end = 0;
   int64_t bytes() const { return static_cast<int64_t>(byte_end - byte_begin); }
   int params() const { return param_end - param_begin; }
+};
+
+/// A landing: a gradient byte range (the bucket's) and the time its
+/// replica-averaged gradients are final. The update stage waits for it on
+/// the comm stream, then runs the optimizer over those bytes
+/// (core::train_step). -inf: final already, nothing to wait for.
+struct Landing {
+  GradBucket bucket;
+  double done_us = -std::numeric_limits<double>::infinity();
 };
 
 /// Ascending, disjoint declaration ranges merged into maximal runs of
@@ -223,14 +232,6 @@ struct BucketMemo {
 /// when each param became ready and the other traffic on the comm stream.
 class OverlapScheduler {
  public:
-  /// Invoked right after a bucket's ring time has been charged to the comm
-  /// stream: the bucket plus the comm-stream clock at which its all-reduce
-  /// completes (its gradients are replica-averaged from then on). The
-  /// pipelined train_step uses this to launch the bucket's optimizer update
-  /// as soon as the transfer lands. Buckets fire in flush order, so the
-  /// completion times a listener observes are non-decreasing.
-  using BucketDoneFn = std::function<void(const GradBucket&, double comm_done_us)>;
-
   /// `plan` must cover the whole registry. `metrics` (optional, not owned):
   /// each flushed bucket records its wire bytes and ring time under
   /// "dist.bucket.*", and lands a named "allreduce.b<i>" span on the comm
@@ -242,15 +243,15 @@ class OverlapScheduler {
   OverlapScheduler(const OverlapScheduler&) = delete;
   OverlapScheduler& operator=(const OverlapScheduler&) = delete;
 
-  /// Install the bucket-complete listener (before backward starts).
-  void set_bucket_done_callback(BucketDoneFn fn) { bucket_done_ = std::move(fn); }
-
   /// Mark params [range.begin, range.end) final; flush any completed bucket.
   void on_grads_ready(const layers::ParamRange& range);
   /// Mark everything still pending as ready and flush remaining buckets.
   void finish();
 
   const BucketPlan& plan() const { return plan_; }
+  /// After finish(): every bucket with the comm-stream time its ring
+  /// completes, in flush order, so the times never decrease.
+  const std::vector<Landing>& landings() const;
   /// Total comm-stream microseconds enqueued so far.
   double enqueued_us() const { return enqueued_us_; }
   /// Total modeled gradient bytes this rank put on the ring so far (at the
@@ -278,7 +279,6 @@ class OverlapScheduler {
   obs::MetricsRegistry* metrics_ = nullptr;
   ClusterConfig cluster_;
   BucketPlan plan_;
-  BucketDoneFn bucket_done_;
   std::vector<int> pending_in_bucket_;  // params not yet ready, per bucket
   std::vector<char> param_ready_;
   double enqueued_us_ = 0;
@@ -286,6 +286,7 @@ class OverlapScheduler {
   bool finished_ = false;
   simgpu::CommLog log_;
   std::vector<Ready> ready_;
+  std::vector<Landing> landings_;
   std::vector<size_t> own_ops_;  ///< log positions of this scheduler's rings
   size_t ops_at_finish_ = 0;
   double finished_at_us_ = 0;

@@ -35,9 +35,9 @@ struct HeartbeatConfig {
   /// A rank is suspected when its last beat is older than this.
   std::chrono::milliseconds timeout{20};
 
-  /// Build from the SessionConfig knobs (heartbeat_interval_ms /
-  /// heartbeat_timeout_ms) — fractional milliseconds round up to 1 ms so a
-  /// sub-millisecond knob never degenerates to a zero interval.
+  /// Build from millisecond values: the fraction is dropped, but a
+  /// sub-millisecond value rounds up to 1 ms so it never degenerates to a
+  /// zero interval.
   static HeartbeatConfig from_millis(int ranks, double interval_ms, double timeout_ms);
 };
 

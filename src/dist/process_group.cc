@@ -126,18 +126,6 @@ double ProcessGroup::all_gather_begin(simgpu::Device& dev, int64_t full_bytes,
                 "allgather", what);
 }
 
-double ProcessGroup::reduce_scatter_begin(simgpu::Device& dev, int64_t full_bytes,
-                                          const std::string& what) {
-  return charge(dev, reduce_scatter_us(full_bytes, dev.profile()), full_bytes,
-                "reducescatter", what);
-}
-
-double ProcessGroup::send_begin(simgpu::Device& dev, int64_t bytes, int stage,
-                                const std::string& what) {
-  return charge(dev, stage_send_us(bytes, stage, dev.profile()), bytes, "send",
-                what);
-}
-
 double ProcessGroup::wait(simgpu::Device& dev, double t_done_us, const std::string& what) {
   const double exposed = dev.wait_comm_until(t_done_us, what);
   stats_.exposed_us += exposed;

@@ -96,11 +96,6 @@ class ProcessGroup {
   // exactly like the gradient buckets. The combined forms block immediately.
   double all_reduce_begin(simgpu::Device& dev, int64_t bytes, const std::string& what);
   double all_gather_begin(simgpu::Device& dev, int64_t full_bytes, const std::string& what);
-  double reduce_scatter_begin(simgpu::Device& dev, int64_t full_bytes,
-                              const std::string& what);
-  /// Enqueue a stage-boundary send on the comm stream (pp stats).
-  double send_begin(simgpu::Device& dev, int64_t bytes, int stage,
-                    const std::string& what);
   double wait(simgpu::Device& dev, double t_done_us, const std::string& what);
   double all_reduce(simgpu::Device& dev, int64_t bytes, const std::string& what);
   double all_gather(simgpu::Device& dev, int64_t full_bytes, const std::string& what);

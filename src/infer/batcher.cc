@@ -312,7 +312,7 @@ void ContinuousBatcher::decode_once() {
   for (;;) {
     try {
       const layers::PagedRows& rows = cache_->begin_decode();
-      const core::GraphAction act = session_->begin_decode_step();
+      const core::GraphAction act = session_->begin_step();
       core::GraphRegion region(*session_, act);
       {
         obs::SpanScope range(dev, "serve.decode");

@@ -15,8 +15,8 @@
 //                 lowest-priority resident is PREEMPTED: its tokens fold
 //                 into a continuation prompt re-queued at the front;
 //   [decode]      ONE static-shape decode step over ALL lanes (inactive
-//                 lanes attend nothing and are ignored) — the region
-//                 core::Session::begin_decode_step captures once and then
+//                 lanes attend nothing and are ignored) — the step
+//                 core::Session::begin_step captures once and then
 //                 replays as a single graph launch;
 //   [retire]      finished sequences free their lane and pages immediately.
 //

@@ -9,6 +9,18 @@
 
 namespace ls2::infer {
 
+namespace {
+/// Hedge once a dispatch is outstanding past this percentile of recent
+/// dispatch-to-done times, once the ECDF holds kHedgeMinCompletions.
+constexpr double kHedgePercentile = 0.95;
+constexpr size_t kHedgeMinCompletions = 8;
+/// Times one request may be re-dispatched (death, quarantine, drain) before
+/// the router gives up and sheds it.
+constexpr int kMaxRedispatch = 3;
+/// The first quarantine idles the replica this long; doubles per repeat.
+constexpr double kQuarantineBaseUs = 2000.0;
+}  // namespace
+
 Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
   LS2_CHECK_GE(cfg_.replicas, 1);
   LS2_CHECK(cfg_.slots >= 1 && cfg_.max_len >= 2);
@@ -154,7 +166,7 @@ void Fleet::redispatch(size_t tracked, int from_replica, double now) {
   // A sibling copy (hedge) still carries the request — drop this chain; the
   // survivor started from the same prefix, so nothing is lost.
   if (t.done || t.shed || in_flight(tracked)) return;
-  if (t.redispatches >= cfg_.max_redispatch) {
+  if (t.redispatches >= kMaxRedispatch) {
     // Budget spent: the router answers with an error rather than letting a
     // flapping replica bounce the request forever.
     t.shed = true;
@@ -263,10 +275,9 @@ void Fleet::hedge_scan(double now) {
   // The hedge ECDF stays an EXACT percentile over the recent-completion
   // vector (obs::exact_percentile — the deduplicated helper): it is a
   // dispatch decision, and the population is small.
-  if (static_cast<int64_t>(dispatch_latencies_.size()) >= cfg_.hedge_min_completions)
+  if (dispatch_latencies_.size() >= kHedgeMinCompletions)
     threshold = std::max(cfg_.hedge_min_us,
-                         obs::exact_percentile(dispatch_latencies_,
-                                               cfg_.hedge_percentile));
+                         obs::exact_percentile(dispatch_latencies_, kHedgePercentile));
   std::vector<std::pair<size_t, int>> fires;  // (tracked, avoid-replica)
   for (const Dispatch& d : inflight_) {
     Tracked& t = tracked_[d.tracked];
@@ -357,7 +368,6 @@ void Fleet::step_replica(int r) {
       // spin the event loop at a frozen clock.
       dev.advance(1.0, /*busy=*/false, "serve.idle");
     }
-    if (monitor_) monitor_->beat(r);
   } catch (const simgpu::DeviceLostError&) {
     rep.alive = false;
     ++report_.deaths;
@@ -377,7 +387,7 @@ void Fleet::step_replica(int r) {
                     << log_kv("replica", r).kv("count", rep.quarantines);
     hand_over(rep.engine->evacuate(/*queued_only=*/false), r, dev.clock_us());
     const double backoff =
-        cfg_.quarantine_base_us *
+        kQuarantineBaseUs *
         static_cast<double>(1 << std::min(rep.quarantines - 1, 16));
     // Advancing the clock is the quarantine: min-clock stepping and JSQ both
     // steer work away until the rest of the fleet catches up.
@@ -393,12 +403,6 @@ FleetReport Fleet::run(std::vector<Request> requests) {
             [](const Request& a, const Request& b) { return a.arrival_us < b.arrival_us; });
   tracked_.resize(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) tracked_[i].base = std::move(requests[i]);
-
-  if (cfg_.heartbeat) {
-    monitor_ = std::make_unique<dist::HeartbeatMonitor>(dist::HeartbeatConfig::from_millis(
-        cfg_.replicas, cfg_.session.heartbeat_interval_ms, cfg_.session.heartbeat_timeout_ms));
-    monitor_->start();
-  }
 
   for (Replica& rep : replicas_) rep.engine->begin();
 
@@ -493,10 +497,6 @@ FleetReport Fleet::run(std::vector<Request> requests) {
 }
 
 void Fleet::finalize(FleetReport& out) {
-  if (monitor_) {
-    monitor_->stop();
-    report_.heartbeat_suspects = monitor_->suspect_events();
-  }
   for (Replica& rep : replicas_) {
     rep.report = rep.engine->finish();
     report_.decode_steps += rep.report.decode_steps;

@@ -45,7 +45,6 @@
 
 #include "core/checkpoint.h"
 #include "core/session.h"
-#include "dist/failure.h"
 #include "infer/batcher.h"
 #include "simgpu/fault.h"
 
@@ -63,8 +62,7 @@ struct FleetConfig {
 
   /// Per-replica engine knobs (shedding, deadlines, decode retries).
   ServeConfig serve;
-  /// Session template: mode/dtype/profile/heartbeat knobs, copied per
-  /// replica. arena_bytes is sized by the fleet via serve_capacity_scan
+  /// Session template: mode/dtype/profile knobs, copied per replica. arena_bytes is sized by the fleet via serve_capacity_scan
   /// (continuation prompts can approach max_len, so the scan probes the
   /// worst case) unless set explicitly here.
   core::SessionConfig session;
@@ -81,21 +79,10 @@ struct FleetConfig {
   int64_t page_tokens = 0;
   bool prefix_sharing = false;
 
-  // --- hedging (policy == kHedged) ---
-  /// Fire the duplicate when a dispatch is outstanding past this percentile
-  /// of recent dispatch-to-done times.
-  double hedge_percentile = 0.95;
-  /// Floor for the hedge threshold (also the threshold until the ECDF has
-  /// `hedge_min_completions` samples) — never hedge faster than this.
+  /// Hedging (policy == kHedged): the floor of the hedge threshold, also
+  /// the threshold while the ECDF of recent dispatch-to-done times is cold
+  /// — never hedge faster than this.
   double hedge_min_us = 2000.0;
-  int64_t hedge_min_completions = 8;
-
-  // --- router budgets ---
-  /// Times one request may be re-dispatched (death, quarantine, drain)
-  /// before the router gives up and sheds it.
-  int max_redispatch = 3;
-  /// First quarantine idles the replica this long; doubles per repeat.
-  double quarantine_base_us = 2000.0;
 
   /// >0: at this fleet time, start a rolling reload of every replica from a
   /// fresh parameter snapshot. 0 = never.
@@ -103,12 +90,6 @@ struct FleetConfig {
 
   /// Per-replica fault plans (index = replica; missing/empty = fault-free).
   std::vector<simgpu::FaultPlan> fault_plans;
-
-  /// Run the wall-clock dist::HeartbeatMonitor beside the simulation: live
-  /// replicas beat each step, a dead one goes silent and is suspected. The
-  /// watcher is real threads on real time, so the report only COUNTS
-  /// suspicions — tests assert on it at the monitor level, not here.
-  bool heartbeat = false;
 
   /// Record per-replica timelines so write_chrome_trace can merge them.
   bool record_timeline = false;
@@ -130,7 +111,6 @@ struct FleetReport {
   int64_t hedges_fired = 0;
   int64_t hedge_wins = 0;        ///< hedge copy finished first
   int64_t hedge_cancels = 0;     ///< loser copies cancelled (or too late)
-  int64_t heartbeat_suspects = 0;
   // --- aggregates over all replicas ---
   int64_t decode_steps = 0;
   int64_t replayed_steps = 0;
@@ -232,7 +212,6 @@ class Fleet {
   core::CheckpointSnapshot reload_snap_;
   int reload_index_ = -1;  ///< replica currently draining; -1 = idle/done
   bool reload_started_ = false;
-  std::unique_ptr<dist::HeartbeatMonitor> monitor_;
   FleetReport report_;
   bool ran_ = false;
   /// Fleet-level rolling SLO (prefix "fleet"): end-to-end latency from the

@@ -3,8 +3,8 @@
 //
 // Sampling keeps the counter-based RNG discipline of PR 3: the stream for
 // each draw comes from KernelContext::next_dropout_stream(), whose per-step
-// base advances outside any captured graph (core::Session::begin_decode_step
-// / begin_step_rng) — so every sampled token is a pure function of
+// base advances outside any captured graph (core::Session::begin_step /
+// begin_step_rng) — so every sampled token is a pure function of
 // (seed, step, slot) and a replayed decode step emits bitwise the tokens an
 // eager one would.
 #pragma once

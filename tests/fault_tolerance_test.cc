@@ -308,28 +308,33 @@ TEST(FaultToleranceTest, StragglerDetectedAtItsOwnSyncPoint) {
   sc.system = System::kLightSeq2;
   sc.collective_timeout_us = 20.0;  // tight: the stretched ring must trip it
 
-  core::FtConfig fc;
-  fc.cluster = cluster_of(/*dp=*/2);
-  fc.steps = 6;
+  // Overlapped rings on the comm stream, and the one blocking ring.
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlapped rings" : "blocking ring");
+    core::FtConfig fc;
+    fc.cluster = cluster_of(/*dp=*/2);
+    fc.cluster.overlap = overlap;
+    fc.steps = 6;
 
-  FaultPlan plan;
-  plan.add(FaultPlan::straggler(/*step=*/2, /*factor=*/64.0));
-  const FtRun run = run_training(fc, plan, sc);
+    FaultPlan plan;
+    plan.add(FaultPlan::straggler(/*step=*/2, /*factor=*/64.0));
+    const FtRun run = run_training(fc, plan, sc);
 
-  // No failure — a straggler degrades, it does not kill the run.
-  EXPECT_EQ(run.report.failures, 0);
-  EXPECT_EQ(run.report.steps_completed, 6);
-  // Detected within the stragglered step's own sync (one sync timeout):
-  // exactly one detection, attributed to step 2.
-  EXPECT_GE(run.report.timeout_exceedances, 1);
-  ASSERT_EQ(run.report.stragglers_detected, 1);
-  ASSERT_EQ(run.report.straggler_steps.size(), 1u);
-  EXPECT_EQ(run.report.straggler_steps[0], 2);
+    // No failure — a straggler degrades, it does not kill the run.
+    EXPECT_EQ(run.report.failures, 0);
+    EXPECT_EQ(run.report.steps_completed, 6);
+    // Detected within the stragglered step's own sync (one sync timeout):
+    // exactly one detection, attributed to step 2.
+    EXPECT_GE(run.report.timeout_exceedances, 1);
+    ASSERT_EQ(run.report.stragglers_detected, 1);
+    ASSERT_EQ(run.report.straggler_steps.size(), 1u);
+    EXPECT_EQ(run.report.straggler_steps[0], 2);
 
-  const FtRun clean = run_training(fc, FaultPlan{}, sc);
-  EXPECT_EQ(clean.report.stragglers_detected, 0) << "no false positives";
-  EXPECT_GT(run.report.total_us, clean.report.total_us) << "slow link costs time";
-  EXPECT_EQ(run.params, clean.params) << "a slow wire must not change numerics";
+    const FtRun clean = run_training(fc, FaultPlan{}, sc);
+    EXPECT_EQ(clean.report.stragglers_detected, 0) << "no false positives";
+    EXPECT_GT(run.report.total_us, clean.report.total_us) << "slow link costs time";
+    EXPECT_EQ(run.params, clean.params) << "a slow wire must not change numerics";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // The pipelined update stage: range-granular optimizer updates
-// (Optimizer::step_range), the bucket-complete callback, FP16-wire gradient
-// compression, dynamic loss scaling, and the end-to-end claim that applying
-// the optimizer per communication bucket as each all-reduce lands cuts the
-// exposed synchronize+update tail at paper scale.
+// (Optimizer::step_range), the landings the overlap scheduler hands over,
+// FP16-wire gradient compression, dynamic loss scaling, and the end-to-end
+// claim that applying the optimizer per communication bucket as each
+// all-reduce lands cuts the exposed synchronize+update tail at paper scale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,13 +191,13 @@ TEST(BucketDoneCallbackTest, FiresOncePerBucketInCompletionOrder) {
   dist::OverlapScheduler sched(model.params(), dev, cluster,
                                dist::BucketPlan(model.params(), 4096));
   ASSERT_GT(sched.plan().size(), 2);
+  sched.finish();
   std::vector<std::pair<int, double>> seen;  // (bucket index, completion time)
   int64_t covered = 0;
-  sched.set_bucket_done_callback([&](const dist::GradBucket& b, double done) {
-    seen.push_back({b.index, done});
-    covered += b.bytes();
-  });
-  sched.finish();
+  for (const dist::Landing& l : sched.landings()) {
+    seen.push_back({l.bucket.index, l.done_us});
+    covered += l.bucket.bytes();
+  }
 
   EXPECT_EQ(static_cast<int>(seen.size()), sched.plan().size());
   for (size_t i = 0; i + 1 < seen.size(); ++i) {
