@@ -2,8 +2,8 @@
 // batching, and the decode-step graph-replay win.
 //
 // A GPT-2 serving engine (src/infer/) holds a fixed set of KV-cache slots
-// and runs one static-shape decode step per engine tick. Two scheduling
-// disciplines are compared under Poisson request arrivals:
+// and runs one packed step (decode rows + prompt chunks) per engine tick.
+// Two scheduling disciplines are compared under Poisson request arrivals:
 //
 //   continuous — arrived requests are admitted into any free slot every
 //                step, so the decode batch stays full under load;
@@ -11,12 +11,12 @@
 //                short sequences idle their slots while the wave's longest
 //                sequence finishes (the classic static-batching tail).
 //
-// The second section turns on SessionConfig::graph_capture: after one
-// warm-up the decode step is captured and every later step replays as ONE
-// graph launch. At small slot counts the decode step is launch-bound
-// (~150 kernels of a few us each), so replay's effect is largest there and
-// fades as the KV-cache reads grow bandwidth-bound — the serving twin of
-// fig_launch_graph.
+// The second section turns on SessionConfig::graph_capture: the engine
+// captures one graph per packed-step capacity at start-up and every step
+// — prompt chunks included — replays as ONE graph launch. At small slot
+// counts the step is launch-bound (~150 kernels of a few us each), so
+// replay's effect is largest there and fades as the KV-cache reads grow
+// bandwidth-bound — the serving twin of fig_launch_graph.
 //
 // Machine-readable output: bench/fig_serve.json (validated by ci.sh).
 // Run with --trace to also export the busiest continuous run as a Chrome

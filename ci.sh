@@ -50,10 +50,11 @@
 #                      at fixed KV bytes, prefix-sharing hit rate > 0).
 #   --smoke serve      Serving smoke lane: the serving/infer test binary
 #                      (bitwise cached decode, the pinned decode-step cost,
-#                      continuous batching, decode-step graph replay), and
-#                      (release only) fig_serve with its schema check
-#                      (continuous batching >= 1.5x static tokens/s, the
-#                      replayed decode step beats eager).
+#                      chunked prefill inside the packed step, continuous
+#                      batching, graph-pool replay), and (release only)
+#                      fig_serve with its schema check (continuous batching
+#                      >= 1.5x static tokens/s, replay beats eager, every
+#                      step of a replayed run replays).
 #
 # Fails on the first error: a bench or example that exits nonzero, or a
 # bench that writes no/invalid JSON, fails the run (ci/check_bench_json.py —

@@ -101,6 +101,11 @@ def check_fig_serve():
     if small["tokens_per_sec_speedup"] <= 1.2 or small["replayed_steps"] <= 0:
         fail("fig_serve: graph-replayed decode must beat eager on the "
              "launch-bound profile")
+    # The engine captures its graph pool at start-up: every step replays,
+    # prompt chunks included.
+    for r in graph:
+        if r["replayed_steps"] != r["decode_steps"]:
+            fail(f"fig_serve: a serving step ran outside the graph pool in {r}")
 
 
 def check_fig_tp():

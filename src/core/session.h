@@ -2,7 +2,9 @@
 // system under test. The owning scope for everything a training run needs.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "dist/bucket.h"
 #include "layers/layer_context.h"
@@ -35,10 +37,13 @@ struct SessionConfig {
   /// real CUDA Graphs, replay requires STATIC batch shapes: feed the same
   /// (padded) shape every step — a shape change after capture makes the
   /// replayed launch sequence diverge from the graph, which throws with a
-  /// diagnostic rather than mis-charging silently.
+  /// diagnostic rather than mis-charging silently. The serving engine pads
+  /// its steps to a few fixed shapes instead and captures one graph per
+  /// shape at start-up (Session's graph pool).
   bool graph_capture = false;
-  /// Eager steps before capture (allocator warm-up; default: capture the
-  /// second step).
+  /// Eager steps before a step's capture (allocator warm-up; default:
+  /// capture the second step). The serving engine's start-up captures run
+  /// at a step index past it, then restore the index.
   int graph_warmup_steps = 1;
   /// >0: take an asynchronous checkpoint snapshot every this many steps
   /// (DESIGN.md §10). The fault-tolerant harness (core/fault_tolerant.h)
@@ -78,29 +83,30 @@ class Session {
   int64_t permanent_bytes() const { return param_alloc_->bytes_in_use(); }
   int64_t activation_peak_bytes() const { return act_alloc_->peak_bytes(); }
 
-  /// Called at the start of each step — a train step, or the serving
-  /// engine's decode step (src/infer/), whose admission prefills run eager
-  /// outside it: advances the per-step RNG offset (the graph parameter that
-  /// keeps dropout masks and sampled tokens bitwise reproducible under
-  /// replay) and decides whether this step runs eager, is captured, or
-  /// replays the stored graph. The first `graph_warmup_steps` steps (by
-  /// step index) run eager.
-  GraphAction begin_step();
+  /// Called at the start of each step — a train step, or one serving
+  /// engine step (src/infer/): advances the per-step RNG offset (the graph
+  /// parameter that keeps dropout masks and sampled tokens bitwise
+  /// reproducible under replay) and decides whether this step runs eager,
+  /// is captured, or replays the graph stored for its `shape`. The session
+  /// keeps one graph per shape (the GRAPH POOL): a train step has the one
+  /// shape 0, the serving engine one per packed-batch capacity. The first
+  /// `graph_warmup_steps` steps (by step index) run eager.
+  GraphAction begin_step(int64_t shape = 0);
 
   /// Called at the end of each step: rewinds the arena (LightSeq2) so the
   /// next step reuses the same memory, and advances the step index.
   void end_step();
 
   // --- step-graph state (driven by GraphRegion) ---
-  /// Deposit the graph end_capture returned. An invalid (poisoned) graph
-  /// logs a loud diagnostic and pins the session to eager execution.
-  void store_graph(simgpu::StepGraph graph);
-  /// The captured graph, or nullptr before capture / after poisoning.
-  const simgpu::StepGraph* step_graph() const {
-    return graph_.valid ? &graph_ : nullptr;
-  }
+  /// Deposit the graph end_capture returned for `shape`. An invalid
+  /// (poisoned) graph logs a loud diagnostic and pins the session to eager
+  /// execution, every shape included.
+  void store_graph(simgpu::StepGraph graph, int64_t shape = 0);
+  /// `shape`'s captured graph, or nullptr before its capture / after
+  /// poisoning.
+  const simgpu::StepGraph* step_graph(int64_t shape = 0) const;
   bool graph_poisoned() const { return graph_poisoned_; }
-  const std::string& graph_poison_reason() const { return graph_.poison_reason; }
+  const std::string& graph_poison_reason() const { return poison_reason_; }
   /// Certified capture-safe memory strategy: the pre-reserved arena serves
   /// every per-step tensor from stable addresses with zero device
   /// malloc/free traffic (Table-1 feature row; the caching allocator is
@@ -135,22 +141,24 @@ class Session {
   mem::ArenaAllocator* arena_ = nullptr;  // non-null when arena strategy active
   std::unique_ptr<layers::LayerContext> ctx_;
   int64_t step_index_ = 0;
-  simgpu::StepGraph graph_;       // valid once captured (train OR decode —
-                                  // a session runs one workload, not both)
+  /// The graph pool: one captured graph per step shape (train OR serve — a
+  /// session runs one workload, not both).
+  std::map<int64_t, simgpu::StepGraph> graphs_;
   bool graph_poisoned_ = false;   // capture failed; stay eager forever
+  std::string poison_reason_;
 };
 
 /// The static region of one step, captured into or replayed from the
-/// session's step graph (RAII): the constructor begins the capture or
-/// replay `action` names on the session's device (nothing when eager), and
-/// close() ends it — depositing the captured graph, or its poison
+/// session's graph for `shape` (RAII): the constructor begins the capture
+/// or replay `action` names on the session's device (nothing when eager),
+/// and close() ends it — depositing the captured graph, or its poison
 /// diagnostic, with the session, or finishing the replay. A region still
 /// open when it goes out of scope (the step unwound, e.g. on OOM) is
 /// abandoned with Device::abort_graph. core::train_step and the serving
-/// engine's decode step each run their static region inside one.
+/// engine's step each run their static region inside one.
 class GraphRegion {
  public:
-  GraphRegion(Session& session, GraphAction action);
+  GraphRegion(Session& session, GraphAction action, int64_t shape = 0);
   ~GraphRegion();
   GraphRegion(const GraphRegion&) = delete;
   GraphRegion& operator=(const GraphRegion&) = delete;
@@ -163,6 +171,7 @@ class GraphRegion {
  private:
   Session& session_;
   GraphAction action_;
+  int64_t shape_;
   bool open_ = false;
 };
 

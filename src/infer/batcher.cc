@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "memory/arena_allocator.h"
 #include "memory/device_allocator.h"
 #include "memory/measuring_allocator.h"
 #include "obs/metrics.h"
@@ -11,6 +12,22 @@
 namespace ls2::infer {
 
 namespace {
+
+/// Prompt rows one packed step carries at most: the chunked-prefill budget.
+constexpr int64_t kChunkBudget = 128;
+/// A packed step pads its chunk rows to a multiple of this (a whole 16-token
+/// page); the session keeps one captured graph per capacity.
+constexpr int64_t kCapacityQuantum = 16;
+
+int64_t chunk_capacity(int64_t rows) {
+  return (rows + kCapacityQuantum - 1) / kCapacityQuantum * kCapacityQuantum;
+}
+
+/// The largest chunk capacity an engine of `slots` lanes can reach: the
+/// budget, or every lane holding its longest prompt (seq_tokens - 1 rows).
+int64_t max_chunk_capacity(int64_t slots, int64_t seq_tokens) {
+  return chunk_capacity(std::min(kChunkBudget, slots * (seq_tokens - 1)));
+}
 
 /// Deterministic stand-in token for model-only runs (no real logits): keeps
 /// the control flow identical across eager and replayed serving.
@@ -24,12 +41,11 @@ ContinuousBatcher::ContinuousBatcher(core::Session& session, models::Gpt2& model
                                      KvCache& cache, ServeConfig cfg)
     : session_(&session), model_(&model), cache_(&cache), cfg_(cfg), gen_(cfg.sampling) {}
 
-int32_t ContinuousBatcher::harvest_token(const Tensor& sampled, int64_t row, int64_t slot,
-                                         int64_t generated) const {
+int32_t ContinuousBatcher::harvest_token(int64_t lane, int64_t generated) const {
   if (session_->device().mode() == simgpu::ExecMode::kExecute) {
-    return sampled.data<int32_t>()[row];
+    return sampled_.data<int32_t>()[lane];
   }
-  return synth_token(slot, generated, model_->config().vocab);
+  return synth_token(lane, generated, model_->config().vocab);
 }
 
 void ContinuousBatcher::begin() {
@@ -44,10 +60,12 @@ void ContinuousBatcher::begin() {
   draining_ = false;
   cache_->reset();
   // Host-written metadata tensors stay heap-backed (real even in model-only
-  // sessions); the decode step's shapes never change, so allocate them once.
-  ids_ = Tensor::zeros({S, 1}, DType::kI32);
+  // sessions); the sampled tokens' shape never changes, so allocate once.
   sampled_ = Tensor::zeros({S}, DType::kI32);
+  const double opened = session_->device().clock_us();
+  capture_graph_pool();
   start_us_ = session_->device().clock_us();
+  startup_us_ = start_us_ - opened;
   slo_.reset();
   if (obs::MetricsRegistry* m = session_->metrics()) {
     slo_.emplace(m, cfg_.metrics_prefix);
@@ -68,76 +86,26 @@ void ContinuousBatcher::submit(Request r) {
 }
 
 bool ContinuousBatcher::admit(size_t r) {
-  auto& ctx = session_->ctx();
-  auto& dev = session_->device();
   const Request& req = reqs_[r];
   const int64_t Lp = static_cast<int64_t>(req.prompt.size());
-  const int64_t V = model_->config().vocab;
   LS2_CHECK(Lp > 0 && Lp < cache_->config().seq_tokens)
       << "prompt must fit the cache with room to generate";
 
   // Lane + pages (shared prefix pages reused when sharing is on). Failure
   // is backpressure, not an error: the request keeps its queue position.
+  // The prompt itself runs in chunks inside the next packed steps.
   const SequenceHandle h = cache_->allocate(Lp, req.prompt.data());
   if (!h.valid()) return false;
-  const int64_t lane = cache_->lane(h);
-
   RequestStats& st = stats_[r];
-  const double admitted_us = dev.clock_us();
+  st.id = req.id;
+  st.arrival_us = req.arrival_us;
+  st.admitted_us = session_->device().clock_us();
+  st.prompt_len = Lp;
   // A preempted request re-admits with its generated tokens folded into the
   // continuation prompt: this residency's token count starts from here.
   const int64_t already = static_cast<int64_t>(st.tokens.size());
-
-  // Host-written metadata tensors stay heap-backed (real even in model-only
-  // sessions); activations inside prefill come from the session arena.
-  Tensor ids = Tensor::empty({1, Lp}, DType::kI32);
-  std::vector<float> host(req.prompt.begin(), req.prompt.end());
-  ids.copy_from(host);
-  int32_t tok = 0;
-  {
-    obs::SpanScope range(dev, "serve.prefill");
-    Tensor first_tok = Tensor::zeros({1}, DType::kI32);
-    int64_t rows = 0;
-    try {
-      // Logits of the rows no shared prefix page held, [1, rows, V]; the
-      // last one predicts the first generated token.
-      Tensor logits = model_->prefill(ctx, ids, cache_, {h});
-      rows = logits.shape()[1];
-      gen_.next_tokens(ctx.kern, ctx.policy.softmax,
-                       logits.view({rows, V}).slice(rows - 1, rows), first_tok);
-    } catch (...) {
-      // allocate() registered this prompt's full pages as about to be
-      // filled: free them, or the registry would hand unwritten pages to
-      // the next prompt that shares the prefix (and the lane would leak).
-      cache_->free(h);
-      throw;
-    }
-    st.id = req.id;
-    st.arrival_us = req.arrival_us;
-    st.admitted_us = admitted_us;
-    st.prompt_len = Lp;
-    report_.prefill_rows += rows;
-    tok = harvest_token(first_tok, 0, lane, already);
-    st.tokens.push_back(tok);
-    if (st.first_token_us == 0) st.first_token_us = dev.clock_us();
-    ++report_.prefills;
-    ++report_.generated_tokens;
-    slots_[static_cast<size_t>(lane)] =
-        SlotState{static_cast<int64_t>(r), h, already + 1, already, tok};
-  }
-  const int32_t eos = req.spec.eos_id >= 0 ? req.spec.eos_id : cfg_.eos_id;
-  const bool finished =
-      static_cast<int64_t>(st.tokens.size()) >= req.spec.gen_len ||
-      (eos >= 0 && session_->device().mode() == simgpu::ExecMode::kExecute && tok == eos);
-  if (finished) {
-    st.done_us = dev.clock_us();
-    st.generated = static_cast<int64_t>(st.tokens.size());
-    cache_->free(h);
-    slots_[static_cast<size_t>(lane)] = SlotState{};
-    completed_new_.push_back(r);
-    ++done_;
-    if (slo_) slo_->on_served(st.done_us, st.latency_us(), st.generated);
-  }
+  slots_[static_cast<size_t>(cache_->lane(h))] =
+      SlotState{static_cast<int64_t>(r), h, already, already, 0};
   return true;
 }
 
@@ -190,10 +158,9 @@ void ContinuousBatcher::run_admissions() {
       }
     }
   } catch (...) {
-    // An admission threw (a prompt too long, or its prefill hit OOM, a
-    // transient allocation failure or device loss): the requests this scan
-    // already admitted or shed leave the queue, the thrower and everything
-    // after it stay.
+    // An admission threw (a prompt too long for the cache): the requests
+    // this scan already admitted or shed leave the queue, the thrower and
+    // everything after it stay.
     still.insert(still.end(), pending_.begin() + static_cast<std::ptrdiff_t>(i),
                  pending_.end());
     pending_ = std::move(still);
@@ -244,7 +211,9 @@ void ContinuousBatcher::extend_residents() {
   const double now = session_->device().clock_us();
   const int64_t S = cache_->config().slots;
   for (int64_t s = 0; s < S; ++s) {
-    if (slots_[static_cast<size_t>(s)].req < 0) continue;
+    const SlotState& ss = slots_[static_cast<size_t>(s)];
+    // Mid-prompt lanes append nothing: allocate() backed their whole prompt.
+    if (ss.req < 0 || !cache_->prompt_done(ss.handle)) continue;
     while (!cache_->extend(slots_[static_cast<size_t>(s)].handle, ctx.kern)) {
       // Pool dry: evict the lowest-priority resident, newest arrival on
       // ties — possibly this very lane. Each eviction frees at least one
@@ -287,40 +256,95 @@ void ContinuousBatcher::retire(int64_t s, bool expired) {
   if (slo_) slo_->on_served(st.done_us, st.latency_us(), st.generated);
 }
 
-void ContinuousBatcher::decode_once() {
+Tensor& ContinuousBatcher::step_ids(int64_t chunk_rows) {
+  Tensor& ids = step_ids_[chunk_rows];
+  if (!ids.defined())
+    ids = Tensor::zeros({cache_->config().slots + chunk_rows, 1}, DType::kI32);
+  return ids;
+}
+
+void ContinuousBatcher::forward_step(core::GraphAction act, int64_t chunk_rows,
+                                     const char* range) {
   auto& dev = session_->device();
   auto& ctx = session_->ctx();
+  const layers::PagedRows& rows = cache_->begin_step(chunk_rows);
+  core::GraphRegion region(*session_, act, chunk_rows);
+  {
+    obs::SpanScope span(dev, range);
+    const Tensor logits =
+        model_->forward_cached(ctx, step_ids(chunk_rows), *cache_, rows);  // [S, 1, V]
+    gen_.next_tokens(ctx.kern, ctx.policy.softmax,
+                     logits.view({cache_->config().slots, model_->config().vocab}), sampled_);
+  }
+  region.close();
+}
+
+void ContinuousBatcher::capture_graph_pool() {
+  // vLLM-style start-up capture: one all-padding step per capacity, before
+  // the run's clock starts, at a step index past the warm-up (the arena
+  // needs none). Every later step replays, and the step index ends where it
+  // began: the sampling RNG offset is a replay-time parameter, so a
+  // capturing engine samples exactly what an eager one does.
+  const int64_t step = session_->step_index();
+  session_->rewind_to_step(std::max<int64_t>(step, session_->config().graph_warmup_steps));
+  const int64_t top = max_chunk_capacity(cache_->config().slots, cache_->config().seq_tokens);
+  for (int64_t cap = 0; cap <= top && !session_->graph_poisoned(); cap += kCapacityQuantum) {
+    const core::GraphAction act = session_->begin_step(cap);
+    if (act != core::GraphAction::kCapture) continue;  // stored already, or capture off
+    step_ids(cap).fill_(static_cast<float>(model_->config().pad_id));
+    forward_step(act, cap, "serve.capture");
+    session_->end_step();
+  }
+  session_->rewind_to_step(step);
+}
+
+void ContinuousBatcher::run_step() {
+  auto& dev = session_->device();
   const int64_t S = cache_->config().slots;
   const bool execute = dev.mode() == simgpu::ExecMode::kExecute;
 
   // Page bookkeeping (allocation, COW) happens here, before any capture.
   extend_residents();
 
-  int32_t* ip = ids_.data<int32_t>();
-  for (int64_t s = 0; s < S; ++s) {
-    ip[s] = slots_[static_cast<size_t>(s)].req >= 0
-                ? slots_[static_cast<size_t>(s)].next_token
-                : model_->config().pad_id;
+  // Chunks of the prompts still running, oldest sequence first, up to the
+  // budget; the step pads them to the next captured capacity.
+  std::vector<SequenceHandle> prompts;
+  for (const SlotState& ss : slots_) {
+    if (ss.req >= 0 && !cache_->prompt_done(ss.handle)) prompts.push_back(ss.handle);
   }
+  std::sort(prompts.begin(), prompts.end(),
+            [](SequenceHandle a, SequenceHandle b) { return a.id < b.id; });
+  const std::vector<PromptChunk>& chunks = cache_->plan_chunks(prompts, kChunkBudget);
+  int64_t chunk_rows = 0;
+  for (const PromptChunk& c : chunks) chunk_rows += c.end - c.begin;
+  const int64_t cap = chunk_capacity(chunk_rows);
+
+  int32_t* ip = step_ids(cap).data<int32_t>();
+  const int32_t pad = model_->config().pad_id;
+  for (int64_t s = 0; s < S; ++s) {
+    const SlotState& ss = slots_[static_cast<size_t>(s)];
+    ip[s] = ss.req >= 0 && cache_->prompt_done(ss.handle) ? ss.next_token : pad;
+  }
+  int64_t row = S;
+  for (const PromptChunk& c : chunks) {
+    const SlotState& ss = slots_[static_cast<size_t>(cache_->lane(c.seq))];
+    const std::vector<int32_t>& prompt = reqs_[static_cast<size_t>(ss.req)].prompt;
+    for (int32_t i = c.begin; i < c.end; ++i) ip[row++] = prompt[static_cast<size_t>(i)];
+  }
+  std::fill(ip + row, ip + S + cap, pad);
+
   // A transient allocation failure (injected or real) aborts the
   // attempt — the graph region abandons any open capture/replay, the
   // arena rewinds via end_step — and the step reruns after a doubling
-  // idle backoff. KvCache lengths are untouched until commit_decode, so a
-  // rerun is exact. The retry budget bounds how long a request can be
-  // stalled by a flapping fault before the error surfaces.
+  // idle backoff. The cache's lengths, prompt progress and page writes
+  // move only at commit_step, so a rerun is exact, chunks included. The
+  // retry budget bounds how long a request can be stalled by a flapping
+  // fault before the error surfaces.
   int attempts = 0;
   for (;;) {
     try {
-      const layers::PagedRows& rows = cache_->begin_decode();
-      const core::GraphAction act = session_->begin_step();
-      core::GraphRegion region(*session_, act);
-      {
-        obs::SpanScope range(dev, "serve.decode");
-        const Tensor logits = model_->forward_cached(ctx, ids_, *cache_, rows);  // [S, 1, V]
-        gen_.next_tokens(ctx.kern, ctx.policy.softmax,
-                         logits.view({S, model_->config().vocab}), sampled_);
-      }
-      region.close();
+      const core::GraphAction act = session_->begin_step(cap);
+      forward_step(act, cap, "serve.decode");
       if (act == core::GraphAction::kReplay) ++report_.replayed_steps;
       break;
     } catch (const mem::TransientAllocFailure&) {
@@ -333,16 +357,23 @@ void ContinuousBatcher::decode_once() {
       if (backoff > 0) dev.advance(backoff, /*busy=*/false, "serve.retry_backoff");
     }
   }
-  cache_->commit_decode();
+  cache_->commit_step();
   ++report_.decode_steps;
+  report_.prefill_rows += chunk_rows;
 
-  // --- harvest and retire ---
+  // --- harvest and retire: every lane past its prompt sampled a token —
+  // its next one, or the first of a prompt whose last chunk just ran.
   for (int64_t s = 0; s < S; ++s) {
     SlotState& ss = slots_[static_cast<size_t>(s)];
-    if (ss.req < 0) continue;
+    if (ss.req < 0 || !cache_->prompt_done(ss.handle)) continue;
     const Request& rq = reqs_[static_cast<size_t>(ss.req)];
-    const int32_t tok = harvest_token(sampled_, s, s, ss.generated);
-    stats_[static_cast<size_t>(ss.req)].tokens.push_back(tok);
+    RequestStats& st = stats_[static_cast<size_t>(ss.req)];
+    const int32_t tok = harvest_token(s, ss.generated);
+    if (ss.generated == ss.admitted_tokens) {  // this residency's first token
+      ++report_.prefills;
+      if (st.first_token_us == 0) st.first_token_us = dev.clock_us();
+    }
+    st.tokens.push_back(tok);
     ++ss.generated;
     ++report_.generated_tokens;
     // Retire at the request's cap, at EOS, or when the sequence's token
@@ -351,9 +382,9 @@ void ContinuousBatcher::decode_once() {
     const bool natural = ss.generated >= rq.spec.gen_len ||
                          (execute && eos >= 0 && tok == eos) ||
                          cache_->len(ss.handle) >= cache_->config().seq_tokens;
-    // Deadline degradation: past the SLO, ship the partial answer now. The
-    // deadline runs from the ORIGINAL arrival — a re-dispatched request
-    // does not get a fresh SLO budget.
+    // Deadline degradation: past the SLO, ship the partial answer now —
+    // never before the first token. The deadline runs from the ORIGINAL
+    // arrival — a re-dispatched request does not get a fresh SLO budget.
     const double ddl = rq.spec.deadline_us > 0 ? rq.spec.deadline_us : cfg_.deadline_us;
     const bool expired =
         !natural && ddl > 0 && dev.clock_us() - rq.arrival_us >= ddl;
@@ -368,14 +399,15 @@ void ContinuousBatcher::decode_once() {
 
 bool ContinuousBatcher::step() {
   LS2_CHECK(begun_) << "step() before begin()";
-  // Admissions are eager (never part of the captured region); a draining
-  // replica admits nothing — its queue was evacuated, residents finish.
+  // Admissions only claim lanes and pages (host bookkeeping, outside the
+  // captured region); a draining replica admits nothing — its queue was
+  // evacuated, residents finish.
   const bool may_admit =
       !draining_ &&
       (cfg_.mode == BatchMode::kContinuous || cache_->active_seqs() == 0);
   if (may_admit) run_admissions();
   const bool decoded = cache_->active_seqs() > 0;
-  if (decoded) decode_once();
+  if (decoded) run_step();
   if (slo_) {
     // The "live" part of the SLO monitors: rolling gauges refresh once per
     // engine step, while the workload is in flight.
@@ -497,10 +529,13 @@ ServeReport ContinuousBatcher::finish() {
 }
 
 ServeReport ContinuousBatcher::serve(std::vector<Request> requests) {
-  std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) { return a.enqueue() < b.enqueue(); });
   auto& dev = session_->device();
   begin();
+  // The request timeline starts when start-up ends: capture time lands in
+  // no request's latency, as it lands in no makespan.
+  for (Request& r : requests) r.delay(startup_us_);
+  std::sort(requests.begin(), requests.end(),
+            [](const Request& a, const Request& b) { return a.enqueue() < b.enqueue(); });
   reqs_ = std::move(requests);
   stats_.assign(reqs_.size(), RequestStats{});
   for (size_t i = 0; i < reqs_.size(); ++i) {
@@ -564,32 +599,35 @@ size_t serve_capacity_scan(const models::Gpt2Config& cfg, DType dtype, int64_t s
   // (every tensor is created outside kernel bodies) and the math is skipped.
   simgpu::Device dev(simgpu::v100(), simgpu::ExecMode::kModelOnly);
   mem::CachingAllocator param_alloc(dev, mem::DeviceAllocator::Backing::kVirtual);
-  mem::MeasuringAllocator probe;
-  layers::LayerContext ctx(dev, &probe, layers::policy_for(layers::System::kLightSeq2),
-                           seed);
   models::Gpt2 model(cfg, layers::System::kLightSeq2, dtype, seed, &param_alloc);
   KvCache cache(model.kv_cache_config(slots, max_len), &param_alloc);
 
-  // Worst-case admission: a full-lane padded prefill at the prompt cap...
-  Tensor ids = Tensor::zeros({slots, max_prompt_len}, DType::kI32);
-  ids.fill_(3);
-  std::vector<SequenceHandle> seqs;
-  for (int64_t s = 0; s < slots; ++s) {
-    seqs.push_back(cache.allocate(max_prompt_len));
-    LS2_CHECK(seqs.back().valid());
-  }
-  { (void)model.prefill(ctx, ids, &cache, seqs); }
-  // ...plus the steady-state decode step with its sampling launch.
-  for (const SequenceHandle& h : seqs)
-    LS2_CHECK(cache.extend(h, ctx.kern));
-  Tensor step_ids = Tensor::zeros({slots, 1}, DType::kI32);
-  Tensor sampled = Tensor::zeros({slots}, DType::kI32);
-  {
-    const Tensor logits = model.forward_cached(ctx, step_ids, cache, cache.begin_decode());
+  // The engine's steps, whatever the prompt lengths: every lane's decode row
+  // plus 0..top chunk rows, with logits and the sampling launch for one row
+  // per lane. Padding rows allocate exactly what real ones do.
+  const int64_t top = max_chunk_capacity(slots, cache.config().seq_tokens);
+  auto probe_step = [&](BufferAllocator& alloc, int64_t cap) {
+    layers::LayerContext ctx(dev, &alloc, layers::policy_for(layers::System::kLightSeq2), seed);
+    const Tensor ids = Tensor::zeros({slots + cap, 1}, DType::kI32);
+    const Tensor sampled = Tensor::zeros({slots}, DType::kI32);
+    const Tensor logits = model.forward_cached(ctx, ids, cache, cache.begin_step(cap));
     kern::argmax_rows(ctx.kern, kern::Impl::kLS2, logits.view({slots, cfg.vocab}), sampled);
+  };
+  // The top capacity holds the most live bytes, counted in the arena's
+  // blocks...
+  mem::MeasuringAllocator live(mem::ArenaAllocator::kAlign);
+  probe_step(live, top);
+  // ...but first fit can strand free bytes between live blocks, so the
+  // arena must reach the furthest block end of every step shape: replay
+  // each capacity through an arena with room to spare.
+  mem::ArenaAllocator arena(dev, 4 * static_cast<size_t>(live.peak_bytes()),
+                            mem::DeviceAllocator::Backing::kVirtual);
+  for (int64_t cap = 0; cap <= top; cap += kCapacityQuantum) {
+    probe_step(arena, cap);
+    arena.reset();
   }
-  const size_t peak = static_cast<size_t>(probe.peak_bytes());
-  return peak + peak / 16;
+  const size_t need = arena.extent();
+  return need + need / 16;
 }
 
 }  // namespace ls2::infer

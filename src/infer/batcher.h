@@ -1,39 +1,44 @@
 // Request scheduling for the serving engine: continuous batching vs the
 // static-wave baseline.
 //
-// The engine owns one steady-state DECODE loop over a fixed set of decode
-// lanes backed by the paged KV cache. Each engine step is:
+// The engine owns one steady-state serving loop over a fixed set of lanes
+// backed by the paged KV cache. Each engine step is:
 //
-//   [admissions]  arrived requests allocate a lane + pages (shared-prefix
-//                 pages reused); each prompt runs one eager prefill (B=1)
-//                 over the rows no shared page holds, which writes their
-//                 K/V and samples the first token — never captured, shapes
-//                 vary per prompt;
-//   [extend]      every resident sequence backs its next append row
+//   [admissions]  arrived requests claim a lane + pages (shared-prefix
+//                 pages reused) — host bookkeeping only: no model work;
+//   [extend]      every sequence past its prompt backs its next append row
 //                 (KvCache::extend — page allocation and COW copies, all
 //                 outside the captured region); when the pool runs dry the
 //                 lowest-priority resident is PREEMPTED: its tokens fold
 //                 into a continuation prompt re-queued at the front;
-//   [decode]      ONE static-shape decode step over ALL lanes (inactive
-//                 lanes attend nothing and are ignored) — the step
-//                 core::Session::begin_step captures once and then
-//                 replays as a single graph launch;
+//   [step]        ONE cached forward over a PACKED batch: every lane's
+//                 decode row, then chunks of the prompts still running —
+//                 consecutive prompt rows, oldest sequence first, up to a
+//                 fixed row budget (Sarathi-Serve's chunked prefill under
+//                 Orca's iteration-level scheduling) — padded to the next of
+//                 a few fixed capacities. Free and mid-prompt lanes' decode
+//                 rows attend nothing; a prompt samples its first token in
+//                 the step that runs its last chunk. With graph capture on,
+//                 the engine captures one graph per capacity at start-up
+//                 (core::Session's graph pool, as vLLM captures its
+//                 batch-size graphs) and every step replays one of them;
 //   [retire]      finished sequences free their lane and pages immediately.
 //
 // Continuous batching (FastSeq/Orca discipline) admits into any free slot
-// every step, so the decode batch stays full under load; the static
-// baseline admits a wave only when ALL slots are empty and pays the
-// straggler tail — the gap bench/fig_serve.cc measures.
+// every step, so the batch stays full under load; the static baseline
+// admits a wave only when ALL slots are empty and pays the straggler tail —
+// the gap bench/fig_serve.cc measures.
 //
 // Two driving modes share the same machinery:
 //   * serve() — the single-replica loop: feed arrivals, step until drained.
 //   * the STEPWISE API (begin / submit / step / finish, plus the router
 //     hooks evacuate / cancel / take_completed / set_draining) — what an
 //     infer::Fleet replica runs under: the ROUTER owns the clock-advance
-//     policy and request lifecycle, the engine owns slots and decode.
+//     policy and request lifecycle, the engine owns slots and steps.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,7 +79,7 @@ struct ServeConfig {
   /// retires early with whatever it generated — a partial answer within the
   /// SLO rather than a complete one outside it.
   double deadline_us = 0;
-  /// Retry budget for a decode step that hits a TRANSIENT allocation
+  /// Retry budget for an engine step that hits a TRANSIENT allocation
   /// failure (mem::TransientAllocFailure, e.g. injected via the fault
   /// plan): the aborted step's arena state is rewound and the step rerun
   /// after an idle backoff. Exhausting the budget rethrows.
@@ -121,13 +126,18 @@ struct Request {
   /// the SLO deadline and all latency stats key off arrival_us.
   double enqueue_us = 0;
   double enqueue() const { return enqueue_us > 0 ? enqueue_us : arrival_us; }
+  /// Move the request's timeline `us` later (arrival and any enqueue time).
+  void delay(double us) {
+    arrival_us += us;
+    if (enqueue_us > 0) enqueue_us += us;
+  }
 };
 
 struct RequestStats {
   int64_t id = 0;
   double arrival_us = 0;
-  double admitted_us = 0;     ///< slot claimed + prefill issued
-  double first_token_us = 0;  ///< first generated token available
+  double admitted_us = 0;     ///< lane + pages claimed
+  double first_token_us = 0;  ///< first generated token available (its prompt's last chunk ran)
   double done_us = 0;
   int64_t prompt_len = 0;
   int64_t generated = 0;
@@ -149,13 +159,13 @@ struct RequestStats {
 
 struct ServeReport {
   std::vector<RequestStats> requests;
-  int64_t prefills = 0;
-  /// Prompt rows prefills ran through the model — rows held by shared
-  /// prefix pages are skipped, so sharing shrinks this below the prompt
-  /// tokens admitted.
+  int64_t prefills = 0;          ///< prompts whose last chunk ran (one per admission)
+  /// Prompt rows the chunks ran through the model — rows a sharer already
+  /// wrote are skipped, so sharing shrinks this below the prompt tokens
+  /// admitted.
   int64_t prefill_rows = 0;
-  int64_t decode_steps = 0;
-  int64_t replayed_steps = 0;    ///< decode steps run as one graph launch
+  int64_t decode_steps = 0;      ///< engine steps (one packed forward each)
+  int64_t replayed_steps = 0;    ///< engine steps run as one graph launch
   int64_t generated_tokens = 0;
   double makespan_us = 0;
   double tokens_per_sec = 0;     ///< generated tokens / makespan
@@ -186,14 +196,23 @@ class ContinuousBatcher {
   // --- stepwise API (fleet-driven; DESIGN.md §11) -------------------------
 
   /// Reset the engine for a router-driven run. Must precede submit()/step().
+  /// With graph capture on, the first begin() on a session captures every
+  /// packed-step capacity (all-padding steps that leave the session's step
+  /// index where it was) before the run's clock starts: the server's
+  /// start-up, which opens it startup_us() later. A caller that times
+  /// arrivals from the device clock reads its base after begin(); serve()
+  /// and infer::Fleet delay the requests they were handed by it.
   void begin();
+  /// Device time the last begin() spent on start-up (0 when the graph pool
+  /// was captured already, or capture is off).
+  double startup_us() const { return startup_us_; }
   /// Hand a request to this engine's queue. The router submits only ARRIVED
   /// requests (enqueue() <= this replica's clock); re-dispatches keep the
   /// original arrival_us and set enqueue_us to the hand-over time.
   void submit(Request r);
   /// One engine iteration: admissions, then — if anything is resident —
-  /// one decode step with harvest/retire. Returns true when a decode step
-  /// ran; false means the engine is idle and the ROUTER decides how far to
+  /// one packed step with harvest/retire. Returns true when a step ran;
+  /// false means the engine is idle and the ROUTER decides how far to
   /// advance this replica's clock. May throw simgpu::DeviceLostError (the
   /// replica died — evacuate()) or mem::TransientAllocFailure (retry budget
   /// exhausted — quarantine + evacuate()).
@@ -239,15 +258,12 @@ class ContinuousBatcher {
     /// generated by THIS residency — a preemption folds them into the
     /// continuation prompt; earlier ones are already part of it.
     int64_t admitted_tokens = 0;
-    int32_t next_token = 0;  ///< fed to the next decode step
+    int32_t next_token = 0;  ///< fed to the next step's decode row
   };
 
-  /// Try to claim a lane + pages for request `r`: prefill its prompt
-  /// (eager; rows in shared prefix pages are neither recomputed nor
-  /// rewritten) and sample the next token. False when the cache can't place
-  /// it (no lane or pages) — the caller treats the batch as full. A prefill
-  /// that throws frees the sequence first: the request stays queued and
-  /// nothing of it stays in the cache.
+  /// Try to claim a lane + pages for request `r`; its prompt runs in chunks
+  /// inside the next steps. False when the cache can't place it (no lane or
+  /// pages) — the caller treats the batch as full.
   bool admit(size_t r);
   /// Reject request `r` (overload shed): it completes immediately with an
   /// error and no tokens.
@@ -258,9 +274,17 @@ class ContinuousBatcher {
   /// requests the scan already resolved leave the queue before the
   /// exception escapes; the thrower and the rest stay queued.
   void run_admissions();
-  /// The decode step (with transient-fault retries) + harvest/retire.
-  void decode_once();
-  /// Back every resident lane's next append row (KvCache::extend), evicting
+  /// One packed step (with transient-fault retries) + harvest/retire.
+  void run_step();
+  /// The step's static region over the cache's rows for `chunk_rows`:
+  /// forward, sampling, inside the session graph region for `act`, in the
+  /// device range `range`.
+  void forward_step(core::GraphAction act, int64_t chunk_rows, const char* range);
+  /// Capture every capacity's graph not captured yet (start-up).
+  void capture_graph_pool();
+  /// The step input ids [slots + chunk_rows, 1] (heap), one per capacity.
+  Tensor& step_ids(int64_t chunk_rows);
+  /// Back every decoding lane's next append row (KvCache::extend), evicting
   /// victims to the front of the queue when the page pool runs dry — the
   /// recompute-preemption discipline. Runs before the captured region.
   void extend_residents();
@@ -270,8 +294,9 @@ class ContinuousBatcher {
   void preempt(int64_t s, double now);
   /// Retire lane `s` as complete.
   void retire(int64_t s, bool expired);
-  int32_t harvest_token(const Tensor& sampled, int64_t row, int64_t slot,
-                        int64_t generated) const;
+  /// Lane `lane`'s token of the step just run: the sampled one, or in
+  /// model-only runs a deterministic stand-in.
+  int32_t harvest_token(int64_t lane, int64_t generated) const;
 
   core::Session* session_;
   models::Gpt2* model_;
@@ -289,7 +314,9 @@ class ContinuousBatcher {
   bool draining_ = false;
   bool begun_ = false;
   double start_us_ = 0;
-  Tensor ids_, sampled_;  ///< static decode-step input/output tensors
+  double startup_us_ = 0;
+  std::map<int64_t, Tensor> step_ids_;  ///< per capacity: the step's input ids
+  Tensor sampled_;                      ///< one sampled token per lane
   /// Live SLO telemetry (DESIGN.md §12); engaged by begin() iff the session
   /// carries a MetricsRegistry. Gauges refresh every step(), not at finish.
   std::optional<obs::SloMonitor> slo_;
@@ -304,9 +331,12 @@ std::vector<Request> poisson_requests(int64_t n, double rate_per_sec, int64_t pr
                                       int64_t vocab, uint64_t seed);
 
 /// Arena sizing for a serving session (the capacity-scan discipline of
-/// §IV-D applied to the serving step): probes one full-slot padded prefill
-/// plus one decode step against a peak-tracking allocator and returns a
-/// capacity for SessionConfig::arena_bytes.
+/// §IV-D applied to the serving step): probes the largest packed step the
+/// engine runs — every lane's decode row plus the top chunk capacity, with
+/// logits for one row per lane — against a peak-tracking allocator and
+/// returns a capacity for SessionConfig::arena_bytes. Prompts run in
+/// chunks, so the arena no longer grows with `max_prompt_len`; it must stay
+/// below `max_len`.
 size_t serve_capacity_scan(const models::Gpt2Config& cfg, DType dtype, int64_t slots,
                            int64_t max_len, int64_t max_prompt_len, uint64_t seed = 17);
 

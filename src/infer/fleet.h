@@ -116,7 +116,7 @@ struct FleetReport {
   int64_t replayed_steps = 0;
   int64_t generated_tokens = 0;
   int64_t decode_retries = 0;
-  double makespan_us = 0;      ///< max replica clock at drain
+  double makespan_us = 0;      ///< max replica clock at drain, from the fleet's start
   double tokens_per_sec = 0;
   double p50_latency_us = 0, p99_latency_us = 0, mean_latency_us = 0;
   /// Per-replica engine reports (index = replica), for attribution.
@@ -214,6 +214,8 @@ class Fleet {
   bool reload_started_ = false;
   FleetReport report_;
   bool ran_ = false;
+  /// The replicas' longest start-up: fleet time 0 on their device clocks.
+  double opened_us_ = 0;
   /// Fleet-level rolling SLO (prefix "fleet"): end-to-end latency from the
   /// ORIGINAL arrival across re-dispatches — the client's view, where the
   /// per-replica monitors see only their own slice. Engaged when the

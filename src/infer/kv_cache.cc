@@ -53,6 +53,7 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
   decode_rows_.kv_lens = Tensor::zeros({cfg.slots}, DType::kI32);
   lane_seq_.assign(static_cast<size_t>(cfg.slots), -1);
   refcount_.assign(static_cast<size_t>(cfg.pool_pages()), 0);
+  page_rows_.assign(static_cast<size_t>(cfg.pool_pages()), 0);
   free_pages_.reserve(static_cast<size_t>(cfg.pool_pages()));
   // LIFO popped from the back — seed in reverse so page 0 pops first
   // (deterministic layouts in tests and goldens).
@@ -77,7 +78,24 @@ int32_t KvCache::pop_free_page() {
   if (free_pages_.empty()) return -1;
   const int32_t p = free_pages_.back();
   free_pages_.pop_back();
+  page_rows_[static_cast<size_t>(p)] = 0;  // a reclaimed page holds nothing yet
   return p;
+}
+
+template <typename Fill>
+int32_t KvCache::first_unwritten(const Sequence& s, const Fill& fill) const {
+  const int32_t page = static_cast<int32_t>(cfg_.page());
+  for (size_t j = 0; j < s.pages.size(); ++j) {
+    const int32_t rows = fill(s.pages[j]);
+    if (rows < page) return static_cast<int32_t>(j) * page + rows;
+  }
+  return static_cast<int32_t>(s.pages.size()) * page;
+}
+
+int64_t KvCache::written_rows(SequenceHandle h) const {
+  const Sequence& s = seq(h);
+  return std::min<int64_t>(
+      s.len, first_unwritten(s, [&](int32_t p) { return page_rows_[static_cast<size_t>(p)]; }));
 }
 
 void KvCache::drop_page_ref(int32_t page) {
@@ -159,8 +177,9 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   stats_.prefill_pages += fresh_needed;
 
   // Register the full pages THIS prefill is about to fill, so the next
-  // allocate with the same prefix shares them. Valid because callers
-  // prefill each sequence before the next allocate (admission ordering).
+  // allocate with the same prefix shares them. Packed steps track which
+  // rows are written, so any order is safe there; a prompt batch must run
+  // before the next allocate can hit its pages.
   if (cfg_.prefix_sharing && tokens != nullptr) {
     std::vector<int32_t> key(tokens, tokens + static_cast<int64_t>(shared.size()) * page);
     for (int64_t j = static_cast<int64_t>(shared.size()); j < full_pages; ++j) {
@@ -238,6 +257,8 @@ bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc) {
         kern::kv_page_copy(kc, k_[static_cast<size_t>(i)],
                            v_[static_cast<size_t>(i)], tail, p, rows);
       refcount_[static_cast<size_t>(p)] = 1;
+      page_rows_[static_cast<size_t>(p)] = std::min(
+          page_rows_[static_cast<size_t>(tail)], static_cast<int32_t>(rows));
       drop_page_ref(tail);
       s.pages[static_cast<size_t>(page_idx)] = p;
       ++stats_.cow_copies;
@@ -264,6 +285,7 @@ SequenceHandle KvCache::fork(SequenceHandle h) {
   s.lane = lane;
   s.len = src.len;
   s.write_begin = src.len;  // the whole history is resident — nothing to prefill
+  s.prompt_done = src.prompt_done;
   s.pages = src.pages;
   for (int32_t p : s.pages) ++refcount_[static_cast<size_t>(p)];
   ++stats_.forks;
@@ -295,6 +317,9 @@ void KvCache::reset() {
     free_pages_.push_back(p);
   prefix_registry_.clear();
   page_prefix_.clear();
+  std::fill(page_rows_.begin(), page_rows_.end(), 0);
+  plan_.clear();
+  plan_rows_.clear();
   for (int64_t lane = 0; lane < cfg_.slots; ++lane) sync_lane_row(lane, nullptr);
   src_lens_.zero_();  // the tensor view must track (prefill reads it directly)
   stats_ = Stats{};
@@ -338,10 +363,137 @@ const layers::PagedRows& KvCache::begin_decode() {
   return decode_rows_;
 }
 
+void KvCache::commit_prefill(const std::vector<SequenceHandle>& seqs,
+                             const layers::PagedRows& rows) {
+  LS2_CHECK_EQ(rows.write_end.numel(), static_cast<int64_t>(seqs.size()));
+  const int32_t page = static_cast<int32_t>(cfg_.page());
+  for (size_t b = 0; b < seqs.size(); ++b) {
+    Sequence& s = seq(seqs[b]);
+    const int32_t end = rows.write_end.data<int32_t>()[b];
+    for (int32_t r = rows.write_begin.data<int32_t>()[b]; r < end; ++r) {
+      int32_t& n = page_rows_[static_cast<size_t>(s.pages[static_cast<size_t>(r / page)])];
+      n = std::max(n, r % page + 1);
+    }
+    if (end == s.len) s.prompt_done = true;
+  }
+}
+
+void KvCache::append_row(Sequence& s) {
+  if (s.prompt_done) {
+    const int32_t page = static_cast<int32_t>(cfg_.page());
+    int32_t& n = page_rows_[static_cast<size_t>(s.pages[static_cast<size_t>(s.len / page)])];
+    n = std::max(n, s.len % page + 1);
+  }
+  ++s.len;
+}
+
 void KvCache::commit_decode() {
   for (int64_t id : lane_seq_) {
-    if (id >= 0) ++seqs_.at(id).len;
+    if (id >= 0) append_row(seqs_.at(id));
   }
+}
+
+const std::vector<PromptChunk>& KvCache::plan_chunks(const std::vector<SequenceHandle>& prompts,
+                                                     int64_t budget) {
+  plan_.clear();
+  plan_rows_.clear();
+  const int32_t page = static_cast<int32_t>(cfg_.page());
+  // Rows written once the chunks planned so far are stored too: each layer
+  // stores every row of the step before it attends any of them.
+  auto planned = [&](int32_t p) {
+    auto it = plan_rows_.find(p);
+    return it != plan_rows_.end() ? it->second : page_rows_[static_cast<size_t>(p)];
+  };
+  for (const SequenceHandle& h : prompts) {
+    if (budget <= 0) break;
+    const Sequence& s = seq(h);
+    LS2_CHECK(!s.prompt_done) << "plan_chunks: the sequence at lane " << s.lane
+                              << " is past its prompt";
+    const int32_t unwritten = first_unwritten(s, planned);
+    PromptChunk c;
+    c.seq = h;
+    c.write_from = std::min(unwritten, s.len);
+    c.begin = std::min(unwritten, s.len - 1);
+    c.end = static_cast<int32_t>(std::min<int64_t>(s.len, c.begin + budget));
+    for (int32_t r = c.write_from; r < c.end; ++r)
+      plan_rows_[s.pages[static_cast<size_t>(r / page)]] = r % page + 1;
+    budget -= c.end - c.begin;
+    plan_.push_back(c);
+  }
+  return plan_;
+}
+
+const layers::PagedRows& KvCache::begin_step(int64_t chunk_rows) {
+  LS2_CHECK(chunk_rows >= 0);
+  int64_t planned = 0;
+  for (const PromptChunk& c : plan_) planned += c.end - c.begin;
+  LS2_CHECK(planned <= chunk_rows)
+      << "begin_step: " << planned << " planned chunk rows exceed " << chunk_rows;
+  if (chunk_rows == 0) {
+    for (const auto& [id, s] : seqs_)
+      LS2_CHECK(s.prompt_done) << "begin_step: lane " << s.lane
+                               << " is mid-prompt but the step has no chunk rows";
+    return begin_decode();
+  }
+  LS2_CHECK(cfg_.cross_len == 0) << "packed steps serve decoder-only models";
+  const int64_t S = cfg_.slots, R = S + chunk_rows;
+  layers::PagedRows& rows = step_rows_[chunk_rows];
+  if (!rows.lanes.defined()) {
+    // Heap: host-written metadata, graph parameters under replay.
+    rows.block_table = block_table_;
+    for (Tensor* t : {&rows.lanes, &rows.q_begin, &rows.write_begin, &rows.write_end,
+                      &rows.kv_lens})
+      *t = Tensor::zeros({R}, DType::kI32);
+    rows.out_rows = Tensor::zeros({S}, DType::kI32);
+  }
+  int32_t* ln = rows.lanes.data<int32_t>();
+  int32_t* qb = rows.q_begin.data<int32_t>();
+  int32_t* wb = rows.write_begin.data<int32_t>();
+  int32_t* we = rows.write_end.data<int32_t>();
+  int32_t* kl = rows.kv_lens.data<int32_t>();
+  int32_t* out = rows.out_rows.data<int32_t>();
+  auto put = [&](int64_t r, int64_t lane, int32_t pos, int32_t kv_len, bool write) {
+    ln[r] = static_cast<int32_t>(lane);
+    qb[r] = wb[r] = pos;
+    we[r] = write ? pos + 1 : pos;
+    kl[r] = kv_len;
+  };
+  for (int64_t lane = 0; lane < S; ++lane) {
+    out[lane] = static_cast<int32_t>(lane);
+    const int64_t id = lane_seq_[static_cast<size_t>(lane)];
+    const Sequence* s = id >= 0 ? &seqs_.at(id) : nullptr;
+    if (s == nullptr || !s->prompt_done) {
+      put(lane, lane, 0, 0, false);  // free or mid-prompt: attends and writes nothing
+      continue;
+    }
+    LS2_CHECK(s->len < cfg_.seq_tokens)
+        << "sequence at lane " << lane << " is full (" << s->len << "/" << cfg_.seq_tokens
+        << ") — retire or cap generation length";
+    LS2_CHECK(s->len / cfg_.page() < static_cast<int64_t>(s->pages.size()))
+        << "append row unbacked — extend() must run before begin_step()";
+    put(lane, lane, s->len, s->len + 1, true);
+  }
+  int64_t r = S;
+  for (const PromptChunk& c : plan_) {
+    const Sequence& s = seq(c.seq);
+    for (int32_t i = c.begin; i < c.end; ++i) put(r++, s.lane, i, i + 1, i >= c.write_from);
+    if (c.end == s.len) out[s.lane] = static_cast<int32_t>(r - 1);
+  }
+  for (; r < R; ++r) put(r, 0, 0, 0, false);
+  return rows;
+}
+
+void KvCache::commit_step() {
+  for (int64_t id : lane_seq_) {
+    if (id >= 0 && seqs_.at(id).prompt_done) append_row(seqs_.at(id));
+  }
+  for (const auto& [p, rows] : plan_rows_) page_rows_[static_cast<size_t>(p)] = rows;
+  for (const PromptChunk& c : plan_) {
+    Sequence& s = seq(c.seq);
+    if (c.end == s.len) s.prompt_done = true;
+  }
+  plan_.clear();
+  plan_rows_.clear();
 }
 
 }  // namespace ls2::infer

@@ -49,6 +49,14 @@
 // bodies, exactly like the rows' q_begin/kv_lens. All page allocation and
 // COW copies happen in extend(), before the captured region.
 //
+// The serving engine runs PACKED steps (plan_chunks / begin_step /
+// commit_step): every lane's decode row plus chunks of the prompts still
+// being prefilled, one-row batch rows padded to a fixed capacity. The cache
+// tracks how far committed steps have written each page, and a chunk starts
+// at its sequence's first row nobody wrote yet, so prefix sharing needs no
+// ordering between allocate() and the writes: a sharer admitted before the
+// writer's rows exist waits for them or writes them itself.
+//
 // Encoder-decoder models additionally keep per-lane CROSS K/V blocks
 // [slots, N, cross_len, D] (cross_len > 0): written once at encode time,
 // read by every decode step — bounded, write-once state that paging would
@@ -88,10 +96,13 @@ struct KvCacheConfig {
   /// lanes than worst-case memory, bounded by LIVE tokens (fig_page).
   int64_t total_pages = 0;
   /// Share full common-prefix pages between sequences (refcounted, COW).
-  /// Requires prefill-after-allocate ordering per sequence (the batcher's
-  /// admission order) so a registered page is written before the next
-  /// allocate can hit it. Self-attention-only (cross_len == 0): a decoder
-  /// row's K/V also depend on the source, not just the token prefix.
+  /// allocate() registers a prompt's full pages before they are written.
+  /// Packed steps track which rows committed steps wrote, so any order of
+  /// allocations and chunks is safe; the prompt-batch API (prefill_rows)
+  /// instead requires each sequence to be prefilled before the next
+  /// allocate can hit its pages. Self-attention-only (cross_len == 0): a
+  /// decoder row's K/V also depend on the source, not just the token
+  /// prefix.
   bool prefix_sharing = false;
   int64_t cross_len = 0; ///< >0: also hold per-lane cross K/V of this length
   DType dtype = DType::kF32;
@@ -107,10 +118,20 @@ struct KvCacheConfig {
 };
 
 /// An opaque ticket for one resident sequence. Stale handles (freed, or
-/// from before a reset) are detected and rejected by every accessor.
+/// from before a reset) are detected and rejected by every accessor. Ids
+/// grow with every allocate/fork: a smaller id is an older sequence.
 struct SequenceHandle {
   int64_t id = -1;
   bool valid() const { return id >= 0; }
+};
+
+/// One prompt chunk of a packed step (KvCache::plan_chunks): sequence `seq`
+/// computes its prompt rows [begin, end) and writes [write_from, end). Rows
+/// below write_from are resident already — only ever the prompt's last row,
+/// rerun for its logits. end == len(seq): the prompt's last chunk.
+struct PromptChunk {
+  SequenceHandle seq;
+  int32_t begin = 0, end = 0, write_from = 0;
 };
 
 class KvCache {
@@ -158,6 +179,12 @@ class KvCache {
   /// kv_len_b = min(L, len_b, key_lens[b]) rows.
   layers::PagedRows prefill_rows(const std::vector<SequenceHandle>& seqs, int64_t L,
                                  const Tensor* key_lens = nullptr) const;
+  /// Commit the prompt batch `rows` (prefill_rows(seqs, ...)) once its
+  /// forward ran: every sequence's stored rows count as written, and one
+  /// whose rows reached its length is past its prompt — what its last
+  /// chunk's commit_step would have recorded, so either step protocol may
+  /// decode it next.
+  void commit_prefill(const std::vector<SequenceHandle>& seqs, const layers::PagedRows& rows);
   /// Make room for the token position len(h) is about to append: allocate
   /// the next page at a page boundary, or copy-on-write a tail page a fork
   /// still shares (eager kv_page_copy launches through `kc`). Idempotent
@@ -178,10 +205,16 @@ class KvCache {
   bool valid(SequenceHandle h) const { return seqs_.count(h.id) > 0; }
   /// The decode lane this sequence occupies (its row in ids/logits/tables).
   int64_t lane(SequenceHandle h) const { return seq(h).lane; }
-  /// Cached length (prompt after prefill, +1 per commit_decode).
+  /// Cached length (the prompt's from allocate on, +1 per appended row).
   int32_t len(SequenceHandle h) const { return seq(h).len; }
   /// First row prefill must WRITE — earlier rows live in shared pages.
   int32_t write_begin(SequenceHandle h) const { return seq(h).write_begin; }
+  /// Whether h's prompt has run — the commit of its last chunk or of its
+  /// prompt batch: it appends a decode row every packed step.
+  bool prompt_done(SequenceHandle h) const { return seq(h).prompt_done; }
+  /// Leading rows of h whose K/V committed steps and prompt batches wrote
+  /// (its own rows or a sharer's).
+  int64_t written_rows(SequenceHandle h) const;
   /// Token capacity currently backed by pages (pages * page size).
   int64_t capacity(SequenceHandle h) const {
     return static_cast<int64_t>(seq(h).pages.size()) * cfg_.page();
@@ -217,8 +250,37 @@ class KvCache {
   /// (len < seq_tokens) and must have been extend()ed so the append target
   /// page exists.
   const layers::PagedRows& begin_decode();
-  /// Account the row each active sequence appended during the decode step.
+  /// Account the row each active sequence appended during the decode step
+  /// (the append commit_step records for a sequence past its prompt).
   void commit_decode();
+
+  // --- packed steps (the serving engine's) ---
+  /// Plan the prompt chunks of the next packed step, replacing any plan not
+  /// committed. Walking `prompts` in order (sequences still in their
+  /// prompt; the engine passes them oldest first), each takes the next
+  /// chunk of its prompt while `budget` rows last. A chunk starts at the
+  /// sequence's first row that no committed step wrote and no chunk planned
+  /// before it writes — rows a sharer wrote are skipped, so no row is
+  /// written twice or attended unwritten — but never past the prompt's last
+  /// row, which every prompt runs itself: its logits give the first token.
+  const std::vector<PromptChunk>& plan_chunks(const std::vector<SequenceHandle>& prompts,
+                                              int64_t budget);
+  /// The rows of the next packed step. chunk_rows == 0: exactly
+  /// begin_decode()'s full-lane batch — nothing planned, every active
+  /// sequence past its prompt. Otherwise a lane-listed batch of slots +
+  /// chunk_rows one-row batch rows: lane s's decode row at row s (attending
+  /// and writing nothing while the lane is free or mid-prompt), then every
+  /// planned chunk's rows at their positions, then padding rows that attend
+  /// and write nothing. out_rows picks each lane's decode row, or the last
+  /// row of a prompt that finishes in this step. Sequences past their
+  /// prompt must have been extend()ed. The tensors are the cache's own, one
+  /// set per chunk_rows, rewritten in place by every call.
+  const layers::PagedRows& begin_step(int64_t chunk_rows);
+  /// Commit the step begin_step described: every sequence past its prompt
+  /// appended its decode row, the planned chunks' rows count as written,
+  /// and a sequence whose last chunk ran is past its prompt. Clears the
+  /// plan.
+  void commit_step();
 
  private:
   struct Sequence {
@@ -226,11 +288,19 @@ class KvCache {
     int32_t len = 0;
     int32_t write_begin = 0;
     int32_t src_len = 0;
+    bool prompt_done = false;
     std::vector<int32_t> pages;  ///< block table (host copy of the row)
   };
 
   const Sequence& seq(SequenceHandle h) const;
   Sequence& seq(SequenceHandle h);
+  /// `s` appended its row at position len: past its prompt, the row counts
+  /// as written.
+  void append_row(Sequence& s);
+  /// The first row of `s` not written yet, where `fill(page)` counts each
+  /// page's written leading rows (pages fill in row order).
+  template <typename Fill>
+  int32_t first_unwritten(const Sequence& s, const Fill& fill) const;
   int64_t trash_page() const { return cfg_.pool_pages(); }
   int32_t pop_free_page();
   void drop_page_ref(int32_t page);
@@ -253,6 +323,14 @@ class KvCache {
   /// page dies (reverse map below).
   std::map<std::vector<int32_t>, int32_t> prefix_registry_;
   std::unordered_map<int32_t, std::vector<int32_t>> page_prefix_;
+  /// Per usable page: leading rows committed steps and prompt batches have
+  /// written.
+  std::vector<int32_t> page_rows_;
+  /// The packed step being built: its chunks, and the rows per page they
+  /// will have written once it commits (pages the plan touches only).
+  std::vector<PromptChunk> plan_;
+  std::unordered_map<int32_t, int32_t> plan_rows_;
+  std::map<int64_t, layers::PagedRows> step_rows_;  ///< begin_step's, per chunk_rows
   int64_t next_id_ = 1;
   Stats stats_;
 };

@@ -355,27 +355,40 @@ void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const 
   const int32_t* lp = lanes ? lanes->data<int32_t>() : nullptr;
   const int32_t* qb = q_begin.data<int32_t>();
   const int32_t* kl = kv_lens.data<int32_t>();
-  int64_t live_rows = 0, live_pairs = 0;
+  // Consecutive batch rows of one lane at consecutive positions form one
+  // SEGMENT — a packed step's prompt chunk — and read their lane's K/V rows
+  // once, as a varlen attention kernel does; every other row is a segment
+  // of its own.
+  int64_t live_rows = 0, live_pairs = 0, segments = 0, reach = 0;
   for (int64_t b = 0; b < B; ++b) {
     LS2_CHECK(lp == nullptr || (lp[b] >= 0 && lp[b] < block_table.shape()[0]))
         << "paged attn: lane " << lp[b] << " out of range";
     LS2_CHECK(qb[b] >= 0) << "paged attn: row " << b << " q_begin " << qb[b];
     LS2_CHECK(kl[b] >= 0 && kl[b] <= Lcap)
         << "paged attn: row " << b << " kv_len " << kl[b] << " beyond reach " << Lcap;
-    live_rows += std::min<int64_t>(qb[b] + Lq, kl[b]);
+    const bool joins = b > 0 && lp != nullptr && lp[b] == lp[b - 1] && qb[b] == qb[b - 1] + Lq;
+    if (!joins) {
+      live_rows += reach;
+      reach = 0;
+      ++segments;
+    }
+    reach = std::max(reach, std::min<int64_t>(qb[b] + Lq, kl[b]));
     for (int64_t i = 0; i < Lq; ++i) live_pairs += std::min<int64_t>(qb[b] + i + 1, kl[b]);
   }
-  int64_t meta = static_cast<int64_t>(block_table.bytes() + q_begin.bytes() + kv_lens.bytes());
-  if (lanes) meta += static_cast<int64_t>(lanes->bytes());
+  live_rows += reach;
+  // Each segment reads its lane, q_begin and kv_len once.
+  const int64_t seg_meta = (lanes ? 3 : 2) * static_cast<int64_t>(sizeof(int32_t));
   const int64_t elem = static_cast<int64_t>(dtype_size(q.dtype()));
-  auto cost = [&](int64_t rows, int64_t pairs) {
-    simgpu::KernelDesc d = desc("ls2.paged_attn",
-                                static_cast<int64_t>(q.bytes()) + meta + 2 * rows * N * D * elem,
-                                static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
+  auto cost = [&](int64_t rows, int64_t pairs, int64_t segs) {
+    simgpu::KernelDesc d =
+        desc("ls2.paged_attn",
+             static_cast<int64_t>(q.bytes() + block_table.bytes()) + segs * seg_meta +
+                 2 * rows * N * D * elem,
+             static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
     d.flops = static_cast<double>(pairs * N * (4 * D + 4));
     return d;
   };
-  kc.dev.launch(cost(B * Lcap, B * Lq * Lcap), cost(live_rows, live_pairs), [&] {
+  kc.dev.launch(cost(B * Lcap, B * Lq * Lcap, B), cost(live_rows, live_pairs, segments), [&] {
     LS2_DISPATCH_FLOAT(q.dtype(), T,
                        paged_attn_body<T>(q, k_pool, v_pool, block_table, lp, qb, kl, scale,
                                           merged));
@@ -406,6 +419,27 @@ void kv_page_copy(KernelContext& kc, const Tensor& k_pool, const Tensor& v_pool,
     });
   };
   kc.dev.launch(desc("ls2.kv_page_copy", 2 * nb, 2 * nb, kFusedTransposeEff), body);
+}
+
+void gather_rows(KernelContext& kc, const Tensor& x, const Tensor& index, const Tensor& y) {
+  LS2_CHECK(index.dtype() == DType::kI32);
+  LS2_CHECK(x.dtype() == y.dtype());
+  const int64_t R = x.shape()[0], n = index.numel();
+  LS2_CHECK_EQ(y.shape()[0], n);
+  LS2_CHECK_EQ(x.numel() / R, y.numel() / n) << "gather_rows: row sizes differ";
+  const int64_t row_bytes = static_cast<int64_t>(y.bytes()) / n;
+  const int32_t* ip = index.data<int32_t>();
+  for (int64_t i = 0; i < n; ++i)
+    LS2_CHECK(ip[i] >= 0 && ip[i] < R) << "gather_rows: row " << ip[i] << " out of " << R;
+  kc.dev.launch(desc("ls2.gather_rows", static_cast<int64_t>(y.bytes() + index.bytes()),
+                     static_cast<int64_t>(y.bytes()), kFusedTransposeEff),
+                [&] {
+                  const auto* xp = static_cast<const uint8_t*>(x.raw());
+                  auto* yp = static_cast<uint8_t*>(y.raw());
+                  for (int64_t i = 0; i < n; ++i)
+                    std::memcpy(yp + i * row_bytes, xp + ip[i] * row_bytes,
+                                static_cast<size_t>(row_bytes));
+                });
 }
 
 void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& dx) {

@@ -85,13 +85,25 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
 /// GEMM does.
 ///
 /// A BOUNDED launch (simgpu::Device::launch), charged at the CUDA-core peak:
-/// the graph node's bound is every lane at full reach (B * Lcap K/V rows and
+/// the graph node's bound is every row at full reach (B * Lcap K/V rows and
 /// B * Lq * Lcap query-key pairs, Lcap = pages_per_seq * page); each launch
-/// charges the K/V rows each lane actually reads (min(q_begin + Lq, kv_len))
-/// and the pairs it actually attends.
+/// charges the K/V rows it actually reads and the pairs it actually
+/// attends. Consecutive batch rows of one lane at consecutive positions
+/// (q_begin[b + 1] == q_begin[b] + Lq) form one SEGMENT — a packed step's
+/// prompt chunk — which reads its lane's rows up to its furthest reach
+/// once, and its lane / q_begin / kv_len once, as a varlen attention kernel
+/// does: a run of c one-row batch rows charges exactly the [1, c] prompt
+/// batch. Every other batch row is its own segment, reading
+/// min(q_begin + Lq, kv_len) rows — the decode batch and [B, Lq] prompt
+/// batches charge row by row.
 void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
                 const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
                 const Tensor& kv_lens, float scale, const Tensor& merged);
+
+/// Row gather: y[i] = x[index[i]] for x [R, ...], index i32 [n] (host-written
+/// heap metadata), y [n, ...] with x's row size. One static launch — a
+/// packed serving step picks each lane's sampled row with it.
+void gather_rows(KernelContext& kc, const Tensor& x, const Tensor& index, const Tensor& y);
 
 /// Copy-on-write: duplicate the first `rows` token rows of page `src_page`
 /// into `dst_page` in both pools. Eager-only (page bookkeeping runs outside

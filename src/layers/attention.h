@@ -90,18 +90,24 @@ class AttentionCore {
 };
 
 /// One cached batch's rows in the paged K/V pools: a prompt batch built by
-/// infer::KvCache::prefill_rows, or the decode batch KvCache::begin_decode
-/// returns. The i32 [B] tensors are host-written heap metadata read inside
-/// kernel bodies. Batch row b is lane lanes[b]; its query row i sits at
-/// logical position q_begin[b] + i and attends rows
-/// [0, min(q_begin[b] + i + 1, kv_lens[b])). The lane list and the write
-/// range are optional: undefined, they mean the full-lane batch (row b is
-/// lane b) that stores exactly the rows it computes. A prompt batch stores
-/// only the positions [write_begin[b], write_end[b]) — earlier rows already
-/// live in shared prefix pages, later ones are padding.
+/// infer::KvCache::prefill_rows, the decode batch KvCache::begin_decode
+/// returns, or a packed serving step (KvCache::begin_step). The i32 [B]
+/// tensors are host-written heap metadata read inside kernel bodies. Batch
+/// row b is lane lanes[b]; its query row i sits at logical position
+/// q_begin[b] + i and attends rows [0, min(q_begin[b] + i + 1, kv_lens[b])).
+/// The lane list and the write range are optional: undefined, they mean
+/// the full-lane batch (row b is lane b) that stores exactly the rows it
+/// computes. A prompt batch stores only the positions [write_begin[b],
+/// write_end[b]) — earlier rows already live in shared prefix pages, later
+/// ones are padding. A packed step is a lane-listed batch of one-row batch
+/// rows (decode rows, then prompt-chunk rows, then padding rows that attend
+/// and write nothing) whose `out_rows` names the rows it samples from.
 struct PagedRows {
   Tensor block_table;  ///< i32 [lanes, pages_per_seq]
   Tensor lanes, q_begin, write_begin, write_end, kv_lens;
+  /// i32 [n], optional: the batch rows whose logits the forward returns, in
+  /// order (a packed step's one row per lane). Undefined: every row.
+  Tensor out_rows;
   int64_t first = 0;  ///< a prompt batch computes its prompt rows [first, L)
 };
 

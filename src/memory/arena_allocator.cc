@@ -5,8 +5,9 @@
 namespace ls2::mem {
 
 namespace {
-constexpr size_t kAlign = 256;  // match cudaMalloc alignment
-size_t align_up(size_t n) { return (n + kAlign - 1) / kAlign * kAlign; }
+size_t align_up(size_t n) {
+  return (n + ArenaAllocator::kAlign - 1) / ArenaAllocator::kAlign * ArenaAllocator::kAlign;
+}
 }  // namespace
 
 ArenaAllocator::ArenaAllocator(simgpu::Device& device, size_t capacity_bytes, Backing backing)
@@ -46,6 +47,7 @@ void* ArenaAllocator::allocate(size_t bytes) {
     if (remaining > 0) free_blocks_[offset + want] = remaining;
     used_ += want;
     if (used_ > high_water_) high_water_ = used_;
+    if (offset + want > extent_) extent_ = offset + want;
     ++outstanding_;
     return base_ + offset;
   }

@@ -16,6 +16,9 @@ namespace ls2::mem {
 
 class ArenaAllocator final : public DeviceAllocator {
  public:
+  /// Every block is rounded up to this many bytes (cudaMalloc's alignment).
+  static constexpr size_t kAlign = 256;
+
   /// Reserves `capacity_bytes` up front with a single device malloc.
   ArenaAllocator(simgpu::Device& device, size_t capacity_bytes,
                  Backing backing = Backing::kMalloc);
@@ -35,6 +38,11 @@ class ArenaAllocator final : public DeviceAllocator {
   size_t capacity() const { return capacity_; }
   /// Largest concurrently-live byte count — how tight the capacity scan was.
   size_t high_water() const { return high_water_; }
+  /// Furthest end of any block served so far. First fit can strand free
+  /// bytes between live blocks, so this — not the high water — is the
+  /// capacity the same requests need: an arena at least this large places
+  /// every block exactly where this one did.
+  size_t extent() const { return extent_; }
   int64_t outstanding() const { return outstanding_; }
 
  private:
@@ -43,6 +51,7 @@ class ArenaAllocator final : public DeviceAllocator {
   std::map<size_t, size_t> free_blocks_;  // offset -> size, coalesced
   size_t used_ = 0;
   size_t high_water_ = 0;
+  size_t extent_ = 0;
   int64_t outstanding_ = 0;
 };
 

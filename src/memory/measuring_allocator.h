@@ -13,15 +13,19 @@ namespace ls2::mem {
 
 class MeasuringAllocator final : public BufferAllocator {
  public:
+  /// Counts every request rounded up to `align` bytes — the block size of
+  /// the allocator being sized (ArenaAllocator::kAlign); 1 counts raw bytes.
+  explicit MeasuringAllocator(size_t align = 1) : align_(align) {}
+
   void* allocate(size_t bytes) override {
     void* p = std::malloc(bytes == 0 ? 1 : bytes);
     LS2_CHECK(p != nullptr);
-    in_use_ += static_cast<int64_t>(bytes);
+    in_use_ += counted(bytes);
     if (in_use_ > peak_) peak_ = in_use_;
     return p;
   }
   void deallocate(void* ptr, size_t bytes) override {
-    in_use_ -= static_cast<int64_t>(bytes);
+    in_use_ -= counted(bytes);
     std::free(ptr);
   }
   const char* name() const override { return "measuring"; }
@@ -30,6 +34,11 @@ class MeasuringAllocator final : public BufferAllocator {
   int64_t bytes_in_use() const { return in_use_; }
 
  private:
+  int64_t counted(size_t bytes) const {
+    return static_cast<int64_t>((bytes + align_ - 1) / align_ * align_);
+  }
+
+  size_t align_;
   int64_t in_use_ = 0;
   int64_t peak_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/transform.h"
+
 namespace ls2::models {
 
 Gpt2Config Gpt2Config::base() { return Gpt2Config{}; }
@@ -135,7 +137,9 @@ Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCach
     for (int64_t b = 0; b < B; ++b)
       std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
   }
-  return forward_cached(ctx, tail, *cache, rows);
+  Tensor logits = forward_cached(ctx, tail, *cache, rows);
+  cache->commit_prefill(seqs, rows);
+  return logits;
 }
 
 Tensor Gpt2::forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
@@ -144,12 +148,23 @@ Tensor Gpt2::forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer:
   LS2_CHECK_EQ(ids.shape().rank(), 2);
   const int64_t B = ids.shape()[0], Lq = ids.shape()[1];
   LS2_CHECK_EQ(rows.q_begin.numel(), B) << "one row of metadata per batch row";
-  const Tensor h = blocks_->forward(
+  Tensor h = blocks_->forward(
       ctx, embed_->forward(ctx, ids, &rows.q_begin), [&](auto& block, int64_t i, const Tensor& x) {
         const layers::PagedKv kv{cache.k_pool(i), cache.v_pool(i), rows};
         return block.forward(ctx, x, nullptr, &kv);
       });
-  return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
+  if (!rows.out_rows.defined()) {
+    return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
+  }
+  // A packed step samples one row per lane: gather those rows before the
+  // final LayerNorm, so the LM head runs on them alone. LayerNorm and GEMM
+  // rows are independent, so the logits are bitwise the full batch's rows.
+  LS2_CHECK_EQ(Lq, 1) << "a packed step's batch rows are single rows";
+  const int64_t n = rows.out_rows.numel();
+  const Tensor picked = ctx.alloc({n, 1, cfg_.hidden}, h.dtype());
+  kern::gather_rows(ctx.kern, h, rows.out_rows, picked);
+  h = picked;  // the full batch's rows return to the arena before the head
+  return criterion_->logits(ctx, ln_f_->forward(ctx, h)).view({n, 1, cfg_.vocab});
 }
 
 void Gpt2::release() {

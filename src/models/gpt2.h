@@ -65,9 +65,10 @@ class Gpt2 {
   /// [first, Lp) run, since rows below every sequence's write_begin already
   /// live in shared prefix pages (a fully shared prompt recomputes its last
   /// row), and rows at or past len(seqs[b]) are padding whose K/V are
-  /// dropped. Returns logits of the computed rows, [B, Lp - first, vocab]:
-  /// an unshared batch gets all Lp rows, and an unpadded prompt's last row
-  /// predicts its next token.
+  /// dropped; the batch then commits (KvCache::commit_prefill). Returns
+  /// logits of the computed rows, [B, Lp - first, vocab]: an unshared batch
+  /// gets all Lp rows, and an unpadded prompt's last row predicts its next
+  /// token.
   ///
   /// With cache == nullptr every row runs through the training forward's
   /// embed -> blocks -> final-LN stack (padded attention) and the logits are
@@ -85,7 +86,10 @@ class Gpt2 {
   /// KvCache::begin_decode — static shapes every step, the
   /// graph-capturable serving region. The caller brackets a decode step
   /// with begin_decode / commit_decode, after KvCache::extend on every live
-  /// sequence.
+  /// sequence. A packed serving step (KvCache::begin_step) is ids [R, 1]
+  /// over its decode, chunk and padding rows; its rows name the one row
+  /// per lane it samples (PagedRows::out_rows), gathered before the final
+  /// LayerNorm, so the logits are [S, 1, vocab].
   Tensor forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
                         const layers::PagedRows& rows);
 

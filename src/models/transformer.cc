@@ -284,7 +284,9 @@ Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCa
   // so every target row runs.
   const layers::PagedRows rows = cache.prefill_rows(seqs, tgt_in.shape()[1], tgt_lens);
   LS2_CHECK_EQ(rows.first, 0);
-  return forward_cached(ctx, tgt_in, cache, rows);
+  Tensor logits = forward_cached(ctx, tgt_in, cache, rows);
+  cache.commit_prefill(seqs, rows);
+  return logits;
 }
 
 Tensor Transformer::forward_cached(LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,

@@ -94,6 +94,7 @@ class Transformer {
   /// decoder layer stores row b's self K/V through `seqs[b]`'s block table
   /// into the paged pools, then attends through them in place; padding rows
   /// past len(seqs[b]) are dropped (decode appends claim those positions).
+  /// The batch then commits (KvCache::commit_prefill).
   Tensor prefill(layers::LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
                  const std::vector<infer::SequenceHandle>& seqs,
                  const Tensor* tgt_lens = nullptr);

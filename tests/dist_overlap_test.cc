@@ -556,8 +556,8 @@ void expect_planned_step_matches_model(MakeModel make_model, const Batch& batch,
   const double total = times.total_us();
   EXPECT_NEAR(modeled.end_us - trace.start_us, total, 0.01 * total);
 
-  // The comm-lane span of each ring ends at the time the scheduler hands
-  // its bucket-done callback.
+  // The comm-lane span of each ring ends at its bucket's landing: the
+  // modeled comm-stream time its replica-averaged gradients are final.
   int rings = 0;
   const auto& spans = dev.timeline().named_spans();
   for (size_t i = spans0; i < spans.size(); ++i) {

@@ -16,9 +16,10 @@
 //     component the TSan CI lane runs).
 //  4. DEGRADED SERVING — under a burst, load shedding + admission timeouts
 //     bound p99 for the requests actually served; a transient allocation
-//     failure inside the decode step is retried with backoff, token-exact;
-//     one inside an admission prefill leaves nothing of its sequence in the
-//     KV cache (no lane, no page, no registered prefix).
+//     failure inside an engine step is retried with backoff, token-exact;
+//     one that exhausts the budget on a prompt's chunk leaves no row a
+//     sharer could read, and evacuating its request leaves nothing of it in
+//     the KV cache (no lane, no page, no registered prefix).
 //  5. TYPED ERRORS — injected allocator faults surface as
 //     mem::TransientAllocFailure (an OutOfMemory, an ls2::Error), never as
 //     an abort.
@@ -532,10 +533,14 @@ TEST(DegradedServingTest, DecodeStepRetriesTransientAllocFaultTokenExact) {
 /// A 9-token prompt: two full 4-token pages plus one row.
 std::vector<int32_t> nine_token_prompt() { return {11, 12, 13, 14, 15, 16, 17, 18, 19}; }
 
-// allocate() registers the full pages a prompt is ABOUT to fill before its
-// prefill runs. A prefill that throws must therefore free the sequence:
-// otherwise its lane leaks, and the registry hands the never-written pages
-// to the next prompt sharing the prefix, whose prefill then skips them.
+// allocate() registers the full pages a prompt is ABOUT to fill before any
+// chunk of it runs. A step that fails before it commits — here the first
+// step, which carries the admitted prompt's only chunk, with no retry
+// budget — must leave those pages unwritten on the cache's books, so a
+// sharer admitted meanwhile starts at row 0 instead of reading them. And
+// evacuating the request must free its lane and pages: otherwise the lane
+// leaks, and the registry hands never-written pages to the next prompt
+// sharing the prefix.
 TEST(DegradedServingTest, FailedAdmissionPrefillFreesItsSequence) {
   const models::Gpt2Config cfg = serve_gpt2();
   SessionConfig sc;
@@ -549,10 +554,12 @@ TEST(DegradedServingTest, FailedAdmissionPrefillFreesItsSequence) {
   kcfg.page_tokens = 4;
   kcfg.prefix_sharing = true;
   infer::KvCache cache(kcfg, s.param_alloc());
-  infer::ContinuousBatcher engine(s, model, cache, {});
+  infer::ServeConfig scfg;
+  scfg.decode_retries = 0;
+  infer::ContinuousBatcher engine(s, model, cache, scfg);
 
   FaultPlan plan;
-  plan.add(FaultPlan::alloc_fail(/*step=*/0, /*count=*/1, /*site=*/"serve.prefill"));
+  plan.add(FaultPlan::alloc_fail(/*step=*/0, /*count=*/1, /*site=*/"serve.decode"));
   simgpu::FaultInjector inj(plan);
   inj.arm(0);
   s.device().set_fault_injector(&inj);
@@ -566,14 +573,20 @@ TEST(DegradedServingTest, FailedAdmissionPrefillFreesItsSequence) {
   s.end_step();
   EXPECT_EQ(inj.fired(simgpu::FaultKind::kAllocFail), 1);
 
-  EXPECT_EQ(cache.active_seqs(), 0) << "the failed admission's lane leaked";
-  EXPECT_EQ(cache.used_pages(), 0) << "the failed admission's pages leaked";
-  EXPECT_EQ(engine.queue_depth(), 1) << "the request stays queued";
+  EXPECT_EQ(engine.resident(), 1) << "admission claimed the lane";
+  EXPECT_EQ(engine.queue_depth(), 0);
+  const infer::SequenceHandle sharer = cache.allocate(9, req.prompt.data());
+  ASSERT_TRUE(sharer.valid());
+  EXPECT_EQ(cache.stats().shared_page_hits, 2) << "the sharer reuses the registered pages";
+  EXPECT_EQ(cache.written_rows(sharer), 0)
+      << "the failed step wrote nothing a sharer may read";
+  cache.free(sharer);
+
   const auto evac = engine.evacuate(/*queued_only=*/false);
   ASSERT_EQ(evac.size(), 1u);
-  EXPECT_EQ(evac[0].partial.admitted_us, 0) << "a failed admission admitted nothing";
-  EXPECT_EQ(cache.active_seqs(), 0);
-  EXPECT_EQ(cache.used_pages(), 0);
+  EXPECT_TRUE(evac[0].partial.tokens.empty()) << "the failed step sampled nothing";
+  EXPECT_EQ(cache.active_seqs(), 0) << "the failed admission's lane leaked";
+  EXPECT_EQ(cache.used_pages(), 0) << "the failed admission's pages leaked";
   const infer::SequenceHandle h = cache.allocate(9, req.prompt.data());
   ASSERT_TRUE(h.valid());
   EXPECT_EQ(cache.write_begin(h), 0) << "the registry kept pages nobody wrote";
@@ -607,7 +620,10 @@ TEST(DegradedServingTest, FailedPrefillUnderSharingFleetIsTokenExact) {
   fc.page_tokens = 4;
   fc.prefix_sharing = true;
   fc.fault_plans.resize(1);
-  fc.fault_plans[0].add(FaultPlan::alloc_fail(/*step=*/0, /*count=*/1, "serve.prefill"));
+  // One failure more than the decode retry budget: the first step — the
+  // one carrying the first prompt's chunk — fails for good.
+  fc.fault_plans[0].add(FaultPlan::alloc_fail(/*step=*/0, fc.serve.decode_retries + 1,
+                                              "serve.decode"));
   infer::Fleet fleet(fc);
   const infer::FleetReport rep = fleet.run(reqs);
   EXPECT_EQ(rep.quarantines, 1);
@@ -617,7 +633,7 @@ TEST(DegradedServingTest, FailedPrefillUnderSharingFleetIsTokenExact) {
   EXPECT_GT(rep.replica_reports[0].shared_page_hits, 0) << "the prompt pages must be shared";
   for (const infer::RequestStats& st : rep.requests) {
     EXPECT_EQ(st.tokens, clean.requests[static_cast<size_t>(st.id)].tokens)
-        << "request " << st.id << ": the failed prefill changed the generation";
+        << "request " << st.id << ": the failed step changed the generation";
   }
 }
 

@@ -15,7 +15,7 @@
 //  5. SHEDDING EDGE CASES — exact queue-bound boundary, deadline == first
 //     admission, shed-vs-deadline interplay under a burst.
 //  6. LIVENESS — a slow-but-alive replica is NEVER falsely evicted by the
-//     heartbeat watcher (SessionConfig-driven intervals).
+//     heartbeat watcher (HeartbeatConfig intervals in milliseconds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,6 +128,31 @@ TEST(FleetTest, RedispatchedLatencyRunsFromOriginalArrival) {
         << "re-dispatch must not rewrite the arrival time";
     EXPECT_GT(st.done_us, st.arrival_us);
   }
+}
+
+// Replicas capture their graph pools at start-up, before fleet time 0:
+// every step replays, every request is delayed by the start-up alike, and
+// the capture is in no request's latency — the first request queues
+// exactly as long as in an eager fleet.
+TEST(FleetTest, StartupCaptureIsOffTheRequestTimeline) {
+  const auto reqs = infer::poisson_requests(8, /*rate=*/2000.0, 3, 7, 5, 10,
+                                            fleet_gpt2().vocab, 41);
+  infer::FleetConfig fc = fleet_config(2, simgpu::ExecMode::kModelOnly);
+  infer::Fleet eager(fc);
+  const infer::FleetReport e = eager.run(reqs);
+  fc.session.graph_capture = true;
+  infer::Fleet replayed(fc);
+  const infer::FleetReport r = replayed.run(reqs);
+  ASSERT_EQ(r.served, static_cast<int64_t>(reqs.size()));
+  ASSERT_EQ(e.served, static_cast<int64_t>(reqs.size()));
+  EXPECT_GT(r.decode_steps, 0);
+  EXPECT_EQ(r.replayed_steps, r.decode_steps) << "replicas capture at start-up";
+  const double delay = r.requests[0].arrival_us - reqs[0].arrival_us;
+  EXPECT_GT(delay, 0) << "fleet time starts when the start-up ends";
+  for (size_t i = 0; i < reqs.size(); ++i)
+    EXPECT_NEAR(r.requests[i].arrival_us - reqs[i].arrival_us, delay, 1e-6);
+  EXPECT_NEAR(r.requests[0].queue_us(), e.requests[0].queue_us(), 1e-6)
+      << "start-up capture lands in no request's latency";
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +437,7 @@ TEST(DegradedServingTest, ShedAndDeadlineComposeUnderABurst) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Heartbeat liveness (SessionConfig-driven intervals)
+// 6. Heartbeat liveness (HeartbeatConfig intervals in milliseconds)
 // ---------------------------------------------------------------------------
 
 TEST(HeartbeatMonitorTest, FromMillisRoundsUpAndValidates) {
@@ -425,9 +450,9 @@ TEST(HeartbeatMonitorTest, FromMillisRoundsUpAndValidates) {
 }
 
 TEST(HeartbeatMonitorTest, SlowButAliveRankIsNeverEvicted) {
-  // The SessionConfig default shape: timeout is a multiple of any plausible
-  // beat cadence. A rank beating at 1/5th the watcher rate is SLOW but
-  // alive — it must never be suspected; only the silent rank is.
+  // A timeout that is a multiple of any plausible beat cadence. A rank
+  // beating at 1/5th the watcher rate is SLOW but alive — it must never be
+  // suspected; only the silent rank is.
   dist::HeartbeatMonitor mon(dist::HeartbeatConfig::from_millis(2, 2.0, 60.0));
   std::atomic<bool> slow_rank_suspected{false};
   mon.on_suspect([&](int rank) {

@@ -2,8 +2,10 @@
 // incremental decoding against the full re-forward (GPT-2 and the
 // encoder-decoder Transformer, padded batches included), checkpoint
 // round-trips into a fresh inference session, the continuous-batching
-// engine (graph-replayed decode, continuous >= 1.5x static throughput), and
-// the inference scope every serving pass runs the training forward in.
+// engine (graph-replayed steps, continuous >= 1.5x static throughput), the
+// packed step (prompt chunks beside decode rows, page-write tracking under
+// prefix sharing and preemption, the segment charge), and the inference
+// scope every serving pass runs the training forward in.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -805,10 +807,16 @@ TEST(ContinuousBatcherTest, ServesEveryRequestAndReplaysTheDecodeStep) {
   scfg.sampling.top_k = 8;
   ContinuousBatcher engine(s, model, cache, scfg);
 
-  const auto reqs = test_requests(6, cfg.vocab, 71);
+  // A burst: replay shortens every step, so requests arriving over time
+  // would reach the replaying and the eager engine at different steps (and
+  // sample at other RNG sites); arriving together, both engines schedule
+  // them identically.
+  auto reqs = test_requests(6, cfg.vocab, 71);
+  for (Request& r : reqs) r.arrival_us = 0;
   ServeReport report = engine.serve(reqs);
 
   ASSERT_EQ(report.requests.size(), reqs.size());
+  EXPECT_GT(engine.startup_us(), 0) << "begin() captured the graph pool";
   int64_t total = 0;
   for (const RequestStats& st : report.requests) {
     EXPECT_GE(st.admitted_us, st.arrival_us);
@@ -826,8 +834,8 @@ TEST(ContinuousBatcherTest, ServesEveryRequestAndReplaysTheDecodeStep) {
   EXPECT_GT(report.tokens_per_sec, 0);
   EXPECT_FALSE(s.graph_poisoned()) << s.graph_poison_reason();
   EXPECT_GT(report.replayed_steps, 0) << "steady-state decode must replay the graph";
-  EXPECT_EQ(report.replayed_steps, report.decode_steps - 2)
-      << "all but the warm-up and capture decode steps replay";
+  EXPECT_EQ(report.replayed_steps, report.decode_steps)
+      << "the graph pool is captured at start-up: every step replays";
 
   // Replay must not change a single sampled token: rerun the identical
   // workload eagerly and compare the generated ids.
@@ -843,6 +851,8 @@ TEST(ContinuousBatcherTest, ServesEveryRequestAndReplaysTheDecodeStep) {
     EXPECT_EQ(report.requests[i].tokens, ereport.requests[i].tokens)
         << "request " << i << ": replayed decode diverged from eager";
   }
+  EXPECT_EQ(report.requests[0].queue_us(), ereport.requests[0].queue_us())
+      << "start-up capture lands in no request's latency";
 }
 
 TEST(ContinuousBatcherTest, EosRetiresEarlyInExecuteMode) {
@@ -890,8 +900,8 @@ TEST(ContinuousBatcherTest, CacheCapacityCapsGenerationInsteadOfThrowing) {
 
 // An admission that throws mid-scan leaves the queue consistent: the
 // requests the scan already admitted leave it, the thrower and everything
-// after it stay. A 2-token prompt is admitted, then a 20-token prompt's
-// prefill runs out of an arena sized for 2-token prompts; the queue then
+// after it stay. A 2-token prompt is admitted, then a 24-token prompt
+// cannot fit a 24-token sequence with room to generate; the queue then
 // holds only the long prompt, and evacuate() hands back each request once.
 TEST(ContinuousBatcherTest, ThrowingAdmissionLeavesTheQueueConsistent) {
   const auto cfg = tiny_gpt2();
@@ -909,12 +919,12 @@ TEST(ContinuousBatcherTest, ThrowingAdmissionLeavesTheQueueConsistent) {
   shorter.spec.gen_len = 4;
   Request longer;
   longer.id = 2;
-  longer.prompt.assign(20, 7);
+  longer.prompt.assign(max_len, 7);
   longer.spec.gen_len = 2;
   engine.submit(shorter);
   engine.submit(longer);
 
-  EXPECT_THROW(engine.step(), mem::OutOfMemory);
+  EXPECT_THROW(engine.step(), Error);
   EXPECT_EQ(engine.resident(), 1);
   EXPECT_EQ(engine.queue_depth(), 1) << "the admitted request left the queue";
   std::vector<int64_t> evacuated;
@@ -1307,6 +1317,416 @@ TEST(PagedKvTest, FragmentedFreePagesStillBackAnyFittingWorkload) {
     pages.insert(id);
   }
   EXPECT_EQ(pages.size(), 4u) << "block table rows must map distinct pages";
+}
+
+// ---------------------------------------------------------------------------
+// Packed steps: prompt chunks inside the serving step
+// ---------------------------------------------------------------------------
+
+// A packed step is one cached forward over one-row batch rows: the lanes'
+// decode rows, prompt-chunk rows, then padding. Whatever the chunking — one
+// row per step, page_tokens - 1 rows (chunks that start mid-page), or the
+// whole prompt — every chunk row's logits are bitwise the cacheless
+// prefill's, while another lane decodes in the same batches and matches its
+// own cacheless reference. The rows a step samples (out_rows) are gathered
+// bitwise from the full batch.
+TEST(PackedStepTest, ChunkedPromptRowsMatchTheCachelessPrefillBitwise) {
+  Session s(ls2_session());
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5);
+  const int64_t V = cfg.vocab, S = 3, page = 4, padding = 2;
+  KvCacheConfig kcfg = model.kv_cache_config(S, 24);
+  kcfg.page_tokens = page;
+  const std::vector<int32_t> a = {5, 9, 14, 3, 22};
+  std::vector<int32_t> b;
+  for (int32_t t = 0; t < 11; ++t) b.push_back(3 + (t * 5 + 2) % 40);
+  auto reference = [&](const std::vector<int32_t>& p) {
+    return model.prefill(s.ctx(), ids_of(p), nullptr, {}).to_vector();
+  };
+  const auto ref_a = reference(a), ref_b = reference(b);
+
+  for (const int64_t chunk : {int64_t{1}, page - 1, static_cast<int64_t>(b.size())}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    KvCache cache(kcfg);
+    const SequenceHandle ha = cache.allocate(static_cast<int64_t>(a.size()));
+    std::vector<int32_t> seq_a = a;  // lane 0's tokens: prompt, then decode inputs
+    SequenceHandle hb;
+    int64_t b_steps = 0;
+    for (int64_t step = 0; !hb.valid() || !cache.prompt_done(hb); ++step) {
+      if (step == 1) hb = cache.allocate(static_cast<int64_t>(b.size()));
+      const bool a_decodes = cache.prompt_done(ha);
+      if (a_decodes) ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
+      std::vector<SequenceHandle> prompts;
+      if (!a_decodes) prompts.push_back(ha);
+      if (hb.valid()) prompts.push_back(hb);
+      const std::vector<PromptChunk> chunks =
+          cache.plan_chunks(prompts, hb.valid() ? chunk : 128);
+      int64_t rows = 0;
+      for (const PromptChunk& c : chunks) rows += c.end - c.begin;
+      const int64_t cap = rows + padding;
+      Tensor ids = Tensor::zeros({S + cap, 1}, DType::kI32);
+      int32_t* ip = ids.data<int32_t>();
+      const int32_t next = static_cast<int32_t>(3 + (step * 7) % 40);
+      if (a_decodes) ip[cache.lane(ha)] = next;
+      int64_t r = S;
+      for (const PromptChunk& c : chunks) {
+        const std::vector<int32_t>& toks = c.seq.id == ha.id ? a : b;
+        for (int32_t i = c.begin; i < c.end; ++i) ip[r++] = toks[static_cast<size_t>(i)];
+      }
+
+      const layers::PagedRows& packed = cache.begin_step(cap);
+      layers::PagedRows every = packed;
+      every.out_rows = Tensor();
+      const auto all = model.forward_cached(s.ctx(), ids, cache, every).to_vector();
+      const auto picked = model.forward_cached(s.ctx(), ids, cache, packed).to_vector();
+      ASSERT_EQ(all.size(), static_cast<size_t>((S + cap) * V));
+      ASSERT_EQ(picked.size(), static_cast<size_t>(S * V));
+      const int32_t* out = packed.out_rows.data<int32_t>();
+      for (int64_t lane = 0; lane < S; ++lane)
+        EXPECT_EQ(logit_rows(picked, V, lane, lane + 1),
+                  logit_rows(all, V, out[lane], out[lane] + 1))
+            << "sampled row of lane " << lane;
+      r = S;
+      for (const PromptChunk& c : chunks) {
+        const auto& ref = c.seq.id == ha.id ? ref_a : ref_b;
+        for (int32_t i = c.begin; i < c.end; ++i, ++r)
+          ASSERT_EQ(logit_rows(all, V, r, r + 1), logit_rows(ref, V, i, i + 1))
+              << "step " << step << ": prompt row " << i;
+        if (c.seq.id == hb.id) {
+          ++b_steps;
+          EXPECT_EQ(c.end - c.begin,
+                    std::min<int64_t>(chunk, static_cast<int64_t>(b.size()) - c.begin));
+        }
+      }
+      if (a_decodes) {
+        seq_a.push_back(next);
+        const auto L = static_cast<int64_t>(seq_a.size());
+        ASSERT_EQ(logit_rows(all, V, cache.lane(ha), cache.lane(ha) + 1),
+                  logit_rows(reference(seq_a), V, L - 1, L))
+            << "step " << step << ": the decode row beside the chunks";
+      }
+      cache.commit_step();
+    }
+    EXPECT_EQ(b_steps, (static_cast<int64_t>(b.size()) + chunk - 1) / chunk);
+    EXPECT_EQ(cache.written_rows(hb), static_cast<int64_t>(b.size()));
+  }
+}
+
+// A prompt batch (Gpt2::prefill with a cache) commits what its last chunk
+// would have: the prompt counts as run and its rows as written. A sharer of
+// its full pages then chunks only its own tail, and both sequences go on
+// through packed steps, bitwise the cacheless prefill.
+TEST(PackedStepTest, APromptBatchCommitsAsItsLastChunkWould) {
+  Session s(ls2_session());
+  const models::Gpt2Config cfg = tiny_gpt2();
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5);
+  const int64_t V = cfg.vocab, S = 3, page = 4;
+  KvCacheConfig kcfg = model.kv_cache_config(S, 24);
+  kcfg.page_tokens = page;
+  kcfg.prefix_sharing = true;
+  KvCache cache(kcfg);
+  std::vector<int32_t> p;
+  for (int32_t t = 0; t < 10; ++t) p.push_back(3 + (t * 7 + 1) % 40);
+  const auto L = static_cast<int64_t>(p.size());
+
+  const SequenceHandle ha = cache.allocate(L, p.data());
+  (void)model.prefill(s.ctx(), ids_of(p), &cache, {ha});
+  EXPECT_TRUE(cache.prompt_done(ha));
+  EXPECT_EQ(cache.written_rows(ha), L);
+
+  const SequenceHandle hb = cache.allocate(L, p.data());
+  ASSERT_EQ(cache.write_begin(hb), 2 * page) << "the two full pages are shared";
+  const std::vector<PromptChunk> chunks = cache.plan_chunks({hb}, 128);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].begin, 2 * page) << "rows the prompt batch wrote are skipped";
+  EXPECT_EQ(chunks[0].end, L);
+
+  ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
+  const int64_t rows = chunks[0].end - chunks[0].begin;
+  Tensor ids = Tensor::zeros({S + rows, 1}, DType::kI32);
+  const int32_t next = 17;
+  ids.data<int32_t>()[cache.lane(ha)] = next;
+  for (int32_t i = chunks[0].begin; i < chunks[0].end; ++i)
+    ids.data<int32_t>()[S + i - chunks[0].begin] = p[static_cast<size_t>(i)];
+  const auto logits =
+      model.forward_cached(s.ctx(), ids, cache, cache.begin_step(rows)).to_vector();
+  cache.commit_step();
+  std::vector<int32_t> pa = p;
+  pa.push_back(next);
+  const auto ref = model.prefill(s.ctx(), ids_of(pa), nullptr, {}).to_vector();
+  EXPECT_EQ(logit_rows(logits, V, cache.lane(ha), cache.lane(ha) + 1),
+            logit_rows(ref, V, L, L + 1))
+      << "the prompt batch's sequence decodes in a packed step";
+  EXPECT_EQ(logit_rows(logits, V, cache.lane(hb), cache.lane(hb) + 1),
+            logit_rows(ref, V, L - 1, L))
+      << "the sharer samples from its last prompt row";
+  EXPECT_TRUE(cache.prompt_done(hb));
+  EXPECT_EQ(cache.written_rows(ha), L + 1);
+  EXPECT_EQ(cache.written_rows(hb), L);
+
+  ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
+  ASSERT_TRUE(cache.extend(hb, s.ctx().kern));
+  EXPECT_NO_THROW(cache.begin_step(0)) << "both sequences decode in a pure-decode step";
+}
+
+/// Greedy generation by cacheless re-forward: the reference every packed
+/// engine run must reproduce token for token.
+std::vector<int32_t> greedy_reference(Session& s, models::Gpt2& model, std::vector<int32_t> seq,
+                                      int64_t gen_len) {
+  const int64_t V = model.config().vocab;
+  std::vector<int32_t> out;
+  for (int64_t g = 0; g < gen_len; ++g) {
+    const auto logits = model.prefill(s.ctx(), ids_of(seq), nullptr, {}).to_vector();
+    const auto L = static_cast<int64_t>(seq.size());
+    const float* last = logits.data() + (L - 1) * V;
+    int32_t best = 0;
+    for (int64_t j = 1; j < V; ++j)
+      if (last[j] > last[best]) best = static_cast<int32_t>(j);
+    out.push_back(best);
+    seq.push_back(best);
+  }
+  return out;
+}
+
+models::Gpt2Config long_context_gpt2(int64_t max_len) {
+  models::Gpt2Config cfg = tiny_gpt2();
+  cfg.max_len = max_len;
+  return cfg;
+}
+
+/// An FP32 execute-mode engine over `slots` lanes of `max_len` tokens
+/// (cache config adjusted by `tune`), driven stepwise: reqs[i] is submitted
+/// right before engine step submit_at[i], and the engine steps until every
+/// request completed. `leaked` receives the lanes plus pages still held
+/// afterwards.
+ServeReport serve_packed(const models::Gpt2Config& cfg, int64_t slots, int64_t max_len,
+                         const std::function<void(KvCacheConfig&)>& tune, bool graph,
+                         const std::vector<Request>& reqs, const std::vector<int64_t>& submit_at,
+                         KvCache::Stats* kv, int64_t* leaked) {
+  SessionConfig sc = ls2_session();
+  sc.graph_capture = graph;
+  sc.arena_bytes = serve_capacity_scan(cfg, DType::kF32, slots, max_len, max_len - 1);
+  Session s(sc);
+  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 17, s.param_alloc());
+  KvCacheConfig kcfg = model.kv_cache_config(slots, max_len);
+  tune(kcfg);
+  KvCache cache(kcfg, s.param_alloc());
+  ContinuousBatcher engine(s, model, cache, {});
+  engine.begin();
+  size_t done = 0;
+  for (int64_t step = 0; done < reqs.size() && step < 10000; ++step) {
+    for (size_t i = 0; i < reqs.size(); ++i)
+      if (submit_at[i] == step) engine.submit(reqs[i]);
+    (void)engine.step();
+    done += engine.take_completed().size();
+  }
+  ServeReport rep = engine.finish();
+  EXPECT_FALSE(s.graph_poisoned()) << s.graph_poison_reason();
+  *kv = cache.stats();
+  *leaked = cache.active_seqs() + cache.used_pages();
+  return rep;
+}
+
+// Prompts that together exceed a step's 128-row chunk budget prefill over
+// several packed steps, and every greedy token equals the cacheless
+// prefill-then-decode reference — eager, and replayed from the graph pool,
+// where every step replays.
+TEST(PackedStepTest, ChunksSpanningStepsAreTokenExactEagerAndReplayed) {
+  const models::Gpt2Config cfg = long_context_gpt2(96);
+  const int64_t slots = 4, max_len = 96;
+  std::vector<Request> reqs;
+  int64_t prompt_rows = 0;
+  for (int64_t i = 0; i < 6; ++i) {
+    Request r;
+    r.id = i;
+    const int64_t len = 40 + 7 * i;
+    for (int64_t t = 0; t < len; ++t)
+      r.prompt.push_back(static_cast<int32_t>(3 + (i * 11 + t * 5) % 40));
+    r.spec.gen_len = 3 + i % 3;
+    prompt_rows += len;
+    reqs.push_back(std::move(r));
+  }
+  ASSERT_GT(prompt_rows, 2 * 128) << "the prompts must outgrow a step's budget";
+  Session ref_s(ls2_session());
+  models::Gpt2 ref_model(cfg, System::kLightSeq2, DType::kF32, 17);
+
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    const ServeReport rep = serve_packed(cfg, slots, max_len, [](KvCacheConfig&) {}, graph, reqs,
+                                         std::vector<int64_t>(reqs.size(), 0), &kv, &leaked);
+    ASSERT_EQ(rep.served, static_cast<int64_t>(reqs.size()));
+    EXPECT_EQ(leaked, 0);
+    EXPECT_EQ(rep.prefill_rows, prompt_rows) << "nothing shared: every prompt row runs once";
+    EXPECT_EQ(rep.prefills, static_cast<int64_t>(reqs.size()));
+    if (graph) EXPECT_EQ(rep.replayed_steps, rep.decode_steps);
+    std::set<double> first_token_times;
+    for (const RequestStats& st : rep.requests) {
+      first_token_times.insert(st.first_token_us);
+      const Request& rq = reqs[static_cast<size_t>(st.id)];
+      EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
+          << "request " << st.id;
+    }
+    EXPECT_GE(first_token_times.size(), 3u) << "prompts must finish in different steps";
+  }
+}
+
+// A lane evicted mid-prompt — the pool runs dry when a decoding lane needs a
+// page while a 300-token prompt is one chunk in — leaves no lane or page
+// behind, re-admits, and still generates exactly the cacheless reference's
+// tokens, eager and replayed.
+TEST(PackedStepTest, PreemptedMidPromptStaysTokenExactAndLeaksNothing) {
+  const models::Gpt2Config cfg = long_context_gpt2(352);
+  const int64_t slots = 2, max_len = 320;
+  std::vector<Request> reqs(2);
+  reqs[0].id = 0;  // decodes across a page boundary while reqs[1] prefills
+  for (int64_t t = 0; t < 15; ++t) reqs[0].prompt.push_back(static_cast<int32_t>(3 + t * 7 % 40));
+  reqs[0].spec.gen_len = 30;
+  reqs[1].id = 1;  // the newer arrival, evicted first
+  for (int64_t t = 0; t < 300; ++t) reqs[1].prompt.push_back(static_cast<int32_t>(3 + t * 13 % 41));
+  reqs[1].spec.gen_len = 3;
+  reqs[1].arrival_us = 1.0;
+  Session ref_s(ls2_session());
+  models::Gpt2 ref_model(cfg, System::kLightSeq2, DType::kF32, 17);
+
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    // 1 + 19 pages hold both prompts; reqs[0]'s decode append at row 16, in
+    // step 2 — reqs[1]'s second chunk — needs a 21st.
+    const ServeReport rep = serve_packed(
+        cfg, slots, max_len, [](KvCacheConfig& k) { k.total_pages = 20; }, graph, reqs, {0, 1},
+        &kv, &leaked);
+    ASSERT_EQ(rep.served, 2);
+    EXPECT_EQ(rep.preemptions, 1);
+    EXPECT_EQ(leaked, 0) << "a lane or page outlived the run";
+    const RequestStats& decoder = rep.requests[0];
+    const RequestStats& evicted = rep.requests[1];
+    EXPECT_GT(evicted.first_token_us, decoder.done_us)
+        << "the long prompt was evicted before its first token and resumed later";
+    EXPECT_GT(rep.prefill_rows, 15 + 300) << "the evicted chunk reruns";
+    for (const RequestStats& st : rep.requests) {
+      const Request& rq = reqs[static_cast<size_t>(st.id)];
+      EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
+          << "request " << st.id;
+    }
+  }
+}
+
+// Prefix sharing without ordering: the writer of 18 shared pages has run one
+// 128-row chunk of its 300-token prompt when the sharer is admitted, and the
+// writer (lowest priority) is evicted in that same step, before it writes
+// the rest. The sharer must write the rows nobody wrote instead of attending
+// them — its tokens, and everyone's, equal the cacheless reference (what
+// exclusive pages give).
+TEST(PackedStepTest, SharersNeverReadRowsAnEvictedWriterLeftUnwritten) {
+  const models::Gpt2Config cfg = long_context_gpt2(352);
+  const int64_t slots = 3, max_len = 320;
+  std::vector<int32_t> shared;
+  for (int64_t t = 0; t < 288; ++t) shared.push_back(static_cast<int32_t>(3 + t * 13 % 41));
+  std::vector<Request> reqs(3);
+  reqs[0].id = 0;  // decodes across a page boundary in step 2
+  for (int64_t t = 0; t < 15; ++t) reqs[0].prompt.push_back(static_cast<int32_t>(3 + t * 7 % 40));
+  reqs[0].spec.gen_len = 30;
+  reqs[0].spec.priority = 1;
+  reqs[1].id = 1;  // the writer: registers the 18 full shared pages, evicted first
+  reqs[1].prompt = shared;
+  for (int64_t t = 0; t < 12; ++t) reqs[1].prompt.push_back(static_cast<int32_t>(5 + t));
+  reqs[1].spec.gen_len = 3;
+  reqs[2].id = 2;  // the sharer
+  reqs[2].prompt = shared;
+  for (int64_t t = 0; t < 20; ++t) reqs[2].prompt.push_back(static_cast<int32_t>(30 - t));
+  reqs[2].spec.gen_len = 3;
+  reqs[2].spec.priority = 1;
+  Session ref_s(ls2_session());
+  models::Gpt2 ref_model(cfg, System::kLightSeq2, DType::kF32, 17);
+
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    // 1 + 19 + 2 pages: the sharer needs only its 2 unshared pages.
+    const ServeReport rep = serve_packed(
+        cfg, slots, max_len,
+        [](KvCacheConfig& k) {
+          k.total_pages = 22;
+          k.prefix_sharing = true;
+        },
+        graph, reqs, {0, 1, 2}, &kv, &leaked);
+    ASSERT_EQ(rep.served, 3);
+    EXPECT_EQ(rep.preemptions, 1);
+    EXPECT_GE(kv.shared_page_hits, 18) << "the sharer must reuse the writer's pages";
+    EXPECT_EQ(leaked, 0);
+    EXPECT_GT(rep.requests[1].first_token_us, rep.requests[2].first_token_us)
+        << "the writer was evicted mid-prompt and finished after the sharer";
+    for (const RequestStats& st : rep.requests) {
+      const Request& rq = reqs[static_cast<size_t>(st.id)];
+      EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
+          << "request " << st.id;
+    }
+  }
+}
+
+// kern::paged_attn charges a run of consecutive one-row batch rows of one
+// lane — a prompt chunk inside a packed step — as ONE segment: exactly the
+// bytes and flops of the [1, c] prompt batch over the same rows, with the
+// same outputs bitwise.
+TEST(PackedStepTest, PagedAttnChargesAChunkRunAsItsPromptBatch) {
+  simgpu::Device dev(simgpu::v100(), simgpu::ExecMode::kExecute);
+  kern::KernelContext kc(dev, nullptr, 1);
+  const int64_t N = 2, D = 4, page = 4, pps = 4, P = 9, lane = 1, p0 = 5, c = 6;
+  Rng rng(31);
+  Tensor k_pool = Tensor::empty({P, N, page, D}, DType::kF32);
+  Tensor v_pool = Tensor::empty({P, N, page, D}, DType::kF32);
+  rng.fill_uniform(k_pool, 1, -1.0f, 1.0f);
+  rng.fill_uniform(v_pool, 2, -1.0f, 1.0f);
+  // Lane 1 owns pages 6, 2, 7; lane 0 the trash page 8.
+  Tensor table = Tensor::from_vector({8, 8, 8, 8, 6, 2, 7, 8}, {2, pps}, DType::kI32);
+  Tensor q_batch = Tensor::empty({1, N, c, D}, DType::kF32);  // the [1, c] prompt batch
+  rng.fill_uniform(q_batch, 3, -1.0f, 1.0f);
+  Tensor q_rows = Tensor::empty({c, N, 1, D}, DType::kF32);   // the same rows, one per batch row
+  for (int64_t i = 0; i < c; ++i)
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t d = 0; d < D; ++d)
+        q_rows.data<float>()[(i * N + n) * D + d] = q_batch.data<float>()[(n * c + i) * D + d];
+
+  struct Charge {
+    int64_t bytes = 0;
+    double flops = 0, us = 0;
+    std::vector<float> merged;
+  };
+  auto charge = [&](const Tensor& q, const std::vector<int64_t>& lanes,
+                    const std::vector<int64_t>& q_begin, const std::vector<int64_t>& kv_lens) {
+    const int64_t B = q.shape()[0], Lq = q.shape()[2];
+    Tensor merged = Tensor::empty({B, Lq, N * D}, DType::kF32);
+    const Tensor ln = i32_tensor(lanes);
+    const double t0 = dev.clock_us(), f0 = dev.stats().flops;
+    const int64_t b0 = dev.stats().bytes_moved;
+    kern::paged_attn(kc, q, k_pool, v_pool, table, &ln, i32_tensor(q_begin), i32_tensor(kv_lens),
+                     0.5f, merged);
+    return Charge{dev.stats().bytes_moved - b0, dev.stats().flops - f0, dev.clock_us() - t0,
+                  merged.to_vector()};
+  };
+  const Charge batch = charge(q_batch, {lane}, {p0}, {p0 + c});
+  std::vector<int64_t> lanes, q_begin, kv_lens;
+  for (int64_t i = 0; i < c; ++i) {
+    lanes.push_back(lane);
+    q_begin.push_back(p0 + i);
+    kv_lens.push_back(p0 + i + 1);
+  }
+  const Charge run = charge(q_rows, lanes, q_begin, kv_lens);
+  EXPECT_EQ(run.bytes, batch.bytes) << "the run reads its lane's rows and metadata once";
+  EXPECT_EQ(run.flops, batch.flops);
+  EXPECT_EQ(run.us, batch.us);
+  EXPECT_EQ(run.merged, batch.merged);
+
+  // Broken into rows of two lanes, the same queries read their rows again.
+  std::vector<int64_t> split = lanes;
+  split[3] = 0;
+  const Charge apart = charge(q_rows, split, q_begin, {p0 + 1, p0 + 2, p0 + 3, 0, p0 + 5, p0 + 6});
+  EXPECT_GT(apart.bytes, run.bytes);
 }
 
 // Chrome-trace export: serving timelines open in chrome://tracing.

@@ -4,7 +4,7 @@
 // balanced and properly nested B/E duration pairs per (pid, tid) lane,
 // non-negative monotone timestamps — and must actually carry the telemetry
 // spans the instrumentation layer records (step/stage envelopes, per-bucket
-// allreduce lanes, serve.prefill/serve.decode).
+// allreduce lanes, serve.decode).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -262,7 +262,6 @@ TEST(TraceTest, FleetTraceMergesReplicasWellFormed) {
   for (const Event& e : events)
     if (e.ph == "M" && e.name == "process_name") replica_pids.push_back(e.pid);
   EXPECT_EQ(replica_pids.size(), 2u);
-  EXPECT_TRUE(has_span(events, "serve.prefill"));
   EXPECT_TRUE(has_span(events, "serve.decode"));
   std::remove(path.c_str());
 }
