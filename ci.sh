@@ -45,9 +45,12 @@
 #                      schema check (overhead < 1%, roofline coverage).
 #   --smoke paged      Paged-KV smoke lane: the serving/infer test binary
 #                      (paged-vs-contiguous bitwise parity, COW fork
-#                      isolation, block-table graph replay), and (release
-#                      only) fig_page with its schema check (>= 4x residents
-#                      at fixed KV bytes, prefix-sharing hit rate > 0).
+#                      isolation, block-table graph replay) and the
+#                      fault-tolerance binary (the KV-cache churn property
+#                      over packed steps, the degraded-serving page-write
+#                      cases), and (release only) fig_page with its schema
+#                      check (>= 4x residents at fixed KV bytes,
+#                      prefix-sharing hit rate > 0).
 #   --smoke serve      Serving smoke lane: the serving/infer test binary
 #                      (bitwise cached decode, the pinned decode-step cost,
 #                      chunked prefill inside the packed step, continuous
@@ -105,7 +108,7 @@ declare -A LANES=(
   [fault]="fault_tolerance_test fig_fault"
   [fleet]="fleet_test fig_fleet"
   [obs]="obs_test|trace_test fig_obs"
-  [paged]="infer_test fig_page"
+  [paged]="infer_test|fault_tolerance_test fig_page"
   [serve]="infer_test fig_serve"
 )
 LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""

@@ -10,10 +10,7 @@ namespace ls2::infer {
 size_t KvCacheConfig::bytes() const {
   const size_t e = dtype_size(dtype);
   const size_t page_bytes = static_cast<size_t>(heads * page() * head_dim) * e;
-  const size_t self_pool = static_cast<size_t>(pool_pages() + 1) * page_bytes;
-  const size_t cross_block =
-      static_cast<size_t>(slots * heads * cross_len * head_dim) * e;
-  return static_cast<size_t>(layers) * 2 * (self_pool + cross_block);
+  return static_cast<size_t>(layers) * 2 * static_cast<size_t>(pool_pages() + 1) * page_bytes;
 }
 
 KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
@@ -24,8 +21,6 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
       << cfg.seq_tokens;
   LS2_CHECK(cfg.pool_pages() >= cfg.pages_per_seq())
       << "pool too small for even one full sequence";
-  LS2_CHECK(!(cfg.prefix_sharing && cfg.cross_len > 0))
-      << "prefix sharing is self-attention-only: cross K/V depend on the source";
   // +1: the trash page free lanes append into during the static-batch
   // decode step.
   const Shape pool_shape{cfg.pool_pages() + 1, cfg.heads, cfg.page(),
@@ -35,19 +30,11 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
     v_.push_back(Tensor::empty(pool_shape, cfg.dtype, alloc));
     k_.back().zero_();
     v_.back().zero_();
-    if (cfg.cross_len > 0) {
-      const Shape cross_shape{cfg.slots, cfg.heads, cfg.cross_len, cfg.head_dim};
-      cross_k_.push_back(Tensor::empty(cross_shape, cfg.dtype, alloc));
-      cross_v_.push_back(Tensor::empty(cross_shape, cfg.dtype, alloc));
-      cross_k_.back().zero_();
-      cross_v_.back().zero_();
-    }
   }
   // Step views are host-written metadata (graph parameters under replay):
   // always heap-backed, even when the pools live in virtual model-only
   // memory.
   block_table_ = Tensor::zeros({cfg.slots, cfg.pages_per_seq()}, DType::kI32);
-  src_lens_ = Tensor::zeros({cfg.slots}, DType::kI32);
   decode_rows_.block_table = block_table_;
   decode_rows_.q_begin = Tensor::zeros({cfg.slots}, DType::kI32);
   decode_rows_.kv_lens = Tensor::zeros({cfg.slots}, DType::kI32);
@@ -161,7 +148,6 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   Sequence s;
   s.lane = lane;
   s.len = static_cast<int32_t>(prompt_len);
-  s.write_begin = static_cast<int32_t>(shared.size()) * static_cast<int32_t>(page);
   s.pages.reserve(static_cast<size_t>(pages_needed));
   for (int32_t p : shared) {
     ++refcount_[static_cast<size_t>(p)];
@@ -176,10 +162,9 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   stats_.pages_allocated += fresh_needed;
   stats_.prefill_pages += fresh_needed;
 
-  // Register the full pages THIS prefill is about to fill, so the next
-  // allocate with the same prefix shares them. Packed steps track which
-  // rows are written, so any order is safe there; a prompt batch must run
-  // before the next allocate can hit its pages.
+  // Register the full pages THIS prompt's chunks are about to fill, so the
+  // next allocate with the same prefix shares them. Steps track which rows
+  // are written, so any order is safe.
   if (cfg_.prefix_sharing && tokens != nullptr) {
     std::vector<int32_t> key(tokens, tokens + static_cast<int64_t>(shared.size()) * page);
     for (int64_t j = static_cast<int64_t>(shared.size()); j < full_pages; ++j) {
@@ -196,36 +181,6 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   seqs_.emplace(id, std::move(s));
   note_usage_peaks();
   return {id};
-}
-
-layers::PagedRows KvCache::prefill_rows(const std::vector<SequenceHandle>& seqs, int64_t L,
-                                       const Tensor* key_lens) const {
-  const int64_t B = static_cast<int64_t>(seqs.size());
-  LS2_CHECK(B > 0 && L > 0);
-  LS2_CHECK(key_lens == nullptr || key_lens->numel() == B);
-  // Heap: host-written metadata.
-  layers::PagedRows rows;
-  rows.block_table = block_table_;
-  for (Tensor* t : {&rows.lanes, &rows.q_begin, &rows.write_begin, &rows.write_end,
-                    &rows.kv_lens})
-    *t = Tensor::empty({B}, DType::kI32);
-  int32_t* ln = rows.lanes.data<int32_t>();
-  int32_t* wb = rows.write_begin.data<int32_t>();
-  int32_t* we = rows.write_end.data<int32_t>();
-  int32_t* kl = rows.kv_lens.data<int32_t>();
-  rows.first = L - 1;
-  for (int64_t b = 0; b < B; ++b) {
-    const Sequence& s = seq(seqs[static_cast<size_t>(b)]);
-    ln[b] = static_cast<int32_t>(s.lane);
-    wb[b] = s.write_begin;
-    // Padding rows past the allocated length are dropped: decode appends
-    // claim those positions into pages of their own later.
-    we[b] = static_cast<int32_t>(std::min<int64_t>(L, s.len));
-    kl[b] = key_lens ? std::min(we[b], key_lens->data<int32_t>()[b]) : we[b];
-    rows.first = std::min<int64_t>(rows.first, std::min(wb[b], we[b] - 1));
-  }
-  rows.q_begin.fill_(static_cast<float>(rows.first));
-  return rows;
 }
 
 bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc) {
@@ -273,8 +228,6 @@ bool KvCache::extend(SequenceHandle h, kern::KernelContext& kc) {
 }
 
 SequenceHandle KvCache::fork(SequenceHandle h) {
-  LS2_CHECK(cfg_.cross_len == 0)
-      << "fork() is self-attention-only: cross blocks are per-lane state";
   const Sequence& src = seq(h);
   int64_t lane = -1;
   for (int64_t l = 0; l < cfg_.slots; ++l) {
@@ -284,7 +237,6 @@ SequenceHandle KvCache::fork(SequenceHandle h) {
   Sequence s;
   s.lane = lane;
   s.len = src.len;
-  s.write_begin = src.len;  // the whole history is resident — nothing to prefill
   s.prompt_done = src.prompt_done;
   s.pages = src.pages;
   for (int32_t p : s.pages) ++refcount_[static_cast<size_t>(p)];
@@ -304,7 +256,6 @@ void KvCache::free(SequenceHandle h) {
   for (int32_t p : s.pages) drop_page_ref(p);
   lane_seq_[static_cast<size_t>(s.lane)] = -1;
   sync_lane_row(s.lane, nullptr);
-  src_lens_.data<int32_t>()[s.lane] = 0;
   seqs_.erase(it);
 }
 
@@ -320,83 +271,16 @@ void KvCache::reset() {
   std::fill(page_rows_.begin(), page_rows_.end(), 0);
   plan_.clear();
   plan_rows_.clear();
+  step_begun_ = false;
   for (int64_t lane = 0; lane < cfg_.slots; ++lane) sync_lane_row(lane, nullptr);
-  src_lens_.zero_();  // the tensor view must track (prefill reads it directly)
   stats_ = Stats{};
-}
-
-void KvCache::set_src_len(SequenceHandle h, int32_t src_len) {
-  LS2_CHECK(cfg_.cross_len > 0) << "cache has no cross blocks";
-  LS2_CHECK(src_len >= 0 && src_len <= cfg_.cross_len);
-  Sequence& s = seq(h);
-  s.src_len = src_len;
-  // The tensor view must track immediately: decoder PREFILL reads it for
-  // the cross-attention mask before any begin_decode refresh runs.
-  src_lens_.data<int32_t>()[s.lane] = src_len;
-}
-
-const layers::PagedRows& KvCache::begin_decode() {
-  int32_t* pp = decode_rows_.q_begin.data<int32_t>();
-  int32_t* ap = decode_rows_.kv_lens.data<int32_t>();
-  int32_t* sp = src_lens_.data<int32_t>();
-  for (int64_t lane = 0; lane < cfg_.slots; ++lane) {
-    const int64_t id = lane_seq_[static_cast<size_t>(lane)];
-    if (id >= 0) {
-      const Sequence& s = seqs_.at(id);
-      LS2_CHECK(s.len < cfg_.seq_tokens)
-          << "sequence at lane " << lane << " is full (" << s.len << "/"
-          << cfg_.seq_tokens << ") — retire or cap generation length";
-      LS2_CHECK(s.len / cfg_.page() < static_cast<int64_t>(s.pages.size()))
-          << "append row unbacked — extend() must run before begin_decode()";
-      pp[lane] = s.len;
-      ap[lane] = s.len + 1;
-      sp[lane] = s.src_len;
-    } else {
-      // Free lanes decode garbage into the trash page and attend nothing:
-      // their attention outputs are exact zeros and the engine ignores their
-      // output.
-      pp[lane] = 0;
-      ap[lane] = 0;
-      sp[lane] = 0;
-    }
-  }
-  return decode_rows_;
-}
-
-void KvCache::commit_prefill(const std::vector<SequenceHandle>& seqs,
-                             const layers::PagedRows& rows) {
-  LS2_CHECK_EQ(rows.write_end.numel(), static_cast<int64_t>(seqs.size()));
-  const int32_t page = static_cast<int32_t>(cfg_.page());
-  for (size_t b = 0; b < seqs.size(); ++b) {
-    Sequence& s = seq(seqs[b]);
-    const int32_t end = rows.write_end.data<int32_t>()[b];
-    for (int32_t r = rows.write_begin.data<int32_t>()[b]; r < end; ++r) {
-      int32_t& n = page_rows_[static_cast<size_t>(s.pages[static_cast<size_t>(r / page)])];
-      n = std::max(n, r % page + 1);
-    }
-    if (end == s.len) s.prompt_done = true;
-  }
-}
-
-void KvCache::append_row(Sequence& s) {
-  if (s.prompt_done) {
-    const int32_t page = static_cast<int32_t>(cfg_.page());
-    int32_t& n = page_rows_[static_cast<size_t>(s.pages[static_cast<size_t>(s.len / page)])];
-    n = std::max(n, s.len % page + 1);
-  }
-  ++s.len;
-}
-
-void KvCache::commit_decode() {
-  for (int64_t id : lane_seq_) {
-    if (id >= 0) append_row(seqs_.at(id));
-  }
 }
 
 const std::vector<PromptChunk>& KvCache::plan_chunks(const std::vector<SequenceHandle>& prompts,
                                                      int64_t budget) {
   plan_.clear();
   plan_rows_.clear();
+  step_begun_ = false;
   const int32_t page = static_cast<int32_t>(cfg_.page());
   // Rows written once the chunks planned so far are stored too: each layer
   // stores every row of the step before it attends any of them.
@@ -429,13 +313,35 @@ const layers::PagedRows& KvCache::begin_step(int64_t chunk_rows) {
   for (const PromptChunk& c : plan_) planned += c.end - c.begin;
   LS2_CHECK(planned <= chunk_rows)
       << "begin_step: " << planned << " planned chunk rows exceed " << chunk_rows;
+  // A sequence past its prompt appends its decode row at position len.
+  auto check_append = [&](const Sequence& s) {
+    LS2_CHECK(s.len < cfg_.seq_tokens)
+        << "sequence at lane " << s.lane << " is full (" << s.len << "/" << cfg_.seq_tokens
+        << ") — retire or cap generation length";
+    LS2_CHECK(s.len / cfg_.page() < static_cast<int64_t>(s.pages.size()))
+        << "append row unbacked — extend() must run before begin_step()";
+  };
   if (chunk_rows == 0) {
-    for (const auto& [id, s] : seqs_)
-      LS2_CHECK(s.prompt_done) << "begin_step: lane " << s.lane
+    int32_t* qb = decode_rows_.q_begin.data<int32_t>();
+    int32_t* kl = decode_rows_.kv_lens.data<int32_t>();
+    for (int64_t lane = 0; lane < cfg_.slots; ++lane) {
+      const int64_t id = lane_seq_[static_cast<size_t>(lane)];
+      if (id < 0) {
+        // A free lane writes into the trash page and attends nothing: its
+        // attention outputs are exact zeros, and nobody reads its logits.
+        qb[lane] = kl[lane] = 0;
+        continue;
+      }
+      const Sequence& s = seqs_.at(id);
+      LS2_CHECK(s.prompt_done) << "begin_step: lane " << lane
                                << " is mid-prompt but the step has no chunk rows";
-    return begin_decode();
+      check_append(s);
+      qb[lane] = s.len;
+      kl[lane] = s.len + 1;
+    }
+    step_begun_ = true;
+    return decode_rows_;
   }
-  LS2_CHECK(cfg_.cross_len == 0) << "packed steps serve decoder-only models";
   const int64_t S = cfg_.slots, R = S + chunk_rows;
   layers::PagedRows& rows = step_rows_[chunk_rows];
   if (!rows.lanes.defined()) {
@@ -466,11 +372,7 @@ const layers::PagedRows& KvCache::begin_step(int64_t chunk_rows) {
       put(lane, lane, 0, 0, false);  // free or mid-prompt: attends and writes nothing
       continue;
     }
-    LS2_CHECK(s->len < cfg_.seq_tokens)
-        << "sequence at lane " << lane << " is full (" << s->len << "/" << cfg_.seq_tokens
-        << ") — retire or cap generation length";
-    LS2_CHECK(s->len / cfg_.page() < static_cast<int64_t>(s->pages.size()))
-        << "append row unbacked — extend() must run before begin_step()";
+    check_append(*s);
     put(lane, lane, s->len, s->len + 1, true);
   }
   int64_t r = S;
@@ -480,12 +382,22 @@ const layers::PagedRows& KvCache::begin_step(int64_t chunk_rows) {
     if (c.end == s.len) out[s.lane] = static_cast<int32_t>(r - 1);
   }
   for (; r < R; ++r) put(r, 0, 0, 0, false);
+  step_begun_ = true;
   return rows;
 }
 
 void KvCache::commit_step() {
+  LS2_CHECK(step_begun_) << "commit_step: no begin_step described the step";
+  step_begun_ = false;
+  // Every sequence past its prompt appended its decode row at position len.
+  const int32_t page = static_cast<int32_t>(cfg_.page());
   for (int64_t id : lane_seq_) {
-    if (id >= 0 && seqs_.at(id).prompt_done) append_row(seqs_.at(id));
+    if (id < 0) continue;
+    Sequence& s = seqs_.at(id);
+    if (!s.prompt_done) continue;
+    int32_t& n = page_rows_[static_cast<size_t>(s.pages[static_cast<size_t>(s.len / page)])];
+    n = std::max(n, s.len % page + 1);
+    ++s.len;
   }
   for (const auto& [p, rows] : plan_rows_) page_rows_[static_cast<size_t>(p)] = rows;
   for (const PromptChunk& c : plan_) {

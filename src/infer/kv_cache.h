@@ -20,47 +20,40 @@
 // step appends into is exclusively owned (extend() copies it first when a
 // fork left it shared).
 //
-// Lifecycle API (replaces the retired acquire_slot/release_slot interface):
+// Lifecycle API:
 //
 //   allocate(len, tokens)  claim a decode lane + pages for a `len`-token
 //                          prompt; with `tokens` and prefix_sharing on, full
-//                          pages of an already-registered prefix are reused
-//                          (write_begin() tells prefill which rows to skip).
-//   extend(h, kc)          make room for ONE appended token before a decode
-//                          step: adds the next page at a page boundary,
+//                          pages of an already-registered prefix are reused.
+//   extend(h, kc)          make room for ONE appended token before a step:
+//                          adds the next page at a page boundary,
 //                          copy-on-writes a shared tail page. Host-side plus
 //                          eager copy kernels — always OUTSIDE the captured
-//                          decode region. false = pool exhausted (caller
+//                          step region. false = pool exhausted (caller
 //                          preempts or waits).
 //   fork(h)                a new sequence sharing ALL of h's pages (+1 ref
 //                          each) — the shared-prefix branch point.
 //   free(h)                drop the lane and every page reference; a page
 //                          returns to the pool at refcount 0.
 //
-// The decode step always runs the FULL lane batch [slots, 1, H]: inactive
-// lanes attend nothing (their attention outputs exact zeros, their K/V
-// writes land in a dedicated trash page) so the step's kernel sequence and
-// shapes are STATIC — the property that lets SessionConfig::graph_capture
-// replay the steady-state decode loop as one graph launch. Its rows
-// (begin_decode) are the one-row case of a prompt batch's
-// (prefill_rows), and the model runs both through one cached forward. The
-// block table itself is a host-written heap i32 tensor [slots,
+// A sequence advances only through PACKED steps (plan_chunks / begin_step /
+// commit_step): every lane's decode row plus chunks of the prompts still
+// being prefilled, one-row batch rows padded to a fixed capacity. A batch
+// of whole prompts is one such step. With no prompt running, the step is
+// the full-lane batch [slots, 1]: inactive lanes attend nothing (their
+// attention outputs exact zeros, their K/V writes land in a dedicated trash
+// page), so the step's kernel sequence and shapes are STATIC — the
+// property that lets SessionConfig::graph_capture replay it as one graph
+// launch. The block table itself is a host-written heap i32 tensor [slots,
 // pages_per_seq]: under replay it is a *graph parameter* read inside kernel
 // bodies, exactly like the rows' q_begin/kv_lens. All page allocation and
 // COW copies happen in extend(), before the captured region.
 //
-// The serving engine runs PACKED steps (plan_chunks / begin_step /
-// commit_step): every lane's decode row plus chunks of the prompts still
-// being prefilled, one-row batch rows padded to a fixed capacity. The cache
-// tracks how far committed steps have written each page, and a chunk starts
-// at its sequence's first row nobody wrote yet, so prefix sharing needs no
-// ordering between allocate() and the writes: a sharer admitted before the
-// writer's rows exist waits for them or writes them itself.
-//
-// Encoder-decoder models additionally keep per-lane CROSS K/V blocks
-// [slots, N, cross_len, D] (cross_len > 0): written once at encode time,
-// read by every decode step — bounded, write-once state that paging would
-// not help, so it stays contiguous (out of paging scope).
+// The cache tracks how far committed steps have written each page, and a
+// chunk starts at its sequence's first row nobody wrote yet, so prefix
+// sharing needs no ordering between allocate() and the writes: a sharer
+// admitted before the writer's rows exist waits for them or writes them
+// itself.
 #pragma once
 
 #include <cstdint>
@@ -96,15 +89,10 @@ struct KvCacheConfig {
   /// lanes than worst-case memory, bounded by LIVE tokens (fig_page).
   int64_t total_pages = 0;
   /// Share full common-prefix pages between sequences (refcounted, COW).
-  /// allocate() registers a prompt's full pages before they are written.
-  /// Packed steps track which rows committed steps wrote, so any order of
-  /// allocations and chunks is safe; the prompt-batch API (prefill_rows)
-  /// instead requires each sequence to be prefilled before the next
-  /// allocate can hit its pages. Self-attention-only (cross_len == 0): a
-  /// decoder row's K/V also depend on the source, not just the token
-  /// prefix.
+  /// allocate() registers a prompt's full pages before they are written;
+  /// steps track which rows committed steps wrote, so any order of
+  /// allocations and chunks is safe.
   bool prefix_sharing = false;
-  int64_t cross_len = 0; ///< >0: also hold per-lane cross K/V of this length
   DType dtype = DType::kF32;
 
   int64_t page() const { return page_tokens > 0 ? page_tokens : seq_tokens; }
@@ -112,8 +100,7 @@ struct KvCacheConfig {
   int64_t pool_pages() const {
     return total_pages > 0 ? total_pages : slots * pages_per_seq();
   }
-  /// Total reserved bytes (self K/V pool incl. the trash page, cross
-  /// blocks, all layers).
+  /// Total reserved bytes (the K/V pools incl. the trash page, all layers).
   size_t bytes() const;
 };
 
@@ -136,11 +123,8 @@ struct PromptChunk {
 
 class KvCache {
  public:
-  /// Reserves the page pool (plus one trash page for inactive lanes) and
-  /// the cross blocks up front from `alloc` (the session's permanent pool)
-  /// and zero-fills them, so the masked-off cross-block rows the padded
-  /// cross-attention GEMMs read multiply through as exact zeros, never
-  /// NaN-producing garbage.
+  /// Reserves the page pool (plus one trash page for inactive lanes) up
+  /// front from `alloc` (the session's permanent pool) and zero-fills it.
   KvCache(KvCacheConfig cfg, BufferAllocator* alloc = nullptr);
 
   const KvCacheConfig& config() const { return cfg_; }
@@ -150,50 +134,29 @@ class KvCache {
   /// is the trash page inactive lanes append into).
   const Tensor& k_pool(int64_t layer) const { return k_[static_cast<size_t>(layer)]; }
   const Tensor& v_pool(int64_t layer) const { return v_[static_cast<size_t>(layer)]; }
-  /// Contiguous per-lane cross K/V blocks [slots, N, cross_len, D].
-  const Tensor& cross_k(int64_t layer) const { return cross_k_[static_cast<size_t>(layer)]; }
-  const Tensor& cross_v(int64_t layer) const { return cross_v_[static_cast<size_t>(layer)]; }
 
   // --- step metadata (host-written heap i32 — graph parameters) ---
   /// Block table [slots, pages_per_seq]: page id per (lane, logical page).
   /// Rows of free lanes (and entries past a sequence's allocation) point at
   /// the trash page.
   const Tensor& block_table() const { return block_table_; }
-  /// Per-lane encoder lengths (cross-attention mask; cross_len > 0 only).
-  const Tensor& src_lens() const { return src_lens_; }
 
   // --- sequence lifecycle (host bookkeeping + eager COW kernels) ---
   /// Claim a lane and pages for a `prompt_len`-token prompt about to be
   /// prefilled. With `tokens` (the prompt ids) and prefix_sharing on,
-  /// registered full-prefix pages are reused instead of allocated —
-  /// write_begin() then tells the prefill writer how many leading rows are
-  /// already resident. Invalid handle when no lane or not enough pages.
+  /// registered full-prefix pages are reused instead of allocated, and
+  /// plan_chunks skips the rows committed steps already wrote into them.
+  /// Invalid handle when no lane or not enough pages.
   SequenceHandle allocate(int64_t prompt_len, const int32_t* tokens = nullptr);
-  /// Row metadata for one cached prefill of right-padded prompts ids [B, L]
-  /// over `seqs` (`key_lens` i32 [B], optional, masks padding keys as in
-  /// attn_softmax_fw). The batch computes only rows [first, L), first =
-  /// min_b min(write_begin_b, len_b - 1): rows every sequence holds in
-  /// shared prefix pages are skipped, and a fully shared prompt still
-  /// recomputes its last row, whose logits give the first token. Row b
-  /// stores positions [write_begin_b, min(L, len_b)) and attends up to
-  /// kv_len_b = min(L, len_b, key_lens[b]) rows.
-  layers::PagedRows prefill_rows(const std::vector<SequenceHandle>& seqs, int64_t L,
-                                 const Tensor* key_lens = nullptr) const;
-  /// Commit the prompt batch `rows` (prefill_rows(seqs, ...)) once its
-  /// forward ran: every sequence's stored rows count as written, and one
-  /// whose rows reached its length is past its prompt — what its last
-  /// chunk's commit_step would have recorded, so either step protocol may
-  /// decode it next.
-  void commit_prefill(const std::vector<SequenceHandle>& seqs, const layers::PagedRows& rows);
   /// Make room for the token position len(h) is about to append: allocate
   /// the next page at a page boundary, or copy-on-write a tail page a fork
   /// still shares (eager kv_page_copy launches through `kc`). Idempotent
-  /// per step; must precede begin_decode() for every active sequence.
+  /// per step; must precede begin_step() for every sequence past its
+  /// prompt.
   /// false: the pool is exhausted — preempt a sequence or wait.
   bool extend(SequenceHandle h, kern::KernelContext& kc);
   /// A new sequence sharing every page of `h` copy-on-write (+1 refcount
-  /// each; no bytes move). Invalid handle when no lane is free. Self-KV
-  /// only: cross blocks are per-lane and are not forked.
+  /// each; no bytes move). Invalid handle when no lane is free.
   SequenceHandle fork(SequenceHandle h);
   /// Retire a sequence: drops every page reference (a page whose refcount
   /// reaches 0 returns to the pool and leaves the sharing registry).
@@ -207,19 +170,16 @@ class KvCache {
   int64_t lane(SequenceHandle h) const { return seq(h).lane; }
   /// Cached length (the prompt's from allocate on, +1 per appended row).
   int32_t len(SequenceHandle h) const { return seq(h).len; }
-  /// First row prefill must WRITE — earlier rows live in shared pages.
-  int32_t write_begin(SequenceHandle h) const { return seq(h).write_begin; }
-  /// Whether h's prompt has run — the commit of its last chunk or of its
-  /// prompt batch: it appends a decode row every packed step.
+  /// Whether h's prompt has run — the commit of its last chunk: it appends
+  /// a decode row every step.
   bool prompt_done(SequenceHandle h) const { return seq(h).prompt_done; }
-  /// Leading rows of h whose K/V committed steps and prompt batches wrote
-  /// (its own rows or a sharer's).
+  /// Leading rows of h whose K/V committed steps wrote (its own rows or a
+  /// sharer's).
   int64_t written_rows(SequenceHandle h) const;
   /// Token capacity currently backed by pages (pages * page size).
   int64_t capacity(SequenceHandle h) const {
     return static_cast<int64_t>(seq(h).pages.size()) * cfg_.page();
   }
-  void set_src_len(SequenceHandle h, int32_t src_len);
 
   int64_t active_seqs() const { return static_cast<int64_t>(seqs_.size()); }
   int64_t free_lanes() const { return cfg_.slots - active_seqs(); }
@@ -240,21 +200,7 @@ class KvCache {
   };
   const Stats& stats() const { return stats_; }
 
-  // --- per-step protocol ---
-  /// The rows of the next decode step: the full-lane batch, one row per
-  /// lane, no lane list and no write range. Lane s's token sits at q_begin[s]
-  /// = len (0 when free) and attends kv_lens[s] = len + 1 rows (0 when free:
-  /// its attention outputs come out as exact zeros, and its K/V land in the
-  /// trash page). The tensors are the cache's own, rewritten in place by
-  /// every call. Every active sequence must still have capacity
-  /// (len < seq_tokens) and must have been extend()ed so the append target
-  /// page exists.
-  const layers::PagedRows& begin_decode();
-  /// Account the row each active sequence appended during the decode step
-  /// (the append commit_step records for a sequence past its prompt).
-  void commit_decode();
-
-  // --- packed steps (the serving engine's) ---
+  // --- the step protocol: plan_chunks, begin_step, commit_step ---
   /// Plan the prompt chunks of the next packed step, replacing any plan not
   /// committed. Walking `prompts` in order (sequences still in their
   /// prompt; the engine passes them oldest first), each takes the next
@@ -265,38 +211,39 @@ class KvCache {
   /// row, which every prompt runs itself: its logits give the first token.
   const std::vector<PromptChunk>& plan_chunks(const std::vector<SequenceHandle>& prompts,
                                               int64_t budget);
-  /// The rows of the next packed step. chunk_rows == 0: exactly
-  /// begin_decode()'s full-lane batch — nothing planned, every active
-  /// sequence past its prompt. Otherwise a lane-listed batch of slots +
+  /// The rows of the next step. chunk_rows == 0: the full-lane batch, one
+  /// row per lane, no lane list, no write range and no out_rows — nothing
+  /// planned, every active sequence past its prompt. Lane s's token sits at
+  /// q_begin[s] = len (0 when free) and attends kv_lens[s] = len + 1 rows
+  /// (0 when free: its attention outputs come out as exact zeros, and its
+  /// K/V land in the trash page). Otherwise a lane-listed batch of slots +
   /// chunk_rows one-row batch rows: lane s's decode row at row s (attending
   /// and writing nothing while the lane is free or mid-prompt), then every
   /// planned chunk's rows at their positions, then padding rows that attend
   /// and write nothing. out_rows picks each lane's decode row, or the last
-  /// row of a prompt that finishes in this step. Sequences past their
-  /// prompt must have been extend()ed. The tensors are the cache's own, one
-  /// set per chunk_rows, rewritten in place by every call.
+  /// row of a prompt that finishes in this step. Every sequence past its
+  /// prompt must still have capacity (len < seq_tokens) and must have been
+  /// extend()ed. The tensors are the cache's own, one set per chunk_rows,
+  /// rewritten in place by every call.
   const layers::PagedRows& begin_step(int64_t chunk_rows);
   /// Commit the step begin_step described: every sequence past its prompt
   /// appended its decode row, the planned chunks' rows count as written,
   /// and a sequence whose last chunk ran is past its prompt. Clears the
-  /// plan.
+  /// plan. Throws unless a begin_step since the last plan_chunks,
+  /// commit_step or reset described the step; a retried step (begin_step
+  /// again) commits once.
   void commit_step();
 
  private:
   struct Sequence {
     int64_t lane = -1;
     int32_t len = 0;
-    int32_t write_begin = 0;
-    int32_t src_len = 0;
     bool prompt_done = false;
     std::vector<int32_t> pages;  ///< block table (host copy of the row)
   };
 
   const Sequence& seq(SequenceHandle h) const;
   Sequence& seq(SequenceHandle h);
-  /// `s` appended its row at position len: past its prompt, the row counts
-  /// as written.
-  void append_row(Sequence& s);
   /// The first row of `s` not written yet, where `fill(page)` counts each
   /// page's written leading rows (pages fill in row order).
   template <typename Fill>
@@ -310,10 +257,9 @@ class KvCache {
   void note_usage_peaks();
 
   KvCacheConfig cfg_;
-  std::vector<Tensor> k_, v_, cross_k_, cross_v_;
+  std::vector<Tensor> k_, v_;
   Tensor block_table_;  // heap i32 [slots, pages_per_seq]
-  Tensor src_lens_;     // heap i32 [slots]
-  layers::PagedRows decode_rows_;  ///< begin_decode()'s rows (block_table_ shared)
+  layers::PagedRows decode_rows_;  ///< begin_step(0)'s rows (block_table_ shared)
   std::unordered_map<int64_t, Sequence> seqs_;
   std::vector<int64_t> lane_seq_;     ///< lane -> seq id (-1 free)
   std::vector<int32_t> free_pages_;   ///< LIFO free list
@@ -323,14 +269,14 @@ class KvCache {
   /// page dies (reverse map below).
   std::map<std::vector<int32_t>, int32_t> prefix_registry_;
   std::unordered_map<int32_t, std::vector<int32_t>> page_prefix_;
-  /// Per usable page: leading rows committed steps and prompt batches have
-  /// written.
+  /// Per usable page: leading rows committed steps have written.
   std::vector<int32_t> page_rows_;
   /// The packed step being built: its chunks, and the rows per page they
   /// will have written once it commits (pages the plan touches only).
   std::vector<PromptChunk> plan_;
   std::unordered_map<int32_t, int32_t> plan_rows_;
   std::map<int64_t, layers::PagedRows> step_rows_;  ///< begin_step's, per chunk_rows
+  bool step_begun_ = false;  ///< a begin_step described the step to commit
   int64_t next_id_ = 1;
   Stats stats_;
 };

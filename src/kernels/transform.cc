@@ -154,50 +154,6 @@ void merge_heads_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor&
 
 namespace {
 
-// Scatter [B, N, Lq, D] head rows into cache slots [S, N, Lmax, D]: row l
-// of batch item b lands at cache row l of slot slots[b].
-template <typename T>
-void kv_scatter_body(const Tensor& src, const Tensor& cache, const Tensor& slots) {
-  const int64_t N = src.shape()[1], Lq = src.shape()[2], D = src.shape()[3];
-  const int64_t Lmax = cache.shape()[2];
-  const int32_t* sp = slots.data<int32_t>();
-  const T* xp = src.data<T>();
-  T* cp = cache.data<T>();
-  parallel_for(0, src.shape()[0] * N, [&](int64_t bn) {
-    const int64_t b = bn / N, n = bn % N;
-    const int64_t slot = sp[b];
-    LS2_CHECK(slot >= 0 && slot < cache.shape()[0]) << "kv cache slot out of range";
-    LS2_CHECK(Lq <= Lmax) << "kv cache overflow: slot " << slot;
-    const T* srow = xp + (bn * Lq) * D;
-    T* crow = cp + (slot * N + n) * Lmax * D;
-    std::memcpy(crow, srow, static_cast<size_t>(Lq * D) * sizeof(T));
-  });
-}
-
-}  // namespace
-
-void kv_cache_store(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
-                    const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots) {
-  LS2_CHECK(slots.dtype() == DType::kI32);
-  LS2_CHECK_EQ(slots.numel(), k_new.shape()[0]);
-  LS2_CHECK_EQ(k_new.shape().rank(), 4);
-  LS2_CHECK(k_new.shape() == v_new.shape());
-  LS2_CHECK(k_cache.shape() == v_cache.shape());
-  LS2_CHECK_EQ(k_new.shape()[1], k_cache.shape()[1]);
-  LS2_CHECK_EQ(k_new.shape()[3], k_cache.shape()[3]);
-  const int64_t nb = static_cast<int64_t>(k_new.bytes());
-  kc.dev.launch(desc("ls2.kv_cache_store", 2 * nb + k_new.shape()[0] * 8, 2 * nb,
-                     kFusedTransposeEff),
-                [&] {
-                  LS2_DISPATCH_FLOAT(k_new.dtype(), T, {
-                    kv_scatter_body<T>(k_new, k_cache, slots);
-                    kv_scatter_body<T>(v_new, v_cache, slots);
-                  });
-                });
-}
-
-namespace {
-
 // Scatter [B, N, Lq, D] head rows through a block table into a paged pool
 // [P, N, page, D]: logical row l of lane `lane` lands in page
 // table[lane][l / page] at in-page row l % page. Source row i of batch row b

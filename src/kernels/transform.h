@@ -39,27 +39,19 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 // (table[lane][pos / page], pos % page). The table and the per-row tensors
 // (layers::PagedRows) are host-written heap metadata — replay-time graph
 // parameters read inside kernel bodies, so the launch sequence stays STATIC
-// across decode steps (the capture contract). Keys and values move in ONE fused
-// LightSeq2 launch under every policy: serving has no baseline KV path.
-//
-// Cross-attention K/V blocks stay contiguous [S, N, cross_len, D]
-// (write-once at encode time) and use the plain kv_cache_store below.
-
-/// Contiguous prefill write (CROSS blocks only): k_new/v_new [B, N, Lq, D]
-/// land in cache slots `slots` (i32 [B]) at rows [0, Lq).
-void kv_cache_store(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
-                    const Tensor& k_cache, const Tensor& v_cache, const Tensor& slots);
+// across serving steps (the capture contract). Keys and values move in ONE
+// fused LightSeq2 launch under every policy: serving has no baseline KV path.
 
 /// Paged write of one cached batch: row i of k_new/v_new [B, N, Lq, D] is
 /// logical position q_begin[b] + i of lane `lanes[b]` and lands in the
 /// lane's pages through `block_table`. An undefined `lanes` is the full-lane
 /// batch (row b is lane b). With a write range only the positions
-/// [write_begin[b], write_end[b]) are stored — a prompt batch's rows below
-/// write_begin already live in shared prefix pages and must not be
-/// rewritten, its rows at or past write_end are padding past the lane's
-/// backed capacity; an undefined range stores every computed row. The decode
-/// batch is the Lq = 1 full-lane case without a range: free lanes (all-trash
-/// table rows at q_begin 0) write into the trash page.
+/// [write_begin[b], write_end[b]) are stored — in a packed step, rows that
+/// shared prefix pages already hold, the decode rows of free and
+/// mid-prompt lanes, and padding rows store nothing; an undefined range
+/// stores every computed row. The pure decode step is the Lq = 1 full-lane
+/// case without a range: free lanes (all-trash table rows at q_begin 0)
+/// write into the trash page.
 void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
                           const Tensor& k_pool, const Tensor& v_pool,
                           const Tensor& block_table, const Tensor& lanes,
@@ -75,7 +67,8 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
 /// attn_softmax_fw. Scores, masked softmax and the probability-weighted sum
 /// of V run in one launch, and the context lands head-merged in `merged`
 /// [B, Lq, N*D]. A row that attends nothing (a free lane of length 0) writes
-/// zeros. Decode is the Lq = 1 full-lane case (KvCache::begin_decode).
+/// zeros. The pure decode step is the Lq = 1 full-lane case
+/// (KvCache::begin_step(0)).
 ///
 /// Bitwise equal to the unfused path over a contiguous cache (scores GEMM,
 /// attn_softmax_fw, context GEMM, merge_heads_fw): scores accumulate
@@ -94,8 +87,8 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
 /// once, and its lane / q_begin / kv_len once, as a varlen attention kernel
 /// does: a run of c one-row batch rows charges exactly the [1, c] prompt
 /// batch. Every other batch row is its own segment, reading
-/// min(q_begin + Lq, kv_len) rows — the decode batch and [B, Lq] prompt
-/// batches charge row by row.
+/// min(q_begin + Lq, kv_len) rows — the decode batch and [B, Lq] batches
+/// charge row by row.
 void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
                 const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
                 const Tensor& kv_lens, float scale, const Tensor& merged);

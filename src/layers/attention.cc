@@ -83,9 +83,8 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
   const bool training = ctx.training();
 
   // Scores and masked softmax. Under TP the per-head work is sharded: a
-  // rank runs the same batched kernels over N/tp heads. Serving (where k/v
-  // may be per-lane cross K/V blocks whose tail rows key_lens masks off)
-  // skips the attention dropout and its two buffers.
+  // rank runs the same batched kernels over N/tp heads. Serving skips the
+  // attention dropout and its two buffers.
   const gemm::GemmCharge score_charge{Lq, Lk, D, B * N / tp};
   Tensor scores = ctx.alloc_shard({B, N, Lq, Lk}, dt);
   gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, scale, q, Lq * D, k,

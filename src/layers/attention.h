@@ -8,8 +8,8 @@
 //     layer. Backward returns dx and accumulates into dk/dv.
 //
 // Serving runs the same forward inside a LayerContext::InferenceScope
-// (dropout off, nothing saved). A cached batch — a prompt batch or the
-// decode batch, its one-row case — replaces only SelfAttention's middle: it
+// (dropout off, nothing saved). A cached batch — a packed serving step, or
+// the full-lane decode batch — replaces only SelfAttention's middle: it
 // keeps the LN -> QKV -> split front half and the output-projection
 // epilogue (AttentionCore::output), and attends through the paged KV pools
 // with kern::paged_attn.
@@ -49,8 +49,6 @@ class AttentionCore {
   AttentionCore(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
   /// q/k/v: [B, N, Lq|Lk, D]; residual: [B, Lq, H]. Returns y [B, Lq, H].
-  /// Serving's k/v may be per-lane cross K/V blocks [S, N, cross_len, D]
-  /// whose tail rows key_lens masks off.
   Tensor forward(LayerContext& ctx, const Tensor& q, const Tensor& k, const Tensor& v,
                  const Tensor& residual, const Tensor* key_lens);
 
@@ -89,26 +87,23 @@ class AttentionCore {
   std::optional<Saved> saved_;
 };
 
-/// One cached batch's rows in the paged K/V pools: a prompt batch built by
-/// infer::KvCache::prefill_rows, the decode batch KvCache::begin_decode
-/// returns, or a packed serving step (KvCache::begin_step). The i32 [B]
-/// tensors are host-written heap metadata read inside kernel bodies. Batch
-/// row b is lane lanes[b]; its query row i sits at logical position
-/// q_begin[b] + i and attends rows [0, min(q_begin[b] + i + 1, kv_lens[b])).
-/// The lane list and the write range are optional: undefined, they mean
-/// the full-lane batch (row b is lane b) that stores exactly the rows it
-/// computes. A prompt batch stores only the positions [write_begin[b],
-/// write_end[b]) — earlier rows already live in shared prefix pages, later
-/// ones are padding. A packed step is a lane-listed batch of one-row batch
-/// rows (decode rows, then prompt-chunk rows, then padding rows that attend
-/// and write nothing) whose `out_rows` names the rows it samples from.
+/// One cached batch's rows in the paged K/V pools, as
+/// infer::KvCache::begin_step builds them. The i32 [B] tensors are
+/// host-written heap metadata read inside kernel bodies. Batch row b is
+/// lane lanes[b]; its query row i sits at logical position q_begin[b] + i
+/// and attends rows [0, min(q_begin[b] + i + 1, kv_lens[b])), and it stores
+/// only the positions [write_begin[b], write_end[b]). The lane list and the write
+/// range are optional: undefined, they mean the full-lane batch (row b is
+/// lane b) that stores exactly the rows it computes — a pure decode step.
+/// A packed step is a lane-listed batch of one-row batch rows (decode rows,
+/// then prompt-chunk rows, then padding rows that attend and write
+/// nothing) whose `out_rows` names the rows it samples from.
 struct PagedRows {
   Tensor block_table;  ///< i32 [lanes, pages_per_seq]
   Tensor lanes, q_begin, write_begin, write_end, kv_lens;
   /// i32 [n], optional: the batch rows whose logits the forward returns, in
   /// order (a packed step's one row per lane). Undefined: every row.
   Tensor out_rows;
-  int64_t first = 0;  ///< a prompt batch computes its prompt rows [first, L)
 };
 
 /// A cached batch as one layer sees it: the layer's paged K/V pools
@@ -163,8 +158,7 @@ class CrossAttention {
  public:
   CrossAttention(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
-  /// k/v: [B, N, Ls, D] precomputed by the caller — when serving, the
-  /// per-lane cross K/V cache blocks [S, N, Ls_max, D], masked by src_lens.
+  /// k/v: [B, N, Ls, D] precomputed by the caller, masked by src_lens.
   Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
                  const Tensor* src_lens);
   /// Returns dx; ACCUMULATES key/value grads into dk/dv (head layout).

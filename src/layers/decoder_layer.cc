@@ -11,10 +11,10 @@ TransformerDecoderLayer::TransformerDecoderLayer(ParamRegistry& params,
 
 Tensor TransformerDecoderLayer::forward(LayerContext& ctx, const Tensor& x, const Tensor& k,
                                         const Tensor& v, const Tensor* src_lens,
-                                        const Tensor* tgt_lens, const PagedKv* paged) {
+                                        const Tensor* tgt_lens) {
   LS2_CHECK(ctx.policy.supports_decoder)
       << system_name(ctx.policy.system) << " does not support decoder layers";
-  Tensor h = self_attn_.forward(ctx, x, tgt_lens, paged);
+  Tensor h = self_attn_.forward(ctx, x, tgt_lens);
   h = cross_attn_.forward(ctx, h, k, v, src_lens);
   return ffn_.forward(ctx, h);
 }

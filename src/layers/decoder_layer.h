@@ -5,10 +5,7 @@
 // LightSeq2 the decoder *stack* computes them for all layers with one
 // concatenated GEMM (layer-batched cross attention, Fig. 5b), while baseline
 // policies compute each layer's K/V separately. Either way this layer only
-// consumes them and accumulates their gradients. Serving (inside a
-// LayerContext::InferenceScope) reads them from the per-lane cross K/V
-// cache blocks instead, and a cached batch's self-attention attends through
-// the paged pools.
+// consumes them and accumulates their gradients.
 #pragma once
 
 #include <string>
@@ -23,13 +20,9 @@ class TransformerDecoderLayer {
                           TransformerLayerConfig cfg);
 
   /// x: [B, Lt, H]; k/v: [B, N, Ls, D]; src_lens masks encoder padding,
-  /// tgt_lens masks decoder padding (on top of the causal mask). With
-  /// `paged` (serving a cached batch), causal self-attention stores the
-  /// batch's K/V into the layer's paged pools and attends through them in
-  /// place, and k/v are the per-lane cross K/V blocks [S, N, Ls_max, D].
+  /// tgt_lens masks decoder padding (on top of the causal mask).
   Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
-                 const Tensor* src_lens, const Tensor* tgt_lens,
-                 const PagedKv* paged = nullptr);
+                 const Tensor* src_lens, const Tensor* tgt_lens);
 
   /// Returns dx; accumulates cross-attention K/V grads into dk/dv.
   Tensor backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk, const Tensor& dv);

@@ -38,10 +38,9 @@ class EmbeddingLayer {
                  TpParam tied_table = {});
 
   /// ids [B, L] hold positions [0, L), or [starts[b], starts[b] + L) for
-  /// row b of a cached batch (i32 [B], PagedRows::q_begin: a prompt batch
-  /// past its shared prefix rows, or the decode batch's lanes at their own
-  /// lengths). Lazily builds the sinusoidal table on first use (host init,
-  /// not a device kernel).
+  /// row b of a cached batch (i32 [B], PagedRows::q_begin: each row of a
+  /// serving step at its own position). Lazily builds the sinusoidal table
+  /// on first use (host init, not a device kernel).
   Tensor forward(LayerContext& ctx, const Tensor& ids, const Tensor* starts = nullptr);
   void backward(LayerContext& ctx, const Tensor& dy);
   void release();

@@ -88,13 +88,13 @@ layers::CriterionResult Gpt2::forward(layers::LayerContext& ctx, const LmBatch& 
   // execution peers accumulate across microbatches like the device grads.
   if (tp_ && ctx.kern.microbatch == 0) tp_->zero_grads();
   ctx.pp_enter(0, /*forward=*/true, 0);
-  return criterion_->forward(ctx, stack(ctx, batch.ids, /*key_lens=*/nullptr), batch.targets);
+  return criterion_->forward(ctx, stack(ctx, batch.ids), batch.targets);
 }
 
-Tensor Gpt2::stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens) {
+Tensor Gpt2::stack(layers::LayerContext& ctx, const Tensor& ids) {
   return ln_f_->forward(ctx, blocks_->forward(ctx, embed_->forward(ctx, ids),
                                               [&](auto& block, int64_t, const Tensor& x) {
-                                                return block.forward(ctx, x, key_lens);
+                                                return block.forward(ctx, x, nullptr);
                                               }));
 }
 
@@ -119,27 +119,10 @@ infer::KvCacheConfig Gpt2::kv_cache_config(int64_t slots, int64_t max_len) const
   return kcfg;
 }
 
-Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
-                     const std::vector<infer::SequenceHandle>& seqs,
-                     const Tensor* prompt_lens) {
-  const int64_t B = ids.shape()[0], L = ids.shape()[-1];
-  if (cache == nullptr) {
-    layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-    return criterion_->logits(ctx, stack(ctx, ids, prompt_lens)).view({B, L, cfg_.vocab});
-  }
-  LS2_CHECK_EQ(static_cast<int64_t>(seqs.size()), B);
-  const layers::PagedRows rows = cache->prefill_rows(seqs, L, prompt_lens);
-  const int64_t Lq = L - rows.first;
-  Tensor tail = ids;
-  if (rows.first > 0) {
-    // Heap: the computed rows' ids, host-side like the prompt itself.
-    tail = Tensor::empty({B, Lq}, DType::kI32);
-    for (int64_t b = 0; b < B; ++b)
-      std::copy_n(ids.data<int32_t>() + b * L + rows.first, Lq, tail.data<int32_t>() + b * Lq);
-  }
-  Tensor logits = forward_cached(ctx, tail, *cache, rows);
-  cache->commit_prefill(seqs, rows);
-  return logits;
+Tensor Gpt2::prefill(layers::LayerContext& ctx, const Tensor& ids) {
+  layers::LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
+  return criterion_->logits(ctx, stack(ctx, ids))
+      .view({ids.shape()[0], ids.shape()[-1], cfg_.vocab});
 }
 
 Tensor Gpt2::forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "dist/tensor_parallel.h"
 #include "infer/kv_cache.h"
@@ -57,39 +56,21 @@ class Gpt2 {
   /// config before constructing the KvCache.
   infer::KvCacheConfig kv_cache_config(int64_t slots, int64_t max_len) const;
 
-  /// Prefill: run prompts ids [B, Lp] (right-padded; `prompt_lens` i32 [B]
-  /// masks the padding, nullptr for unpadded) through the causal stack.
-  ///
-  /// With `cache`, the prompt batch of `seqs` — KvCache::prefill_rows(seqs,
-  /// Lp, prompt_lens) — runs through forward_cached: only prompt rows
-  /// [first, Lp) run, since rows below every sequence's write_begin already
-  /// live in shared prefix pages (a fully shared prompt recomputes its last
-  /// row), and rows at or past len(seqs[b]) are padding whose K/V are
-  /// dropped; the batch then commits (KvCache::commit_prefill). Returns
-  /// logits of the computed rows, [B, Lp - first, vocab]: an unshared batch
-  /// gets all Lp rows, and an unpadded prompt's last row predicts its next
-  /// token.
-  ///
-  /// With cache == nullptr every row runs through the training forward's
-  /// embed -> blocks -> final-LN stack (padded attention) and the logits are
-  /// [B, Lp, vocab] — the full re-forward reference of the parity tests.
-  Tensor prefill(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache* cache,
-                 const std::vector<infer::SequenceHandle>& seqs,
-                 const Tensor* prompt_lens = nullptr);
+  /// Cacheless prefill: every row of ids [B, L] through the training
+  /// forward's embed -> blocks -> final-LN stack, returning the logits
+  /// [B, L, vocab] — the full re-forward reference of the parity tests.
+  Tensor prefill(layers::LayerContext& ctx, const Tensor& ids);
 
-  /// The one cached forward: run the computed rows ids [B, Lq] of the
-  /// cached batch `rows` through the stack, each layer storing the rows'
-  /// K/V into `cache`'s paged pools and attending through them in place.
-  /// Returns their logits [B, Lq, vocab]. A prompt batch comes from
-  /// prefill; the decode step is the one-row full-lane case, ids [S, 1]
-  /// (the next token per lane, pad for free lanes) with the rows of
-  /// KvCache::begin_decode — static shapes every step, the
-  /// graph-capturable serving region. The caller brackets a decode step
-  /// with begin_decode / commit_decode, after KvCache::extend on every live
-  /// sequence. A packed serving step (KvCache::begin_step) is ids [R, 1]
-  /// over its decode, chunk and padding rows; its rows name the one row
-  /// per lane it samples (PagedRows::out_rows), gathered before the final
-  /// LayerNorm, so the logits are [S, 1, vocab].
+  /// The one cached forward: run ids [B, Lq] of the cached batch `rows`
+  /// (KvCache::begin_step's, whose batch rows are single rows) through the
+  /// stack, each layer storing the rows' K/V into `cache`'s paged pools and
+  /// attending through them in place. Returns the logits of the rows
+  /// PagedRows::out_rows names, gathered before the final LayerNorm — a
+  /// packed step's one row per lane, [S, 1, vocab] — or of every row,
+  /// [B, Lq, vocab], when out_rows is undefined, as in the pure decode step
+  /// begin_step(0) describes: ids [S, 1], the next token per lane (pad for
+  /// free lanes), after KvCache::extend on every sequence past its prompt.
+  /// The caller commits the step (KvCache::commit_step).
   Tensor forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
                         const layers::PagedRows& rows);
 
@@ -126,7 +107,7 @@ class Gpt2 {
 
   /// Embedding -> blocks -> final LayerNorm over ids [B, L]: the body of
   /// forward and of the cacheless prefill. Returns the criterion's input.
-  Tensor stack(layers::LayerContext& ctx, const Tensor& ids, const Tensor* key_lens);
+  Tensor stack(layers::LayerContext& ctx, const Tensor& ids);
 };
 
 }  // namespace ls2::models

@@ -237,74 +237,6 @@ Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tenso
   return d_enc;
 }
 
-infer::KvCacheConfig Transformer::kv_cache_config(int64_t slots, int64_t max_len,
-                                                  int64_t cross_len) const {
-  infer::KvCacheConfig kcfg;
-  kcfg.layers = cfg_.decoder_layers;
-  kcfg.heads = cfg_.heads;
-  kcfg.head_dim = cfg_.hidden / cfg_.heads;
-  kcfg.slots = slots;
-  kcfg.seq_tokens = std::min<int64_t>(max_len, cfg_.max_len);
-  kcfg.page_tokens = std::min<int64_t>(infer::kDefaultPageTokens, kcfg.seq_tokens);
-  kcfg.cross_len = cross_len;
-  kcfg.dtype = params_.dtype();
-  return kcfg;
-}
-
-void Transformer::encode(LayerContext& ctx, const Tensor& src_ids, const Tensor& src_lens,
-                         infer::KvCache& cache,
-                         const std::vector<infer::SequenceHandle>& seqs) {
-  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  const int64_t B = src_ids.shape()[0];
-  LS2_CHECK_EQ(B, static_cast<int64_t>(seqs.size()));
-  LS2_CHECK_LE(src_ids.shape()[1], cache.config().cross_len);
-
-  // Layer-batched cross K/V (Fig. 5b), computed once per request and
-  // installed in the cache for every future decode step.
-  std::vector<Tensor> kv = project_cross_kv(ctx, encode_source(ctx, src_ids, src_lens));
-  Tensor slot_ids = Tensor::empty({B}, DType::kI32);  // heap: host metadata
-  int32_t* sp = slot_ids.data<int32_t>();
-  for (int64_t b = 0; b < B; ++b)
-    sp[b] = static_cast<int32_t>(cache.lane(seqs[static_cast<size_t>(b)]));
-  const int32_t* lens = src_lens.data<int32_t>();
-  for (int64_t i = 0; i < cfg_.decoder_layers; ++i) {
-    kern::kv_cache_store(ctx.kern, kv[static_cast<size_t>(2 * i)],
-                         kv[static_cast<size_t>(2 * i + 1)], cache.cross_k(i),
-                         cache.cross_v(i), slot_ids);
-  }
-  for (int64_t b = 0; b < B; ++b)
-    cache.set_src_len(seqs[static_cast<size_t>(b)], lens[b]);
-}
-
-Tensor Transformer::prefill(LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
-                            const std::vector<infer::SequenceHandle>& seqs,
-                            const Tensor* tgt_lens) {
-  LS2_CHECK_EQ(tgt_in.shape()[0], static_cast<int64_t>(seqs.size()));
-  // The cache never shares prefix pages (cross K/V depend on the source),
-  // so every target row runs.
-  const layers::PagedRows rows = cache.prefill_rows(seqs, tgt_in.shape()[1], tgt_lens);
-  LS2_CHECK_EQ(rows.first, 0);
-  Tensor logits = forward_cached(ctx, tgt_in, cache, rows);
-  cache.commit_prefill(seqs, rows);
-  return logits;
-}
-
-Tensor Transformer::forward_cached(LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
-                                   const layers::PagedRows& rows) {
-  LayerContext::InferenceScope serving(ctx, cfg_.tp.enabled());
-  LS2_CHECK_EQ(ids.shape().rank(), 2);
-  const int64_t B = ids.shape()[0], Lq = ids.shape()[1];
-  LS2_CHECK_EQ(rows.q_begin.numel(), B) << "one row of metadata per batch row";
-  const Tensor h = decoder_->forward(
-      ctx, tgt_embed_->forward(ctx, ids, &rows.q_begin),
-      [&](auto& layer, int64_t i, const Tensor& x) {
-        const layers::PagedKv kv{cache.k_pool(i), cache.v_pool(i), rows};
-        return layer.forward(ctx, x, cache.cross_k(i), cache.cross_v(i), &cache.src_lens(),
-                             nullptr, &kv);
-      });
-  return criterion_->logits(ctx, dec_ln_->forward(ctx, h)).view({B, Lq, cfg_.vocab});
-}
-
 const layers::PpPlan& Transformer::pp_configure(int pp) {
   layers::PpPlan plan(pp);
   const int64_t enc = cfg_.encoder_layers, dec = cfg_.decoder_layers;
@@ -336,15 +268,6 @@ const layers::PpPlan& Transformer::pp_configure(int pp) {
   return pp_plan_ = std::move(plan);
 }
 
-Tensor Transformer::encode_source(LayerContext& ctx, const Tensor& src_ids,
-                                  const Tensor& src_lens) {
-  const Tensor h = encoder_->forward(ctx, src_embed_->forward(ctx, src_ids),
-                                     [&](auto& layer, int64_t, const Tensor& x) {
-                                       return layer.forward(ctx, x, &src_lens);
-                                     });
-  return enc_ln_->forward(ctx, h);
-}
-
 layers::CriterionResult Transformer::forward(LayerContext& ctx, const MtBatch& batch) {
   // Peer-shard grads mirror rank 0's zeroed-at-step-start contract (host
   // bookkeeping — rank 0's zero_grad launch is the charged one). Under
@@ -353,7 +276,11 @@ layers::CriterionResult Transformer::forward(LayerContext& ctx, const MtBatch& b
 
   // Encoder, then cross-attention K/V for every decoder layer.
   ctx.pp_enter(0, /*forward=*/true, 0);
-  const Tensor enc_out = encode_source(ctx, batch.src_ids, batch.src_lens);
+  const Tensor enc_out = enc_ln_->forward(
+      ctx, encoder_->forward(ctx, src_embed_->forward(ctx, batch.src_ids),
+                             [&](auto& layer, int64_t, const Tensor& x) {
+                               return layer.forward(ctx, x, &batch.src_lens);
+                             }));
   std::vector<Tensor> kv = project_cross_kv(ctx, enc_out);
 
   // Decoder. Crossing into the first decoder stage carries every layer's

@@ -1,7 +1,6 @@
 // Full encoder-decoder Transformer for machine translation (Fig. 2) —
 // embedding, encoder stack, decoder stack with layer-batched cross
-// attention (Fig. 5b), criterion with tied output projection. Serving runs
-// the training forward's layers inside a LayerContext::InferenceScope.
+// attention (Fig. 5b), criterion with tied output projection.
 #pragma once
 
 #include <memory>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "dist/tensor_parallel.h"
-#include "infer/kv_cache.h"
 #include "layers/block_stack.h"
 #include "layers/criterion_layer.h"
 #include "layers/decoder_layer.h"
@@ -67,46 +65,6 @@ class Transformer {
   void backward(layers::LayerContext& ctx);
   void release();
 
-  // --- serving: each entry point opens a LayerContext::InferenceScope (no
-  // dropout, nothing saved; throws under TP) ---
-  //
-  // Translation serving takes one allocated SequenceHandle per request:
-  // encode() runs the source batch once through the training encoder and
-  // installs the per-lane cross K/V — the layer-batched projection computed
-  // ONCE per request, reused by every decode step — then forward_cached()
-  // grows the target side against the paged self-attention cache exactly
-  // like the GPT-2 path: prefill() runs the prompt batch through it, and a
-  // decode step is its one-row case.
-
-  /// Cache geometry: paged decoder self K/V for `max_len` target tokens
-  /// plus contiguous cross K/V for `cross_len` source tokens, per lane.
-  infer::KvCacheConfig kv_cache_config(int64_t slots, int64_t max_len,
-                                       int64_t cross_len) const;
-
-  /// Encode src_ids [B, Ls] (right-padded; src_lens i32 [B]) and write every
-  /// decoder layer's cross K/V into the lanes of `seqs` — also records the
-  /// per-lane source lengths for the cross-attention mask.
-  void encode(layers::LayerContext& ctx, const Tensor& src_ids, const Tensor& src_lens,
-              infer::KvCache& cache, const std::vector<infer::SequenceHandle>& seqs);
-
-  /// Prefill the target prefix tgt_in [B, Lp] (right-padded; tgt_lens
-  /// optional) through forward_cached and return logits [B, Lp, vocab]. Each
-  /// decoder layer stores row b's self K/V through `seqs[b]`'s block table
-  /// into the paged pools, then attends through them in place; padding rows
-  /// past len(seqs[b]) are dropped (decode appends claim those positions).
-  /// The batch then commits (KvCache::commit_prefill).
-  Tensor prefill(layers::LayerContext& ctx, const Tensor& tgt_in, infer::KvCache& cache,
-                 const std::vector<infer::SequenceHandle>& seqs,
-                 const Tensor* tgt_lens = nullptr);
-
-  /// The one cached forward (see Gpt2::forward_cached): target rows ids
-  /// [B, Lq] of the cached batch `rows` through the decoder stack — self
-  /// attention through the paged pools, cross attention over the per-lane
-  /// cross K/V — returning logits [B, Lq, vocab]. A decode step passes
-  /// ids [S, 1] with the rows of KvCache::begin_decode.
-  Tensor forward_cached(layers::LayerContext& ctx, const Tensor& ids, infer::KvCache& cache,
-                        const layers::PagedRows& rows);
-
   layers::ParamRegistry& params() { return params_; }
   const TransformerConfig& config() const { return cfg_; }
 
@@ -135,10 +93,6 @@ class Transformer {
   std::vector<Tensor> project_cross_kv(layers::LayerContext& ctx, const Tensor& enc_out);
   /// Backward of the projection; returns d(enc_out) contribution.
   Tensor cross_kv_backward(layers::LayerContext& ctx, const std::vector<Tensor>& dkv);
-  /// Source embedding -> encoder blocks -> final encoder LayerNorm over
-  /// src_ids [B, Ls]: the body of forward and of encode. Returns enc_out.
-  Tensor encode_source(layers::LayerContext& ctx, const Tensor& src_ids,
-                       const Tensor& src_lens);
 
   TransformerConfig cfg_;
   layers::ParamRegistry params_;

@@ -587,9 +587,10 @@ TEST(DegradedServingTest, FailedAdmissionPrefillFreesItsSequence) {
   EXPECT_TRUE(evac[0].partial.tokens.empty()) << "the failed step sampled nothing";
   EXPECT_EQ(cache.active_seqs(), 0) << "the failed admission's lane leaked";
   EXPECT_EQ(cache.used_pages(), 0) << "the failed admission's pages leaked";
+  const int64_t hits = cache.stats().shared_page_hits;
   const infer::SequenceHandle h = cache.allocate(9, req.prompt.data());
   ASSERT_TRUE(h.valid());
-  EXPECT_EQ(cache.write_begin(h), 0) << "the registry kept pages nobody wrote";
+  EXPECT_EQ(cache.stats().shared_page_hits, hits) << "the registry kept pages nobody wrote";
 }
 
 // The same fault under a sharing fleet: the quarantined replica gets the
@@ -641,14 +642,20 @@ TEST(DegradedServingTest, FailedPrefillUnderSharingFleetIsTokenExact) {
 // 7. Paged KV-cache lifecycle churn (refcount / COW / fragmentation property)
 // ---------------------------------------------------------------------------
 
-// Random admit / retire / fork / decode churn over an OVERSUBSCRIBED page
-// pool with prefix sharing on. After every operation:
+// Random admit / retire / fork / step churn over an OVERSUBSCRIBED page
+// pool with prefix sharing on, each step the packed step the engine runs:
+// decode rows for the lanes past their prompt, prompt chunks under a random
+// budget of 1-12 rows (so prompts span steps) for the rest. After every
+// operation:
 //   (1) free + used pages == pool (nothing leaks, nothing double-frees);
 //   (2) the refcount sum equals the page references live sequences hold
 //       (fork +1s, COW and free -1s — they must balance exactly);
 //   (3) every used page has refcount >= 1, every free page refcount == 0;
 //   (4) allocate() MUST succeed whenever a lane is free and the free pool
-//       covers the worst case (sharing can only reduce the need).
+//       covers the worst case (sharing can only reduce the need);
+//   (5) every sequence past its prompt has all its rows written.
+// Every step's rows also put each decoding lane at its length and let free
+// and mid-prompt lanes attend nothing.
 TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
   simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
   kern::KernelContext kc(dev, nullptr, 1);
@@ -683,6 +690,7 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
     for (const infer::SequenceHandle& h : active) {
       held += cache.capacity(h) / page;
       ASSERT_EQ(cache.len(h), shadow_len[h.id]);
+      if (cache.prompt_done(h)) ASSERT_EQ(cache.written_rows(h), cache.len(h));
     }
     int64_t refsum = 0, used = 0;
     for (int32_t rc : cache.page_refcounts()) {
@@ -733,14 +741,15 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
         active.push_back(f);
       }
     } else if (op == 3 && !active.empty()) {
-      // One decode step: retire at-capacity sequences, extend the rest
-      // (recompute-preemption stand-in: evict the newest when the pool is
-      // dry), then check the step views.
+      // One packed step: retire at-capacity sequences, extend the lanes
+      // past their prompt (recompute-preemption stand-in: evict the newest
+      // when the pool is dry), plan the other prompts' chunks oldest first,
+      // then begin the step, check its rows and commit it.
       for (size_t i = active.size(); i-- > 0;) {
         if (cache.len(active[i]) >= cfg.seq_tokens) retire_at(i);
       }
       for (size_t i = 0; i < active.size();) {
-        if (cache.extend(active[i], kc)) {
+        if (!cache.prompt_done(active[i]) || cache.extend(active[i], kc)) {
           ++i;
           continue;
         }
@@ -749,21 +758,31 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
         if (i >= active.size()) break;
       }
       if (active.empty()) continue;
-      const layers::PagedRows& rows = cache.begin_decode();
+      std::vector<infer::SequenceHandle> prompts;
+      for (const infer::SequenceHandle& h : active)
+        if (!cache.prompt_done(h)) prompts.push_back(h);
+      std::sort(prompts.begin(), prompts.end(),
+                [](infer::SequenceHandle a, infer::SequenceHandle b) { return a.id < b.id; });
+      int64_t chunk_rows = 0;
+      for (const infer::PromptChunk& c : cache.plan_chunks(prompts, 1 + rng.randint(8, iter, 12)))
+        chunk_rows += c.end - c.begin;
+      const layers::PagedRows& rows = cache.begin_step(chunk_rows);
       const int32_t* pos = rows.q_begin.data<int32_t>();
       const int32_t* att = rows.kv_lens.data<int32_t>();
-      std::set<int64_t> lanes;
+      std::set<int64_t> decoding;
       for (const infer::SequenceHandle& h : active) {
+        if (!cache.prompt_done(h)) continue;
         const int64_t lane = cache.lane(h);
-        lanes.insert(lane);
+        decoding.insert(lane);
         EXPECT_EQ(pos[lane], shadow_len[h.id]);
         EXPECT_EQ(att[lane], shadow_len[h.id] + 1);
       }
       for (int64_t s = 0; s < cfg.slots; ++s) {
-        if (!lanes.count(s)) EXPECT_EQ(att[s], 0) << "free lanes attend nothing";
+        if (!decoding.count(s)) EXPECT_EQ(att[s], 0) << "free and mid-prompt lanes attend nothing";
       }
-      cache.commit_decode();
-      for (const infer::SequenceHandle& h : active) ++shadow_len[h.id];
+      cache.commit_step();
+      for (const infer::SequenceHandle& h : active)
+        if (decoding.count(cache.lane(h))) ++shadow_len[h.id];
     }
     check_invariants();
   }

@@ -1,11 +1,11 @@
-// Serving subsystem tests: KV-cache bookkeeping, bitwise parity of cached
-// incremental decoding against the full re-forward (GPT-2 and the
-// encoder-decoder Transformer, padded batches included), checkpoint
-// round-trips into a fresh inference session, the continuous-batching
-// engine (graph-replayed steps, continuous >= 1.5x static throughput), the
-// packed step (prompt chunks beside decode rows, page-write tracking under
-// prefix sharing and preemption, the segment charge), and the inference
-// scope every serving pass runs the training forward in.
+// Serving subsystem tests: KV-cache bookkeeping and its one step protocol,
+// bitwise parity of cached incremental decoding against the full re-forward
+// (ragged prompts run as one packed step included), checkpoint round-trips
+// into a fresh inference session, the continuous-batching engine
+// (graph-replayed steps, continuous >= 1.5x static throughput), the packed
+// step (prompt chunks beside decode rows, page-write tracking under prefix
+// sharing and preemption, the segment charge), and the inference scope
+// every serving pass runs the training forward in.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -65,6 +65,59 @@ Tensor column(const Tensor& ids, int64_t t) {
   return c;
 }
 
+/// The rows of ids [B, L] as B token vectors.
+std::vector<std::vector<int32_t>> token_rows(const Tensor& ids) {
+  const int64_t B = ids.shape()[0], L = ids.shape()[1];
+  const int32_t* ip = ids.data<int32_t>();
+  std::vector<std::vector<int32_t>> rows;
+  for (int64_t b = 0; b < B; ++b) rows.emplace_back(ip + b * L, ip + (b + 1) * L);
+  return rows;
+}
+
+/// The step bookkeeping alone, no model: one step whose chunks are the
+/// whole prompts of `seqs` (allocated, not yet run), planned, begun and
+/// committed. Every sequence past its prompt appends a row beside them.
+void commit_prompts(KvCache& cache, const std::vector<SequenceHandle>& seqs) {
+  int64_t rows = 0;
+  for (const PromptChunk& c :
+       cache.plan_chunks(seqs, cache.config().slots * cache.config().seq_tokens))
+    rows += c.end - c.begin;
+  (void)cache.begin_step(rows);
+  cache.commit_step();
+}
+
+/// One packed step of `model` whose chunks are the whole prompts of `seqs`
+/// (allocated, not yet run; prompts[i] holds seqs[i]'s tokens), beside the
+/// decode row of every lane past its prompt, fed next[lane] (pad for lanes
+/// not in `next`). Returns the logits of every batch row, read by clearing
+/// out_rows on a copy of begin_step's rows: [S + chunk rows, V] flattened,
+/// lane s's decode row at row s, then the chunks' rows in order, which
+/// `chunks` receives. Commits the step.
+std::vector<float> packed_step(layers::LayerContext& ctx, models::Gpt2& model, KvCache& cache,
+                               const std::vector<SequenceHandle>& seqs,
+                               const std::vector<std::vector<int32_t>>& prompts,
+                               const std::map<int64_t, int32_t>& next = {},
+                               std::vector<PromptChunk>* chunks = nullptr) {
+  const int64_t S = cache.config().slots;
+  const std::vector<PromptChunk> plan = cache.plan_chunks(seqs, S * cache.config().seq_tokens);
+  EXPECT_EQ(plan.size(), seqs.size()) << "every prompt runs whole";
+  int64_t rows = 0;
+  for (const PromptChunk& c : plan) rows += c.end - c.begin;
+  Tensor ids = Tensor::zeros({S + rows, 1}, DType::kI32);
+  int32_t* ip = ids.data<int32_t>();
+  for (const auto& [lane, token] : next) ip[lane] = token;
+  int64_t r = S;
+  for (size_t i = 0; i < plan.size(); ++i)
+    for (int32_t t = plan[i].begin; t < plan[i].end; ++t)
+      ip[r++] = prompts[i][static_cast<size_t>(t)];
+  layers::PagedRows every = cache.begin_step(rows);
+  every.out_rows = Tensor();
+  std::vector<float> logits = model.forward_cached(ctx, ids, cache, every).to_vector();
+  cache.commit_step();
+  if (chunks != nullptr) *chunks = plan;
+  return logits;
+}
+
 // ---------------------------------------------------------------------------
 // KV cache bookkeeping
 // ---------------------------------------------------------------------------
@@ -92,9 +145,10 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   cache.free(c);
   EXPECT_EQ(cache.free_lanes(), 1);
 
+  commit_prompts(cache, {a, b});
   ASSERT_TRUE(cache.extend(a, kc));
   ASSERT_TRUE(cache.extend(b, kc));
-  const layers::PagedRows& rows = cache.begin_decode();
+  const layers::PagedRows& rows = cache.begin_step(0);
   const int32_t* pos = rows.q_begin.data<int32_t>();
   const int32_t* att = rows.kv_lens.data<int32_t>();
   EXPECT_EQ(pos[cache.lane(a)], 5);
@@ -109,7 +163,7 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   for (int64_t p = 0; p < cfg.pages_per_seq(); ++p)
     EXPECT_EQ(bt[free_lane * cfg.pages_per_seq() + p],
               static_cast<int32_t>(cfg.pool_pages()));
-  cache.commit_decode();
+  cache.commit_step();
   EXPECT_EQ(cache.len(a), 6);
   EXPECT_EQ(cache.len(b), 3);
 
@@ -117,7 +171,9 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   const SequenceHandle d = cache.allocate(8);
   ASSERT_TRUE(d.valid());
   EXPECT_THROW((void)cache.extend(d, kc), Error);
-  EXPECT_THROW(cache.begin_decode(), Error) << "active seq at capacity";
+  commit_prompts(cache, {d});        // a and b decode beside its prompt
+  ASSERT_TRUE(cache.extend(b, kc));  // b's next row starts its second page
+  EXPECT_THROW(cache.begin_step(0), Error) << "active seq at capacity";
   cache.free(d);
 
   // Freed pages return to the pool; stale handles are rejected.
@@ -129,10 +185,59 @@ TEST(KvCacheTest, SequenceLifecycleAndDecodeViews) {
   EXPECT_EQ(cache.active_seqs(), 0);
 }
 
+// commit_step commits only a step that begin_step described: a second
+// commit, or one after plan_chunks with no begin_step, throws and moves no
+// length and no written row. A retried step (begin_step twice, one commit)
+// commits once, and reset drops a begun step.
+TEST(KvCacheTest, CommitStepRefusesAStepNoBeginStepDescribed) {
+  simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
+  kern::KernelContext kc(dev, nullptr, 1);
+  KvCacheConfig cfg;
+  cfg.layers = 1;
+  cfg.heads = 1;
+  cfg.head_dim = 2;
+  cfg.slots = 2;
+  cfg.seq_tokens = 16;
+  cfg.page_tokens = 4;
+  KvCache cache(cfg);
+  const SequenceHandle a = cache.allocate(5);
+  const SequenceHandle b = cache.allocate(3);
+  auto state = [&] {
+    return std::vector<int64_t>{cache.len(a), cache.written_rows(a), cache.len(b),
+                                cache.written_rows(b)};
+  };
+  EXPECT_THROW(cache.commit_step(), Error) << "nothing begun yet";
+  commit_prompts(cache, {a});  // a is past its prompt, b still in it
+  const std::vector<int64_t> committed = {5, 5, 3, 0};
+  ASSERT_EQ(state(), committed);
+  EXPECT_THROW(cache.commit_step(), Error) << "a second commit";
+  EXPECT_EQ(state(), committed);
+
+  ASSERT_TRUE(cache.extend(a, kc));
+  (void)cache.plan_chunks({b}, 2);
+  EXPECT_THROW(cache.commit_step(), Error) << "a plan no begin_step described";
+  EXPECT_EQ(state(), committed);
+
+  // A retried step: a appends one row, and b's first chunk of 2 rows counts
+  // once.
+  (void)cache.begin_step(2);
+  (void)cache.begin_step(2);
+  cache.commit_step();
+  const std::vector<int64_t> stepped = {6, 6, 3, 2};
+  EXPECT_EQ(state(), stepped);
+  EXPECT_THROW(cache.commit_step(), Error) << "the retried step commits once";
+  EXPECT_EQ(state(), stepped);
+
+  (void)cache.plan_chunks({b}, 1);
+  (void)cache.begin_step(1);
+  cache.reset();
+  EXPECT_THROW(cache.commit_step(), Error) << "reset drops the begun step";
+}
+
 // The paged writers and the fused decode attention, against a reference
 // built the unfused way over a contiguous cache: prompt rows
 // and the decode row (both kv_cache_store_paged) land
-// through the block table, and kern::paged_decode_attn reading the pools in
+// through the block table, and kern::paged_attn reading the pools in
 // place is BITWISE the scores GEMM + masked softmax + context GEMM + head
 // merge over contiguous copies of the same rows, in FP32 and FP16. The
 // lanes cover a length that crosses a page boundary, a free lane of length
@@ -311,8 +416,9 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
       for (int64_t s = 0; s < S; ++s)
         seqs.push_back(cache.allocate(std::max<int64_t>(1, kv_len[static_cast<size_t>(s)] - 1)));
       cache.free(seqs[1]);
+      commit_prompts(cache, {seqs[0], seqs[2], seqs[3]});
       for (int64_t s : {0, 2, 3}) ASSERT_TRUE(cache.extend(seqs[static_cast<size_t>(s)], kc));
-      const layers::PagedRows& rows = cache.begin_decode();
+      const layers::PagedRows& rows = cache.begin_step(0);
       const int32_t* pos = rows.q_begin.data<int32_t>();
       std::vector<int64_t> positions(pos, pos + S);
       for (int64_t s = 0; s < S; ++s)
@@ -340,7 +446,7 @@ TEST(KvCacheTest, PagedWritesAndDecodeAttentionMatchContiguousBitwise) {
                                                rows.q_begin.bytes() +
                                                rows.kv_lens.bytes() + merged.bytes()) +
                               2 * 17 * N * D * elem);
-      cache.commit_decode();
+      cache.commit_step();
       EXPECT_EQ(cache.len(seqs[2]), Lcap);
     }
   }
@@ -394,7 +500,7 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   Tensor ids = random_ids(B, L, V, 21);
 
   // Reference: one full-sequence forward through the non-cached stack.
-  const auto ref = model.prefill(s.ctx(), ids, nullptr, {}).to_vector();  // [B, L, V]
+  const auto ref = model.prefill(s.ctx(), ids).to_vector();  // [B, L, V]
 
   // A 4-token page: the 10-token teacher-forced decode crosses two page
   // boundaries, so the gather path is exercised mid-sequence.
@@ -402,21 +508,19 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   kcfg.page_tokens = 4;
   KvCache cache(kcfg);
   std::vector<SequenceHandle> seqs;
-  for (int64_t b = 0; b < B; ++b) seqs.push_back(cache.allocate(P));
-
-  // Prompt prefill must reproduce the reference at every prompt position.
-  Tensor prefix = Tensor::empty({B, P}, DType::kI32);
-  {
-    const int32_t* ip = ids.data<int32_t>();
-    int32_t* pp = prefix.data<int32_t>();
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t t = 0; t < P; ++t) pp[b * P + t] = ip[b * L + t];
+  std::vector<std::vector<int32_t>> prompts;
+  for (int64_t b = 0; b < B; ++b) {
+    seqs.push_back(cache.allocate(P));
+    prompts.emplace_back(ids.data<int32_t>() + b * L, ids.data<int32_t>() + b * L + P);
   }
-  const auto pre = model.prefill(s.ctx(), prefix, &cache, seqs).to_vector();  // [B, P, V]
+
+  // The prompts run as one packed step, whose chunk rows must reproduce the
+  // reference at every prompt position.
+  const auto pre = packed_step(s.ctx(), model, cache, seqs, prompts);  // [B + B*P, V]
   for (int64_t b = 0; b < B; ++b) {
     for (int64_t t = 0; t < P; ++t) {
       for (int64_t j = 0; j < V; ++j) {
-        ASSERT_EQ(pre[static_cast<size_t>((b * P + t) * V + j)],
+        ASSERT_EQ(pre[static_cast<size_t>((B + b * P + t) * V + j)],
                   ref[static_cast<size_t>((b * L + t) * V + j)])
             << "prefill b=" << b << " t=" << t << " j=" << j;
       }
@@ -426,9 +530,9 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   for (int64_t t = P; t < L; ++t) {
     for (const SequenceHandle& h : seqs)
       ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    const layers::PagedRows& rows = cache.begin_decode();
+    const layers::PagedRows& rows = cache.begin_step(0);
     const auto step = model.forward_cached(s.ctx(), column(ids, t), cache, rows).to_vector();
-    cache.commit_decode();
+    cache.commit_step();
     for (int64_t b = 0; b < B; ++b) {
       for (int64_t j = 0; j < V; ++j) {
         ASSERT_EQ(step[static_cast<size_t>(b * V + j)],
@@ -439,64 +543,55 @@ TEST(Gpt2InferTest, IncrementalDecodeMatchesFullForwardBitwise) {
   }
 }
 
-// Padded prompts: a batch of different-length prompts right-padded to one
-// shape must decode exactly like each sequence run alone at its true length.
-TEST(Gpt2InferTest, PaddedBatchMatchesPerSequenceForward) {
+// Ragged prompts: prompts of different lengths run as one packed step must
+// decode exactly like each sequence run alone at its true length.
+TEST(Gpt2InferTest, RaggedPromptsInOneStepMatchPerSequenceForward) {
   Session s(ls2_session());
   models::Gpt2 model(tiny_gpt2(), System::kLightSeq2, DType::kF32, 2);
   const int64_t V = model.config().vocab;
   const std::vector<int64_t> plen = {3, 5};
-  const int64_t B = 2, Lp = 5, steps = 3;
+  const int64_t B = 2, steps = 3;
   Tensor seqs = random_ids(B, 8, V, 33);  // prompt + continuation per row
-
-  // Padded prompt batch.
-  Tensor padded = Tensor::zeros({B, Lp}, DType::kI32);  // pad id 0
-  {
-    const int32_t* sp = seqs.data<int32_t>();
-    int32_t* pp = padded.data<int32_t>();
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t t = 0; t < plen[static_cast<size_t>(b)]; ++t)
-        pp[b * Lp + t] = sp[b * 8 + t];
-  }
-  Tensor lens = Tensor::from_vector({3.0f, 5.0f}, {B}, DType::kI32);
+  const int32_t* sp = seqs.data<int32_t>();
 
   KvCacheConfig kcfg = model.kv_cache_config(B, 16);
   kcfg.page_tokens = 4;  // ragged lanes land on different page offsets
   KvCache cache(kcfg);
   std::vector<SequenceHandle> handles;
-  for (int64_t b = 0; b < B; ++b)
+  std::vector<std::vector<int32_t>> prompts;
+  for (int64_t b = 0; b < B; ++b) {
     handles.push_back(cache.allocate(plen[static_cast<size_t>(b)]));
-  const auto pre = model.prefill(s.ctx(), padded, &cache, handles, &lens).to_vector();
+    prompts.emplace_back(sp + b * 8, sp + b * 8 + plen[static_cast<size_t>(b)]);
+  }
+  const auto pre = packed_step(s.ctx(), model, cache, handles, prompts);
 
   // Decode the continuations at per-lane positions (a genuinely ragged
   // batch — the continuous-batching shape).
   std::vector<std::vector<float>> step_logits;
   for (int64_t k = 0; k < steps; ++k) {
     Tensor tok = Tensor::empty({B, 1}, DType::kI32);
-    const int32_t* sp = seqs.data<int32_t>();
     int32_t* tp = tok.data<int32_t>();
     for (int64_t b = 0; b < B; ++b) tp[b] = sp[b * 8 + plen[static_cast<size_t>(b)] + k];
     for (const SequenceHandle& h : handles)
       ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    const layers::PagedRows& rows = cache.begin_decode();
+    const layers::PagedRows& rows = cache.begin_step(0);
     step_logits.push_back(model.forward_cached(s.ctx(), tok, cache, rows).to_vector());
-    cache.commit_decode();
+    cache.commit_step();
   }
 
   // Per-sequence unpadded references.
+  int64_t row = B;  // the first chunk row of the prompt step
   for (int64_t b = 0; b < B; ++b) {
     const int64_t pl = plen[static_cast<size_t>(b)];
     const int64_t full = pl + steps;
     Tensor solo = Tensor::empty({1, full}, DType::kI32);
-    const int32_t* sp = seqs.data<int32_t>();
     int32_t* op = solo.data<int32_t>();
     for (int64_t t = 0; t < full; ++t) op[t] = sp[b * 8 + t];
-    const auto ref = model.prefill(s.ctx(), solo, nullptr, {}).to_vector();  // [1, full, V]
-    for (int64_t t = 0; t < pl; ++t) {
+    const auto ref = model.prefill(s.ctx(), solo).to_vector();  // [1, full, V]
+    for (int64_t t = 0; t < pl; ++t, ++row) {
       for (int64_t j = 0; j < V; ++j) {
-        ASSERT_EQ(pre[static_cast<size_t>((b * Lp + t) * V + j)],
-                  ref[static_cast<size_t>(t * V + j)])
-            << "padded prefill b=" << b << " t=" << t;
+        ASSERT_EQ(pre[static_cast<size_t>(row * V + j)], ref[static_cast<size_t>(t * V + j)])
+            << "ragged prefill b=" << b << " t=" << t;
       }
     }
     for (int64_t k = 0; k < steps; ++k) {
@@ -530,17 +625,18 @@ int64_t launches_named(const simgpu::Device& dev, const std::string& part) {
 }
 
 // A prompt whose leading full pages a resident sequence already filled
-// runs only its tail through the model: the returned logits are the tail's
-// rows, bitwise the cacheless full forward's, the QKV projection is charged
-// at the tail rows alone, and the cached prefill launches none of the
-// padded-attention kernels. A fully shared prompt recomputes just its last
-// row and writes nothing. Decoding after either continues bitwise.
+// chunks only its tail: its step runs the lanes' decode rows plus the tail
+// rows, whose logits are bitwise the cacheless full forward's, the QKV
+// projection is charged at those rows alone, and the step launches none of
+// the padded-attention kernels. A fully shared prompt recomputes just its
+// last row and writes nothing. Every lane decoding beside them, and after
+// them, continues bitwise.
 TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
   Session s(ls2_session());
   const models::Gpt2Config cfg = tiny_gpt2();
   models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 4);
-  const int64_t V = cfg.vocab, page = 4;
-  KvCacheConfig kcfg = model.kv_cache_config(3, 16);
+  const int64_t V = cfg.vocab, S = 3, page = 4;
+  KvCacheConfig kcfg = model.kv_cache_config(S, 16);
   kcfg.page_tokens = page;
   kcfg.prefix_sharing = true;
   KvCache cache(kcfg);
@@ -553,64 +649,84 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
   b.push_back(42);                                          // ...then its own tail
   const std::vector<int32_t> c(a.begin(), a.begin() + 2 * page);  // fully shared
   auto reference = [&](const std::vector<int32_t>& p) {
-    return model.prefill(s.ctx(), ids_of(p), nullptr, {}).to_vector();
+    return model.prefill(s.ctx(), ids_of(p)).to_vector();
   };
   const auto ref_b = reference(b), ref_c = reference(c);
+  // Each lane's tokens so far: its prompt, then the decode inputs it was fed.
+  std::vector<std::vector<int32_t>> fed(S);
+  auto expect_decoded = [&](const std::vector<float>& logits, int64_t lane, int32_t next) {
+    std::vector<int32_t>& seq = fed[static_cast<size_t>(lane)];
+    seq.push_back(next);
+    const auto L = static_cast<int64_t>(seq.size());
+    EXPECT_EQ(logit_rows(logits, V, lane, lane + 1), logit_rows(reference(seq), V, L - 1, L))
+        << "decode lane " << lane << " at length " << L;
+  };
+  std::vector<PromptChunk> chunks;
 
   const SequenceHandle ha = cache.allocate(11, a.data());
-  ASSERT_EQ(cache.write_begin(ha), 0);
-  const auto pre_a = model.prefill(s.ctx(), ids_of(a), &cache, {ha}).to_vector();
-  EXPECT_EQ(pre_a, reference(a)) << "an unshared prompt returns every row";
+  const auto pre_a = packed_step(s.ctx(), model, cache, {ha}, {a});
+  EXPECT_EQ(logit_rows(pre_a, V, S, S + 11), reference(a)) << "an unshared prompt runs every row";
+  fed[static_cast<size_t>(cache.lane(ha))] = a;
 
   const SequenceHandle hb = cache.allocate(10, b.data());
-  ASSERT_EQ(cache.write_begin(hb), 2 * page);
+  ASSERT_EQ(cache.stats().shared_page_hits, 2) << "b maps a's two full pages";
+  ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
   const double qkv_flops = dev.per_kernel().at("attn.qkv_proj.fw").flops;
   const int64_t padded_attn = launches_named(dev, "attn.scores") +
                               launches_named(dev, "attn.context") +
                               launches_named(dev, "attn_softmax_fw") +
                               launches_named(dev, "merge_heads");
-  Tensor tail = model.prefill(s.ctx(), ids_of(b), &cache, {hb});
-  ASSERT_EQ(tail.shape(), (Shape{1, 2, V})) << "only the rows past write_begin run";
-  EXPECT_EQ(tail.to_vector(), logit_rows(ref_b, V, 2 * page, 10));
+  const auto tail =
+      packed_step(s.ctx(), model, cache, {hb}, {b}, {{cache.lane(ha), 41}}, &chunks);
+  EXPECT_EQ(chunks[0].begin, 2 * page) << "rows a committed step wrote are skipped";
+  ASSERT_EQ(tail.size(), static_cast<size_t>((S + 2) * V)) << "only the tail rows run";
+  EXPECT_EQ(logit_rows(tail, V, S, S + 2), logit_rows(ref_b, V, 2 * page, 10));
   EXPECT_EQ(dev.per_kernel().at("attn.qkv_proj.fw").flops - qkv_flops,
-            static_cast<double>(cfg.layers * 2 * 2 * (3 * cfg.hidden) * cfg.hidden))
-      << "the QKV projection is charged at the 2 tail rows";
+            static_cast<double>(cfg.layers * 2 * (S + 2) * (3 * cfg.hidden) * cfg.hidden))
+      << "the QKV projection is charged at the S decode rows and the 2 tail rows";
   EXPECT_EQ(launches_named(dev, "attn.scores") + launches_named(dev, "attn.context") +
                 launches_named(dev, "attn_softmax_fw") + launches_named(dev, "merge_heads"),
             padded_attn)
-      << "cached prefill attends through kern::paged_attn alone";
+      << "the packed step attends through kern::paged_attn alone";
+  expect_decoded(tail, cache.lane(ha), 41);
+  fed[static_cast<size_t>(cache.lane(hb))] = b;
 
-  std::vector<std::vector<float>> pools;
-  for (int64_t l = 0; l < cfg.layers; ++l) {
-    pools.push_back(cache.k_pool(l).to_vector());
-    pools.push_back(cache.v_pool(l).to_vector());
-  }
   const SequenceHandle hc = cache.allocate(8, c.data());
-  ASSERT_EQ(cache.write_begin(hc), 2 * page);
-  Tensor last = model.prefill(s.ctx(), ids_of(c), &cache, {hc});
-  ASSERT_EQ(last.shape(), (Shape{1, 1, V})) << "a fully shared prompt recomputes one row";
-  EXPECT_EQ(last.to_vector(), logit_rows(ref_c, V, 7, 8));
-  for (int64_t l = 0; l < cfg.layers; ++l) {
-    EXPECT_EQ(cache.k_pool(l).to_vector(), pools[static_cast<size_t>(2 * l)]);
-    EXPECT_EQ(cache.v_pool(l).to_vector(), pools[static_cast<size_t>(2 * l + 1)]);
-  }
+  // The K/V of the two pages c shares, every layer.
+  auto shared_pages = [&] {
+    const int64_t pps = kcfg.pages_per_seq(), elems = cfg.hidden * page;
+    const int32_t* row = cache.block_table().data<int32_t>() + cache.lane(hc) * pps;
+    std::vector<float> out;
+    for (int64_t l = 0; l < cfg.layers; ++l)
+      for (const Tensor* pool : {&cache.k_pool(l), &cache.v_pool(l)}) {
+        const auto all = pool->to_vector();
+        for (int64_t j = 0; j < 2; ++j)
+          out.insert(out.end(), all.begin() + row[j] * elems, all.begin() + (row[j] + 1) * elems);
+      }
+    return out;
+  };
+  const auto before = shared_pages();
+  for (const SequenceHandle& h : {ha, hb}) ASSERT_TRUE(cache.extend(h, s.ctx().kern));
+  const auto last = packed_step(s.ctx(), model, cache, {hc}, {c},
+                                {{cache.lane(ha), 42}, {cache.lane(hb), 43}}, &chunks);
+  ASSERT_EQ(last.size(), static_cast<size_t>((S + 1) * V))
+      << "a fully shared prompt recomputes one row";
+  EXPECT_EQ(chunks[0].begin, 7);
+  EXPECT_EQ(logit_rows(last, V, S, S + 1), logit_rows(ref_c, V, 7, 8));
+  EXPECT_EQ(shared_pages(), before) << "a fully shared prompt writes nothing";
+  expect_decoded(last, cache.lane(ha), 42);
+  expect_decoded(last, cache.lane(hb), 43);
+  fed[static_cast<size_t>(cache.lane(hc))] = c;
 
-  // One teacher-forced decode step per lane continues every prompt bitwise.
+  // One pure decode step per lane continues every prompt bitwise.
   const std::vector<int32_t> next = {5, 6, 7};
-  Tensor step_ids = Tensor::empty({3, 1}, DType::kI32);
+  Tensor step_ids = Tensor::empty({S, 1}, DType::kI32);
   std::copy(next.begin(), next.end(), step_ids.data<int32_t>());
   for (const SequenceHandle& h : {ha, hb, hc}) ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-  const layers::PagedRows& rows = cache.begin_decode();
-  const auto step = model.forward_cached(s.ctx(), step_ids, cache, rows).to_vector();
-  cache.commit_decode();
-  const std::vector<std::vector<int32_t>> prompts = {a, b, c};
-  for (int64_t lane = 0; lane < 3; ++lane) {
-    std::vector<int32_t> p = prompts[static_cast<size_t>(lane)];
-    p.push_back(next[static_cast<size_t>(lane)]);
-    const auto L = static_cast<int64_t>(p.size());
-    EXPECT_EQ(logit_rows(step, V, lane, lane + 1), logit_rows(reference(p), V, L - 1, L))
-        << "decode lane " << lane;
-  }
+  const auto step = model.forward_cached(s.ctx(), step_ids, cache, cache.begin_step(0)).to_vector();
+  cache.commit_step();
+  for (int64_t lane = 0; lane < S; ++lane)
+    expect_decoded(step, lane, next[static_cast<size_t>(lane)]);
 }
 
 // The serving path is tied back to the training path: with dropout 0 the
@@ -625,7 +741,7 @@ TEST(Gpt2InferTest, PrefillLogitsReproduceTrainingLoss) {
   const auto res = model.forward(s.ctx(), batch);
   model.release();
 
-  const auto logits = model.prefill(s.ctx(), batch.ids, nullptr, {}).to_vector();
+  const auto logits = model.prefill(s.ctx(), batch.ids).to_vector();
   const auto targets = batch.targets.to_vector();
   double loss = 0;
   int64_t tokens = 0;
@@ -642,74 +758,6 @@ TEST(Gpt2InferTest, PrefillLogitsReproduceTrainingLoss) {
   }
   ASSERT_EQ(tokens, res.tokens);
   EXPECT_NEAR(loss / tokens, res.loss_per_token(), 1e-4);
-}
-
-models::TransformerConfig tiny_mt() {
-  models::TransformerConfig cfg;
-  cfg.vocab = 64;
-  cfg.hidden = 16;
-  cfg.heads = 2;
-  cfg.ffn_dim = 32;
-  cfg.encoder_layers = 2;
-  cfg.decoder_layers = 2;
-  cfg.max_len = 32;
-  return cfg;
-}
-
-TEST(TransformerInferTest, IncrementalDecodeMatchesFullPrefillBitwise) {
-  Session s(ls2_session());
-  models::Transformer model(tiny_mt(), System::kLightSeq2, DType::kF32, 7);
-  data::MtDataset ds(64, 16, 4, 9, 5);
-  auto batches = data::make_mt_batches(ds, 64, DType::kF32);
-  const models::MtBatch& batch = batches.front();
-  const int64_t B = batch.src_ids.shape()[0];
-  const int64_t Ls = batch.src_ids.shape()[1];
-  const int64_t Lt = batch.tgt_in.shape()[1];
-  const int64_t V = model.config().vocab;
-
-  // Reference: encode + full-target prefill (degenerate one-page config —
-  // the contiguous-equivalent layout).
-  KvCache ref_cache(model.kv_cache_config(B, Lt + 1, Ls));
-  std::vector<SequenceHandle> ref_seqs;
-  for (int64_t b = 0; b < B; ++b) ref_seqs.push_back(ref_cache.allocate(Lt));
-  model.encode(s.ctx(), batch.src_ids, batch.src_lens, ref_cache, ref_seqs);
-  const auto ref =
-      model.prefill(s.ctx(), batch.tgt_in, ref_cache, ref_seqs, &batch.tgt_lens).to_vector();
-
-  // Incremental against a genuinely PAGED decoder self-cache (the cross
-  // blocks stay contiguous either way): encode, prefill the BOS column,
-  // then teacher-forced decode.
-  KvCacheConfig kcfg = model.kv_cache_config(B, Lt + 1, Ls);
-  kcfg.page_tokens = 4;
-  KvCache cache(kcfg);
-  std::vector<SequenceHandle> handles;
-  for (int64_t b = 0; b < B; ++b) handles.push_back(cache.allocate(1));
-  model.encode(s.ctx(), batch.src_ids, batch.src_lens, cache, handles);
-  const auto tgt_lens = batch.tgt_lens.to_vector();
-  const auto pre =
-      model.prefill(s.ctx(), column(batch.tgt_in, 0), cache, handles).to_vector();
-  for (int64_t b = 0; b < B; ++b) {
-    for (int64_t j = 0; j < V; ++j) {
-      ASSERT_EQ(pre[static_cast<size_t>(b * V + j)], ref[static_cast<size_t>(b * Lt * V + j)])
-          << "decoder prefill b=" << b;
-    }
-  }
-  for (int64_t t = 1; t < Lt; ++t) {
-    for (const SequenceHandle& h : handles)
-      ASSERT_TRUE(cache.extend(h, s.ctx().kern));
-    const layers::PagedRows& rows = cache.begin_decode();
-    const auto step =
-        model.forward_cached(s.ctx(), column(batch.tgt_in, t), cache, rows).to_vector();
-    cache.commit_decode();
-    for (int64_t b = 0; b < B; ++b) {
-      if (t >= static_cast<int64_t>(tgt_lens[static_cast<size_t>(b)])) continue;  // padding
-      for (int64_t j = 0; j < V; ++j) {
-        ASSERT_EQ(step[static_cast<size_t>(b * V + j)],
-                  ref[static_cast<size_t>((b * Lt + t) * V + j)])
-            << "decode b=" << b << " t=" << t;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -730,13 +778,13 @@ TEST(ServingCheckpointTest, TrainedFp32ModelServesIdenticallyAfterReload) {
   models::save_checkpoint(trained.params(), path);
 
   Tensor ids = random_ids(2, 6, 48, 44);
-  const auto want = trained.prefill(train_s.ctx(), ids, nullptr, {}).to_vector();
+  const auto want = trained.prefill(train_s.ctx(), ids).to_vector();
 
   // Fresh inference session, differently-seeded weights, then reload.
   Session serve_s(ls2_session());
   models::Gpt2 served(tiny_gpt2(), System::kLightSeq2, DType::kF32, 99);
   models::load_checkpoint(served.params(), path);
-  const auto got = served.prefill(serve_s.ctx(), ids, nullptr, {}).to_vector();
+  const auto got = served.prefill(serve_s.ctx(), ids).to_vector();
   EXPECT_EQ(got, want) << "first-step serving logits must match the trained model";
 
   // The checkpoint also serves under a baseline policy (same math, other
@@ -746,7 +794,7 @@ TEST(ServingCheckpointTest, TrainedFp32ModelServesIdenticallyAfterReload) {
   Session fair_s(fcfg);
   models::Gpt2 fair(tiny_gpt2(), System::kFairseq, DType::kF32, 5);
   models::load_checkpoint(fair.params(), path);
-  const auto fair_logits = fair.prefill(fair_s.ctx(), ids, nullptr, {}).to_vector();
+  const auto fair_logits = fair.prefill(fair_s.ctx(), ids).to_vector();
   ASSERT_EQ(fair_logits.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_NEAR(fair_logits[i], want[i], 1e-4f) << i;
@@ -771,12 +819,12 @@ TEST(ServingCheckpointTest, Fp16TrainedModelReloadsIntoFp32Serving) {
   Session a_s(ls2_session());
   models::Gpt2 a(tiny_gpt2(), System::kLightSeq2, DType::kF32, 101);
   models::load_checkpoint(a.params(), path);
-  const auto la = a.prefill(a_s.ctx(), ids, nullptr, {}).to_vector();
+  const auto la = a.prefill(a_s.ctx(), ids).to_vector();
 
   Session b_s(ls2_session());
   models::Gpt2 b(tiny_gpt2(), System::kLightSeq2, DType::kF32, 202);
   models::load_checkpoint(b.params(), path);
-  const auto lb = b.prefill(b_s.ctx(), ids, nullptr, {}).to_vector();
+  const auto lb = b.prefill(b_s.ctx(), ids).to_vector();
 
   EXPECT_EQ(la, lb) << "independent reloads must serve identical first-step logits";
   for (float v : la) ASSERT_TRUE(std::isfinite(v));
@@ -879,7 +927,7 @@ TEST(ContinuousBatcherTest, EosRetiresEarlyInExecuteMode) {
 
 // A request whose cap exceeds the slot's K/V capacity must be retired when
 // the block fills — it caps generation, it must not crash the serve loop
-// (KvCache::begin_decode throws on an over-full slot).
+// (KvCache::begin_step throws on an over-full lane).
 TEST(ContinuousBatcherTest, CacheCapacityCapsGenerationInsteadOfThrowing) {
   const auto cfg = tiny_gpt2();
   const int64_t max_len = 12;
@@ -1074,13 +1122,13 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
   const int64_t V = model.config().vocab, P = 6, steps = 3;
   KvCacheConfig kcfg = model.kv_cache_config(3, 16);
   kcfg.page_tokens = 4;  // prompt 6 = one full page + a 2-row tail page
-  Tensor prompt = random_ids(1, P, V, 66);
+  const auto prompt = token_rows(random_ids(1, P, V, 66));
   const std::vector<int32_t> contA = {7, 11, 13}, contB = {9, 17, 5};
 
   // Forked pair: prefill once, branch, then decode different continuations.
   KvCache cache(kcfg);
   const SequenceHandle hf = cache.allocate(P);
-  (void)model.prefill(s.ctx(), prompt, &cache, {hf});
+  (void)packed_step(s.ctx(), model, cache, {hf}, prompt);
   const SequenceHandle ff = cache.fork(hf);
   ASSERT_TRUE(ff.valid());
   EXPECT_EQ(cache.len(ff), P);
@@ -1090,15 +1138,14 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
   auto solo = [&](const std::vector<int32_t>& cont) {
     KvCache c(kcfg);
     const SequenceHandle h = c.allocate(P);
-    (void)model.prefill(s.ctx(), prompt, &c, {h});
+    (void)packed_step(s.ctx(), model, c, {h}, prompt);
     std::vector<std::vector<float>> out;
     Tensor ids = Tensor::zeros({3, 1}, DType::kI32);
     for (int64_t k = 0; k < steps; ++k) {
       ids.data<int32_t>()[c.lane(h)] = cont[static_cast<size_t>(k)];
       EXPECT_TRUE(c.extend(h, s.ctx().kern));
-      const layers::PagedRows& rows = c.begin_decode();
-      out.push_back(model.forward_cached(s.ctx(), ids, c, rows).to_vector());
-      c.commit_decode();
+      out.push_back(model.forward_cached(s.ctx(), ids, c, c.begin_step(0)).to_vector());
+      c.commit_step();
     }
     return out;
   };
@@ -1111,9 +1158,8 @@ TEST(PagedKvTest, ForkCopyOnWriteIsolatesSequencesBitwise) {
     ids.data<int32_t>()[cache.lane(ff)] = contB[static_cast<size_t>(k)];
     ASSERT_TRUE(cache.extend(hf, s.ctx().kern));
     ASSERT_TRUE(cache.extend(ff, s.ctx().kern));
-    const layers::PagedRows& rows = cache.begin_decode();
-    const auto step = model.forward_cached(s.ctx(), ids, cache, rows).to_vector();
-    cache.commit_decode();
+    const auto step = model.forward_cached(s.ctx(), ids, cache, cache.begin_step(0)).to_vector();
+    cache.commit_step();
     // Row-independent kernels: compare each lane against the solo run's
     // lane 0 (where solo() placed its only sequence).
     for (int64_t j = 0; j < V; ++j) {
@@ -1154,13 +1200,13 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
       for (const SequenceHandle& h : seqs) cache.free(h);
       seqs.clear();
       for (int64_t b = 0; b < slots; ++b) seqs.push_back(cache.allocate(prompt_len));
-      (void)model.prefill(s.ctx(), random_ids(slots, prompt_len, cfg.vocab, seed), &cache,
-                          seqs);
+      (void)packed_step(s.ctx(), model, cache, seqs,
+                        token_rows(random_ids(slots, prompt_len, cfg.vocab, seed)));
       s.end_step();
     };
     auto decode = [&](uint64_t seed) {
       for (const SequenceHandle& h : seqs) EXPECT_TRUE(cache.extend(h, s.ctx().kern));
-      const layers::PagedRows& rows = cache.begin_decode();
+      const layers::PagedRows& rows = cache.begin_step(0);
       const Tensor ids = random_ids(slots, 1, cfg.vocab, seed);
       const size_t step = out.logits.size();
       const bool capture = graph && step == 1, replay = graph && step > 1;
@@ -1175,7 +1221,7 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
       if (capture) g = dev.end_capture();
       if (replay) dev.end_replay();
       s.end_step();
-      cache.commit_decode();
+      cache.commit_step();
     };
     admit(short_prompt, 1);
     decode(10);  // eager warm-up
@@ -1199,7 +1245,7 @@ TEST(PagedKvTest, ReplayedDecodeStepChargesLiveAttendLengths) {
 // replayed: device-clock advance, bytes read, bytes written and flops. The
 // values are those of the dedicated decode kernels this forward replaced;
 // its K/V write is now a kv_store_paged launch and its lookup an
-// embedding_fw launch.
+// embedding_fw launch. The four prompts run as one packed step before it.
 TEST(PagedKvTest, DecodeStepCostIsPinned) {
   const models::Gpt2Config cfg = tiny_gpt2();
   SessionConfig sc = ls2_session();
@@ -1211,17 +1257,19 @@ TEST(PagedKvTest, DecodeStepCostIsPinned) {
   kcfg.page_tokens = 4;
   KvCache cache(kcfg, s.param_alloc());
   std::vector<SequenceHandle> seqs;
+  std::vector<std::vector<int32_t>> prompts;
   for (const int64_t len : {1, 3, 5, 13}) {
     std::vector<int32_t> prompt;
     for (int64_t t = 0; t < len; ++t)
       prompt.push_back(3 + static_cast<int32_t>((static_cast<int64_t>(seqs.size()) * 7 + t * 5) % 40));
     seqs.push_back(cache.allocate(len));
-    (void)model.prefill(s.ctx(), ids_of(prompt), &cache, {seqs.back()});
-    s.end_step();
+    prompts.push_back(prompt);
   }
+  (void)packed_step(s.ctx(), model, cache, seqs, prompts);
+  s.end_step();
   cache.free(seqs[1]);  // lane 1 decodes into the trash page
   for (const size_t i : {0, 2, 3}) ASSERT_TRUE(cache.extend(seqs[i], s.ctx().kern));
-  const layers::PagedRows& rows = cache.begin_decode();
+  const layers::PagedRows& rows = cache.begin_step(0);
   const Tensor ids = Tensor::from_vector({11.0f, 0.0f, 23.0f, 37.0f}, {4, 1}, DType::kI32);
   auto step = [&] { return model.forward_cached(s.ctx(), ids, cache, rows).to_vector(); };
 
@@ -1261,7 +1309,9 @@ TEST(PagedKvTest, DecodeStepCostIsPinned) {
   EXPECT_EQ(bytes - written, 37760) << "bytes read";
   EXPECT_EQ(written, 11680) << "bytes written";
   EXPECT_EQ(flops, 47584.0);
-  EXPECT_EQ(eager_us, 0x1.e66d3fe92ca5p+6) << "121.60668911299695 us";
+  // eager_us is the difference of two absolute clock readings, so where the
+  // clock stands before the step moves its last bits.
+  EXPECT_EQ(eager_us, 0x1.e66d3fe92ca7p+6) << "121.6066891129974 us";
   EXPECT_EQ(replay_us, 0x1.4369ff496528p+3) << "10.106689112996946 us";
   EXPECT_EQ(launches["ls2.kv_store_paged"], cfg.layers);
   EXPECT_EQ(launches["ls2.embedding_fw"], 1);
@@ -1341,7 +1391,7 @@ TEST(PackedStepTest, ChunkedPromptRowsMatchTheCachelessPrefillBitwise) {
   std::vector<int32_t> b;
   for (int32_t t = 0; t < 11; ++t) b.push_back(3 + (t * 5 + 2) % 40);
   auto reference = [&](const std::vector<int32_t>& p) {
-    return model.prefill(s.ctx(), ids_of(p), nullptr, {}).to_vector();
+    return model.prefill(s.ctx(), ids_of(p)).to_vector();
   };
   const auto ref_a = reference(a), ref_b = reference(b);
 
@@ -1412,63 +1462,6 @@ TEST(PackedStepTest, ChunkedPromptRowsMatchTheCachelessPrefillBitwise) {
   }
 }
 
-// A prompt batch (Gpt2::prefill with a cache) commits what its last chunk
-// would have: the prompt counts as run and its rows as written. A sharer of
-// its full pages then chunks only its own tail, and both sequences go on
-// through packed steps, bitwise the cacheless prefill.
-TEST(PackedStepTest, APromptBatchCommitsAsItsLastChunkWould) {
-  Session s(ls2_session());
-  const models::Gpt2Config cfg = tiny_gpt2();
-  models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 5);
-  const int64_t V = cfg.vocab, S = 3, page = 4;
-  KvCacheConfig kcfg = model.kv_cache_config(S, 24);
-  kcfg.page_tokens = page;
-  kcfg.prefix_sharing = true;
-  KvCache cache(kcfg);
-  std::vector<int32_t> p;
-  for (int32_t t = 0; t < 10; ++t) p.push_back(3 + (t * 7 + 1) % 40);
-  const auto L = static_cast<int64_t>(p.size());
-
-  const SequenceHandle ha = cache.allocate(L, p.data());
-  (void)model.prefill(s.ctx(), ids_of(p), &cache, {ha});
-  EXPECT_TRUE(cache.prompt_done(ha));
-  EXPECT_EQ(cache.written_rows(ha), L);
-
-  const SequenceHandle hb = cache.allocate(L, p.data());
-  ASSERT_EQ(cache.write_begin(hb), 2 * page) << "the two full pages are shared";
-  const std::vector<PromptChunk> chunks = cache.plan_chunks({hb}, 128);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].begin, 2 * page) << "rows the prompt batch wrote are skipped";
-  EXPECT_EQ(chunks[0].end, L);
-
-  ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
-  const int64_t rows = chunks[0].end - chunks[0].begin;
-  Tensor ids = Tensor::zeros({S + rows, 1}, DType::kI32);
-  const int32_t next = 17;
-  ids.data<int32_t>()[cache.lane(ha)] = next;
-  for (int32_t i = chunks[0].begin; i < chunks[0].end; ++i)
-    ids.data<int32_t>()[S + i - chunks[0].begin] = p[static_cast<size_t>(i)];
-  const auto logits =
-      model.forward_cached(s.ctx(), ids, cache, cache.begin_step(rows)).to_vector();
-  cache.commit_step();
-  std::vector<int32_t> pa = p;
-  pa.push_back(next);
-  const auto ref = model.prefill(s.ctx(), ids_of(pa), nullptr, {}).to_vector();
-  EXPECT_EQ(logit_rows(logits, V, cache.lane(ha), cache.lane(ha) + 1),
-            logit_rows(ref, V, L, L + 1))
-      << "the prompt batch's sequence decodes in a packed step";
-  EXPECT_EQ(logit_rows(logits, V, cache.lane(hb), cache.lane(hb) + 1),
-            logit_rows(ref, V, L - 1, L))
-      << "the sharer samples from its last prompt row";
-  EXPECT_TRUE(cache.prompt_done(hb));
-  EXPECT_EQ(cache.written_rows(ha), L + 1);
-  EXPECT_EQ(cache.written_rows(hb), L);
-
-  ASSERT_TRUE(cache.extend(ha, s.ctx().kern));
-  ASSERT_TRUE(cache.extend(hb, s.ctx().kern));
-  EXPECT_NO_THROW(cache.begin_step(0)) << "both sequences decode in a pure-decode step";
-}
-
 /// Greedy generation by cacheless re-forward: the reference every packed
 /// engine run must reproduce token for token.
 std::vector<int32_t> greedy_reference(Session& s, models::Gpt2& model, std::vector<int32_t> seq,
@@ -1476,7 +1469,7 @@ std::vector<int32_t> greedy_reference(Session& s, models::Gpt2& model, std::vect
   const int64_t V = model.config().vocab;
   std::vector<int32_t> out;
   for (int64_t g = 0; g < gen_len; ++g) {
-    const auto logits = model.prefill(s.ctx(), ids_of(seq), nullptr, {}).to_vector();
+    const auto logits = model.prefill(s.ctx(), ids_of(seq)).to_vector();
     const auto L = static_cast<int64_t>(seq.size());
     const float* last = logits.data() + (L - 1) * V;
     int32_t best = 0;
@@ -1774,25 +1767,25 @@ TEST(ServingScopeTest, ServingRestoresTrainingModeAndSavesNothing) {
     EXPECT_NO_THROW(s.end_step()) << pass << " left a live tensor in the arena";
   };
 
-  (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1), nullptr, {});
-  expect_clean("uncached prefill");
-  (void)model.prefill(ctx, random_ids(2, 4, cfg.vocab, 2), &cache, seqs);
-  expect_clean("cached prefill");
+  (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1));
+  expect_clean("cacheless prefill");
+  (void)packed_step(ctx, model, cache, seqs, token_rows(random_ids(2, 4, cfg.vocab, 2)));
+  expect_clean("packed prompt step");
   for (const SequenceHandle& h : seqs) ASSERT_TRUE(cache.extend(h, ctx.kern));
-  const layers::PagedRows& rows = cache.begin_decode();
-  (void)model.forward_cached(ctx, random_ids(2, 1, cfg.vocab, 3), cache, rows);
-  cache.commit_decode();
+  (void)model.forward_cached(ctx, random_ids(2, 1, cfg.vocab, 3), cache, cache.begin_step(0));
+  cache.commit_step();
   expect_clean("decode");
 
-  EXPECT_THROW(model.prefill(ctx, random_ids(1, cfg.max_len + 1, cfg.vocab, 4), nullptr, {}),
+  EXPECT_THROW(model.prefill(ctx, random_ids(1, cfg.max_len + 1, cfg.vocab, 4)),
                Error);
   EXPECT_TRUE(ctx.training()) << "a throwing pass must still leave the scope";
 }
 
 // Serving draws no dropout mask, so its embedding lookup writes only the
-// activation: the ls2.embedding_fw launch of a cacheless prefill, a cached
-// prefill and a decode step each write B * L * H floats, where the
-// training forward's also writes its u8 mask.
+// activation: the ls2.embedding_fw launch of a cacheless prefill, a packed
+// prompt step (S decode rows plus the chunk rows) and a decode step each
+// write one H-float row per batch row, where the training forward's also
+// writes its u8 mask.
 TEST(ServingScopeTest, ServingEmbeddingWritesOnlyItsActivation) {
   SessionConfig sc = ls2_session();
   sc.arena_bytes = size_t{8} << 20;
@@ -1824,21 +1817,21 @@ TEST(ServingScopeTest, ServingEmbeddingWritesOnlyItsActivation) {
   const int64_t row = cfg.hidden * static_cast<int64_t>(sizeof(float));
 
   EXPECT_EQ(embedding_written(
-                [&] { (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1), nullptr, {}); }),
+                [&] { (void)model.prefill(ctx, random_ids(2, 6, cfg.vocab, 1)); }),
             2 * 6 * row)
       << "cacheless prefill";
-  EXPECT_EQ(embedding_written(
-                [&] { (void)model.prefill(ctx, random_ids(2, 4, cfg.vocab, 2), &cache, seqs); }),
-            2 * 4 * row)
-      << "cached prefill";
+  const auto prompts = token_rows(random_ids(2, 4, cfg.vocab, 2));
+  EXPECT_EQ(embedding_written([&] { (void)packed_step(ctx, model, cache, seqs, prompts); }),
+            (2 + 2 * 4) * row)
+      << "packed prompt step";
   for (const SequenceHandle& h : seqs) ASSERT_TRUE(cache.extend(h, ctx.kern));
-  const layers::PagedRows& rows = cache.begin_decode();
+  const layers::PagedRows& rows = cache.begin_step(0);
   EXPECT_EQ(embedding_written([&] {
               (void)model.forward_cached(ctx, random_ids(2, 1, cfg.vocab, 3), cache, rows);
             }),
             2 * 1 * row)
       << "decode";
-  cache.commit_decode();
+  cache.commit_step();
 
   data::LmDataset ds(cfg.vocab, 512, 5);
   const models::LmBatch batch = ds.batch(0, 2, 8);
@@ -1867,13 +1860,13 @@ TEST(ServingScopeTest, ServingBetweenTrainStepsLeavesTrainingBitwise) {
   for (int step = 0; step < 4; ++step) {
     KvCache cache(served.kv_cache_config(1, 16));
     const SequenceHandle h = cache.allocate(5);
-    (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 10 + step), nullptr, {});
-    (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 20 + step), &cache, {h});
+    (void)served.prefill(serve_s.ctx(), random_ids(1, 5, cfg.vocab, 10 + step));
+    (void)packed_step(serve_s.ctx(), served, cache, {h},
+                      token_rows(random_ids(1, 5, cfg.vocab, 20 + step)));
     ASSERT_TRUE(cache.extend(h, serve_s.ctx().kern));
-    const layers::PagedRows& rows = cache.begin_decode();
     (void)served.forward_cached(serve_s.ctx(), random_ids(1, 1, cfg.vocab, 30 + step), cache,
-                                rows);
-    cache.commit_decode();
+                                cache.begin_step(0));
+    cache.commit_step();
 
     const models::LmBatch batch = ds.batch(step, 2, 8);
     const auto got = core::train_step(serve_s, served, batch, served_trainer).second;
@@ -1902,48 +1895,47 @@ TEST(ServingScopeTest, ServingThrowsUnderTensorParallelism) {
   dist::ProcessGroup pg(tp2);
 
   ctx.tp_group = &pg;
-  EXPECT_THROW(model.prefill(ctx, prompt, nullptr, {}), Error) << "uncached prefill";
-  EXPECT_THROW(model.prefill(ctx, prompt, &cache, {h}), Error) << "cached prefill";
+  EXPECT_THROW(model.prefill(ctx, prompt), Error) << "cacheless prefill";
+  EXPECT_THROW(packed_step(ctx, model, cache, {h}, token_rows(prompt)), Error)
+      << "packed prompt step";
   ctx.tp_group = nullptr;
-  (void)model.prefill(ctx, prompt, &cache, {h});
+  (void)packed_step(ctx, model, cache, {h}, token_rows(prompt));
   ASSERT_TRUE(cache.extend(h, ctx.kern));
-  const layers::PagedRows& rows = cache.begin_decode();
+  const layers::PagedRows& rows = cache.begin_step(0);
   ctx.tp_group = &pg;
   EXPECT_THROW(model.forward_cached(ctx, random_ids(1, 1, cfg.vocab, 2), cache, rows), Error)
       << "decode";
   ctx.tp_group = nullptr;
   (void)model.forward_cached(ctx, random_ids(1, 1, cfg.vocab, 2), cache, rows);
-  cache.commit_decode();
+  cache.commit_step();
   EXPECT_TRUE(ctx.training());
 }
 
 // Serving skips every standalone dropout launch: the attention-probability
 // dropout under every policy, and the unfused chains' dropout stage under
-// the baselines. The training forward launches them.
-TEST(ServingScopeTest, TransformerServingLaunchesNoStandaloneDropout) {
+// the baselines. A cacheless prefill and a packed prompt step launch none;
+// the training forward launches them.
+TEST(ServingScopeTest, ServingLaunchesNoStandaloneDropout) {
   for (System system : {System::kLightSeq2, System::kFairseq}) {
     SessionConfig sc = ls2_session();
     sc.system = system;
     Session s(sc);
-    models::Transformer model(tiny_mt(), system, DType::kF32, 7);
-    data::MtDataset ds(64, 16, 4, 9, 5);
-    const models::MtBatch batch = data::make_mt_batches(ds, 64, DType::kF32).front();
-    const int64_t B = batch.src_ids.shape()[0];
-    const int64_t Ls = batch.src_ids.shape()[1], Lt = batch.tgt_in.shape()[1];
+    const models::Gpt2Config cfg = tiny_gpt2();
+    models::Gpt2 model(cfg, system, DType::kF32, 7);
     const std::string name = system == System::kLightSeq2 ? "ls2.dropout_fw" : "torch.dropout_fw";
     auto dropout_launches = [&] {
       const auto& k = s.device().per_kernel();
       return k.count(name) ? k.at(name).launches : int64_t{0};
     };
 
-    KvCache cache(model.kv_cache_config(B, Lt + 1, Ls));
-    std::vector<SequenceHandle> seqs;
-    for (int64_t b = 0; b < B; ++b) seqs.push_back(cache.allocate(Lt));
-    model.encode(s.ctx(), batch.src_ids, batch.src_lens, cache, seqs);
-    (void)model.prefill(s.ctx(), batch.tgt_in, cache, seqs, &batch.tgt_lens);
+    KvCache cache(model.kv_cache_config(2, 16));
+    const std::vector<SequenceHandle> seqs = {cache.allocate(4), cache.allocate(4)};
+    (void)model.prefill(s.ctx(), random_ids(2, 6, cfg.vocab, 1));
+    (void)packed_step(s.ctx(), model, cache, seqs, token_rows(random_ids(2, 4, cfg.vocab, 2)));
     EXPECT_EQ(dropout_launches(), 0) << name << " while serving";
 
-    (void)model.forward(s.ctx(), batch);
+    data::LmDataset ds(cfg.vocab, 512, 5);
+    (void)model.forward(s.ctx(), ds.batch(0, 2, 8));
     model.release();
     EXPECT_GT(dropout_launches(), 0) << name << " in the training forward";
   }
