@@ -2,7 +2,7 @@
 # Tier-1 verification, parameterized for the CI matrix (.github/workflows/ci.yml):
 #
 #   ./ci.sh [--preset release|sanitize|tsan]
-#           [--smoke full|dist|tp|pp|fault|fleet|obs|paged|serve]
+#           [--smoke full|dist|tp|pp|fault|fleet|obs|paged|serve|kernels]
 #
 #   --preset release   Release build with -Werror (default). Runs the full
 #                      test suite, smoke-runs every fig* bench,
@@ -58,6 +58,12 @@
 #                      fig_serve with its schema check (continuous batching
 #                      >= 1.5x static tokens/s, replay beats eager, every
 #                      step of a replayed run replays).
+#   --smoke kernels    Kernel-fusion smoke lane: the fused-kernel and layer/
+#                      model parity test binaries (element-wise and transform
+#                      kernels, the bias-gradient fold, every system's layer
+#                      and model gradients), and (release only)
+#                      fig_launch_graph with its schema check (replay wins
+#                      >= 1.2x at the launch-bound point).
 #
 # Fails on the first error: a bench or example that exits nonzero, or a
 # bench that writes no/invalid JSON, fails the run (ci/check_bench_json.py —
@@ -71,7 +77,7 @@ SMOKE=full
 while [ $# -gt 0 ]; do
   case "$1" in
     --preset) PRESET="${2:?ci.sh: --preset needs a value (release|sanitize|tsan)}"; shift 2 ;;
-    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|dist|tp|pp|fault|fleet|obs|paged|serve)}"; shift 2 ;;
+    --smoke) SMOKE="${2:?ci.sh: --smoke needs a value (full|dist|tp|pp|fault|fleet|obs|paged|serve|kernels)}"; shift 2 ;;
     *) echo "ci.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -110,6 +116,7 @@ declare -A LANES=(
   [obs]="obs_test|trace_test fig_obs"
   [paged]="infer_test|fault_tolerance_test fig_page"
   [serve]="infer_test fig_serve"
+  [kernels]="elementwise_test|transform_test|layers_test|models_test fig_launch_graph"
 )
 LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""
 if [ "$SMOKE" != full ]; then

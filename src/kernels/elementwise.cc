@@ -1,5 +1,6 @@
 #include "kernels/elementwise.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -250,17 +251,18 @@ void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias
 }
 
 void bias_relu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p) {
-  kc.dev.launch(ew_desc("ls2.bias_relu_dropout_bw",
-                        dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(), dx.bytes(),
-                        x.numel(), 4.0, kFusedEff),
-                [&, p] {
-                  LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                    bias_act_dropout_bw_body<T>(
-                        dy, mask, x, bias, dx, p,
-                        [](float pre) { return pre > 0.0f ? 1.0f : 0.0f; });
-                  });
-                });
+                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
+                          const Tensor& dbias) {
+  detail::launch_folding_bias_grad(
+      kc,
+      ew_desc("ls2.bias_relu_dropout_bw", dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(),
+              dx.bytes(), x.numel(), 4.0, kFusedEff),
+      dx, dbias, [&, p] {
+        LS2_DISPATCH_FLOAT(x.dtype(), T, {
+          bias_act_dropout_bw_body<T>(dy, mask, x, bias, dx, p,
+                                      [](float pre) { return pre > 0.0f ? 1.0f : 0.0f; });
+        });
+      });
 }
 
 void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
@@ -278,15 +280,17 @@ void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias
 }
 
 void bias_gelu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p) {
-  kc.dev.launch(ew_desc("ls2.bias_gelu_dropout_bw",
-                        dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(), dx.bytes(),
-                        x.numel(), 16.0, kFusedEff),
-                [&, p] {
-                  LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                    bias_act_dropout_bw_body<T>(dy, mask, x, bias, dx, p, gelu_grad_scalar);
-                  });
-                });
+                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
+                          const Tensor& dbias) {
+  detail::launch_folding_bias_grad(
+      kc,
+      ew_desc("ls2.bias_gelu_dropout_bw", dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(),
+              dx.bytes(), x.numel(), 16.0, kFusedEff),
+      dx, dbias, [&, p] {
+        LS2_DISPATCH_FLOAT(x.dtype(), T, {
+          bias_act_dropout_bw_body<T>(dy, mask, x, bias, dx, p, gelu_grad_scalar);
+        });
+      });
 }
 
 void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
@@ -320,20 +324,22 @@ void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& 
 }
 
 void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                              const Tensor& dx, float p) {
-  kc.dev.launch(ew_desc("ls2.bias_dropout_residual_bw", dy.bytes() + mask.bytes(), dx.bytes(),
-                        dy.numel(), 2.0, kFusedEff),
-                [&, p] {
-                  LS2_DISPATCH_FLOAT(dy.dtype(), T, {
-                    const float keep_scale = 1.0f / (1.0f - p);
-                    const T* dyp = dy.data<T>();
-                    const uint8_t* mp = mask.data<uint8_t>();
-                    T* dxp = dx.data<T>();
-                    parallel_for(0, dy.numel(), [&](int64_t i) {
-                      dxp[i] = T(mp[i] ? static_cast<float>(dyp[i]) * keep_scale : 0.0f);
-                    });
-                  });
-                });
+                              const Tensor& dx, float p, const Tensor& dbias) {
+  detail::launch_folding_bias_grad(
+      kc,
+      ew_desc("ls2.bias_dropout_residual_bw", dy.bytes() + mask.bytes(), dx.bytes(),
+              dy.numel(), 2.0, kFusedEff),
+      dx, dbias, [&, p] {
+        LS2_DISPATCH_FLOAT(dy.dtype(), T, {
+          const float keep_scale = 1.0f / (1.0f - p);
+          const T* dyp = dy.data<T>();
+          const uint8_t* mp = mask.data<uint8_t>();
+          T* dxp = dx.data<T>();
+          parallel_for(0, dy.numel(), [&](int64_t i) {
+            dxp[i] = T(mp[i] ? static_cast<float>(dyp[i]) * keep_scale : 0.0f);
+          });
+        });
+      });
 }
 
 }  // namespace fused
@@ -351,28 +357,62 @@ void add(KernelContext& kc, Impl impl, const Tensor& a, const Tensor& b,
       [&] { add_body(a, b, y); });
 }
 
+namespace {
+
+// The one column-sum body behind bias_grad and every kernel that folds it.
+// Accumulates in FP32 FROM the destination, ascending rows — the same
+// per-element chain whether the batch arrives whole or as microbatch slices
+// (pipeline parallelism): slice j continues exactly where slice j-1 left
+// off, so the final value is bitwise the full-batch reduction's. Callers
+// rely on grads being zeroed at step start.
+void column_sum_body(const Tensor& dx, const Tensor& dbias, int64_t rows, int64_t cols) {
+  LS2_DISPATCH_FLOAT(dx.dtype(), T, {
+    const T* dxp = dx.data<T>();
+    T* dbp = dbias.data<T>();
+    parallel_for(0, cols, [&](int64_t j) {
+      float acc = static_cast<float>(dbp[j]);
+      for (int64_t i = 0; i < rows; ++i) acc += static_cast<float>(dxp[i * cols + j]);
+      dbp[j] = T(acc);
+    });
+  });
+}
+
+}  // namespace
+
 void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias) {
   const Shape flat = dx.shape().flatten_2d();
   const int64_t rows = flat[0], cols = flat[1];
   LS2_CHECK_EQ(dbias.numel(), cols);
   simgpu::KernelDesc d = ew_desc("ls2.bias_grad", dx.bytes(), dbias.bytes(), dx.numel(), 1.0,
                                  reduction_efficiency(0.85, cols, rows, 32));
+  kc.dev.launch(d, [&, rows, cols] { column_sum_body(dx, dbias, rows, cols); });
+}
+
+namespace detail {
+
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
+                              const Tensor& dbias, const std::function<void()>& body) {
+  if (!dbias.defined()) {
+    kc.dev.launch(d, body);
+    return;
+  }
+  const Shape flat = dx.shape().flatten_2d();
+  const int64_t rows = flat[0], cols = flat[1];
+  LS2_CHECK_EQ(dbias.numel(), cols);
+  LS2_CHECK(dbias.dtype() == dx.dtype()) << "dbias and dx dtypes differ";
+  // The reduction rides in registers: no second read of dx, one write of
+  // dbias, and LightSeq2's 128-row column tile sets the launch's occupancy.
+  d.bytes_written += static_cast<int64_t>(dbias.bytes());
+  d.flops += static_cast<double>(dx.numel());
+  d.mem_efficiency =
+      std::min(d.mem_efficiency, reduction_efficiency(d.mem_efficiency, cols, rows, 128,
+                                                      kc.dev.profile().resident_threads));
   kc.dev.launch(d, [&, rows, cols] {
-    LS2_DISPATCH_FLOAT(dx.dtype(), T, {
-      const T* dxp = dx.data<T>();
-      T* dbp = dbias.data<T>();
-      // Accumulate in FP32 FROM the destination, ascending rows — the same
-      // per-element chain whether the batch arrives whole or as microbatch
-      // slices (pipeline parallelism): slice j continues exactly where
-      // slice j-1 left off, so the final value is bitwise the full-batch
-      // reduction's. Callers rely on grads being zeroed at step start.
-      parallel_for(0, cols, [&](int64_t j) {
-        float acc = static_cast<float>(dbp[j]);
-        for (int64_t i = 0; i < rows; ++i) acc += static_cast<float>(dxp[i * cols + j]);
-        dbp[j] = T(acc);
-      });
-    });
+    body();
+    column_sum_body(dx, dbias, rows, cols);
   });
 }
+
+}  // namespace detail
 
 }  // namespace ls2::kern

@@ -5,11 +5,15 @@
 // writing full tensors through global memory.
 // `fused::` are the LightSeq2 replacements (§IV-A, Fig. 4): adjacent
 // element-wise ops collapse into one launch with one read and one write —
-// e.g. "bias adding & dropout & residual" is a single kernel.
+// e.g. "bias adding & dropout & residual" is a single kernel. Their backward
+// kernels can also reduce the bias gradient in the same pass (an optional
+// `dbias`; see bias_grad).
 //
 // All kernels accept f32 or f16 tensors; f16 math is performed in f32
 // registers (on-the-fly conversion).
 #pragma once
+
+#include <functional>
 
 #include "kernels/dropout.h"  // Impl
 #include "kernels/kernel_context.h"
@@ -45,27 +49,46 @@ namespace fused {
 void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
                           const Tensor& y, const Tensor& mask, float p, uint64_t stream);
 /// dx = dy * mask/(1-p) * relu'(x + bias); x is the stored GEMM output.
+/// A defined `dbias` also accumulates bias_grad(dx) in the same launch.
 void bias_relu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p);
+                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
+                          const Tensor& dbias = {});
 
 /// y = dropout(gelu(x + bias)).
 void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
                           const Tensor& y, const Tensor& mask, float p, uint64_t stream);
 void bias_gelu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p);
+                          const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
+                          const Tensor& dbias = {});
 
 /// y = residual + dropout(x + bias) — the last kernel of each sublayer.
 void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
                               const Tensor& residual, const Tensor& y, const Tensor& mask,
                               float p, uint64_t stream);
 /// dx = dy * mask/(1-p). (The residual branch's gradient is dy itself.)
+/// A defined `dbias` also accumulates bias_grad(dx) in the same launch.
 void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
-                              const Tensor& dx, float p);
+                              const Tensor& dx, float p, const Tensor& dbias = {});
 
 }  // namespace fused
 
-/// dbias[j] = sum_i dx[i,j] — column reduction shared by both systems.
+/// dbias[j] += sum_i dx[i,j], one launch. The baselines reduce every bias
+/// gradient this way, as their released kernels do. LightSeq2 folds it into
+/// the backward kernel that produces dx (the fused bias chains above and
+/// split_transpose_bw, given a `dbias`); only ClsHead, whose dx comes from
+/// the criterion, still launches it under LightSeq2.
 void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias);
+
+namespace detail {
+
+/// Launch `body`, the producer of dx described by `d`, as ONE kernel. With
+/// `dbias` defined the same launch then runs bias_grad's column sum over the
+/// dx just stored, so the result is bitwise bias_grad's. It is charged the
+/// dbias bytes on top of `d`, at the occupancy of a 128-row column tile.
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
+                              const Tensor& dbias, const std::function<void()>& body);
+
+}  // namespace detail
 
 /// y = a + b with the kernel family the policy selects: kLS2 launches the
 /// vectorised (half2/float4) LightSeq2 kernel, every other system the

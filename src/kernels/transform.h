@@ -20,9 +20,11 @@ void bias_split_transpose_fw(KernelContext& kc, Impl impl, const Tensor& x,
                              const Tensor& bias, const std::vector<Tensor>& outs);
 
 /// Backward of the split: douts (G x [B,N,L,D]) merge into dx [B, L, G*H].
-/// (The projection-bias gradient is a separate bias_grad reduction.)
+/// Under kLS2 a defined `dbias` [G*H] also accumulates the projection-bias
+/// gradient, bias_grad(dx), in the same launch; the baseline transposes
+/// leave it to a separate bias_grad and throw when handed one.
 void split_transpose_bw(KernelContext& kc, Impl impl, const std::vector<Tensor>& douts,
-                        const Tensor& dx);
+                        const Tensor& dx, const Tensor& dbias = {});
 
 /// [B, N, L, D] -> [B, L, H] after attention-weighted values.
 void merge_heads_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor& y);

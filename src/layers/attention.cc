@@ -170,14 +170,18 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
 
   BackwardTemps temps(ctx, B, N, Lq, Lk, H, dt, /*self_attn=*/true);
 
-  // Step 1: through output dropout (+ bias grad).
+  // Step 1: through output dropout (+ bias grad, in the same launch when
+  // the policy folds it).
   Tensor d_out = temps.get("d_out", Shape{B, Lq, H});
+  const Tensor db_out = params_->grad(b_out_);
+  const bool fold = pol.fold_bias_grad && pol.fused_elementwise;
   if (pol.fused_elementwise) {
-    kern::fused::bias_dropout_residual_bw(ctx.kern, dy, s.out_mask, d_out, cfg_.out_dropout);
+    kern::fused::bias_dropout_residual_bw(ctx.kern, dy, s.out_mask, d_out, cfg_.out_dropout,
+                                          fold ? db_out : Tensor());
   } else {
     kern::dropout_bw(ctx.kern, pol.elementwise, dy, s.out_mask, d_out, cfg_.out_dropout);
   }
-  kern::bias_grad(ctx.kern, d_out, params_->grad(b_out_));
+  if (!fold) kern::bias_grad(ctx.kern, d_out, db_out);
 
   // Step 2: output projection (row-parallel: fully local backward — a
   // rank's dmerged is its own head slice, its dW its column shard).
@@ -300,13 +304,15 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
 
   AttentionCore::CoreGrads g = core_.backward(ctx, dy);
 
-  // Step 8: merge dq/dk/dv back to [B, L, 3H].
+  // Step 8: merge dq/dk/dv back to [B, L, 3H] (+ bias grad).
   Tensor dqkv = ctx.alloc_shard({B, L, 3 * H}, dt);
   {
     TpChargeScale tp_scale(ctx);
-    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq, g.dk, g.dv}, dqkv);
     auto db_qkv = b_qkv_.grad(ctx);
-    kern::bias_grad(ctx.kern, dqkv, db_qkv.tensor());
+    const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
+    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq, g.dk, g.dv}, dqkv,
+                             fold ? db_qkv.tensor() : Tensor());
+    if (!fold) kern::bias_grad(ctx.kern, dqkv, db_qkv.tensor());
   }
 
   // Step 9: QKV projection (column-parallel: dln partials all-reduce over
@@ -394,9 +400,11 @@ Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy, const Tenso
     kern::add(ctx.kern, ctx.policy.elementwise, g.dk, dk, dk);
     kern::add(ctx.kern, ctx.policy.elementwise, g.dv, dv, dv);
 
-    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq}, dq_gemm);
     auto db_q = b_q_.grad(ctx);
-    kern::bias_grad(ctx.kern, dq_gemm, db_q.tensor());
+    const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
+    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq}, dq_gemm,
+                             fold ? db_q.tensor() : Tensor());
+    if (!fold) kern::bias_grad(ctx.kern, dq_gemm, db_q.tensor());
   }
 
   // Column-parallel q_proj backward: the dln partial-sum all-reduce,

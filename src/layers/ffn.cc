@@ -116,14 +116,19 @@ Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {
   const DType dt = dy.dtype();
   const Policy& pol = ctx.policy;
 
-  // Through output bias+dropout(+residual grad handled at the LN step).
+  // Through output bias+dropout(+residual grad handled at the LN step). The
+  // fused kernels reduce the bias grads in the same launch when the policy
+  // folds them.
+  const bool fold = pol.fold_bias_grad && pol.fused_elementwise;
   Tensor dh2 = ctx.alloc({B, L, H}, dt);
+  const Tensor db2 = params_->grad(b2_);
   if (pol.fused_elementwise) {
-    kern::fused::bias_dropout_residual_bw(ctx.kern, dy, s.out_mask, dh2, cfg_.out_dropout);
+    kern::fused::bias_dropout_residual_bw(ctx.kern, dy, s.out_mask, dh2, cfg_.out_dropout,
+                                          fold ? db2 : Tensor());
   } else {
     kern::dropout_bw(ctx.kern, pol.elementwise, dy, s.out_mask, dh2, cfg_.out_dropout);
   }
-  kern::bias_grad(ctx.kern, dh2, params_->grad(b2_));
+  if (!fold) kern::bias_grad(ctx.kern, dh2, db2);
 
   // fc2 (row-parallel) backward is fully local: da is the rank's ffn_dim
   // slice, dW2 its column shard.
@@ -138,13 +143,15 @@ Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {
   Tensor dh1 = ctx.alloc_shard({B, L, F}, dt);
   {
     TpChargeScale tp_scale(ctx);
+    auto db1 = b1_.grad(ctx);
     if (pol.fused_elementwise) {
+      const Tensor folded = fold ? db1.tensor() : Tensor();
       if (cfg_.activation == Activation::kRelu) {
         kern::fused::bias_relu_dropout_bw(ctx.kern, da, s.act_mask, s.h1, b1_.value(ctx),
-                                          dh1, cfg_.act_dropout);
+                                          dh1, cfg_.act_dropout, folded);
       } else {
         kern::fused::bias_gelu_dropout_bw(ctx.kern, da, s.act_mask, s.h1, b1_.value(ctx),
-                                          dh1, cfg_.act_dropout);
+                                          dh1, cfg_.act_dropout, folded);
       }
     } else {
       Tensor t = ctx.alloc_shard({B, L, F}, dt);
@@ -155,10 +162,7 @@ Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {
         kern::baseline::gelu_bw(ctx.kern, t, s.h1, dh1);
       }
     }
-    {
-      auto db1 = b1_.grad(ctx);
-      kern::bias_grad(ctx.kern, dh1, db1.tensor());
-    }
+    if (!fold) kern::bias_grad(ctx.kern, dh1, db1.tensor());
   }
 
   // fc1 (column-parallel) backward: dln partials all-reduce over the TP

@@ -25,6 +25,7 @@ Policy policy_for(System system) {
       p.transform = kern::Impl::kTorch;
       p.fused_elementwise = false;
       p.layer_batched_cross_attn = false;
+      p.fold_bias_grad = false;
       break;
     case System::kFairseqApex:
       // Apex contributes fused LayerNorm/Softmax kernels; everything else
@@ -37,6 +38,7 @@ Policy policy_for(System system) {
       p.transform = kern::Impl::kTorch;
       p.fused_elementwise = false;
       p.layer_batched_cross_attn = false;
+      p.fold_bias_grad = false;
       break;
     case System::kDeepSpeed:
       p.elementwise = kern::Impl::kLS2;  // fused encoder element-wise chains
@@ -47,6 +49,7 @@ Policy policy_for(System system) {
       p.transform = kern::Impl::kLS2;
       p.fused_elementwise = true;
       p.layer_batched_cross_attn = false;
+      p.fold_bias_grad = false;  // its bias gradients are separate reductions
       p.seq_multiple = 16;
       p.supports_decoder = false;
       break;

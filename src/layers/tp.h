@@ -60,9 +60,10 @@ class TpParam {
 
   /// RAII full-gradient scope: tensor() is the full gradient buffer,
   /// gathered from the shards on entry and scattered back on exit, so
-  /// accumulate-in-place kernels (GEMM beta=1, bias_grad, embedding_bw) see
-  /// exactly the unsharded buffer semantics. Direct registry view (no
-  /// copies) when unsharded.
+  /// accumulate-in-place kernels (GEMM beta=1, embedding_bw, bias_grad and
+  /// the backward kernels that fold it via their `dbias`) see exactly the
+  /// unsharded buffer semantics. Direct registry view (no copies) when
+  /// unsharded.
   class GradScope {
    public:
     GradScope(const TpParam& p, LayerContext& ctx);

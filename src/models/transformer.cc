@@ -193,14 +193,17 @@ Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tenso
   const DType dt = dkv[0].dtype();
   const Tensor w = cross_kv_weight_.value(ctx);
   Tensor d_enc = ctx.alloc({B, Ls, H}, dt);
+  // The LightSeq2 head merge reduces the bias gradient in its own launch.
+  const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
 
   if (ctx.policy.layer_batched_cross_attn) {
     Tensor dkv_gemm = ctx.alloc_shard({B, Ls, 2 * n * H}, dt);
     {
       layers::TpChargeScale tp_scale(ctx);
-      kern::split_transpose_bw(ctx.kern, ctx.policy.transform, dkv, dkv_gemm);
       auto db = cross_kv_bias_.grad(ctx);
-      kern::bias_grad(ctx.kern, dkv_gemm, db.tensor());
+      kern::split_transpose_bw(ctx.kern, ctx.policy.transform, dkv, dkv_gemm,
+                               fold ? db.tensor() : Tensor());
+      if (!fold) kern::bias_grad(ctx.kern, dkv_gemm, db.tensor());
     }
     // Column-parallel backward: the d_enc partial sum is the projection's
     // TP all-reduce, overlapped with the dW GEMM inside tp_linear_bw.
@@ -216,11 +219,12 @@ Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tenso
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t g = 0; g < 2; ++g) {
       Tensor dgemm = ctx.alloc({B, Ls, H}, dt);
-      kern::split_transpose_bw(ctx.kern, ctx.policy.transform,
-                               {dkv[static_cast<size_t>(2 * i + g)]}, dgemm);
       Tensor bi_grad = params_.grad(cross_kv_bias_.rank0()).slice((2 * i + g) * H,
                                                           (2 * i + g + 1) * H);
-      kern::bias_grad(ctx.kern, dgemm, bi_grad);
+      kern::split_transpose_bw(ctx.kern, ctx.policy.transform,
+                               {dkv[static_cast<size_t>(2 * i + g)]}, dgemm,
+                               fold ? bi_grad : Tensor());
+      if (!fold) kern::bias_grad(ctx.kern, dgemm, bi_grad);
       Tensor wi = w.slice((2 * i + g) * H, (2 * i + g + 1) * H);
       Tensor dwi = params_.grad(cross_kv_weight_.rank0()).slice((2 * i + g) * H,
                                                         (2 * i + g + 1) * H);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kernels/dropout.h"
 #include "simgpu/profile.h"
@@ -157,6 +162,87 @@ TEST_F(ElementwiseTest, BiasGradColumnSums) {
     EXPECT_NEAR(dbv[j], s, 1e-4) << j;
   }
 }
+
+// Each fused backward kernel can reduce its bias gradient in the launch
+// that produces dx (LightSeq2's d_bias_dropout_residual / d_bias_act_dropout).
+// Run as two row slices — the pipeline-parallel microbatch chain — from a
+// non-zero dbias, the fold must leave dx bitwise unchanged, give bitwise the
+// dbias bias_grad gives over that dx, and cost one launch per slice, charged
+// less than the producer followed by bias_grad.
+class BiasGradFoldTest : public ElementwiseTest,
+                         public ::testing::WithParamInterface<DType> {};
+
+TEST_P(BiasGradFoldTest, FusedBackwardFoldsBiasGradBitwise) {
+  const DType dt = GetParam();
+  const int64_t rows = 96, cols = 80, split = 40;
+  const float p = 0.1f;
+  Tensor x = randn({rows, cols}, 1, dt);
+  Tensor bias = randn({cols}, 2, dt);
+  Tensor dy = randn({rows, cols}, 3, dt);
+  Tensor y = Tensor::empty({rows, cols}, dt);
+  Tensor mask = Tensor::empty({rows, cols}, DType::kU8);
+  fused::bias_relu_dropout_fw(kc, x, bias, y, mask, p, 5);
+  const Tensor db0 = randn({cols}, 4, dt);  // the accumulation starts non-zero
+
+  using Producer = std::function<void(int64_t, int64_t, const Tensor&, const Tensor&)>;
+  const std::vector<std::pair<std::string, Producer>> producers = {
+      {"bias_dropout_residual_bw",
+       [&](int64_t r0, int64_t r1, const Tensor& dx, const Tensor& db) {
+         fused::bias_dropout_residual_bw(kc, dy.slice(r0, r1), mask.slice(r0, r1),
+                                         dx.slice(r0, r1), p, db);
+       }},
+      {"bias_relu_dropout_bw",
+       [&](int64_t r0, int64_t r1, const Tensor& dx, const Tensor& db) {
+         fused::bias_relu_dropout_bw(kc, dy.slice(r0, r1), mask.slice(r0, r1),
+                                     x.slice(r0, r1), bias, dx.slice(r0, r1), p, db);
+       }},
+      {"bias_gelu_dropout_bw",
+       [&](int64_t r0, int64_t r1, const Tensor& dx, const Tensor& db) {
+         fused::bias_gelu_dropout_bw(kc, dy.slice(r0, r1), mask.slice(r0, r1),
+                                     x.slice(r0, r1), bias, dx.slice(r0, r1), p, db);
+       }},
+  };
+  auto charged = [&] { return dev.stats().busy_us + dev.stats().overhead_us; };
+  for (const auto& [name, run] : producers) {
+    SCOPED_TRACE(name);
+    // Unfolded: the producer, then bias_grad over the slice it wrote.
+    Tensor dx_ref = Tensor::empty({rows, cols}, dt);
+    Tensor db_ref = Tensor::empty({cols}, dt);
+    db_ref.copy_(db0);
+    dev.reset();
+    for (const auto [r0, r1] : {std::pair<int64_t, int64_t>{0, split}, {split, rows}}) {
+      run(r0, r1, dx_ref, Tensor());
+      bias_grad(kc, dx_ref.slice(r0, r1), db_ref);
+    }
+    const int64_t ref_launches = dev.stats().launches;
+    const double ref_us = charged();
+
+    Tensor dx = Tensor::empty({rows, cols}, dt);
+    Tensor db = Tensor::empty({cols}, dt);
+    db.copy_(db0);
+    dev.reset();
+    run(0, split, dx, db);
+    run(split, rows, dx, db);
+    EXPECT_EQ(std::memcmp(dx.raw(), dx_ref.raw(), dx.bytes()), 0) << "dx";
+    EXPECT_EQ(std::memcmp(db.raw(), db_ref.raw(), db.bytes()), 0) << "dbias";
+    EXPECT_EQ(dev.stats().launches, 2);
+    EXPECT_EQ(ref_launches, 4);
+    EXPECT_LT(charged(), ref_us);
+
+    // In FP32 the slices chain into the whole batch's reduction (FP16 rounds
+    // the destination between slices, bias_grad's own chain included).
+    if (dt != DType::kF32) continue;
+    Tensor db_whole = Tensor::empty({cols}, dt);
+    db_whole.copy_(db0);
+    bias_grad(kc, dx, db_whole);
+    EXPECT_EQ(std::memcmp(db.raw(), db_whole.raw(), db.bytes()), 0) << "whole batch";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dtypes, BiasGradFoldTest, ::testing::Values(DType::kF32, DType::kF16),
+                         [](const auto& info) {
+                           return std::string(info.param == DType::kF32 ? "F32" : "F16");
+                         });
 
 TEST_F(ElementwiseTest, FusionReducesLaunchesAndBytes) {
   const int64_t rows = 128, cols = 512;

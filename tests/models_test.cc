@@ -91,6 +91,29 @@ TEST(TransformerTest, SystemsProduceIdenticalLossAndGrads) {
   }
 }
 
+// LightSeq2 reduces every bias gradient inside the backward kernel that
+// produces it; Fairseq launches bias_grad once per biased projection: four
+// per encoder layer (QKV, out, fc1, fc2) and eight per decoder layer (self
+// QKV and out, cross Q, out, K and V, fc1, fc2).
+TEST(TransformerTest, OnlyTheBaselinesLaunchBiasGrad) {
+  const TransformerConfig cfg = tiny_mt_config();
+  MtBatch batch = tiny_batch(64);
+  for (System sys : {System::kFairseq, System::kLightSeq2}) {
+    Session s(session_config(sys));
+    Transformer model(cfg, sys, DType::kF32, /*seed=*/7);
+    model.params().zero_grads();
+    (void)model.forward(s.ctx(), batch);
+    model.backward(s.ctx());
+    const auto& kernels = s.device().per_kernel();
+    const auto it = kernels.find("ls2.bias_grad");
+    const int64_t launches = it == kernels.end() ? 0 : it->second.launches;
+    EXPECT_EQ(launches, sys == System::kFairseq
+                            ? 4 * cfg.encoder_layers + 8 * cfg.decoder_layers
+                            : 0)
+        << layers::system_name(sys);
+  }
+}
+
 TEST(TransformerTest, ParameterCountMatchesAnalytic) {
   TransformerConfig cfg = tiny_mt_config();
   Transformer model(cfg, System::kLightSeq2, DType::kF32, 1);
