@@ -24,6 +24,11 @@
 // and more residents fit the same pool — and a prefix hit skips compute
 // too: prefill runs only the rows no shared page holds.
 //
+// Section "retention" serves the same 24 requests arriving one at a time,
+// each retired before the next arrives, so no two are ever resident
+// together. The system pages outlive each request as kept pages, and every
+// later request maps them again instead of prefilling them.
+//
 // Machine-readable output: bench/fig_page.json (validated by ci.sh).
 #include <filesystem>
 #include <fstream>
@@ -76,6 +81,8 @@ struct SharingRow {
 };
 CapacityRow g_capacity;
 SharingRow g_sharing;
+SharingRow g_retention;
+double g_arrival_gap_us = 0;
 
 void write_json() {
   std::filesystem::create_directories("bench");
@@ -127,8 +134,29 @@ void write_json() {
       static_cast<long long>(s.preemptions), static_cast<long long>(s.served),
       static_cast<long long>(s.shed_requests));
   out << buf;
+  const infer::ServeReport &re = g_retention.excl, &rs = g_retention.shared;
+  std::snprintf(
+      buf, sizeof(buf),
+      ",\n    {\"section\": \"retention\", \"profile\": \"v100\", "
+      "\"requests\": %lld, \"total_pages\": %lld, \"arrival_gap_us\": %.1f, "
+      "\"excl_prefill_pages\": %lld, \"shared_prefill_pages\": %lld, "
+      "\"excl_prefill_rows\": %lld, \"shared_prefill_rows\": %lld, "
+      "\"shared_page_hits\": %lld, \"kept_hits\": %lld, \"evicted_pages\": %lld, "
+      "\"excl_p50_latency_us\": %.3f, \"shared_p50_latency_us\": %.3f, "
+      "\"excl_peak_resident\": %lld, \"shared_peak_resident\": %lld, "
+      "\"served\": %lld, \"shed\": %lld}",
+      static_cast<long long>(g_retention.requests),
+      static_cast<long long>(g_retention.total_pages), g_arrival_gap_us,
+      static_cast<long long>(re.prefill_page_allocs),
+      static_cast<long long>(rs.prefill_page_allocs),
+      static_cast<long long>(re.prefill_rows), static_cast<long long>(rs.prefill_rows),
+      static_cast<long long>(rs.shared_page_hits), static_cast<long long>(rs.kept_hits),
+      static_cast<long long>(rs.evicted_pages), re.p50_latency_us, rs.p50_latency_us,
+      static_cast<long long>(re.peak_resident), static_cast<long long>(rs.peak_resident),
+      static_cast<long long>(rs.served), static_cast<long long>(rs.shed_requests));
+  out << buf;
   out << "\n  ]\n}\n";
-  std::printf("\nwrote 2 configs to bench/fig_page.json\n");
+  std::printf("\nwrote 3 configs to bench/fig_page.json\n");
 }
 
 }  // namespace
@@ -203,7 +231,9 @@ static int bench_body() {
                                              /*gen_min=*/8, /*gen_max=*/16, mc.vocab, 53);
   g_sharing.requests = 24;
   g_sharing.total_pages = 16;
-  for (const bool sharing : {false, true}) {
+  // The sharing and retention sections serve on the same 8-lane engine and
+  // 16-page pool, with sharing off and on.
+  const auto serve_sys = [&](bool sharing, const std::vector<infer::Request>& reqs) {
     PagedKnobs knobs;
     knobs.page_tokens = page;
     knobs.total_pages = g_sharing.total_pages;
@@ -212,8 +242,10 @@ static int bench_body() {
                                         infer::BatchMode::kContinuous, /*graph=*/false,
                                         /*record_timeline=*/false, /*max_prompt_len=*/48,
                                         DType::kF16, /*seed=*/17, knobs);
-    (sharing ? g_sharing.shared : g_sharing.excl) = h.serve(sys_burst);
-  }
+    return h.serve(reqs);
+  };
+  for (const bool sharing : {false, true})
+    (sharing ? g_sharing.shared : g_sharing.excl) = serve_sys(sharing, sys_burst);
   LS2_CHECK(g_sharing.shared.served + g_sharing.shared.shed_requests == 24)
       << "requests lost";
   std::printf("%-12s %14s %13s %10s %9s %9s %8s %7s\n", "prefixes", "prefill_pages",
@@ -233,6 +265,38 @@ static int bench_body() {
               "pages (COW isolates the tails), so prefill allocations collapse, the\n"
               "same pool holds more residents, and prefill computes only the rows\n"
               "past the shared pages.\n");
+
+  // --- retention: the same requests, never two resident together --------
+  // Each request retires long before the next arrives (checked below), so
+  // sharing can only come from pages kept after their last holder retired.
+  g_arrival_gap_us = 500e3;
+  print_header("Kept prefix pages (8 lanes, 16-page pool): the 24 requests, one at a time");
+  auto spaced = sys_burst;
+  for (size_t i = 0; i < spaced.size(); ++i)
+    spaced[i].arrival_us = static_cast<double>(i) * g_arrival_gap_us;
+  g_retention.requests = g_sharing.requests;
+  g_retention.total_pages = g_sharing.total_pages;
+  for (const bool sharing : {false, true}) {
+    infer::ServeReport& r = sharing ? g_retention.shared : g_retention.excl;
+    r = serve_sys(sharing, spaced);
+    LS2_CHECK(r.peak_resident == 1) << "retention arrivals overlapped: " << r.peak_resident
+                                    << " resident at once";
+  }
+  std::printf("%-12s %14s %13s %10s %10s %11s %7s\n", "prefixes", "prefill_pages",
+              "prefill_rows", "page_hits", "kept_hits", "p50_lat_ms", "served");
+  for (const bool sharing : {false, true}) {
+    const infer::ServeReport& r = sharing ? g_retention.shared : g_retention.excl;
+    std::printf("%-12s %14lld %13lld %10lld %10lld %11.3f %7lld\n",
+                sharing ? "kept" : "exclusive",
+                static_cast<long long>(r.prefill_page_allocs),
+                static_cast<long long>(r.prefill_rows),
+                static_cast<long long>(r.shared_page_hits),
+                static_cast<long long>(r.kept_hits), r.p50_latency_us / 1e3,
+                static_cast<long long>(r.served));
+  }
+  std::printf("\nNo two requests are resident together, yet every request after the first\n"
+              "maps the system-prompt pages the previous one left kept, and prefill\n"
+              "computes only its tail.\n");
 
   write_json();
   return 0;

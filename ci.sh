@@ -50,7 +50,8 @@
 #                      over packed steps, the degraded-serving page-write
 #                      cases), and (release only) fig_page with its schema
 #                      check (>= 4x residents at fixed KV bytes,
-#                      prefix-sharing hit rate > 0).
+#                      prefix-sharing hit rate > 0, kept prefix pages
+#                      reused by every later one-at-a-time arrival).
 #   --smoke serve      Serving smoke lane: the serving/infer test binary
 #                      (bitwise cached decode, the pinned decode-step cost,
 #                      chunked prefill inside the packed step, continuous

@@ -354,7 +354,7 @@ def check_fig_page():
     by_section = {}
     for r in rows:
         by_section.setdefault(r.get("section"), []).append(r)
-    for section in ("capacity", "sharing"):
+    for section in ("capacity", "sharing", "retention"):
         if section not in by_section:
             fail(f"fig_page: missing the '{section}' section")
 
@@ -400,6 +400,25 @@ def check_fig_page():
             fail(f"fig_page: shared prefix pages did not skip prefill rows: {r}")
         if r["served"] + r["shed"] != r["requests"]:
             fail(f"fig_page: the sharing burst lost requests: {r}")
+
+    # Retention: the same requests arriving one at a time, never two
+    # resident together. Every request after the first must map both
+    # system-prompt pages its predecessor left kept, so prefill runs fewer
+    # rows than with exclusive pages.
+    for r in by_section["retention"]:
+        require(r, ("requests", "total_pages", "excl_prefill_rows",
+                    "shared_prefill_rows", "shared_page_hits", "kept_hits",
+                    "excl_peak_resident", "shared_peak_resident", "served",
+                    "shed"), "fig_page.retention")
+        if r["excl_peak_resident"] != 1 or r["shared_peak_resident"] != 1:
+            fail(f"fig_page: retention requests were resident together: {r}")
+        if r["shared_page_hits"] < 2 * (r["requests"] - 1):
+            fail("fig_page: kept system-prompt pages must serve both pages to "
+                 f"every later request (>= {2 * (r['requests'] - 1)} hits): {r}")
+        if not r["shared_prefill_rows"] < r["excl_prefill_rows"]:
+            fail(f"fig_page: kept prefix pages did not skip prefill rows: {r}")
+        if r["served"] + r["shed"] != r["requests"]:
+            fail(f"fig_page: the retention requests were lost: {r}")
 
 
 CHECKS = {

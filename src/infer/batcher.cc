@@ -420,9 +420,11 @@ bool ContinuousBatcher::step() {
     m->gauge(cfg_.metrics_prefix + ".kv.page_occupancy") =
         static_cast<double>(cache_->used_pages()) /
         static_cast<double>(cache_->config().pool_pages());
+    // Prompt pages only, as ServeReport counts them: decode pages share nothing.
     m->gauge(cfg_.metrics_prefix + ".kv.share_ratio") =
         static_cast<double>(ks.shared_page_hits) /
-        static_cast<double>(std::max<int64_t>(1, ks.shared_page_hits + ks.pages_allocated));
+        static_cast<double>(std::max<int64_t>(1, ks.shared_page_hits + ks.prefill_pages));
+    m->gauge(cfg_.metrics_prefix + ".kv.kept_pages") = static_cast<double>(cache_->kept_pages());
   }
   return decoded;
 }
@@ -496,6 +498,8 @@ ServeReport ContinuousBatcher::finish() {
   report_.peak_pages_used = ks.peak_used_pages;
   report_.prefill_page_allocs = ks.prefill_pages;
   report_.shared_page_hits = ks.shared_page_hits;
+  report_.kept_hits = ks.kept_hits;
+  report_.evicted_pages = ks.evicted_pages;
   report_.cow_copies = ks.cow_copies;
   // Streaming-histogram percentiles (obs::Histogram): O(1) per record and a
   // bucket walk per quantile, instead of sorting the full latency vector.
@@ -519,6 +523,8 @@ ServeReport ContinuousBatcher::finish() {
     m->counter(cfg_.metrics_prefix + ".decode_retries") += report_.decode_retries;
     m->counter(cfg_.metrics_prefix + ".deadline_retired") += report_.deadline_retired;
     m->counter(cfg_.metrics_prefix + ".kv.shared_page_hits") += report_.shared_page_hits;
+    m->counter(cfg_.metrics_prefix + ".kv.kept_hits") += report_.kept_hits;
+    m->counter(cfg_.metrics_prefix + ".kv.evicted_pages") += report_.evicted_pages;
     m->counter(cfg_.metrics_prefix + ".kv.cow_copies") += report_.cow_copies;
     m->counter(cfg_.metrics_prefix + ".kv.preemptions") += report_.preemptions;
   }

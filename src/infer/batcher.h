@@ -181,6 +181,8 @@ struct ServeReport {
   int64_t peak_pages_used = 0;     ///< max pool pages live at once
   int64_t prefill_page_allocs = 0; ///< fresh pages claimed by prompt prefills
   int64_t shared_page_hits = 0;    ///< prefix pages reused instead of allocated
+  int64_t kept_hits = 0;           ///< shared_page_hits that revived a kept page
+  int64_t evicted_pages = 0;       ///< kept prefix pages reclaimed for new rows
   int64_t cow_copies = 0;          ///< shared tail pages copied on first write
   int64_t preemptions = 0;         ///< sequences evicted (recompute) on pool exhaustion
 };

@@ -38,15 +38,15 @@ KvCache::KvCache(KvCacheConfig cfg, BufferAllocator* alloc) : cfg_(cfg) {
   decode_rows_.block_table = block_table_;
   decode_rows_.q_begin = Tensor::zeros({cfg.slots}, DType::kI32);
   decode_rows_.kv_lens = Tensor::zeros({cfg.slots}, DType::kI32);
-  lane_seq_.assign(static_cast<size_t>(cfg.slots), -1);
-  refcount_.assign(static_cast<size_t>(cfg.pool_pages()), 0);
-  page_rows_.assign(static_cast<size_t>(cfg.pool_pages()), 0);
-  free_pages_.reserve(static_cast<size_t>(cfg.pool_pages()));
-  // LIFO popped from the back — seed in reverse so page 0 pops first
-  // (deterministic layouts in tests and goldens).
-  for (int32_t p = static_cast<int32_t>(cfg.pool_pages()) - 1; p >= 0; --p)
-    free_pages_.push_back(p);
-  for (int64_t lane = 0; lane < cfg.slots; ++lane) sync_lane_row(lane, nullptr);
+  const size_t pages = static_cast<size_t>(cfg.pool_pages());
+  lane_seq_.resize(static_cast<size_t>(cfg.slots));
+  refcount_.resize(pages);
+  page_rows_.resize(pages);
+  page_entry_.resize(pages);
+  kept_prev_.resize(pages + 1);
+  kept_next_.resize(pages + 1);
+  free_pages_.reserve(pages);
+  reset();
 }
 
 const KvCache::Sequence& KvCache::seq(SequenceHandle h) const {
@@ -62,11 +62,58 @@ KvCache::Sequence& KvCache::seq(SequenceHandle h) {
 }
 
 int32_t KvCache::pop_free_page() {
-  if (free_pages_.empty()) return -1;
-  const int32_t p = free_pages_.back();
-  free_pages_.pop_back();
+  int32_t p = -1;
+  if (!free_pages_.empty()) {
+    p = free_pages_.back();
+    free_pages_.pop_back();
+  } else if (kept_ > 0) {
+    p = kept_next_[static_cast<size_t>(kept_head())];
+    unlink_kept(p);
+    unregister(p);
+    ++stats_.evicted_pages;
+  } else {
+    return -1;
+  }
   page_rows_[static_cast<size_t>(p)] = 0;  // a reclaimed page holds nothing yet
   return p;
+}
+
+void KvCache::link_kept(int32_t page) {
+  const auto p = static_cast<size_t>(page), head = static_cast<size_t>(kept_head());
+  const int32_t last = kept_prev_[head];
+  kept_prev_[p] = last;
+  kept_next_[p] = kept_head();
+  kept_next_[static_cast<size_t>(last)] = page;
+  kept_prev_[head] = page;
+  ++kept_;
+}
+
+void KvCache::unlink_kept(int32_t page) {
+  const auto p = static_cast<size_t>(page);
+  kept_next_[static_cast<size_t>(kept_prev_[p])] = kept_next_[p];
+  kept_prev_[static_cast<size_t>(kept_next_[p])] = kept_prev_[p];
+  --kept_;
+}
+
+void KvCache::unregister(int32_t page) {
+  Registry::iterator& entry = page_entry_[static_cast<size_t>(page)];
+  if (entry == prefix_registry_.end()) return;
+  prefix_registry_.erase(entry);
+  entry = prefix_registry_.end();
+}
+
+std::vector<int32_t> KvCache::kept_list() const {
+  std::vector<int32_t> out;
+  for (int32_t p = kept_next_[static_cast<size_t>(kept_head())]; p != kept_head();
+       p = kept_next_[static_cast<size_t>(p)])
+    out.push_back(p);
+  return out;
+}
+
+std::vector<int32_t> KvCache::registered_pages() const {
+  std::vector<int32_t> out;
+  for (const auto& entry : prefix_registry_) out.push_back(entry.second);
+  return out;
 }
 
 template <typename Fill>
@@ -86,16 +133,18 @@ int64_t KvCache::written_rows(SequenceHandle h) const {
 }
 
 void KvCache::drop_page_ref(int32_t page) {
-  auto& rc = refcount_[static_cast<size_t>(page)];
-  LS2_CHECK(rc > 0);
-  if (--rc == 0) {
-    auto it = page_prefix_.find(page);
-    if (it != page_prefix_.end()) {
-      prefix_registry_.erase(it->second);
-      page_prefix_.erase(it);
-    }
-    free_pages_.push_back(page);
+  const auto p = static_cast<size_t>(page);
+  LS2_CHECK(refcount_[p] > 0);
+  if (--refcount_[p] > 0) return;
+  // A registered page that committed steps filled is kept, still
+  // registered; the rest leave the registry — a page nobody fully wrote
+  // must never be shared once its writers are gone.
+  if (page_entry_[p] != prefix_registry_.end() && page_rows_[p] == cfg_.page()) {
+    link_kept(page);
+    return;
   }
+  unregister(page);
+  free_pages_.push_back(page);
 }
 
 void KvCache::sync_lane_row(int64_t lane, const Sequence* s) {
@@ -126,10 +175,12 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
   const int64_t pages_needed = (prompt_len + page - 1) / page;
   const int64_t full_pages = prompt_len / page;
 
-  // Longest registered prefix, one full page at a time. The chain stops at
-  // the first unregistered depth: a live deeper page always keeps its
-  // shallower prefix pages alive (sharing is prefix-contiguous), so no
-  // deeper match can be reachable past a hole.
+  // Longest registered prefix, one full page at a time, held or kept. The
+  // chain stops at the first unregistered depth. A deeper page may still be
+  // registered past that hole (kept while its shallower page was evicted);
+  // it stays valid, since a page is a pure function of its key's tokens,
+  // and is reachable again once this prompt re-registers the shallower
+  // prefix.
   std::vector<int32_t> shared;
   if (cfg_.prefix_sharing && tokens != nullptr) {
     std::vector<int32_t> key;
@@ -142,18 +193,22 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
     }
   }
   const int64_t fresh_needed = pages_needed - static_cast<int64_t>(shared.size());
-  if (static_cast<int64_t>(free_pages_.size()) < fresh_needed) return {};
+  int64_t revived = 0;  // shared pages that are kept now: they are not fresh
+  for (int32_t p : shared) revived += refcount_[static_cast<size_t>(p)] == 0;
+  if (free_pages() - revived < fresh_needed) return {};
 
-  // Point of no return: claim references and pages.
+  // Point of no return: claim references and pages. A kept page revives
+  // before any fresh page is popped, so no pop evicts it.
   Sequence s;
   s.lane = lane;
   s.len = static_cast<int32_t>(prompt_len);
   s.pages.reserve(static_cast<size_t>(pages_needed));
   for (int32_t p : shared) {
-    ++refcount_[static_cast<size_t>(p)];
+    if (refcount_[static_cast<size_t>(p)]++ == 0) unlink_kept(p);
     s.pages.push_back(p);
   }
   stats_.shared_page_hits += static_cast<int64_t>(shared.size());
+  stats_.kept_hits += revived;
   for (int64_t j = 0; j < fresh_needed; ++j) {
     const int32_t p = pop_free_page();
     refcount_[static_cast<size_t>(p)] = 1;
@@ -171,7 +226,7 @@ SequenceHandle KvCache::allocate(int64_t prompt_len, const int32_t* tokens) {
       key.insert(key.end(), tokens + j * page, tokens + (j + 1) * page);
       const int32_t p = s.pages[static_cast<size_t>(j)];
       auto [it, inserted] = prefix_registry_.emplace(key, p);
-      if (inserted) page_prefix_.emplace(p, key);
+      if (inserted) page_entry_[static_cast<size_t>(p)] = it;
     }
   }
 
@@ -253,7 +308,8 @@ void KvCache::free(SequenceHandle h) {
   auto it = seqs_.find(h.id);
   LS2_CHECK(it != seqs_.end()) << "stale or invalid sequence handle " << h.id;
   Sequence& s = it->second;
-  for (int32_t p : s.pages) drop_page_ref(p);
+  // Deepest page first: eviction then takes a chain's leaves before its root.
+  for (auto p = s.pages.rbegin(); p != s.pages.rend(); ++p) drop_page_ref(*p);
   lane_seq_[static_cast<size_t>(s.lane)] = -1;
   sync_lane_row(s.lane, nullptr);
   seqs_.erase(it);
@@ -263,11 +319,15 @@ void KvCache::reset() {
   seqs_.clear();
   std::fill(lane_seq_.begin(), lane_seq_.end(), -1);
   std::fill(refcount_.begin(), refcount_.end(), 0);
+  // LIFO popped from the back — seed in reverse so page 0 pops first
+  // (deterministic layouts in tests and goldens).
   free_pages_.clear();
   for (int32_t p = static_cast<int32_t>(cfg_.pool_pages()) - 1; p >= 0; --p)
     free_pages_.push_back(p);
   prefix_registry_.clear();
-  page_prefix_.clear();
+  std::fill(page_entry_.begin(), page_entry_.end(), prefix_registry_.end());
+  kept_prev_.back() = kept_next_.back() = kept_head();
+  kept_ = 0;
   std::fill(page_rows_.begin(), page_rows_.end(), 0);
   plan_.clear();
   plan_rows_.clear();

@@ -20,6 +20,14 @@
 // step appends into is exclusively owned (extend() copies it first when a
 // fork left it shared).
 //
+// A registered page that committed steps filled outlives its last holder:
+// at refcount 0 it is KEPT — still registered, off the free list, on an LRU
+// list — so a prompt admitted after every sharer retired (a system prompt
+// at low occupancy) maps it again instead of prefilling it. Kept pages
+// count as free: the pool hands out a free page first and otherwise evicts
+// the least recently released kept page, whose registry entry goes with it
+// before the page takes new rows.
+//
 // Lifecycle API:
 //
 //   allocate(len, tokens)  claim a decode lane + pages for a `len`-token
@@ -33,8 +41,9 @@
 //                          preempts or waits).
 //   fork(h)                a new sequence sharing ALL of h's pages (+1 ref
 //                          each) — the shared-prefix branch point.
-//   free(h)                drop the lane and every page reference; a page
-//                          returns to the pool at refcount 0.
+//   free(h)                drop the lane and every page reference, deepest
+//                          page first; a page at refcount 0 is kept (when
+//                          registered and fully written) or freed.
 //
 // A sequence advances only through PACKED steps (plan_chunks / begin_step /
 // commit_step): every lane's decode row plus chunks of the prompts still
@@ -91,7 +100,8 @@ struct KvCacheConfig {
   /// Share full common-prefix pages between sequences (refcounted, COW).
   /// allocate() registers a prompt's full pages before they are written;
   /// steps track which rows committed steps wrote, so any order of
-  /// allocations and chunks is safe.
+  /// allocations and chunks is safe. A fully written registered page stays
+  /// registered after its last holder retires, until the pool needs it.
   bool prefix_sharing = false;
   DType dtype = DType::kF32;
 
@@ -144,9 +154,9 @@ class KvCache {
   // --- sequence lifecycle (host bookkeeping + eager COW kernels) ---
   /// Claim a lane and pages for a `prompt_len`-token prompt about to be
   /// prefilled. With `tokens` (the prompt ids) and prefix_sharing on,
-  /// registered full-prefix pages are reused instead of allocated, and
-  /// plan_chunks skips the rows committed steps already wrote into them.
-  /// Invalid handle when no lane or not enough pages.
+  /// registered full-prefix pages — held or kept — are reused instead of
+  /// allocated, and plan_chunks skips the rows committed steps already
+  /// wrote into them. Invalid handle when no lane or not enough pages.
   SequenceHandle allocate(int64_t prompt_len, const int32_t* tokens = nullptr);
   /// Make room for the token position len(h) is about to append: allocate
   /// the next page at a page boundary, or copy-on-write a tail page a fork
@@ -158,10 +168,14 @@ class KvCache {
   /// A new sequence sharing every page of `h` copy-on-write (+1 refcount
   /// each; no bytes move). Invalid handle when no lane is free.
   SequenceHandle fork(SequenceHandle h);
-  /// Retire a sequence: drops every page reference (a page whose refcount
-  /// reaches 0 returns to the pool and leaves the sharing registry).
+  /// Retire a sequence: drops every page reference, deepest page first. A
+  /// page whose refcount reaches 0 is kept, still registered, when it is
+  /// registered and fully written (a later release is evicted later, and a
+  /// chain's leaves before its root); any other page returns to the free
+  /// list and leaves the sharing registry.
   void free(SequenceHandle h);
-  /// Free every sequence, clear the sharing registry, zero the stats.
+  /// Free every sequence, drop the kept pages, clear the sharing registry,
+  /// zero the stats.
   void reset();
 
   // --- queries ---
@@ -183,16 +197,28 @@ class KvCache {
 
   int64_t active_seqs() const { return static_cast<int64_t>(seqs_.size()); }
   int64_t free_lanes() const { return cfg_.slots - active_seqs(); }
-  int64_t free_pages() const { return static_cast<int64_t>(free_pages_.size()); }
+  /// Pages an allocation may claim: the free list plus the kept pages.
+  int64_t free_pages() const { return static_cast<int64_t>(free_pages_.size()) + kept_; }
+  /// Pages some sequence references (kept pages are not used).
   int64_t used_pages() const { return cfg_.pool_pages() - free_pages(); }
+  /// Registered, fully written pages no sequence references.
+  int64_t kept_pages() const { return kept_; }
   /// Per-page reference counts (tests: refcount/COW invariants).
   const std::vector<int32_t>& page_refcounts() const { return refcount_; }
+  /// Per-page leading rows committed steps wrote (tests: kept-page invariants).
+  const std::vector<int32_t>& page_written_rows() const { return page_rows_; }
+  /// The kept pages, next to be evicted first.
+  std::vector<int32_t> kept_list() const;
+  /// The page each sharing-registry entry names, one per entry.
+  std::vector<int32_t> registered_pages() const;
 
   /// Cumulative since the last reset() — the obs gauges/counters feed.
   struct Stats {
     int64_t pages_allocated = 0;   ///< fresh pages claimed from the pool
     int64_t prefill_pages = 0;     ///< fresh pages claimed by allocate()
     int64_t shared_page_hits = 0;  ///< pages reused from the prefix registry
+    int64_t kept_hits = 0;         ///< shared_page_hits that revived a kept page
+    int64_t evicted_pages = 0;     ///< kept pages reclaimed for new rows
     int64_t cow_copies = 0;        ///< tail pages copied on first write
     int64_t forks = 0;
     int64_t peak_used_pages = 0;
@@ -249,8 +275,17 @@ class KvCache {
   template <typename Fill>
   int32_t first_unwritten(const Sequence& s, const Fill& fill) const;
   int64_t trash_page() const { return cfg_.pool_pages(); }
+  /// A page for new rows: the free list's, else the least recently released
+  /// kept page, evicted. -1 when both are empty.
   int32_t pop_free_page();
   void drop_page_ref(int32_t page);
+  void unregister(int32_t page);
+  /// The kept list is circular through kept_prev_/kept_next_, with index
+  /// pool_pages() as its head: release appends before the head, eviction
+  /// takes the page after it.
+  int32_t kept_head() const { return static_cast<int32_t>(cfg_.pool_pages()); }
+  void link_kept(int32_t page);
+  void unlink_kept(int32_t page);
   /// Rewrite the lane's block-table tensor row from the sequence (or all
   /// trash when seq == nullptr).
   void sync_lane_row(int64_t lane, const Sequence* s);
@@ -265,10 +300,13 @@ class KvCache {
   std::vector<int32_t> free_pages_;   ///< LIFO free list
   std::vector<int32_t> refcount_;     ///< per usable page
   /// Exact token prefix (a multiple of page() long) -> the page holding its
-  /// last page worth of K/V. Holds NO refcount: entries leave when their
-  /// page dies (reverse map below).
-  std::map<std::vector<int32_t>, int32_t> prefix_registry_;
-  std::unordered_map<int32_t, std::vector<int32_t>> page_prefix_;
+  /// last page worth of K/V. Holds NO refcount: an entry leaves when its
+  /// page is freed or evicted (reverse map below).
+  using Registry = std::map<std::vector<int32_t>, int32_t>;
+  Registry prefix_registry_;
+  std::vector<Registry::iterator> page_entry_;  ///< per usable page; end(): unregistered
+  std::vector<int32_t> kept_prev_, kept_next_;  ///< per usable page, plus the head
+  int64_t kept_ = 0;
   /// Per usable page: leading rows committed steps have written.
   std::vector<int32_t> page_rows_;
   /// The packed step being built: its chunks, and the rows per page they

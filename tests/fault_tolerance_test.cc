@@ -647,16 +647,20 @@ TEST(DegradedServingTest, FailedPrefillUnderSharingFleetIsTokenExact) {
 // decode rows for the lanes past their prompt, prompt chunks under a random
 // budget of 1-12 rows (so prompts span steps) for the rest. After every
 // operation:
-//   (1) free + used pages == pool (nothing leaks, nothing double-frees);
+//   (1) used + kept + free-list pages == pool, each counted from the pages'
+//       own state (nothing leaks, nothing double-frees);
 //   (2) the refcount sum equals the page references live sequences hold
 //       (fork +1s, COW and free -1s — they must balance exactly);
-//   (3) every used page has refcount >= 1, every free page refcount == 0;
+//   (3) every kept page has refcount 0, page() written rows and exactly one
+//       registry entry, and no registry entry names a free-list page;
 //   (4) allocate() MUST succeed whenever a lane is free and the free pool
-//       covers the worst case (sharing can only reduce the need);
+//       (kept pages included) covers the worst case (sharing can only
+//       reduce the need);
 //   (5) every sequence past its prompt has all its rows written.
 // Every step's rows also put each decoding lane at its length and let free
-// and mid-prompt lanes attend nothing.
-TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
+// and mid-prompt lanes attend nothing. Each seed runs on a pool of 8 and of
+// 5 pages, and each run must both evict kept pages and revive them.
+void churn_paged_lifecycle(uint64_t seed, int64_t pool_pages) {
   simgpu::Device dev(simgpu::generic(), simgpu::ExecMode::kExecute);
   kern::KernelContext kc(dev, nullptr, 1);
   infer::KvCacheConfig cfg;
@@ -667,13 +671,13 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
   cfg.seq_tokens = 12;
   cfg.page_tokens = 4;
   cfg.prefix_sharing = true;
-  // 4 lanes x 3 worst-case pages = 12 > 8: lanes outnumber worst-case
+  // 4 lanes x 3 worst-case pages = 12 > 8 or 5: lanes outnumber worst-case
   // memory, so the churn genuinely exercises pool exhaustion.
-  cfg.total_pages = 8;
+  cfg.total_pages = pool_pages;
   infer::KvCache cache(cfg);
   const int64_t page = cfg.page();
 
-  Rng rng(123);
+  Rng rng(seed);
   std::vector<infer::SequenceHandle> active;
   std::unordered_map<int64_t, int32_t> shadow_len;  // handle id -> expected len
   const std::vector<int32_t> sys_prompt = {5, 6, 7, 8};  // one full page
@@ -684,7 +688,6 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
   };
   auto check_invariants = [&]() {
-    ASSERT_EQ(cache.free_pages() + cache.used_pages(), cfg.pool_pages());
     ASSERT_EQ(cache.active_seqs(), static_cast<int64_t>(active.size()));
     int64_t held = 0;
     for (const infer::SequenceHandle& h : active) {
@@ -692,14 +695,40 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
       ASSERT_EQ(cache.len(h), shadow_len[h.id]);
       if (cache.prompt_done(h)) ASSERT_EQ(cache.written_rows(h), cache.len(h));
     }
+    const std::vector<int32_t>& rc = cache.page_refcounts();
     int64_t refsum = 0, used = 0;
-    for (int32_t rc : cache.page_refcounts()) {
-      ASSERT_GE(rc, 0);
-      refsum += rc;
-      if (rc > 0) ++used;
+    for (int32_t r : rc) {
+      ASSERT_GE(r, 0);
+      refsum += r;
+      if (r > 0) ++used;
     }
     ASSERT_EQ(refsum, held) << "refcounts out of balance with live block tables";
     ASSERT_EQ(used, cache.used_pages());
+
+    std::vector<int> entries(static_cast<size_t>(cfg.pool_pages()), 0);
+    for (int32_t p : cache.registered_pages()) ++entries[static_cast<size_t>(p)];
+    std::vector<bool> kept(static_cast<size_t>(cfg.pool_pages()), false);
+    for (int32_t p : cache.kept_list()) {
+      const auto i = static_cast<size_t>(p);
+      ASSERT_FALSE(kept[i]) << "page " << p << " is on the kept list twice";
+      kept[i] = true;
+      ASSERT_EQ(rc[i], 0) << "kept page " << p << " is referenced";
+      ASSERT_EQ(cache.page_written_rows()[i], page) << "kept page " << p << " is not full";
+      ASSERT_EQ(entries[i], 1) << "kept page " << p << " must have one registry entry";
+    }
+    int64_t kept_n = 0, free_listed = 0;
+    for (size_t i = 0; i < rc.size(); ++i) {
+      ASSERT_LE(entries[i], 1) << "page " << i << " has two registry entries";
+      if (kept[i]) {
+        ++kept_n;
+      } else if (rc[i] == 0) {
+        ++free_listed;
+        ASSERT_EQ(entries[i], 0) << "a registry entry names free page " << i;
+      }
+    }
+    ASSERT_EQ(kept_n, cache.kept_pages());
+    ASSERT_EQ(free_listed, cache.free_pages() - cache.kept_pages());
+    ASSERT_EQ(used + kept_n + free_listed, cfg.pool_pages());
   };
 
   for (uint64_t iter = 0; iter < 800; ++iter) {
@@ -785,19 +814,34 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
         if (decoding.count(cache.lane(h))) ++shadow_len[h.id];
     }
     check_invariants();
+    if (::testing::Test::HasFatalFailure()) return;
   }
 
   EXPECT_GT(cache.stats().shared_page_hits, 0) << "the system page must get reused";
   EXPECT_GT(cache.stats().forks, 0);
+  EXPECT_GT(cache.stats().kept_hits, 0) << "a retired prefix's kept page must get revived";
+  EXPECT_GT(cache.stats().evicted_pages, 0) << "a dry free list must evict kept pages";
 
   // reset() releases everything — no leaked pages after arbitrary churn.
   const infer::SequenceHandle stale = active.empty() ? cache.allocate(1) : active.front();
   cache.reset();
   EXPECT_EQ(cache.active_seqs(), 0);
   EXPECT_EQ(cache.free_pages(), cfg.pool_pages());
+  EXPECT_EQ(cache.kept_pages(), 0);
+  EXPECT_TRUE(cache.registered_pages().empty());
   EXPECT_THROW((void)cache.len(stale), Error) << "pre-reset handles are stale";
   for (int64_t s = 0; s < cfg.slots; ++s) EXPECT_TRUE(cache.allocate(1).valid());
   EXPECT_FALSE(cache.allocate(1).valid());
+}
+
+TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
+  for (const int64_t pool_pages : {8, 5}) {
+    for (const uint64_t seed : {123u, 7u, 2024u, 99u}) {
+      SCOPED_TRACE("pool " + std::to_string(pool_pages) + " pages, seed " + std::to_string(seed));
+      churn_paged_lifecycle(seed, pool_pages);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

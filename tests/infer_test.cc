@@ -234,6 +234,66 @@ TEST(KvCacheTest, CommitStepRefusesAStepNoBeginStepDescribed) {
   EXPECT_THROW(cache.commit_step(), Error) << "reset drops the begun step";
 }
 
+// Kept pages, page by page: a retired sequence's registered, written pages
+// go on the kept list deepest first, after every earlier release, and count
+// as free. A dry free list evicts the head of that list, and its registry
+// entry leaves with it at once, while the new holder still has the page; a
+// prompt with the evicted prefix then revives what is left of its chain and
+// misses the rest.
+TEST(KvCacheTest, KeptPagesEvictInReleaseOrderAndLeaveTheRegistry) {
+  KvCacheConfig cfg;
+  cfg.layers = 1;
+  cfg.heads = 1;
+  cfg.head_dim = 2;
+  cfg.slots = 2;
+  cfg.seq_tokens = 8;
+  cfg.page_tokens = 4;
+  cfg.total_pages = 4;
+  cfg.prefix_sharing = true;
+  KvCache cache(cfg);
+  const std::vector<int32_t> a = {1, 2, 3, 4, 5, 6, 7, 8}, b = {11, 12, 13, 14, 15, 16, 17, 18};
+  auto sorted_registry = [&] {
+    std::vector<int32_t> pages = cache.registered_pages();
+    std::sort(pages.begin(), pages.end());
+    return pages;
+  };
+  auto table_row = [&](SequenceHandle h) {
+    const int32_t* row = cache.block_table().data<int32_t>() + cache.lane(h) * cfg.pages_per_seq();
+    return std::vector<int32_t>(row, row + cache.capacity(h) / cfg.page());
+  };
+
+  for (const std::vector<int32_t>* prompt : {&a, &b}) {
+    const SequenceHandle h = cache.allocate(8, prompt->data());
+    commit_prompts(cache, {h});
+    cache.free(h);
+  }
+  EXPECT_EQ(cache.kept_list(), (std::vector<int32_t>{1, 0, 3, 2}))
+      << "a's pages, then b's, each release deepest first";
+  EXPECT_EQ(cache.kept_pages(), 4);
+  EXPECT_EQ(cache.free_pages(), 4) << "kept pages count as free";
+  EXPECT_EQ(cache.used_pages(), 0);
+
+  const int32_t c[] = {21, 22, 23};
+  const SequenceHandle hc = cache.allocate(3, c);
+  ASSERT_TRUE(hc.valid());
+  EXPECT_EQ(table_row(hc), std::vector<int32_t>{1}) << "the least recently released page";
+  EXPECT_EQ(cache.stats().evicted_pages, 1);
+  EXPECT_EQ(cache.kept_list(), (std::vector<int32_t>{0, 3, 2}));
+  EXPECT_EQ(sorted_registry(), (std::vector<int32_t>{0, 2, 3})) << "page 1's entry left with it";
+
+  const SequenceHandle hd = cache.allocate(8, a.data());
+  ASSERT_TRUE(hd.valid());
+  EXPECT_EQ(table_row(hd), (std::vector<int32_t>{0, 3})) << "a's root revives; b's leaf is evicted";
+  EXPECT_EQ(cache.stats().shared_page_hits, 1);
+  EXPECT_EQ(cache.stats().kept_hits, 1);
+  EXPECT_EQ(cache.stats().evicted_pages, 2);
+  EXPECT_EQ(cache.written_rows(hd), 4) << "the revived page is written, the fresh one is not";
+  EXPECT_EQ(cache.kept_list(), std::vector<int32_t>{2});
+  EXPECT_EQ(sorted_registry(), (std::vector<int32_t>{0, 2, 3}))
+      << "page 3 now holds a's second page; page 2 stays kept";
+  EXPECT_EQ(cache.used_pages(), 3);
+}
+
 // The paged writers and the fused decode attention, against a reference
 // built the unfused way over a contiguous cache: prompt rows
 // and the decode row (both kv_cache_store_paged) land
@@ -1488,13 +1548,16 @@ models::Gpt2Config long_context_gpt2(int64_t max_len) {
 /// (cache config adjusted by `tune`), driven stepwise: reqs[i] is submitted
 /// right before engine step submit_at[i], and the engine steps until every
 /// request completed. `leaked` receives the lanes plus pages still held
-/// afterwards.
+/// afterwards (kept pages are not held); `metrics`, when given, records the
+/// engine's telemetry.
 ServeReport serve_packed(const models::Gpt2Config& cfg, int64_t slots, int64_t max_len,
                          const std::function<void(KvCacheConfig&)>& tune, bool graph,
                          const std::vector<Request>& reqs, const std::vector<int64_t>& submit_at,
-                         KvCache::Stats* kv, int64_t* leaked) {
+                         KvCache::Stats* kv, int64_t* leaked,
+                         obs::MetricsRegistry* metrics = nullptr) {
   SessionConfig sc = ls2_session();
   sc.graph_capture = graph;
+  sc.metrics = metrics;
   sc.arena_bytes = serve_capacity_scan(cfg, DType::kF32, slots, max_len, max_len - 1);
   Session s(sc);
   models::Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 17, s.param_alloc());
@@ -1651,6 +1714,172 @@ TEST(PackedStepTest, SharersNeverReadRowsAnEvictedWriterLeftUnwritten) {
     EXPECT_EQ(leaked, 0);
     EXPECT_GT(rep.requests[1].first_token_us, rep.requests[2].first_token_us)
         << "the writer was evicted mid-prompt and finished after the sharer";
+    for (const RequestStats& st : rep.requests) {
+      const Request& rq = reqs[static_cast<size_t>(st.id)];
+      EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
+          << "request " << st.id;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kept prefix pages: registered, fully written pages outlive their last holder
+// ---------------------------------------------------------------------------
+
+/// `n` prompt tokens that start with `prefix` and continue with a tail
+/// derived from `salt`.
+std::vector<int32_t> prefixed_prompt(const std::vector<int32_t>& prefix, int64_t n, int32_t salt) {
+  std::vector<int32_t> p(prefix.begin(), prefix.end());
+  for (int64_t t = static_cast<int64_t>(p.size()); t < n; ++t)
+    p.push_back(static_cast<int32_t>(3 + (salt * 5 + t * 3) % 41));
+  return p;
+}
+
+std::vector<int32_t> two_page_prefix(int32_t salt) {
+  std::vector<int32_t> p;
+  for (int32_t t = 0; t < 2 * kDefaultPageTokens; ++t) p.push_back(3 + (salt + t * 7) % 43);
+  return p;
+}
+
+// A retires before B and C arrive, and no two are resident together. B
+// shares A's two-page prefix and maps A's kept pages: it runs only its tail
+// rows. C is exactly that prefix and runs only its last row. Every request's
+// greedy tokens equal the run with sharing off (and the cacheless
+// reference), eager and replayed. The engine's share-ratio gauge counts
+// prompt pages, as ServeReport does.
+TEST(KeptPagesTest, ARetiredPrefixServesALaterSharerTokenExact) {
+  const models::Gpt2Config cfg = long_context_gpt2(64);
+  const std::vector<int32_t> prefix = two_page_prefix(1);
+  std::vector<Request> reqs(3);
+  reqs[0].prompt = prefixed_prompt(prefix, 37, 1);
+  reqs[1].prompt = prefixed_prompt(prefix, 39, 2);
+  reqs[2].prompt = prefix;
+  for (int64_t i = 0; i < 3; ++i) {
+    reqs[static_cast<size_t>(i)].id = i;
+    reqs[static_cast<size_t>(i)].spec.gen_len = 4;
+  }
+  const std::vector<int64_t> submit_at = {0, 20, 40};  // each retires well before the next
+  Session ref_s(ls2_session());
+  models::Gpt2 ref_model(cfg, System::kLightSeq2, DType::kF32, 17);
+
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    const ServeReport off = serve_packed(cfg, 2, 64, [](KvCacheConfig&) {}, graph, reqs,
+                                         submit_at, &kv, &leaked);
+    EXPECT_EQ(off.prefill_rows, 37 + 39 + 32);
+    obs::MetricsRegistry reg;
+    const ServeReport on = serve_packed(
+        cfg, 2, 64, [](KvCacheConfig& k) { k.prefix_sharing = true; }, graph, reqs, submit_at,
+        &kv, &leaked, &reg);
+    ASSERT_EQ(on.served, 3);
+    EXPECT_EQ(on.peak_resident, 1) << "no two requests were resident together";
+    EXPECT_EQ(leaked, 0);
+    EXPECT_EQ(kv.shared_page_hits, 4) << "B and C each map the two kept prefix pages";
+    EXPECT_EQ(kv.kept_hits, 4);
+    EXPECT_EQ(kv.evicted_pages, 0);
+    EXPECT_EQ(on.kept_hits, 4);
+    EXPECT_EQ(on.prefill_rows, 37 + (39 - 32) + 1)
+        << "B runs its tail rows, and C only the last row of its fully kept prompt";
+    EXPECT_EQ(on.prefill_page_allocs, 3 + 1 + 0);
+    for (const RequestStats& st : on.requests) {
+      const Request& rq = reqs[static_cast<size_t>(st.id)];
+      EXPECT_EQ(st.tokens, off.requests[static_cast<size_t>(st.id)].tokens) << "request " << st.id;
+      EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
+          << "request " << st.id;
+    }
+    // Prompt pages only: 4 shared of 4 + 4 claimed. Every page claimed,
+    // C's decode page included, would read 4 / 9.
+    EXPECT_EQ(reg.gauges().at("serve.kv.share_ratio"), 0.5);
+    EXPECT_EQ(reg.gauges().at("serve.kv.kept_pages"), 2) << "C's retirement kept the prefix";
+    EXPECT_EQ(reg.counters().at("serve.kv.kept_hits"), 4);
+    EXPECT_EQ(reg.counters().at("serve.kv.evicted_pages"), 0);
+  }
+}
+
+// One lane, a 6-page pool and four 36-token prompts (two full pages and a
+// tail each) served in turn. A and B retire and keep their prefix pages
+// (kept list: A1, A0, B1, B0 — deepest page first within a release). C's
+// third page finds the free list dry and evicts A1, the least recently
+// released page, with its registry entry; D, which has A's prefix, then
+// revives A0, misses A's second page and evicts B1 for it. Tokens equal the
+// run with sharing off, eager and replayed.
+TEST(KeptPagesTest, EvictionTakesTheLeastRecentlyReleasedPageDeepestFirst) {
+  const models::Gpt2Config cfg = long_context_gpt2(64);
+  std::vector<Request> reqs(4);
+  reqs[0].prompt = prefixed_prompt(two_page_prefix(1), 36, 1);  // A
+  reqs[1].prompt = prefixed_prompt(two_page_prefix(2), 36, 2);  // B
+  reqs[2].prompt = prefixed_prompt(two_page_prefix(3), 36, 3);  // C
+  reqs[3].prompt = prefixed_prompt(two_page_prefix(1), 36, 4);  // D: A's prefix
+  for (int64_t i = 0; i < 4; ++i) {
+    reqs[static_cast<size_t>(i)].id = i;
+    reqs[static_cast<size_t>(i)].spec.gen_len = 4;  // 40 tokens: three pages each
+  }
+  const std::vector<int64_t> submit_at(4, 0);  // one lane: served in arrival order
+  const auto pool = [](bool sharing) {
+    return [sharing](KvCacheConfig& k) {
+      k.total_pages = 6;
+      k.prefix_sharing = sharing;
+    };
+  };
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    const ServeReport off = serve_packed(cfg, 1, 64, pool(false), graph, reqs, submit_at, &kv,
+                                         &leaked);
+    EXPECT_EQ(off.prefill_rows, 4 * 36);
+    const ServeReport on = serve_packed(cfg, 1, 64, pool(true), graph, reqs, submit_at, &kv,
+                                        &leaked);
+    ASSERT_EQ(on.served, 4);
+    EXPECT_EQ(leaked, 0);
+    EXPECT_EQ(kv.evicted_pages, 2) << "C evicts A1, D evicts B1";
+    EXPECT_EQ(kv.kept_hits, 1) << "D revives A0 only: A1's registry entry left with it";
+    EXPECT_EQ(kv.shared_page_hits, 1);
+    EXPECT_EQ(on.evicted_pages, 2);
+    EXPECT_EQ(on.prefill_rows, 3 * 36 + (36 - 16)) << "D recomputes A's second page and its tail";
+    for (const RequestStats& st : on.requests)
+      EXPECT_EQ(st.tokens, off.requests[static_cast<size_t>(st.id)].tokens) << "request " << st.id;
+  }
+}
+
+// The mid-prompt preemption scenario with sharing on: the evicted 300-token
+// prompt had written its first 128 rows, so its first 8 pages are kept when
+// it is preempted, and its re-admission maps them again instead of rerunning
+// them. Tokens equal the cacheless reference, eager and replayed.
+TEST(KeptPagesTest, APreemptedPromptReadmitsOntoItsOwnKeptPages) {
+  const models::Gpt2Config cfg = long_context_gpt2(352);
+  const int64_t slots = 2, max_len = 320;
+  std::vector<Request> reqs(2);
+  reqs[0].id = 0;  // decodes across a page boundary while reqs[1] prefills
+  for (int64_t t = 0; t < 15; ++t) reqs[0].prompt.push_back(static_cast<int32_t>(3 + t * 7 % 40));
+  reqs[0].spec.gen_len = 30;
+  reqs[1].id = 1;  // the newer arrival, evicted first
+  for (int64_t t = 0; t < 300; ++t) reqs[1].prompt.push_back(static_cast<int32_t>(3 + t * 13 % 41));
+  reqs[1].spec.gen_len = 3;
+  reqs[1].arrival_us = 1.0;
+  Session ref_s(ls2_session());
+  models::Gpt2 ref_model(cfg, System::kLightSeq2, DType::kF32, 17);
+
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "replayed" : "eager");
+    KvCache::Stats kv;
+    int64_t leaked = -1;
+    const ServeReport rep = serve_packed(
+        cfg, slots, max_len,
+        [](KvCacheConfig& k) {
+          k.total_pages = 20;
+          k.prefix_sharing = true;
+        },
+        graph, reqs, {0, 1}, &kv, &leaked);
+    ASSERT_EQ(rep.served, 2);
+    EXPECT_EQ(rep.preemptions, 1);
+    EXPECT_EQ(leaked, 0);
+    EXPECT_EQ(kv.kept_hits, 128 / kDefaultPageTokens) << "the rows written before the eviction";
+    EXPECT_EQ(kv.shared_page_hits, kv.kept_hits);
+    EXPECT_EQ(kv.evicted_pages, 0);
+    EXPECT_EQ(rep.prefill_rows, 15 + 300) << "no prompt row runs twice";
     for (const RequestStats& st : rep.requests) {
       const Request& rq = reqs[static_cast<size_t>(st.id)];
       EXPECT_EQ(st.tokens, greedy_reference(ref_s, ref_model, rq.prompt, rq.spec.gen_len))
