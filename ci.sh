@@ -16,9 +16,10 @@
 #   --preset tsan      Debug build under ThreadSanitizer, running only the
 #                      genuinely multi-threaded surface: the two-stream
 #                      scheduler (dist_overlap_test), the common/parallel.h
-#                      worker pool (gemm_test), and the heartbeat/timeout
-#                      watcher thread (fault_tolerance_test). Everything
-#                      else is single-threaded and would only slow the lane.
+#                      worker pool (gemm_test), and the execute-mode
+#                      training and serving steps of fault_tolerance_test,
+#                      whose kernel bodies run on that pool while faults
+#                      fire. Everything else would only slow the lane.
 #   --smoke full       Everything the preset covers (default).
 #   --smoke dist       Data-parallel sync smoke lane: the bucket planner,
 #                      overlap and pipelined-update test binaries, and
@@ -69,7 +70,8 @@
 # Fails on the first error: a bench or example that exits nonzero, or a
 # bench that writes no/invalid JSON, fails the run (ci/check_bench_json.py —
 # python3 is required for the release preset, so missing validation can
-# never pass silently).
+# never pass silently). The schema check itself prints a verdict for every
+# figure before it fails, so one failing figure hides no other.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -8,16 +8,21 @@ directory (where ci.sh smoke-runs the benches):
 
     python3 ci/check_bench_json.py [fig22 fig_launch_graph fig_serve fig_tp fig_3d]
 
-With no arguments, every known figure is checked.
+With no arguments, every known figure is checked. Each figure gets one OK or
+FAIL line (a FAIL carries its figure's first violation), so one failing
+figure never hides another; the exit status is 1 if any figure failed.
 """
 import json
 import sys
 from pathlib import Path
 
 
+class CheckFailed(Exception):
+    """A figure violated its schema; main reports it and checks the next."""
+
+
 def fail(msg):
-    print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise CheckFailed(msg)
 
 
 def load(name):
@@ -436,11 +441,21 @@ CHECKS = {
 
 def main(argv):
     names = argv[1:] or list(CHECKS)
+    failed = []
     for name in names:
-        if name not in CHECKS:
-            fail(f"unknown figure '{name}' (known: {', '.join(CHECKS)})")
-        CHECKS[name]()
-        print(f"check_bench_json: bench/{name}.json OK")
+        try:
+            if name not in CHECKS:
+                fail(f"unknown figure '{name}' (known: {', '.join(CHECKS)})")
+            CHECKS[name]()
+        except CheckFailed as e:
+            failed.append(name)
+            print(f"check_bench_json: bench/{name}.json FAIL: {e}", file=sys.stderr, flush=True)
+        else:
+            print(f"check_bench_json: bench/{name}.json OK", flush=True)
+    if failed:
+        print(f"check_bench_json: {len(failed)} of {len(names)} figures failed: "
+              f"{' '.join(failed)}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@
 #include "dist/allreduce.h"     // IWYU pragma: export
 #include "dist/bucket.h"        // IWYU pragma: export
 #include "dist/data_parallel.h" // IWYU pragma: export
-#include "dist/failure.h"       // IWYU pragma: export
 #include "dist/pipeline.h"      // IWYU pragma: export
 #include "dist/process_group.h"    // IWYU pragma: export
 #include "dist/tensor_parallel.h"  // IWYU pragma: export

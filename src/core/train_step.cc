@@ -329,7 +329,7 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
   // Detection bookkeeping for the analytic lanes: stage 0's exposed DP
   // wait is what a watchdog would observe at this sync boundary.
   if (dev_.fault_injector() != nullptr) {
-    dev_.fault_injector()->note_exposed_wait(times.sync_us, dev_.clock_us());
+    dev_.fault_injector()->note_exposed_wait(times.sync_us);
   }
   // A replayed step runs the frozen plans; only eager timings feed the next.
   if (!replayed) {
@@ -338,8 +338,7 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
   }
 
   // Every stage's rings: the dist.bucket.* counters of the pp = 1
-  // scheduler, and a named span per ring on the rank's DP lane (tid 2, clear
-  // of the p2p lane).
+  // scheduler, and a named span per ring on the rank's DP lane (tid 2).
   obs::MetricsRegistry* metrics = session_.metrics();
   const bool trace = session_.config().record_timeline;
   const double base = state_->trace_base_us;
@@ -364,7 +363,10 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
     }
   }
 
-  // --- named trace spans: the reconstructed per-rank 1F1B lanes ---
+  // --- named trace spans: the reconstructed per-rank 1F1B lanes. They run
+  // on the solved schedule's time base, so they take lanes of their own
+  // (chunks on tid 3, boundary sends on tid 4), clear of the device's
+  // stream lanes (tids 0 and 1) that rank 0's stage spans use. ---
   if (!trace) return;
   simgpu::Timeline& tl = dev_.timeline();
   for (int s = 0; s < pp_; ++s) {
@@ -375,13 +377,13 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
     }
     for (const dist::PipelineChunk& c : sched.lanes[su(s)].chunks) {
       std::snprintf(name, sizeof(name), "s%d.mb%d.%s", s, c.microbatch, c.forward ? "F" : "B");
-      tl.record_span(pid, 0, name, base + c.begin_us, base + c.end_us);
+      tl.record_span(pid, 3, name, base + c.begin_us, base + c.end_us);
       if (c.forward && s + 1 < pp_) {
         std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.act", s, s + 1, c.microbatch);
-        tl.record_span(pid, 1, name, base + c.end_us, base + c.end_us + sin.fwd_p2p_us[su(s)]);
+        tl.record_span(pid, 4, name, base + c.end_us, base + c.end_us + sin.fwd_p2p_us[su(s)]);
       } else if (!c.forward && s > 0) {
         std::snprintf(name, sizeof(name), "s%d>s%d.mb%d.grad", s, s - 1, c.microbatch);
-        tl.record_span(pid, 1, name, base + c.end_us,
+        tl.record_span(pid, 4, name, base + c.end_us,
                        base + c.end_us + sin.bwd_p2p_us[su(s - 1)]);
       }
     }

@@ -471,7 +471,7 @@ auto train_step(Session& session, ModelT& model, const BatchT& batch,
           const double ring_us =
               times.sync_blocking_us * (faults != nullptr ? faults->comm_factor() : 1.0);
           dev.advance(ring_us, /*busy=*/true, "synchronize");
-          if (faults != nullptr) faults->note_exposed_wait(ring_us, dev.clock_us());
+          if (faults != nullptr) faults->note_exposed_wait(ring_us);
         }
         landings = {{whole}};
       }

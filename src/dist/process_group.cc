@@ -76,11 +76,6 @@ double ProcessGroup::all_gather_us(int64_t full_bytes,
          steps * profile.allreduce_latency_us;
 }
 
-double ProcessGroup::reduce_scatter_us(int64_t full_bytes,
-                                       const simgpu::DeviceProfile& profile) const {
-  return all_gather_us(full_bytes, profile);  // the mirror ring phase
-}
-
 double ProcessGroup::send_us(int64_t bytes, int from_rank, int to_rank,
                              const simgpu::DeviceProfile& profile) const {
   LS2_CHECK(bytes >= 0);
@@ -120,12 +115,6 @@ double ProcessGroup::all_reduce_begin(simgpu::Device& dev, int64_t bytes,
   return charge(dev, all_reduce_us(bytes, dev.profile()), bytes, "allreduce", what);
 }
 
-double ProcessGroup::all_gather_begin(simgpu::Device& dev, int64_t full_bytes,
-                                      const std::string& what) {
-  return charge(dev, all_gather_us(full_bytes, dev.profile()), full_bytes,
-                "allgather", what);
-}
-
 double ProcessGroup::wait(simgpu::Device& dev, double t_done_us, const std::string& what) {
   const double exposed = dev.wait_comm_until(t_done_us, what);
   stats_.exposed_us += exposed;
@@ -139,7 +128,9 @@ double ProcessGroup::all_reduce(simgpu::Device& dev, int64_t bytes,
 
 double ProcessGroup::all_gather(simgpu::Device& dev, int64_t full_bytes,
                                 const std::string& what) {
-  return wait(dev, all_gather_begin(dev, full_bytes, what), what);
+  const double done =
+      charge(dev, all_gather_us(full_bytes, dev.profile()), full_bytes, "allgather", what);
+  return wait(dev, done, what);
 }
 
 }  // namespace ls2::dist

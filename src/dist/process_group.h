@@ -71,9 +71,6 @@ class ProcessGroup {
   /// Ring all-gather assembling `full_bytes` on every rank (each rank
   /// contributes full_bytes/k): (k-1)/k * full_bytes / bw + (k-1) * latency.
   double all_gather_us(int64_t full_bytes, const simgpu::DeviceProfile& profile) const;
-  /// Ring reduce-scatter of `full_bytes` down to one shard per rank — the
-  /// all-gather's mirror phase, same wire cost.
-  double reduce_scatter_us(int64_t full_bytes, const simgpu::DeviceProfile& profile) const;
 
   // --- point-to-point cost model (pipeline-parallel boundary sends) ---
   /// One p2p send of `bytes` between two ranks: latency + bytes/bw, over
@@ -89,13 +86,13 @@ class ProcessGroup {
 
   // --- charging (on the device's comm stream) ---
   //
-  // begin_* enqueues the transfer and returns its modeled completion time;
-  // wait() stream-waits on that timestamp (the exposed time is charged to
-  // the device's active range and counted in stats). The split lets callers
-  // overlap independent compute between the enqueue and the consuming wait,
-  // exactly like the gradient buckets. The combined forms block immediately.
+  // all_reduce_begin enqueues the transfer and returns its modeled
+  // completion time; wait() stream-waits on that timestamp (the exposed time
+  // is charged to the device's active range and counted in stats). The split
+  // lets callers overlap independent compute between the enqueue and the
+  // consuming wait, exactly like the gradient buckets. The combined forms
+  // block immediately.
   double all_reduce_begin(simgpu::Device& dev, int64_t bytes, const std::string& what);
-  double all_gather_begin(simgpu::Device& dev, int64_t full_bytes, const std::string& what);
   double wait(simgpu::Device& dev, double t_done_us, const std::string& what);
   double all_reduce(simgpu::Device& dev, int64_t bytes, const std::string& what);
   double all_gather(simgpu::Device& dev, int64_t full_bytes, const std::string& what);

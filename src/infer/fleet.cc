@@ -98,31 +98,20 @@ bool Fleet::admitting(const Replica& r) const {
 }
 
 int Fleet::pick_replica(int avoid) const {
-  const int n = cfg_.replicas;
-  if (cfg_.policy == DispatchPolicy::kRoundRobin) {
-    for (int k = 0; k < n; ++k) {
-      const int i = (rr_next_ + k) % n;
-      if (i == avoid || !admitting(replicas_[static_cast<size_t>(i)])) continue;
-      // rr_next_ is advanced by the (non-const) dispatch path.
-      const_cast<Fleet*>(this)->rr_next_ = (i + 1) % n;
-      return i;
+  // Join-shortest-queue over (queued + resident) load; ties to the lowest
+  // index so the choice is deterministic.
+  int best = -1;
+  int64_t best_load = 0;
+  for (int i = 0; i < cfg_.replicas; ++i) {
+    const Replica& rep = replicas_[static_cast<size_t>(i)];
+    if (i == avoid || !admitting(rep)) continue;
+    const int64_t load = rep.engine->queue_depth() + rep.engine->resident();
+    if (best < 0 || load < best_load) {
+      best = i;
+      best_load = load;
     }
-  } else {
-    // Join-shortest-queue over (queued + resident) load; ties to the lowest
-    // index so the choice is deterministic.
-    int best = -1;
-    int64_t best_load = 0;
-    for (int i = 0; i < n; ++i) {
-      const Replica& rep = replicas_[static_cast<size_t>(i)];
-      if (i == avoid || !admitting(rep)) continue;
-      const int64_t load = rep.engine->queue_depth() + rep.engine->resident();
-      if (best < 0 || load < best_load) {
-        best = i;
-        best_load = load;
-      }
-    }
-    if (best >= 0) return best;
   }
+  if (best >= 0) return best;
   // Nothing but `avoid` left: better a suspect replica than a stuck queue.
   if (avoid >= 0 && admitting(replicas_[static_cast<size_t>(avoid)])) return avoid;
   return -1;

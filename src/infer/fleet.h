@@ -3,12 +3,12 @@
 //
 // The router owns the request lifecycle; replicas own slots and decode:
 //
-//   [dispatch]  arrivals go to a replica by policy — round-robin,
-//               join-shortest-queue (queued + resident load), or HEDGED:
-//               JSQ plus a duplicate dispatch to a second replica once a
-//               request's first copy is outstanding past a latency
-//               percentile of recent completions (the classic tail-at-scale
-//               move); first copy to finish wins, the loser is cancelled.
+//   [dispatch]  arrivals go to a replica by policy — join-shortest-queue
+//               (queued + resident load), or HEDGED: JSQ plus a duplicate
+//               dispatch to a second replica once a request's first copy is
+//               outstanding past a latency percentile of recent completions
+//               (the classic tail-at-scale move); first copy to finish wins,
+//               the loser is cancelled.
 //   [step]      discrete-event co-simulation: each iteration steps the
 //               live replica with work whose device clock is furthest
 //               behind, so the per-replica clocks interleave like real
@@ -51,7 +51,6 @@
 namespace ls2::infer {
 
 enum class DispatchPolicy {
-  kRoundRobin,         ///< rotate over live, admitting replicas
   kJoinShortestQueue,  ///< least queued+resident load; ties to lowest index
   kHedged,             ///< JSQ + tail-latency duplicate dispatch
 };
@@ -177,8 +176,9 @@ class Fleet {
   };
 
   double fleet_now() const;
-  /// Policy choice among live, admitting replicas; `avoid` (>=0) is
-  /// excluded (the hedge's primary / the evacuated replica when possible).
+  /// Join-shortest-queue choice among live, admitting replicas; `avoid`
+  /// (>=0) is excluded (the hedge's primary / the evacuated replica when
+  /// possible).
   int pick_replica(int avoid) const;
   bool admitting(const Replica& r) const;
   void dispatch_to(size_t tracked, int replica, double now, bool hedge);
@@ -206,7 +206,6 @@ class Fleet {
   std::vector<size_t> router_backlog_;  ///< tracked indices awaiting a replica
   std::vector<double> dispatch_latencies_;  ///< dispatch-to-done ECDF feed
   int64_t next_dispatch_id_ = 1;
-  int rr_next_ = 0;
   int64_t completed_ = 0;
   // rolling-reload state machine
   core::CheckpointSnapshot reload_snap_;

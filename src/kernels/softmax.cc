@@ -123,27 +123,6 @@ double baseline_eff(Impl impl, int64_t rows, int64_t cols, double device_threads
   return 0.5;
 }
 
-// Plain row softmax; runs once regardless of how many launches the chosen
-// implementation charges.
-template <typename T>
-void softmax_body(const Tensor& x, const Tensor& y) {
-  const Shape flat = x.shape().flatten_2d();
-  const int64_t rows = flat[0], cols = flat[1];
-  const T* xp = x.data<T>();
-  T* yp = y.data<T>();
-  parallel_for(0, rows, [&](int64_t r) {
-    const T* xrow = xp + r * cols;
-    T* yrow = yp + r * cols;
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int64_t j = 0; j < cols; ++j) mx = std::max(mx, static_cast<float>(xrow[j]));
-    double z = 0;
-    for (int64_t j = 0; j < cols; ++j) z += std::exp(static_cast<float>(xrow[j]) - mx);
-    const float inv_z = static_cast<float>(1.0 / z);
-    for (int64_t j = 0; j < cols; ++j)
-      yrow[j] = T(std::exp(static_cast<float>(xrow[j]) - mx) * inv_z);
-  });
-}
-
 template <typename T>
 void softmax_bw_body(const Tensor& dy, const Tensor& y, const Tensor& dx) {
   const Shape flat = y.shape().flatten_2d();
@@ -186,32 +165,6 @@ void attn_softmax_body(const Tensor& x, const Tensor& y, bool causal,
 }
 
 }  // namespace
-
-void softmax_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor& y) {
-  LS2_CHECK_EQ(x.numel(), y.numel());
-  const Shape flat = x.shape().flatten_2d();
-  const int64_t rows = flat[0], cols = flat[1];
-  const int64_t xb = static_cast<int64_t>(x.bytes());
-  const double dev_threads = kc.dev.profile().resident_threads;
-  const double eff = baseline_eff(impl, rows, cols, dev_threads);
-  const double flops = static_cast<double>(rows) * cols * 4.0;
-
-  if (impl == Impl::kLS2 || impl == Impl::kDeepSpeed) {
-    const SoftmaxConfig cfg = tune_softmax(rows, cols, dev_threads);
-    const std::string name = impl == Impl::kLS2
-                                 ? std::string("ls2.softmax_fw.") + cfg.tag
-                                 : "deepspeed.softmax_fw";
-    kc.dev.launch(desc(name, xb, static_cast<int64_t>(y.bytes()), flops, eff), [&] {
-      LS2_DISPATCH_FLOAT(x.dtype(), T, softmax_body<T>(x, y));
-    });
-    return;
-  }
-  // Frameworks run one generic softmax kernel; its fixed template simply
-  // achieves less bandwidth than the tuned LightSeq2 ones.
-  kc.dev.launch(desc(std::string(impl_name(impl)) + ".softmax_fw", xb,
-                     static_cast<int64_t>(y.bytes()), flops, eff),
-                [&] { LS2_DISPATCH_FLOAT(x.dtype(), T, softmax_body<T>(x, y)); });
-}
 
 void softmax_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& y,
                 const Tensor& dx) {

@@ -51,10 +51,7 @@ double softmax_config_efficiency(const SoftmaxConfig& cfg, int64_t rows, int64_t
 double softmax_config_efficiency(const SoftmaxConfig& cfg, int64_t rows, int64_t cols,
                                  double device_threads);
 
-// --- plain row softmax over the last dimension ---
-
-/// y = softmax(x) row-wise. `impl` selects the launch structure/efficiency.
-void softmax_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor& y);
+// --- row softmax backward over the last dimension ---
 
 /// dx = y * (dy - sum_j dy_j*y_j) row-wise.
 void softmax_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& y,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -55,8 +56,8 @@ void save_checkpoint(const layers::ParamRegistry& params, const std::string& pat
   });
 }
 
-void load_checkpoint_translated(layers::ParamRegistry& params, const std::string& path,
-                                const NameMap& map, bool allow_extra) {
+void load_checkpoint(layers::ParamRegistry& params, const std::string& path,
+                     bool allow_extra) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   LS2_CHECK(f != nullptr) << "cannot open '" << path << "'";
   LS2_CHECK_EQ(read_u32(f.get()), kMagic) << "not an LS2 checkpoint";
@@ -80,16 +81,14 @@ void load_checkpoint_translated(layers::ParamRegistry& params, const std::string
     std::vector<float> data(static_cast<size_t>(numel));
     LS2_CHECK_EQ(std::fread(data.data(), sizeof(float), data.size(), f.get()), data.size());
 
-    const std::string mapped = map ? map(name) : name;
-    auto it = by_name.find(mapped);
+    auto it = by_name.find(name);
     if (it == by_name.end()) {
-      LS2_CHECK(allow_extra) << "checkpoint entry '" << name << "' (mapped to '" << mapped
-                             << "') has no matching parameter";
+      LS2_CHECK(allow_extra) << "checkpoint entry '" << name << "' has no matching parameter";
       continue;
     }
     layers::ParamRef ref{it->second};
     LS2_CHECK(params.shape(ref) == Shape(dims))
-        << "shape mismatch for '" << mapped << "': file " << Shape(dims).str() << " vs model "
+        << "shape mismatch for '" << name << "': file " << Shape(dims).str() << " vs model "
         << params.shape(ref).str();
     params.value(ref).copy_from(data);
     seen[static_cast<size_t>(it->second)] = true;
@@ -98,36 +97,6 @@ void load_checkpoint_translated(layers::ParamRegistry& params, const std::string
     LS2_CHECK(seen[static_cast<size_t>(i)])
         << "parameter '" << params.name({i}) << "' missing from checkpoint";
   }
-}
-
-void load_checkpoint(layers::ParamRegistry& params, const std::string& path,
-                     bool allow_extra) {
-  load_checkpoint_translated(params, path, nullptr, allow_extra);
-}
-
-std::string fairseq_to_ls2_name(const std::string& name) {
-  // Fairseq convention -> ours, e.g.
-  //   encoder.layers.0.self_attn_layer_norm.weight -> encoder.layers.0.self_attn.ln.gamma
-  //   encoder.layers.0.fc1.weight                  -> encoder.layers.0.ffn.fc1.weight
-  std::string out = name;
-  auto replace_all = [&](const std::string& from, const std::string& to) {
-    size_t pos = 0;
-    while ((pos = out.find(from, pos)) != std::string::npos) {
-      out.replace(pos, from.size(), to);
-      pos += to.size();
-    }
-  };
-  replace_all("self_attn_layer_norm.weight", "self_attn.ln.gamma");
-  replace_all("self_attn_layer_norm.bias", "self_attn.ln.beta");
-  replace_all("encoder_attn_layer_norm.weight", "cross_attn.ln.gamma");
-  replace_all("encoder_attn_layer_norm.bias", "cross_attn.ln.beta");
-  replace_all("final_layer_norm.weight", "ffn.ln.gamma");
-  replace_all("final_layer_norm.bias", "ffn.ln.beta");
-  replace_all("encoder_attn.", "cross_attn.");
-  replace_all(".fc1.", ".ffn.fc1.");
-  replace_all(".fc2.", ".ffn.fc2.");
-  replace_all("embed_tokens.weight", "embed.token_embedding");
-  return out;
 }
 
 }  // namespace ls2::models

@@ -1,14 +1,11 @@
-// Checkpoint save/load and the model translator.
+// Checkpoint save/load.
 //
 // Parameters serialise as FP32 regardless of training dtype, so a model
 // trained under any System (including the FP16 LightSeq2 workspace) can be
 // reloaded under any other — the paper's "the original model and LightSeq2
-// model can be easily converted to each other" (§V-B). The translator remaps
-// foreign parameter names (a Fairseq-style convention is provided as the
-// demo mapping) onto LightSeq2 names at load time.
+// model can be easily converted to each other" (§V-B).
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "layers/params.h"
@@ -23,17 +20,5 @@ void save_checkpoint(const layers::ParamRegistry& params, const std::string& pat
 /// `allow_extra` is set.
 void load_checkpoint(layers::ParamRegistry& params, const std::string& path,
                      bool allow_extra = false);
-
-/// Name remapper applied to each entry in the file before lookup.
-using NameMap = std::function<std::string(const std::string&)>;
-
-/// Load with translation: e.g. a checkpoint written with Fairseq-style names
-/// feeds a LightSeq2 model.
-void load_checkpoint_translated(layers::ParamRegistry& params, const std::string& path,
-                                const NameMap& map, bool allow_extra = false);
-
-/// Demo mapping used by tests/examples: Fairseq's
-/// "encoder.layers.N.self_attn_layer_norm.weight" style names -> ours.
-std::string fairseq_to_ls2_name(const std::string& name);
 
 }  // namespace ls2::models

@@ -20,13 +20,4 @@ class InverseSqrtSchedule {
   int64_t warmup_;
 };
 
-class ConstantSchedule {
- public:
-  explicit ConstantSchedule(float lr) : lr_(lr) {}
-  float lr(int64_t) const { return lr_; }
-
- private:
-  float lr_;
-};
-
 }  // namespace ls2::optim

@@ -213,7 +213,7 @@ double Device::sync_comm(const std::string& attribution) {
     advance(exposed, /*busy=*/true, attribution);
     stats_.exposed_comm_us += exposed;
   }
-  if (fault_ != nullptr) fault_->note_exposed_wait(exposed, clock_us_);
+  if (fault_ != nullptr) fault_->note_exposed_wait(exposed);
   return exposed;
 }
 
@@ -237,7 +237,7 @@ double Device::wait_comm_until(double t_us, const std::string& attribution) {
     advance(exposed, /*busy=*/true, attribution);
     stats_.exposed_comm_us += exposed;
   }
-  if (fault_ != nullptr) fault_->note_exposed_wait(exposed, clock_us_);
+  if (fault_ != nullptr) fault_->note_exposed_wait(exposed);
   return exposed;
 }
 
@@ -249,7 +249,6 @@ void Device::at_sync_point(const std::string& attribution) {
     // full timeout before the stack can conclude the peer is gone (NCCL
     // watchdog semantics), and that stall is charged on the timeline.
     advance(fault_->collective_timeout_us(), /*busy=*/false, "fault.detect");
-    fault_->note_detection(clock_us_);
     throw PeerLostError("simgpu: peer rank " + std::to_string(e->rank) +
                             " lost — collective timed out after " +
                             std::to_string(fault_->collective_timeout_us()) +

@@ -4,17 +4,6 @@
 
 namespace ls2::simgpu {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDeviceLoss: return "device_loss";
-    case FaultKind::kStragglerLink: return "straggler_link";
-    case FaultKind::kKernelSpike: return "kernel_spike";
-    case FaultKind::kAllocFail: return "alloc_fail";
-    case FaultKind::kGradCorrupt: return "grad_corrupt";
-  }
-  return "unknown";
-}
-
 FaultEvent FaultPlan::device_loss(int64_t step, int rank, std::string site) {
   FaultEvent e;
   e.kind = FaultKind::kDeviceLoss;
@@ -169,20 +158,15 @@ const FaultEvent* FaultInjector::take_peer_loss() {
   return nullptr;
 }
 
-void FaultInjector::note_exposed_wait(double exposed_us, double clock_us) {
+void FaultInjector::note_exposed_wait(double exposed_us) {
   if (exposed_us <= timeout_us_) return;
   ++timeout_exceedances_;
   for (const auto& s : slots_) {
     if (s.e.kind != FaultKind::kStragglerLink || s.e.step != armed_step_) continue;
     if (!straggler_steps_.empty() && straggler_steps_.back() == armed_step_) return;
     straggler_steps_.push_back(armed_step_);
-    straggler_detect_clock_us_.push_back(clock_us);
     return;
   }
-}
-
-void FaultInjector::note_detection(double clock_us) {
-  peer_detect_clock_us_.push_back(clock_us);
 }
 
 int FaultInjector::fired(FaultKind kind) const {

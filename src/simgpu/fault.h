@@ -59,8 +59,6 @@ enum class FaultKind {
   kGradCorrupt,    ///< NaN burst into gradient bytes [byte_lo, byte_hi)
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 struct FaultEvent {
   FaultKind kind = FaultKind::kDeviceLoss;
   int64_t step = 0;  ///< global training (or serving) step the event arms at
@@ -109,7 +107,7 @@ struct FaultPlan {
 /// Runtime driver of a FaultPlan. The recovery harness arms it once per
 /// global step (`arm`), the Device consults it from launch / comm / sync /
 /// alloc hook points, and after the run it doubles as the fault ledger
-/// (what fired, what was detected, and when).
+/// (what fired, and at which steps a straggler was detected).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan, double collective_timeout_us = 5000.0);
@@ -117,7 +115,6 @@ class FaultInjector {
   /// Arm `global_step`'s events. Fired one-shot events stay fired across
   /// re-arms, so a rolled-back-and-replayed step does not refail.
   void arm(int64_t global_step);
-  int64_t armed_step() const { return armed_step_; }
   double collective_timeout_us() const { return timeout_us_; }
 
   /// Sink invoked (from the device's sync point) for each pending
@@ -145,10 +142,7 @@ class FaultInjector {
   /// Detection bookkeeping: the device reports each sync point's exposed
   /// wait; an exposed wait beyond the collective timeout on a stragglered
   /// step is a straggler DETECTION (recorded once per step).
-  void note_exposed_wait(double exposed_us, double clock_us);
-  /// Timestamp bookkeeping for a peer-loss detection (after the timeout
-  /// charge, at the throw site).
-  void note_detection(double clock_us);
+  void note_exposed_wait(double exposed_us);
 
   // --- ledger ---
   int fired(FaultKind kind) const;
@@ -158,12 +152,6 @@ class FaultInjector {
   int64_t timeout_exceedances() const { return timeout_exceedances_; }
   int stragglers_detected() const { return static_cast<int>(straggler_steps_.size()); }
   const std::vector<int64_t>& straggler_steps() const { return straggler_steps_; }
-  const std::vector<double>& straggler_detect_clock_us() const {
-    return straggler_detect_clock_us_;
-  }
-  const std::vector<double>& peer_detect_clock_us() const {
-    return peer_detect_clock_us_;
-  }
 
  private:
   struct Slot {
@@ -179,8 +167,6 @@ class FaultInjector {
   int64_t armed_step_ = -1;
   SyncSink sync_sink_;
   std::vector<int64_t> straggler_steps_;
-  std::vector<double> straggler_detect_clock_us_;
-  std::vector<double> peer_detect_clock_us_;
   int64_t timeout_exceedances_ = 0;
   int64_t kernel_spikes_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "common/check.h"
 
@@ -49,48 +50,6 @@ void Timeline::name_process(int pid, std::string name) {
   process_names_.emplace_back(pid, std::move(name));
 }
 
-std::vector<int64_t> Timeline::memory_series(double bucket_us, double horizon_us) const {
-  const size_t buckets = static_cast<size_t>(std::ceil(horizon_us / bucket_us));
-  std::vector<int64_t> series(buckets, 0);
-  int64_t current = 0;
-  size_t si = 0;
-  for (size_t b = 0; b < buckets; ++b) {
-    const double bucket_end = (static_cast<double>(b) + 1.0) * bucket_us;
-    int64_t peak_in_bucket = current;
-    while (si < memory_.size() && memory_[si].t_us <= bucket_end) {
-      current = memory_[si].bytes;
-      peak_in_bucket = std::max(peak_in_bucket, current);
-      ++si;
-    }
-    series[b] = peak_in_bucket;
-  }
-  return series;
-}
-
-std::vector<double> Timeline::utilization_series(double bucket_us, double horizon_us) const {
-  const size_t buckets = static_cast<size_t>(std::ceil(horizon_us / bucket_us));
-  std::vector<double> series(buckets, 0.0);
-  for (const BusySpan& span : busy_) {
-    double t = span.begin_us;
-    while (t < span.end_us) {
-      const size_t b = static_cast<size_t>(t / bucket_us);
-      if (b >= buckets) break;
-      const double bucket_end = (static_cast<double>(b) + 1.0) * bucket_us;
-      const double covered = std::min(span.end_us, bucket_end) - t;
-      series[b] += covered;
-      t += covered;
-    }
-  }
-  for (double& v : series) v = std::min(1.0, v / bucket_us);
-  return series;
-}
-
-int64_t Timeline::peak_memory_bytes() const {
-  int64_t peak = 0;
-  for (const MemorySample& s : memory_) peak = std::max(peak, s.bytes);
-  return peak;
-}
-
 void Timeline::write_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   LS2_CHECK(out.good()) << "cannot open " << path;
@@ -134,6 +93,18 @@ void Timeline::write_chrome_trace(const std::string& path) const {
                   "{\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"name\":\"thread_name\","
                   "\"args\":{\"name\":\"comm stream\"}}",
                   pid);
+    emit(buf);
+  }
+  // The pipeline lanes (NamedSpan::tid 2-4), named where a span uses them.
+  static const char* const kPipelineLanes[] = {"dp rings", "1f1b chunks", "p2p sends"};
+  std::set<std::pair<int, int>> pipeline_lanes;
+  for (const NamedSpan& s : named_)
+    if (s.tid >= 2 && s.tid <= 4) pipeline_lanes.insert({s.pid, s.tid});
+  for (const auto& [pid, tid] : pipeline_lanes) {
+    std::snprintf(buf, sizeof(buf),
+                  "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\","
+                  "\"args\":{\"name\":\"%s\"}}",
+                  pid, tid, kPipelineLanes[tid - 2]);
     emit(buf);
   }
   // Complete ("X") events per busy/comm span; ts/dur are microseconds,

@@ -1,9 +1,8 @@
 // Recording of device activity over simulated time.
 //
-// Produces the data behind the paper's Fig. 20 (GPU memory over wall time)
-// and Fig. 21 (GPU utilisation over wall time): the device reports busy/idle
-// intervals and the allocator reports memory watermarks, and the timeline
-// buckets them into series.
+// The device reports busy intervals on its compute and comm streams, the
+// allocator reports memory watermarks, and telemetry adds labelled spans and
+// point events; the timeline exports them all as one Chrome trace.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,9 @@ struct BusySpan {
 /// with one trace process per simulated rank and one thread per stream.
 struct NamedSpan {
   int pid = 0;  ///< trace process (simulated rank)
-  int tid = 0;  ///< trace thread (0 = compute, 1 = comm)
+  /// Trace thread: 0 = compute, 1 = comm; a pp > 1 step adds 2 = DP
+  /// rings, 3 = solved 1F1B chunks, 4 = boundary sends.
+  int tid = 0;
   std::string name;
   double begin_us = 0;
   double end_us = 0;
@@ -58,29 +59,16 @@ class Timeline {
   /// Display name for rank `pid`'s trace process (e.g. "rank 1 (stage 1)").
   void name_process(int pid, std::string name);
 
-  const std::vector<MemorySample>& memory_samples() const { return memory_; }
   const std::vector<BusySpan>& busy_spans() const { return busy_; }
   const std::vector<BusySpan>& comm_spans() const { return comm_; }
   const std::vector<NamedSpan>& named_spans() const { return named_; }
   const std::vector<InstantEvent>& instants() const { return instants_; }
-  const std::vector<std::pair<int, std::string>>& process_names() const {
-    return process_names_;
-  }
 
   /// Export the recording as a Chrome trace_event JSON (open in
   /// chrome://tracing or Perfetto): compute-stream busy spans on one track,
   /// comm-stream transfers on a second, memory-in-use as a counter series.
   /// Timestamps are the simulated-device microseconds recorded here.
   void write_chrome_trace(const std::string& path) const;
-
-  /// Memory in use at the end of each fixed-width bucket (carry-forward).
-  std::vector<int64_t> memory_series(double bucket_us, double horizon_us) const;
-
-  /// Fraction of each bucket spent busy, in [0,1].
-  std::vector<double> utilization_series(double bucket_us, double horizon_us) const;
-
-  /// Peak memory over all samples.
-  int64_t peak_memory_bytes() const;
 
   void clear();
 

@@ -10,10 +10,11 @@
 //     the ring over the survivors (no respawn wait), the gradient-average
 //     denominator rescales to the surviving replica count, and the run
 //     completes degraded.
-//  3. DETECTION — a stragglered link is detected at the stragglered step's
-//     own sync point (exposed wait > collective timeout); a silent rank is
-//     suspected by the wall-clock heartbeat watcher (the real-thread
-//     component the TSan CI lane runs).
+//  3. DETECTION — the collective timeout at sync points is the one failure
+//     detector: a stragglered link is detected at the stragglered step's own
+//     sync point (exposed wait > collective timeout), and a lost peer when
+//     the collective there times out — on the DP rings and at the pipeline
+//     step's sync point alike.
 //  4. DEGRADED SERVING — under a burst, load shedding + admission timeouts
 //     bound p99 for the requests actually served; a transient allocation
 //     failure inside an engine step is retried with backoff, token-exact;
@@ -26,21 +27,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/fault_tolerant.h"
 #include "core/lightseq2.h"
-#include "dist/failure.h"
 #include "infer/batcher.h"
 #include "infer/fleet.h"
 #include "memory/arena_allocator.h"
@@ -336,6 +332,60 @@ TEST(FaultToleranceTest, StragglerDetectedAtItsOwnSyncPoint) {
     EXPECT_GT(run.report.total_us, clean.report.total_us) << "slow link costs time";
     EXPECT_EQ(run.params, clean.params) << "a slow wire must not change numerics";
   }
+}
+
+// The pipeline step reaches the same detector at its sync point
+// (PipelineStep::sync_and_update). Not a third input to the test above: under
+// PP the device clock sums every stage's chunks and carries no DP sync, so
+// total_us does not price the slow link.
+TEST(FaultToleranceTest, StragglerDetectedAtThePipelineSyncPoint) {
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.collective_timeout_us = 20.0;
+
+  core::FtConfig fc;
+  fc.cluster = cluster_of(/*dp=*/2, /*pp=*/2, /*m=*/2);
+  fc.steps = 6;
+
+  FaultPlan plan;
+  plan.add(FaultPlan::straggler(/*step=*/2, /*factor=*/64.0));
+  const FtRun run = run_training(fc, plan, sc);
+
+  EXPECT_EQ(run.report.failures, 0);
+  EXPECT_EQ(run.report.steps_completed, 6);
+  ASSERT_EQ(run.report.stragglers_detected, 1);
+  ASSERT_EQ(run.report.straggler_steps.size(), 1u);
+  EXPECT_EQ(run.report.straggler_steps[0], 2);
+
+  const FtRun clean = run_training(fc, FaultPlan{}, sc);
+  EXPECT_EQ(clean.report.stragglers_detected, 0) << "no false positives";
+  EXPECT_EQ(run.params, clean.params) << "a slow wire must not change numerics";
+}
+
+TEST(FaultToleranceTest, PeerLostAtThePipelineSyncPointReplaysBitwise) {
+  SessionConfig sc;
+  sc.system = System::kLightSeq2;
+  sc.dtype = DType::kF32;
+  sc.checkpoint_every = 2;
+
+  core::FtConfig fc;
+  fc.cluster = cluster_of(/*dp=*/2, /*pp=*/2, /*m=*/2);
+  fc.policy = core::RecoveryPolicy::kRollbackReplay;
+  fc.steps = 6;
+
+  FaultPlan plan;
+  plan.add(FaultPlan::device_loss(/*step=*/3, /*rank=*/2));  // a PEER dies
+  const FtRun faulted = run_training(fc, plan, sc);
+
+  EXPECT_EQ(faulted.report.failures, 1);
+  ASSERT_EQ(faulted.report.events.size(), 1u);
+  EXPECT_STREQ(faulted.report.events[0].kind, "peer_lost");
+  EXPECT_EQ(faulted.report.events[0].fail_step, 3);
+  EXPECT_EQ(faulted.report.steps_completed, 6);
+
+  const FtRun clean = run_training(fc, FaultPlan{}, sc);
+  EXPECT_EQ(faulted.params, clean.params)
+      << "rollback-and-replay diverged from the fault-free trajectory";
 }
 
 // ---------------------------------------------------------------------------
@@ -842,67 +892,6 @@ TEST(KvCacheChurnTest, RandomPagedLifecycleChurnHoldsInvariants) {
       if (HasFatalFailure()) return;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// 8. Heartbeat monitor (real threads — the TSan lane's subject)
-// ---------------------------------------------------------------------------
-
-TEST(HeartbeatMonitorTest, SuspectsTheSilentRankAndClearsOnRevival) {
-  dist::HeartbeatConfig hc;
-  hc.ranks = 3;
-  hc.interval = std::chrono::milliseconds(2);
-  hc.timeout = std::chrono::milliseconds(40);
-  dist::HeartbeatMonitor mon(hc);
-
-  std::mutex mu;
-  std::vector<int> reported;
-  mon.on_suspect([&](int rank) {
-    std::lock_guard<std::mutex> lock(mu);
-    reported.push_back(rank);
-  });
-  mon.start();
-
-  // Ranks 0 and 2 beat steadily from their own threads; rank 1 goes silent
-  // after one beat.
-  std::atomic<bool> stop{false};
-  auto beater = [&](int rank) {
-    while (!stop.load()) {
-      mon.beat(rank);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  };
-  std::thread t0(beater, 0), t2(beater, 2);
-  mon.beat(1);
-
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool suspected1 = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const std::vector<int> s = mon.suspected();
-    if (std::find(s.begin(), s.end(), 1) != s.end()) {
-      suspected1 = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(suspected1) << "a silent rank must be suspected within the timeout";
-  EXPECT_GE(mon.suspect_events(), 1);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_NE(std::find(reported.begin(), reported.end(), 1), reported.end())
-        << "the on_suspect callback must have fired for rank 1";
-  }
-
-  // A revival beat clears the suspicion synchronously.
-  mon.beat(1);
-  const std::vector<int> after = mon.suspected();
-  EXPECT_EQ(std::find(after.begin(), after.end(), 1), after.end());
-
-  stop.store(true);
-  t0.join();
-  t2.join();
-  mon.stop();
-  EXPECT_GT(mon.scans(), 0);
 }
 
 }  // namespace

@@ -280,16 +280,5 @@ TEST(CheckpointTest, MissingParameterThrows) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, TranslatorMapsFairseqNames) {
-  EXPECT_EQ(fairseq_to_ls2_name("encoder.layers.0.self_attn_layer_norm.weight"),
-            "encoder.layers.0.self_attn.ln.gamma");
-  EXPECT_EQ(fairseq_to_ls2_name("decoder.layers.3.encoder_attn.q_proj.weight"),
-            "decoder.layers.3.cross_attn.q_proj.weight");
-  EXPECT_EQ(fairseq_to_ls2_name("encoder.layers.1.fc1.weight"),
-            "encoder.layers.1.ffn.fc1.weight");
-  EXPECT_EQ(fairseq_to_ls2_name("encoder.embed_tokens.weight"),
-            "encoder.embed.token_embedding");
-}
-
 }  // namespace
 }  // namespace ls2::models

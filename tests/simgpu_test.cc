@@ -124,30 +124,6 @@ TEST(DeviceTest, ResetClearsEverything) {
   EXPECT_TRUE(dev.per_kernel().empty());
 }
 
-TEST(TimelineTest, UtilizationSeries) {
-  Timeline tl;
-  tl.record_busy(0, 50);     // bucket 0: 50% busy
-  tl.record_busy(100, 300);  // buckets 1-2: fully busy
-  const auto series = tl.utilization_series(100, 300);
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_NEAR(series[0], 0.5, 1e-9);
-  EXPECT_NEAR(series[1], 1.0, 1e-9);
-  EXPECT_NEAR(series[2], 1.0, 1e-9);
-}
-
-TEST(TimelineTest, MemorySeriesCarriesForward) {
-  Timeline tl;
-  tl.record_memory(10, 1000);
-  tl.record_memory(250, 3000);
-  const auto series = tl.memory_series(100, 400);
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_EQ(series[0], 1000);
-  EXPECT_EQ(series[1], 1000);
-  EXPECT_EQ(series[2], 3000);
-  EXPECT_EQ(series[3], 3000);
-  EXPECT_EQ(tl.peak_memory_bytes(), 3000);
-}
-
 TEST(DeviceTest, AdvanceBusyVsIdle) {
   Device dev(v100(), ExecMode::kModelOnly);
   dev.advance(10.0, /*busy=*/true, "comm");

@@ -19,6 +19,14 @@ class SoftmaxTest : public ::testing::Test {
     return t;
   }
 
+  /// Plain row softmax: the unmasked attention softmax over a [1, 1, rows,
+  /// cols] view.
+  void row_softmax(Impl impl, const Tensor& x, const Tensor& y) {
+    const Shape flat = x.shape().flatten_2d();
+    attn_softmax_fw(kc, impl, x.view({1, 1, flat[0], flat[1]}),
+                    y.view({1, 1, flat[0], flat[1]}), /*causal=*/false, nullptr);
+  }
+
   simgpu::Device dev;
   KernelContext kc;
 };
@@ -27,7 +35,7 @@ TEST_F(SoftmaxTest, RowsSumToOne) {
   const int64_t rows = 33, cols = 57;
   Tensor x = randn({rows, cols}, 1);
   Tensor y = Tensor::empty({rows, cols}, DType::kF32);
-  softmax_fw(kc, Impl::kLS2, x, y);
+  row_softmax(Impl::kLS2, x, y);
   const auto yv = y.to_vector();
   for (int64_t r = 0; r < rows; ++r) {
     double s = 0;
@@ -42,7 +50,7 @@ TEST_F(SoftmaxTest, RowsSumToOne) {
 TEST_F(SoftmaxTest, StableUnderLargeLogits) {
   Tensor x = Tensor::from_vector({1000.0f, 1001.0f, 999.0f}, {1, 3}, DType::kF32);
   Tensor y = Tensor::empty({1, 3}, DType::kF32);
-  softmax_fw(kc, Impl::kLS2, x, y);
+  row_softmax(Impl::kLS2, x, y);
   const auto yv = y.to_vector();
   for (float v : yv) EXPECT_FALSE(std::isnan(v));
   EXPECT_GT(yv[1], yv[0]);
@@ -55,7 +63,7 @@ TEST_F(SoftmaxTest, ImplsIdentical) {
   std::vector<float> first;
   for (Impl impl : {Impl::kTorch, Impl::kTensorFlow, Impl::kDeepSpeed, Impl::kLS2}) {
     Tensor y = Tensor::empty({rows, cols}, DType::kF32);
-    softmax_fw(kc, impl, x, y);
+    row_softmax(impl, x, y);
     if (first.empty()) {
       first = y.to_vector();
     } else {
@@ -68,7 +76,7 @@ TEST_F(SoftmaxTest, BackwardMatchesFiniteDifference) {
   const int64_t rows = 3, cols = 11;
   Tensor x = randn({rows, cols}, 1);
   Tensor y = Tensor::empty({rows, cols}, DType::kF32);
-  softmax_fw(kc, Impl::kLS2, x, y);
+  row_softmax(Impl::kLS2, x, y);
   Tensor dy = randn({rows, cols}, 2);
   Tensor dx = Tensor::empty({rows, cols}, DType::kF32);
   softmax_bw(kc, Impl::kLS2, dy, y, dx);

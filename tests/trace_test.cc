@@ -178,8 +178,10 @@ TEST(TraceTest, TrainStepRecordsStepStageAndBucketSpans) {
 }
 
 // Under PP every stage's DP ring is a named span on that stage's rank, on a
-// lane of its own (tid 2) clear of the boundary p2p (tid 1), and feeds the
-// same dist.bucket.* counters as the pp = 1 scheduler.
+// lane of its own (tid 2) clear of the solved 1F1B chunks (tid 3) and the
+// boundary p2p (tid 4), and feeds the same dist.bucket.* counters as the
+// pp = 1 scheduler. Those lanes keep off the device's stream lanes, so the
+// whole trace nests.
 TEST(TraceTest, PipelineStepRecordsEveryStagesRings) {
   models::Gpt2Config cfg;
   cfg.vocab = 64;
@@ -205,11 +207,10 @@ TEST(TraceTest, PipelineStepRecordsEveryStagesRings) {
   constexpr int kSteps = 3;
   for (int i = 0; i < kSteps; ++i) (void)core::train_step(s, model, batch, trainer, cluster);
 
-  // Not check_well_formed: rank 0's reconstructed 1F1B chunks share its
-  // compute lane with the device's stage spans (ROADMAP item 4).
   const std::string path = "trace_test_pp.json";
   s.device().timeline().write_chrome_trace(path);
   const auto events = parse_trace(path);
+  check_well_formed(events);
   const dist::ProcessGroup group(cluster);
   int64_t rings = 0;
   for (int stage = 0; stage < 2; ++stage) {
