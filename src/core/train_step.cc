@@ -285,15 +285,12 @@ void PipelineStep::sync_and_update(optim::Optimizer& trainer, StepTimes& times,
     modeled.push_back(dist::model_lane(lanes.back(), buckets_[su(s)], ring));
   }
 
-  // The DP sync is analytic (no device comm-stream calls), so the
-  // failure-detection sync point fires explicitly here — the boundary
-  // where averaged gradients materialize.
-  dev_.at_sync_point("synchronize");
-
   // Updates execute for real over every stage's buckets (the numerics need
   // the whole model updated; step_range is order-independent) through the
   // one update loop, with nothing to wait for on the device: the rings are
-  // analytic. The StepTimes lane tracks only stage 0, folding each stage-0
+  // analytic. The loop's first wait still fires the failure-detection sync
+  // point, before any update runs — the boundary where averaged gradients
+  // materialize. The StepTimes lane tracks only stage 0, folding each stage-0
   // bucket's modeled ring and measured update through dist::UpdateLane —
   // pipelined exactly like the pp = 1 path.
   std::vector<dist::Landing> landings;

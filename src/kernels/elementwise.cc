@@ -344,19 +344,6 @@ void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor&
 
 }  // namespace fused
 
-void add(KernelContext& kc, Impl impl, const Tensor& a, const Tensor& b,
-         const Tensor& y) {
-  if (impl != Impl::kLS2) {
-    baseline::add(kc, a, b, y);
-    return;
-  }
-  check_same_numel(a, b);
-  check_same_numel(a, y);
-  kc.dev.launch(
-      ew_desc("ls2.add", a.bytes() + b.bytes(), y.bytes(), a.numel(), 1.0, kFusedEff),
-      [&] { add_body(a, b, y); });
-}
-
 namespace {
 
 // The one column-sum body behind bias_grad and every kernel that folds it.

@@ -90,12 +90,4 @@ void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Ten
 
 }  // namespace detail
 
-/// y = a + b with the kernel family the policy selects: kLS2 launches the
-/// vectorised (half2/float4) LightSeq2 kernel, every other system the
-/// generic baseline one. Layers doing gradient accumulation (e.g. the
-/// encoder-side dk/dv of cross attention) route through this so the
-/// LightSeq2 policy never silently pays baseline launches.
-void add(KernelContext& kc, Impl impl, const Tensor& a, const Tensor& b,
-         const Tensor& y);
-
 }  // namespace ls2::kern

@@ -69,24 +69,44 @@ void attn_softmax_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor
 void attn_softmax_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& y,
                      const Tensor& dx);
 
-/// One row of the masked attention softmax: y[0, valid) = softmax(x[0,
-/// valid)), y[valid, cols) = 0 (all zeros when valid <= 0). The row code of
-/// attn_softmax_fw, shared with fused kernels that must stay bitwise equal
-/// to it (paged decode attention).
+/// Maximum of x[0, valid) in float (-inf when valid <= 0).
 template <typename T>
-void attn_softmax_row(const T* x, T* y, int64_t valid, int64_t cols) {
-  if (valid <= 0) {
-    for (int64_t j = 0; j < cols; ++j) y[j] = T(0.0f);
-    return;
-  }
+float attn_row_max(const T* x, int64_t valid) {
   float mx = -std::numeric_limits<float>::infinity();
   for (int64_t j = 0; j < valid; ++j) mx = std::max(mx, static_cast<float>(x[j]));
-  double z = 0;
-  for (int64_t j = 0; j < valid; ++j) z += std::exp(static_cast<float>(x[j]) - mx);
-  const float inv_z = static_cast<float>(1.0 / z);
+  return mx;
+}
+
+/// The last step of attn_softmax_row: y[j] = exp(x[j] - mx) * inv_z over
+/// [0, valid), zeros over [valid, cols), valid >= 0. Given the row's max and the
+/// normaliser attn_softmax_row returned, it rebuilds that row's output
+/// bitwise — how the fused attention backward recomputes the forward's
+/// probabilities from the saved normaliser.
+template <typename T>
+void attn_softmax_row_normalise(const T* x, T* y, int64_t valid, int64_t cols, float mx,
+                                float inv_z) {
   for (int64_t j = 0; j < valid; ++j)
     y[j] = T(std::exp(static_cast<float>(x[j]) - mx) * inv_z);
   for (int64_t j = valid; j < cols; ++j) y[j] = T(0.0f);
+}
+
+/// One row of the masked attention softmax: y[0, valid) = softmax(x[0,
+/// valid)), y[valid, cols) = 0 (all zeros when valid <= 0). Returns the
+/// normaliser 1 / sum_j exp(x[j] - max) (0 for an empty row). The row code
+/// of attn_softmax_fw, shared with the fused attention kernels that must
+/// stay bitwise equal to it (kernels/attention.h).
+template <typename T>
+float attn_softmax_row(const T* x, T* y, int64_t valid, int64_t cols) {
+  if (valid <= 0) {
+    for (int64_t j = 0; j < cols; ++j) y[j] = T(0.0f);
+    return 0.0f;
+  }
+  const float mx = attn_row_max(x, valid);
+  double z = 0;
+  for (int64_t j = 0; j < valid; ++j) z += std::exp(static_cast<float>(x[j]) - mx);
+  const float inv_z = static_cast<float>(1.0 / z);
+  attn_softmax_row_normalise(x, y, valid, cols, mx, inv_z);
+  return inv_z;
 }
 
 }  // namespace ls2::kern

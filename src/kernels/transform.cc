@@ -1,12 +1,10 @@
 #include "kernels/transform.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/parallel.h"
 #include "kernels/elementwise.h"
-#include "kernels/softmax.h"
 
 namespace ls2::kern {
 
@@ -197,57 +195,6 @@ void kv_paged_scatter_body(const Tensor& src, const Tensor& pool, const Tensor& 
   });
 }
 
-// One query row per task: scores over the rows it attends, read in place
-// through its lane's block table, the shared masked-softmax row, then the
-// context sum, written straight into the head's slice of the merged row.
-// The accumulation orders are the host GEMM's (gemm/gemm.cc), which is what
-// keeps cached prefill and decode bitwise equal to a full re-forward.
-template <typename T>
-void paged_attn_body(const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
-                     const Tensor& table, const int32_t* lanes, const int32_t* q_begin,
-                     const int32_t* kv_lens, float scale, const Tensor& merged) {
-  const int64_t N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
-  const int64_t pool_pages = k_pool.shape()[0], page = k_pool.shape()[2];
-  const int64_t pps = table.shape()[1];
-  const int32_t* tp = table.data<int32_t>();
-  const T* qp = q.data<T>();
-  const T* kp = k_pool.data<T>();
-  const T* vp = v_pool.data<T>();
-  T* mp = merged.data<T>();
-  parallel_for(0, q.shape()[0] * N * Lq, [&](int64_t r) {  // r: q row ((b*N + n)*Lq + i)
-    const int64_t b = r / (N * Lq), n = r / Lq % N, i = r % Lq;
-    const int64_t len = std::min<int64_t>(q_begin[b] + i + 1, kv_lens[b]);
-    const int32_t* row = tp + (lanes ? lanes[b] : b) * pps;
-    auto pool_row = [&](const T* pool, int64_t j) {
-      const int64_t pg = row[j / page];
-      LS2_CHECK(pg >= 0 && pg < pool_pages) << "paged attn: page id out of range";
-      return pool + ((pg * N + n) * page + j % page) * D;
-    };
-    std::vector<float> qs(static_cast<size_t>(D));
-    for (int64_t d = 0; d < D; ++d) qs[d] = scale * static_cast<float>(qp[r * D + d]);
-    std::vector<T> scores(static_cast<size_t>(len)), probs(static_cast<size_t>(len));
-    for (int64_t j = 0; j < len; ++j) {
-      const T* krow = pool_row(kp, j);
-      float acc = 0.0f;
-      for (int64_t d = 0; d < D; ++d) {
-        if (qs[d] == 0.0f) continue;
-        acc += qs[d] * static_cast<float>(krow[d]);
-      }
-      scores[j] = T(acc);
-    }
-    attn_softmax_row(scores.data(), probs.data(), len, len);
-    std::vector<float> ctx(static_cast<size_t>(D), 0.0f);
-    for (int64_t j = 0; j < len; ++j) {
-      const float p = static_cast<float>(probs[j]);
-      if (p == 0.0f) continue;
-      const T* vrow = pool_row(vp, j);
-      for (int64_t d = 0; d < D; ++d) ctx[d] += p * static_cast<float>(vrow[d]);
-    }
-    T* out = mp + ((b * Lq + i) * N + n) * D;  // merged row (b, i), columns [n*D, (n+1)*D)
-    for (int64_t d = 0; d < D; ++d) out[d] = T(ctx[d]);
-  });
-}
-
 }  // namespace
 
 void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& v_new,
@@ -285,74 +232,6 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
     });
   };
   kc.dev.launch(desc("ls2.kv_store_paged", 2 * nb + meta, 2 * nb, kFusedTransposeEff), body);
-}
-
-void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
-                const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
-                const Tensor& kv_lens, float scale, const Tensor& merged) {
-  LS2_CHECK_EQ(q.shape().rank(), 4);
-  LS2_CHECK(k_pool.shape() == v_pool.shape());
-  LS2_CHECK_EQ(k_pool.shape().rank(), 4);
-  LS2_CHECK_EQ(q.shape()[1], k_pool.shape()[1]);
-  LS2_CHECK_EQ(q.shape()[3], k_pool.shape()[3]);
-  LS2_CHECK(q.dtype() == k_pool.dtype() && q.dtype() == v_pool.dtype() &&
-            q.dtype() == merged.dtype());
-  LS2_CHECK_EQ(block_table.shape().rank(), 2);
-  const int64_t B = q.shape()[0], N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
-  LS2_CHECK(block_table.dtype() == DType::kI32);
-  for (const Tensor* t : {lanes, &q_begin, &kv_lens}) {
-    if (t == nullptr) continue;
-    LS2_CHECK(t->dtype() == DType::kI32);
-    LS2_CHECK_EQ(t->numel(), B);
-  }
-  LS2_CHECK(lanes != nullptr || block_table.shape()[0] == B)
-      << "without lanes, batch row b is lane b of the full-lane table";
-  LS2_CHECK_EQ(merged.numel(), q.numel());
-  const int64_t Lcap = block_table.shape()[1] * k_pool.shape()[2];
-  // The row metadata is host-written heap memory in every exec mode, so the
-  // live extent is known at launch time — and checked here, before the body
-  // could index past the table's reach.
-  const int32_t* lp = lanes ? lanes->data<int32_t>() : nullptr;
-  const int32_t* qb = q_begin.data<int32_t>();
-  const int32_t* kl = kv_lens.data<int32_t>();
-  // Consecutive batch rows of one lane at consecutive positions form one
-  // SEGMENT — a packed step's prompt chunk — and read their lane's K/V rows
-  // once, as a varlen attention kernel does; every other row is a segment
-  // of its own.
-  int64_t live_rows = 0, live_pairs = 0, segments = 0, reach = 0;
-  for (int64_t b = 0; b < B; ++b) {
-    LS2_CHECK(lp == nullptr || (lp[b] >= 0 && lp[b] < block_table.shape()[0]))
-        << "paged attn: lane " << lp[b] << " out of range";
-    LS2_CHECK(qb[b] >= 0) << "paged attn: row " << b << " q_begin " << qb[b];
-    LS2_CHECK(kl[b] >= 0 && kl[b] <= Lcap)
-        << "paged attn: row " << b << " kv_len " << kl[b] << " beyond reach " << Lcap;
-    const bool joins = b > 0 && lp != nullptr && lp[b] == lp[b - 1] && qb[b] == qb[b - 1] + Lq;
-    if (!joins) {
-      live_rows += reach;
-      reach = 0;
-      ++segments;
-    }
-    reach = std::max(reach, std::min<int64_t>(qb[b] + Lq, kl[b]));
-    for (int64_t i = 0; i < Lq; ++i) live_pairs += std::min<int64_t>(qb[b] + i + 1, kl[b]);
-  }
-  live_rows += reach;
-  // Each segment reads its lane, q_begin and kv_len once.
-  const int64_t seg_meta = (lanes ? 3 : 2) * static_cast<int64_t>(sizeof(int32_t));
-  const int64_t elem = static_cast<int64_t>(dtype_size(q.dtype()));
-  auto cost = [&](int64_t rows, int64_t pairs, int64_t segs) {
-    simgpu::KernelDesc d =
-        desc("ls2.paged_attn",
-             static_cast<int64_t>(q.bytes() + block_table.bytes()) + segs * seg_meta +
-                 2 * rows * N * D * elem,
-             static_cast<int64_t>(merged.bytes()), kFusedTransposeEff);
-    d.flops = static_cast<double>(pairs * N * (4 * D + 4));
-    return d;
-  };
-  kc.dev.launch(cost(B * Lcap, B * Lq * Lcap, B), cost(live_rows, live_pairs, segments), [&] {
-    LS2_DISPATCH_FLOAT(q.dtype(), T,
-                       paged_attn_body<T>(q, k_pool, v_pool, block_table, lp, qb, kl, scale,
-                                          merged));
-  });
 }
 
 void kv_page_copy(KernelContext& kc, const Tensor& k_pool, const Tensor& v_pool,

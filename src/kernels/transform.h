@@ -43,6 +43,7 @@ void merge_heads_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor
 // parameters read inside kernel bodies, so the launch sequence stays STATIC
 // across serving steps (the capture contract). Keys and values move in ONE
 // fused LightSeq2 launch under every policy: serving has no baseline KV path.
+// kern::paged_attn (kernels/attention.h) attends over the same pools.
 
 /// Paged write of one cached batch: row i of k_new/v_new [B, N, Lq, D] is
 /// logical position q_begin[b] + i of lane `lanes[b]` and lands in the
@@ -59,41 +60,6 @@ void kv_cache_store_paged(KernelContext& kc, const Tensor& k_new, const Tensor& 
                           const Tensor& block_table, const Tensor& lanes,
                           const Tensor& q_begin, const Tensor& write_begin,
                           const Tensor& write_end);
-
-/// Fused attention over the paged pools, read in place — the one kernel
-/// behind every cached batch. Query row i of batch row b (q
-/// [B, N, Lq, D]) belongs to lane `lanes[b]` (nullptr: lane b, the full-lane
-/// decode batch), sits at logical position q_begin[b] + i and attends the
-/// lane's rows [0, min(q_begin[b] + i + 1, kv_lens[b])) through
-/// `block_table` — the causal mask plus the key-length mask of
-/// attn_softmax_fw. Scores, masked softmax and the probability-weighted sum
-/// of V run in one launch, and the context lands head-merged in `merged`
-/// [B, Lq, N*D]. A row that attends nothing (a free lane of length 0) writes
-/// zeros. The pure decode step is the Lq = 1 full-lane case
-/// (KvCache::begin_step(0)).
-///
-/// Bitwise equal to the unfused path over a contiguous cache (scores GEMM,
-/// attn_softmax_fw, context GEMM, merge_heads_fw): scores accumulate
-/// (scale*q_d)*k_d in ascending d, the softmax is attn_softmax_row, and the
-/// context accumulates p_j*v_j in FP32 in ascending j across page
-/// boundaries, rounded once — both sums skip exact-zero terms like the host
-/// GEMM does.
-///
-/// A BOUNDED launch (simgpu::Device::launch), charged at the CUDA-core peak:
-/// the graph node's bound is every row at full reach (B * Lcap K/V rows and
-/// B * Lq * Lcap query-key pairs, Lcap = pages_per_seq * page); each launch
-/// charges the K/V rows it actually reads and the pairs it actually
-/// attends. Consecutive batch rows of one lane at consecutive positions
-/// (q_begin[b + 1] == q_begin[b] + Lq) form one SEGMENT — a packed step's
-/// prompt chunk — which reads its lane's rows up to its furthest reach
-/// once, and its lane / q_begin / kv_len once, as a varlen attention kernel
-/// does: a run of c one-row batch rows charges exactly the [1, c] prompt
-/// batch. Every other batch row is its own segment, reading
-/// min(q_begin + Lq, kv_len) rows — the decode batch and [B, Lq] batches
-/// charge row by row.
-void paged_attn(KernelContext& kc, const Tensor& q, const Tensor& k_pool, const Tensor& v_pool,
-                const Tensor& block_table, const Tensor* lanes, const Tensor& q_begin,
-                const Tensor& kv_lens, float scale, const Tensor& merged);
 
 /// Row gather: y[i] = x[index[i]] for x [R, ...], index i32 [n] (host-written
 /// heap metadata), y [n, ...] with x's row size. One static launch — a

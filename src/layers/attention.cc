@@ -14,12 +14,15 @@ namespace ls2::layers {
 
 namespace {
 
-/// Temporary provider for the attention backward pass: a Fig. 8 shared-block
-/// plan under LightSeq2, individual dynamic allocations for baselines.
+/// Temporary provider for the attention backward pass. Under LightSeq2 a
+/// Fig. 8 shared-block plan over what the fused backward still needs: the
+/// output-dropout and head-merged gradients, then dQ and, unless they
+/// accumulate into the caller's tensors, dK and dV. The baselines allocate
+/// each temporary individually from the dynamic allocator.
 class BackwardTemps {
  public:
-  BackwardTemps(LayerContext& ctx, int64_t B, int64_t N, int64_t Lq, int64_t Lk, int64_t H,
-                DType dtype, bool self_attn)
+  BackwardTemps(LayerContext& ctx, int64_t B, int64_t Lq, int64_t Lk, int64_t H, DType dtype,
+                bool kv_temps)
       : ctx_(ctx), dtype_(dtype), tp_(ctx.tp_size() > 1) {
     // Under TP the plan's fixed lifetimes no longer describe the sharded
     // temporaries, so each one goes through alloc_shard instead (d_out —
@@ -29,14 +32,14 @@ class BackwardTemps {
       const size_t e = dtype_size(dtype);
       const size_t blh_q = static_cast<size_t>(B * Lq * H) * e;
       const size_t blh_k = static_cast<size_t>(B * Lk * H) * e;
-      const size_t bl2n = static_cast<size_t>(B * N * Lq * Lk) * e;
-      // Lifetimes mirror Fig. 8; disjoint temporaries share blocks.
+      // Lifetimes are AttentionCore::backward's steps; disjoint temporaries
+      // share blocks.
       std::vector<mem::PlanTensor> spec = {
-          {"d_out", blh_q, 1, 2}, {"dmerged", blh_q, 2, 3}, {"dctx", blh_q, 3, 5},
-          {"dS", bl2n, 4, 7},     {"dv", blh_k, 5, 8},      {"dq", blh_q, 7, 8},
-          {"dk", blh_k, 7, 8},
-      };
-      (void)self_attn;
+          {"d_out", blh_q, 1, 2}, {"dmerged", blh_q, 2, 3}, {"dq", blh_q, 3, 4}};
+      if (kv_temps) {
+        spec.push_back({"dk", blh_k, 3, 4});
+        spec.push_back({"dv", blh_k, 3, 4});
+      }
       plan_.emplace(std::move(spec));
       plan_->materialize(ctx.activation_allocator());
     }
@@ -77,46 +80,65 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
   const int64_t Lk = k.shape()[2];
   const int64_t H = N * D;
   const DType dt = q.dtype();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(D));
   const Policy& pol = ctx.policy;
   const int64_t tp = ctx.tp_size();
   const bool training = ctx.training();
 
-  // Scores and masked softmax. Under TP the per-head work is sharded: a
-  // rank runs the same batched kernels over N/tp heads. Serving skips the
-  // attention dropout and its two buffers.
-  const gemm::GemmCharge score_charge{Lq, Lk, D, B * N / tp};
-  Tensor scores = ctx.alloc_shard({B, N, Lq, Lk}, dt);
-  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, scale, q, Lq * D, k,
-                            Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores",
-                            &score_charge);
-  Tensor probs = ctx.alloc_shard({B, N, Lq, Lk}, dt);
-  Tensor probs_d = training ? ctx.alloc_shard({B, N, Lq, Lk}, dt) : probs;
-  Tensor attn_mask = training ? ctx.alloc_shard({B, N, Lq, Lk}, DType::kU8) : Tensor();
-  Tensor ctx_h = ctx.alloc_shard({B, N, Lq, D}, dt);
-  Tensor merged = ctx.alloc_shard({B, Lq, H}, dt);
-  {
+  // Training draws the attention dropout's stream here under every policy;
+  // serving has no attention dropout and draws none.
+  Saved s;
+  kern::AttnInputs& in = s.attn;
+  in = {q, k, v, cfg_.causal, key_lens ? *key_lens : Tensor(),
+        1.0f / std::sqrt(static_cast<float>(D))};
+  in.shards = tp;
+  if (training) {
+    in.dropout = cfg_.attn_dropout;
+    in.stream = ctx.kern.next_dropout_stream();
+    in.microbatch = ctx.kern.microbatch;
+  }
+
+  Tensor scores, ctx_h;  // the baselines' chain holds both to the end of forward
+  if (pol.system == System::kLightSeq2) {
+    // One launch from Q/K/V to the head-merged context. Under TP a rank
+    // runs it over its N/tp heads.
+    s.merged = ctx.alloc_shard({B, Lq, H}, dt);
+    if (training) s.stats = ctx.alloc_shard({B, N, Lq}, DType::kF32);
     TpChargeScale tp_scale(ctx);
-    kern::attn_softmax_fw(ctx.kern, pol.softmax, scores, probs, cfg_.causal, key_lens);
-    if (training) {
-      kern::dropout_fw(ctx.kern, pol.elementwise, probs, probs_d, attn_mask,
-                       cfg_.attn_dropout, ctx.kern.next_dropout_stream());
+    kern::attn_fw(ctx.kern, in, s.merged, s.stats);
+  } else {
+    // Scores and masked softmax. Under TP the per-head work is sharded: a
+    // rank runs the same batched kernels over N/tp heads. Serving skips the
+    // attention dropout and its two buffers.
+    const gemm::GemmCharge score_charge{Lq, Lk, D, B * N / tp};
+    scores = ctx.alloc_shard({B, N, Lq, Lk}, dt);
+    gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, in.scale, q, Lq * D, k,
+                              Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores",
+                              &score_charge);
+    s.probs = ctx.alloc_shard({B, N, Lq, Lk}, dt);
+    s.probs_d = training ? ctx.alloc_shard({B, N, Lq, Lk}, dt) : s.probs;
+    if (training) s.attn_mask = ctx.alloc_shard({B, N, Lq, Lk}, DType::kU8);
+    ctx_h = ctx.alloc_shard({B, N, Lq, D}, dt);
+    s.merged = ctx.alloc_shard({B, Lq, H}, dt);
+    {
+      TpChargeScale tp_scale(ctx);
+      kern::attn_softmax_fw(ctx.kern, pol.softmax, scores, s.probs, cfg_.causal, key_lens);
+      if (training) {
+        kern::dropout_fw(ctx.kern, pol.elementwise, s.probs, s.probs_d, s.attn_mask,
+                         in.dropout, in.stream);
+      }
     }
-  }
 
-  // Context and head merge.
-  const gemm::GemmCharge context_charge{Lq, D, Lk, B * N / tp};
-  gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, 1.0f, probs_d, Lq * Lk,
-                            v, Lk * D, 0.0f, ctx_h, Lq * D, B * N, "attn.context",
-                            &context_charge);
-  {
+    // Context and head merge.
+    const gemm::GemmCharge context_charge{Lq, D, Lk, B * N / tp};
+    gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, 1.0f, s.probs_d,
+                              Lq * Lk, v, Lk * D, 0.0f, ctx_h, Lq * D, B * N,
+                              "attn.context", &context_charge);
     TpChargeScale tp_scale(ctx);
-    kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, merged);
+    kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, s.merged);
   }
 
-  Tensor out_mask;
-  Tensor y = output(ctx, merged, residual, &out_mask);
-  if (training) saved_ = Saved{q, k, v, probs, probs_d, attn_mask, merged, out_mask, B, Lq, Lk};
+  Tensor y = output(ctx, s.merged, residual, &s.out_mask);
+  if (training) saved_ = std::move(s);
   return y;
 }
 
@@ -155,20 +177,21 @@ Tensor AttentionCore::output(LayerContext& ctx, const Tensor& merged, const Tens
   return y;
 }
 
-AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor& dy) {
+AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor& dy,
+                                                 const Tensor& dk_acc, const Tensor& dv_acc) {
   LS2_CHECK(saved_.has_value()) << "backward without forward";
+  LS2_CHECK(dk_acc.defined() == dv_acc.defined()) << "dk and dv accumulate together";
   Saved& s = *saved_;
-  const int64_t B = s.B, Lq = s.Lq, Lk = s.Lk;
+  const kern::AttnInputs& in = s.attn;
+  const int64_t B = in.q.shape()[0], Lq = in.q.shape()[2], Lk = in.k.shape()[2];
   const int64_t N = cfg_.heads, D = cfg_.head_dim(), H = cfg_.hidden;
   const DType dt = dy.dtype();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(D));
   const Policy& pol = ctx.policy;
   const int64_t tp = ctx.tp_size();
-  const gemm::GemmCharge bw_charge_sk{Lq, Lk, D, B * N / tp};   // dS shape
-  const gemm::GemmCharge bw_charge_kd{Lk, D, Lq, B * N / tp};   // dV/dK shape
-  const gemm::GemmCharge bw_charge_qd{Lq, D, Lk, B * N / tp};   // dQ shape
+  const bool fused = pol.system == System::kLightSeq2;
+  const bool accumulate = dk_acc.defined();
 
-  BackwardTemps temps(ctx, B, N, Lq, Lk, H, dt, /*self_attn=*/true);
+  BackwardTemps temps(ctx, B, Lq, Lk, H, dt, /*kv_temps=*/!(fused && accumulate));
 
   // Step 1: through output dropout (+ bias grad, in the same launch when
   // the policy folds it).
@@ -192,6 +215,20 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
                  "attn.out_proj", TpSplit::kRow);
   }
 
+  // Step 3 under LightSeq2: one launch from dmerged to dQ/dK/dV.
+  if (fused) {
+    CoreGrads g{temps.get("dq", Shape{B, N, Lq, D}),
+                accumulate ? dk_acc : temps.get("dk", Shape{B, N, Lk, D}),
+                accumulate ? dv_acc : temps.get("dv", Shape{B, N, Lk, D})};
+    TpChargeScale tp_scale(ctx);
+    kern::attn_bw(ctx.kern, in, dmerged, s.merged, s.stats, g.dq, g.dk, g.dv, accumulate);
+    return g;
+  }
+
+  const gemm::GemmCharge bw_charge_sk{Lq, Lk, D, B * N / tp};   // dS shape
+  const gemm::GemmCharge bw_charge_kd{Lk, D, Lq, B * N / tp};   // dV/dK shape
+  const gemm::GemmCharge bw_charge_qd{Lq, D, Lk, B * N / tp};   // dQ shape
+
   // Step 3: un-merge heads.
   Tensor dctx = temps.get("dctx", Shape{B, N, Lq, D});
   {
@@ -201,7 +238,7 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
 
   // Steps 4-5: dS = dctx @ V^T ; dV = P_d^T @ dctx.
   Tensor dS = temps.get("dS", Shape{B, N, Lq, Lk});
-  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, 1.0f, dctx, Lq * D, s.v,
+  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, 1.0f, dctx, Lq * D, in.v,
                             Lk * D, 0.0f, dS, Lq * Lk, B * N, "attn.bw_dS", &bw_charge_sk);
   Tensor dv = temps.get("dv", Shape{B, N, Lk, D});
   gemm::device_gemm_batched(ctx.device(), true, false, Lk, D, Lq, 1.0f, s.probs_d, Lq * Lk,
@@ -217,13 +254,21 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
 
   // Step 7: dQ = dS @ K * scale ; dK = dS^T @ Q * scale.
   Tensor dq = temps.get("dq", Shape{B, N, Lq, D});
-  gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, scale, dS, Lq * Lk, s.k,
-                            Lk * D, 0.0f, dq, Lq * D, B * N, "attn.bw_dQ", &bw_charge_qd);
+  gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, in.scale, dS, Lq * Lk,
+                            in.k, Lk * D, 0.0f, dq, Lq * D, B * N, "attn.bw_dQ",
+                            &bw_charge_qd);
   Tensor dk = temps.get("dk", Shape{B, N, Lk, D});
-  gemm::device_gemm_batched(ctx.device(), true, false, Lk, D, Lq, scale, dS, Lq * Lk, s.q,
-                            Lq * D, 0.0f, dk, Lk * D, B * N, "attn.bw_dK", &bw_charge_kd);
+  gemm::device_gemm_batched(ctx.device(), true, false, Lk, D, Lq, in.scale, dS, Lq * Lk,
+                            in.q, Lq * D, 0.0f, dk, Lk * D, B * N, "attn.bw_dK",
+                            &bw_charge_kd);
+  if (!accumulate) return CoreGrads{dq, dk, dv};
 
-  return CoreGrads{dq, dk, dv};
+  // The encoder-side gradients accumulate in two more launches.
+  // Head-sharded under TP, like every per-head tensor.
+  TpChargeScale tp_scale(ctx);
+  kern::baseline::add(ctx.kern, dk, dk_acc, dk_acc);
+  kern::baseline::add(ctx.kern, dv, dv_acc, dv_acc);
+  return CoreGrads{dq, dk_acc, dv_acc};
 }
 
 void AttentionCore::release() { saved_.reset(); }
@@ -388,18 +433,13 @@ Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy, const Tenso
   const int64_t B = s.x.shape()[0], L = s.x.shape()[1], H = s.x.shape()[2];
   const DType dt = dy.dtype();
 
-  AttentionCore::CoreGrads g = core_.backward(ctx, dy);
+  // Keys and values are shared across queries: their gradients accumulate
+  // into the caller's dk/dv.
+  const AttentionCore::CoreGrads g = core_.backward(ctx, dy, dk, dv);
 
-  // Accumulate encoder-side grads (keys/values shared across queries) with
-  // the policy-selected elementwise family, so the LightSeq2 policy pays the
-  // vectorised kernel rather than a silent baseline launch. Head-sharded
-  // under TP, like every per-head tensor.
   Tensor dq_gemm = ctx.alloc_shard({B, L, H}, dt);
   {
     TpChargeScale tp_scale(ctx);
-    kern::add(ctx.kern, ctx.policy.elementwise, g.dk, dk, dk);
-    kern::add(ctx.kern, ctx.policy.elementwise, g.dv, dv, dv);
-
     auto db_q = b_q_.grad(ctx);
     const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
     kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq}, dq_gemm,

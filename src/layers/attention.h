@@ -14,14 +14,18 @@
 // epilogue (AttentionCore::output), and attends through the paged KV pools
 // with kern::paged_attn.
 //
-// The backward pass draws its temporaries from the Fig. 8 shared-block plan
-// under LightSeq2 (3·BLH + max(BL²N, 3·BLH) bytes in four blocks); baseline
-// policies allocate each temporary individually from the dynamic allocator.
+// Under LightSeq2 the attention core between the projections is two
+// launches, kern::attn_fw and kern::attn_bw: no [B, N, Lq, Lk] scores,
+// probabilities or dropout mask reach device memory, and the backward's
+// temporaries come from a shared-block plan (Fig. 8 without its dctx and dS
+// blocks). The baselines run the unfused chain of their released kernels
+// and allocate each temporary individually from the dynamic allocator.
 #pragma once
 
 #include <optional>
 #include <string>
 
+#include "kernels/attention.h"
 #include "layers/layer_context.h"
 #include "layers/params.h"
 #include "layers/tp.h"
@@ -43,7 +47,9 @@ struct AttentionConfig {
 };
 
 /// Shared core: scores -> masked softmax -> dropout -> context -> merge ->
-/// output projection -> bias+dropout+residual. Owns W_out/b_out.
+/// output projection -> bias+dropout+residual. Owns W_out/b_out. Under
+/// LightSeq2 everything before the output projection is one kern::attn_fw
+/// launch; the baselines launch the chain.
 class AttentionCore {
  public:
   AttentionCore(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
@@ -60,11 +66,16 @@ class AttentionCore {
                 Tensor* out_mask = nullptr);
 
   /// Returns (dq, dk, dv) in head layout plus d_residual == dy contribution
-  /// handled by the caller adding `dy` into its input gradient.
+  /// handled by the caller adding `dy` into its input gradient. With
+  /// `dk_acc` and `dv_acc` (cross attention's encoder-side gradients) the
+  /// key and value gradients are ADDED into them, and dk/dv are those
+  /// tensors: inside kern::attn_bw under LightSeq2, by two add launches
+  /// after the chain otherwise.
   struct CoreGrads {
     Tensor dq, dk, dv;
   };
-  CoreGrads backward(LayerContext& ctx, const Tensor& dy);
+  CoreGrads backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk_acc = {},
+                     const Tensor& dv_acc = {});
 
   void release();
 
@@ -77,12 +88,12 @@ class AttentionCore {
   ParamRef b_out_;
 
   struct Saved {
-    Tensor q, k, v;          // head layout
-    Tensor probs, probs_d;   // softmax output, after attention dropout
-    Tensor attn_mask;        // u8
+    kern::AttnInputs attn;   // q/k/v in head layout, masks, dropout stream
     Tensor merged;           // [B, Lq, H] context after head merge
     Tensor out_mask;         // u8, output dropout
-    int64_t B = 0, Lq = 0, Lk = 0;
+    Tensor stats;            // LightSeq2: f32 [B, N, Lq] from attn_fw
+    Tensor probs, probs_d;   // baselines: softmax output, after attention dropout
+    Tensor attn_mask;        // baselines: u8
   };
   std::optional<Saved> saved_;
 };

@@ -63,7 +63,9 @@ class BlockPlan {
 
 /// The lifetime table of Fig. 8 (self-attention backward) for batch B,
 /// sequence length L, hidden size H, N heads, element size `elem` bytes.
-/// Tensor names: dY1, dZ, dY2, dS, dV, dK, dQ, dQKV, dY3.
+/// Tensor names: dY1, dZ, dY2, dS, dV, dK, dQ, dQKV, dY3. It is the unfused
+/// chain the baselines launch; LightSeq2's fused attention backward
+/// (kern::attn_bw) has no dS and plans a smaller set (layers/attention.cc).
 std::vector<PlanTensor> attention_backward_plan(int64_t B, int64_t L, int64_t H,
                                                 int64_t N, size_t elem);
 

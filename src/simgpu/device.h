@@ -239,8 +239,8 @@ class Device {
   /// Collective sync point: fires pending sync-scoped faults and, when a
   /// peer loss is armed, charges the detection timeout as idle wait
   /// ("fault.detect") and throws PeerLostError. sync_comm/wait_comm_until
-  /// call this internally; step paths whose DP sync is modeled analytically
-  /// (a pp > 1 train step) call it explicitly at their sync boundary.
+  /// call this internally; a step path that never touches the comm stream
+  /// (the blocking DP ring) calls it explicitly at its sync boundary.
   void at_sync_point(const std::string& attribution);
 
   /// Allocator hooks: charge allocation latency and record the watermark.

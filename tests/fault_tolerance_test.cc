@@ -104,11 +104,15 @@ struct FtRun {
   std::unique_ptr<World> world;
 };
 
+/// The batch every run_training step trains on: 4 rows, which divides m=4.
+models::LmBatch training_batch() {
+  return data::LmDataset(small_gpt2().vocab, 4096, 47).batch(0, 4, 12);
+}
+
 FtRun run_training(const core::FtConfig& fc, FaultPlan plan, SessionConfig sc,
                    optim::OptimConfig oc = {}) {
   const models::Gpt2Config mc = small_gpt2();
-  data::LmDataset ds(mc.vocab, 4096, 47);
-  const models::LmBatch batch = ds.batch(0, 4, 12);  // 4 rows: divides m=4
+  const models::LmBatch batch = training_batch();
   auto [report, world] = core::run_fault_tolerant(
       fc, std::move(plan),
       [&](const dist::ClusterConfig&) { return std::make_unique<World>(sc, mc, oc); },
@@ -360,6 +364,26 @@ TEST(FaultToleranceTest, StragglerDetectedAtThePipelineSyncPoint) {
   const FtRun clean = run_training(fc, FaultPlan{}, sc);
   EXPECT_EQ(clean.report.stragglers_detected, 0) << "no false positives";
   EXPECT_EQ(run.params, clean.params) << "a slow wire must not change numerics";
+
+  // The same steps driven by hand: the detection is the watchdog reading
+  // the faulted step's exposed synchronize wait, which the slow link
+  // stretches far past every clean step's, and it is recorded in that step.
+  World w(sc, small_gpt2(), {});
+  simgpu::FaultInjector injector(plan, sc.collective_timeout_us);
+  w.session.device().set_fault_injector(&injector);
+  const models::LmBatch batch = training_batch();
+  std::vector<double> sync_us;
+  for (int64_t step = 0; step < 4; ++step) {
+    injector.arm(step);
+    const auto [t, res] = core::train_step(w.session, w.model, batch, *w.trainer, fc.cluster);
+    sync_us.push_back(t.sync_us);
+    EXPECT_EQ(injector.straggler_steps(),
+              step < 2 ? std::vector<int64_t>{} : std::vector<int64_t>{2})
+        << "after step " << step;
+  }
+  w.session.device().set_fault_injector(nullptr);
+  EXPECT_GT(sync_us[2], sc.collective_timeout_us);
+  EXPECT_GT(sync_us[2], 16 * std::max({sync_us[0], sync_us[1], sync_us[3]}));
 }
 
 TEST(FaultToleranceTest, PeerLostAtThePipelineSyncPointReplaysBitwise) {
@@ -386,6 +410,32 @@ TEST(FaultToleranceTest, PeerLostAtThePipelineSyncPointReplaysBitwise) {
   const FtRun clean = run_training(fc, FaultPlan{}, sc);
   EXPECT_EQ(faulted.params, clean.params)
       << "rollback-and-replay diverged from the fault-free trajectory";
+
+  // The faulted step driven by hand: the lost peer surfaces at its
+  // synchronize point, where the collective times out, after the step's
+  // microbatches and before any update.
+  World w(sc, small_gpt2(), {});
+  simgpu::FaultInjector injector(plan, sc.collective_timeout_us);
+  w.session.device().set_fault_injector(&injector);
+  const models::LmBatch batch = training_batch();
+  for (int64_t step = 0; step < 3; ++step) {
+    injector.arm(step);
+    (void)core::train_step(w.session, w.model, batch, *w.trainer, fc.cluster);
+  }
+  const std::vector<unsigned char> before = param_bytes(w.model.params());
+  const double backward_us = w.session.device().range_time_us("backward");
+  injector.arm(3);
+  try {
+    (void)core::train_step(w.session, w.model, batch, *w.trainer, fc.cluster);
+    ADD_FAILURE() << "the lost peer went undetected";
+  } catch (const simgpu::PeerLostError& e) {
+    EXPECT_NE(std::string(e.what()).find("at 'synchronize'"), std::string::npos) << e.what();
+  }
+  EXPECT_GT(w.session.device().range_time_us("backward"), backward_us)
+      << "the step's microbatches ran first";
+  EXPECT_EQ(w.session.device().range_time_us("fault.detect"), sc.collective_timeout_us);
+  EXPECT_EQ(param_bytes(w.model.params()), before) << "no update ran";
+  w.session.device().set_fault_injector(nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "core/lightseq2.h"
 #include "gemm/gemm.h"
+#include "kernels/attention.h"
 #include "kernels/sampling.h"
 #include "kernels/softmax.h"
 #include "kernels/transform.h"
@@ -735,7 +736,8 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
   const int64_t padded_attn = launches_named(dev, "attn.scores") +
                               launches_named(dev, "attn.context") +
                               launches_named(dev, "attn_softmax_fw") +
-                              launches_named(dev, "merge_heads");
+                              launches_named(dev, "merge_heads") +
+                              launches_named(dev, "ls2.attn_fw");
   const auto tail =
       packed_step(s.ctx(), model, cache, {hb}, {b}, {{cache.lane(ha), 41}}, &chunks);
   EXPECT_EQ(chunks[0].begin, 2 * page) << "rows a committed step wrote are skipped";
@@ -745,7 +747,8 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
             static_cast<double>(cfg.layers * 2 * (S + 2) * (3 * cfg.hidden) * cfg.hidden))
       << "the QKV projection is charged at the S decode rows and the 2 tail rows";
   EXPECT_EQ(launches_named(dev, "attn.scores") + launches_named(dev, "attn.context") +
-                launches_named(dev, "attn_softmax_fw") + launches_named(dev, "merge_heads"),
+                launches_named(dev, "attn_softmax_fw") + launches_named(dev, "merge_heads") +
+                launches_named(dev, "ls2.attn_fw"),
             padded_attn)
       << "the packed step attends through kern::paged_attn alone";
   expect_decoded(tail, cache.lane(ha), 41);
@@ -2138,9 +2141,12 @@ TEST(ServingScopeTest, ServingThrowsUnderTensorParallelism) {
 }
 
 // Serving skips every standalone dropout launch: the attention-probability
-// dropout under every policy, and the unfused chains' dropout stage under
-// the baselines. A cacheless prefill and a packed prompt step launch none;
-// the training forward launches them.
+// dropout and the unfused chains' dropout stage under the baselines. A
+// cacheless prefill and a packed prompt step launch none; the training
+// forward launches them. Under LightSeq2 the attention dropout is a stage of
+// ls2.attn_fw, so no forward launches a standalone dropout; there serving's
+// ls2.attn_fw launches draw no dropout stream, while the training forward
+// draws one per layer for them, on top of the embedding's.
 TEST(ServingScopeTest, ServingLaunchesNoStandaloneDropout) {
   for (System system : {System::kLightSeq2, System::kFairseq}) {
     SessionConfig sc = ls2_session();
@@ -2149,21 +2155,37 @@ TEST(ServingScopeTest, ServingLaunchesNoStandaloneDropout) {
     const models::Gpt2Config cfg = tiny_gpt2();
     models::Gpt2 model(cfg, system, DType::kF32, 7);
     const std::string name = system == System::kLightSeq2 ? "ls2.dropout_fw" : "torch.dropout_fw";
-    auto dropout_launches = [&] {
+    auto launches = [&](const std::string& kernel) {
       const auto& k = s.device().per_kernel();
-      return k.count(name) ? k.at(name).launches : int64_t{0};
+      return k.count(kernel) ? k.at(kernel).launches : int64_t{0};
+    };
+    // Dropout streams one pass draws.
+    auto streams = [&](const std::function<void()>& pass) {
+      const uint64_t site = s.ctx().kern.dropout_site;
+      pass();
+      return s.ctx().kern.dropout_site - site;
     };
 
     KvCache cache(model.kv_cache_config(2, 16));
     const std::vector<SequenceHandle> seqs = {cache.allocate(4), cache.allocate(4)};
-    (void)model.prefill(s.ctx(), random_ids(2, 6, cfg.vocab, 1));
+    const uint64_t serving_streams =
+        streams([&] { (void)model.prefill(s.ctx(), random_ids(2, 6, cfg.vocab, 1)); });
     (void)packed_step(s.ctx(), model, cache, seqs, token_rows(random_ids(2, 4, cfg.vocab, 2)));
-    EXPECT_EQ(dropout_launches(), 0) << name << " while serving";
+    EXPECT_EQ(launches(name), 0) << name << " while serving";
 
     data::LmDataset ds(cfg.vocab, 512, 5);
-    (void)model.forward(s.ctx(), ds.batch(0, 2, 8));
-    model.release();
-    EXPECT_GT(dropout_launches(), 0) << name << " in the training forward";
+    const uint64_t training_streams = streams([&] {
+      (void)model.forward(s.ctx(), ds.batch(0, 2, 8));
+      model.release();
+    });
+    if (system == System::kFairseq) {
+      EXPECT_GT(launches(name), 0) << name << " in the training forward";
+      continue;
+    }
+    EXPECT_EQ(launches(name), 0) << name << " in the training forward";
+    EXPECT_EQ(launches("ls2.attn_fw"), 2 * cfg.layers) << "one per layer in each forward";
+    EXPECT_EQ(training_streams, serving_streams + cfg.layers + 1)
+        << "the training forward's attention and embedding dropout streams";
   }
 }
 

@@ -9,6 +9,7 @@
 #include "layers/decoder_layer.h"
 #include "layers/embedding_layer.h"
 #include "layers/encoder_layer.h"
+#include "memory/measuring_allocator.h"
 #include "simgpu/profile.h"
 
 namespace ls2::layers {
@@ -310,6 +311,60 @@ TEST(DecoderLayerTest, CrossAttentionGradsAccumulate) {
   EXPECT_GT(vnorm, 0.0);
 }
 
+// The decoder's two attentions under every system that runs a decoder:
+// causal self-attention over padded targets, and cross attention with
+// Lq != Lk under padded sources, at dropout 0.2. The cross K/V gradients
+// accumulate onto nonzero values, as they do after a later layer's
+// backward, so the rounding of the accumulation is compared too.
+TEST(DecoderLayerTest, PolicyEquivalenceForwardBackward) {
+  const int64_t B = 2, Lt = 5, Ls = 4, H = 16, N = 2, D = 8;
+  const Tensor src_lens = Tensor::from_vector({4, 3}, {B}, DType::kI32);
+  const Tensor tgt_lens = Tensor::from_vector({5, 3}, {B}, DType::kI32);
+  std::vector<float> ref_y, ref_dx, ref_dk, ref_dv;
+  std::vector<std::vector<float>> ref_grads;
+  for (System system : {System::kFairseq, System::kFairseqApex, System::kLightSeq2}) {
+    const std::string name = system_name(system);
+    Harness h(system, /*seed=*/99);
+    ParamRegistry params;
+    TransformerDecoderLayer layer(params, "dec.0", tiny_config(0.2f));
+    params.materialize(DType::kF32, system == System::kLightSeq2, Rng(1));
+    params.zero_grads();
+    Tensor k = h.randn({B, N, Ls, D}, 10, 0.5f);
+    Tensor v = h.randn({B, N, Ls, D}, 11, 0.5f);
+    Tensor x = h.randn({B, Lt, H}, 1, 0.5f);
+    Tensor y = layer.forward(h.ctx, x, k, v, &src_lens, &tgt_lens);
+    Tensor dy = h.randn({B, Lt, H}, 2, 0.1f);
+    Tensor dk = h.randn({B, N, Ls, D}, 12, 0.05f);
+    Tensor dv = h.randn({B, N, Ls, D}, 13, 0.05f);
+    Tensor dx = layer.backward(h.ctx, dy, dk, dv);
+
+    std::vector<std::vector<float>> grads;
+    params.for_each([&](const std::string&, Tensor, Tensor g) {
+      grads.push_back(g.to_vector());
+    });
+    if (ref_y.empty()) {
+      ref_y = y.to_vector();
+      ref_dx = dx.to_vector();
+      ref_dk = dk.to_vector();
+      ref_dv = dv.to_vector();
+      ref_grads = grads;
+      continue;
+    }
+    EXPECT_EQ(y.to_vector(), ref_y) << name;
+    EXPECT_EQ(dx.to_vector(), ref_dx) << name;
+    EXPECT_EQ(dk.to_vector(), ref_dk) << name;
+    EXPECT_EQ(dv.to_vector(), ref_dv) << name;
+    ASSERT_EQ(grads.size(), ref_grads.size());
+    for (size_t i = 0; i < grads.size(); ++i) {
+      ASSERT_EQ(grads[i].size(), ref_grads[i].size());
+      for (size_t j = 0; j < grads[i].size(); ++j) {
+        ASSERT_NEAR(grads[i][j], ref_grads[i][j], 1e-5)
+            << name << " param " << i << " elem " << j;
+      }
+    }
+  }
+}
+
 TEST(DecoderLayerTest, DeepSpeedPolicyRejectsDecoder) {
   Harness h(System::kDeepSpeed);
   ParamRegistry params;
@@ -377,6 +432,37 @@ TEST(CriterionLayerTest, LossIgnoresPadTargets) {
   CriterionResult res = crit.forward(h.ctx, x, targets);
   EXPECT_EQ(res.tokens, 2);  // pad target excluded
   crit.release();
+}
+
+// What an attention core holds from forward to backward. Under LightSeq2:
+// Q/K/V (the caller's), the merged context, the output-dropout mask and an
+// f32 [B, N, Lq] statistic: less than one byte per query-key pair, so no
+// [B, N, Lq, Lk] tensor of any dtype. Fairseq holds the probabilities before
+// and after dropout and the dropout mask.
+TEST(AttentionCoreTest, LightSeq2KeepsNoScoreSizedTensor) {
+  const int64_t B = 2, L = 64, H = 16, N = 2, D = 8;
+  const int64_t pairs = B * N * L * L;
+  for (System system : {System::kFairseq, System::kLightSeq2}) {
+    mem::MeasuringAllocator alloc;
+    simgpu::Device device(simgpu::v100(), simgpu::ExecMode::kExecute);
+    LayerContext ctx(device, &alloc, policy_for(system), 42);
+    ParamRegistry params;
+    AttentionCore core(params, "attn", AttentionConfig{H, N, 0.1f, 0.1f, true, {}});
+    params.materialize(DType::kF32, system == System::kLightSeq2, Rng(1));
+    params.zero_grads();
+    Harness h(system);
+    const Tensor q = h.randn({B, N, L, D}, 1), k = h.randn({B, N, L, D}, 2),
+                 v = h.randn({B, N, L, D}, 3), x = h.randn({B, L, H}, 4);
+    const Tensor y = core.forward(ctx, q, k, v, x, nullptr);
+    const int64_t kept = alloc.bytes_in_use() - static_cast<int64_t>(y.bytes());
+    if (system == System::kLightSeq2) {
+      EXPECT_LT(kept, pairs) << "a LightSeq2 core keeps no score-sized tensor";
+    } else {
+      EXPECT_GE(kept, pairs * (4 + 4 + 1)) << "probabilities, dropped probabilities, mask";
+    }
+    (void)core.backward(ctx, h.randn({B, L, H}, 5, 0.1f));
+    core.release();
+  }
 }
 
 TEST(EncoderLayerTest, LightSeq2LaunchesFarFewerKernels) {

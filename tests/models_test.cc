@@ -114,6 +114,50 @@ TEST(TransformerTest, OnlyTheBaselinesLaunchBiasGrad) {
   }
 }
 
+// Under LightSeq2 every attention of an encoder-decoder training step (an
+// encoder layer's self attention, a decoder layer's self and cross
+// attention) is one launch each way, and none of the unfused chain's
+// launches remain: the scores and context GEMMs and their backward, the
+// softmax, the standalone dropout, the head merge, and the adds that
+// accumulate the cross-attention K/V gradients. Fairseq launches its chain
+// once per attention.
+TEST(TransformerTest, LightSeq2AttendsInOneLaunchEachWay) {
+  const TransformerConfig cfg = tiny_mt_config();
+  const int64_t attentions = cfg.encoder_layers + 2 * cfg.decoder_layers;
+  MtBatch batch = tiny_batch(64);
+  for (System sys : {System::kFairseq, System::kLightSeq2}) {
+    Session s(session_config(sys));
+    Transformer model(cfg, sys, DType::kF32, /*seed=*/7);
+    model.params().zero_grads();
+    (void)model.forward(s.ctx(), batch);
+    model.backward(s.ctx());
+    // Launches of the kernels whose name starts with `prefix`.
+    auto launches = [&](const std::string& prefix) {
+      int64_t n = 0;
+      for (const auto& [name, ks] : s.device().per_kernel())
+        if (name.rfind(prefix, 0) == 0) n += ks.launches;
+      return n;
+    };
+    const std::string sys_name = layers::system_name(sys);
+    if (sys == System::kFairseq) {
+      for (const char* chain : {"attn.scores", "attn.context", "attn.bw_dS", "attn.bw_dV",
+                                "attn.bw_dQ", "attn.bw_dK", "torch.softmax_fw",
+                                "torch.softmax_bw", "torch.merge_heads_bw"}) {
+        EXPECT_EQ(launches(chain), attentions) << sys_name << " " << chain;
+      }
+      EXPECT_EQ(launches("ls2.attn_"), 0) << sys_name;
+      continue;
+    }
+    EXPECT_EQ(launches("ls2.attn_fw"), attentions) << sys_name;
+    EXPECT_EQ(launches("ls2.attn_bw"), attentions) << sys_name;
+    for (const char* gone : {"attn.scores", "attn.context", "attn.bw_", "ls2.attn_softmax_fw",
+                             "ls2.softmax_bw", "ls2.dropout_fw", "ls2.dropout_bw",
+                             "ls2.merge_heads", "ls2.add"}) {
+      EXPECT_EQ(launches(gone), 0) << sys_name << " " << gone;
+    }
+  }
+}
+
 TEST(TransformerTest, ParameterCountMatchesAnalytic) {
   TransformerConfig cfg = tiny_mt_config();
   Transformer model(cfg, System::kLightSeq2, DType::kF32, 1);
