@@ -7,6 +7,7 @@
 
 #include "common/parallel.h"
 #include "gemm/gemm.h"
+#include "kernels/elementwise.h"
 #include "kernels/softmax.h"
 
 namespace ls2::kern {
@@ -115,14 +116,28 @@ struct Dims {
   int64_t B, N, Lq, Lk, D;
 };
 
+void check_operand(const AttnOperand& op, const char* what) {
+  LS2_CHECK(op.defined()) << "attention: no " << what;
+  LS2_CHECK(!op.bias.defined() ||
+            (op.bias.numel() == op.N * op.D && op.bias.dtype() == op.dtype()))
+      << "attention: " << what << " bias must be [" << op.N * op.D << "] of its dtype";
+  LS2_CHECK(!op.dbias.defined() ||
+            (op.is_rows && op.dbias.numel() == op.N * op.D && op.dbias.dtype() == op.dtype()))
+      << "attention: " << what << " dbias must be [" << op.N * op.D
+      << "] of its dtype, on a rows operand";
+}
+
 Dims check_inputs(const AttnInputs& in) {
-  LS2_CHECK_EQ(in.q.shape().rank(), 4);
-  LS2_CHECK(in.k.shape() == in.v.shape()) << "attention: k and v must agree";
-  LS2_CHECK_EQ(in.k.shape().rank(), 4);
-  const Dims d{in.q.shape()[0], in.q.shape()[1], in.q.shape()[2], in.k.shape()[2],
-               in.q.shape()[3]};
-  LS2_CHECK(in.k.shape()[0] == d.B && in.k.shape()[1] == d.N && in.k.shape()[3] == d.D)
-      << "attention: q " << in.q.shape().str() << " against k " << in.k.shape().str();
+  check_operand(in.q, "q");
+  check_operand(in.k, "k");
+  check_operand(in.v, "v");
+  const Dims d{in.q.B, in.q.N, in.q.L, in.k.L, in.q.D};
+  LS2_CHECK(in.v.B == d.B && in.v.N == d.N && in.v.L == d.Lk && in.v.D == d.D)
+      << "attention: k and v must agree";
+  LS2_CHECK(in.k.B == d.B && in.k.N == d.N && in.k.D == d.D)
+      << "attention: q [" << d.B << ", " << d.N << ", " << d.Lq << ", " << d.D
+      << "] against k [" << in.k.B << ", " << in.k.N << ", " << in.k.L << ", " << in.k.D
+      << "]";
   LS2_CHECK(in.q.dtype() == in.k.dtype() && in.q.dtype() == in.v.dtype());
   LS2_CHECK(in.dropout >= 0.0f && in.dropout < 1.0f) << "dropout p=" << in.dropout;
   LS2_CHECK(!in.causal || d.Lq == d.Lk) << "causal attention needs Lq == Lk";
@@ -132,6 +147,11 @@ Dims check_inputs(const AttnInputs& in) {
     LS2_CHECK_EQ(in.key_lens.numel(), d.B);
   }
   return d;
+}
+
+// The bytes an operand's bias adds to a launch that loads it.
+int64_t bias_bytes(const AttnOperand& op) {
+  return op.bias.defined() ? static_cast<int64_t>(op.bias.bytes()) : 0;
 }
 
 // The GEMM cost model (gemm/gemm_device.cc) for a launch that replaces the
@@ -156,29 +176,46 @@ simgpu::KernelDesc attn_desc(const char* name, const AttnInputs& in, const Dims&
   return desc;
 }
 
-// One task per head: its keys transposed once, then its query rows.
+// Head (b, n) of `op` into out [L, D], contiguous: each row loaded with its
+// bias added, T(float(x) + float(bias)), as bias_split_transpose_fw writes
+// the split tensors.
+template <typename T>
+void load_head(const AttnOperand& op, int64_t b, int64_t n, T* out) {
+  const T* x = op.t.data<T>();
+  const T* bias = op.bias.defined() ? op.bias.data<T>() + n * op.D : nullptr;
+  for (int64_t l = 0; l < op.L; ++l) {
+    const T* row = x + op.row(b, n, l);
+    T* o = out + l * op.D;
+    for (int64_t d = 0; d < op.D; ++d)
+      o[d] = bias ? T(static_cast<float>(row[d]) + static_cast<float>(bias[d])) : row[d];
+  }
+}
+
+// One task per head: its Q, K and V rows loaded, its keys transposed once,
+// then its query rows.
 template <typename T>
 void attn_fw_body(const AttnInputs& in, const Rng& rng, const Dims& dm, const Tensor& merged,
                   const Tensor& stats) {
   const int64_t N = dm.N, Lq = dm.Lq, Lk = dm.Lk, D = dm.D;
-  const T* qp = in.q.data<T>();
-  const T* kp = in.k.data<T>();
-  const T* vp = in.v.data<T>();
   const int32_t* lens = in.key_lens.defined() ? in.key_lens.data<int32_t>() : nullptr;
   T* mp = merged.data<T>();
   float* sp = stats.defined() ? stats.data<float>() : nullptr;
   const int64_t numel = dm.B * N * Lq * Lk;
   parallel_for(0, dm.B * N, [&](int64_t bn) {
     const int64_t b = bn / N, n = bn % N;
+    std::vector<T> qh(static_cast<size_t>(Lq * D)), kh(static_cast<size_t>(Lk * D)),
+        vh(static_cast<size_t>(Lk * D));
+    load_head(in.q, b, n, qh.data());
+    load_head(in.k, b, n, kh.data());
+    load_head(in.v, b, n, vh.data());
     std::vector<float> kt(static_cast<size_t>(D * Lk));
-    transpose_to_float(kp + bn * Lk * D, Lk, D, kt.data());
-    const T* vh = vp + bn * Lk * D;
+    transpose_to_float(kh.data(), Lk, D, kt.data());
     RowScratch<T> w(Lk, D);
     for (int64_t i = 0; i < Lq; ++i) {
-      const int64_t r = bn * Lq + i;  // q row ((b*N + n)*Lq + i)
+      const int64_t r = bn * Lq + i;  // the logical q row ((b*N + n)*Lq + i)
       const float inv_z = attn_fw_row(
-          qp + r * D, in.scale, kt.data(), Lk, D, attended(lens, b, i, Lk, in.causal),
-          [&](int64_t j) { return vh + j * D; }, row_dropout(in, rng, r, Lk, numel), w,
+          qh.data() + i * D, in.scale, kt.data(), Lk, D, attended(lens, b, i, Lk, in.causal),
+          [&](int64_t j) { return vh.data() + j * D; }, row_dropout(in, rng, r, Lk, numel), w,
           mp + ((b * Lq + i) * N + n) * D);
       if (sp) sp[r] = inv_z;
     }
@@ -187,26 +224,30 @@ void attn_fw_body(const AttnInputs& in, const Rng& rng, const Dims& dm, const Te
 
 // One task per head: its query rows run in ascending order, so each dK/dV
 // element accumulates over the rows in the order the dK/dV GEMMs sum them.
+// Heads write disjoint rows of dq, dk and dv.
 template <typename T>
 void attn_bw_body(const AttnInputs& in, const Rng& rng, const Dims& dm, const Tensor& dmerged,
-                  const Tensor& stats, const Tensor& dq, const Tensor& dk, const Tensor& dv,
-                  bool accumulate_kv) {
+                  const Tensor& stats, const AttnOperand& dq, const AttnOperand& dk,
+                  const AttnOperand& dv, bool accumulate_kv) {
   const int64_t N = dm.N, Lq = dm.Lq, Lk = dm.Lk, D = dm.D;
-  const T* qp = in.q.data<T>();
-  const T* kp = in.k.data<T>();
-  const T* vp = in.v.data<T>();
   const T* dop = dmerged.data<T>();
   const float* inv_z = stats.data<float>();
   const int32_t* lens = in.key_lens.defined() ? in.key_lens.data<int32_t>() : nullptr;
   const int64_t numel = dm.B * N * Lq * Lk;
   const float scale = in.scale;
   const auto n_kd = static_cast<size_t>(Lk * D);
+  T* dqp = dq.t.data<T>();
+  T* dkp = dk.t.data<T>();
+  T* dvp = dv.t.data<T>();
   parallel_for(0, dm.B * N, [&](int64_t bn) {
     const int64_t b = bn / N, n = bn % N;
-    const T* kh = kp + bn * Lk * D;
+    std::vector<T> qh(static_cast<size_t>(Lq * D)), kh(n_kd), vh(n_kd);
+    load_head(in.q, b, n, qh.data());
+    load_head(in.k, b, n, kh.data());
+    load_head(in.v, b, n, vh.data());
     std::vector<float> kt(n_kd), vt(n_kd), kf(n_kd), dk_acc(n_kd, 0.0f), dv_acc(n_kd, 0.0f);
-    transpose_to_float(kh, Lk, D, kt.data());
-    transpose_to_float(vp + bn * Lk * D, Lk, D, vt.data());
+    transpose_to_float(kh.data(), Lk, D, kt.data());
+    transpose_to_float(vh.data(), Lk, D, vt.data());
     for (size_t e = 0; e < n_kd; ++e) kf[e] = static_cast<float>(kh[e]);
     std::vector<float> qf(static_cast<size_t>(D)), a(static_cast<size_t>(D)),
         dq_acc(static_cast<size_t>(D)), acc(static_cast<size_t>(Lk));
@@ -214,7 +255,7 @@ void attn_bw_body(const AttnInputs& in, const Rng& rng, const Dims& dm, const Te
         ds(static_cast<size_t>(Lk));
     for (int64_t i = 0; i < Lq; ++i) {
       const int64_t r = bn * Lq + i;
-      const T* qi = qp + r * D;
+      const T* qi = qh.data() + i * D;
       const T* dout = dop + ((b * Lq + i) * N + n) * D;  // merge_heads_bw's copy of dctx
       // The forward's probabilities, from recomputed scores and the saved
       // normaliser.
@@ -263,33 +304,65 @@ void attn_bw_body(const AttnInputs& in, const Rng& rng, const Dims& dm, const Te
           dkr[d] += av * qf[d];
         }
       }
-      T* dqr = dq.data<T>() + r * D;
+      T* dqr = dqp + dq.row(b, n, i);
       for (int64_t d = 0; d < D; ++d) dqr[d] = T(dq_acc[d]);
     }
-    T* dkh = dk.data<T>() + bn * Lk * D;
-    T* dvh = dv.data<T>() + bn * Lk * D;
-    for (size_t e = 0; e < n_kd; ++e) {
-      const T gk = T(dk_acc[e]), gv = T(dv_acc[e]);
-      dkh[e] = accumulate_kv ? T(static_cast<float>(gk) + static_cast<float>(dkh[e])) : gk;
-      dvh[e] = accumulate_kv ? T(static_cast<float>(gv) + static_cast<float>(dvh[e])) : gv;
+    for (int64_t j = 0; j < Lk; ++j) {
+      T* dkr = dkp + dk.row(b, n, j);
+      T* dvr = dvp + dv.row(b, n, j);
+      for (int64_t d = 0; d < D; ++d) {
+        const T gk = T(dk_acc[j * D + d]), gv = T(dv_acc[j * D + d]);
+        dkr[d] = accumulate_kv ? T(static_cast<float>(gk) + static_cast<float>(dkr[d])) : gk;
+        dvr[d] = accumulate_kv ? T(static_cast<float>(gv) + static_cast<float>(dvr[d])) : gv;
+      }
     }
   });
 }
 
 }  // namespace
 
+AttnOperand::AttnOperand(Tensor head_layout) : t(std::move(head_layout)) {
+  if (!t.defined()) return;
+  LS2_CHECK_EQ(t.shape().rank(), 4) << "a head-layout attention operand is [B, N, L, D]";
+  B = t.shape()[0];
+  N = t.shape()[1];
+  L = t.shape()[2];
+  D = t.shape()[3];
+}
+
+AttnOperand AttnOperand::rows(Tensor t, int64_t col, int64_t heads, int64_t head_dim,
+                              Tensor bias, Tensor dbias) {
+  LS2_CHECK_EQ(t.shape().rank(), 3) << "attention rows are [B, L, C]";
+  LS2_CHECK(heads >= 1 && head_dim >= 1 && col >= 0 && col + heads * head_dim <= t.shape()[2])
+      << "attention rows: " << heads << " heads of " << head_dim << " at column " << col
+      << " of " << t.shape().str();
+  AttnOperand op;
+  op.B = t.shape()[0];
+  op.L = t.shape()[1];
+  op.N = heads;
+  op.D = head_dim;
+  op.col = col;
+  op.is_rows = true;
+  op.t = std::move(t);
+  op.bias = std::move(bias);
+  op.dbias = std::move(dbias);
+  return op;
+}
+
 void attn_fw(KernelContext& kc, const AttnInputs& in, const Tensor& merged,
              const Tensor& stats) {
   const Dims d = check_inputs(in);
   LS2_CHECK(merged.dtype() == in.q.dtype());
-  LS2_CHECK_EQ(merged.numel(), in.q.numel());
+  LS2_CHECK_EQ(merged.numel(), d.B * d.Lq * d.N * d.D);
   if (stats.defined()) {
     LS2_CHECK(stats.dtype() == DType::kF32);
     LS2_CHECK_EQ(stats.numel(), d.B * d.N * d.Lq);
   }
   const double pairs_d = static_cast<double>(d.B * d.N * d.Lq * d.Lk) * d.D;
   const simgpu::KernelDesc desc = attn_desc(
-      "ls2.attn_fw", in, d, static_cast<int64_t>(in.q.bytes() + in.k.bytes() + in.v.bytes()),
+      "ls2.attn_fw", in, d,
+      in.q.bytes() + in.k.bytes() + in.v.bytes() + bias_bytes(in.q) + bias_bytes(in.k) +
+          bias_bytes(in.v),
       static_cast<int64_t>(merged.bytes() + (stats.defined() ? stats.bytes() : 0)),
       4.0 * pairs_d, {{d.Lq, d.Lk, d.D}, {d.Lq, d.D, d.Lk}});
   kc.dev.launch(desc, [&, in, d] {
@@ -298,30 +371,47 @@ void attn_fw(KernelContext& kc, const AttnInputs& in, const Tensor& merged,
 }
 
 void attn_bw(KernelContext& kc, const AttnInputs& in, const Tensor& dmerged,
-             const Tensor& merged, const Tensor& stats, const Tensor& dq, const Tensor& dk,
-             const Tensor& dv, bool accumulate_kv) {
+             const Tensor& merged, const Tensor& stats, const AttnOperand& dq,
+             const AttnOperand& dk, const AttnOperand& dv, bool accumulate_kv) {
   const Dims d = check_inputs(in);
-  for (const Tensor* t : {&dmerged, &merged, &dq}) {
+  for (const Tensor* t : {&dmerged, &merged}) {
     LS2_CHECK(t->dtype() == in.q.dtype());
-    LS2_CHECK_EQ(t->numel(), in.q.numel());
-  }
-  for (const Tensor* t : {&dk, &dv}) {
-    LS2_CHECK(t->dtype() == in.q.dtype());
-    LS2_CHECK_EQ(t->numel(), in.k.numel());
+    LS2_CHECK_EQ(t->numel(), d.B * d.Lq * d.N * d.D);
   }
   LS2_CHECK(stats.defined() && stats.dtype() == DType::kF32 &&
             stats.numel() == d.B * d.N * d.Lq)
       << "attn_bw needs the f32 [B, N, Lq] statistics attn_fw wrote";
-  const int64_t kv = static_cast<int64_t>(dk.bytes() + dv.bytes());
+  const AttnOperand* grads[] = {&dq, &dk, &dv};
+  const AttnOperand* shapes[] = {&in.q, &in.k, &in.v};
+  for (int g = 0; g < 3; ++g) {
+    const AttnOperand& op = *grads[g];
+    check_operand(op, "gradient");
+    LS2_CHECK(op.dtype() == in.q.dtype() && op.B == shapes[g]->B && op.N == shapes[g]->N &&
+              op.L == shapes[g]->L && op.D == shapes[g]->D)
+        << "attention: gradient " << g << " must match its operand";
+    LS2_CHECK(!op.bias.defined()) << "attention: a gradient operand takes no bias";
+    // Heads write their rows concurrently: blocks sharing rows must not overlap.
+    for (int h = 0; h < g; ++h) {
+      const AttnOperand& o = *grads[h];
+      LS2_CHECK(o.t.raw() != op.t.raw() || (o.is_rows && op.is_rows &&
+                                            (o.col + o.N * o.D <= op.col ||
+                                             op.col + op.N * op.D <= o.col)))
+          << "attention: gradients " << h << " and " << g << " overlap";
+    }
+  }
+  const int64_t kv = dk.bytes() + dv.bytes();
   const double pairs_d = static_cast<double>(d.B * d.N * d.Lq * d.Lk) * d.D;
   const simgpu::KernelDesc desc = attn_desc(
       "ls2.attn_bw", in, d,
-      static_cast<int64_t>(dmerged.bytes() + in.q.bytes() + in.k.bytes() + in.v.bytes() +
-                           merged.bytes() + stats.bytes()) +
-          (accumulate_kv ? kv : 0),
-      static_cast<int64_t>(dq.bytes()) + kv, 10.0 * pairs_d,
+      static_cast<int64_t>(dmerged.bytes() + merged.bytes() + stats.bytes()) + in.q.bytes() +
+          in.k.bytes() + in.v.bytes() + bias_bytes(in.q) + bias_bytes(in.k) +
+          bias_bytes(in.v) + (accumulate_kv ? kv : 0),
+      dq.bytes() + kv, 10.0 * pairs_d,
       {{d.Lq, d.Lk, d.D}, {d.Lk, d.D, d.Lq}, {d.Lq, d.D, d.Lk}});
-  kc.dev.launch(desc, [&, in, d, accumulate_kv] {
+  std::vector<detail::BiasFold> folds;
+  for (const AttnOperand* g : grads)
+    if (g->dbias.defined()) folds.push_back({g->t, g->dbias, g->col});
+  detail::launch_folding_bias_grad(kc, desc, folds, [&, in, d, accumulate_kv] {
     LS2_DISPATCH_FLOAT(in.q.dtype(), T,
                        attn_bw_body<T>(in, kc.rng, d, dmerged, stats, dq, dk, dv,
                                        accumulate_kv));

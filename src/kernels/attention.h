@@ -11,9 +11,15 @@
 //               launch writes the head-merged context and a per-row softmax
 //               statistic.
 //   attn_bw     its backward: one launch recomputes scores, probabilities
-//               and the dropout mask, and writes dQ, dK and dV.
+//               and the dropout mask, writes dQ, dK and dV, and reduces the
+//               projection-bias gradients of the rows it wrote.
 //   paged_attn  the forward of every cached serving batch, reading K/V in
 //               place from the paged pools.
+//
+// attn_fw and attn_bw address Q, K and V (and dQ, dK and dV) through
+// AttnOperand: in head layout, or in place in the projection GEMMs'
+// token-major output rows with the projection bias added on load, so
+// LightSeq2's training step launches no head split or merge around them.
 //
 // All three run the unfused chain's arithmetic, bitwise: the scale is
 // applied to Q as the scores GEMM applies alpha, values are rounded to the
@@ -29,11 +35,51 @@
 
 namespace ls2::kern {
 
+/// One operand of the fused attention core: Q, K or V, or the gradient of
+/// one. Row (b, n, l), head n of token l in batch row b, is D contiguous
+/// elements in either of two layouts:
+///
+///   head layout  t [B, N, L, D]: the split tensors of the baselines' chain,
+///                and of callers that hold K/V that way;
+///   rows         the N·D columns [col, col + N·D) of t [B, L, C], a
+///                projection GEMM's token-major output, addressed in place
+///                through FlashAttention's batch, head and row strides
+///                (L·C, D, C).
+///
+/// `bias` [N·D], optional, is added as a row is loaded,
+/// T(float(x) + float(bias)): bias_split_transpose_fw's arithmetic, so the
+/// projection bias needs no launch of its own. `dbias` [N·D], optional and
+/// rows only, makes attn_bw fold the column sums of the gradient rows it
+/// stored into it (bias_grad's chain; see detail::launch_folding_bias_grad).
+struct AttnOperand {
+  AttnOperand() = default;
+  /// A head-layout operand; an undefined tensor is an undefined operand.
+  /// Implicit, so a head-layout tensor passes wherever an operand goes.
+  AttnOperand(Tensor head_layout);
+  /// The block of `heads` heads of `head_dim` at column `col` of rows
+  /// t [B, L, C].
+  static AttnOperand rows(Tensor t, int64_t col, int64_t heads, int64_t head_dim,
+                          Tensor bias = {}, Tensor dbias = {});
+
+  Tensor t, bias, dbias;
+  int64_t B = 0, N = 0, L = 0, D = 0;
+  int64_t col = 0;  ///< rows: the block's first column
+  bool is_rows = false;
+
+  bool defined() const { return t.defined(); }
+  DType dtype() const { return t.dtype(); }
+  /// The bytes of the operand's B·N·L·D elements.
+  int64_t bytes() const { return B * N * L * D * static_cast<int64_t>(dtype_size(t.dtype())); }
+  /// Element offset of row (b, n, l) in `t`.
+  int64_t row(int64_t b, int64_t n, int64_t l) const {
+    return is_rows ? (b * L + l) * t.shape()[2] + col + n * D : ((b * N + n) * L + l) * D;
+  }
+};
+
 /// What both directions of the fused attention core read: q [B, N, Lq, D],
-/// k and v [B, N, Lk, D] in head layout, the masks, the scale and the
-/// dropout.
+/// k and v [B, N, Lk, D] as operands, the masks, the scale and the dropout.
 struct AttnInputs {
-  Tensor q, k, v;
+  AttnOperand q, k, v;
   bool causal = false;  ///< query row i attends keys [0, i + 1) at most
   Tensor key_lens;      ///< i32 [B], optional: batch row b attends keys [0, key_lens[b])
   float scale = 1.0f;   ///< applied to Q as the scores GEMM applies alpha
@@ -45,9 +91,13 @@ struct AttnInputs {
   float dropout = 0.0f;
   uint64_t stream = 0;
   uint64_t microbatch = 0;
-  /// Tensor-parallel ranks the heads are split over. The occupancy model
-  /// sees B·N/shards heads, as the replaced GEMMs' charges do; the caller
-  /// scales bytes and flops with its TpChargeScale.
+  /// Tensor-parallel ranks the heads are split over. A rank's operands are
+  /// its head slice of each projection group (ShardSpec::groups lays its
+  /// QKV rows out as [q; k; v], N/shards heads each); the emulation runs
+  /// the full rows, which is bitwise what the slices compute
+  /// (layers/tp.h). The occupancy model sees B·N/shards heads, as the
+  /// replaced GEMMs' charges do; the caller scales bytes and flops with its
+  /// TpChargeScale.
   int64_t shards = 1;
 };
 
@@ -60,20 +110,25 @@ struct AttnInputs {
 /// Charged like the two batched GEMMs it replaces: 4·B·N·Lq·Lk·D flops
 /// over the full tile grid whatever the masks (a static launch, so a graph
 /// node), at the lower gemm::gemm_utilization of the scores and context
-/// shapes, memory efficiency 0.85, tensor cores in FP16. The bytes are Q, K
-/// and V read, `merged` and `stats` written: the scores, probabilities and
-/// mask never reach device memory.
+/// shapes, memory efficiency 0.85, tensor cores in FP16. The 0.85 holds on
+/// strided rows: each (token, head) row is D contiguous elements, one
+/// coalesced segment (128 B at D = 64 in FP16). The bytes are Q, K, V and
+/// their biases read, `merged` and `stats` written: the scores,
+/// probabilities and mask never reach device memory.
 void attn_fw(KernelContext& kc, const AttnInputs& in, const Tensor& merged,
              const Tensor& stats);
 
 /// Fused attention backward, one launch ("ls2.attn_bw"). `dmerged`
 /// [B, Lq, N·D] is the gradient of attn_fw's `merged`; `stats` is what that
 /// forward wrote. Recomputes each row's scores, probabilities and dropout
-/// mask, and writes dq [B, N, Lq, D], dk and dv [B, N, Lk, D]. With
-/// `accumulate_kv` the key and value gradients are ADDED into dk and dv,
-/// each rounded to the dtype first, then T(float(g) + float(acc)) as the
-/// baselines' add launch sums them (cross attention's encoder-side
-/// gradients).
+/// mask, and writes dq (shaped like q), dk and dv (like k), in head layout
+/// or straight into projection-gradient rows. With `accumulate_kv` the key
+/// and value gradients are ADDED into dk and dv, each rounded to the dtype
+/// first, then T(float(g) + float(acc)) as the baselines' add launch sums
+/// them (cross attention's encoder-side gradients). A gradient operand's
+/// `dbias` then receives the column sums of its stored rows in the same
+/// launch: one fold per run of operands that continue one another in one
+/// rows tensor.
 ///
 /// The softmax backward's row dot sum_j dP_j·P_j equals rowsum(dO ∘ O): a
 /// device kernel reads the context O for it, so `merged` is charged as
@@ -82,11 +137,12 @@ void attn_fw(KernelContext& kc, const AttnInputs& in, const Tensor& merged,
 ///
 /// Charged like attn_fw, over the four backward GEMM shapes:
 /// 10·B·N·Lq·Lk·D flops (the scores are recomputed). Bytes: dmerged, Q, K,
-/// V, merged and stats read, plus dk and dv when accumulating; dq, dk and
-/// dv written.
+/// V, their biases, merged and stats read, plus dk and dv when
+/// accumulating; dq, dk and dv written. The folds add their charge
+/// (detail::launch_folding_bias_grad).
 void attn_bw(KernelContext& kc, const AttnInputs& in, const Tensor& dmerged,
-             const Tensor& merged, const Tensor& stats, const Tensor& dq, const Tensor& dk,
-             const Tensor& dv, bool accumulate_kv = false);
+             const Tensor& merged, const Tensor& stats, const AttnOperand& dq,
+             const AttnOperand& dk, const AttnOperand& dv, bool accumulate_kv = false);
 
 /// Fused attention over the paged pools [P, N, page, D], read in place —
 /// the one kernel behind every cached batch. Query row i of batch row b (q

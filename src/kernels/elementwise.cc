@@ -346,19 +346,21 @@ void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor&
 
 namespace {
 
-// The one column-sum body behind bias_grad and every kernel that folds it.
-// Accumulates in FP32 FROM the destination, ascending rows — the same
-// per-element chain whether the batch arrives whole or as microbatch slices
-// (pipeline parallelism): slice j continues exactly where slice j-1 left
-// off, so the final value is bitwise the full-batch reduction's. Callers
-// rely on grads being zeroed at step start.
-void column_sum_body(const Tensor& dx, const Tensor& dbias, int64_t rows, int64_t cols) {
-  LS2_DISPATCH_FLOAT(dx.dtype(), T, {
-    const T* dxp = dx.data<T>();
+// The one column-sum body behind bias_grad and every kernel that folds it,
+// over the columns [col, col + dbias.numel()) of `x` flattened to
+// [rows, ld]. Accumulates in FP32 FROM the destination, ascending rows —
+// the same per-element chain whether the batch arrives whole or as
+// microbatch slices (pipeline parallelism): slice j continues exactly where
+// slice j-1 left off, so the final value is bitwise the full-batch
+// reduction's. Callers rely on grads being zeroed at step start.
+void column_sum_body(const Tensor& x, int64_t ld, int64_t col, const Tensor& dbias,
+                     int64_t rows) {
+  LS2_DISPATCH_FLOAT(x.dtype(), T, {
+    const T* xp = x.data<T>() + col;
     T* dbp = dbias.data<T>();
-    parallel_for(0, cols, [&](int64_t j) {
+    parallel_for(0, dbias.numel(), [&](int64_t j) {
       float acc = static_cast<float>(dbp[j]);
-      for (int64_t i = 0; i < rows; ++i) acc += static_cast<float>(dxp[i * cols + j]);
+      for (int64_t i = 0; i < rows; ++i) acc += static_cast<float>(xp[i * ld + j]);
       dbp[j] = T(acc);
     });
   });
@@ -372,32 +374,60 @@ void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias) {
   LS2_CHECK_EQ(dbias.numel(), cols);
   simgpu::KernelDesc d = ew_desc("ls2.bias_grad", dx.bytes(), dbias.bytes(), dx.numel(), 1.0,
                                  reduction_efficiency(0.85, cols, rows, 32));
-  kc.dev.launch(d, [&, rows, cols] { column_sum_body(dx, dbias, rows, cols); });
+  kc.dev.launch(d, [&, rows, cols] { column_sum_body(dx, cols, 0, dbias, rows); });
 }
 
 namespace detail {
 
-void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
-                              const Tensor& dbias, const std::function<void()>& body) {
-  if (!dbias.defined()) {
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
+                              const std::vector<BiasFold>& folds,
+                              const std::function<void()>& body) {
+  if (folds.empty()) {
     kc.dev.launch(d, body);
     return;
   }
-  const Shape flat = dx.shape().flatten_2d();
-  const int64_t rows = flat[0], cols = flat[1];
-  LS2_CHECK_EQ(dbias.numel(), cols);
-  LS2_CHECK(dbias.dtype() == dx.dtype()) << "dbias and dx dtypes differ";
-  // The reduction rides in registers: no second read of dx, one write of
-  // dbias, and LightSeq2's 128-row column tile sets the launch's occupancy.
-  d.bytes_written += static_cast<int64_t>(dbias.bytes());
-  d.flops += static_cast<double>(dx.numel());
-  d.mem_efficiency =
-      std::min(d.mem_efficiency, reduction_efficiency(d.mem_efficiency, cols, rows, 128,
-                                                      kc.dev.profile().resident_threads));
-  kc.dev.launch(d, [&, rows, cols] {
+  // The reductions ride in registers: no second read of the rows, one write
+  // of each dbias, and LightSeq2's 128-row column tile sets the launch's
+  // occupancy.
+  const double base = d.mem_efficiency;
+  int64_t tile_cols = 0;
+  for (size_t f = 0; f < folds.size(); ++f) {
+    const BiasFold& fold = folds[f];
+    const Shape flat = fold.rows.shape().flatten_2d();
+    const int64_t rows = flat[0], cols = fold.dbias.numel();
+    LS2_CHECK(fold.col >= 0 && fold.col + cols <= flat[1])
+        << "fold columns [" << fold.col << ", " << fold.col + cols << ") of "
+        << fold.rows.shape().str();
+    LS2_CHECK(fold.dbias.dtype() == fold.rows.dtype()) << "dbias and dx dtypes differ";
+    d.bytes_written += static_cast<int64_t>(fold.dbias.bytes());
+    d.flops += static_cast<double>(rows * cols);
+    tile_cols += cols;
+    const BiasFold* next = f + 1 < folds.size() ? &folds[f + 1] : nullptr;
+    if (next && next->rows.raw() == fold.rows.raw() &&
+        next->rows.shape() == fold.rows.shape() && next->col == fold.col + cols)
+      continue;  // the next fold continues this column block
+    d.mem_efficiency = std::min(d.mem_efficiency,
+                                reduction_efficiency(base, tile_cols, rows, 128,
+                                                     kc.dev.profile().resident_threads));
+    tile_cols = 0;
+  }
+  kc.dev.launch(d, [&] {
     body();
-    column_sum_body(dx, dbias, rows, cols);
+    for (const BiasFold& fold : folds) {
+      const Shape flat = fold.rows.shape().flatten_2d();
+      column_sum_body(fold.rows, flat[1], fold.col, fold.dbias, flat[0]);
+    }
   });
+}
+
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
+                              const Tensor& dbias, const std::function<void()>& body) {
+  LS2_CHECK(!dbias.defined() || dbias.numel() == dx.shape().flatten_2d()[1])
+      << "dbias must have one element per column of dx";
+  launch_folding_bias_grad(kc, std::move(d),
+                           dbias.defined() ? std::vector<BiasFold>{{dx, dbias}}
+                                           : std::vector<BiasFold>{},
+                           body);
 }
 
 }  // namespace detail

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "kernels/dropout.h"  // Impl
 #include "kernels/kernel_context.h"
@@ -75,16 +76,32 @@ void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor&
 /// dbias[j] += sum_i dx[i,j], one launch. The baselines reduce every bias
 /// gradient this way, as their released kernels do. LightSeq2 folds it into
 /// the backward kernel that produces dx (the fused bias chains above and
-/// split_transpose_bw, given a `dbias`); only ClsHead, whose dx comes from
-/// the criterion, still launches it under LightSeq2.
+/// attn_bw, whose gradient operands carry a `dbias`); only ClsHead, whose dx
+/// comes from the criterion, still launches it under LightSeq2.
 void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias);
 
 namespace detail {
 
-/// Launch `body`, the producer of dx described by `d`, as ONE kernel. With
-/// `dbias` defined the same launch then runs bias_grad's column sum over the
-/// dx just stored, so the result is bitwise bias_grad's. It is charged the
-/// dbias bytes on top of `d`, at the occupancy of a 128-row column tile.
+/// One bias-gradient reduction a launch folds: dbias[j] += sum_i rows[i,
+/// col + j] for j in [0, dbias.numel()), over every row of `rows`
+/// flattened to 2-D — a column block of a wider rows tensor, or all of it.
+struct BiasFold {
+  Tensor rows;
+  Tensor dbias;
+  int64_t col = 0;
+};
+
+/// Launch `body`, the producer of the folds' rows described by `d`, as ONE
+/// kernel. The same launch then runs bias_grad's column sum for each fold
+/// over the rows just stored, so each dbias is bitwise bias_grad's. Each
+/// fold is charged its dbias bytes written and one flop per folded element;
+/// the launch runs at the lowest occupancy of a 128-row column tile over its
+/// folds, where folds that continue one another (adjacent column blocks of
+/// one rows tensor, in list order) tile as one block. No fold: `body` alone.
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
+                              const std::vector<BiasFold>& folds,
+                              const std::function<void()>& body);
+/// The one-fold case over all of dx; an undefined `dbias` folds nothing.
 void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
                               const Tensor& dbias, const std::function<void()>& body);
 

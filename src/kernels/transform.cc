@@ -120,18 +120,14 @@ void bias_split_transpose_fw(KernelContext& kc, Impl impl, const Tensor& x,
 }
 
 void split_transpose_bw(KernelContext& kc, Impl impl, const std::vector<Tensor>& douts,
-                        const Tensor& dx, const Tensor& dbias) {
+                        const Tensor& dx) {
   check_split_shapes(dx, douts);
   if (impl == Impl::kLS2) {
-    detail::launch_folding_bias_grad(
-        kc,
-        desc("ls2.split_transpose_bw", total_bytes(douts), static_cast<int64_t>(dx.bytes()),
-             kFusedTransposeEff),
-        dx, dbias, [&] { LS2_DISPATCH_FLOAT(dx.dtype(), T, merge_body<T>(douts, dx)); });
+    kc.dev.launch(desc("ls2.split_transpose_bw", total_bytes(douts),
+                       static_cast<int64_t>(dx.bytes()), kFusedTransposeEff),
+                  [&] { LS2_DISPATCH_FLOAT(dx.dtype(), T, merge_body<T>(douts, dx)); });
     return;
   }
-  LS2_CHECK(!dbias.defined()) << "only the LightSeq2 split_transpose_bw reduces a bias "
-                                 "gradient; the baselines launch bias_grad";
   for (size_t g = 0; g < douts.size(); ++g) {
     const bool last = g + 1 == douts.size();
     kc.dev.launch(desc("torch.transpose_0213_bw",

@@ -1,10 +1,14 @@
 // Layout-change kernels around attention.
 //
-// Attention wants scores per head: activations [B, L, H] must become
-// [B, N, L, D] (N heads of depth D = H/N) before the batched GEMMs and come
-// back after. LightSeq2 fuses the projection bias into the same pass
-// ("Bias adding & Reshape Q,K,V" in Fig. 4); the baseline launches a bias
-// kernel plus one transpose copy per head tensor.
+// The baselines' attention runs batched GEMMs per head: activations
+// [B, L, H] must become [B, N, L, D] (N heads of depth D = H/N) before them
+// and come back after. LightSeq2's "Bias adding & Reshape Q,K,V" kernel
+// (Fig. 4) fuses the projection bias into the split, which DeepSpeed
+// launches too; the Fairseq baselines launch a bias kernel plus one
+// transpose copy per head tensor. LightSeq2's training attention needs none
+// of them: kern::attn_fw / attn_bw read and write the projection rows in
+// place (kernels/attention.h). Only the baselines and the paged serving
+// branch, whose KV pools take head layout, split.
 #pragma once
 
 #include <vector>
@@ -20,11 +24,9 @@ void bias_split_transpose_fw(KernelContext& kc, Impl impl, const Tensor& x,
                              const Tensor& bias, const std::vector<Tensor>& outs);
 
 /// Backward of the split: douts (G x [B,N,L,D]) merge into dx [B, L, G*H].
-/// Under kLS2 a defined `dbias` [G*H] also accumulates the projection-bias
-/// gradient, bias_grad(dx), in the same launch; the baseline transposes
-/// leave it to a separate bias_grad and throw when handed one.
+/// A separate bias_grad reduces the projection-bias gradient.
 void split_transpose_bw(KernelContext& kc, Impl impl, const std::vector<Tensor>& douts,
-                        const Tensor& dx, const Tensor& dbias = {});
+                        const Tensor& dx);
 
 /// [B, N, L, D] -> [B, L, H] after attention-weighted values.
 void merge_heads_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor& y);

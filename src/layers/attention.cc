@@ -15,32 +15,28 @@ namespace ls2::layers {
 namespace {
 
 /// Temporary provider for the attention backward pass. Under LightSeq2 a
-/// Fig. 8 shared-block plan over what the fused backward still needs: the
-/// output-dropout and head-merged gradients, then dQ and, unless they
-/// accumulate into the caller's tensors, dK and dV. The baselines allocate
-/// each temporary individually from the dynamic allocator.
+/// Fig. 8 shared-block plan over what the fused backward needs: the
+/// output-dropout gradient, then the head-merged one, then the
+/// projection-gradient rows [B, Lq, C] attn_bw writes, which take the
+/// output-dropout gradient's block. The baselines allocate each temporary
+/// individually from the dynamic allocator.
 class BackwardTemps {
  public:
-  BackwardTemps(LayerContext& ctx, int64_t B, int64_t Lq, int64_t Lk, int64_t H, DType dtype,
-                bool kv_temps)
+  BackwardTemps(LayerContext& ctx, int64_t B, int64_t Lq, int64_t H, int64_t C, DType dtype)
       : ctx_(ctx), dtype_(dtype), tp_(ctx.tp_size() > 1) {
     // Under TP the plan's fixed lifetimes no longer describe the sharded
     // temporaries, so each one goes through alloc_shard instead (d_out —
     // the full-width dropout gradient — excepted); accounting is slightly
     // conservative (no block sharing), never optimistic.
-    if (ctx.policy.system == System::kLightSeq2 && !tp_) {
+    if (attention_reads_rows(ctx.policy) && !tp_) {
       const size_t e = dtype_size(dtype);
       const size_t blh_q = static_cast<size_t>(B * Lq * H) * e;
-      const size_t blh_k = static_cast<size_t>(B * Lk * H) * e;
-      // Lifetimes are AttentionCore::backward's steps; disjoint temporaries
-      // share blocks.
-      std::vector<mem::PlanTensor> spec = {
-          {"d_out", blh_q, 1, 2}, {"dmerged", blh_q, 2, 3}, {"dq", blh_q, 3, 4}};
-      if (kv_temps) {
-        spec.push_back({"dk", blh_k, 3, 4});
-        spec.push_back({"dv", blh_k, 3, 4});
-      }
-      plan_.emplace(std::move(spec));
+      // Lifetimes are AttentionCore::backward's steps; the rows outlive
+      // them, in the caller's projection backward.
+      plan_.emplace(std::vector<mem::PlanTensor>{
+          {"d_out", blh_q, 1, 2},
+          {"dmerged", blh_q, 2, 3},
+          {"rows", static_cast<size_t>(B * Lq * C) * e, 3, 4}});
       plan_->materialize(ctx.activation_allocator());
     }
   }
@@ -60,6 +56,8 @@ class BackwardTemps {
 
 }  // namespace
 
+bool attention_reads_rows(const Policy& policy) { return policy.system == System::kLightSeq2; }
+
 AttentionCore::AttentionCore(ParamRegistry& params, const std::string& prefix,
                              AttentionConfig cfg)
     : cfg_(cfg), params_(&params) {
@@ -73,11 +71,11 @@ AttentionCore::AttentionCore(ParamRegistry& params, const std::string& prefix,
   b_out_ = params.declare(prefix + ".out_proj.bias", Shape{cfg.hidden}, Init::kZero);
 }
 
-Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& k,
-                              const Tensor& v, const Tensor& residual,
-                              const Tensor* key_lens) {
-  const int64_t B = q.shape()[0], N = q.shape()[1], Lq = q.shape()[2], D = q.shape()[3];
-  const int64_t Lk = k.shape()[2];
+Tensor AttentionCore::forward(LayerContext& ctx, const kern::AttnOperand& q,
+                              const kern::AttnOperand& k, const kern::AttnOperand& v,
+                              const Tensor& residual, const Tensor* key_lens) {
+  const int64_t B = q.B, N = q.N, Lq = q.L, D = q.D;
+  const int64_t Lk = k.L;
   const int64_t H = N * D;
   const DType dt = q.dtype();
   const Policy& pol = ctx.policy;
@@ -98,7 +96,7 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
   }
 
   Tensor scores, ctx_h;  // the baselines' chain holds both to the end of forward
-  if (pol.system == System::kLightSeq2) {
+  if (attention_reads_rows(pol)) {
     // One launch from Q/K/V to the head-merged context. Under TP a rank
     // runs it over its N/tp heads.
     s.merged = ctx.alloc_shard({B, Lq, H}, dt);
@@ -106,13 +104,17 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
     TpChargeScale tp_scale(ctx);
     kern::attn_fw(ctx.kern, in, s.merged, s.stats);
   } else {
-    // Scores and masked softmax. Under TP the per-head work is sharded: a
-    // rank runs the same batched kernels over N/tp heads. Serving skips the
-    // attention dropout and its two buffers.
+    // The chain runs over head-layout tensors. Scores and masked softmax.
+    // Under TP the per-head work is sharded: a rank runs the same batched
+    // kernels over N/tp heads. Serving skips the attention dropout and its
+    // two buffers.
+    LS2_CHECK(!q.is_rows && !k.is_rows && !v.is_rows && !q.bias.defined() &&
+              !k.bias.defined() && !v.bias.defined())
+        << "the unfused chain takes head-layout q/k/v";
     const gemm::GemmCharge score_charge{Lq, Lk, D, B * N / tp};
     scores = ctx.alloc_shard({B, N, Lq, Lk}, dt);
-    gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, in.scale, q, Lq * D, k,
-                              Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores",
+    gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, in.scale, q.t, Lq * D,
+                              k.t, Lk * D, 0.0f, scores, Lq * Lk, B * N, "attn.scores",
                               &score_charge);
     s.probs = ctx.alloc_shard({B, N, Lq, Lk}, dt);
     s.probs_d = training ? ctx.alloc_shard({B, N, Lq, Lk}, dt) : s.probs;
@@ -131,7 +133,7 @@ Tensor AttentionCore::forward(LayerContext& ctx, const Tensor& q, const Tensor& 
     // Context and head merge.
     const gemm::GemmCharge context_charge{Lq, D, Lk, B * N / tp};
     gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, 1.0f, s.probs_d,
-                              Lq * Lk, v, Lk * D, 0.0f, ctx_h, Lq * D, B * N,
+                              Lq * Lk, v.t, Lk * D, 0.0f, ctx_h, Lq * D, B * N,
                               "attn.context", &context_charge);
     TpChargeScale tp_scale(ctx);
     kern::merge_heads_fw(ctx.kern, pol.transform, ctx_h, s.merged);
@@ -178,20 +180,23 @@ Tensor AttentionCore::output(LayerContext& ctx, const Tensor& merged, const Tens
 }
 
 AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor& dy,
-                                                 const Tensor& dk_acc, const Tensor& dv_acc) {
+                                                 const Tensor& dbias,
+                                                 const kern::AttnOperand& dk_acc,
+                                                 const kern::AttnOperand& dv_acc) {
   LS2_CHECK(saved_.has_value()) << "backward without forward";
-  LS2_CHECK(dk_acc.defined() == dv_acc.defined()) << "dk and dv accumulate together";
+  LS2_CHECK_EQ(dk_acc.defined(), dv_acc.defined()) << "K and V gradients accumulate together";
   Saved& s = *saved_;
   const kern::AttnInputs& in = s.attn;
-  const int64_t B = in.q.shape()[0], Lq = in.q.shape()[2], Lk = in.k.shape()[2];
+  const int64_t B = in.q.B, Lq = in.q.L, Lk = in.k.L;
   const int64_t N = cfg_.heads, D = cfg_.head_dim(), H = cfg_.hidden;
   const DType dt = dy.dtype();
   const Policy& pol = ctx.policy;
   const int64_t tp = ctx.tp_size();
-  const bool fused = pol.system == System::kLightSeq2;
-  const bool accumulate = dk_acc.defined();
+  const bool fused = attention_reads_rows(pol);
+  const bool accumulate_kv = dk_acc.defined();
+  const int64_t C = accumulate_kv ? H : 3 * H;  // the rows: dQ, or dQ, dK and dV
 
-  BackwardTemps temps(ctx, B, Lq, Lk, H, dt, /*kv_temps=*/!(fused && accumulate));
+  BackwardTemps temps(ctx, B, Lq, H, C, dt);
 
   // Step 1: through output dropout (+ bias grad, in the same launch when
   // the policy folds it).
@@ -215,15 +220,24 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
                  "attn.out_proj", TpSplit::kRow);
   }
 
-  // Step 3 under LightSeq2: one launch from dmerged to dQ/dK/dV.
+  // Step 3 under LightSeq2: one launch from dmerged into the gradient
+  // rows (and the caller's K/V accumulators), folding the bias gradients.
   if (fused) {
-    CoreGrads g{temps.get("dq", Shape{B, N, Lq, D}),
-                accumulate ? dk_acc : temps.get("dk", Shape{B, N, Lk, D}),
-                accumulate ? dv_acc : temps.get("dv", Shape{B, N, Lk, D})};
+    CoreGrads g;
+    g.rows = temps.get("rows", Shape{B, Lq, C});
+    auto block = [&](int64_t i) {  // dQ, dK, dV: the rows' N·D column blocks
+      return kern::AttnOperand::rows(
+          g.rows, i * H, N, D, {}, dbias.defined() ? dbias.slice(i * H, (i + 1) * H) : Tensor());
+    };
     TpChargeScale tp_scale(ctx);
-    kern::attn_bw(ctx.kern, in, dmerged, s.merged, s.stats, g.dq, g.dk, g.dv, accumulate);
+    kern::attn_bw(ctx.kern, in, dmerged, s.merged, s.stats, block(0),
+                  accumulate_kv ? dk_acc : block(1), accumulate_kv ? dv_acc : block(2),
+                  accumulate_kv);
     return g;
   }
+  LS2_CHECK(!dbias.defined() && !dk_acc.is_rows && !dv_acc.is_rows &&
+            !dk_acc.dbias.defined() && !dv_acc.dbias.defined())
+      << "the unfused chain returns head-layout gradients and accumulates into head layout";
 
   const gemm::GemmCharge bw_charge_sk{Lq, Lk, D, B * N / tp};   // dS shape
   const gemm::GemmCharge bw_charge_kd{Lk, D, Lq, B * N / tp};   // dV/dK shape
@@ -238,8 +252,9 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
 
   // Steps 4-5: dS = dctx @ V^T ; dV = P_d^T @ dctx.
   Tensor dS = temps.get("dS", Shape{B, N, Lq, Lk});
-  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, 1.0f, dctx, Lq * D, in.v,
-                            Lk * D, 0.0f, dS, Lq * Lk, B * N, "attn.bw_dS", &bw_charge_sk);
+  gemm::device_gemm_batched(ctx.device(), false, true, Lq, Lk, D, 1.0f, dctx, Lq * D,
+                            in.v.t, Lk * D, 0.0f, dS, Lq * Lk, B * N, "attn.bw_dS",
+                            &bw_charge_sk);
   Tensor dv = temps.get("dv", Shape{B, N, Lk, D});
   gemm::device_gemm_batched(ctx.device(), true, false, Lk, D, Lq, 1.0f, s.probs_d, Lq * Lk,
                             dctx, Lq * D, 0.0f, dv, Lk * D, B * N, "attn.bw_dV",
@@ -255,20 +270,20 @@ AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor
   // Step 7: dQ = dS @ K * scale ; dK = dS^T @ Q * scale.
   Tensor dq = temps.get("dq", Shape{B, N, Lq, D});
   gemm::device_gemm_batched(ctx.device(), false, false, Lq, D, Lk, in.scale, dS, Lq * Lk,
-                            in.k, Lk * D, 0.0f, dq, Lq * D, B * N, "attn.bw_dQ",
+                            in.k.t, Lk * D, 0.0f, dq, Lq * D, B * N, "attn.bw_dQ",
                             &bw_charge_qd);
   Tensor dk = temps.get("dk", Shape{B, N, Lk, D});
   gemm::device_gemm_batched(ctx.device(), true, false, Lk, D, Lq, in.scale, dS, Lq * Lk,
-                            in.q, Lq * D, 0.0f, dk, Lk * D, B * N, "attn.bw_dK",
+                            in.q.t, Lq * D, 0.0f, dk, Lk * D, B * N, "attn.bw_dK",
                             &bw_charge_kd);
-  if (!accumulate) return CoreGrads{dq, dk, dv};
+  if (!accumulate_kv) return CoreGrads{{}, dq, dk, dv};
 
   // The encoder-side gradients accumulate in two more launches.
   // Head-sharded under TP, like every per-head tensor.
   TpChargeScale tp_scale(ctx);
-  kern::baseline::add(ctx.kern, dk, dk_acc, dk_acc);
-  kern::baseline::add(ctx.kern, dv, dv_acc, dv_acc);
-  return CoreGrads{dq, dk_acc, dv_acc};
+  kern::baseline::add(ctx.kern, dk, dk_acc.t, dk_acc.t);
+  kern::baseline::add(ctx.kern, dv, dv_acc.t, dv_acc.t);
+  return CoreGrads{{}, dq, dk_acc.t, dv_acc.t};
 }
 
 void AttentionCore::release() { saved_.reset(); }
@@ -291,7 +306,8 @@ SelfAttention::SelfAttention(ParamRegistry& params, const std::string& prefix,
                               /*groups=*/3)),
       core_(params, prefix, cfg) {}
 
-SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x) {
+SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x,
+                                              bool split) {
   LS2_CHECK_EQ(x.shape().rank(), 3);
   const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
   LS2_CHECK_EQ(H, cfg_.hidden);
@@ -307,6 +323,15 @@ SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x
   Tensor qkv = ctx.alloc_shard({B, L, 3 * H}, dt);
   tp_linear_fw(ctx, ln, w_qkv_.value(ctx), qkv, "attn.qkv_proj", TpSplit::kColumn);
 
+  Qkv t;
+  if (ctx.training()) t = {{}, {}, {}, ln, mean, rstd, {}};
+  if (!split) {
+    const Tensor b = b_qkv_.value(ctx);
+    t.q = kern::AttnOperand::rows(qkv, 0, N, D, b.slice(0, H));
+    t.k = kern::AttnOperand::rows(qkv, H, N, D, b.slice(H, 2 * H));
+    t.v = kern::AttnOperand::rows(qkv, 2 * H, N, D, b.slice(2 * H, 3 * H));
+    return t;
+  }
   Tensor q = ctx.alloc_shard({B, N, L, D}, dt);
   Tensor k = ctx.alloc_shard({B, N, L, D}, dt);
   Tensor v = ctx.alloc_shard({B, N, L, D}, dt);
@@ -315,13 +340,19 @@ SelfAttention::Qkv SelfAttention::project_qkv(LayerContext& ctx, const Tensor& x
     kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, qkv, b_qkv_.value(ctx),
                                   {q, k, v});
   }
-  if (ctx.training()) return {q, k, v, ln, mean, rstd, qkv};
-  return {q, k, v, {}, {}, {}, {}};
+  t.q = q;
+  t.k = k;
+  t.v = v;
+  if (ctx.training()) t.qkv = qkv;
+  return t;
 }
 
 Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* key_lens,
                               const PagedKv* paged) {
-  const Qkv t = project_qkv(ctx, x);
+  // LightSeq2's attention reads the projection rows; the chain and the
+  // paged pools take head layout.
+  const Qkv t =
+      project_qkv(ctx, x, /*split=*/paged != nullptr || !attention_reads_rows(ctx.policy));
   if (paged == nullptr) {
     Tensor y = core_.forward(ctx, t.q, t.k, t.v, /*residual=*/x, key_lens);
     if (ctx.training()) saved_ = Saved{x, t.ln, t.mean, t.rstd};
@@ -332,10 +363,10 @@ Tensor SelfAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor* 
   const PagedRows& r = paged->rows;
   // Store first: each query row then attends its own and every earlier row
   // — shared prefix pages included — in place.
-  kern::kv_cache_store_paged(ctx.kern, t.k, t.v, paged->k_pool, paged->v_pool, r.block_table,
-                             r.lanes, r.q_begin, r.write_begin, r.write_end);
+  kern::kv_cache_store_paged(ctx.kern, t.k.t, t.v.t, paged->k_pool, paged->v_pool,
+                             r.block_table, r.lanes, r.q_begin, r.write_begin, r.write_end);
   Tensor merged = ctx.alloc(x.shape(), x.dtype());
-  kern::paged_attn(ctx.kern, t.q, paged->k_pool, paged->v_pool, r.block_table,
+  kern::paged_attn(ctx.kern, t.q.t, paged->k_pool, paged->v_pool, r.block_table,
                    r.lanes.defined() ? &r.lanes : nullptr, r.q_begin, r.kv_lens,
                    1.0f / std::sqrt(static_cast<float>(cfg_.head_dim())), merged);
   return core_.output(ctx, merged, /*residual=*/x);
@@ -347,17 +378,27 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
   const int64_t B = s.x.shape()[0], L = s.x.shape()[1], H = s.x.shape()[2];
   const DType dt = dy.dtype();
 
-  AttentionCore::CoreGrads g = core_.backward(ctx, dy);
-
-  // Step 8: merge dq/dk/dv back to [B, L, 3H] (+ bias grad).
-  Tensor dqkv = ctx.alloc_shard({B, L, 3 * H}, dt);
-  {
+  // Steps 3-8: the core's backward into dqkv [B, L, 3H] (+ bias grad).
+  // LightSeq2's attn_bw writes the core's gradient rows in place and folds
+  // the bias gradient over them; the baselines merge head-layout gradients
+  // back with split_transpose_bw and reduce it in a bias_grad.
+  Tensor dqkv;
+  AttentionCore::CoreGrads g;  // the baselines' head-layout temporaries, held to the end
+  if (attention_reads_rows(ctx.policy)) {
+    auto db_qkv = b_qkv_.grad(ctx);
+    const bool fold = ctx.policy.fold_bias_grad;
+    dqkv = core_.backward(ctx, dy, fold ? db_qkv.tensor() : Tensor()).rows;
+    if (!fold) {
+      TpChargeScale tp_scale(ctx);
+      kern::bias_grad(ctx.kern, dqkv, db_qkv.tensor());
+    }
+  } else {
+    g = core_.backward(ctx, dy);
+    dqkv = ctx.alloc_shard({B, L, 3 * H}, dt);
     TpChargeScale tp_scale(ctx);
     auto db_qkv = b_qkv_.grad(ctx);
-    const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
-    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq, g.dk, g.dv}, dqkv,
-                             fold ? db_qkv.tensor() : Tensor());
-    if (!fold) kern::bias_grad(ctx.kern, dqkv, db_qkv.tensor());
+    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq, g.dk, g.dv}, dqkv);
+    kern::bias_grad(ctx.kern, dqkv, db_qkv.tensor());
   }
 
   // Step 9: QKV projection (column-parallel: dln partials all-reduce over
@@ -399,8 +440,8 @@ CrossAttention::CrossAttention(ParamRegistry& params, const std::string& prefix,
   LS2_CHECK(!cfg.causal) << "cross attention is never causal";
 }
 
-Tensor CrossAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor& k,
-                               const Tensor& v, const Tensor* src_lens) {
+Tensor CrossAttention::forward(LayerContext& ctx, const Tensor& x, const kern::AttnOperand& k,
+                               const kern::AttnOperand& v, const Tensor* src_lens) {
   const int64_t B = x.shape()[0], L = x.shape()[1], H = x.shape()[2];
   const int64_t N = cfg_.heads, D = cfg_.head_dim();
   const DType dt = x.dtype();
@@ -411,14 +452,18 @@ Tensor CrossAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor&
   kern::layernorm_fw(ctx.kern, ctx.policy.layernorm, x, params_->value(ln_gamma_),
                      params_->value(ln_beta_), ln, mean, rstd);
 
-  // Column-parallel by heads; k/v arrive head-sharded the same way.
+  // Column-parallel by heads; k/v arrive head-sharded the same way. Under
+  // LightSeq2 the attention reads the projection rows, bias on load.
   Tensor q_gemm = ctx.alloc_shard({B, L, H}, dt);
   tp_linear_fw(ctx, ln, w_q_.value(ctx), q_gemm, "attn.q_proj", TpSplit::kColumn);
-  Tensor q = ctx.alloc_shard({B, N, L, D}, dt);
-  {
+  kern::AttnOperand q;
+  if (attention_reads_rows(ctx.policy)) {
+    q = kern::AttnOperand::rows(q_gemm, 0, N, D, b_q_.value(ctx));
+  } else {
+    q = ctx.alloc_shard({B, N, L, D}, dt);
     TpChargeScale tp_scale(ctx);
-    kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, q_gemm,
-                                  b_q_.value(ctx), {q});
+    kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, q_gemm, b_q_.value(ctx),
+                                  {q.t});
   }
 
   Tensor y = core_.forward(ctx, q, k, v, /*residual=*/x, src_lens);
@@ -426,25 +471,34 @@ Tensor CrossAttention::forward(LayerContext& ctx, const Tensor& x, const Tensor&
   return y;
 }
 
-Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk,
-                                const Tensor& dv) {
+Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy,
+                                const kern::AttnOperand& dk, const kern::AttnOperand& dv) {
   LS2_CHECK(saved_.has_value()) << "backward without forward";
   Saved& s = *saved_;
   const int64_t B = s.x.shape()[0], L = s.x.shape()[1], H = s.x.shape()[2];
   const DType dt = dy.dtype();
 
   // Keys and values are shared across queries: their gradients accumulate
-  // into the caller's dk/dv.
-  const AttentionCore::CoreGrads g = core_.backward(ctx, dy, dk, dv);
-
-  Tensor dq_gemm = ctx.alloc_shard({B, L, H}, dt);
-  {
+  // into the caller's dk/dv. Under LightSeq2 dQ lands in the core's
+  // gradient rows and the q_proj bias gradient folds into the same launch;
+  // the baselines merge a head-layout dQ back and reduce it in a bias_grad.
+  Tensor dq_gemm;
+  AttentionCore::CoreGrads g;  // the baselines' head-layout dQ, held to the end
+  if (attention_reads_rows(ctx.policy)) {
+    auto db_q = b_q_.grad(ctx);
+    const bool fold = ctx.policy.fold_bias_grad;
+    dq_gemm = core_.backward(ctx, dy, fold ? db_q.tensor() : Tensor(), dk, dv).rows;
+    if (!fold) {
+      TpChargeScale tp_scale(ctx);
+      kern::bias_grad(ctx.kern, dq_gemm, db_q.tensor());
+    }
+  } else {
+    g = core_.backward(ctx, dy, {}, dk, dv);
+    dq_gemm = ctx.alloc_shard({B, L, H}, dt);
     TpChargeScale tp_scale(ctx);
     auto db_q = b_q_.grad(ctx);
-    const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
-    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq}, dq_gemm,
-                             fold ? db_q.tensor() : Tensor());
-    if (!fold) kern::bias_grad(ctx.kern, dq_gemm, db_q.tensor());
+    kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {g.dq}, dq_gemm);
+    kern::bias_grad(ctx.kern, dq_gemm, db_q.tensor());
   }
 
   // Column-parallel q_proj backward: the dln partial-sum all-reduce,

@@ -2,24 +2,33 @@
 //
 //   SelfAttention:  y = x + Dropout(W_out · MHA(LN(x)) + b_out)
 //   CrossAttention: queries come from the decoder stream; keys/values are
-//     provided by the caller in head layout [B, N, Ls, D]. Under LightSeq2
-//     the decoder stack computes them for ALL layers with one batched GEMM
-//     (layer-batched cross attention, Fig. 5b); baselines compute them per
-//     layer. Backward returns dx and accumulates into dk/dv.
-//
-// Serving runs the same forward inside a LayerContext::InferenceScope
-// (dropout off, nothing saved). A cached batch — a packed serving step, or
-// the full-lane decode batch — replaces only SelfAttention's middle: it
-// keeps the LN -> QKV -> split front half and the output-projection
-// epilogue (AttentionCore::output), and attends through the paged KV pools
-// with kern::paged_attn.
+//     provided by the caller as attention operands. Under LightSeq2 the
+//     decoder stack computes them for ALL layers with one batched GEMM
+//     (layer-batched cross attention, Fig. 5b) and hands each layer its
+//     column blocks of the GEMM's rows; baselines compute them per layer and
+//     split them into head layout. Backward returns dx and accumulates into
+//     dk/dv.
 //
 // Under LightSeq2 the attention core between the projections is two
-// launches, kern::attn_fw and kern::attn_bw: no [B, N, Lq, Lk] scores,
-// probabilities or dropout mask reach device memory, and the backward's
-// temporaries come from a shared-block plan (Fig. 8 without its dctx and dS
-// blocks). The baselines run the unfused chain of their released kernels
-// and allocate each temporary individually from the dynamic allocator.
+// launches, kern::attn_fw and kern::attn_bw. They read Q, K and V in place
+// from the projection GEMMs' token-major rows, adding the projection bias
+// as they load, and attn_bw writes dQ, dK and dV straight into the
+// projection-gradient rows and reduces the bias gradients in the same
+// launch: no head split or merge, no [B, N, Lq, Lk] scores, probabilities
+// or dropout mask in device memory. The backward's memory is one
+// shared-block plan (Fig. 8): the output-dropout and head-merged gradients,
+// then the projection-gradient rows attn_bw writes. The baselines split the
+// projections into head layout, run the unfused chain of their released
+// kernels, merge the gradients back, and allocate each temporary
+// individually from the dynamic allocator.
+//
+// Serving runs the same forward inside a LayerContext::InferenceScope
+// (dropout off, nothing saved); cacheless serving reads the rows as
+// training does. A cached batch — a packed serving step, or the full-lane
+// decode batch — replaces only SelfAttention's middle: it keeps the
+// LN -> QKV -> split front half (kv_cache_store_paged and paged_attn take
+// head layout) and the output-projection epilogue (AttentionCore::output),
+// and attends through the paged KV pools with kern::paged_attn.
 #pragma once
 
 #include <optional>
@@ -46,6 +55,12 @@ struct AttentionConfig {
   int64_t head_dim() const { return hidden / heads; }
 };
 
+/// Whether the policy's attention reads Q, K and V in place from the
+/// projection rows and writes their gradients straight back (LightSeq2's
+/// kern::attn_fw/attn_bw); the baselines split into head layout and merge
+/// back around their chain.
+bool attention_reads_rows(const Policy& policy);
+
 /// Shared core: scores -> masked softmax -> dropout -> context -> merge ->
 /// output projection -> bias+dropout+residual. Owns W_out/b_out. Under
 /// LightSeq2 everything before the output projection is one kern::attn_fw
@@ -54,9 +69,10 @@ class AttentionCore {
  public:
   AttentionCore(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
-  /// q/k/v: [B, N, Lq|Lk, D]; residual: [B, Lq, H]. Returns y [B, Lq, H].
-  Tensor forward(LayerContext& ctx, const Tensor& q, const Tensor& k, const Tensor& v,
-                 const Tensor& residual, const Tensor* key_lens);
+  /// q/k/v: [B, N, Lq|Lk, D] operands, head layout or projection rows (rows
+  /// only under LightSeq2); residual: [B, Lq, H]. Returns y [B, Lq, H].
+  Tensor forward(LayerContext& ctx, const kern::AttnOperand& q, const kern::AttnOperand& k,
+                 const kern::AttnOperand& v, const Tensor& residual, const Tensor* key_lens);
 
   /// Epilogue of forward: output projection of the head-merged context
   /// `merged` [B, Lq, H], then bias + dropout + residual; `out_mask`
@@ -65,17 +81,26 @@ class AttentionCore {
   Tensor output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
                 Tensor* out_mask = nullptr);
 
-  /// Returns (dq, dk, dv) in head layout plus d_residual == dy contribution
-  /// handled by the caller adding `dy` into its input gradient. With
-  /// `dk_acc` and `dv_acc` (cross attention's encoder-side gradients) the
-  /// key and value gradients are ADDED into them, and dk/dv are those
-  /// tensors: inside kern::attn_bw under LightSeq2, by two add launches
-  /// after the chain otherwise.
+  /// What backward returns. Under LightSeq2, `rows`: the gradient
+  /// [B, Lq, C] of the projection rows forward read, which kern::attn_bw
+  /// writes in place, dQ in its first N·D columns and, unless the caller
+  /// accumulates them, dK and dV in the next two blocks (C = 3·N·D, self
+  /// attention's QKV projection). Backward allocates it in its Fig. 8 plan,
+  /// after the output-dropout and head-merged gradients. The baselines'
+  /// chain returns head-layout dq, dk and dv for the caller to merge.
   struct CoreGrads {
+    Tensor rows;
     Tensor dq, dk, dv;
   };
-  CoreGrads backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk_acc = {},
-                     const Tensor& dv_acc = {});
+  /// The residual's gradient is dy itself, which the caller adds into its
+  /// input gradient. `dbias` [C], optional and LightSeq2 only, receives the
+  /// rows' bias gradient in attn_bw's launch. With `dk_acc` and `dv_acc`
+  /// (cross attention's encoder-side gradients) the key and value gradients
+  /// are ADDED into them: inside kern::attn_bw under LightSeq2, by two add
+  /// launches after the chain otherwise.
+  CoreGrads backward(LayerContext& ctx, const Tensor& dy, const Tensor& dbias = {},
+                     const kern::AttnOperand& dk_acc = {},
+                     const kern::AttnOperand& dv_acc = {});
 
   void release();
 
@@ -88,7 +113,7 @@ class AttentionCore {
   ParamRef b_out_;
 
   struct Saved {
-    kern::AttnInputs attn;   // q/k/v in head layout, masks, dropout stream
+    kern::AttnInputs attn;   // q/k/v operands, masks, dropout stream
     Tensor merged;           // [B, Lq, H] context after head merge
     Tensor out_mask;         // u8, output dropout
     Tensor stats;            // LightSeq2: f32 [B, N, Lq] from attn_fw
@@ -149,15 +174,18 @@ class SelfAttention {
   TpParam w_qkv_, b_qkv_;
   AttentionCore core_;
 
-  /// Front half of forward: LayerNorm, QKV projection and head split of
-  /// x [B, L, H] into q/k/v [B, N, L, D]. Training also returns the
-  /// LayerNorm outputs backward needs and the projection output, held to
-  /// the end of forward; serving frees them here.
+  /// Front half of forward: LayerNorm and the QKV projection of x [B, L, H]
+  /// into qkv [B, L, 3H]. q/k/v are its three column blocks with their
+  /// biases (LightSeq2's attention reads them in place) or, with `split`,
+  /// the head-layout [B, N, L, D] tensors the baselines' chain and the paged
+  /// branch take. Training also returns the LayerNorm outputs backward
+  /// needs, and a split keeps qkv to the end of forward; serving frees
+  /// them here.
   struct Qkv {
-    Tensor q, k, v;
+    kern::AttnOperand q, k, v;
     Tensor ln, mean, rstd, qkv;
   };
-  Qkv project_qkv(LayerContext& ctx, const Tensor& x);
+  Qkv project_qkv(LayerContext& ctx, const Tensor& x, bool split);
 
   struct Saved {
     Tensor x, ln, mean, rstd;
@@ -169,11 +197,15 @@ class CrossAttention {
  public:
   CrossAttention(ParamRegistry& params, const std::string& prefix, AttentionConfig cfg);
 
-  /// k/v: [B, N, Ls, D] precomputed by the caller, masked by src_lens.
-  Tensor forward(LayerContext& ctx, const Tensor& x, const Tensor& k, const Tensor& v,
-                 const Tensor* src_lens);
-  /// Returns dx; ACCUMULATES key/value grads into dk/dv (head layout).
-  Tensor backward(LayerContext& ctx, const Tensor& dy, const Tensor& dk, const Tensor& dv);
+  /// k/v: [B, N, Ls, D] operands precomputed by the caller (rows only
+  /// under LightSeq2), masked by src_lens.
+  Tensor forward(LayerContext& ctx, const Tensor& x, const kern::AttnOperand& k,
+                 const kern::AttnOperand& v, const Tensor* src_lens);
+  /// Returns dx; ACCUMULATES key/value grads into dk/dv, operands laid out
+  /// as k/v (head layout for the baselines); their `dbias`, if any, folds
+  /// the K/V projection's bias gradient under LightSeq2.
+  Tensor backward(LayerContext& ctx, const Tensor& dy, const kern::AttnOperand& dk,
+                  const kern::AttnOperand& dv);
   void release();
 
  private:

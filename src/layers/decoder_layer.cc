@@ -9,8 +9,9 @@ TransformerDecoderLayer::TransformerDecoderLayer(ParamRegistry& params,
       cross_attn_(params, prefix + ".cross_attn", cfg.attention(/*causal=*/false)),
       ffn_(params, prefix + ".ffn", cfg.ffn()) {}
 
-Tensor TransformerDecoderLayer::forward(LayerContext& ctx, const Tensor& x, const Tensor& k,
-                                        const Tensor& v, const Tensor* src_lens,
+Tensor TransformerDecoderLayer::forward(LayerContext& ctx, const Tensor& x,
+                                        const kern::AttnOperand& k,
+                                        const kern::AttnOperand& v, const Tensor* src_lens,
                                         const Tensor* tgt_lens) {
   LS2_CHECK(ctx.policy.supports_decoder)
       << system_name(ctx.policy.system) << " does not support decoder layers";
@@ -20,7 +21,8 @@ Tensor TransformerDecoderLayer::forward(LayerContext& ctx, const Tensor& x, cons
 }
 
 Tensor TransformerDecoderLayer::backward(LayerContext& ctx, const Tensor& dy,
-                                         const Tensor& dk, const Tensor& dv) {
+                                         const kern::AttnOperand& dk,
+                                         const kern::AttnOperand& dv) {
   Tensor dh = ffn_.backward(ctx, dy);
   dh = cross_attn_.backward(ctx, dh, dk, dv);
   return self_attn_.backward(ctx, dh);

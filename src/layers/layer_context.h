@@ -42,9 +42,9 @@ struct Policy {
   kern::Impl transform = kern::Impl::kLS2;
   bool fused_elementwise = true;  ///< bias+act+dropout(+residual) in one launch
   bool layer_batched_cross_attn = true;  ///< Fig. 5(b) batched K/V projection
-  /// LightSeq2's fused backward kernels (bias chains, split_transpose_bw)
-  /// reduce their bias gradient in the same launch; otherwise a separate
-  /// bias_grad follows each, as the baselines' released kernels do.
+  /// LightSeq2's fused backward kernels (bias chains, attn_bw) reduce
+  /// their bias gradient in the same launch; otherwise a separate bias_grad
+  /// follows each, as the baselines' released kernels do.
   bool fold_bias_grad = true;
   int seq_multiple = 1;  ///< DeepSpeed: lengths padded up to a multiple of 16
   bool supports_decoder = true;

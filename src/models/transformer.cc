@@ -15,11 +15,10 @@ namespace {
 
 // Bytes of the cross K/V (or their gradients) of decoder layers [layer, n):
 // what a decoder stage boundary carries besides the hidden state.
-layers::StackCarry kv_bytes_from(const std::vector<Tensor>& kv) {
+layers::StackCarry kv_bytes_from(const std::vector<kern::AttnOperand>& kv) {
   return [&kv](int64_t layer) {
     int64_t bytes = 0;
-    for (size_t t = 2 * static_cast<size_t>(layer); t < kv.size(); ++t)
-      bytes += static_cast<int64_t>(kv[t].bytes());
+    for (size_t t = 2 * static_cast<size_t>(layer); t < kv.size(); ++t) bytes += kv[t].bytes();
     return bytes;
   };
 }
@@ -144,45 +143,53 @@ Transformer::Transformer(TransformerConfig cfg, layers::System system, DType dty
   if (tp_) tp_->materialize(dtype, seed);
 }
 
-std::vector<Tensor> Transformer::project_cross_kv(LayerContext& ctx, const Tensor& enc_out) {
+std::vector<kern::AttnOperand> Transformer::project_cross_kv(LayerContext& ctx,
+                                                             const Tensor& enc_out) {
   const int64_t B = enc_out.shape()[0], Ls = enc_out.shape()[1], H = cfg_.hidden;
   const int64_t N = cfg_.heads, D = H / N, n = cfg_.decoder_layers;
   const DType dt = enc_out.dtype();
   const Tensor w = cross_kv_weight_.value(ctx);
   const Tensor b = cross_kv_bias_.value(ctx);
-
-  // Head-sharded under TP (column-parallel: no forward comm; the per-head
-  // cross attention consumes each rank's own head slice).
-  std::vector<Tensor> kv;
-  kv.reserve(static_cast<size_t>(2 * n));
-  for (int64_t i = 0; i < 2 * n; ++i) kv.push_back(ctx.alloc_shard({B, N, Ls, D}, dt));
+  // Under LightSeq2 each layer's attention reads its K and V blocks of the
+  // projection rows in place, bias on load; the baselines split them into
+  // head layout.
+  const bool rows = layers::attention_reads_rows(ctx.policy);
+  std::vector<kern::AttnOperand> kv;
 
   if (ctx.policy.layer_batched_cross_attn) {
-    // ONE GEMM for all layers' keys and values, one fused bias+split.
+    LS2_CHECK(rows) << "layer-batched cross-K/V is LightSeq2's Fig. 5b";
+    // ONE GEMM for all layers' keys and values, head-sharded under TP
+    // (column-parallel: no forward comm; the per-head cross attention
+    // consumes each rank's own head slice).
     Tensor kv_gemm = ctx.alloc_shard({B, Ls, 2 * n * H}, dt);
     layers::tp_linear_fw(ctx, enc_out, w, kv_gemm, "decoder.cross_kv",
                          layers::TpSplit::kColumn);
-    {
-      layers::TpChargeScale tp_scale(ctx);
-      kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, kv_gemm, b, kv);
-    }
+    for (int64_t j = 0; j < 2 * n; ++j)
+      kv.push_back(kern::AttnOperand::rows(kv_gemm, j * H, N, D, b.slice(j * H, (j + 1) * H)));
     return kv;
   }
   LS2_CHECK(ctx.tp_size() == 1)
       << "per-layer cross-K/V projection has no TP path (TP implies kLightSeq2)";
-  // Per-layer: two GEMMs (K and V) + bias/reshape per decoder layer (Fig. 5a).
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t g = 0; g < 2; ++g) {
-      Tensor wi = w.slice((2 * i + g) * H, (2 * i + g + 1) * H);
-      Tensor bi = b.slice((2 * i + g) * H, (2 * i + g + 1) * H);
-      Tensor gemm_out = ctx.alloc({B, Ls, H}, dt);
-      layers::linear_fw(ctx, enc_out, wi, gemm_out,
-                        "decoder.cross_kv." + std::to_string(i));
-      kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, gemm_out, bi,
-                                    {kv[static_cast<size_t>(2 * i + g)]});
+  std::vector<Tensor> heads;
+  if (!rows) {
+    for (int64_t i = 0; i < 2 * n; ++i) heads.push_back(ctx.alloc({B, N, Ls, D}, dt));
+  }
+  // Per-layer: two GEMMs (K and V) per decoder layer (+ a bias/reshape each
+  // for the baselines) (Fig. 5a).
+  for (int64_t j = 0; j < 2 * n; ++j) {
+    Tensor wj = w.slice(j * H, (j + 1) * H);
+    Tensor bj = b.slice(j * H, (j + 1) * H);
+    Tensor gemm_out = ctx.alloc({B, Ls, H}, dt);
+    layers::linear_fw(ctx, enc_out, wj, gemm_out, "decoder.cross_kv." + std::to_string(j / 2));
+    if (rows) {
+      kv.push_back(kern::AttnOperand::rows(gemm_out, 0, N, D, bj));
+    } else {
+      kern::bias_split_transpose_fw(ctx.kern, ctx.policy.transform, gemm_out, bj,
+                                    {heads[static_cast<size_t>(j)]});
     }
   }
-  return kv;
+  if (rows) return kv;
+  return {heads.begin(), heads.end()};
 }
 
 Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tensor>& dkv) {
@@ -193,17 +200,18 @@ Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tenso
   const DType dt = dkv[0].dtype();
   const Tensor w = cross_kv_weight_.value(ctx);
   Tensor d_enc = ctx.alloc({B, Ls, H}, dt);
-  // The LightSeq2 head merge reduces the bias gradient in its own launch.
-  const bool fold = ctx.policy.fold_bias_grad && ctx.policy.transform == kern::Impl::kLS2;
+  // Under LightSeq2 the decoder layers' attn_bw wrote the gradient rows
+  // (and folded the bias gradient); the baselines merge their head-layout
+  // gradients back and reduce it here.
+  const bool rows = layers::attention_reads_rows(ctx.policy);
+  const bool folded = rows && ctx.policy.fold_bias_grad;
 
   if (ctx.policy.layer_batched_cross_attn) {
-    Tensor dkv_gemm = ctx.alloc_shard({B, Ls, 2 * n * H}, dt);
-    {
+    const Tensor& dkv_gemm = dkv[0];  // LightSeq2's rows [B, Ls, 2nH]
+    if (!folded) {
       layers::TpChargeScale tp_scale(ctx);
       auto db = cross_kv_bias_.grad(ctx);
-      kern::split_transpose_bw(ctx.kern, ctx.policy.transform, dkv, dkv_gemm,
-                               fold ? db.tensor() : Tensor());
-      if (!fold) kern::bias_grad(ctx.kern, dkv_gemm, db.tensor());
+      kern::bias_grad(ctx.kern, dkv_gemm, db.tensor());
     }
     // Column-parallel backward: the d_enc partial sum is the projection's
     // TP all-reduce, overlapped with the dW GEMM inside tp_linear_bw.
@@ -215,27 +223,22 @@ Tensor Transformer::cross_kv_backward(LayerContext& ctx, const std::vector<Tenso
   LS2_CHECK(ctx.tp_size() == 1)
       << "per-layer cross-K/V projection has no TP path (TP implies kLightSeq2)";
   // Per-layer path accumulates into d_enc with one extra add per GEMM.
-  bool first = true;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t g = 0; g < 2; ++g) {
-      Tensor dgemm = ctx.alloc({B, Ls, H}, dt);
-      Tensor bi_grad = params_.grad(cross_kv_bias_.rank0()).slice((2 * i + g) * H,
-                                                          (2 * i + g + 1) * H);
-      kern::split_transpose_bw(ctx.kern, ctx.policy.transform,
-                               {dkv[static_cast<size_t>(2 * i + g)]}, dgemm,
-                               fold ? bi_grad : Tensor());
-      if (!fold) kern::bias_grad(ctx.kern, dgemm, bi_grad);
-      Tensor wi = w.slice((2 * i + g) * H, (2 * i + g + 1) * H);
-      Tensor dwi = params_.grad(cross_kv_weight_.rank0()).slice((2 * i + g) * H,
-                                                        (2 * i + g + 1) * H);
-      if (first) {
-        layers::linear_bw(ctx, dgemm, s.enc_out, wi, d_enc, dwi, "decoder.cross_kv");
-        first = false;
-      } else {
-        Tensor d_tmp = ctx.alloc({B, Ls, H}, dt);
-        layers::linear_bw(ctx, dgemm, s.enc_out, wi, d_tmp, dwi, "decoder.cross_kv");
-        kern::baseline::add(ctx.kern, d_tmp, d_enc, d_enc);
-      }
+  for (int64_t j = 0; j < 2 * n; ++j) {
+    const Tensor& dj = dkv[static_cast<size_t>(j)];
+    Tensor dgemm = rows ? dj : ctx.alloc({B, Ls, H}, dt);
+    if (!rows) kern::split_transpose_bw(ctx.kern, ctx.policy.transform, {dj}, dgemm);
+    if (!folded) {
+      kern::bias_grad(ctx.kern, dgemm,
+                      params_.grad(cross_kv_bias_.rank0()).slice(j * H, (j + 1) * H));
+    }
+    Tensor wj = w.slice(j * H, (j + 1) * H);
+    Tensor dwj = params_.grad(cross_kv_weight_.rank0()).slice(j * H, (j + 1) * H);
+    if (j == 0) {
+      layers::linear_bw(ctx, dgemm, s.enc_out, wj, d_enc, dwj, "decoder.cross_kv");
+    } else {
+      Tensor d_tmp = ctx.alloc({B, Ls, H}, dt);
+      layers::linear_bw(ctx, dgemm, s.enc_out, wj, d_tmp, dwj, "decoder.cross_kv");
+      kern::baseline::add(ctx.kern, d_tmp, d_enc, d_enc);
     }
   }
   return d_enc;
@@ -285,7 +288,7 @@ layers::CriterionResult Transformer::forward(LayerContext& ctx, const MtBatch& b
                              [&](auto& layer, int64_t, const Tensor& x) {
                                return layer.forward(ctx, x, &batch.src_lens);
                              }));
-  std::vector<Tensor> kv = project_cross_kv(ctx, enc_out);
+  std::vector<kern::AttnOperand> kv = project_cross_kv(ctx, enc_out);
 
   // Decoder. Crossing into the first decoder stage carries every layer's
   // cross K/V (the target embedding reads host token ids, not enc state);
@@ -322,29 +325,51 @@ void Transformer::backward(LayerContext& ctx) {
   params_.notify_grad_ready(criterion_range_);
   Tensor d_dec = dec_ln_->backward(ctx, d_dec_out);
 
-  // Decoder layers (reverse), accumulating cross K/V grads. Zeroing the
-  // accumulators is real device work: one fused launch under LightSeq2, one
-  // per tensor for the baselines.
-  std::vector<Tensor> dkv;
-  for (int64_t i = 0; i < 2 * cfg_.decoder_layers; ++i) {
-    dkv.push_back(ctx.alloc_shard({B, N, Ls, D}, dt));
+  // Decoder layers (reverse), accumulating cross K/V grads into zeroed
+  // buffers: under LightSeq2 the projection's gradient rows (one
+  // [B, Ls, 2nH] buffer layer-batched, one [B, Ls, H] per GEMM per layer),
+  // for the baselines one head-layout tensor per K and V. Zeroing them is
+  // real device work: one fused launch under LightSeq2, one per tensor for
+  // the baselines.
+  const bool rows = layers::attention_reads_rows(ctx.policy);
+  const bool batched = ctx.policy.layer_batched_cross_attn;
+  const int64_t n = cfg_.decoder_layers, H = cfg_.hidden;
+  std::vector<Tensor> dkv_bufs;
+  if (batched) dkv_bufs.push_back(ctx.alloc_shard({B, Ls, 2 * n * H}, dt));
+  for (int64_t i = 0; i < 2 * n && !batched; ++i) {
+    dkv_bufs.push_back(ctx.alloc_shard(rows ? Shape{B, Ls, H} : Shape{B, N, Ls, D}, dt));
   }
   {
     layers::TpChargeScale tp_scale(ctx);  // zeroing covers the head shard
     const int zero_launches =
-        ctx.policy.fused_elementwise ? 1 : static_cast<int>(dkv.size());
-    const int64_t each = static_cast<int64_t>(dkv.size()) *
-                         static_cast<int64_t>(dkv[0].bytes()) / zero_launches;
+        ctx.policy.fused_elementwise ? 1 : static_cast<int>(dkv_bufs.size());
+    int64_t total = 0;
+    for (const Tensor& t : dkv_bufs) total += static_cast<int64_t>(t.bytes());
     for (int i = 0; i < zero_launches; ++i) {
       simgpu::KernelDesc d;
       d.name = ctx.policy.fused_elementwise ? "ls2.zero_dkv" : "torch.zero";
-      d.bytes_written = each;
+      d.bytes_written = total / zero_launches;
       d.mem_efficiency = ctx.policy.fused_elementwise ? 0.9 : 0.7;
       ctx.kern.dev.launch(d, i == 0 ? std::function<void()>([&] {
-        for (Tensor& t : dkv) t.zero_();
+        for (Tensor& t : dkv_bufs) t.zero_();
       })
                                     : std::function<void()>(nullptr));
     }
+  }
+  // Each layer's K and V gradient operands. Under LightSeq2 they carry the
+  // layer's slices of the cross-K/V bias gradient, which attn_bw folds.
+  std::optional<layers::TpParam::GradScope> db;
+  if (rows && ctx.policy.fold_bias_grad) db.emplace(cross_kv_bias_, ctx);
+  std::vector<kern::AttnOperand> dkv;
+  for (int64_t j = 0; j < 2 * n; ++j) {
+    const Tensor& buf = dkv_bufs[batched ? 0 : static_cast<size_t>(j)];
+    if (!rows) {
+      dkv.push_back(buf);
+      continue;
+    }
+    dkv.push_back(kern::AttnOperand::rows(buf, batched ? j * H : 0, N, D, {},
+                                          db ? db->tensor().slice(j * H, (j + 1) * H)
+                                             : Tensor()));
   }
   // A boundary carries d plus the cross-K/V grads already produced by
   // later-stage layers, all bound for the projection backward on stage
@@ -357,14 +382,16 @@ void Transformer::backward(LayerContext& ctx) {
                               dkv[static_cast<size_t>(2 * i + 1)]);
       },
       dkv_from);
+  db.reset();
   tgt_embed_->backward(ctx, d_dec);
   params_.notify_grad_ready(tgt_range_);  // empty when the table is tied
 
   // Cross K/V projection backward -> gradient into the encoder output
   // (computed after the 0-th decoder layer finishes, as in §IV-A.4).
   ctx.pp_enter(encoder_->stage(encoder_->size() - 1), false, dkv_from(0));
-  const Tensor d_enc_out = cross_kv_backward(ctx, dkv);
+  const Tensor d_enc_out = cross_kv_backward(ctx, dkv_bufs);
   dkv.clear();
+  dkv_bufs.clear();
   params_.notify_grad_ready(cross_kv_range_);
 
   const Tensor d_enc = encoder_->backward(ctx, enc_ln_->backward(ctx, d_enc_out));

@@ -88,10 +88,15 @@ class Transformer {
   layers::ParamRegistry* tp_peers() { return tp_ ? &tp_->peers() : nullptr; }
 
  private:
-  /// Layer-batched (one GEMM + one split) or per-layer cross-attention K/V
-  /// projection of the encoder output, per policy (Fig. 5).
-  std::vector<Tensor> project_cross_kv(layers::LayerContext& ctx, const Tensor& enc_out);
-  /// Backward of the projection; returns d(enc_out) contribution.
+  /// Layer-batched (one GEMM, LightSeq2 only) or per-layer (two GEMMs per
+  /// layer) cross-attention K/V projection of the encoder output, per
+  /// policy (Fig. 5): a K and a V operand per decoder layer, the GEMM rows'
+  /// column blocks with their biases under LightSeq2, split into head
+  /// layout for the baselines.
+  std::vector<kern::AttnOperand> project_cross_kv(layers::LayerContext& ctx,
+                                                  const Tensor& enc_out);
+  /// Backward of the projection from the decoder's K/V gradient
+  /// accumulators (Transformer::backward); returns d(enc_out) contribution.
   Tensor cross_kv_backward(layers::LayerContext& ctx, const std::vector<Tensor>& dkv);
 
   TransformerConfig cfg_;
@@ -115,7 +120,7 @@ class Transformer {
 
   struct Saved {
     Tensor enc_out;          // final encoder LN output [B, Ls, H], the cross-K/V input
-    std::vector<Tensor> kv;  // 2 per decoder layer, head layout
+    std::vector<kern::AttnOperand> kv;  // K and V per decoder layer
   };
   std::optional<Saved> saved_;
 };

@@ -713,6 +713,8 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
     return model.prefill(s.ctx(), ids_of(p)).to_vector();
   };
   const auto ref_b = reference(b), ref_c = reference(c);
+  EXPECT_EQ(launches_named(dev, "bias_split_transpose"), 0)
+      << "cacheless serving reads the QKV rows in place, as training does";
   // Each lane's tokens so far: its prompt, then the decode inputs it was fed.
   std::vector<std::vector<int32_t>> fed(S);
   auto expect_decoded = [&](const std::vector<float>& logits, int64_t lane, int32_t next) {
@@ -738,8 +740,11 @@ TEST(Gpt2InferTest, SharedPrefixPrefillComputesOnlyTheTailBitwise) {
                               launches_named(dev, "attn_softmax_fw") +
                               launches_named(dev, "merge_heads") +
                               launches_named(dev, "ls2.attn_fw");
+  const int64_t splits = launches_named(dev, "ls2.bias_split_transpose");
   const auto tail =
       packed_step(s.ctx(), model, cache, {hb}, {b}, {{cache.lane(ha), 41}}, &chunks);
+  EXPECT_EQ(launches_named(dev, "ls2.bias_split_transpose") - splits, cfg.layers)
+      << "the paged branch splits Q/K/V into head layout, once per layer";
   EXPECT_EQ(chunks[0].begin, 2 * page) << "rows a committed step wrote are skipped";
   ASSERT_EQ(tail.size(), static_cast<size_t>((S + 2) * V)) << "only the tail rows run";
   EXPECT_EQ(logit_rows(tail, V, S, S + 2), logit_rows(ref_b, V, 2 * page, 10));

@@ -26,6 +26,19 @@ TransformerLayerConfig tiny_config(float dropout) {
   return cfg;
 }
 
+// Materialised layers start with all-zero biases (Init::kZero), under which
+// a bias read from the wrong columns computes the same as the right one.
+// The parity tests draw every bias instead, one stream per parameter in
+// declaration order, so each policy sees the same values.
+void randomize_biases(const ParamRegistry& params) {
+  uint64_t stream = 0;
+  params.for_each([&](const std::string& name, Tensor value, Tensor) {
+    ++stream;
+    if (name.size() >= 5 && name.compare(name.size() - 5, 5, ".bias") == 0)
+      Rng(77).fill_normal(value, stream, 0.0f, 0.5f);
+  });
+}
+
 struct Harness {
   explicit Harness(System system, uint64_t seed = 42) : Harness(policy_for(system), seed) {}
   explicit Harness(const Policy& policy, uint64_t seed = 42)
@@ -111,6 +124,7 @@ TEST(EncoderLayerTest, PolicyEquivalenceForwardBackward) {
     ParamRegistry params;
     TransformerEncoderLayer layer(params, "enc.0", tiny_config(0.2f));
     params.materialize(DType::kF32, policy.system == System::kLightSeq2, Rng(1));
+    randomize_biases(params);
     params.zero_grads();
     Tensor x = h.randn({2, 4, 16}, 1, 0.5f);
     Tensor y = layer.forward(h.ctx, x, nullptr);
@@ -328,6 +342,7 @@ TEST(DecoderLayerTest, PolicyEquivalenceForwardBackward) {
     ParamRegistry params;
     TransformerDecoderLayer layer(params, "dec.0", tiny_config(0.2f));
     params.materialize(DType::kF32, system == System::kLightSeq2, Rng(1));
+    randomize_biases(params);
     params.zero_grads();
     Tensor k = h.randn({B, N, Ls, D}, 10, 0.5f);
     Tensor v = h.randn({B, N, Ls, D}, 11, 0.5f);

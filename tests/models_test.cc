@@ -31,6 +31,19 @@ MtBatch tiny_batch(int64_t vocab, uint64_t seed = 5) {
   return batches.front();
 }
 
+// A fresh model's biases are all zero (Init::kZero), under which a bias
+// read from the wrong columns computes the same as the right one. The
+// parity tests draw every bias instead, one stream per parameter in
+// declaration order, so each system sees the same values.
+void randomize_biases(const layers::ParamRegistry& params) {
+  uint64_t stream = 0;
+  params.for_each([&](const std::string& name, Tensor value, Tensor) {
+    ++stream;
+    if (name.size() >= 5 && name.compare(name.size() - 5, 5, ".bias") == 0)
+      Rng(77).fill_normal(value, stream, 0.0f, 0.5f);
+  });
+}
+
 SessionConfig session_config(System sys, DType dtype = DType::kF32) {
   SessionConfig sc;
   sc.system = sys;
@@ -70,6 +83,7 @@ TEST(TransformerTest, SystemsProduceIdenticalLossAndGrads) {
   for (System sys : {System::kFairseq, System::kFairseqApex, System::kLightSeq2}) {
     Session s(session_config(sys));
     Transformer model(tiny_mt_config(), sys, DType::kF32, /*seed=*/7);
+    randomize_biases(model.params());
     model.params().zero_grads();
     auto res = model.forward(s.ctx(), batch);
     model.backward(s.ctx());
@@ -88,6 +102,54 @@ TEST(TransformerTest, SystemsProduceIdenticalLossAndGrads) {
         ASSERT_NEAR(flat[i], ref_flat[i], 2e-4f) << layers::system_name(sys) << " " << i;
       }
     }
+  }
+}
+
+// LightSeq2 with the per-layer cross-K/V projection (Fig. 5a, the ablation's
+// other arm) against its layer-batched one (Fig. 5b), in FP32: two GEMMs
+// per decoder layer instead of one for the whole stack must compute the
+// same keys and values and the same gradients. The loss and every decoder
+// and cross-K/V gradient are bitwise equal. The encoder-side gradients
+// agree within SystemsProduceIdenticalLossAndGrads' tolerance: the
+// per-layer path sums d(enc_out) with one add per GEMM, where one GEMM
+// accumulates it in ascending k.
+TEST(TransformerTest, PerLayerCrossKvMatchesLayerBatched) {
+  MtBatch batch = tiny_batch(64);
+  std::optional<float> ref_loss;
+  std::vector<std::vector<float>> ref_grads;
+  for (bool batched : {true, false}) {
+    Session s(session_config(System::kLightSeq2));
+    s.ctx().policy.layer_batched_cross_attn = batched;
+    Transformer model(tiny_mt_config(), System::kLightSeq2, DType::kF32, /*seed=*/7);
+    randomize_biases(model.params());
+    model.params().zero_grads();
+    const auto res = model.forward(s.ctx(), batch);
+    model.backward(s.ctx());
+    std::vector<std::vector<float>> grads;
+    std::vector<std::string> names;
+    model.params().for_each([&](const std::string& name, Tensor, Tensor g) {
+      names.push_back(name);
+      grads.push_back(g.to_vector());
+    });
+    if (batched) {
+      ref_loss = res.loss_sum;
+      ref_grads = grads;
+      continue;
+    }
+    EXPECT_EQ(res.loss_sum, *ref_loss);
+    ASSERT_EQ(grads.size(), ref_grads.size());
+    int bitwise = 0;
+    for (size_t i = 0; i < grads.size(); ++i) {
+      ASSERT_EQ(grads[i].size(), ref_grads[i].size()) << names[i];
+      if (names[i].rfind("encoder.", 0) != 0) {
+        EXPECT_EQ(grads[i], ref_grads[i]) << names[i];
+        ++bitwise;
+        continue;
+      }
+      for (size_t j = 0; j < grads[i].size(); ++j)
+        ASSERT_NEAR(grads[i][j], ref_grads[i][j], 2e-4f) << names[i] << " " << j;
+    }
+    EXPECT_GT(bitwise, 0);
   }
 }
 
@@ -118,9 +180,10 @@ TEST(TransformerTest, OnlyTheBaselinesLaunchBiasGrad) {
 // encoder layer's self attention, a decoder layer's self and cross
 // attention) is one launch each way, and none of the unfused chain's
 // launches remain: the scores and context GEMMs and their backward, the
-// softmax, the standalone dropout, the head merge, and the adds that
-// accumulate the cross-attention K/V gradients. Fairseq launches its chain
-// once per attention.
+// softmax, the standalone dropout, the head merge, the adds that
+// accumulate the cross-attention K/V gradients, and the head split and
+// merge around the projections (the kernels read and write the projection
+// rows). Fairseq launches its chain once per attention.
 TEST(TransformerTest, LightSeq2AttendsInOneLaunchEachWay) {
   const TransformerConfig cfg = tiny_mt_config();
   const int64_t attentions = cfg.encoder_layers + 2 * cfg.decoder_layers;
@@ -152,7 +215,8 @@ TEST(TransformerTest, LightSeq2AttendsInOneLaunchEachWay) {
     EXPECT_EQ(launches("ls2.attn_bw"), attentions) << sys_name;
     for (const char* gone : {"attn.scores", "attn.context", "attn.bw_", "ls2.attn_softmax_fw",
                              "ls2.softmax_bw", "ls2.dropout_fw", "ls2.dropout_bw",
-                             "ls2.merge_heads", "ls2.add"}) {
+                             "ls2.merge_heads", "ls2.add", "ls2.bias_split_transpose",
+                             "ls2.split_transpose_bw"}) {
       EXPECT_EQ(launches(gone), 0) << sys_name << " " << gone;
     }
   }
@@ -190,6 +254,61 @@ TEST(Gpt2Test, CausalLmLearnsMarkovStream) {
     last_loss = res.loss_per_token();
   }
   EXPECT_LT(last_loss, first_loss * 0.9f) << "LM did not learn";
+}
+
+// A LightSeq2 GPT-2 training step attends in one launch each way per layer
+// and launches no head split or merge around them.
+TEST(Gpt2Test, LightSeq2StepSplitsNoHeads) {
+  Session s(session_config(System::kLightSeq2));
+  Gpt2Config cfg;
+  cfg.vocab = 32;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.layers = 3;
+  cfg.max_len = 16;
+  Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 1);
+  model.params().zero_grads();
+  data::LmDataset ds(32, 4096, 3);
+  (void)model.forward(s.ctx(), ds.batch(0, 4, 12));
+  model.backward(s.ctx());
+  const auto& kernels = s.device().per_kernel();
+  auto launches = [&](const std::string& name) {
+    return kernels.count(name) ? kernels.at(name).launches : 0;
+  };
+  EXPECT_EQ(launches("ls2.attn_fw"), cfg.layers);
+  EXPECT_EQ(launches("ls2.attn_bw"), cfg.layers);
+  EXPECT_EQ(launches("ls2.bias_split_transpose"), 0);
+  EXPECT_EQ(launches("ls2.split_transpose_bw"), 0);
+  EXPECT_EQ(launches("ls2.bias_grad"), 0);
+}
+
+// DeepSpeed models its released encoder kernels: its BERT step still splits
+// Q/K/V into head layout and merges the gradients back once per layer, and
+// reduces every bias gradient in its own bias_grad (QKV, output, FFN in and
+// out per layer, plus the classifier head's).
+TEST(BertTest, DeepSpeedStepSplitsAndMergesEveryLayer) {
+  Session s(session_config(System::kDeepSpeed));
+  BertConfig cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.layers = 3;
+  cfg.max_len = 32;
+  Bert model(cfg, System::kDeepSpeed, DType::kF32, 1);
+  model.params().zero_grads();
+  data::ClsDataset ds(cfg.vocab, 16, 16, 4);
+  (void)model.forward(s.ctx(), ds.batch(0, 4, 16));
+  model.backward(s.ctx());
+  const auto& kernels = s.device().per_kernel();
+  auto launches = [&](const std::string& name) {
+    return kernels.count(name) ? kernels.at(name).launches : 0;
+  };
+  EXPECT_EQ(launches("ls2.bias_split_transpose"), cfg.layers);
+  EXPECT_EQ(launches("ls2.split_transpose_bw"), cfg.layers);
+  EXPECT_EQ(launches("ls2.bias_grad"), 4 * cfg.layers + 1);
+  EXPECT_EQ(launches("ls2.attn_fw"), 0);
 }
 
 TEST(BertTest, ClassifierTrainsAboveChance) {

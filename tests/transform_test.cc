@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "kernels/elementwise.h"
 #include "simgpu/profile.h"
 
 namespace ls2::kern {
@@ -84,78 +81,6 @@ TEST_F(TransformTest, SplitMergeRoundTrip) {
   Tensor back = Tensor::empty({B, L, 2 * H}, DType::kF32);
   split_transpose_bw(kc, Impl::kLS2, {a, b}, back);
   EXPECT_EQ(back.to_vector(), x.to_vector());
-}
-
-// The LightSeq2 split_transpose_bw can reduce the projection-bias gradient
-// in the launch that merges the heads. Run as two batch slices — the
-// pipeline-parallel microbatch chain — from a non-zero dbias, the fold must
-// leave dx bitwise unchanged, give bitwise the dbias bias_grad gives over
-// that dx, and cost one launch per slice, charged less than the merge
-// followed by bias_grad.
-class SplitTransposeFoldTest : public TransformTest,
-                               public ::testing::WithParamInterface<DType> {};
-
-TEST_P(SplitTransposeFoldTest, FoldsBiasGradBitwise) {
-  const DType dt = GetParam();
-  const int64_t B = 5, L = 12, N = 4, D = 8, split = 2;
-  const int64_t GH = 3 * N * D;
-  std::vector<Tensor> douts;
-  for (int g = 0; g < 3; ++g) douts.push_back(randn({B, N, L, D}, 10 + g, dt));
-  const Tensor db0 = randn({GH}, 20, dt);  // the accumulation starts non-zero
-  auto run = [&](int64_t b0, int64_t b1, const Tensor& dx, const Tensor& db) {
-    std::vector<Tensor> slices;
-    for (const Tensor& t : douts) slices.push_back(t.slice(b0, b1));
-    split_transpose_bw(kc, Impl::kLS2, slices, dx.slice(b0, b1), db);
-  };
-  auto charged = [&] { return dev.stats().busy_us + dev.stats().overhead_us; };
-
-  // Unfolded: the merge, then bias_grad over the slice it wrote.
-  Tensor dx_ref = Tensor::empty({B, L, GH}, dt);
-  Tensor db_ref = Tensor::empty({GH}, dt);
-  db_ref.copy_(db0);
-  dev.reset();
-  for (const auto [b0, b1] : {std::pair<int64_t, int64_t>{0, split}, {split, B}}) {
-    run(b0, b1, dx_ref, Tensor());
-    bias_grad(kc, dx_ref.slice(b0, b1), db_ref);
-  }
-  const int64_t ref_launches = dev.stats().launches;
-  const double ref_us = charged();
-
-  Tensor dx = Tensor::empty({B, L, GH}, dt);
-  Tensor db = Tensor::empty({GH}, dt);
-  db.copy_(db0);
-  dev.reset();
-  run(0, split, dx, db);
-  run(split, B, dx, db);
-  EXPECT_EQ(std::memcmp(dx.raw(), dx_ref.raw(), dx.bytes()), 0) << "dx";
-  EXPECT_EQ(std::memcmp(db.raw(), db_ref.raw(), db.bytes()), 0) << "dbias";
-  EXPECT_EQ(dev.stats().launches, 2);
-  EXPECT_EQ(ref_launches, 4);
-  EXPECT_LT(charged(), ref_us);
-
-  // In FP32 the slices chain into the whole batch's reduction (FP16 rounds
-  // the destination between slices, bias_grad's own chain included).
-  if (dt != DType::kF32) return;
-  Tensor db_whole = Tensor::empty({GH}, dt);
-  db_whole.copy_(db0);
-  bias_grad(kc, dx, db_whole);
-  EXPECT_EQ(std::memcmp(db.raw(), db_whole.raw(), db.bytes()), 0) << "whole batch";
-}
-
-INSTANTIATE_TEST_SUITE_P(Dtypes, SplitTransposeFoldTest,
-                         ::testing::Values(DType::kF32, DType::kF16), [](const auto& info) {
-                           return std::string(info.param == DType::kF32 ? "F32" : "F16");
-                         });
-
-// The baseline transposes never reduce a bias gradient: handing them one is
-// API misuse, not a silent no-op.
-TEST_F(TransformTest, BaselineSplitTransposeBwRejectsDbias) {
-  const int64_t B = 2, L = 3, N = 2, D = 4;
-  Tensor dq = randn({B, N, L, D}, 1);
-  Tensor dx = Tensor::empty({B, L, N * D}, DType::kF32);
-  Tensor db = Tensor::zeros({N * D}, DType::kF32);
-  EXPECT_THROW(split_transpose_bw(kc, Impl::kTorch, {dq}, dx, db), Error);
-  EXPECT_NO_THROW(split_transpose_bw(kc, Impl::kTorch, {dq}, dx));
 }
 
 TEST_F(TransformTest, MergeHeadsRoundTrip) {
