@@ -29,21 +29,28 @@ void* CachingAllocator::allocate(size_t bytes) {
     cached_bytes_ -= static_cast<int64_t>(got);
     ++hits_;
     device_.charge_alloc(/*cache_hit=*/true);
+    live_blocks_.emplace(ptr, got);
     note_usage(static_cast<int64_t>(got));
     return ptr;
   }
   ++misses_;
   void* ptr = device_malloc(bucket);
+  live_blocks_.emplace(ptr, bucket);
   note_usage(static_cast<int64_t>(bucket));
   return ptr;
 }
 
 void CachingAllocator::deallocate(void* ptr, size_t bytes) {
-  const size_t bucket = round_bucket(bytes);
   std::lock_guard<std::mutex> lock(mu_);
-  free_blocks_.emplace(bucket, ptr);
-  cached_bytes_ += static_cast<int64_t>(bucket);
-  note_usage(-static_cast<int64_t>(bucket));
+  auto it = live_blocks_.find(ptr);
+  LS2_CHECK(it != live_blocks_.end()) << "caching allocator: free of a pointer it did not hand out";
+  const size_t size = it->second;
+  LS2_CHECK(bytes <= size) << "caching allocator: free of " << bytes << " B from a " << size
+                           << " B block";
+  live_blocks_.erase(it);
+  free_blocks_.emplace(size, ptr);
+  cached_bytes_ += static_cast<int64_t>(size);
+  note_usage(-static_cast<int64_t>(size));
 }
 
 void CachingAllocator::release_cached() {

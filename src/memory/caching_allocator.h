@@ -11,6 +11,7 @@
 
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
 #include "memory/device_allocator.h"
 
@@ -23,6 +24,9 @@ class CachingAllocator final : public DeviceAllocator {
   ~CachingAllocator() override;
 
   void* allocate(size_t bytes) override;
+  /// Files the block under the size allocate() handed out, which a cache
+  /// hit may make up to twice the request. Throws ls2::Error for a pointer
+  /// this allocator did not hand out, or for more bytes than its block holds.
   void deallocate(void* ptr, size_t bytes) override;
   const char* name() const override { return "caching"; }
   /// Never certified: a cold request (or a free-list re-bucketing) calls
@@ -39,8 +43,10 @@ class CachingAllocator final : public DeviceAllocator {
  private:
   static size_t round_bucket(size_t bytes);
 
-  // bucket size -> free blocks of exactly that size
+  // block size -> free blocks of exactly that size
   std::multimap<size_t, void*> free_blocks_;
+  // handed-out block -> its size
+  std::unordered_map<void*, size_t> live_blocks_;
   int64_t cached_bytes_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

@@ -65,6 +65,37 @@ TEST_F(CachingAllocatorTest, NoWastefulReuse) {
   alloc.deallocate(small, 1024);
 }
 
+TEST_F(CachingAllocatorTest, HitOnLargerBlockFilesItWhole) {
+  // A request served from a larger cached block must give the whole block
+  // back: neither in-use nor cached bytes drift, and the block keeps
+  // serving the request that made it.
+  CachingAllocator alloc(dev);
+  void* p = alloc.allocate(2000);  // 2048 B block
+  alloc.deallocate(p, 2000);
+  void* q = alloc.allocate(1100);  // 1536 B bucket -> hits the 2048 B block
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(alloc.bytes_in_use(), 2048);
+  alloc.deallocate(q, 1100);
+  EXPECT_EQ(alloc.bytes_in_use(), 0);
+  EXPECT_EQ(alloc.cached_bytes(), 2048);
+  const int64_t mallocs = alloc.device_malloc_count();
+  void* r = alloc.allocate(2000);
+  EXPECT_EQ(r, p);
+  EXPECT_EQ(alloc.cache_hits(), 2);
+  EXPECT_EQ(alloc.device_malloc_count(), mallocs);
+  alloc.deallocate(r, 2000);
+}
+
+TEST_F(CachingAllocatorTest, RejectsForeignOrOversizedFree) {
+  CachingAllocator alloc(dev);
+  void* p = alloc.allocate(1000);  // 1024 B block
+  int other = 0;
+  EXPECT_THROW(alloc.deallocate(&other, 4), Error);
+  EXPECT_THROW(alloc.deallocate(p, 2000), Error);
+  alloc.deallocate(p, 1000);
+  EXPECT_THROW(alloc.deallocate(p, 1000), Error);  // already freed
+}
+
 TEST_F(CachingAllocatorTest, ReleaseCachedFreesDeviceMemory) {
   CachingAllocator alloc(dev);
   void* p = alloc.allocate(1 << 20);
