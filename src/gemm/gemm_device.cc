@@ -29,16 +29,21 @@ void check_operands(const Tensor& a, const Tensor& b, const Tensor& c) {
 
 }  // namespace
 
-void device_gemm(simgpu::Device& device, bool trans_a, bool trans_b, int64_t m, int64_t n,
-                 int64_t k, float alpha, const Tensor& a, const Tensor& b, float beta,
-                 const Tensor& c, const std::string& tag, const GemmCharge* charge) {
+GemmLaunch gemm_launch(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                       float alpha, const Tensor& a, const Tensor& b, float beta,
+                       const Tensor& c, const std::string& tag, const GemmCharge* charge) {
   check_operands(a, b, c);
   const bool fp16 = a.dtype() == DType::kF16;
-  const simgpu::KernelDesc desc =
-      charge ? make_desc(tag, charge->m, charge->n, charge->k, charge->batch, fp16,
-                         beta != 0.0f)
-             : make_desc(tag, m, n, k, 1, fp16, beta != 0.0f);
-  device.launch(desc, [=, &a, &b, &c] {
+  GemmLaunch g;
+  g.desc = charge ? make_desc(tag, charge->m, charge->n, charge->k, charge->batch, fp16,
+                              beta != 0.0f)
+                  : make_desc(tag, m, n, k, 1, fp16, beta != 0.0f);
+  g.c = c;
+  if (charge) {
+    g.c_share = static_cast<double>(charge->m * charge->n * charge->batch) /
+                static_cast<double>(m * n);
+  }
+  g.body = [=] {
     if (fp16) {
       hgemm(trans_a, trans_b, m, n, k, alpha, a.data<Half>(), b.data<Half>(), beta,
             c.data<Half>());
@@ -46,7 +51,15 @@ void device_gemm(simgpu::Device& device, bool trans_a, bool trans_b, int64_t m, 
       sgemm(trans_a, trans_b, m, n, k, alpha, a.data<float>(), b.data<float>(), beta,
             c.data<float>());
     }
-  });
+  };
+  return g;
+}
+
+void device_gemm(simgpu::Device& device, bool trans_a, bool trans_b, int64_t m, int64_t n,
+                 int64_t k, float alpha, const Tensor& a, const Tensor& b, float beta,
+                 const Tensor& c, const std::string& tag, const GemmCharge* charge) {
+  const GemmLaunch g = gemm_launch(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, tag, charge);
+  device.launch(g.desc, g.body);
 }
 
 void device_gemm_batched(simgpu::Device& device, bool trans_a, bool trans_b, int64_t m,

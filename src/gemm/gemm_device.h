@@ -2,6 +2,7 @@
 // simulated device for one cuBLAS launch with shape-dependent utilisation.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "simgpu/device.h"
@@ -18,10 +19,29 @@ struct GemmCharge {
   int64_t m = 0, n = 0, k = 0, batch = 1;
 };
 
-/// C = alpha * op(A) @ op(B) + beta * C on the simulated device. A/B/C must
-/// share one dtype (kF32 or kF16); FP16 GEMM is charged at tensor-core
+/// One GEMM launch as a value: the descriptor the device is charged and the
+/// host body that computes C. device_gemm launches it as it is; a fused
+/// kernel that runs element-wise work over C in the same launch (an
+/// epilogue, kern::fused) runs the body first and adds its own charge.
+struct GemmLaunch {
+  simgpu::KernelDesc desc;
+  Tensor c;  ///< the output the body writes
+  /// The share of C's elements the charged GEMM writes: 1, or the shard's
+  /// share under a GemmCharge (1/tp for a column-parallel output).
+  double c_share = 1.0;
+  std::function<void()> body;
+};
+
+/// C = alpha * op(A) @ op(B) + beta * C as a GemmLaunch. A/B/C must share
+/// one dtype (kF32 or kF16); FP16 GEMM is charged at tensor-core
 /// throughput. `tag` names the launch in per-kernel stats. `charge`
 /// (optional) substitutes shard shapes into the cost model.
+GemmLaunch gemm_launch(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                       float alpha, const Tensor& a, const Tensor& b, float beta,
+                       const Tensor& c, const std::string& tag = "cublas.gemm",
+                       const GemmCharge* charge = nullptr);
+
+/// Launches gemm_launch(...) on the simulated device.
 void device_gemm(simgpu::Device& device, bool trans_a, bool trans_b, int64_t m, int64_t n,
                  int64_t k, float alpha, const Tensor& a, const Tensor& b, float beta,
                  const Tensor& c, const std::string& tag = "cublas.gemm",

@@ -193,6 +193,13 @@ void zero(KernelContext& kc, const Tensor& y) {
 namespace fused {
 
 namespace {
+// The chain's input must be the output its producing GEMM writes.
+void check_gemm_output(const gemm::GemmLaunch* gemm, const Tensor& in) {
+  LS2_CHECK(gemm == nullptr || (gemm->c.raw() == in.raw() && gemm->c.numel() == in.numel() &&
+                                gemm->c.dtype() == in.dtype()))
+      << "an epilogue's input must be its GEMM's output";
+}
+
 // Shared body for bias + activation + dropout forward.
 template <typename T, typename Act>
 void bias_act_dropout_body(const Tensor& x, const Tensor& bias, const Tensor& y,
@@ -235,75 +242,91 @@ void bias_act_dropout_bw_body(const Tensor& dy, const Tensor& mask, const Tensor
 }  // namespace
 
 void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
-                          const Tensor& y, const Tensor& mask, float p, uint64_t stream) {
+                          const Tensor& y, const Tensor& mask, float p, uint64_t stream,
+                          const gemm::GemmLaunch* gemm) {
   LS2_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
+  check_gemm_output(gemm, x);
   // Baked by value at launch time so a captured graph node replays the
   // microbatch's own mask slice (KernelContext::microbatch).
   const uint64_t mb_off = kc.microbatch * static_cast<uint64_t>(x.numel());
-  kc.dev.launch(ew_desc("ls2.bias_relu_dropout_fw", x.bytes() + bias.bytes(),
-                        y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
-                [&, p, stream, mb_off] {
-                  LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                    bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream, mb_off,
-                                             [](float v) { return v > 0.0f ? v : 0.0f; });
-                  });
-                });
+  detail::launch_epilogue(kc,
+                          ew_desc("ls2.bias_relu_dropout_fw", x.bytes() + bias.bytes(),
+                                  y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
+                          gemm, y, [&, p, stream, mb_off] {
+                            LS2_DISPATCH_FLOAT(x.dtype(), T, {
+                              bias_act_dropout_body<T>(
+                                  x, bias, y, mask, p, kc.rng, stream, mb_off,
+                                  [](float v) { return v > 0.0f ? v : 0.0f; });
+                            });
+                          });
 }
 
 void bias_relu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
                           const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
-                          const Tensor& dbias) {
+                          const Tensor& dbias, const gemm::GemmLaunch* gemm) {
+  check_gemm_output(gemm, dy);
   detail::launch_folding_bias_grad(
       kc,
       ew_desc("ls2.bias_relu_dropout_bw", dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(),
               dx.bytes(), x.numel(), 4.0, kFusedEff),
-      dx, dbias, [&, p] {
+      dx, dbias,
+      [&, p] {
         LS2_DISPATCH_FLOAT(x.dtype(), T, {
           bias_act_dropout_bw_body<T>(dy, mask, x, bias, dx, p,
                                       [](float pre) { return pre > 0.0f ? 1.0f : 0.0f; });
         });
-      });
+      },
+      gemm);
 }
 
 void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
-                          const Tensor& y, const Tensor& mask, float p, uint64_t stream) {
+                          const Tensor& y, const Tensor& mask, float p, uint64_t stream,
+                          const gemm::GemmLaunch* gemm) {
   LS2_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
+  check_gemm_output(gemm, x);
   const uint64_t mb_off = kc.microbatch * static_cast<uint64_t>(x.numel());
-  kc.dev.launch(ew_desc("ls2.bias_gelu_dropout_fw", x.bytes() + bias.bytes(),
-                        y.bytes() + mask.bytes(), x.numel(), 12.0, kFusedEff),
-                [&, p, stream, mb_off] {
-                  LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                    bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream, mb_off,
-                                             gelu_scalar);
-                  });
-                });
+  detail::launch_epilogue(kc,
+                          ew_desc("ls2.bias_gelu_dropout_fw", x.bytes() + bias.bytes(),
+                                  y.bytes() + mask.bytes(), x.numel(), 12.0, kFusedEff),
+                          gemm, y, [&, p, stream, mb_off] {
+                            LS2_DISPATCH_FLOAT(x.dtype(), T, {
+                              bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream,
+                                                       mb_off, gelu_scalar);
+                            });
+                          });
 }
 
 void bias_gelu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
                           const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
-                          const Tensor& dbias) {
+                          const Tensor& dbias, const gemm::GemmLaunch* gemm) {
+  check_gemm_output(gemm, dy);
   detail::launch_folding_bias_grad(
       kc,
       ew_desc("ls2.bias_gelu_dropout_bw", dy.bytes() + mask.bytes() + x.bytes() + bias.bytes(),
               dx.bytes(), x.numel(), 16.0, kFusedEff),
-      dx, dbias, [&, p] {
+      dx, dbias,
+      [&, p] {
         LS2_DISPATCH_FLOAT(x.dtype(), T, {
           bias_act_dropout_bw_body<T>(dy, mask, x, bias, dx, p, gelu_grad_scalar);
         });
-      });
+      },
+      gemm);
 }
 
 void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
                               const Tensor& residual, const Tensor& y, const Tensor& mask,
-                              float p, uint64_t stream) {
+                              float p, uint64_t stream, const gemm::GemmLaunch* gemm) {
   LS2_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
   LS2_CHECK_EQ(x.numel(), residual.numel());
   const Shape flat = x.shape().flatten_2d();
   const int64_t cols = flat[1];
   LS2_CHECK_EQ(bias.numel(), cols);
-  kc.dev.launch(
+  check_gemm_output(gemm, x);
+  detail::launch_epilogue(
+      kc,
       ew_desc("ls2.bias_dropout_residual_fw", x.bytes() + bias.bytes() + residual.bytes(),
               y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
+      gemm, y,
       [&, p, stream, cols, mb_off = kc.microbatch * static_cast<uint64_t>(x.numel())] {
         LS2_DISPATCH_FLOAT(x.dtype(), T, {
           const float keep_scale = 1.0f / (1.0f - p);
@@ -312,6 +335,7 @@ void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& 
           const T* rp = residual.data<T>();
           T* yp = y.data<T>();
           uint8_t* mp = mask.data<uint8_t>();
+          // y may be x (an epilogue in place): each index reads x first.
           parallel_for(0, x.numel(), [&](int64_t i) {
             const float v = static_cast<float>(xp[i]) + static_cast<float>(bp[i % cols]);
             const uint8_t keep =
@@ -379,13 +403,14 @@ void bias_grad(KernelContext& kc, const Tensor& dx, const Tensor& dbias) {
 
 namespace detail {
 
-void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
-                              const std::vector<BiasFold>& folds,
-                              const std::function<void()>& body) {
-  if (folds.empty()) {
-    kc.dev.launch(d, body);
-    return;
-  }
+namespace {
+
+// The folds' charge joins `d` (launch_folding_bias_grad's rule); returns the
+// body that runs `body` and then the folds' column sums.
+std::function<void()> fold_into(KernelContext& kc, simgpu::KernelDesc& d,
+                                const std::vector<BiasFold>& folds,
+                                const std::function<void()>& body) {
+  if (folds.empty()) return body;
   // The reductions ride in registers: no second read of the rows, one write
   // of each dbias, and LightSeq2's 128-row column tile sets the launch's
   // occupancy.
@@ -411,23 +436,61 @@ void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
                                                      kc.dev.profile().resident_threads));
     tile_cols = 0;
   }
-  kc.dev.launch(d, [&] {
+  return [&folds, &body] {
     body();
     for (const BiasFold& fold : folds) {
       const Shape flat = fold.rows.shape().flatten_2d();
       column_sum_body(fold.rows, flat[1], fold.col, fold.dbias, flat[0]);
     }
-  });
+  };
+}
+
+}  // namespace
+
+void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
+                              const std::vector<BiasFold>& folds,
+                              const std::function<void()>& body) {
+  const std::function<void()> run = fold_into(kc, d, folds, body);
+  kc.dev.launch(d, run);
 }
 
 void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
-                              const Tensor& dbias, const std::function<void()>& body) {
+                              const Tensor& dbias, const std::function<void()>& body,
+                              const gemm::GemmLaunch* gemm) {
   LS2_CHECK(!dbias.defined() || dbias.numel() == dx.shape().flatten_2d()[1])
       << "dbias must have one element per column of dx";
-  launch_folding_bias_grad(kc, std::move(d),
-                           dbias.defined() ? std::vector<BiasFold>{{dx, dbias}}
-                                           : std::vector<BiasFold>{},
-                           body);
+  const std::vector<BiasFold> folds =
+      dbias.defined() ? std::vector<BiasFold>{{dx, dbias}} : std::vector<BiasFold>{};
+  const std::function<void()> run = fold_into(kc, d, folds, body);
+  launch_epilogue(kc, d, gemm, dx, run);
+}
+
+void launch_epilogue(KernelContext& kc, const simgpu::KernelDesc& d,
+                     const gemm::GemmLaunch* gemm, const Tensor& dst,
+                     const std::function<void()>& body) {
+  if (gemm == nullptr) {
+    kc.dev.launch(d, body);
+    return;
+  }
+  LS2_CHECK(kc.dev.charge_scale() == 1.0)
+      << d.name << " as the epilogue of " << gemm->desc.name
+      << ": the GEMM carries its shard charge; no charge scale may be active";
+  const int64_t c_bytes = static_cast<int64_t>(gemm->c.bytes());
+  const bool in_place = dst.raw() == gemm->c.raw();
+  const double s = gemm->c_share;
+  // TpChargeScale's rounding (simgpu::Device), applied to the chain's part.
+  auto at_share = [s](int64_t bytes) {
+    return static_cast<int64_t>(static_cast<double>(bytes) * s);
+  };
+  simgpu::KernelDesc f = gemm->desc;
+  f.bytes_read += at_share(d.bytes_read - c_bytes);
+  f.bytes_written += at_share(d.bytes_written - (in_place ? c_bytes : 0));
+  f.flops += d.flops * s;
+  f.mem_efficiency = std::min(f.mem_efficiency, d.mem_efficiency);
+  kc.dev.launch(f, [&] {
+    gemm->body();
+    body();
+  });
 }
 
 }  // namespace detail

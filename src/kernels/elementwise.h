@@ -7,7 +7,11 @@
 // element-wise ops collapse into one launch with one read and one write —
 // e.g. "bias adding & dropout & residual" is a single kernel. Their backward
 // kernels can also reduce the bias gradient in the same pass (an optional
-// `dbias`; see bias_grad).
+// `dbias`; see bias_grad). Handed the GEMM that produces their input (a
+// gemm::GemmLaunch whose output is that input), the bias chains run as the
+// GEMM's epilogue: one launch under the GEMM's tag that computes the GEMM
+// and then the chain over its output, which never makes a second trip
+// through device memory (detail::launch_epilogue).
 //
 // All kernels accept f32 or f16 tensors; f16 math is performed in f32
 // registers (on-the-fly conversion).
@@ -16,6 +20,7 @@
 #include <functional>
 #include <vector>
 
+#include "gemm/gemm_device.h"
 #include "kernels/dropout.h"  // Impl
 #include "kernels/kernel_context.h"
 
@@ -46,26 +51,34 @@ void zero(KernelContext& kc, const Tensor& y);
 
 namespace fused {
 
+// Every bias chain takes an optional `gemm`, the GEMM whose output is the
+// chain's input (x forward, dy backward): given one, the chain runs as that
+// GEMM's epilogue (detail::launch_epilogue). Where the chain's output is the
+// GEMM's output buffer, it overwrites it in place.
+
 /// y = dropout(relu(x + bias)); writes the mask for backward.
 void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
-                          const Tensor& y, const Tensor& mask, float p, uint64_t stream);
+                          const Tensor& y, const Tensor& mask, float p, uint64_t stream,
+                          const gemm::GemmLaunch* gemm = nullptr);
 /// dx = dy * mask/(1-p) * relu'(x + bias); x is the stored GEMM output.
 /// A defined `dbias` also accumulates bias_grad(dx) in the same launch.
 void bias_relu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
                           const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
-                          const Tensor& dbias = {});
+                          const Tensor& dbias = {}, const gemm::GemmLaunch* gemm = nullptr);
 
 /// y = dropout(gelu(x + bias)).
 void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
-                          const Tensor& y, const Tensor& mask, float p, uint64_t stream);
+                          const Tensor& y, const Tensor& mask, float p, uint64_t stream,
+                          const gemm::GemmLaunch* gemm = nullptr);
 void bias_gelu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
                           const Tensor& x, const Tensor& bias, const Tensor& dx, float p,
-                          const Tensor& dbias = {});
+                          const Tensor& dbias = {}, const gemm::GemmLaunch* gemm = nullptr);
 
 /// y = residual + dropout(x + bias) — the last kernel of each sublayer.
 void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
                               const Tensor& residual, const Tensor& y, const Tensor& mask,
-                              float p, uint64_t stream);
+                              float p, uint64_t stream,
+                              const gemm::GemmLaunch* gemm = nullptr);
 /// dx = dy * mask/(1-p). (The residual branch's gradient is dy itself.)
 /// A defined `dbias` also accumulates bias_grad(dx) in the same launch.
 void bias_dropout_residual_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
@@ -102,8 +115,26 @@ void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
                               const std::vector<BiasFold>& folds,
                               const std::function<void()>& body);
 /// The one-fold case over all of dx; an undefined `dbias` folds nothing.
+/// With `gemm` the launch is that GEMM's epilogue (launch_epilogue), the
+/// folds' charge part of the chain's.
 void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
-                              const Tensor& dbias, const std::function<void()>& body);
+                              const Tensor& dbias, const std::function<void()>& body,
+                              const gemm::GemmLaunch* gemm = nullptr);
+
+/// Launch `body`, an element-wise chain described by `d` that writes `dst`.
+/// Without `gemm`, one launch of its own. With the GEMM that produces the
+/// chain's input (gemm->c), the GEMM's epilogue: ONE launch under the
+/// GEMM's tag whose body runs the GEMM's body, which rounds C to its dtype,
+/// and then `body` over C — bitwise the two-launch chain. It is charged the
+/// GEMM's descriptor plus d's bytes and flops at the GEMM's share of C (the
+/// 1/tp that TpChargeScale charges a standalone chain on a shard), less the
+/// chain's re-read of C, which stays on chip. Where dst is C the chain runs
+/// in place and the GEMM's store of C is the chain's store, charged once.
+/// The launch runs at the lower of the two memory efficiencies. A GEMM
+/// carries its own shard charge, so no charge scale may be active.
+void launch_epilogue(KernelContext& kc, const simgpu::KernelDesc& d,
+                     const gemm::GemmLaunch* gemm, const Tensor& dst,
+                     const std::function<void()>& body);
 
 }  // namespace detail
 

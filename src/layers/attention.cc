@@ -58,6 +58,10 @@ class BackwardTemps {
 
 bool attention_reads_rows(const Policy& policy) { return policy.system == System::kLightSeq2; }
 
+bool gemm_epilogues(const Policy& policy) {
+  return policy.system == System::kLightSeq2 && policy.fused_elementwise;
+}
+
 AttentionCore::AttentionCore(ParamRegistry& params, const std::string& prefix,
                              AttentionConfig cfg)
     : cfg_(cfg), params_(&params) {
@@ -152,16 +156,27 @@ Tensor AttentionCore::output(LayerContext& ctx, const Tensor& merged, const Tens
 
   // Output projection (row-parallel by heads: every rank computes a
   // full-size partial, summed by the TP ring) + bias/dropout/residual.
-  // Serving's unfused chain has no dropout stage.
-  Tensor out = ctx.alloc({B, Lq, H}, dt);
-  tp_linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj", TpSplit::kRow);
-  if (ctx.tp_size() > 1) {
-    ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()),
-                             "tp.attn.allreduce");
+  // Without TP, LightSeq2 runs the chain as the projection's epilogue, in
+  // place over y. Serving's unfused chain has no dropout stage.
+  const bool epilogue = gemm_epilogues(pol) && ctx.tp_size() == 1;
+  Tensor out;
+  if (!epilogue) {
+    out = ctx.alloc({B, Lq, H}, dt);
+    tp_linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj", TpSplit::kRow);
+    if (ctx.tp_size() > 1) {
+      ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()),
+                               "tp.attn.allreduce");
+    }
   }
   Tensor y = ctx.alloc({B, Lq, H}, dt);
   Tensor mask = ctx.alloc({B, Lq, H}, DType::kU8);
-  if (pol.fused_elementwise) {
+  if (epilogue) {
+    const gemm::GemmLaunch proj =
+        tp_linear_fw_gemm(ctx, merged, w_out_.value(ctx), y, "attn.out_proj", TpSplit::kRow);
+    kern::fused::bias_dropout_residual_fw(ctx.kern, y, params_->value(b_out_), residual, y,
+                                          mask, ctx.dropout(cfg_.out_dropout),
+                                          ctx.kern.next_dropout_stream(), &proj);
+  } else if (pol.fused_elementwise) {
     kern::fused::bias_dropout_residual_fw(ctx.kern, out, params_->value(b_out_), residual, y,
                                           mask, ctx.dropout(cfg_.out_dropout),
                                           ctx.kern.next_dropout_stream());

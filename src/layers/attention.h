@@ -17,7 +17,9 @@
 // launch: no head split or merge, no [B, N, Lq, Lk] scores, probabilities
 // or dropout mask in device memory. The backward's memory is one
 // shared-block plan (Fig. 8): the output-dropout and head-merged gradients,
-// then the projection-gradient rows attn_bw writes. The baselines split the
+// then the projection-gradient rows attn_bw writes. Without TP the output
+// projection and its bias + dropout + residual chain are one launch too
+// (gemm_epilogues). The baselines split the
 // projections into head layout, run the unfused chain of their released
 // kernels, merge the gradients back, and allocate each temporary
 // individually from the dynamic allocator.
@@ -61,6 +63,15 @@ struct AttentionConfig {
 /// back around their chain.
 bool attention_reads_rows(const Policy& policy);
 
+/// Whether the policy runs its bias/activation/dropout(/residual) chains as
+/// epilogues of the GEMMs that produce their inputs (LightSeq2): FFN fc1
+/// with its activation chain and fc2's dx GEMM with that chain's backward at
+/// every TP degree; fc2 and the attention output projection with their
+/// residual chains at TP = 1, where no all-reduce sits between GEMM and
+/// chain. The baselines launch GEMM and chain apart, as their released
+/// kernels do.
+bool gemm_epilogues(const Policy& policy);
+
 /// Shared core: scores -> masked softmax -> dropout -> context -> merge ->
 /// output projection -> bias+dropout+residual. Owns W_out/b_out. Under
 /// LightSeq2 everything before the output projection is one kern::attn_fw
@@ -75,9 +86,9 @@ class AttentionCore {
                  const kern::AttnOperand& v, const Tensor& residual, const Tensor* key_lens);
 
   /// Epilogue of forward: output projection of the head-merged context
-  /// `merged` [B, Lq, H], then bias + dropout + residual; `out_mask`
-  /// receives the dropout mask. A cached batch feeds it kern::paged_attn's
-  /// output directly.
+  /// `merged` [B, Lq, H], then bias + dropout + residual — one launch under
+  /// gemm_epilogues without TP; `out_mask` receives the dropout mask. A
+  /// cached batch feeds it kern::paged_attn's output directly.
   Tensor output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
                 Tensor* out_mask = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include "kernels/elementwise.h"
 #include "kernels/layernorm.h"
+#include "layers/attention.h"  // gemm_epilogues
 #include "layers/linear.h"
 
 namespace ls2::layers {
@@ -41,24 +42,27 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
                      params_->value(ln_beta_), ln, mean, rstd);
 
   // fc1 is column-parallel over ffn_dim: h1/a live sharded on a real TP
-  // rank, and the bias+activation+dropout chain runs at shard width.
+  // rank, and the bias+activation+dropout chain runs at shard width. Under
+  // gemm_epilogues the chain is fc1's epilogue at every TP degree; the GEMM
+  // still stores h1, which the activation backward reads.
+  const bool epilogues = gemm_epilogues(pol);
+  const auto act_fw = cfg_.activation == Activation::kRelu ? &kern::fused::bias_relu_dropout_fw
+                                                           : &kern::fused::bias_gelu_dropout_fw;
   Tensor h1 = ctx.alloc_shard({B, L, F}, dt);
-  tp_linear_fw(ctx, ln, w1_.value(ctx), h1, "ffn.fc1", TpSplit::kColumn);
+  const gemm::GemmLaunch fc1 =
+      tp_linear_fw_gemm(ctx, ln, w1_.value(ctx), h1, "ffn.fc1", TpSplit::kColumn);
+  if (!epilogues) ctx.device().launch(fc1.desc, fc1.body);
 
   Tensor a = ctx.alloc_shard({B, L, F}, dt);
   Tensor act_mask = masks ? ctx.alloc_shard({B, L, F}, DType::kU8) : Tensor();
-  {
+  if (epilogues) {
+    act_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask, ctx.dropout(cfg_.act_dropout),
+           ctx.kern.next_dropout_stream(), &fc1);
+  } else {
     TpChargeScale tp_scale(ctx);
     if (pol.fused_elementwise) {
-      if (cfg_.activation == Activation::kRelu) {
-        kern::fused::bias_relu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask,
-                                          ctx.dropout(cfg_.act_dropout),
-                                          ctx.kern.next_dropout_stream());
-      } else {
-        kern::fused::bias_gelu_dropout_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask,
-                                          ctx.dropout(cfg_.act_dropout),
-                                          ctx.kern.next_dropout_stream());
-      }
+      act_fw(ctx.kern, h1, b1_.value(ctx), a, act_mask, ctx.dropout(cfg_.act_dropout),
+             ctx.kern.next_dropout_stream(), nullptr);
     } else {
       // Framework decomposition; h1 is overwritten with h1+b1 so the same
       // buffer feeds the activation backward (as PyTorch's autograd saves it).
@@ -79,17 +83,30 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
   if (!training) act_mask = Tensor();
 
   // fc2 is row-parallel: every rank holds a full-size partial of h2 and the
-  // TP all-reduce sums them (in rank order — bitwise the full GEMM).
-  Tensor h2 = ctx.alloc({B, L, H}, dt);
-  tp_linear_fw(ctx, a, w2_.value(ctx), h2, "ffn.fc2", TpSplit::kRow);
-  if (ctx.tp_size() > 1) {
-    ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(h2.bytes()),
-                             "tp.ffn.allreduce");
+  // TP all-reduce sums them (in rank order — bitwise the full GEMM). Without
+  // TP, gemm_epilogues has the GEMM write y and runs the
+  // bias+dropout+residual chain over it in place; under TP the all-reduce
+  // sits between the two.
+  const bool fc2_epilogue = epilogues && ctx.tp_size() == 1;
+  Tensor h2;
+  if (!fc2_epilogue) {
+    h2 = ctx.alloc({B, L, H}, dt);
+    tp_linear_fw(ctx, a, w2_.value(ctx), h2, "ffn.fc2", TpSplit::kRow);
+    if (ctx.tp_size() > 1) {
+      ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(h2.bytes()),
+                               "tp.ffn.allreduce");
+    }
   }
 
   Tensor y = ctx.alloc({B, L, H}, dt);
   Tensor out_mask = masks ? ctx.alloc({B, L, H}, DType::kU8) : Tensor();
-  if (pol.fused_elementwise) {
+  if (fc2_epilogue) {
+    const gemm::GemmLaunch fc2 =
+        tp_linear_fw_gemm(ctx, a, w2_.value(ctx), y, "ffn.fc2", TpSplit::kRow);
+    kern::fused::bias_dropout_residual_fw(ctx.kern, y, params_->value(b2_), x, y, out_mask,
+                                          ctx.dropout(cfg_.out_dropout),
+                                          ctx.kern.next_dropout_stream(), &fc2);
+  } else if (pol.fused_elementwise) {
     kern::fused::bias_dropout_residual_fw(ctx.kern, h2, params_->value(b2_), x, y, out_mask,
                                           ctx.dropout(cfg_.out_dropout),
                                           ctx.kern.next_dropout_stream());
@@ -131,28 +148,42 @@ Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {
   if (!fold) kern::bias_grad(ctx.kern, dh2, db2);
 
   // fc2 (row-parallel) backward is fully local: da is the rank's ffn_dim
-  // slice, dW2 its column shard.
-  Tensor da = ctx.alloc_shard({B, L, F}, dt);
-  {
+  // slice, dW2 its column shard. Under gemm_epilogues the dx GEMM writes
+  // dh1 and the activation chain's backward runs over it in place as the
+  // GEMM's epilogue, at every TP degree; otherwise the GEMM writes da for a
+  // launch of its own (shard width under TP).
+  const auto act_bw = cfg_.activation == Activation::kRelu ? &kern::fused::bias_relu_dropout_bw
+                                                           : &kern::fused::bias_gelu_dropout_bw;
+  Tensor da, dh1;  // held to the end of backward, as the baselines' allocator sees them
+  if (gemm_epilogues(pol)) {
+    dh1 = ctx.alloc_shard({B, L, F}, dt);
+    {
+      auto db1 = b1_.grad(ctx);
+      const gemm::GemmLaunch fc2_dx =
+          tp_linear_bw_dx_gemm(ctx, dh2, w2_.value(ctx), dh1, "ffn.fc2", TpSplit::kRow);
+      act_bw(ctx.kern, dh1, s.act_mask, s.h1, b1_.value(ctx), dh1, cfg_.act_dropout,
+             fold ? db1.tensor() : Tensor(), &fc2_dx);
+      if (!fold) {
+        TpChargeScale tp_scale(ctx);
+        kern::bias_grad(ctx.kern, dh1, db1.tensor());
+      }
+    }
     auto dw2 = w2_.grad(ctx);
-    tp_linear_bw(ctx, dh2, s.a, w2_.value(ctx), da, dw2.tensor(), "ffn.fc2",
+    tp_linear_bw(ctx, dh2, s.a, w2_.value(ctx), /*dx=*/Tensor(), dw2.tensor(), "ffn.fc2",
                  TpSplit::kRow);
-  }
-
-  // Through activation + dropout (shard width under TP).
-  Tensor dh1 = ctx.alloc_shard({B, L, F}, dt);
-  {
+  } else {
+    da = ctx.alloc_shard({B, L, F}, dt);
+    {
+      auto dw2 = w2_.grad(ctx);
+      tp_linear_bw(ctx, dh2, s.a, w2_.value(ctx), da, dw2.tensor(), "ffn.fc2",
+                   TpSplit::kRow);
+    }
+    dh1 = ctx.alloc_shard({B, L, F}, dt);
     TpChargeScale tp_scale(ctx);
     auto db1 = b1_.grad(ctx);
     if (pol.fused_elementwise) {
-      const Tensor folded = fold ? db1.tensor() : Tensor();
-      if (cfg_.activation == Activation::kRelu) {
-        kern::fused::bias_relu_dropout_bw(ctx.kern, da, s.act_mask, s.h1, b1_.value(ctx),
-                                          dh1, cfg_.act_dropout, folded);
-      } else {
-        kern::fused::bias_gelu_dropout_bw(ctx.kern, da, s.act_mask, s.h1, b1_.value(ctx),
-                                          dh1, cfg_.act_dropout, folded);
-      }
+      act_bw(ctx.kern, da, s.act_mask, s.h1, b1_.value(ctx), dh1, cfg_.act_dropout,
+             fold ? db1.tensor() : Tensor(), nullptr);
     } else {
       Tensor t = ctx.alloc_shard({B, L, F}, dt);
       kern::dropout_bw(ctx.kern, pol.elementwise, da, s.act_mask, t, cfg_.act_dropout);

@@ -1,7 +1,10 @@
 // Position-wise feed-forward sublayer (pre-LN, residual inside):
 //   y = x + Dropout(W2 · Dropout(Act(W1 · LN(x) + b1)) + b2)
 // LightSeq2 fuses {bias, activation, dropout} after the first GEMM and
-// {bias, dropout, residual} after the second into single kernels (Fig. 4).
+// {bias, dropout, residual} after the second into single kernels (Fig. 4),
+// and runs each as the epilogue of the GEMM before it (gemm_epilogues):
+// fc1 and its chain, fc2's dx GEMM and that chain's backward, and, without
+// TP, fc2 and the residual chain are one launch each.
 // Serving runs forward inside a LayerContext::InferenceScope: dropout at
 // p = 0 (the unfused chains skip it), nothing saved.
 #pragma once

@@ -5,6 +5,7 @@
 // adjacent element-wise kernel (Fig. 4), so the GEMM never adds it.
 #pragma once
 
+#include "gemm/gemm_device.h"
 #include "layers/layer_context.h"
 #include "tensor/tensor.h"
 
@@ -41,5 +42,16 @@ void tp_linear_fw(LayerContext& ctx, const Tensor& x, const Tensor& w, const Ten
 void tp_linear_bw(LayerContext& ctx, const Tensor& dy, const Tensor& x, const Tensor& w,
                   const Tensor& dx, const Tensor& dw, const std::string& tag,
                   TpSplit split);
+
+/// The GEMM tp_linear_fw launches, and the dx GEMM tp_linear_bw launches,
+/// as values (shard charge included): for a kernel that runs its chain as
+/// the GEMM's epilogue (kern::fused). A caller that fuses the dx GEMM
+/// passes tp_linear_bw an undefined dx; only a kRow dx, which needs no
+/// all-reduce, may be fused.
+gemm::GemmLaunch tp_linear_fw_gemm(LayerContext& ctx, const Tensor& x, const Tensor& w,
+                                   const Tensor& y, const std::string& tag, TpSplit split);
+gemm::GemmLaunch tp_linear_bw_dx_gemm(LayerContext& ctx, const Tensor& dy, const Tensor& w,
+                                      const Tensor& dx, const std::string& tag,
+                                      TpSplit split);
 
 }  // namespace ls2::layers
