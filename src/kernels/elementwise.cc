@@ -47,6 +47,37 @@ void check_same_numel(const Tensor& a, const Tensor& b) {
   LS2_CHECK(a.dtype() == b.dtype()) << "dtype mismatch";
 }
 
+// Launch `body`, an element-wise chain described by `d` that writes `dst`:
+// on its own, or as the epilogue of `gemm` (fused:: in elementwise.h gives
+// the charge rule).
+void launch_epilogue(KernelContext& kc, const simgpu::KernelDesc& d,
+                     const gemm::GemmLaunch* gemm, const Tensor& dst,
+                     const std::function<void()>& body) {
+  if (gemm == nullptr) {
+    kc.dev.launch(d, body);
+    return;
+  }
+  LS2_CHECK(kc.dev.charge_scale() == 1.0)
+      << d.name << " as the epilogue of " << gemm->desc.name
+      << ": the GEMM carries its shard charge; no charge scale may be active";
+  const int64_t c_bytes = static_cast<int64_t>(gemm->c.bytes());
+  const bool in_place = dst.raw() == gemm->c.raw();
+  const double s = gemm->c_share;
+  // TpChargeScale's rounding (simgpu::Device), applied to the chain's part.
+  auto at_share = [s](int64_t bytes) {
+    return static_cast<int64_t>(static_cast<double>(bytes) * s);
+  };
+  simgpu::KernelDesc f = gemm->desc;
+  f.bytes_read += at_share(d.bytes_read - c_bytes);
+  f.bytes_written += at_share(d.bytes_written - (in_place ? c_bytes : 0));
+  f.flops += d.flops * s;
+  f.mem_efficiency = std::min(f.mem_efficiency, d.mem_efficiency);
+  kc.dev.launch(f, [&] {
+    gemm->body();
+    body();
+  });
+}
+
 void add_body(const Tensor& a, const Tensor& b, const Tensor& y) {
   LS2_DISPATCH_FLOAT(a.dtype(), T, {
     const T* ap = a.data<T>();
@@ -249,16 +280,15 @@ void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias
   // Baked by value at launch time so a captured graph node replays the
   // microbatch's own mask slice (KernelContext::microbatch).
   const uint64_t mb_off = kc.microbatch * static_cast<uint64_t>(x.numel());
-  detail::launch_epilogue(kc,
-                          ew_desc("ls2.bias_relu_dropout_fw", x.bytes() + bias.bytes(),
-                                  y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
-                          gemm, y, [&, p, stream, mb_off] {
-                            LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                              bias_act_dropout_body<T>(
-                                  x, bias, y, mask, p, kc.rng, stream, mb_off,
-                                  [](float v) { return v > 0.0f ? v : 0.0f; });
-                            });
-                          });
+  launch_epilogue(kc,
+                  ew_desc("ls2.bias_relu_dropout_fw", x.bytes() + bias.bytes(),
+                          y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
+                  gemm, y, [&, p, stream, mb_off] {
+                    LS2_DISPATCH_FLOAT(x.dtype(), T, {
+                      bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream, mb_off,
+                                               [](float v) { return v > 0.0f ? v : 0.0f; });
+                    });
+                  });
 }
 
 void bias_relu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
@@ -285,15 +315,15 @@ void bias_gelu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias
   LS2_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
   check_gemm_output(gemm, x);
   const uint64_t mb_off = kc.microbatch * static_cast<uint64_t>(x.numel());
-  detail::launch_epilogue(kc,
-                          ew_desc("ls2.bias_gelu_dropout_fw", x.bytes() + bias.bytes(),
-                                  y.bytes() + mask.bytes(), x.numel(), 12.0, kFusedEff),
-                          gemm, y, [&, p, stream, mb_off] {
-                            LS2_DISPATCH_FLOAT(x.dtype(), T, {
-                              bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream,
-                                                       mb_off, gelu_scalar);
-                            });
-                          });
+  launch_epilogue(kc,
+                  ew_desc("ls2.bias_gelu_dropout_fw", x.bytes() + bias.bytes(),
+                          y.bytes() + mask.bytes(), x.numel(), 12.0, kFusedEff),
+                  gemm, y, [&, p, stream, mb_off] {
+                    LS2_DISPATCH_FLOAT(x.dtype(), T, {
+                      bias_act_dropout_body<T>(x, bias, y, mask, p, kc.rng, stream, mb_off,
+                                               gelu_scalar);
+                    });
+                  });
 }
 
 void bias_gelu_dropout_bw(KernelContext& kc, const Tensor& dy, const Tensor& mask,
@@ -322,7 +352,7 @@ void bias_dropout_residual_fw(KernelContext& kc, const Tensor& x, const Tensor& 
   const int64_t cols = flat[1];
   LS2_CHECK_EQ(bias.numel(), cols);
   check_gemm_output(gemm, x);
-  detail::launch_epilogue(
+  launch_epilogue(
       kc,
       ew_desc("ls2.bias_dropout_residual_fw", x.bytes() + bias.bytes() + residual.bytes(),
               y.bytes() + mask.bytes(), x.numel(), 4.0, kFusedEff),
@@ -463,34 +493,6 @@ void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Ten
       dbias.defined() ? std::vector<BiasFold>{{dx, dbias}} : std::vector<BiasFold>{};
   const std::function<void()> run = fold_into(kc, d, folds, body);
   launch_epilogue(kc, d, gemm, dx, run);
-}
-
-void launch_epilogue(KernelContext& kc, const simgpu::KernelDesc& d,
-                     const gemm::GemmLaunch* gemm, const Tensor& dst,
-                     const std::function<void()>& body) {
-  if (gemm == nullptr) {
-    kc.dev.launch(d, body);
-    return;
-  }
-  LS2_CHECK(kc.dev.charge_scale() == 1.0)
-      << d.name << " as the epilogue of " << gemm->desc.name
-      << ": the GEMM carries its shard charge; no charge scale may be active";
-  const int64_t c_bytes = static_cast<int64_t>(gemm->c.bytes());
-  const bool in_place = dst.raw() == gemm->c.raw();
-  const double s = gemm->c_share;
-  // TpChargeScale's rounding (simgpu::Device), applied to the chain's part.
-  auto at_share = [s](int64_t bytes) {
-    return static_cast<int64_t>(static_cast<double>(bytes) * s);
-  };
-  simgpu::KernelDesc f = gemm->desc;
-  f.bytes_read += at_share(d.bytes_read - c_bytes);
-  f.bytes_written += at_share(d.bytes_written - (in_place ? c_bytes : 0));
-  f.flops += d.flops * s;
-  f.mem_efficiency = std::min(f.mem_efficiency, d.mem_efficiency);
-  kc.dev.launch(f, [&] {
-    gemm->body();
-    body();
-  });
 }
 
 }  // namespace detail

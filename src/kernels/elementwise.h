@@ -11,7 +11,7 @@
 // gemm::GemmLaunch whose output is that input), the bias chains run as the
 // GEMM's epilogue: one launch under the GEMM's tag that computes the GEMM
 // and then the chain over its output, which never makes a second trip
-// through device memory (detail::launch_epilogue).
+// through device memory.
 //
 // All kernels accept f32 or f16 tensors; f16 math is performed in f32
 // registers (on-the-fly conversion).
@@ -51,10 +51,18 @@ void zero(KernelContext& kc, const Tensor& y);
 
 namespace fused {
 
-// Every bias chain takes an optional `gemm`, the GEMM whose output is the
-// chain's input (x forward, dy backward): given one, the chain runs as that
-// GEMM's epilogue (detail::launch_epilogue). Where the chain's output is the
-// GEMM's output buffer, it overwrites it in place.
+// Every bias chain takes an optional `gemm`, the GEMM whose output C is the
+// chain's input (x forward, dy backward). Given one, the chain runs as that
+// GEMM's epilogue: ONE launch under the GEMM's tag whose body runs the
+// GEMM's body, which rounds C to its dtype, and then the chain's body over
+// C, so every value is the two-launch chain's. Where the chain's output is C
+// itself, it overwrites C in place, each index reading before writing. The
+// launch is charged the GEMM's descriptor plus the chain's bytes and flops
+// at the GEMM's share of C (GemmLaunch::c_share, the 1/tp that TpChargeScale
+// charges a standalone chain on a shard), less the chain's re-read of C,
+// which stays on chip; in place, the GEMM's store of C is the chain's store,
+// charged once. It runs at the lower of the two memory efficiencies. The
+// GEMM carries its own shard charge, so no charge scale may be active.
 
 /// y = dropout(relu(x + bias)); writes the mask for backward.
 void bias_relu_dropout_fw(KernelContext& kc, const Tensor& x, const Tensor& bias,
@@ -115,26 +123,11 @@ void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d,
                               const std::vector<BiasFold>& folds,
                               const std::function<void()>& body);
 /// The one-fold case over all of dx; an undefined `dbias` folds nothing.
-/// With `gemm` the launch is that GEMM's epilogue (launch_epilogue), the
-/// folds' charge part of the chain's.
+/// With `gemm` the launch is that GEMM's epilogue (see fused::), the folds'
+/// charge part of the chain's.
 void launch_folding_bias_grad(KernelContext& kc, simgpu::KernelDesc d, const Tensor& dx,
                               const Tensor& dbias, const std::function<void()>& body,
                               const gemm::GemmLaunch* gemm = nullptr);
-
-/// Launch `body`, an element-wise chain described by `d` that writes `dst`.
-/// Without `gemm`, one launch of its own. With the GEMM that produces the
-/// chain's input (gemm->c), the GEMM's epilogue: ONE launch under the
-/// GEMM's tag whose body runs the GEMM's body, which rounds C to its dtype,
-/// and then `body` over C — bitwise the two-launch chain. It is charged the
-/// GEMM's descriptor plus d's bytes and flops at the GEMM's share of C (the
-/// 1/tp that TpChargeScale charges a standalone chain on a shard), less the
-/// chain's re-read of C, which stays on chip. Where dst is C the chain runs
-/// in place and the GEMM's store of C is the chain's store, charged once.
-/// The launch runs at the lower of the two memory efficiencies. A GEMM
-/// carries its own shard charge, so no charge scale may be active.
-void launch_epilogue(KernelContext& kc, const simgpu::KernelDesc& d,
-                     const gemm::GemmLaunch* gemm, const Tensor& dst,
-                     const std::function<void()>& body);
 
 }  // namespace detail
 

@@ -62,6 +62,43 @@ bool gemm_epilogues(const Policy& policy) {
   return policy.system == System::kLightSeq2 && policy.fused_elementwise;
 }
 
+SublayerOut residual_projection(LayerContext& ctx, const Tensor& x, const Tensor& w,
+                                const Tensor& b, const Tensor& residual, float p,
+                                bool with_mask, const std::string& tag,
+                                const std::string& allreduce_tag) {
+  const Shape& shape = residual.shape();
+  const DType dt = x.dtype();
+  const Policy& pol = ctx.policy;
+  const bool epilogue = gemm_epilogues(pol) && ctx.tp_size() == 1;
+  Tensor out;
+  if (!epilogue) {
+    out = ctx.alloc(shape, dt);
+    tp_linear_fw(ctx, x, w, out, tag, TpSplit::kRow);
+    if (ctx.tp_size() > 1) {
+      ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()), allreduce_tag);
+    }
+  }
+  SublayerOut o{ctx.alloc(shape, dt), with_mask ? ctx.alloc(shape, DType::kU8) : Tensor()};
+  if (epilogue) {
+    const gemm::GemmLaunch proj = tp_linear_fw_gemm(ctx, x, w, o.y, tag, TpSplit::kRow);
+    kern::fused::bias_dropout_residual_fw(ctx.kern, o.y, b, residual, o.y, o.mask,
+                                          ctx.dropout(p), ctx.kern.next_dropout_stream(), &proj);
+  } else if (pol.fused_elementwise) {
+    kern::fused::bias_dropout_residual_fw(ctx.kern, out, b, residual, o.y, o.mask,
+                                          ctx.dropout(p), ctx.kern.next_dropout_stream());
+  } else {
+    kern::baseline::add_bias(ctx.kern, out, b, out);
+    Tensor t = out;
+    if (ctx.training()) {
+      t = ctx.alloc(shape, dt);
+      kern::dropout_fw(ctx.kern, pol.elementwise, out, t, o.mask, p,
+                       ctx.kern.next_dropout_stream());
+    }
+    kern::baseline::add(ctx.kern, t, residual, o.y);
+  }
+  return o;
+}
+
 AttentionCore::AttentionCore(ParamRegistry& params, const std::string& prefix,
                              AttentionConfig cfg)
     : cfg_(cfg), params_(&params) {
@@ -150,48 +187,13 @@ Tensor AttentionCore::forward(LayerContext& ctx, const kern::AttnOperand& q,
 
 Tensor AttentionCore::output(LayerContext& ctx, const Tensor& merged, const Tensor& residual,
                              Tensor* out_mask) {
-  const int64_t B = merged.shape()[0], Lq = merged.shape()[1], H = merged.shape()[2];
-  const DType dt = merged.dtype();
-  const Policy& pol = ctx.policy;
-
-  // Output projection (row-parallel by heads: every rank computes a
-  // full-size partial, summed by the TP ring) + bias/dropout/residual.
-  // Without TP, LightSeq2 runs the chain as the projection's epilogue, in
-  // place over y. Serving's unfused chain has no dropout stage.
-  const bool epilogue = gemm_epilogues(pol) && ctx.tp_size() == 1;
-  Tensor out;
-  if (!epilogue) {
-    out = ctx.alloc({B, Lq, H}, dt);
-    tp_linear_fw(ctx, merged, w_out_.value(ctx), out, "attn.out_proj", TpSplit::kRow);
-    if (ctx.tp_size() > 1) {
-      ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(out.bytes()),
-                               "tp.attn.allreduce");
-    }
-  }
-  Tensor y = ctx.alloc({B, Lq, H}, dt);
-  Tensor mask = ctx.alloc({B, Lq, H}, DType::kU8);
-  if (epilogue) {
-    const gemm::GemmLaunch proj =
-        tp_linear_fw_gemm(ctx, merged, w_out_.value(ctx), y, "attn.out_proj", TpSplit::kRow);
-    kern::fused::bias_dropout_residual_fw(ctx.kern, y, params_->value(b_out_), residual, y,
-                                          mask, ctx.dropout(cfg_.out_dropout),
-                                          ctx.kern.next_dropout_stream(), &proj);
-  } else if (pol.fused_elementwise) {
-    kern::fused::bias_dropout_residual_fw(ctx.kern, out, params_->value(b_out_), residual, y,
-                                          mask, ctx.dropout(cfg_.out_dropout),
-                                          ctx.kern.next_dropout_stream());
-  } else {
-    kern::baseline::add_bias(ctx.kern, out, params_->value(b_out_), out);
-    Tensor t = out;
-    if (ctx.training()) {
-      t = ctx.alloc({B, Lq, H}, dt);
-      kern::dropout_fw(ctx.kern, pol.elementwise, out, t, mask, cfg_.out_dropout,
-                       ctx.kern.next_dropout_stream());
-    }
-    kern::baseline::add(ctx.kern, t, residual, y);
-  }
-  if (out_mask) *out_mask = mask;
-  return y;
+  // Row-parallel by heads: every rank computes a full-size partial.
+  const SublayerOut o =
+      residual_projection(ctx, merged, w_out_.value(ctx), params_->value(b_out_), residual,
+                          cfg_.out_dropout, /*with_mask=*/true, "attn.out_proj",
+                          "tp.attn.allreduce");
+  if (out_mask) *out_mask = o.mask;
+  return o.y;
 }
 
 AttentionCore::CoreGrads AttentionCore::backward(LayerContext& ctx, const Tensor& dy,

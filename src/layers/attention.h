@@ -19,10 +19,10 @@
 // shared-block plan (Fig. 8): the output-dropout and head-merged gradients,
 // then the projection-gradient rows attn_bw writes. Without TP the output
 // projection and its bias + dropout + residual chain are one launch too
-// (gemm_epilogues). The baselines split the
-// projections into head layout, run the unfused chain of their released
-// kernels, merge the gradients back, and allocate each temporary
-// individually from the dynamic allocator.
+// (gemm_epilogues). The baselines split the projections into head layout,
+// run the unfused chain of their released kernels, merge the gradients
+// back, and allocate each temporary individually from the dynamic
+// allocator.
 //
 // Serving runs the same forward inside a LayerContext::InferenceScope
 // (dropout off, nothing saved); cacheless serving reads the rows as
@@ -71,6 +71,20 @@ bool attention_reads_rows(const Policy& policy);
 /// chain. The baselines launch GEMM and chain apart, as their released
 /// kernels do.
 bool gemm_epilogues(const Policy& policy);
+
+/// A sublayer's exit, shared by AttentionCore::output and the FFN's fc2:
+/// y = residual + Dropout(x · Wᵀ + b), W row-parallel under TP (every rank
+/// a full-size partial, summed by the all-reduce `allreduce_tag` before the
+/// bias chain). Without TP, gemm_epilogues runs the chain as the GEMM's
+/// epilogue, in place over y. `mask` (u8) receives the dropout mask when
+/// `with_mask`; serving's unfused chain has no dropout stage.
+struct SublayerOut {
+  Tensor y, mask;
+};
+SublayerOut residual_projection(LayerContext& ctx, const Tensor& x, const Tensor& w,
+                                const Tensor& b, const Tensor& residual, float p,
+                                bool with_mask, const std::string& tag,
+                                const std::string& allreduce_tag);
 
 /// Shared core: scores -> masked softmax -> dropout -> context -> merge ->
 /// output projection -> bias+dropout+residual. Owns W_out/b_out. Under

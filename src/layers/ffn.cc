@@ -83,46 +83,12 @@ Tensor FeedForward::forward(LayerContext& ctx, const Tensor& x) {
   if (!training) act_mask = Tensor();
 
   // fc2 is row-parallel: every rank holds a full-size partial of h2 and the
-  // TP all-reduce sums them (in rank order — bitwise the full GEMM). Without
-  // TP, gemm_epilogues has the GEMM write y and runs the
-  // bias+dropout+residual chain over it in place; under TP the all-reduce
-  // sits between the two.
-  const bool fc2_epilogue = epilogues && ctx.tp_size() == 1;
-  Tensor h2;
-  if (!fc2_epilogue) {
-    h2 = ctx.alloc({B, L, H}, dt);
-    tp_linear_fw(ctx, a, w2_.value(ctx), h2, "ffn.fc2", TpSplit::kRow);
-    if (ctx.tp_size() > 1) {
-      ctx.tp_group->all_reduce(ctx.device(), static_cast<int64_t>(h2.bytes()),
-                               "tp.ffn.allreduce");
-    }
-  }
-
-  Tensor y = ctx.alloc({B, L, H}, dt);
-  Tensor out_mask = masks ? ctx.alloc({B, L, H}, DType::kU8) : Tensor();
-  if (fc2_epilogue) {
-    const gemm::GemmLaunch fc2 =
-        tp_linear_fw_gemm(ctx, a, w2_.value(ctx), y, "ffn.fc2", TpSplit::kRow);
-    kern::fused::bias_dropout_residual_fw(ctx.kern, y, params_->value(b2_), x, y, out_mask,
-                                          ctx.dropout(cfg_.out_dropout),
-                                          ctx.kern.next_dropout_stream(), &fc2);
-  } else if (pol.fused_elementwise) {
-    kern::fused::bias_dropout_residual_fw(ctx.kern, h2, params_->value(b2_), x, y, out_mask,
-                                          ctx.dropout(cfg_.out_dropout),
-                                          ctx.kern.next_dropout_stream());
-  } else {
-    kern::baseline::add_bias(ctx.kern, h2, params_->value(b2_), h2);
-    Tensor t = h2;
-    if (training) {
-      t = ctx.alloc({B, L, H}, dt);
-      kern::dropout_fw(ctx.kern, pol.elementwise, h2, t, out_mask, cfg_.out_dropout,
-                       ctx.kern.next_dropout_stream());
-    }
-    kern::baseline::add(ctx.kern, t, x, y);
-  }
-
-  if (training) saved_ = Saved{x, ln, mean, rstd, h1, a, act_mask, out_mask};
-  return y;
+  // TP all-reduce sums them (in rank order — bitwise the full GEMM).
+  const SublayerOut o = residual_projection(ctx, a, w2_.value(ctx), params_->value(b2_), x,
+                                            cfg_.out_dropout, masks, "ffn.fc2",
+                                            "tp.ffn.allreduce");
+  if (training) saved_ = Saved{x, ln, mean, rstd, h1, a, act_mask, o.mask};
+  return o.y;
 }
 
 Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {

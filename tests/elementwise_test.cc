@@ -244,6 +244,158 @@ INSTANTIATE_TEST_SUITE_P(Dtypes, BiasGradFoldTest, ::testing::Values(DType::kF32
                            return std::string(info.param == DType::kF32 ? "F32" : "F16");
                          });
 
+// Given the GEMM that produces its input, each bias chain runs as that
+// GEMM's epilogue. Against the GEMM launch followed by the standalone chain
+// (under the 1/tp charge scale the layers put it under on a shard), the
+// fused launch must give bitwise the same GEMM output, chain outputs, mask
+// and folded dbias, be ONE launch under the GEMM's tag, move the chain's
+// bytes less its re-read of the GEMM output (and, in place, the GEMM's
+// second store of it), and advance the clock less. The shapes are
+// compute-bound in FP32 on the V100 profile, so there the epilogue's bytes
+// hide under the GEMM's compute and the fused execution time also drops.
+class GemmEpilogueTest : public ElementwiseTest,
+                         public ::testing::WithParamInterface<DType> {
+ protected:
+  struct Cost {
+    int64_t launches = 0, bytes = 0;
+    double busy_us = 0, clock_us = 0;
+  };
+  Cost cost() const {
+    return {dev.stats().launches, dev.stats().bytes_moved, dev.stats().busy_us,
+            dev.clock_us()};
+  }
+  // The GEMM launch, then `chain` under the shard's charge scale.
+  Cost two_launches(const gemm::GemmLaunch& g, double share,
+                    const std::function<void()>& chain) {
+    dev.reset();
+    dev.launch(g.desc, g.body);
+    if (share != 1.0) dev.push_charge_scale(share);
+    chain();
+    if (share != 1.0) dev.pop_charge_scale();
+    return cost();
+  }
+  Cost epilogue(const std::function<void()>& fused) {
+    dev.reset();
+    fused();
+    return cost();
+  }
+  // The fused launch against the two-launch chain: one launch under `tag`,
+  // `saved` fewer bytes, a shorter clock (and execution in FP32).
+  void expect_fused(const Cost& fused, const Cost& chain, const std::string& tag,
+                    int64_t saved) {
+    EXPECT_EQ(chain.launches, 2);
+    EXPECT_EQ(fused.launches, 1);
+    ASSERT_EQ(dev.per_kernel().size(), 1u);
+    EXPECT_EQ(dev.per_kernel().begin()->first, tag);
+    EXPECT_EQ(fused.bytes, chain.bytes - saved);
+    EXPECT_LT(fused.clock_us, chain.clock_us);
+    if (GetParam() == DType::kF32) EXPECT_LT(fused.busy_us, chain.busy_us);
+  }
+  static bool same(const Tensor& a, const Tensor& b) {
+    return a.bytes() == b.bytes() && std::memcmp(a.raw(), b.raw(), a.bytes()) == 0;
+  }
+};
+
+TEST_P(GemmEpilogueTest, FusedLaunchIsBitwiseTheChain) {
+  const DType dt = GetParam();
+  const int64_t M = 96, H = 64, F = 128;  // tokens, model width, FFN width
+  const float p = 0.2f;
+  kc.microbatch = 1;  // the dropout streams start one microbatch in
+  const Tensor ln = randn({M, H}, 1, dt), w1 = randn({F, H}, 2, dt), b1 = randn({F}, 3, dt);
+  const Tensor w2 = randn({H, F}, 4, dt), b2 = randn({H}, 5, dt), x = randn({M, H}, 6, dt);
+  const Tensor dh2 = randn({M, H}, 7, dt), db0 = randn({F}, 8, dt);
+  auto empty = [&](Shape shape) { return Tensor::empty(std::move(shape), dt); };
+  auto mask = [](Shape shape) { return Tensor::empty(std::move(shape), DType::kU8); };
+
+  for (const bool relu : {true, false}) {
+    const auto act_fw = relu ? &fused::bias_relu_dropout_fw : &fused::bias_gelu_dropout_fw;
+    const auto act_bw = relu ? &fused::bias_relu_dropout_bw : &fused::bias_gelu_dropout_bw;
+    // Unsharded, and one rank's shard at tp = 2: fc1 column-parallel and
+    // the fc2 dx GEMM row-parallel both charge [M, F/tp] outputs over k = H.
+    for (const int64_t tp : {1, 2}) {
+      SCOPED_TRACE(std::string(relu ? "relu" : "gelu") + " tp " + std::to_string(tp));
+      const double share = 1.0 / static_cast<double>(tp);
+      const gemm::GemmCharge shard{M, F / tp, H, 1};
+      const gemm::GemmCharge* charge = tp > 1 ? &shard : nullptr;
+
+      // fc1 + bias + activation + dropout; the GEMM still stores h1.
+      Tensor h1_ref = empty({M, F}), a_ref = empty({M, F}), m_ref = mask({M, F});
+      const Cost fw_chain = two_launches(
+          gemm::gemm_launch(false, true, M, F, H, 1.0f, ln, w1, 0.0f, h1_ref, "ffn.fc1.fw",
+                            charge),
+          share, [&] { act_fw(kc, h1_ref, b1, a_ref, m_ref, p, 11, nullptr); });
+      Tensor h1 = empty({M, F}), a = empty({M, F}), m = mask({M, F});
+      const gemm::GemmLaunch fc1 =
+          gemm::gemm_launch(false, true, M, F, H, 1.0f, ln, w1, 0.0f, h1, "ffn.fc1.fw",
+                            charge);
+      EXPECT_EQ(fc1.c_share, share);
+      const Cost fw = epilogue([&] { act_fw(kc, h1, b1, a, m, p, 11, &fc1); });
+      EXPECT_TRUE(same(h1, h1_ref)) << "h1";
+      EXPECT_TRUE(same(a, a_ref)) << "activation";
+      EXPECT_TRUE(same(m, m_ref)) << "mask";
+      expect_fused(fw, fw_chain, "ffn.fc1.fw",
+                   static_cast<int64_t>(static_cast<double>(h1.bytes()) * share));
+
+      // fc2's dx GEMM + the chain's backward, in place over dh1, folding
+      // db1 from nonzero values.
+      Tensor dh1_ref = empty({M, F}), da = empty({M, F}), db_ref = empty({F});
+      db_ref.copy_(db0);
+      const Cost bw_chain = two_launches(
+          gemm::gemm_launch(false, false, M, F, H, 1.0f, dh2, w2, 0.0f, da, "ffn.fc2.bw_dx",
+                            charge),
+          share, [&] { act_bw(kc, da, m_ref, h1_ref, b1, dh1_ref, p, db_ref, nullptr); });
+      Tensor dh1 = empty({M, F}), db = empty({F});
+      db.copy_(db0);
+      const gemm::GemmLaunch fc2_dx = gemm::gemm_launch(false, false, M, F, H, 1.0f, dh2, w2,
+                                                        0.0f, dh1, "ffn.fc2.bw_dx", charge);
+      const Cost bw = epilogue([&] { act_bw(kc, dh1, m, h1, b1, dh1, p, db, &fc2_dx); });
+      EXPECT_TRUE(same(dh1, dh1_ref)) << "dx";
+      EXPECT_TRUE(same(db, db_ref)) << "db1";
+      expect_fused(bw, bw_chain, "ffn.fc2.bw_dx",
+                   2 * static_cast<int64_t>(static_cast<double>(dh1.bytes()) * share));
+    }
+  }
+
+  // fc2 + bias + dropout + residual, in place over y (TP = 1 only in the
+  // layers: under TP the all-reduce sits between GEMM and chain).
+  Tensor a = empty({M, F});
+  a.copy_(randn({M, F}, 9, dt));
+  Tensor h2 = empty({M, H}), y_ref = empty({M, H}), m_ref = mask({M, H});
+  const Cost chain = two_launches(
+      gemm::gemm_launch(false, true, M, H, F, 1.0f, a, w2, 0.0f, h2, "ffn.fc2.fw"), 1.0,
+      [&] { fused::bias_dropout_residual_fw(kc, h2, b2, x, y_ref, m_ref, p, 12); });
+  Tensor y = empty({M, H}), m = mask({M, H});
+  const gemm::GemmLaunch fc2 =
+      gemm::gemm_launch(false, true, M, H, F, 1.0f, a, w2, 0.0f, y, "ffn.fc2.fw");
+  const Cost fused_cost =
+      epilogue([&] { fused::bias_dropout_residual_fw(kc, y, b2, x, y, m, p, 12, &fc2); });
+  EXPECT_TRUE(same(y, y_ref)) << "y";
+  EXPECT_TRUE(same(m, m_ref)) << "mask";
+  expect_fused(fused_cost, chain, "ffn.fc2.fw", 2 * static_cast<int64_t>(y.bytes()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Dtypes, GemmEpilogueTest, ::testing::Values(DType::kF32, DType::kF16),
+                         [](const auto& info) {
+                           return std::string(info.param == DType::kF32 ? "F32" : "F16");
+                         });
+
+// An epilogue reads its GEMM's output and carries the GEMM's own shard
+// charge, so a chain handed another tensor, or launched under a charge
+// scale, is refused.
+TEST_F(ElementwiseTest, EpilogueRejectsForeignInputAndChargeScale) {
+  const int64_t M = 8, K = 4, N = 16;
+  Tensor a = randn({M, K}, 1), w = randn({N, K}, 2), bias = randn({N}, 3);
+  Tensor c = Tensor::empty({M, N}, DType::kF32), other = Tensor::empty({M, N}, DType::kF32);
+  Tensor y = Tensor::empty({M, N}, DType::kF32), mask = Tensor::empty({M, N}, DType::kU8);
+  const gemm::GemmLaunch g = gemm::gemm_launch(false, true, M, N, K, 1.0f, a, w, 0.0f, c);
+  EXPECT_THROW(fused::bias_relu_dropout_fw(kc, other, bias, y, mask, 0.1f, 1, &g), Error);
+  EXPECT_THROW(fused::bias_relu_dropout_bw(kc, other, mask, c, bias, y, 0.1f, {}, &g), Error);
+  dev.push_charge_scale(0.5);
+  EXPECT_THROW(fused::bias_relu_dropout_fw(kc, c, bias, y, mask, 0.1f, 1, &g), Error);
+  dev.pop_charge_scale();
+  fused::bias_relu_dropout_fw(kc, c, bias, y, mask, 0.1f, 1, &g);
+}
+
 TEST_F(ElementwiseTest, FusionReducesLaunchesAndBytes) {
   const int64_t rows = 128, cols = 512;
   Tensor x = randn({rows, cols}, 1);

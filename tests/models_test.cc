@@ -213,12 +213,18 @@ TEST(TransformerTest, LightSeq2AttendsInOneLaunchEachWay) {
     }
     EXPECT_EQ(launches("ls2.attn_fw"), attentions) << sys_name;
     EXPECT_EQ(launches("ls2.attn_bw"), attentions) << sys_name;
+    // The bias chains run as epilogues of their GEMMs; only the residual
+    // chain's backward, whose output feeds two GEMMs, keeps its launch.
     for (const char* gone : {"attn.scores", "attn.context", "attn.bw_", "ls2.attn_softmax_fw",
                              "ls2.softmax_bw", "ls2.dropout_fw", "ls2.dropout_bw",
                              "ls2.merge_heads", "ls2.add", "ls2.bias_split_transpose",
-                             "ls2.split_transpose_bw"}) {
+                             "ls2.split_transpose_bw", "ls2.bias_relu_dropout_fw",
+                             "ls2.bias_relu_dropout_bw", "ls2.bias_dropout_residual_fw"}) {
       EXPECT_EQ(launches(gone), 0) << sys_name << " " << gone;
     }
+    EXPECT_EQ(launches("ls2.bias_dropout_residual_bw"),
+              attentions + cfg.encoder_layers + cfg.decoder_layers)
+        << sys_name;
   }
 }
 
@@ -283,6 +289,41 @@ TEST(Gpt2Test, LightSeq2StepSplitsNoHeads) {
   EXPECT_EQ(launches("ls2.bias_grad"), 0);
 }
 
+// Under TP = 2 LightSeq2's GPT-2 still runs fc1's GELU chain and its
+// backward as epilogues of their GEMMs, but the row-parallel all-reduce
+// sits between the output projection or fc2 and its residual chain, so
+// each sublayer keeps one bias_dropout_residual_fw launch.
+TEST(Gpt2Test, LightSeq2TpStepKeepsOnlyResidualChains) {
+  Session s(session_config(System::kLightSeq2));
+  dist::ClusterConfig cluster;
+  cluster.gpus_per_node = 2;
+  cluster.tensor_parallel = 2;
+  dist::ProcessGroup pg(cluster);
+  s.ctx().tp_group = &pg;
+  Gpt2Config cfg;
+  cfg.vocab = 32;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.layers = 3;
+  cfg.max_len = 16;
+  cfg.tp.size = 2;
+  Gpt2 model(cfg, System::kLightSeq2, DType::kF32, 1, s.param_alloc());
+  model.params().zero_grads();
+  data::LmDataset ds(32, 4096, 3);
+  (void)model.forward(s.ctx(), ds.batch(0, 4, 12));
+  model.backward(s.ctx());
+  const auto& kernels = s.device().per_kernel();
+  auto launches = [&](const std::string& name) {
+    return kernels.count(name) ? kernels.at(name).launches : 0;
+  };
+  EXPECT_EQ(launches("ls2.bias_gelu_dropout_fw"), 0);
+  EXPECT_EQ(launches("ls2.bias_gelu_dropout_bw"), 0);
+  EXPECT_EQ(launches("ls2.bias_dropout_residual_fw"), 2 * cfg.layers);
+  EXPECT_EQ(launches("ffn.fc1.fw"), cfg.layers);
+  EXPECT_EQ(launches("ffn.fc2.bw_dx"), cfg.layers);
+}
+
 // DeepSpeed models its released encoder kernels: its BERT step still splits
 // Q/K/V into head layout and merges the gradients back once per layer, and
 // reduces every bias gradient in its own bias_grad (QKV, output, FFN in and
@@ -309,6 +350,10 @@ TEST(BertTest, DeepSpeedStepSplitsAndMergesEveryLayer) {
   EXPECT_EQ(launches("ls2.split_transpose_bw"), cfg.layers);
   EXPECT_EQ(launches("ls2.bias_grad"), 4 * cfg.layers + 1);
   EXPECT_EQ(launches("ls2.attn_fw"), 0);
+  // Its bias chains launch on their own, after their GEMMs.
+  EXPECT_EQ(launches("ls2.bias_gelu_dropout_fw"), cfg.layers);
+  EXPECT_EQ(launches("ls2.bias_gelu_dropout_bw"), cfg.layers);
+  EXPECT_EQ(launches("ls2.bias_dropout_residual_fw"), 2 * cfg.layers);
 }
 
 TEST(BertTest, ClassifierTrainsAboveChance) {
