@@ -62,11 +62,14 @@
 #                      step of a replayed run replays).
 #   --smoke kernels    Kernel-fusion smoke lane: the fused-kernel and layer/
 #                      model parity test binaries (element-wise and transform
-#                      kernels, the bias-gradient fold, the fused attention
-#                      core bitwise against its unfused chain, on head
-#                      layout and on projection rows, every system's layer
-#                      and model gradients, and eager against graph replay
-#                      bitwise for all four LightSeq2 models), and (release
+#                      kernels, the bias-gradient fold, the bias chains as
+#                      GEMM epilogues, the fused attention core bitwise
+#                      against its unfused chain, on head layout and on
+#                      projection rows, every system's layer and model
+#                      gradients, eager against graph replay bitwise for all
+#                      four LightSeq2 models, TP parity, where the epilogues
+#                      run at shard width, and the serving tests, whose
+#                      pinned decode-step cost counts them), and (release
 #                      only) fig_launch_graph with its schema check (replay
 #                      wins >= 1.2x at the launch-bound point).
 #
@@ -122,7 +125,7 @@ declare -A LANES=(
   [obs]="obs_test|trace_test fig_obs"
   [paged]="infer_test|fault_tolerance_test fig_page"
   [serve]="infer_test fig_serve"
-  [kernels]="elementwise_test|transform_test|attention_test|layers_test|models_test|graph_replay_test fig_launch_graph"
+  [kernels]="elementwise_test|transform_test|attention_test|layers_test|models_test|graph_replay_test|tensor_parallel_test|infer_test fig_launch_graph"
 )
 LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""
 if [ "$SMOKE" != full ]; then
