@@ -1,6 +1,8 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,30 @@ namespace {
 // Ranges smaller than this run serially: thread fork/join costs more than the
 // loop body for tiny tensors.
 constexpr int64_t kSerialCutoff = 4096;
+
+// The first exception a worker throws, rethrown on the calling thread once
+// every worker has joined. An exception must not leave a thread function
+// (std::terminate) or an OpenMP region, and a kernel body's input check
+// must throw ls2::Error whether its loop ran serially or on the workers.
+class FirstError {
+ public:
+  template <typename F>
+  void run(const F& f) noexcept {
+    try {
+      f();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+    }
+  }
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::exception_ptr error_;
+};
 }  // namespace
 
 void parallel_for(int64_t begin, int64_t end,
@@ -33,9 +59,10 @@ void parallel_for(int64_t begin, int64_t end,
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
+  FirstError error;
 #ifdef LS2_HAVE_OPENMP
 #pragma omp parallel for schedule(static)
-  for (int64_t i = begin; i < end; ++i) fn(i);
+  for (int64_t i = begin; i < end; ++i) error.run([&] { fn(i); });
 #else
   const int threads = std::min<int64_t>(parallel_thread_count(), n);
   std::vector<std::thread> pool;
@@ -45,12 +72,15 @@ void parallel_for(int64_t begin, int64_t end,
     const int64_t lo = begin + t * chunk;
     const int64_t hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    pool.emplace_back([lo, hi, &fn] {
-      for (int64_t i = lo; i < hi; ++i) fn(i);
+    pool.emplace_back([lo, hi, &fn, &error] {
+      error.run([&] {
+        for (int64_t i = lo; i < hi; ++i) fn(i);
+      });
     });
   }
   for (auto& th : pool) th.join();
 #endif
+  error.rethrow();
 }
 
 void parallel_for_chunks(int64_t begin, int64_t end, int64_t min_chunk,
@@ -64,12 +94,13 @@ void parallel_for_chunks(int64_t begin, int64_t end, int64_t min_chunk,
   }
   const int64_t want = std::min<int64_t>(threads, (n + min_chunk - 1) / min_chunk);
   const int64_t chunk = (n + want - 1) / want;
+  FirstError error;
 #ifdef LS2_HAVE_OPENMP
 #pragma omp parallel for schedule(static)
   for (int64_t t = 0; t < want; ++t) {
     const int64_t lo = begin + t * chunk;
     const int64_t hi = std::min(end, lo + chunk);
-    if (lo < hi) fn(lo, hi);
+    if (lo < hi) error.run([&] { fn(lo, hi); });
   }
 #else
   std::vector<std::thread> pool;
@@ -77,10 +108,11 @@ void parallel_for_chunks(int64_t begin, int64_t end, int64_t min_chunk,
     const int64_t lo = begin + t * chunk;
     const int64_t hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    pool.emplace_back([lo, hi, &fn] { fn(lo, hi); });
+    pool.emplace_back([lo, hi, &fn, &error] { error.run([&] { fn(lo, hi); }); });
   }
   for (auto& th : pool) th.join();
 #endif
+  error.rethrow();
 }
 
 }  // namespace ls2

@@ -5,7 +5,9 @@
 #include <set>
 
 #include "common/parallel.h"
+#include "kernels/criterion.h"
 #include "layers/layer_context.h"
+#include "simgpu/profile.h"
 
 namespace ls2::data {
 namespace {
@@ -173,6 +175,48 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
     for (int64_t i = lo; i < hi; ++i) hits2[static_cast<size_t>(i)]++;
   });
   for (const auto& h : hits2) EXPECT_EQ(h.load(), 1);
+}
+
+// From 4096 iterations the loops run on worker threads. A body that throws
+// there surfaces on the caller as the exception it threw, after every worker
+// has joined, as it does below the cutoff where the loop runs serially.
+TEST(ParallelForTest, WorkerExceptionRethrowsOnCaller) {
+  for (int64_t n : {int64_t{4095}, int64_t{4096}, int64_t{100000}}) {
+    EXPECT_THROW(parallel_for(0, n, [&](int64_t i) { LS2_CHECK(i != n - 1) << i; }), Error)
+        << n;
+    EXPECT_THROW(parallel_for_chunks(0, n, 64,
+                                     [&](int64_t, int64_t hi) { LS2_CHECK(hi != n) << hi; }),
+                 Error)
+        << n;
+  }
+  // One failing iteration stops no other worker's chunk.
+  std::vector<std::atomic<int>> hits(10000);
+  EXPECT_THROW(parallel_for(0, 10000,
+                            [&](int64_t i) {
+                              hits[static_cast<size_t>(i)]++;
+                              LS2_CHECK(i != 0) << "first iteration";
+                            }),
+               Error);
+  if (parallel_thread_count() > 1) EXPECT_EQ(hits[9999].load(), 1);
+}
+
+// A kernel body's input check throws ls2::Error at any row count: the
+// criterion validates each row's target inside its row loop.
+TEST(ParallelForTest, KernelInputCheckThrowsOnWorkers) {
+  simgpu::Device dev(simgpu::a100(), simgpu::ExecMode::kExecute);
+  kern::KernelContext kc(dev, nullptr, 1);
+  for (int64_t rows : {int64_t{4095}, int64_t{4096}}) {
+    const int64_t V = 8;
+    Tensor logits = Tensor::zeros({rows, V}, DType::kF32);
+    Tensor targets = Tensor::zeros({rows}, DType::kI32);
+    targets.data<int32_t>()[rows - 1] = 100;
+    Tensor loss = Tensor::empty({rows}, DType::kF32);
+    Tensor stats = Tensor::empty({rows, 2}, DType::kF32);
+    EXPECT_THROW(kern::ls_cross_entropy_fw(kc, kern::Impl::kLS2, logits, targets, loss, stats,
+                                           0.1f),
+                 Error)
+        << rows;
+  }
 }
 
 }  // namespace
