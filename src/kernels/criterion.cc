@@ -90,7 +90,8 @@ void ce_bw_body(const Tensor& logits, const Tensor& targets, const Tensor& stats
 
 void ls_cross_entropy_fw(KernelContext& kc, Impl impl, const Tensor& logits,
                          const Tensor& targets, const Tensor& loss, const Tensor& stats,
-                         float alpha, int32_t ignore_index) {
+                         float alpha, int32_t ignore_index, const Tensor& dlogits,
+                         float grad_scale) {
   const Shape flat = logits.shape().flatten_2d();
   const int64_t rows = flat[0], V = flat[1];
   LS2_CHECK_EQ(targets.numel(), rows);
@@ -98,18 +99,34 @@ void ls_cross_entropy_fw(KernelContext& kc, Impl impl, const Tensor& logits,
   LS2_CHECK_EQ(stats.numel(), rows * 2);
   LS2_CHECK(loss.dtype() == DType::kF32 && stats.dtype() == DType::kF32);
   LS2_CHECK(alpha >= 0.0f && alpha < 1.0f);
+  const bool with_grad = dlogits.defined();
+  if (with_grad) {
+    LS2_CHECK(impl == Impl::kLS2)
+        << impl_name(impl) << " computes the criterion gradient in ls_cross_entropy_bw";
+    LS2_CHECK_EQ(dlogits.numel(), logits.numel());
+    LS2_CHECK(dlogits.dtype() == logits.dtype()) << "dlogits and logits dtypes differ";
+  }
   const int64_t lb = static_cast<int64_t>(logits.bytes());
   const double flops = static_cast<double>(rows) * V * 4.0;
 
   if (impl == Impl::kLS2) {
-    // One launch; nothing V-wide is materialised.
-    kc.dev.launch(desc("ls2.criterion_fw", lb + rows * 4, rows * 12, flops,
-                       reduction_efficiency(0.88, rows, V, 32)),
-                  [&, alpha, ignore_index] {
-                    LS2_DISPATCH_FLOAT(logits.dtype(), T,
-                                       ce_fw_body<T>(logits, targets, loss, stats, alpha,
-                                                     ignore_index));
-                  });
+    // One launch; nothing V-wide is materialised. With a gradient
+    // destination the launch also writes the gradient over the row it has
+    // just reduced: a 64 KB FP16 row at V = 32768 stays in shared memory, so
+    // the logits are not read again, only the gradient is written.
+    simgpu::KernelDesc d = desc("ls2.criterion_fw", lb + rows * 4, rows * 12, flops,
+                                reduction_efficiency(0.88, rows, V, 32));
+    if (with_grad) {
+      d.bytes_written += static_cast<int64_t>(dlogits.bytes());
+      d.flops += static_cast<double>(rows) * V * 3.0;
+    }
+    kc.dev.launch(d, [&, alpha, ignore_index, grad_scale, with_grad] {
+      LS2_DISPATCH_FLOAT(logits.dtype(), T, {
+        ce_fw_body<T>(logits, targets, loss, stats, alpha, ignore_index);
+        if (with_grad)
+          ce_bw_body<T>(logits, targets, stats, dlogits, alpha, grad_scale, ignore_index);
+      });
+    });
     return;
   }
   // Baseline: softmax (3 launches, see softmax.cc), log, gather-NLL, smooth
@@ -141,23 +158,14 @@ void ls_cross_entropy_fw(KernelContext& kc, Impl impl, const Tensor& logits,
 void ls_cross_entropy_bw(KernelContext& kc, Impl impl, const Tensor& logits,
                          const Tensor& targets, const Tensor& stats, const Tensor& dlogits,
                          float alpha, float grad_scale, int32_t ignore_index) {
+  LS2_CHECK(impl != Impl::kLS2)
+      << "LightSeq2 writes the criterion gradient from ls_cross_entropy_fw's launch";
   const Shape flat = logits.shape().flatten_2d();
   const int64_t rows = flat[0], V = flat[1];
   LS2_CHECK_EQ(dlogits.numel(), logits.numel());
   const int64_t lb = static_cast<int64_t>(logits.bytes());
   const double flops = static_cast<double>(rows) * V * 3.0;
 
-  if (impl == Impl::kLS2) {
-    // Closed-form gradient: one element-wise launch re-using cached stats.
-    kc.dev.launch(desc("ls2.criterion_bw", lb + rows * 12,
-                       static_cast<int64_t>(dlogits.bytes()), flops, 0.88),
-                  [&, alpha, grad_scale, ignore_index] {
-                    LS2_DISPATCH_FLOAT(logits.dtype(), T,
-                                       ce_bw_body<T>(logits, targets, stats, dlogits, alpha,
-                                                     grad_scale, ignore_index));
-                  });
-    return;
-  }
   // Baseline: exp(log-probs), smoothing subtraction, one-hot scatter, scale.
   kc.dev.launch(desc("torch.ce_bw_exp", lb, lb, flops / 3, 0.70), nullptr);
   kc.dev.launch(desc("torch.ce_bw_smooth", lb, lb, flops / 3, 0.70), nullptr);

@@ -461,9 +461,8 @@ std::function<void()> fold_into(KernelContext& kc, simgpu::KernelDesc& d,
     if (next && next->rows.raw() == fold.rows.raw() &&
         next->rows.shape() == fold.rows.shape() && next->col == fold.col + cols)
       continue;  // the next fold continues this column block
-    d.mem_efficiency = std::min(d.mem_efficiency,
-                                reduction_efficiency(base, tile_cols, rows, 128,
-                                                     kc.dev.profile().resident_threads));
+    d.mem_efficiency =
+        std::min(d.mem_efficiency, column_fold_efficiency(kc, base, tile_cols, rows));
     tile_cols = 0;
   }
   return [&folds, &body] {

@@ -21,4 +21,9 @@ double reduction_efficiency(double base, int64_t rows, int64_t cols, int threads
   return reduction_efficiency(base, rows, cols, threads_per_row, 163840.0);
 }
 
+double column_fold_efficiency(const KernelContext& kc, double base, int64_t cols,
+                              int64_t rows) {
+  return reduction_efficiency(base, cols, rows, 128, kc.dev.profile().resident_threads);
+}
+
 }  // namespace ls2::kern

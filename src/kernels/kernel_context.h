@@ -80,4 +80,11 @@ double reduction_efficiency(double base, int64_t rows, int64_t cols, int threads
 double reduction_efficiency(double base, int64_t rows, int64_t cols, int threads_per_row,
                             double device_threads);
 
+/// Occupancy of `cols` column sums over `rows` rows that a launch reduces
+/// beside its own work (a folded bias gradient, LayerNorm's dgamma/dbeta):
+/// LightSeq2's 128-row column tile at `base` on `kc`'s device. The launch
+/// runs at the lower of this and its own efficiency (DESIGN.md §1).
+double column_fold_efficiency(const KernelContext& kc, double base, int64_t cols,
+                              int64_t rows);
+
 }  // namespace ls2::kern

@@ -250,8 +250,10 @@ void layernorm_fw(KernelContext& kc, Impl impl, const Tensor& x, const Tensor& g
 void layernorm_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& x,
                   const Tensor& gamma, const Tensor& mean, const Tensor& rstd,
                   const Tensor& dx, const Tensor& dgamma, const Tensor& dbeta,
-                  const Tensor* residual_grad) {
+                  const Tensor* residual_grad, bool fold_param_grads) {
   const auto [rows, cols] = shape_of(x);
+  LS2_CHECK(!fold_param_grads || impl == Impl::kLS2 || impl == Impl::kDeepSpeed)
+      << impl_name(impl) << " has no fused dx kernel to fold dgamma/dbeta into";
   if (residual_grad) {
     LS2_CHECK_EQ(residual_grad->numel(), x.numel());
   }
@@ -317,20 +319,35 @@ void layernorm_bw(KernelContext& kc, Impl impl, const Tensor& dy, const Tensor& 
       const std::string sys = impl == Impl::kDeepSpeed ? "deepspeed" : "ls2";
       // dx in one launch: S1 and S2 accumulate in parallel (§IV-B); the
       // residual gradient add of Fig. 8 is fused in as well.
-      kc.dev.launch(
+      simgpu::KernelDesc dx_desc =
           desc(sys + ".layernorm_bw_dx",
                static_cast<int64_t>(dy.bytes() + gamma.bytes()) + xb + 2 * rowsb +
                    (residual_grad ? static_cast<int64_t>(residual_grad->bytes()) : 0),
-               static_cast<int64_t>(dx.bytes()), red_flops + 6.0 * rows * cols, eff),
-          [&, residual_grad] {
-            LS2_DISPATCH_FLOAT(x.dtype(), T,
-                               compute_dx<T>(dy, x, gamma, mean, rstd, dx, residual_grad));
+               static_cast<int64_t>(dx.bytes()), red_flops + 6.0 * rows * cols, eff);
+      const int64_t param_bytes = static_cast<int64_t>(dgamma.bytes() + dbeta.bytes());
+      if (fold_param_grads) {
+        // dgamma and dbeta ride in the dx launch: dy and x are already on
+        // chip, so the fold adds its writes and flops and the column tile's
+        // occupancy, not a second read.
+        dx_desc.bytes_written += param_bytes;
+        dx_desc.flops += red_flops;
+        dx_desc.mem_efficiency = std::min(eff, column_fold_efficiency(kc, eff, cols, rows));
+        kc.dev.launch(dx_desc, [&, residual_grad] {
+          LS2_DISPATCH_FLOAT(x.dtype(), T, {
+            compute_dx<T>(dy, x, gamma, mean, rstd, dx, residual_grad);
+            compute_param_grads<T>(dy, x, mean, rstd, dgamma, dbeta);
           });
+        });
+        break;
+      }
+      kc.dev.launch(dx_desc, [&, residual_grad] {
+        LS2_DISPATCH_FLOAT(x.dtype(), T,
+                           compute_dx<T>(dy, x, gamma, mean, rstd, dx, residual_grad));
+      });
       // dgamma and dbeta fused into one column-reduction launch.
-      kc.dev.launch(desc(sys + ".layernorm_bw_dparam", static_cast<int64_t>(dy.bytes()) + xb +
-                             2 * rowsb,
-                         static_cast<int64_t>(dgamma.bytes() + dbeta.bytes()), red_flops,
-                         reduction_efficiency(0.8, cols, rows, 32)),
+      kc.dev.launch(desc(sys + ".layernorm_bw_dparam",
+                         static_cast<int64_t>(dy.bytes()) + xb + 2 * rowsb, param_bytes,
+                         red_flops, reduction_efficiency(0.8, cols, rows, 32)),
                     [&] {
                       LS2_DISPATCH_FLOAT(x.dtype(), T,
                                          compute_param_grads<T>(dy, x, mean, rstd, dgamma,

@@ -431,7 +431,7 @@ Tensor SelfAttention::backward(LayerContext& ctx, const Tensor& dy) {
   Tensor dx = ctx.alloc({B, L, H}, dt);
   kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, dln, s.x, params_->value(ln_gamma_),
                      s.mean, s.rstd, dx, params_->grad(ln_gamma_), params_->grad(ln_beta_),
-                     /*residual_grad=*/&dy);
+                     /*residual_grad=*/&dy, ctx.policy.fold_bias_grad);
   release();
   return dx;
 }
@@ -530,7 +530,7 @@ Tensor CrossAttention::backward(LayerContext& ctx, const Tensor& dy,
   Tensor dx = ctx.alloc({B, L, H}, dt);
   kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, dln, s.x, params_->value(ln_gamma_),
                      s.mean, s.rstd, dx, params_->grad(ln_gamma_), params_->grad(ln_beta_),
-                     /*residual_grad=*/&dy);
+                     /*residual_grad=*/&dy, ctx.policy.fold_bias_grad);
   release();
   return dx;
 }

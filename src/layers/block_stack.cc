@@ -49,7 +49,8 @@ Tensor LayerNorm::backward(LayerContext& ctx, const Tensor& dy) {
   const Saved& s = *saved_;
   Tensor dx = ctx.alloc(s.x.shape(), s.x.dtype());
   kern::layernorm_bw(ctx.kern, ctx.policy.layernorm, dy, s.x, params_.value(gamma_), s.mean,
-                     s.rstd, dx, params_.grad(gamma_), params_.grad(beta_));
+                     s.rstd, dx, params_.grad(gamma_), params_.grad(beta_),
+                     /*residual_grad=*/nullptr, ctx.policy.fold_bias_grad);
   params_.notify_grad_ready(range_);
   return dx;
 }

@@ -32,6 +32,12 @@ struct CriterionResult {
   float loss_per_token() const { return tokens > 0 ? loss_sum / tokens : 0.0f; }
 };
 
+/// Whether a forward under `ctx` writes the criterion's gradient from its
+/// loss launch, over the logits in place (LightSeq2 while training), so
+/// backward launches no criterion kernel and allocates no dlogits. The
+/// baselines compute the gradient in backward.
+bool criterion_grad_in_forward(const LayerContext& ctx);
+
 class CriterionLayer {
  public:
   /// `tied_table`: pass the embedding's table handle to share weights; an
@@ -40,9 +46,13 @@ class CriterionLayer {
                  TpParam tied_table = {});
 
   /// x: [B, L, H] decoder output; targets: [B, L] i32. Starts with logits().
+  /// Under criterion_grad_in_forward the loss launch also writes the
+  /// gradient, scaled by ctx.loss_scale over ctx.pp_denominator (or the
+  /// valid-token count), so both must be set before the forward.
   CriterionResult forward(LayerContext& ctx, const Tensor& x, const Tensor& targets);
 
-  /// Gradient of mean-per-token loss w.r.t. x.
+  /// Gradient of mean-per-token loss w.r.t. x. Throws under LightSeq2 if
+  /// the forward wrote no gradient (it ran outside training).
   Tensor backward(LayerContext& ctx);
   void release();
 
@@ -60,6 +70,7 @@ class CriterionLayer {
   struct Saved {
     Tensor x, targets, logits, stats;
     int64_t valid_tokens = 0;
+    bool logits_hold_grad = false;  ///< the forward overwrote them with dlogits
   };
   std::optional<Saved> saved_;
 };

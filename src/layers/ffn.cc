@@ -174,7 +174,7 @@ Tensor FeedForward::backward(LayerContext& ctx, const Tensor& dy) {
   Tensor dx = ctx.alloc({B, L, H}, dt);
   kern::layernorm_bw(ctx.kern, pol.layernorm, dln, s.x, params_->value(ln_gamma_), s.mean,
                      s.rstd, dx, params_->grad(ln_gamma_), params_->grad(ln_beta_),
-                     /*residual_grad=*/&dy);
+                     /*residual_grad=*/&dy, pol.fold_bias_grad);
   release();
   return dx;
 }

@@ -4,9 +4,20 @@
 
 #include "kernels/criterion.h"
 #include "kernels/elementwise.h"
+#include "layers/criterion_layer.h"
 #include "layers/linear.h"
 
 namespace ls2::models {
+
+namespace {
+
+// The loss and gradient denominator: the GLOBAL batch size under
+// microbatched execution, this slice's otherwise.
+int64_t denominator(const layers::LayerContext& ctx, int64_t batch) {
+  return ctx.pp_denominator > 0 ? ctx.pp_denominator : batch;
+}
+
+}  // namespace
 
 ClsHead::ClsHead(layers::ParamRegistry& params, const std::string& model,
                  const std::string& name, int64_t hidden, int64_t classes)
@@ -43,19 +54,13 @@ ClsResult ClsHead::forward(layers::LayerContext& ctx, const Tensor& x, const Ten
   Tensor logits = ctx.alloc({B, classes_}, dt);
   kern::baseline::add_bias(ctx.kern, logits_nb, params_.value(b_), logits);
 
-  Tensor loss = ctx.alloc({B}, DType::kF32);
-  Tensor stats = ctx.alloc({B, 2}, DType::kF32);
-  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, logits, labels, loss, stats,
-                            /*alpha=*/0.0f, /*ignore_index=*/-1);
-
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : B;
+  const int64_t denom = denominator(ctx, B);
+  const bool execute = ctx.device().mode() == simgpu::ExecMode::kExecute;
   ClsResult res;
   res.total = denom;
-  if (ctx.device().mode() == simgpu::ExecMode::kExecute) {
-    double sum = ctx.pp_loss_carry ? *ctx.pp_loss_carry : 0.0;
-    for (float v : loss.to_vector()) sum += v;
-    if (ctx.pp_loss_carry) *ctx.pp_loss_carry = sum;
-    res.loss = static_cast<float>(sum / static_cast<double>(denom));
+  if (execute) {
+    // Accuracy first: LightSeq2's loss launch overwrites the logits with
+    // their gradient.
     double correct = ctx.pp_metric_carry ? *ctx.pp_metric_carry : 0.0;
     const auto lg = logits.to_vector();
     const auto lb = labels.to_vector();
@@ -69,7 +74,22 @@ ClsResult ClsHead::forward(layers::LayerContext& ctx, const Tensor& x, const Ten
     if (ctx.pp_metric_carry) *ctx.pp_metric_carry = correct;
     res.correct = static_cast<int64_t>(correct);
   }
-  saved_ = Saved{cls, logits, stats, labels, x.shape()};
+
+  Tensor loss = ctx.alloc({B}, DType::kF32);
+  Tensor stats = ctx.alloc({B, 2}, DType::kF32);
+  const bool grad_in_logits = layers::criterion_grad_in_forward(ctx);
+  kern::ls_cross_entropy_fw(ctx.kern, ctx.policy.criterion, logits, labels, loss, stats,
+                            /*alpha=*/0.0f, /*ignore_index=*/-1,
+                            grad_in_logits ? logits : Tensor{},
+                            ctx.loss_scale / static_cast<float>(denom));
+
+  if (execute) {
+    double sum = ctx.pp_loss_carry ? *ctx.pp_loss_carry : 0.0;
+    for (float v : loss.to_vector()) sum += v;
+    if (ctx.pp_loss_carry) *ctx.pp_loss_carry = sum;
+    res.loss = static_cast<float>(sum / static_cast<double>(denom));
+  }
+  saved_ = Saved{cls, logits, stats, labels, x.shape(), grad_in_logits};
   return res;
 }
 
@@ -78,12 +98,17 @@ Tensor ClsHead::backward(layers::LayerContext& ctx) {
   const Saved& s = *saved_;
   const int64_t B = s.cls.shape()[0];
   const DType dt = s.cls.dtype();
-  // Mean-over-batch gradient: the denominator is the GLOBAL batch size
-  // under microbatched execution, this slice's otherwise.
-  const int64_t denom = ctx.pp_denominator > 0 ? ctx.pp_denominator : B;
-  Tensor dlogits = ctx.alloc({B, classes_}, dt);
-  kern::ls_cross_entropy_bw(ctx.kern, ctx.policy.criterion, s.logits, s.labels, s.stats,
-                            dlogits, 0.0f, ctx.loss_scale / static_cast<float>(denom), -1);
+  // LightSeq2's forward launch left the gradient in the logits buffer.
+  Tensor dlogits = s.logits;
+  if (!s.logits_hold_grad) {
+    LS2_CHECK(ctx.policy.criterion != kern::Impl::kLS2)
+        << "LightSeq2's criterion gradient is written by a training forward; this "
+           "forward wrote none";
+    dlogits = ctx.alloc({B, classes_}, dt);
+    kern::ls_cross_entropy_bw(ctx.kern, ctx.policy.criterion, s.logits, s.labels, s.stats,
+                              dlogits, 0.0f,
+                              ctx.loss_scale / static_cast<float>(denominator(ctx, B)), -1);
+  }
   kern::bias_grad(ctx.kern, dlogits, params_.grad(b_));
   Tensor dcls = ctx.alloc({B, hidden_}, dt);
   layers::linear_bw(ctx, dlogits, s.cls, params_.value(w_), dcls, params_.grad(w_), tag_);

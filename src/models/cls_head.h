@@ -49,6 +49,7 @@ class ClsHead {
   struct Saved {
     Tensor cls, logits, stats, labels;  // pooled [CLS] and classifier head
     Shape x_shape;
+    bool logits_hold_grad = false;  ///< the forward overwrote them with dlogits
   };
   std::optional<Saved> saved_;
 };

@@ -198,9 +198,8 @@ TEST_P(CriterionTest, GradientMatchesClosedForm) {
   kc.rng.fill_randint(targets, 2, 0, V);
   Tensor loss = Tensor::empty({rows}, DType::kF32);
   Tensor stats = Tensor::empty({rows, 2}, DType::kF32);
-  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, loss, stats, alpha);
   Tensor dlogits = Tensor::empty({rows, V}, DType::kF32);
-  ls_cross_entropy_bw(kc, Impl::kLS2, logits, targets, stats, dlogits, alpha, 1.0f);
+  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, loss, stats, alpha, -1, dlogits, 1.0f);
 
   // Finite differences on the summed loss.
   auto loss_sum = [&](const std::vector<float>& lvv) {
@@ -239,13 +238,12 @@ TEST(CriterionExtraTest, IgnoredRowsContributeNothing) {
   Tensor targets = Tensor::from_vector({3, -1, 5, -1}, {rows}, DType::kI32);
   Tensor loss = Tensor::empty({rows}, DType::kF32);
   Tensor stats = Tensor::empty({rows, 2}, DType::kF32);
-  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, loss, stats, 0.1f, -1);
+  Tensor dlogits = Tensor::empty({rows, V}, DType::kF32);
+  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, loss, stats, 0.1f, -1, dlogits, 1.0f);
   EXPECT_EQ(loss.to_vector()[1], 0.0f);
   EXPECT_EQ(loss.to_vector()[3], 0.0f);
   EXPECT_GT(loss.to_vector()[0], 0.0f);
 
-  Tensor dlogits = Tensor::empty({rows, V}, DType::kF32);
-  ls_cross_entropy_bw(kc, Impl::kLS2, logits, targets, stats, dlogits, 0.1f, 1.0f, -1);
   const auto dv = dlogits.to_vector();
   for (int64_t j = 0; j < V; ++j) {
     EXPECT_EQ(dv[1 * V + j], 0.0f);
@@ -263,13 +261,76 @@ TEST(CriterionExtraTest, BaselineAndFusedIdentical) {
   kc.rng.fill_randint(targets, 2, 0, V);
   Tensor l1 = Tensor::empty({rows}, DType::kF32), l2 = Tensor::empty({rows}, DType::kF32);
   Tensor s1 = Tensor::empty({rows, 2}, DType::kF32), s2 = Tensor::empty({rows, 2}, DType::kF32);
-  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, l1, s1, 0.1f);
+  Tensor d1 = Tensor::empty({rows, V}, DType::kF32), d2 = Tensor::empty({rows, V}, DType::kF32);
+  ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, l1, s1, 0.1f, -1, d1, 0.5f);
   ls_cross_entropy_fw(kc, Impl::kTorch, logits, targets, l2, s2, 0.1f);
   EXPECT_EQ(l1.to_vector(), l2.to_vector());
-  Tensor d1 = Tensor::empty({rows, V}, DType::kF32), d2 = Tensor::empty({rows, V}, DType::kF32);
-  ls_cross_entropy_bw(kc, Impl::kLS2, logits, targets, s1, d1, 0.1f, 0.5f);
   ls_cross_entropy_bw(kc, Impl::kTorch, logits, targets, s2, d2, 0.1f, 0.5f);
   EXPECT_EQ(d1.to_vector(), d2.to_vector());
+}
+
+std::vector<uint8_t> bytes_of(const Tensor& t) {
+  const auto* p = static_cast<const uint8_t*>(t.raw());
+  return std::vector<uint8_t>(p, p + t.bytes());
+}
+
+// LightSeq2 writes the criterion's gradient from its forward launch, in
+// place over the logits: the gradient is bitwise the baseline backward's at
+// the same scale (zero on ignored rows), the loss and (max, log Z) are
+// bitwise the forward's without a gradient, and the one launch's bytes are
+// the forward's plus the gradient's. A baseline impl throws when handed a
+// gradient destination, and LightSeq2 has no separate backward launch.
+TEST(CriterionExtraTest, ForwardLaunchWritesGradientInPlace) {
+  const int64_t rows = 12, V = 37;
+  const float alpha = 0.1f, scale = 0.375f;
+  for (DType dt : {DType::kF32, DType::kF16}) {
+    simgpu::Device dev(simgpu::a100(), simgpu::ExecMode::kExecute);
+    KernelContext kc(dev, nullptr, 1);
+    Tensor src = Tensor::empty({rows, V}, DType::kF32);
+    kc.rng.fill_normal(src, 1, 0.0f, 2.0f);
+    const Tensor logits = Tensor::from_vector(src.to_vector(), {rows, V}, dt);
+    Tensor targets = Tensor::empty({rows}, DType::kI32);
+    kc.rng.fill_randint(targets, 2, 0, V);
+    targets.data<int32_t>()[3] = -1;
+    targets.data<int32_t>()[7] = -1;
+    auto row_tensors = [&] {
+      return std::pair{Tensor::empty({rows}, DType::kF32), Tensor::empty({rows, 2}, DType::kF32)};
+    };
+
+    // The forward alone, and the baseline's backward from its statistics.
+    const auto [loss_ref, stats_ref] = row_tensors();
+    dev.reset();
+    ls_cross_entropy_fw(kc, Impl::kLS2, logits, targets, loss_ref, stats_ref, alpha);
+    const int64_t fw_bytes = dev.stats().bytes_moved;
+    const double fw_flops = dev.stats().flops;
+    Tensor grad_ref = Tensor::empty({rows, V}, dt);
+    ls_cross_entropy_bw(kc, Impl::kTorch, logits, targets, stats_ref, grad_ref, alpha, scale);
+
+    // The forward launch writing the gradient over its logits.
+    Tensor inplace = Tensor::from_vector(src.to_vector(), {rows, V}, dt);
+    const auto [loss, stats] = row_tensors();
+    dev.reset();
+    ls_cross_entropy_fw(kc, Impl::kLS2, inplace, targets, loss, stats, alpha, -1, inplace,
+                        scale);
+    const std::string name = dtype_name(dt);
+    EXPECT_EQ(bytes_of(inplace), bytes_of(grad_ref)) << name;
+    EXPECT_EQ(bytes_of(loss), bytes_of(loss_ref)) << name;
+    EXPECT_EQ(bytes_of(stats), bytes_of(stats_ref)) << name;
+    EXPECT_EQ(dev.stats().launches, 1) << name;
+    EXPECT_EQ(dev.per_kernel().at("ls2.criterion_fw").launches, 1) << name;
+    EXPECT_EQ(dev.stats().bytes_moved, fw_bytes + static_cast<int64_t>(inplace.bytes()))
+        << name;
+    EXPECT_EQ(dev.stats().flops, fw_flops + 3.0 * rows * V) << name;
+
+    EXPECT_THROW(ls_cross_entropy_fw(kc, Impl::kTorch, logits, targets, loss, stats, alpha, -1,
+                                     grad_ref, scale),
+                 Error)
+        << name;
+    EXPECT_THROW(ls_cross_entropy_bw(kc, Impl::kLS2, logits, targets, stats, grad_ref, alpha,
+                                     scale),
+                 Error)
+        << name;
+  }
 }
 
 TEST(CriterionExtraTest, FusedAvoidsVocabularyWideTemp) {

@@ -196,6 +196,116 @@ TEST_F(LayerNormTest, BackwardImplsAgree) {
   }
 }
 
+std::vector<uint8_t> bytes_of(const Tensor& t) {
+  const auto* p = static_cast<const uint8_t*>(t.raw());
+  return std::vector<uint8_t>(p, p + t.bytes());
+}
+
+// LightSeq2 folds dgamma/dbeta into the dx launch (Policy::fold_bias_grad):
+// one ls2.layernorm_bw_dx launch whose dx, dgamma and dbeta are bitwise the
+// two-launch path's, in FP32 and FP16, with and without the residual
+// gradient, from nonzero accumulators and over two row slices that continue
+// one chain (a pipeline-parallel microbatch pair). Its bytes are the dx
+// launch's plus the dgamma/dbeta bytes written.
+TEST_F(LayerNormTest, FoldedParamGradsMatchTwoLaunches) {
+  const int64_t rows = 24, cols = 40, split = 10;
+  for (DType dt : {DType::kF32, DType::kF16}) {
+    auto cast = [&](const Tensor& t) {
+      return Tensor::from_vector(t.to_vector(), t.shape(), dt);
+    };
+    const Tensor x = cast(randn({rows, cols}, 1, 2.0f));
+    const Tensor gamma = cast(randn({cols}, 2));
+    const Tensor beta = cast(randn({cols}, 3));
+    const Tensor dy = cast(randn({rows, cols}, 4));
+    const Tensor residual = cast(randn({rows, cols}, 5));
+    const Tensor dg0 = cast(randn({cols}, 6)), db0 = cast(randn({cols}, 7));
+    Tensor y = Tensor::empty({rows, cols}, dt);
+    Tensor mean = Tensor::empty({rows}, DType::kF32);
+    Tensor rstd = Tensor::empty({rows}, DType::kF32);
+    layernorm_fw(kc, Impl::kLS2, x, gamma, beta, y, mean, rstd);
+
+    for (bool with_residual : {false, true}) {
+      const std::string where =
+          std::string(dtype_name(dt)) + (with_residual ? " with residual" : "");
+      const Tensor* res = with_residual ? &residual : nullptr;
+      struct Grads {
+        Tensor dx, dg, db;
+      };
+      auto fresh = [&] { return Grads{Tensor::empty({rows, cols}, dt), cast(dg0), cast(db0)}; };
+
+      Grads two = fresh();
+      dev.reset();
+      layernorm_bw(kc, Impl::kLS2, dy, x, gamma, mean, rstd, two.dx, two.dg, two.db, res);
+      ASSERT_EQ(dev.stats().launches, 2) << where;
+      const int64_t dx_bytes = dev.per_kernel().at("ls2.layernorm_bw_dx").bytes;
+
+      Grads one = fresh();
+      dev.reset();
+      layernorm_bw(kc, Impl::kLS2, dy, x, gamma, mean, rstd, one.dx, one.dg, one.db, res,
+                   /*fold_param_grads=*/true);
+      EXPECT_EQ(bytes_of(one.dx), bytes_of(two.dx)) << where;
+      EXPECT_EQ(bytes_of(one.dg), bytes_of(two.dg)) << where;
+      EXPECT_EQ(bytes_of(one.db), bytes_of(two.db)) << where;
+      EXPECT_EQ(dev.stats().launches, 1) << where;
+      ASSERT_EQ(dev.per_kernel().size(), 1u) << where;
+      EXPECT_EQ(dev.per_kernel().count("ls2.layernorm_bw_dx"), 1u) << where;
+      EXPECT_EQ(dev.stats().bytes_moved,
+                dx_bytes + static_cast<int64_t>(one.dg.bytes() + one.db.bytes()))
+          << where;
+
+      // Microbatches: the second slice continues the first's dgamma/dbeta,
+      // as the two-launch path's does. In FP32 the chain is the full
+      // batch's; FP16 destinations round between the slices.
+      auto microbatches = [&](bool fold) {
+        Grads mb = fresh();
+        for (auto [lo, hi] : {std::pair<int64_t, int64_t>{0, split}, {split, rows}}) {
+          const Tensor mb_res = with_residual ? residual.slice(lo, hi) : Tensor{};
+          layernorm_bw(kc, Impl::kLS2, dy.slice(lo, hi), x.slice(lo, hi), gamma,
+                       mean.slice(lo, hi), rstd.slice(lo, hi), mb.dx.slice(lo, hi), mb.dg,
+                       mb.db, with_residual ? &mb_res : nullptr, fold);
+        }
+        return mb;
+      };
+      const Grads mb_one = microbatches(true), mb_two = microbatches(false);
+      EXPECT_EQ(bytes_of(mb_one.dx), bytes_of(two.dx)) << where;
+      EXPECT_EQ(bytes_of(mb_one.dg), bytes_of(mb_two.dg)) << where;
+      EXPECT_EQ(bytes_of(mb_one.db), bytes_of(mb_two.db)) << where;
+      if (dt == DType::kF32) {
+        EXPECT_EQ(bytes_of(mb_one.dg), bytes_of(two.dg)) << where;
+        EXPECT_EQ(bytes_of(mb_one.db), bytes_of(two.db)) << where;
+      }
+    }
+  }
+}
+
+// The fold is LightSeq2's, not the kernel family's: DeepSpeed's impl keeps
+// its two launches, and the unfused impls have no dx kernel to fold into.
+// At 4096 x 512 FP16 on the A100 profile the folded launch advances the
+// clock less than the two launches together.
+TEST_F(LayerNormTest, FoldedParamGradsCostLessThanTwoLaunches) {
+  simgpu::Device mdev(simgpu::a100(), simgpu::ExecMode::kModelOnly);
+  KernelContext mkc(mdev, nullptr, 0);
+  const int64_t rows = 4096, cols = 512;
+  const Tensor x = Tensor::empty({rows, cols}, DType::kF16);
+  const Tensor dy = Tensor::empty({rows, cols}, DType::kF16);
+  const Tensor dx = Tensor::empty({rows, cols}, DType::kF16);
+  const Tensor gamma = Tensor::empty({cols}, DType::kF16);
+  const Tensor dg = Tensor::empty({cols}, DType::kF16), db = Tensor::empty({cols}, DType::kF16);
+  const Tensor mean = Tensor::empty({rows}, DType::kF32);
+  const Tensor rstd = Tensor::empty({rows}, DType::kF32);
+  auto clock_of = [&](Impl impl, bool fold) {
+    mdev.reset();
+    layernorm_bw(mkc, impl, dy, x, gamma, mean, rstd, dx, dg, db, &dy, fold);
+    return mdev.clock_us();
+  };
+  const double folded = clock_of(Impl::kLS2, true);
+  EXPECT_EQ(mdev.stats().launches, 1);
+  EXPECT_LT(folded, clock_of(Impl::kLS2, false));
+  clock_of(Impl::kDeepSpeed, false);
+  EXPECT_EQ(mdev.per_kernel().at("deepspeed.layernorm_bw_dparam").launches, 1);
+  EXPECT_THROW(clock_of(Impl::kTorch, true), Error);
+}
+
 TEST_F(LayerNormTest, LaunchCounts) {
   const int64_t rows = 256, cols = 1024;
   Tensor x = randn({rows, cols}, 1);

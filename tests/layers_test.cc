@@ -449,6 +449,30 @@ TEST(CriterionLayerTest, LossIgnoresPadTargets) {
   crit.release();
 }
 
+// LightSeq2's criterion gradient comes from a training forward's loss
+// launch, so a backward after a serving forward, which writes none, throws.
+TEST(CriterionLayerTest, LightSeq2BackwardNeedsATrainingForward) {
+  Harness h(System::kLightSeq2);
+  ParamRegistry params;
+  CriterionConfig cfg;
+  cfg.vocab = 12;
+  cfg.hidden = 8;
+  CriterionLayer crit(params, "criterion", cfg);
+  params.materialize(DType::kF32, true, Rng(1));
+  params.zero_grads();
+  Tensor x = Tensor::empty({1, 3, 8}, DType::kF32);
+  Rng(5).fill_normal(x, 1, 0.0f, 1.0f);
+  Tensor targets = Tensor::from_vector({3, 1, 7}, {1, 3}, DType::kI32);
+  {
+    LayerContext::InferenceScope serving(h.ctx);
+    (void)crit.forward(h.ctx, x, targets);
+  }
+  EXPECT_THROW(crit.backward(h.ctx), Error);
+  crit.release();
+  (void)crit.forward(h.ctx, x, targets);
+  EXPECT_NO_THROW(crit.backward(h.ctx));
+}
+
 // What an attention core holds from forward to backward. Under LightSeq2:
 // Q/K/V (the caller's), the merged context, the output-dropout mask and an
 // f32 [B, N, Lq] statistic: less than one byte per query-key pair, so no

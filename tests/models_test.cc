@@ -176,6 +176,37 @@ TEST(TransformerTest, OnlyTheBaselinesLaunchBiasGrad) {
   }
 }
 
+// LightSeq2 reduces each LayerNorm's dgamma/dbeta in its dx launch and
+// writes the criterion's gradient from its forward launch: a Transformer
+// step launches one ls2.layernorm_bw_dx per LayerNorm (two per encoder
+// layer, three per decoder layer and one ending each stack) and no
+// layernorm_bw_dparam or criterion backward. Fairseq+Apex runs the same
+// LayerNorm kernels, and keeps one dparam launch per LayerNorm and the
+// baseline criterion.
+TEST(TransformerTest, OnlyTheBaselinesLaunchLayerNormParamGrads) {
+  const TransformerConfig cfg = tiny_mt_config();
+  const int64_t layer_norms = 2 * cfg.encoder_layers + 3 * cfg.decoder_layers + 2;
+  MtBatch batch = tiny_batch(64);
+  for (System sys : {System::kFairseqApex, System::kLightSeq2}) {
+    Session s(session_config(sys));
+    Transformer model(cfg, sys, DType::kF32, /*seed=*/7);
+    model.params().zero_grads();
+    (void)model.forward(s.ctx(), batch);
+    model.backward(s.ctx());
+    const auto& kernels = s.device().per_kernel();
+    auto launches = [&](const std::string& name) {
+      return kernels.count(name) ? kernels.at(name).launches : 0;
+    };
+    const bool ls2 = sys == System::kLightSeq2;
+    const std::string sys_name = layers::system_name(sys);
+    EXPECT_EQ(launches("ls2.layernorm_bw_dx"), layer_norms) << sys_name;
+    EXPECT_EQ(launches("ls2.layernorm_bw_dparam"), ls2 ? 0 : layer_norms) << sys_name;
+    EXPECT_EQ(launches("ls2.criterion_fw"), ls2 ? 1 : 0) << sys_name;
+    EXPECT_EQ(launches("ls2.criterion_bw"), 0) << sys_name;
+    EXPECT_EQ(launches("torch.ce_bw_scale"), ls2 ? 0 : 1) << sys_name;
+  }
+}
+
 // Under LightSeq2 every attention of an encoder-decoder training step (an
 // encoder layer's self attention, a decoder layer's self and cross
 // attention) is one launch each way, and none of the unfused chain's
@@ -287,6 +318,10 @@ TEST(Gpt2Test, LightSeq2StepSplitsNoHeads) {
   EXPECT_EQ(launches("ls2.bias_split_transpose"), 0);
   EXPECT_EQ(launches("ls2.split_transpose_bw"), 0);
   EXPECT_EQ(launches("ls2.bias_grad"), 0);
+  // The criterion's gradient comes from its forward launch.
+  EXPECT_EQ(launches("ls2.criterion_fw"), 1);
+  EXPECT_EQ(launches("ls2.criterion_bw"), 0);
+  EXPECT_EQ(launches("ls2.layernorm_bw_dparam"), 0);
 }
 
 // Under TP = 2 LightSeq2's GPT-2 still runs fc1's GELU chain and its
@@ -349,11 +384,42 @@ TEST(BertTest, DeepSpeedStepSplitsAndMergesEveryLayer) {
   EXPECT_EQ(launches("ls2.bias_split_transpose"), cfg.layers);
   EXPECT_EQ(launches("ls2.split_transpose_bw"), cfg.layers);
   EXPECT_EQ(launches("ls2.bias_grad"), 4 * cfg.layers + 1);
+  // Its LayerNorm backward is two launches, and its criterion the baseline's.
+  EXPECT_EQ(launches("deepspeed.layernorm_bw_dx"), 2 * cfg.layers + 1);
+  EXPECT_EQ(launches("deepspeed.layernorm_bw_dparam"), 2 * cfg.layers + 1);
+  EXPECT_EQ(launches("torch.ce_bw_scale"), 1);
   EXPECT_EQ(launches("ls2.attn_fw"), 0);
   // Its bias chains launch on their own, after their GEMMs.
   EXPECT_EQ(launches("ls2.bias_gelu_dropout_fw"), cfg.layers);
   EXPECT_EQ(launches("ls2.bias_gelu_dropout_bw"), cfg.layers);
   EXPECT_EQ(launches("ls2.bias_dropout_residual_fw"), 2 * cfg.layers);
+}
+
+// A LightSeq2 BERT step folds every LayerNorm's dgamma/dbeta into its dx
+// launch, and the [CLS] head's criterion writes its gradient from the
+// forward launch, over the logits after the accuracy has read them.
+TEST(BertTest, LightSeq2StepWritesHeadGradientInForward) {
+  Session s(session_config(System::kLightSeq2));
+  BertConfig cfg;
+  cfg.vocab = 64;
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.ffn_dim = 32;
+  cfg.layers = 3;
+  cfg.max_len = 32;
+  Bert model(cfg, System::kLightSeq2, DType::kF32, 1);
+  model.params().zero_grads();
+  data::ClsDataset ds(cfg.vocab, 16, 16, 4);
+  (void)model.forward(s.ctx(), ds.batch(0, 4, 16));
+  model.backward(s.ctx());
+  const auto& kernels = s.device().per_kernel();
+  auto launches = [&](const std::string& name) {
+    return kernels.count(name) ? kernels.at(name).launches : 0;
+  };
+  EXPECT_EQ(launches("ls2.criterion_fw"), 1);
+  EXPECT_EQ(launches("ls2.criterion_bw"), 0);
+  EXPECT_EQ(launches("ls2.layernorm_bw_dx"), 2 * cfg.layers + 1);
+  EXPECT_EQ(launches("ls2.layernorm_bw_dparam"), 0);
 }
 
 TEST(BertTest, ClassifierTrainsAboveChance) {
