@@ -16,10 +16,13 @@
 #   --preset tsan      Debug build under ThreadSanitizer, running only the
 #                      genuinely multi-threaded surface: the two-stream
 #                      scheduler (dist_overlap_test), the common/parallel.h
-#                      worker pool (gemm_test), and the execute-mode
-#                      training and serving steps of fault_tolerance_test,
-#                      whose kernel bodies run on that pool while faults
-#                      fire. Everything else would only slow the lane.
+#                      worker pool (gemm_test, and data_test, which holds
+#                      parallel_for's own tests, a worker's exception
+#                      rethrown on the caller among them), and the
+#                      execute-mode training and serving steps of
+#                      fault_tolerance_test, whose kernel bodies run on
+#                      that pool while faults fire. Everything else would
+#                      only slow the lane.
 #   --smoke full       Everything the preset covers (default).
 #   --smoke dist       Data-parallel sync smoke lane: the bucket planner,
 #                      overlap and pipelined-update test binaries, and
@@ -63,8 +66,11 @@
 #   --smoke kernels    Kernel-fusion smoke lane: the fused-kernel and layer/
 #                      model parity test binaries (element-wise and transform
 #                      kernels, the bias-gradient fold, the bias chains as
-#                      GEMM epilogues, the fused attention core bitwise
-#                      against its unfused chain, on head layout and on
+#                      GEMM epilogues, LayerNorm's dgamma/dbeta fold and
+#                      the criterion gradient from its forward launch, each
+#                      bitwise the two launches it replaces, the fused
+#                      attention core bitwise against its unfused chain,
+#                      on head layout and on
 #                      projection rows, every system's layer and model
 #                      gradients, eager against graph replay bitwise for all
 #                      four LightSeq2 models, TP parity, where the epilogues
@@ -125,7 +131,7 @@ declare -A LANES=(
   [obs]="obs_test|trace_test fig_obs"
   [paged]="infer_test|fault_tolerance_test fig_page"
   [serve]="infer_test fig_serve"
-  [kernels]="elementwise_test|transform_test|attention_test|layers_test|models_test|graph_replay_test|tensor_parallel_test|infer_test fig_launch_graph"
+  [kernels]="elementwise_test|transform_test|layernorm_test|embedding_criterion_test|attention_test|layers_test|models_test|graph_replay_test|tensor_parallel_test|infer_test fig_launch_graph"
 )
 LANE_TESTS="" LANE_BENCH="" LANE_FIGURE=""
 if [ "$SMOKE" != full ]; then
@@ -145,7 +151,7 @@ CTEST=(ctest --output-on-failure --no-tests=error)
 if [ "$PRESET" = tsan ]; then
   # The TSan lane pins its scope to the threaded surface regardless of the
   # smoke flavour — single-threaded tests under TSan are pure slowdown.
-  "${CTEST[@]}" --timeout 600 -R 'dist_overlap_test|gemm_test|fault_tolerance_test'
+  "${CTEST[@]}" --timeout 600 -R 'dist_overlap_test|gemm_test|data_test|fault_tolerance_test'
 elif [ "$SMOKE" = full ]; then
   "${CTEST[@]}" --timeout 300 -j "$(nproc)"
 else
